@@ -11,7 +11,7 @@
 
 use qr2_webdb::{AttrId, Schema, Tuple};
 
-use crate::normalize::Normalizer;
+use crate::normalize::{AttrStats, Normalizer};
 
 /// Sort direction for one-dimensional reranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +138,49 @@ impl LinearFunction {
             .map(|((a, w), v)| w * norm.normalize(*a, *v))
             .sum()
     }
+
+    /// This function with each attribute's normalization resolved once
+    /// against `norm`, for scoring many tuples without a lock and two hash
+    /// lookups per term. Scores are bit-identical to
+    /// [`LinearFunction::score`] as long as `norm` is unchanged.
+    pub fn scorer(&self, norm: &Normalizer) -> Scorer {
+        Scorer {
+            terms: self
+                .weights
+                .iter()
+                .map(|&(a, w)| (a, w, norm.stats(a)))
+                .collect(),
+        }
+    }
+}
+
+/// A [`LinearFunction`] bound to a snapshot of its attributes'
+/// normalization stats (see [`LinearFunction::scorer`]).
+#[derive(Debug, Clone)]
+pub struct Scorer {
+    terms: Vec<(AttrId, f64, AttrStats)>,
+}
+
+impl Scorer {
+    /// Score a tuple (smaller is better), with the same arithmetic in the
+    /// same order as [`LinearFunction::score`].
+    pub fn score(&self, t: &Tuple) -> f64 {
+        self.terms
+            .iter()
+            .map(|(a, w, s)| w * s.normalize(t.num_at(*a)))
+            .sum()
+    }
+
+    /// Score raw per-dimension values aligned with
+    /// [`LinearFunction::weights`], like [`LinearFunction::score_point`].
+    pub fn score_point(&self, raw: &[f64]) -> f64 {
+        debug_assert_eq!(raw.len(), self.terms.len());
+        self.terms
+            .iter()
+            .zip(raw)
+            .map(|((_, w, s), v)| w * s.normalize(*v))
+            .sum()
+    }
 }
 
 /// Any user ranking function QR2 supports.
@@ -250,6 +293,46 @@ mod tests {
         let via_tuple = f.score(&t, &norm);
         let via_point = f.score_point(&[20.0, 4.0], &norm);
         assert!((via_tuple - via_point).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scorer_is_bit_identical_to_score() {
+        let s = schema();
+        let price = s.expect_id("price");
+        let norm = Normalizer::from_domains(&s);
+        let f = LinearFunction::from_names(&s, &[("price", 0.05), ("size", -1.0)]).unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |scale: f64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64 * scale
+        };
+        let check = |norm: &Normalizer, next: &mut dyn FnMut(f64) -> f64| {
+            let scorer = f.scorer(norm);
+            for i in 0..2_000u32 {
+                let (p, z) = (next(120.0) - 10.0, next(10.0));
+                let t = Tuple::new(
+                    TupleId(i),
+                    vec![Value::Num(p), Value::Num(z), Value::Cat(0)],
+                );
+                assert_eq!(scorer.score(&t).to_bits(), f.score(&t, norm).to_bits());
+                assert_eq!(
+                    scorer.score_point(&[p, z]).to_bits(),
+                    f.score_point(&[p, z], norm).to_bits()
+                );
+            }
+        };
+        // Domain-only normalizer, then one refined by `set`.
+        check(&norm, &mut next);
+        norm.set(
+            price,
+            crate::normalize::AttrStats {
+                min: 3.7,
+                max: 91.3,
+            },
+        );
+        check(&norm, &mut next);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod stats;
 pub use budget::{Budget, CancelToken, StepOutcome};
 pub use dense_index::DenseIndex;
 pub use executor::{ExecutorKind, SearchCtx, StatsSnapshot};
-pub use function::{LinearFunction, OneDimFunction, RankingFunction, SortDir};
+pub use function::{LinearFunction, OneDimFunction, RankingFunction, Scorer, SortDir};
 pub use md::{MdAlgo, MdReranker};
 pub use normalize::{discover_extremum, AttrStats, Normalizer};
 pub use oned::{OneDAlgo, OneDimStream};

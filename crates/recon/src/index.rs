@@ -12,21 +12,23 @@
 //! * `atomic` — unsplittable regions that still overflow (more than
 //!   `system-k` hidden tuples identical on every searchable attribute):
 //!   permanently uncoverable holes;
-//! * `tuples` — every tuple retrieved so far, deduplicated by id.
+//! * `tuples` — every tuple retrieved so far, deduplicated and ordered by
+//!   id: one immutable snapshot, replaced (never mutated) by each merge,
+//!   whose sorted projections are built on first use and shared by every
+//!   cursor over that version.
 //!
 //! A conjunctive region `q` is **covered** iff the reconstruction is at
 //! the caller's current epoch, `root` covers `q`, and `q` intersects no
 //! pending or atomic region. Because split halves partition their parent
 //! exactly (see `qr2-crawler`), every tuple of a covered region is in
-//! `tuples` — so filtering `tuples` by `q` yields the region's *complete*
-//! answer set, and sorting it with [`crate::ServeOrder`] reproduces the
-//! live engines' output byte for byte.
+//! `tuples` — so the tuples matching `q`, pulled in [`crate::ServeOrder`]
+//! by a [`ReconCursor`], reproduce the live engines' output byte for
+//! byte.
 //!
 //! The driver and the opportunistic feed path only ever shrink coverage
 //! claims on crash or race (a checkpoint's frontier is a superset of the
 //! truly uncovered regions): the index under-claims, never over-claims.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -36,8 +38,9 @@ use qr2_crawler::{effective_cats, effective_range, split_region, SplitPolicy};
 use qr2_sched::context::{next_session_key, with_session};
 use qr2_sched::{QueryClass, SessionCtx};
 use qr2_store::RankIndex;
-use qr2_webdb::{AttrKind, Schema, SearchQuery, TopKInterface, TopKResponse, Tuple, TupleId};
+use qr2_webdb::{AttrId, AttrKind, Schema, SearchQuery, TopKInterface, TopKResponse, Tuple};
 
+use crate::cursor::{ReconCursor, TupleSet};
 use crate::serve::ServeOrder;
 
 /// In-memory reconstruction state (behind [`ReconIndex`]'s lock).
@@ -47,21 +50,8 @@ struct State {
     root: Option<SearchQuery>,
     pending: Vec<SearchQuery>,
     atomic: Vec<SearchQuery>,
-    tuples: BTreeMap<TupleId, Tuple>,
+    tuples: Arc<TupleSet>,
     budget_spent: u64,
-    /// Bumped on every mutation; versions a [`ServeMemo`].
-    version: u64,
-}
-
-/// The most recent materialized answer set, shared across sessions: a
-/// second `serve` call with the same filter and order at an unchanged
-/// state returns the same `Arc` instead of re-cloning (and re-sorting)
-/// the whole matching tuple set per session.
-struct ServeMemo {
-    version: u64,
-    query: SearchQuery,
-    order: ServeOrder,
-    tuples: Arc<[Tuple]>,
 }
 
 /// Job bookkeeping: at most one reconstruction job per source at a time.
@@ -184,7 +174,6 @@ pub struct ReconIndex {
     state: RwLock<State>,
     store: Mutex<Option<RankIndex>>,
     jobs: Mutex<Jobs>,
-    memo: Mutex<Option<ServeMemo>>,
 }
 
 impl ReconIndex {
@@ -194,7 +183,6 @@ impl ReconIndex {
             state: RwLock::new(State::default()),
             store: Mutex::new(None),
             jobs: Mutex::new(Jobs::default()),
-            memo: Mutex::new(None),
         }
     }
 
@@ -203,20 +191,20 @@ impl ReconIndex {
     pub fn open(path: impl AsRef<Path>) -> qr2_store::Result<ReconIndex> {
         let store = RankIndex::open(path)?;
         let snap = store.load()?;
+        let mut tuples = Arc::default();
+        TupleSet::absorb(&mut tuples, snap.tuples);
         let state = State {
             epoch: snap.epoch,
             root: snap.root,
             pending: snap.pending,
             atomic: snap.atomic,
-            tuples: snap.tuples.into_iter().map(|t| (t.id, t)).collect(),
+            tuples,
             budget_spent: snap.budget_spent,
-            version: 0,
         };
         Ok(ReconIndex {
             state: RwLock::new(state),
             store: Mutex::new(Some(store)),
             jobs: Mutex::new(Jobs::default()),
-            memo: Mutex::new(None),
         })
     }
 
@@ -231,10 +219,10 @@ impl ReconIndex {
         covered_locked(&self.state.read(), q, current_epoch)
     }
 
-    /// The complete, engine-ordered answer set for a covered region:
-    /// every indexed tuple matching `q`, sorted with the live engines'
-    /// exact comparators. `None` when `q` is not covered — the caller
-    /// must fall back to the live engine.
+    /// A lazy cursor over the complete, engine-ordered answer set of a
+    /// covered region: every indexed tuple matching `q`, pulled in the
+    /// live engines' exact order. `None` when `q` is not covered — the
+    /// caller must fall back to the live engine.
     ///
     /// `epoch_at` supplies the caller's current staleness epoch and is
     /// evaluated *while the read lock is held*, so the coverage check and
@@ -242,55 +230,39 @@ impl ReconIndex {
     /// between them and let a just-invalidated reconstruction serve a
     /// brand-new session.
     ///
-    /// The returned set is `Arc`-shared: repeated calls with the same
-    /// filter and order against an unchanged reconstruction reuse one
-    /// materialization instead of cloning the matching tuples per caller.
+    /// Nothing is materialized or sorted here: the cursor shares the
+    /// current tuple snapshot and its projections (built once per
+    /// version, on the first serve that needs them) and does its work as
+    /// the session pulls pages.
     pub fn serve(
         &self,
         q: &SearchQuery,
         order: &ServeOrder,
         norm: &Normalizer,
         epoch_at: impl FnOnce() -> u64,
-    ) -> Option<Arc<[Tuple]>> {
-        qr2_obs::span("recon.serve", || self.serve_inner(q, order, norm, epoch_at))
+    ) -> Option<ReconCursor> {
+        qr2_obs::span("recon.serve", || {
+            let tuples = {
+                let st = self.state.read();
+                if !covered_locked(&st, q, epoch_at()) {
+                    return None;
+                }
+                Arc::clone(&st.tuples)
+            };
+            Some(ReconCursor::new(tuples, q.clone(), order, norm))
+        })
     }
 
-    fn serve_inner(
-        &self,
-        q: &SearchQuery,
-        order: &ServeOrder,
-        norm: &Normalizer,
-        epoch_at: impl FnOnce() -> u64,
-    ) -> Option<Arc<[Tuple]>> {
-        let (version, mut out) = {
-            let st = self.state.read();
-            if !covered_locked(&st, q, epoch_at()) {
-                return None;
-            }
-            if let Some(m) = self.memo.lock().as_ref() {
-                if m.version == st.version && m.query == *q && m.order == *order {
-                    return Some(Arc::clone(&m.tuples));
-                }
-            }
-            let out = st
-                .tuples
-                .values()
-                .filter(|t| q.matches_with(|a| t.value(a)))
-                .cloned()
-                .collect::<Vec<Tuple>>();
-            (st.version, out)
-        };
-        order.sort(&mut out, norm);
-        let tuples: Arc<[Tuple]> = out.into();
-        // Last write wins on a race; the version tag keeps a stale entry
-        // from ever satisfying a lookup at a newer state.
-        *self.memo.lock() = Some(ServeMemo {
-            version,
-            query: q.clone(),
-            order: order.clone(),
-            tuples: Arc::clone(&tuples),
-        });
-        Some(tuples)
+    /// Build the sorted projections of `attrs` (numeric attributes) on
+    /// the current tuple snapshot now. They are otherwise built by the
+    /// first [`ReconIndex::serve`] that needs them — wall-clock
+    /// benchmarks call this so that one-time cost is not charged to the
+    /// first measured session.
+    pub fn prewarm_projections(&self, attrs: &[AttrId]) {
+        let tuples = Arc::clone(&self.state.read().tuples);
+        for &attr in attrs {
+            tuples.projection(attr);
+        }
     }
 
     /// Opportunistically absorb a live answer observed during fallback
@@ -313,14 +285,7 @@ impl ReconIndex {
             if st.pending.len() == before {
                 return;
             }
-            let mut added = Vec::new();
-            for t in resp.tuples.iter() {
-                if let std::collections::btree_map::Entry::Vacant(e) = st.tuples.entry(t.id) {
-                    e.insert(t.clone());
-                    added.push(t.clone());
-                }
-            }
-            st.version += 1;
+            let added = TupleSet::absorb(&mut st.tuples, resp.tuples.to_vec());
             (added, st.pending.clone(), st.atomic.clone())
         };
         if let Some(store) = self.store.lock().as_mut() {
@@ -339,15 +304,10 @@ impl ReconIndex {
         if let Some((_, cancel)) = &self.jobs.lock().running {
             cancel.cancel();
         }
-        {
-            let mut st = self.state.write();
-            let version = st.version + 1;
-            *st = State {
-                epoch: current_epoch,
-                version,
-                ..State::default()
-            };
-        }
+        *self.state.write() = State {
+            epoch: current_epoch,
+            ..State::default()
+        };
         match self.store.lock().as_mut() {
             Some(store) => store.clear(current_epoch),
             None => Ok(()),
@@ -492,12 +452,10 @@ impl ReconIndex {
             let mut st = self.state.write();
             let resume = st.epoch == epoch && st.root.as_ref() == Some(&root);
             if !resume {
-                let version = st.version + 1;
                 *st = State {
                     epoch,
                     root: Some(root.clone()),
                     pending: vec![root.clone()],
-                    version,
                     ..State::default()
                 };
             }
@@ -623,17 +581,10 @@ impl ReconIndex {
         let pending: Vec<SearchQuery> = worklist.iter().map(|(q, _)| q.clone()).collect();
         let (added, budget_spent) = {
             let mut st = self.state.write();
-            let mut added = Vec::new();
-            for t in batch.drain(..) {
-                if let std::collections::btree_map::Entry::Vacant(e) = st.tuples.entry(t.id) {
-                    e.insert(t.clone());
-                    added.push(t);
-                }
-            }
+            let added = TupleSet::absorb(&mut st.tuples, std::mem::take(batch));
             st.pending = pending.clone();
             st.atomic = atomic.to_vec();
             st.budget_spent += paid_delta as u64;
-            st.version += 1;
             // Each checkpoint call accounts its own paid delta exactly
             // once: the caller resets its counter.
             (added, st.budget_spent)
@@ -791,13 +742,28 @@ mod tests {
             attr: x,
             dir: qr2_core::SortDir::Asc,
         };
-        let page = idx.serve(&narrow, &order, &norm, || 0).unwrap();
+        let page: Vec<Tuple> = idx.serve(&narrow, &order, &norm, || 0).unwrap().collect();
         assert_eq!(page.len(), 16);
-        let again = idx.serve(&narrow, &order, &norm, || 0).unwrap();
-        assert!(
-            Arc::ptr_eq(&page, &again),
-            "unchanged state must reuse the memoized materialization"
-        );
+        // The first serve built x's projection on the current snapshot; a
+        // second serve at the same version reuses both.
+        let (snapshot, projection) = {
+            let st = idx.state.read();
+            let p = st.tuples.projection(x).unwrap() as *const _;
+            (Arc::clone(&st.tuples), p)
+        };
+        let again: Vec<Tuple> = idx.serve(&narrow, &order, &norm, || 0).unwrap().collect();
+        assert_eq!(again, page);
+        {
+            let st = idx.state.read();
+            assert!(
+                Arc::ptr_eq(&snapshot, &st.tuples),
+                "same version, same snapshot"
+            );
+            assert!(
+                std::ptr::eq(projection, st.tuples.projection(x).unwrap()),
+                "unchanged state must reuse the built projection"
+            );
+        }
         assert!(page.windows(2).all(|w| {
             match (w.first(), w.get(1)) {
                 (Some(a), Some(b)) => (a.num_at(x), a.id) <= (b.num_at(x), b.id),

@@ -24,10 +24,12 @@
 //!   interactive sessions in the per-source scheduler and benefits from
 //!   answer-cache hits and cross-session coalescing like any other
 //!   caller.
-//! * [`ServeOrder`] — the engines' client-visible serving order,
-//!   reproduced exactly: the hybrid serving tier in `qr2-service` sorts
-//!   covered tuples with the same comparators the live engines use, so a
-//!   reconstruction-served page is **byte-identical** to the live path.
+//! * [`ServeOrder`] and [`ReconCursor`] — the engines' client-visible
+//!   serving order, reproduced exactly: [`ReconIndex::serve`] hands the
+//!   hybrid serving tier in `qr2-service` a lazy cursor that walks sorted
+//!   per-attribute projections (1D orders) or runs Fagin's Threshold
+//!   Algorithm over them (MD orders), so a reconstruction-served page is
+//!   **byte-identical** to the live path without sorting the matches.
 //!
 //! ## Staleness
 //!
@@ -38,9 +40,11 @@
 //! reconstruction stale — serving falls back to the live engines until a
 //! re-crawl rebuilds the index at the new epoch.
 
+mod cursor;
 mod index;
 mod serve;
 
+pub use cursor::ReconCursor;
 pub use index::{
     region_volume, JobOptions, JobReport, JobStatus, ReconIndex, ReconJobError, ReconStatus,
 };

@@ -10,18 +10,19 @@
 //!   (`oned/stream.rs`, `refill`);
 //! * the MD engines (`MD-BASELINE`, `MD-BINARY`, `MD-RERANK`, `MD-TA`)
 //!   serve by ascending [`LinearFunction`] score under the reranker's
-//!   [`Normalizer`], ties broken by ascending id (the frontier heap's
-//!   `Candidate` ordering and the baseline's sort).
+//!   [`Normalizer`](qr2_core::Normalizer), ties broken by ascending id
+//!   (the frontier heap's `Candidate` ordering and the baseline's sort).
 //!
 //! Both comparators use [`f64::total_cmp`], so a reconstruction-served
-//! page sorted here is **byte-identical** to the live engine's output —
-//! the invariant `tests/recon_e2e.rs` pins for all seven algorithms. The
-//! normalizer is frozen once a reranker is built (calibration happens at
-//! build time), so scoring with the same normalizer instance reproduces
-//! the exact score bits.
+//! page pulled in this order by a [`ReconCursor`](crate::ReconCursor) is
+//! **byte-identical** to the live engine's output — the invariant
+//! `tests/recon_e2e.rs` pins for all seven algorithms. The normalizer is
+//! frozen once a reranker is built (calibration happens at build time),
+//! so scoring with the same normalizer instance reproduces the exact
+//! score bits.
 
-use qr2_core::{Algorithm, LinearFunction, Normalizer, RankingFunction, SortDir};
-use qr2_webdb::{AttrId, Tuple};
+use qr2_core::{Algorithm, LinearFunction, RankingFunction, SortDir};
+use qr2_webdb::AttrId;
 
 /// The client-visible order one reranking request serves tuples in.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +86,10 @@ impl ServeOrder {
 
     /// Sort `tuples` into this serving order with the engines' exact
     /// comparators. `norm` must be the owning reranker's normalizer so MD
-    /// scores reproduce bit-for-bit.
-    pub fn sort(&self, tuples: &mut [Tuple], norm: &Normalizer) {
+    /// scores reproduce bit-for-bit. The reference the cursors are tested
+    /// against; serving itself never sorts.
+    #[cfg(test)]
+    pub fn sort(&self, tuples: &mut [qr2_webdb::Tuple], norm: &qr2_core::Normalizer) {
         match self {
             ServeOrder::OneDim {
                 attr,
@@ -124,8 +127,8 @@ impl ServeOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr2_core::OneDimFunction;
-    use qr2_webdb::{Schema, TopKInterface, TupleId, Value};
+    use qr2_core::{Normalizer, OneDimFunction};
+    use qr2_webdb::{Schema, TopKInterface, Tuple, TupleId, Value};
 
     fn schema() -> Schema {
         Schema::builder()

@@ -200,8 +200,8 @@ fn ndjson_stream(
                     status = Some("complete");
                     continue;
                 }
-                // Recon-served sessions stream straight from the materialized
-                // answer — every line is free, no budget applies.
+                // Recon-served sessions stream straight from the recon
+                // cursor — every line is free, no budget applies.
                 let recon_step = entry
                     .recon
                     .as_mut()

@@ -81,14 +81,14 @@ impl QueryService {
         let class = parse_class(req.class.as_deref())?;
 
         // Hybrid dispatch: when the offline-reconstructed index covers the
-        // filter region at the source's current staleness epoch, the whole
-        // answer is materialized (Arc-shared across sessions with the same
-        // filter and order) and served page by page — zero paid queries, no
-        // scheduler admission, ledger untouched. The epoch is sampled by
-        // serve() under its own read lock, so coverage is decided against
-        // the epoch current at check time. Coverage is evaluated once, at
-        // creation: the session keeps its snapshot even if the epoch moves
-        // later (exactly like a live session keeps its buffered tuples).
+        // filter region at the source's current staleness epoch, the answer
+        // is pulled lazily from a recon cursor page by page — zero paid
+        // queries, no scheduler admission, ledger untouched. The epoch is
+        // sampled by serve() under its own read lock, so coverage is
+        // decided against the epoch current at check time. Coverage is
+        // evaluated once, at creation: the session keeps its snapshot even
+        // if the epoch moves later (exactly like a live session keeps its
+        // buffered tuples).
         let recon_serving = ServeOrder::for_request(algorithm, &function)
             .and_then(|order| {
                 source
@@ -128,7 +128,7 @@ impl QueryService {
                             move || recon_epoch,
                         )
                     })
-                    .map(|tuples| ReconServing::new(tuples).degraded())
+                    .map(|cursor| ReconServing::new(cursor).degraded())
             }
             None => None,
         };
@@ -235,7 +235,7 @@ impl QueryService {
         let page_size = clamp_page_size(page_size.unwrap_or(handle.page_size));
 
         let mut entry = handle.lock();
-        // Recon-served sessions page from the materialized answer: free,
+        // Recon-served sessions page from the recon cursor: free,
         // so the lifetime budget check does not apply.
         let recon_step = entry.recon.as_mut().map(|serving| {
             let page = serving.next_page(page_size);

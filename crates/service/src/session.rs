@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 use qr2_core::{CancelToken, QueryStats, RerankSession};
+use qr2_recon::ReconCursor;
 use qr2_sched::{FailureSignal, QueryClass};
 use qr2_webdb::Tuple;
 
@@ -22,16 +23,18 @@ use qr2_webdb::Tuple;
 pub type SessionId = String;
 
 /// Zero-query serving state for a session whose filter region is covered
-/// by the source's offline rank reconstruction (`qr2-recon`): the
-/// complete, engine-ordered answer set was materialized at creation, and
-/// every page is a cursor slice over it — no engine, no scheduler, no
-/// web-DB spend. Coverage was checked against the answer-cache epoch at
-/// creation; like a live session's already-buffered tuples, the
-/// materialized order is *not* invalidated mid-session by a later epoch
-/// bump (see docs/RECON.md).
+/// by the source's offline rank reconstruction (`qr2-recon`): pages are
+/// pulled lazily from a [`ReconCursor`] in the engines' exact order — no
+/// engine, no scheduler, no web-DB spend. Coverage was checked against
+/// the answer-cache epoch at creation; like a live session's
+/// already-buffered tuples, the cursor's snapshot is *not* invalidated
+/// mid-session by a later epoch bump (see docs/RECON.md).
 pub struct ReconServing {
-    tuples: Arc<[Tuple]>,
-    cursor: usize,
+    cursor: ReconCursor,
+    /// The next tuple, pulled one ahead so [`ReconServing::done`] is
+    /// exact without a page having come back short.
+    ahead: Option<Tuple>,
+    served: usize,
     /// Serving-tier statistics: `recon_hits` pages, zero queries.
     pub stats: QueryStats,
     /// True when this answer was admitted under an operator degraded-
@@ -42,14 +45,12 @@ pub struct ReconServing {
 }
 
 impl ReconServing {
-    /// Wrap a materialized, engine-ordered answer set. The `Arc` comes
-    /// straight from `ReconIndex::serve`, so sessions over the same
-    /// covered filter share one materialization instead of each holding
-    /// a private copy.
-    pub fn new(tuples: Arc<[Tuple]>) -> ReconServing {
+    /// Serve the answer `cursor` (from `ReconIndex::serve`) pulls.
+    pub fn new(mut cursor: ReconCursor) -> ReconServing {
         ReconServing {
-            tuples,
-            cursor: 0,
+            ahead: cursor.next(),
+            cursor,
+            served: 0,
             stats: QueryStats::default(),
             degraded: false,
         }
@@ -64,26 +65,26 @@ impl ReconServing {
 
     /// Serve the next page of up to `n` tuples and record the recon hit.
     pub fn next_page(&mut self, n: usize) -> Vec<Tuple> {
-        let page: Vec<Tuple> = self
-            .tuples
-            .iter()
-            .skip(self.cursor)
-            .take(n)
-            .cloned()
-            .collect();
-        self.cursor += page.len();
+        let page: Vec<Tuple> = std::iter::from_fn(|| {
+            let t = self.ahead.take()?;
+            self.ahead = self.cursor.next();
+            Some(t)
+        })
+        .take(n)
+        .collect();
+        self.served += page.len();
         self.stats.record_recon_hit();
         page
     }
 
     /// Tuples served so far.
     pub fn served(&self) -> usize {
-        self.cursor
+        self.served
     }
 
     /// True when every tuple has been served.
     pub fn done(&self) -> bool {
-        self.cursor >= self.tuples.len()
+        self.ahead.is_none()
     }
 }
 

@@ -7,8 +7,9 @@
 //! simulator the same machinery a real search backend has:
 //!
 //! * a **rank-position index** `row → position in the system-rank order`,
-//! * a **sorted projection** per numeric attribute (values ascending, each
-//!   carrying its row id), and
+//! * a **sorted projection** per numeric attribute (row ids by ascending
+//!   value — [`Projection`], which the reconstruction tier in `qr2-recon`
+//!   reuses over its own tuple vector), and
 //! * a **postings list** per categorical code (rows holding that code).
 //!
 //! A conjunctive query is resolved by binary-searching the *most selective*
@@ -23,15 +24,67 @@
 //! tuples, the same order, the same overflow flag (pinned by property tests
 //! in `tests/index_equivalence.rs`).
 
+use std::ops::Range;
+
 use crate::attr::AttrId;
-use crate::predicate::{Predicate, SearchQuery};
+use crate::predicate::{Predicate, RangePred, SearchQuery};
 use crate::table::Table;
 
+/// Row ids of one numeric column, sorted by value ascending
+/// (`f64::total_cmp`, ties by ascending row id).
+///
+/// A projection holds only the ids — 4 bytes per row. The values stay
+/// with the projection's owner (a [`Table`] column, a tuple vector) and
+/// are read back through a `value(row)` accessor, so the simulator and
+/// the reconstruction tier share one type without duplicating a column.
+#[derive(Debug, Clone, Default)]
+pub struct Projection {
+    rows: Vec<u32>,
+}
+
+impl Projection {
+    /// Sort rows `0..len` by `value(row)`. O(n log n).
+    pub fn build(len: usize, value: impl Fn(u32) -> f64) -> Projection {
+        let mut rows: Vec<u32> = (0..len as u32).collect();
+        rows.sort_unstable_by(|&a, &b| value(a).total_cmp(&value(b)).then(a.cmp(&b)));
+        Projection { rows }
+    }
+
+    /// The sorted row ids.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The positions of [`Projection::rows`] whose values satisfy `r`:
+    /// one contiguous run, found by binary search. `value` must be the
+    /// accessor the projection was built with.
+    pub fn range(&self, r: &RangePred, value: impl Fn(u32) -> f64) -> Range<usize> {
+        // Values ascend along `rows`, and both bound tests are monotone
+        // in the value, so partition_point finds the exact run.
+        let start = self.rows.partition_point(|&row| {
+            let v = value(row);
+            if r.lo_inc {
+                v < r.lo
+            } else {
+                v <= r.lo
+            }
+        });
+        let end = self.rows.partition_point(|&row| {
+            let v = value(row);
+            if r.hi_inc {
+                v <= r.hi
+            } else {
+                v < r.hi
+            }
+        });
+        start..end.max(start)
+    }
+}
+
 /// One attribute's secondary structure.
-enum Projection {
-    /// Rows sorted by value ascending (`f64::total_cmp`, ties by row id).
-    /// Stored as parallel arrays for cache-friendly binary search.
-    Numeric { values: Vec<f64>, rows: Vec<u32> },
+enum AttrIndex {
+    /// The numeric column's sorted projection.
+    Numeric(Projection),
     /// `postings[code]` = rows holding `code`, ascending by row id.
     Categorical { postings: Vec<Vec<u32>> },
 }
@@ -90,7 +143,7 @@ pub struct TableIndex {
     /// The rank order itself (best row first): unconstrained queries are
     /// answered by slicing its prefix.
     order: Vec<u32>,
-    projections: Vec<Projection>,
+    projections: Vec<AttrIndex>,
     rows: usize,
 }
 
@@ -109,15 +162,7 @@ impl TableIndex {
             .iter()
             .map(|(id, attr)| {
                 if let Some(col) = table.raw_numeric(id) {
-                    let mut row_ids: Vec<u32> = (0..rows as u32).collect();
-                    row_ids.sort_unstable_by(|&a, &b| {
-                        col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
-                    });
-                    let values = row_ids.iter().map(|&r| col[r as usize]).collect();
-                    Projection::Numeric {
-                        values,
-                        rows: row_ids,
-                    }
+                    AttrIndex::Numeric(Projection::build(rows, |r| col[r as usize]))
                 } else {
                     let col = table
                         .raw_categorical(id)
@@ -130,7 +175,7 @@ impl TableIndex {
                     for (row, &code) in col.iter().enumerate() {
                         postings[code as usize].push(row as u32);
                     }
-                    Projection::Categorical { postings }
+                    AttrIndex::Categorical { postings }
                 }
             })
             .collect();
@@ -144,17 +189,16 @@ impl TableIndex {
 
     /// Candidate set of the predicate on `attr` (exact row count for a
     /// single predicate).
-    fn candidates(&self, attr: AttrId, pred: &Predicate) -> Candidates<'_> {
+    fn candidates<'a>(&'a self, table: &Table, attr: AttrId, pred: &Predicate) -> Candidates<'a> {
         match (&self.projections[attr.index()], pred) {
-            (Projection::Numeric { values, rows }, Predicate::Range(r)) => {
-                // `values` ascends; both bound tests are monotone in the
-                // value, so partition_point finds the exact run.
-                let start =
-                    values.partition_point(|&v| if r.lo_inc { v < r.lo } else { v <= r.lo });
-                let end = values.partition_point(|&v| if r.hi_inc { v <= r.hi } else { v < r.hi });
-                Candidates::Run(&rows[start..end.max(start)])
+            (AttrIndex::Numeric(projection), Predicate::Range(r)) => {
+                let col = table
+                    .raw_numeric(attr)
+                    .expect("a numeric projection indexes a numeric column");
+                let run = projection.range(r, |row| col[row as usize]);
+                Candidates::Run(&projection.rows()[run])
             }
-            (Projection::Categorical { postings }, Predicate::Cats(set)) => Candidates::Postings(
+            (AttrIndex::Categorical { postings }, Predicate::Cats(set)) => Candidates::Postings(
                 set.codes()
                     .iter()
                     .filter_map(|&c| postings.get(c as usize).map(Vec::as_slice))
@@ -166,16 +210,16 @@ impl TableIndex {
 
     /// The most selective predicate of `q` and its exact candidate count.
     /// `None` when the query is unconstrained.
-    fn driver(&self, q: &SearchQuery) -> Option<(AttrId, usize)> {
+    fn driver(&self, table: &Table, q: &SearchQuery) -> Option<(AttrId, usize)> {
         q.predicates()
-            .map(|(attr, p)| (attr, self.candidates(attr, p).count()))
+            .map(|(attr, p)| (attr, self.candidates(table, attr, p).count()))
             .min_by_key(|&(_, count)| count)
     }
 
     /// Exact candidate count of the most selective predicate (`None` for
     /// unconstrained queries). Exposed for cost-model introspection.
-    pub fn driver_count(&self, q: &SearchQuery) -> Option<usize> {
-        self.driver(q).map(|(_, count)| count)
+    pub fn driver_count(&self, table: &Table, q: &SearchQuery) -> Option<usize> {
+        self.driver(table, q).map(|(_, count)| count)
     }
 
     /// Plan one query: the chosen driver and the cost-model decision,
@@ -191,8 +235,8 @@ impl TableIndex {
     /// the scan estimate is optimistic — so the comparison carries a 4×
     /// bias toward the index. Unconstrained queries always prefer the
     /// index (a rank-order slice).
-    pub fn plan(&self, q: &SearchQuery, k: usize) -> QueryPlan {
-        match self.driver(q) {
+    pub fn plan(&self, table: &Table, q: &SearchQuery, k: usize) -> QueryPlan {
+        match self.driver(table, q) {
             None => QueryPlan {
                 driver: None,
                 use_index: true,
@@ -210,15 +254,15 @@ impl TableIndex {
     }
 
     /// The cost model's verdict alone (see [`TableIndex::plan`]).
-    pub fn prefers_index(&self, q: &SearchQuery, k: usize) -> bool {
-        self.plan(q, k).prefers_index()
+    pub fn prefers_index(&self, table: &Table, q: &SearchQuery, k: usize) -> bool {
+        self.plan(table, q, k).prefers_index()
     }
 
     /// Execute `q` through the index: the best `k` matching rows in
     /// system-rank order, plus the overflow flag. The caller guarantees
     /// `q` is not trivially empty.
     pub fn execute(&self, table: &Table, q: &SearchQuery, k: usize) -> (Vec<u32>, bool) {
-        let plan = self.plan(q, k);
+        let plan = self.plan(table, q, k);
         self.execute_plan(table, q, k, &plan)
     }
 
@@ -236,7 +280,7 @@ impl TableIndex {
             return (self.order[..k.min(self.rows)].to_vec(), self.rows > k);
         };
         let pred = q.predicate(driver_attr).expect("driver comes from q");
-        let candidates = self.candidates(driver_attr, pred);
+        let candidates = self.candidates(table, driver_attr, pred);
         // Gather matching rows as (rank position, row). The driver
         // predicate is re-checked as part of the full conjunction — cheap,
         // and it keeps match semantics defined by exactly one code path.
@@ -364,11 +408,14 @@ mod tests {
 
     #[test]
     fn cost_model_prefers_index_for_selective_and_scan_for_broad() {
-        let (_, _, index) = setup();
+        let (table, _, index) = setup();
         let price = AttrId(0);
         let narrow = SearchQuery::all().and_range(price, RangePred::point(42.0));
-        assert!(index.prefers_index(&narrow, 10));
-        assert!(index.prefers_index(&SearchQuery::all(), 10), "rank slice");
+        assert!(index.prefers_index(&table, &narrow, 10));
+        assert!(
+            index.prefers_index(&table, &SearchQuery::all(), 10),
+            "rank slice"
+        );
         // A broad driver on a (hypothetically) huge table prefers the scan:
         // exercise the formula directly.
         let d = 1_000_000u128;
@@ -382,15 +429,15 @@ mod tests {
 
     #[test]
     fn driver_picks_most_selective_predicate() {
-        let (_, _, index) = setup();
+        let (table, _, index) = setup();
         let price = AttrId(0);
         let cut = AttrId(1);
         let q = SearchQuery::all()
             .and_range(price, RangePred::point(42.0)) // few rows
             .and_cats(cut, CatSet::new([0, 1, 2])); // all rows
-        let (attr, count) = index.driver(&q).unwrap();
+        let (attr, count) = index.driver(&table, &q).unwrap();
         assert_eq!(attr, price);
-        assert_eq!(count, index.driver_count(&q).unwrap());
+        assert_eq!(count, index.driver_count(&table, &q).unwrap());
         assert!(count < 100);
     }
 }

@@ -64,7 +64,7 @@ mod value;
 
 pub use attr::{AttrId, AttrKind, Attribute};
 pub use fault::{FallibleSearch, FaultInjectingInterface, FaultScript, FaultStats, SearchError};
-pub use index::{QueryPlan, TableIndex};
+pub use index::{Projection, QueryPlan, TableIndex};
 pub use interface::{SearchOutcome, TopKInterface, TopKResponse};
 pub use metrics::{
     ExecBreakdown, ExecPath, LatencyModel, QueryLedger, QueryLogEntry, RECENT_COPY_CAP,

@@ -162,7 +162,7 @@ impl TopKInterface for SimulatedWebDb {
             (rows, overflow, ExecPath::Scanned)
         } else {
             let index = self.index();
-            let plan = index.plan(q, self.system_k);
+            let plan = index.plan(&self.table, q, self.system_k);
             if plan.prefers_index() || self.mode == ExecMode::IndexOnly {
                 let (rows, overflow) = index.execute_plan(&self.table, q, self.system_k, &plan);
                 (rows, overflow, ExecPath::Indexed)
