@@ -86,18 +86,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        out.push_str(&format!("{}", *n as i64));
-                    } else {
-                        out.push_str(&format!("{n}"));
-                    }
-                } else {
-                    // JSON has no Inf/NaN; emit null like most encoders.
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) => write_number(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(a) => {
                 out.push('[');
@@ -165,23 +154,51 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `n` as a JSON number, exactly as [`Json::Num`] serializes it:
+/// whole values below 1e15 in magnitude as integers (`-0.0` as `0`),
+/// others in Rust's shortest round-trip decimal form, and non-finite
+/// values as `null` (JSON has no Inf/NaN).
+pub fn write_number(n: f64, out: &mut String) {
+    use fmt::Write as _;
+    // `write!` into a `String` cannot fail.
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Append `s` as a quoted JSON string, exactly as [`Json::Str`]
+/// serializes it. Runs of characters that need no escape are copied in
+/// one piece.
+pub fn write_escaped(s: &str, out: &mut String) {
+    use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `run..i` and `i + 1..` fall on
+        // character boundaries.
+        out.push_str(s.get(run..i).unwrap_or_default());
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
 }
 
@@ -534,6 +551,42 @@ mod tests {
         assert_eq!(Json::Num(3.0).to_string(), "3");
         assert_eq!(Json::Num(3.5).to_string(), "3.5");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn number_writer_edge_cases() {
+        for (n, want) in [
+            (-0.0, "0"),
+            (0.5, "0.5"),
+            (-2.25, "-2.25"),
+            (999_999_999_999_999.0, "999999999999999"),
+            (1e15, "1000000000000000"),
+            (-1e21, "-1000000000000000000000"),
+            (1e-7, "0.0000001"),
+            (f64::INFINITY, "null"),
+        ] {
+            let mut out = String::new();
+            write_number(n, &mut out);
+            assert_eq!(out, want, "{n}");
+            assert_eq!(Json::Num(n).to_string(), want, "{n}");
+        }
+    }
+
+    #[test]
+    fn string_writer_escapes_only_what_json_requires() {
+        for (s, want) in [
+            ("plain", r#""plain""#),
+            ("q\"b\\s", r#""q\"b\\s""#),
+            ("\n\r\t\u{08}\u{0C}", r#""\n\r\t\b\f""#),
+            ("\u{01}x\u{1f}", r#""\u0001x\u001f""#),
+            ("é—\"中\u{7f}", "\"é—\\\"中\u{7f}\""),
+            ("", r#""""#),
+        ] {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            assert_eq!(out, want, "{s:?}");
+            assert_eq!(parse_json(&out).unwrap(), Json::Str(s.to_string()));
+        }
     }
 
     #[test]

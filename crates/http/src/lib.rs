@@ -2,9 +2,12 @@
 //!
 //! The QR2 demo serves its UI and API from Flask; this crate provides the
 //! same surface in ~zero dependencies: an HTTP/1.1 server over
-//! `std::net::TcpListener` with a crossbeam worker pool, a path router, and
-//! a JSON value type with parser and serializer (no serde — the format is
-//! small and fully tested, including property-based round-trips).
+//! `std::net::TcpListener` whose worker threads each accept their own
+//! connections, a path router, and a JSON value type with parser and
+//! serializer (no serde — the format is small and fully tested, including
+//! property-based round-trips). The serializer's number and string writers
+//! are public, so hot paths can encode fixed-shape JSON straight into a
+//! buffer with the same bytes a [`Json`] tree would produce.
 //!
 //! Scope is deliberately narrow — what a service front door needs:
 //! `GET`/`HEAD`/`POST`/`DELETE`, `Content-Length` bodies, query strings,
@@ -24,7 +27,7 @@ mod server;
 
 pub use error::ApiError;
 pub use extract::{decode_body, parse_body, Decode, FromJson, IntoJson};
-pub use json::{parse_json, Json, JsonError};
+pub use json::{parse_json, write_escaped, write_number, Json, JsonError};
 pub use middleware::{
     AccessLog, CatchPanic, Handler, Layer, MetricsLayer, RequestId, RequireJsonBody, Stack,
 };

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Read, Take};
 
 /// Supported request methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,12 +148,31 @@ impl std::error::Error for RequestError {}
 /// Maximum accepted body (1 MiB — plenty for the JSON API).
 const MAX_BODY: usize = 1 << 20;
 
-/// Parse one request from a buffered reader.
-pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError> {
+/// Maximum request head: the request line plus every header line.
+const MAX_HEAD: u64 = 64 << 10;
+
+/// Maximum number of header lines.
+const MAX_HEADERS: usize = 100;
+
+/// Read one head line through the remaining head allowance; a line the
+/// allowance cuts off before its newline is rejected.
+fn read_head_line<R: BufRead>(head: &mut Take<R>) -> Result<String, RequestError> {
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
+    head.read_line(&mut line)
         .map_err(|e| RequestError::Io(e.to_string()))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(RequestError::Malformed(format!(
+            "request head exceeds {MAX_HEAD} bytes"
+        )));
+    }
+    Ok(line)
+}
+
+/// Parse one request from a buffered reader. The head is capped at
+/// 64 KiB and 100 header lines, the body at 1 MiB.
+pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError> {
+    let mut head = reader.take(MAX_HEAD);
+    let line = read_head_line(&mut head)?;
     if line.is_empty() {
         return Err(RequestError::Malformed("empty request".into()));
     }
@@ -193,14 +212,18 @@ pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError
     }
 
     let mut headers = HashMap::new();
+    let mut header_lines = 0;
     loop {
-        let mut hl = String::new();
-        reader
-            .read_line(&mut hl)
-            .map_err(|e| RequestError::Io(e.to_string()))?;
+        let hl = read_head_line(&mut head)?;
         let hl = hl.trim_end();
         if hl.is_empty() {
             break;
+        }
+        header_lines += 1;
+        if header_lines > MAX_HEADERS {
+            return Err(RequestError::Malformed(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         let (name, value) = hl
             .split_once(':')
@@ -348,6 +371,27 @@ mod tests {
     fn headers_are_case_insensitive() {
         let r = parse("GET / HTTP/1.1\r\nX-CuStOm: Value\r\n\r\n").unwrap();
         assert_eq!(r.headers.get("x-custom").unwrap(), "Value");
+    }
+
+    #[test]
+    fn head_is_bounded() {
+        let long = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(70 << 10));
+        assert!(matches!(parse(&long), Err(RequestError::Malformed(_))));
+        let endless_line = format!("GET /{}", "a".repeat(70 << 10));
+        assert!(matches!(
+            parse(&endless_line),
+            Err(RequestError::Malformed(_))
+        ));
+        let headers = |n: usize| {
+            let lines: String = (0..n).map(|i| format!("X-{i}: v\r\n")).collect();
+            format!("POST / HTTP/1.1\r\n{lines}Content-Length: 2\r\n\r\nok")
+        };
+        // 99 + Content-Length = 100 header lines: accepted, body intact.
+        assert_eq!(parse(&headers(99)).unwrap().body_str(), Some("ok"));
+        assert!(matches!(
+            parse(&headers(100)),
+            Err(RequestError::Malformed(_))
+        ));
     }
 
     #[test]

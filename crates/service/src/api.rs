@@ -20,14 +20,15 @@ use qr2_core::Budget;
 use qr2_http::{
     decode_body, ApiError, ChunkStream, IntoJson, Json, Params, Request, Response, Status,
 };
-use qr2_webdb::Schema;
+use qr2_webdb::{Schema, Tuple};
 
 use crate::dto::{
-    algorithm_catalog, GetNextRequest, NextPageRequest, QueryRequest, ReconStartRequest, TupleDto,
+    algorithm_catalog, GetNextRequest, NextPageRequest, QueryRequest, ReconStartRequest,
+    TupleEventEncoder,
 };
 use crate::error::{codes, unknown_query};
 use crate::service::{entry_stats, remaining_lifetime, QueryService};
-use crate::session::{SessionHandle, SessionManager};
+use crate::session::{SessionEntry, SessionHandle, SessionManager};
 use crate::sources::SourceRegistry;
 
 /// Streaming responses may ask for more rows than a buffered page (the
@@ -145,15 +146,23 @@ fn trace_json(t: &qr2_obs::TraceSnapshot) -> Json {
     ])
 }
 
+/// The size a stream chunk fills up to with query-free lines (a single
+/// line may exceed it).
+const STREAM_CHUNK_BYTES: usize = 16 << 10;
+
 /// The NDJSON producer behind `GET /v1/queries/:id/stream`.
 ///
-/// Pull-based: each call produces exactly one line — a tuple event
-/// (`{"event":"tuple",...}`) or the terminating summary
-/// (`{"event":"summary",...}`) — and is invoked only after the previous
-/// line was flushed to the socket. One tuple is discovered per call
-/// (`advance` with a 1-tuple budget), the entry lock is held only for
-/// that discovery, and the optional query `budget` plus the session's
-/// lifetime cap bound the total spend across the whole stream.
+/// Pull-based: each call produces one chunk and is invoked only after the
+/// previous chunk was flushed to the socket. A chunk starts with one line
+/// — a tuple event (`{"event":"tuple",...}`) or the terminating summary
+/// (`{"event":"summary",...}`) — which may spend web-DB queries: one tuple
+/// is discovered per line (`advance` with a 1-tuple budget). The chunk
+/// then takes every following line that is ready without a query
+/// ([`StreamState::next_is_free`]), up to [`STREAM_CHUNK_BYTES`]. A line
+/// that needs a probe always starts the next chunk, so every line that
+/// cost a query reaches the client before the next probe goes out. The
+/// entry lock is held for one chunk, and the optional query `budget` plus
+/// the session's lifetime cap bound the total spend across the stream.
 fn ndjson_stream(
     id: String,
     handle: Arc<SessionHandle>,
@@ -161,162 +170,205 @@ fn ndjson_stream(
     limit: usize,
     budget: Option<usize>,
 ) -> ChunkStream {
-    let mut emitted = 0usize;
-    let mut stream_queries = 0usize;
-    let mut summary_sent = false;
-    let mut status: Option<&'static str> = None;
+    let mut state = StreamState {
+        id,
+        encoder: TupleEventEncoder::new(schema),
+        limit,
+        budget,
+        emitted: 0,
+        stream_queries: 0,
+        status: None,
+        summary_sent: false,
+    };
     // The producer runs after the request's middleware chain has returned:
     // capture the ambient trace now (the handler is still inside it) so
-    // every page records a late `stream.page` span into the same trace.
+    // every chunk records a late `stream.page` span into the same trace.
     let trace = qr2_obs::current_handle();
     let lines_total = qr2_obs::counter(
         "qr2_service_stream_lines_total",
         &[("source", &handle.source)],
     );
     ChunkStream::new(move || {
-        let mut pull = || {
-            if summary_sent {
-                return None;
-            }
+        if state.summary_sent {
+            return None;
+        }
+        let mut chunk = String::with_capacity(STREAM_CHUNK_BYTES);
+        // Lines in `chunk`, and its length up to the last complete line.
+        let (mut lines, mut complete) = (0u64, 0);
+        let mut fill = || {
             let mut entry = handle.lock();
             // The stream never re-enters SessionManager::get, so refresh the
             // idle timer itself — an actively consumed stream must not be
             // TTL-evicted out from under its client.
             handle.touch();
-            let line = loop {
-                if let Some(status) = status {
-                    // A stopping condition was reached: emit the summary.
-                    summary_sent = true;
-                    let stats = entry_stats(&entry);
-                    break Json::obj([
-                        ("event", Json::from("summary")),
-                        ("status", Json::from(status)),
-                        ("count", Json::from(emitted)),
-                        ("stream_queries", Json::from(stream_queries)),
-                        ("stats", stats.to_json()),
-                    ]);
+            loop {
+                state.push_line(&handle, &mut entry, &mut chunk);
+                lines += 1;
+                let line_len = chunk.len() - complete;
+                complete = chunk.len();
+                // Stop where another line of this size would overflow.
+                if state.summary_sent
+                    || complete + line_len > STREAM_CHUNK_BYTES
+                    || !state.next_is_free(&entry)
+                {
+                    break;
                 }
-                if emitted >= limit {
-                    status = Some("complete");
-                    continue;
-                }
-                // Recon-served sessions stream straight from the recon
-                // cursor — every line is free, no budget applies.
-                let recon_step = entry
-                    .recon
-                    .as_mut()
-                    .map(|s| (s.next_page(1).into_iter().next(), s.done()));
-                if let Some((tuple, done)) = recon_step {
-                    entry.done = done;
-                    match tuple {
-                        Some(t) => {
-                            let event = Json::obj([
-                                ("event", Json::from("tuple")),
-                                ("index", Json::from(emitted)),
-                                ("queries", Json::from(0usize)),
-                                ("total_queries", Json::from(0usize)),
-                                ("tuple", TupleDto::new(&schema, &t).to_json()),
-                            ]);
-                            emitted += 1;
-                            break event;
-                        }
-                        None => {
-                            status = Some("done");
-                            continue;
-                        }
-                    }
-                }
-                let remaining = match remaining_lifetime(&id, &handle, &entry) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // The 200 is committed; report exhaustion in-band.
-                        status = Some("budget_exhausted");
-                        continue;
-                    }
-                };
-                let step_cap = match (budget.map(|b| b.saturating_sub(stream_queries)), remaining) {
-                    (Some(b), Some(r)) => Some(b.min(r)),
-                    (Some(b), None) => Some(b),
-                    (None, r) => r,
-                };
-                let step =
-                    qr2_sched::context::with_session(crate::service::session_ctx(&handle), || {
-                        entry.session.advance(Budget {
-                            queries: step_cap,
-                            tuples: Some(1),
-                        })
-                    });
-                entry.done = step.is_done();
-                let step_queries = step.stats_delta().total_queries();
-                stream_queries += step_queries;
-                // A terminally failed probe (source outage outlasting the
-                // scheduler's patience) trips the session's failure signal.
-                // The 200 is committed, so terminate in-band: drop the
-                // step's tuple (it was assembled around a failed probe) and
-                // emit a truthful summary — `failed` if nothing was
-                // delivered, `partial` if the client already has tuples.
-                if handle.failure.is_tripped() {
-                    handle.failure.clear();
-                    status = Some(if emitted == 0 { "failed" } else { "partial" });
-                    continue;
-                }
-                match step.tuples().first() {
-                    Some(t) => {
-                        let event = Json::obj([
-                            ("event", Json::from("tuple")),
-                            ("index", Json::from(emitted)),
-                            ("queries", Json::from(step_queries)),
-                            (
-                                "total_queries",
-                                Json::from(entry.session.stats().total_queries()),
-                            ),
-                            ("tuple", TupleDto::new(&schema, t).to_json()),
-                        ]);
-                        emitted += 1;
-                        break event;
-                    }
-                    None => {
-                        // No tuple: the step stopped for a terminal reason.
-                        status = Some(step.label());
-                        continue;
-                    }
-                }
-            };
-            drop(entry);
-            let mut bytes = line.to_string().into_bytes();
-            bytes.push(b'\n');
-            Some(bytes)
-        };
-        // A panicking producer would otherwise drop the connection with no
-        // terminal line; catch it and emit a one-time `failed` summary so
-        // every stream — even a crashed one — ends with a parseable status.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &trace {
-            Some(t) => t.enter(|| qr2_obs::span("stream.page", &mut pull)),
-            None => qr2_obs::span("stream.page", &mut pull),
-        }));
-        let line = match caught {
-            Ok(line) => line,
-            Err(_) if summary_sent => None,
-            Err(_) => {
-                summary_sent = true;
-                // The session state may be mid-step; report only what this
-                // stream knows for certain (no stats snapshot).
-                let summary = Json::obj([
-                    ("event", Json::from("summary")),
-                    ("status", Json::from("failed")),
-                    ("count", Json::from(emitted)),
-                    ("stream_queries", Json::from(stream_queries)),
-                ]);
-                let mut bytes = summary.to_string().into_bytes();
-                bytes.push(b'\n');
-                Some(bytes)
             }
         };
-        if line.is_some() {
-            lines_total.inc();
+        // A panicking producer would otherwise drop the connection with no
+        // terminal line; catch it, keep the lines already complete, and end
+        // with a one-time `failed`/`partial` summary so every stream — even
+        // a crashed one — ends with a parseable status.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &trace {
+            Some(t) => t.enter(|| qr2_obs::span("stream.page", &mut fill)),
+            None => qr2_obs::span("stream.page", &mut fill),
+        }));
+        if caught.is_err() && !state.summary_sent {
+            chunk.truncate(complete);
+            state.push_summary(&mut chunk, state.interrupted(), None);
+            lines += 1;
         }
-        line
+        lines_total.add(lines);
+        (!chunk.is_empty()).then(|| chunk.into_bytes())
     })
+}
+
+/// Per-stream progress of [`ndjson_stream`].
+struct StreamState {
+    id: String,
+    encoder: TupleEventEncoder,
+    limit: usize,
+    budget: Option<usize>,
+    /// Tuple lines produced so far.
+    emitted: usize,
+    stream_queries: usize,
+    /// The stopping condition, once reached; the next line is the summary.
+    status: Option<&'static str>,
+    summary_sent: bool,
+}
+
+impl StreamState {
+    /// True when the next line is ready without a web-DB query: the
+    /// session is recon-served, the engine has buffered tuples, or the
+    /// summary is already decided.
+    fn next_is_free(&self, entry: &SessionEntry) -> bool {
+        self.status.is_some()
+            || self.emitted >= self.limit
+            || entry.recon.is_some()
+            || entry.session.buffered() > 0
+    }
+
+    /// Append the next line (tuple event or summary) to `out`.
+    fn push_line(&mut self, handle: &SessionHandle, entry: &mut SessionEntry, out: &mut String) {
+        loop {
+            if let Some(status) = self.status {
+                // A stopping condition was reached: emit the summary.
+                let stats = entry_stats(entry).to_json();
+                return self.push_summary(out, status, Some(stats));
+            }
+            if self.emitted >= self.limit {
+                self.status = Some("complete");
+                continue;
+            }
+            // Recon-served sessions stream straight from the recon
+            // cursor — every line is free, no budget applies.
+            let recon_step = entry
+                .recon
+                .as_mut()
+                .map(|s| (s.next_page(1).into_iter().next(), s.done()));
+            if let Some((tuple, done)) = recon_step {
+                entry.done = done;
+                match tuple {
+                    Some(t) => return self.push_tuple(out, 0, 0, &t),
+                    None => {
+                        self.status = Some("done");
+                        continue;
+                    }
+                }
+            }
+            let remaining = match remaining_lifetime(&self.id, handle, entry) {
+                Ok(r) => r,
+                Err(_) => {
+                    // The 200 is committed; report exhaustion in-band.
+                    self.status = Some("budget_exhausted");
+                    continue;
+                }
+            };
+            let step_cap = match (
+                self.budget.map(|b| b.saturating_sub(self.stream_queries)),
+                remaining,
+            ) {
+                (Some(b), Some(r)) => Some(b.min(r)),
+                (Some(b), None) => Some(b),
+                (None, r) => r,
+            };
+            let step =
+                qr2_sched::context::with_session(crate::service::session_ctx(handle), || {
+                    entry.session.advance(Budget {
+                        queries: step_cap,
+                        tuples: Some(1),
+                    })
+                });
+            entry.done = step.is_done();
+            let step_queries = step.stats_delta().total_queries();
+            self.stream_queries += step_queries;
+            // A terminally failed probe (source outage outlasting the
+            // scheduler's patience) trips the session's failure signal.
+            // The 200 is committed, so terminate in-band: drop the step's
+            // tuple (it was assembled around a failed probe) and emit a
+            // truthful summary.
+            if handle.failure.is_tripped() {
+                handle.failure.clear();
+                self.status = Some(self.interrupted());
+                continue;
+            }
+            match step.tuples().first() {
+                Some(t) => {
+                    let total = entry.session.stats().total_queries();
+                    return self.push_tuple(out, step_queries, total, t);
+                }
+                None => {
+                    // No tuple: the step stopped for a terminal reason.
+                    self.status = Some(step.label());
+                    continue;
+                }
+            }
+        }
+    }
+
+    fn push_tuple(&mut self, out: &mut String, queries: usize, total: usize, t: &Tuple) {
+        self.encoder
+            .write_event(out, self.emitted, queries, total, t);
+        out.push('\n');
+        self.emitted += 1;
+    }
+
+    /// The status of a stream cut short: `failed` if nothing was
+    /// delivered, `partial` if the client already has tuples.
+    fn interrupted(&self) -> &'static str {
+        if self.emitted == 0 {
+            "failed"
+        } else {
+            "partial"
+        }
+    }
+
+    /// Append the one summary line; `count` is the tuple lines
+    /// delivered. After a producer panic `stats` is left out: the session
+    /// may be mid-step, so the summary reports only what this stream
+    /// knows for certain.
+    fn push_summary(&mut self, out: &mut String, status: &str, stats: Option<Json>) {
+        let mut fields = vec![
+            ("event", Json::from("summary")),
+            ("status", Json::from(status)),
+            ("count", Json::from(self.emitted)),
+            ("stream_queries", Json::from(self.stream_queries)),
+        ];
+        fields.extend(stats.map(|stats| ("stats", stats)));
+        out.push_str(&Json::obj(fields).to_string());
+        out.push('\n');
+        self.summary_sent = true;
+    }
 }
 
 impl ApiState {
@@ -410,11 +462,12 @@ impl ApiState {
 
     /// `GET /v1/queries/:id/stream?limit=N&budget=Q` — stream up to
     /// `limit` tuples as NDJSON, one tuple-with-cost event per line,
-    /// terminated by a summary line. Each line is produced on demand and
-    /// flushed before the next discovery starts, so clients see the first
-    /// tuple while later ones are still being searched for. The session's
-    /// entry lock is taken per line, not for the whole stream, so stats
-    /// and other requests interleave with an active stream.
+    /// terminated by a summary line. Lines are produced on demand; lines
+    /// ready without a web-DB query share a chunk, and a line that cost a
+    /// query is flushed before the next discovery starts, so clients see
+    /// the first tuple while later ones are still being searched for. The
+    /// session's entry lock is taken per chunk, not for the whole stream,
+    /// so stats and other requests interleave with an active stream.
     pub fn v1_stream(&self, req: &Request, p: &Params) -> Response {
         let result = (|| -> Result<Response, ApiError> {
             let id = p.require("id")?.to_string();

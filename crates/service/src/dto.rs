@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 
 use qr2_core::{Algorithm, QueryStats};
-use qr2_http::{ApiError, Decode, FromJson, IntoJson, Json};
-use qr2_webdb::{AttrKind, Schema, Tuple};
+use qr2_http::{write_escaped, write_number, ApiError, Decode, FromJson, IntoJson, Json};
+use qr2_webdb::{AttrId, AttrKind, Schema, Tuple, Value};
 
 use crate::error::codes;
 use crate::sources::Source;
@@ -263,8 +263,8 @@ impl TupleDto {
         let mut values = BTreeMap::new();
         for (id, attr) in schema.iter() {
             let v = match (&attr.kind, t.value(id)) {
-                (AttrKind::Numeric { .. }, qr2_webdb::Value::Num(x)) => Json::Num(x),
-                (AttrKind::Categorical { labels }, qr2_webdb::Value::Cat(c)) => labels
+                (AttrKind::Numeric { .. }, Value::Num(x)) => Json::Num(x),
+                (AttrKind::Categorical { labels }, Value::Cat(c)) => labels
                     .get(c as usize)
                     .map(|l| Json::from(l.as_str()))
                     .unwrap_or(Json::Null),
@@ -285,6 +285,73 @@ impl IntoJson for TupleDto {
             ("id", Json::from(self.id)),
             ("values", Json::Obj(self.values.clone())),
         ])
+    }
+}
+
+/// Encodes the NDJSON stream's `tuple` events straight into a text buffer,
+/// with no [`Json`] tree in between. The bytes are identical to rendering
+/// `{"event":"tuple","index":…,"queries":…,"total_queries":…,"tuple":…}`
+/// through [`Json::obj`] with the tuple as a [`TupleDto`]: keys in
+/// `BTreeMap` order, numbers and strings through the same
+/// [`qr2_http::write_number`]/[`qr2_http::write_escaped`] writers.
+pub(crate) struct TupleEventEncoder {
+    schema: Schema,
+    /// Every attribute with its pre-escaped `"name":` key, sorted by name
+    /// (the order a `BTreeMap<String, _>` iterates in).
+    attrs: Vec<(AttrId, String)>,
+}
+
+impl TupleEventEncoder {
+    /// Build the encoder for one stream.
+    pub(crate) fn new(schema: Schema) -> TupleEventEncoder {
+        let mut names: Vec<(&str, AttrId)> =
+            schema.iter().map(|(id, a)| (a.name.as_str(), id)).collect();
+        names.sort_unstable();
+        let attrs = names
+            .into_iter()
+            .map(|(name, id)| {
+                let mut key = String::with_capacity(name.len() + 3);
+                write_escaped(name, &mut key);
+                key.push(':');
+                (id, key)
+            })
+            .collect();
+        TupleEventEncoder { schema, attrs }
+    }
+
+    /// Append one `tuple` event (without the trailing newline).
+    pub(crate) fn write_event(
+        &self,
+        out: &mut String,
+        index: usize,
+        queries: usize,
+        total_queries: usize,
+        t: &Tuple,
+    ) {
+        out.push_str(r#"{"event":"tuple","index":"#);
+        write_number(index as f64, out);
+        out.push_str(r#","queries":"#);
+        write_number(queries as f64, out);
+        out.push_str(r#","total_queries":"#);
+        write_number(total_queries as f64, out);
+        out.push_str(r#","tuple":{"id":"#);
+        write_number(f64::from(t.id.0), out);
+        out.push_str(r#","values":{"#);
+        for (i, (id, key)) in self.attrs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(key);
+            match (&self.schema.attr(*id).kind, t.value(*id)) {
+                (AttrKind::Numeric { .. }, Value::Num(x)) => write_number(x, out),
+                (AttrKind::Categorical { labels }, Value::Cat(c)) => match labels.get(c as usize) {
+                    Some(label) => write_escaped(label, out),
+                    None => out.push_str("null"),
+                },
+                _ => out.push_str("null"),
+            }
+        }
+        out.push_str("}}}");
     }
 }
 
@@ -846,6 +913,101 @@ impl IntoJson for AlgorithmDescriptor {
 mod tests {
     use super::*;
     use qr2_http::{parse_json, Decode};
+
+    /// The tuple event as the `Json` tree renders it (the reference the
+    /// stream encoder must match byte for byte).
+    fn tree_event(schema: &Schema, index: usize, q: usize, total: usize, t: &Tuple) -> String {
+        Json::obj([
+            ("event", Json::from("tuple")),
+            ("index", Json::from(index)),
+            ("queries", Json::from(q)),
+            ("total_queries", Json::from(total)),
+            ("tuple", TupleDto::new(schema, t).to_json()),
+        ])
+        .to_string()
+    }
+
+    #[test]
+    fn tuple_event_encoder_matches_the_json_tree_byte_for_byte() {
+        // splitmix64: a fixed-seed stream, so a failure replays exactly.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Names deliberately out of alphabetical order, some needing
+        // escapes or sorting above ASCII.
+        const NAMES: [&str; 9] = [
+            "zeta", "price", "Carat", "a\"q", "b\\s", "é-size", "mid", "_x", "cut\t",
+        ];
+        const LABELS: [&str; 7] = [
+            "Ideal",
+            "say \"hi\"",
+            "back\\slash",
+            "bell\u{07}\n",
+            "中文 é",
+            "",
+            "\u{1f}",
+        ];
+        let numbers = [
+            -0.0,
+            0.0,
+            0.5,
+            -2.75,
+            1.0 / 3.0,
+            1e15,
+            -1e15,
+            123e20,
+            999_999_999_999_999.0,
+            42.0,
+        ];
+        for case in 0..500 {
+            let mut pool: Vec<&str> = NAMES.to_vec();
+            let mut builder = Schema::builder();
+            let arity = 1 + (next() % 5) as usize;
+            let mut categorical = Vec::new();
+            for _ in 0..arity {
+                let name = pool.swap_remove((next() % pool.len() as u64) as usize);
+                if next() % 2 == 0 {
+                    builder = builder.numeric(name, -1e30, 1e30);
+                    categorical.push(None);
+                } else {
+                    let n = 1 + (next() % LABELS.len() as u64) as usize;
+                    builder = builder.categorical(name, LABELS[..n].iter().copied());
+                    categorical.push(Some(n));
+                }
+            }
+            let schema = builder.build();
+            let encoder = TupleEventEncoder::new(schema.clone());
+            for _ in 0..8 {
+                let values = categorical
+                    .iter()
+                    .map(|cat| match (cat, next() % 8 == 0) {
+                        // One value in eight has the wrong kind: `null`.
+                        (None, true) => Value::Cat(0),
+                        (Some(_), true) => Value::Num(1.5),
+                        (None, false) => {
+                            Value::Num(numbers[(next() % numbers.len() as u64) as usize])
+                        }
+                        // Codes run one past the labels: out of range is `null`.
+                        (Some(n), false) => Value::Cat((next() % (*n as u64 + 1)) as u32),
+                    })
+                    .collect();
+                let t = Tuple::new(qr2_webdb::TupleId(next() as u32), values);
+                let (index, q, total) = (
+                    (next() % 1000) as usize,
+                    (next() % 50) as usize,
+                    (next() % 100_000) as usize,
+                );
+                let mut out = String::new();
+                encoder.write_event(&mut out, index, q, total, &t);
+                assert_eq!(out, tree_event(&schema, index, q, total, &t), "case {case}");
+            }
+        }
+    }
 
     fn decode_query(body: &str) -> Result<QueryRequest, ApiError> {
         let v = parse_json(body).unwrap();
