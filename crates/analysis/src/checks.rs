@@ -65,7 +65,7 @@ pub struct LockEdge {
 /// Calls that transfer control to the web database (or crawl it). A live
 /// lock guard spanning one of these serializes every contending request
 /// behind remote latency — the bug class single-flight exists to prevent.
-const IO_CALLS: &[&str] = &["search", "search_observed", "search_authoritative", "crawl"];
+const IO_CALLS: &[&str] = &["search", "probe", "crawl"];
 
 /// Methods that forward to their receiver without changing which lock the
 /// receiver path names; they are dropped from the tail of a receiver path

@@ -96,6 +96,24 @@ fn guard_across_io_call_is_detected() {
 }
 
 #[test]
+fn guard_across_probe_call_is_detected() {
+    let src = r#"
+        //! m.
+        fn bad(&self, q: &Query) -> Result<Answer, SearchError> {
+            let guard = self.state.lock();
+            let answer = self.inner.probe(q);
+            drop(guard);
+            answer
+        }
+    "#;
+    let found = finding_checks("qr2-cache", src);
+    assert!(
+        found.iter().any(|(c, _)| c == check::GUARD_IO),
+        "guard across probe() must be flagged: {found:?}"
+    );
+}
+
+#[test]
 fn guard_released_before_io_is_clean() {
     let src = r#"
         //! m.

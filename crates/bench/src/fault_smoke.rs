@@ -245,7 +245,7 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     source.cache.flush().expect("flush");
     let q = SearchQuery::all();
     for _ in 0..FAILURE_THRESHOLD {
-        assert!(source.sched.resilient().search_resilient(&q).is_err());
+        assert!(source.sched.resilient().probe(&q).is_err());
     }
     assert_eq!(source.sched.resilient().health().breaker, "open");
 
@@ -345,9 +345,7 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
         baseline_us = baseline_us.min(start.elapsed().as_secs_f64() * 1e6);
         let start = Instant::now();
         for _ in 0..OVERHEAD_PROBES {
-            resilient
-                .search_resilient(&probe)
-                .expect("healthy probe succeeds");
+            resilient.probe(&probe).expect("healthy probe succeeds");
         }
         resilient_us = resilient_us.min(start.elapsed().as_secs_f64() * 1e6);
     }

@@ -186,13 +186,11 @@ pub fn run_sched_smoke() -> SchedSmokeReport {
                 for round in 0..SCHED_ROUNDS {
                     barrier.wait();
                     let ctx = SessionCtx::new(key, QueryClass::Interactive);
-                    let (resp, _outcome, authoritative) = with_session(ctx, || sched.submit(&q));
-                    assert!(
-                        authoritative,
-                        "session {session} round {round}: degraded answer"
-                    );
+                    let answer = with_session(ctx, || sched.submit(&q)).unwrap_or_else(|err| {
+                        panic!("session {session} round {round}: probe failed: {err}")
+                    });
                     assert_eq!(
-                        resp, want,
+                        answer.resp, want,
                         "session {session} round {round}: wrong answer under contention"
                     );
                 }
@@ -205,9 +203,9 @@ pub fn run_sched_smoke() -> SchedSmokeReport {
             let key = next_session_key();
             for _ in 0..SCHED_BG_PROBES {
                 let ctx = SessionCtx::new(key, QueryClass::Background);
-                let (resp, _, authoritative) = with_session(ctx, || sched_bg.submit(&q));
-                assert!(authoritative);
-                assert_eq!(resp, want, "background crawl got a wrong answer");
+                let answer =
+                    with_session(ctx, || sched_bg.submit(&q)).expect("background probe answered");
+                assert_eq!(answer.resp, want, "background crawl got a wrong answer");
             }
         });
     });
@@ -272,7 +270,8 @@ pub fn run_sched_smoke() -> SchedSmokeReport {
                 let start = Instant::now();
                 for probe in 0..FAIR_PROBES {
                     let ctx = SessionCtx::new(key, QueryClass::Interactive);
-                    with_session(ctx, || sched.submit(&band_query(band, probe)));
+                    with_session(ctx, || sched.submit(&band_query(band, probe)))
+                        .expect("light probe answered");
                 }
                 start.elapsed().as_secs_f64() * 1e3
             }));
@@ -286,7 +285,8 @@ pub fn run_sched_smoke() -> SchedSmokeReport {
                 let ctx = SessionCtx::new(key, QueryClass::Interactive);
                 with_session(ctx, || {
                     sched.submit(&band_query(FAIR_LIGHT_SESSIONS, probe))
-                });
+                })
+                .expect("hog probe answered");
             }
             start.elapsed().as_secs_f64() * 1e3
         });

@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use parking_lot::Mutex;
 use qr2_store::AnswerStore;
-use qr2_webdb::{SearchOutcome, TopKResponse};
+use qr2_webdb::{Answer, SearchError, SearchOutcome, TopKResponse};
 
 /// Sizing knobs for one [`AnswerCache`] (one per data source).
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +69,9 @@ impl CacheStats {
 
 enum FlightState {
     Pending,
-    Done(TopKResponse),
+    /// The leader's fetch finished; an error is shared with the waiters
+    /// but never admitted.
+    Done(Result<TopKResponse, SearchError>),
     /// The leader unwound without an answer; waiters retry themselves.
     Poisoned,
 }
@@ -97,7 +99,7 @@ impl Flight {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait(&self) -> Option<TopKResponse> {
+    fn wait(&self) -> Option<Result<TopKResponse, SearchError>> {
         let mut state = self.state();
         loop {
             match &*state {
@@ -110,7 +112,7 @@ impl Flight {
         }
     }
 
-    fn complete(&self, resp: TopKResponse) {
+    fn complete(&self, resp: Result<TopKResponse, SearchError>) {
         *self.state() = FlightState::Done(resp);
         self.cv.notify_all();
     }
@@ -340,61 +342,31 @@ impl AnswerCache {
         Ok(epoch)
     }
 
-    /// [`get_or_fetch_checked`](AnswerCache::get_or_fetch_checked) for
-    /// fetchers whose answers are always authoritative.
+    /// Look `key` up; on a miss, run `fetch` exactly once across all
+    /// concurrent callers of the same key (single-flight) and cache its
+    /// answer. A hit reports a cache-hit outcome and a coalesced waiter a
+    /// coalesced one; the leader returns the fetcher's own outcome — e.g.
+    /// a scheduler below the cache whose frontier coalescing answered the
+    /// fetch for free — so cost accounting above the cache stays truthful.
+    /// An `Err` from the fetcher is returned to the leader and its waiters
+    /// but never admitted to the cache or the store.
     pub fn get_or_fetch(
         &self,
         key: &[u8],
-        fetch: impl FnOnce() -> TopKResponse,
-    ) -> (TopKResponse, SearchOutcome) {
-        self.get_or_fetch_checked(key, || (fetch(), true))
-    }
-
-    /// Look `key` up; on a miss, run `fetch` exactly once across all
-    /// concurrent callers of the same key (single-flight) and cache the
-    /// answer. The fetcher's second return value marks the answer
-    /// *authoritative*: a degraded answer (a gateway mapping an outage to
-    /// an empty page) is served to this call and its coalesced waiters
-    /// but never admitted to the cache or the store. The
-    /// [`SearchOutcome`] reports how this caller was served.
-    pub fn get_or_fetch_checked(
-        &self,
-        key: &[u8],
-        fetch: impl FnOnce() -> (TopKResponse, bool),
-    ) -> (TopKResponse, SearchOutcome) {
-        self.get_or_fetch_observed(key, || {
-            let (answer, authoritative) = fetch();
-            (answer, SearchOutcome::MISS, authoritative)
-        })
-    }
-
-    /// [`get_or_fetch_checked`](AnswerCache::get_or_fetch_checked) for
-    /// fetchers that report their *own* [`SearchOutcome`] — e.g. a
-    /// scheduler below the cache whose frontier coalescing answered the
-    /// fetch from another session's covering probe for free. On a miss the
-    /// single-flight leader returns the fetcher's outcome instead of
-    /// assuming a paid [`SearchOutcome::MISS`], so cost accounting above
-    /// the cache stays truthful; waiters still report a coalesced hit.
-    pub fn get_or_fetch_observed(
-        &self,
-        key: &[u8],
-        fetch: impl FnOnce() -> (TopKResponse, SearchOutcome, bool),
-    ) -> (TopKResponse, SearchOutcome) {
+        fetch: impl FnOnce() -> Result<Answer, SearchError>,
+    ) -> Result<Answer, SearchError> {
         // qr2-allow: panic-path shard_of masks with shard_mask, always in range
         let shard = &self.shards[self.shard_of(key)];
         loop {
             let mut guard = shard.lock();
-            if let Some(answer) = guard.map.get(key).map(|e| e.answer.clone()) {
+            if let Some(resp) = guard.map.get(key).map(|e| e.answer.clone()) {
                 let tick = self.next_tick();
                 guard.touch(key, tick);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (
-                    answer,
-                    SearchOutcome {
-                        cache_hit: true,
-                        coalesced: false,
-                    },
-                );
+                return Ok(Answer {
+                    resp,
+                    outcome: SearchOutcome::CACHE_HIT,
+                });
             }
             let flight = match guard.flights.get(key) {
                 Some(flight) => Arc::clone(flight),
@@ -407,15 +379,12 @@ impl AnswerCache {
             };
             drop(guard);
             match flight.wait() {
-                Some(answer) => {
+                Some(done) => {
                     self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    return (
-                        answer,
-                        SearchOutcome {
-                            cache_hit: false,
-                            coalesced: true,
-                        },
-                    );
+                    return done.map(|resp| Answer {
+                        resp,
+                        outcome: SearchOutcome::COALESCED,
+                    });
                 }
                 // Leader unwound: loop and try to become the leader.
                 None => continue,
@@ -428,8 +397,8 @@ impl AnswerCache {
         shard: &Mutex<Shard>,
         key: &[u8],
         flight: Arc<Flight>,
-        fetch: impl FnOnce() -> (TopKResponse, SearchOutcome, bool),
-    ) -> (TopKResponse, SearchOutcome) {
+        fetch: impl FnOnce() -> Result<Answer, SearchError>,
+    ) -> Result<Answer, SearchError> {
         let epoch_at_start = self.epoch();
         let mut guard = FlightGuard {
             shard,
@@ -437,38 +406,35 @@ impl AnswerCache {
             flight: &flight,
             disarmed: false,
         };
-        let (answer, fetch_outcome, authoritative) = fetch();
+        let fetched = fetch();
         guard.disarmed = true;
         drop(guard);
 
         // Admission is re-checked *under the shard lock*: a flush that
         // bumped the epoch since the fetch started (its vintage is stale)
         // must win, and flush only clears shards after bumping, so a
-        // check inside the lock cannot miss it. Degraded answers are
-        // never admitted at all — serve the outage, don't remember it.
+        // check inside the lock cannot miss it. Errors are never
+        // admitted at all — report the outage, don't remember it.
         let tick = self.next_tick();
-        let (admitted, evicted) = {
+        let admitted = {
             let mut guard = shard.lock();
             guard.flights.remove(key);
-            if authoritative && self.epoch() == epoch_at_start {
-                let evicted = guard.insert(key.to_vec(), answer.clone(), tick, self.per_shard_cap);
-                (true, evicted)
-            } else {
-                (false, Vec::new())
+            match &fetched {
+                Ok(answer) if self.epoch() == epoch_at_start => Some((
+                    answer,
+                    guard.insert(key.to_vec(), answer.resp.clone(), tick, self.per_shard_cap),
+                )),
+                _ => None,
             }
         };
-        if !evicted.is_empty() {
-            self.evictions
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        }
         // Release the waiters before touching disk: the answer is already
         // admitted to memory, so coalesced callers must not stall behind
         // the store mutex or its log writes.
-        flight.complete(answer.clone());
+        flight.complete(fetched.clone().map(|answer| answer.resp));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // `evicted` is non-empty only when the insert ran, i.e. when the
-        // answer was admitted.
-        if admitted {
+        if let Some((answer, evicted)) = admitted {
+            self.evictions
+                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
             if let Some(store) = &self.store {
                 // Best-effort write-through: a persistence hiccup must not
                 // fail the live answer path. The epoch is re-checked under
@@ -477,14 +443,14 @@ impl AnswerCache {
                 // stamped with the post-flush epoch.
                 let mut store = store.lock();
                 if self.epoch() == epoch_at_start {
-                    let _ = store.put(key, &answer);
+                    let _ = store.put(key, &answer.resp);
                 }
                 for key in &evicted {
                     let _ = store.delete(key);
                 }
             }
         }
-        (answer, fetch_outcome)
+        fetched
     }
 }
 
@@ -500,12 +466,26 @@ mod tests {
         )
     }
 
+    fn paid(id: u32) -> Result<Answer, SearchError> {
+        Ok(Answer::paid(resp(id)))
+    }
+
+    /// A lookup whose fetch (if it runs) succeeds: the page and outcome.
+    fn fetch(
+        c: &AnswerCache,
+        key: &[u8],
+        f: impl FnOnce() -> Result<Answer, SearchError>,
+    ) -> (TopKResponse, SearchOutcome) {
+        let answer = c.get_or_fetch(key, f).expect("fetch succeeds");
+        (answer.resp, answer.outcome)
+    }
+
     #[test]
     fn hit_after_miss() {
         let c = AnswerCache::new(CacheConfig::default());
-        let (a, o) = c.get_or_fetch(b"k", || resp(1));
+        let (a, o) = fetch(&c, b"k", || paid(1));
         assert_eq!(o, SearchOutcome::MISS);
-        let (b, o) = c.get_or_fetch(b"k", || panic!("must not refetch"));
+        let (b, o) = fetch(&c, b"k", || panic!("must not refetch"));
         assert!(o.cache_hit);
         assert_eq!(a, b);
         let s = c.stats();
@@ -516,8 +496,8 @@ mod tests {
     #[test]
     fn hits_share_tuple_storage_instead_of_deep_cloning() {
         let c = AnswerCache::new(CacheConfig::default());
-        let (a, _) = c.get_or_fetch(b"k", || resp(1));
-        let (b, o) = c.get_or_fetch(b"k", || panic!("cached"));
+        let (a, _) = fetch(&c, b"k", || paid(1));
+        let (b, o) = fetch(&c, b"k", || panic!("cached"));
         assert!(o.cache_hit);
         assert!(
             Arc::ptr_eq(&a.tuples, &b.tuples),
@@ -531,26 +511,26 @@ mod tests {
             shards: 1,
             capacity: 2,
         });
-        c.get_or_fetch(b"a", || resp(1));
-        c.get_or_fetch(b"b", || resp(2));
-        c.get_or_fetch(b"a", || panic!("a is cached")); // touch a
-        c.get_or_fetch(b"c", || resp(3)); // evicts b
+        fetch(&c, b"a", || paid(1));
+        fetch(&c, b"b", || paid(2));
+        fetch(&c, b"a", || panic!("a is cached")); // touch a
+        fetch(&c, b"c", || paid(3)); // evicts b
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        let (_, o) = c.get_or_fetch(b"a", || panic!("a survived"));
+        let (_, o) = fetch(&c, b"a", || panic!("a survived"));
         assert!(o.cache_hit);
-        let (_, o) = c.get_or_fetch(b"b", || resp(2));
+        let (_, o) = fetch(&c, b"b", || paid(2));
         assert_eq!(o, SearchOutcome::MISS, "b was evicted");
     }
 
     #[test]
     fn flush_clears_and_bumps_epoch() {
         let c = AnswerCache::new(CacheConfig::default());
-        c.get_or_fetch(b"a", || resp(1));
+        fetch(&c, b"a", || paid(1));
         assert_eq!(c.epoch(), 0);
         assert_eq!(c.flush().unwrap(), 1);
         assert!(c.is_empty());
-        let (_, o) = c.get_or_fetch(b"a", || resp(1));
+        let (_, o) = fetch(&c, b"a", || paid(1));
         assert_eq!(o, SearchOutcome::MISS);
     }
 
@@ -570,28 +550,33 @@ mod tests {
         let c2 = Arc::clone(&c);
         let leader = std::thread::spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c2.get_or_fetch(b"k", || panic!("leader dies"));
+                let _ = c2.get_or_fetch(b"k", || panic!("leader dies"));
             }));
         });
         leader.join().unwrap();
         // The key is not wedged: a later caller becomes the new leader.
-        let (a, o) = c.get_or_fetch(b"k", || resp(7));
+        let (a, o) = fetch(&c, b"k", || paid(7));
         assert_eq!(o, SearchOutcome::MISS);
         assert_eq!(a, resp(7));
     }
 
     #[test]
-    fn non_authoritative_answers_are_served_but_never_admitted() {
+    fn errors_are_returned_but_never_admitted() {
         let c = AnswerCache::new(CacheConfig::default());
-        let (a, o) = c.get_or_fetch_checked(b"k", || (resp(1), false));
-        assert_eq!(a, resp(1), "the degraded answer is still served");
-        assert_eq!(o, SearchOutcome::MISS);
+        let outage = SearchError::Unavailable {
+            retry_after: std::time::Duration::from_millis(5),
+        };
+        let err = c
+            .get_or_fetch(b"k", || Err(outage.clone()))
+            .expect_err("the error reaches the caller");
+        assert_eq!(err, outage);
         assert!(c.is_empty(), "an outage must not be remembered");
-        // The next caller refetches and, once authoritative, it sticks.
-        let (b, o) = c.get_or_fetch_checked(b"k", || (resp(2), true));
+        assert_eq!(c.stats().misses, 1);
+        // The next caller refetches and, once answered, it sticks.
+        let (b, o) = fetch(&c, b"k", || paid(2));
         assert_eq!(o, SearchOutcome::MISS);
         assert_eq!(b, resp(2));
-        let (cached, o) = c.get_or_fetch(b"k", || panic!("cached now"));
+        let (cached, o) = fetch(&c, b"k", || panic!("cached now"));
         assert!(o.cache_hit);
         assert_eq!(cached, resp(2));
     }
@@ -599,11 +584,11 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_collide() {
         let c = AnswerCache::new(CacheConfig::default());
-        c.get_or_fetch(b"a", || resp(1));
-        let (b, o) = c.get_or_fetch(b"b", || resp(2));
+        fetch(&c, b"a", || paid(1));
+        let (b, o) = fetch(&c, b"b", || paid(2));
         assert_eq!(o, SearchOutcome::MISS);
         assert_eq!(b, resp(2));
-        let (a, _) = c.get_or_fetch(b"a", || panic!("cached"));
+        let (a, _) = fetch(&c, b"a", || panic!("cached"));
         assert_eq!(a, resp(1));
     }
 }

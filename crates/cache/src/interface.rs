@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 
-use qr2_webdb::{QueryLedger, Schema, SearchOutcome, SearchQuery, TopKInterface, TopKResponse};
+use qr2_webdb::{
+    page_or_empty, Answer, QueryLedger, Schema, SearchError, SearchQuery, TopKInterface,
+    TopKResponse,
+};
 
 use crate::cache::AnswerCache;
 use crate::key::cache_key;
@@ -60,31 +63,22 @@ impl TopKInterface for CachedInterface {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.search_observed(q).0
+        page_or_empty(self.probe(q))
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.inner.ledger()
     }
 
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let key = cache_key(self.inner.schema(), q);
-        // Degraded answers (a remote gateway mapping an outage to an
-        // empty page) are served but never admitted — an outage must not
-        // be remembered as the permanent answer. The fetch reports its own
-        // outcome: when the inner interface is a scheduler whose frontier
-        // coalescing served the fetch for free, the miss is *not* charged
-        // as a paid query upstream.
-        self.lookup_stage.time(|| {
-            self.cache
-                .get_or_fetch_observed(&key, || self.inner.search_observed_authoritative(q))
-        })
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        // Cache hits are authoritative by construction: degraded answers
-        // are never admitted.
-        (self.search_observed(q).0, true)
+        // A failed fetch (a remote outage, a cancelled session) reaches
+        // the caller as the error and is never admitted. A successful
+        // fetch keeps its own outcome: when the inner interface is a
+        // scheduler whose frontier coalescing served it for free, the
+        // miss is *not* charged as a paid query upstream.
+        self.lookup_stage
+            .time(|| self.cache.get_or_fetch(&key, || self.inner.probe(q)))
     }
 }
 

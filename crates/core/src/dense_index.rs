@@ -110,7 +110,9 @@ impl DenseIndex {
     }
 
     /// Serve `region` from the cache, crawling it (through `ctx.db()`) on a
-    /// miss and inserting the result. Crawl probes are recorded on the
+    /// miss. Only a complete crawl is inserted; a crawl cut short (budget,
+    /// atomic overflow, a failed probe) returns the tuples it found without
+    /// remembering them as the region. Crawl probes are recorded on the
     /// context ledger as sequential rounds. Returns the tuples of `region`.
     pub fn get_or_crawl(&self, ctx: &SearchCtx, region: &SearchQuery) -> Vec<Tuple> {
         if let Some(ts) = self.lookup(region) {
@@ -130,10 +132,12 @@ impl DenseIndex {
             stats.misses += 1;
             stats.crawl_queries += result.queries;
         }
-        let mut store = self.store.lock();
-        store
-            .insert(region.clone(), result.tuples.clone())
-            .expect("dense store insert failed");
+        if result.is_complete() {
+            let mut store = self.store.lock();
+            store
+                .insert(region.clone(), result.tuples.clone())
+                .expect("dense store insert failed");
+        }
         result.tuples
     }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use qr2_webdb::{SearchOutcome, SearchQuery, TopKInterface, TopKResponse};
+use qr2_webdb::{page_or_empty, Answer, SearchError, SearchQuery, TopKInterface, TopKResponse};
 
 use crate::stats::QueryStats;
 
@@ -56,11 +56,19 @@ pub struct StatsSnapshot {
     pub coalesced_waits: usize,
 }
 
-/// Classify a stream of per-lookup outcomes into `(misses, hits,
-/// coalesced)`.
-fn tally<'a>(outcomes: impl Iterator<Item = &'a SearchOutcome>) -> (usize, usize, usize) {
+/// One lookup's result, as [`TopKInterface::probe`] returns it.
+type Probed = Result<Answer, SearchError>;
+
+/// Classify a stream of per-lookup results into `(misses, hits,
+/// coalesced)`. A failed lookup cost this caller nothing and serves the
+/// empty page, so it tallies as a free coalesced wait.
+fn tally<'a>(results: impl Iterator<Item = &'a Probed>) -> (usize, usize, usize) {
     let (mut misses, mut hits, mut coalesced) = (0, 0, 0);
-    for o in outcomes {
+    for result in results {
+        let Ok(Answer { outcome: o, .. }) = result else {
+            coalesced += 1;
+            continue;
+        };
         if o.cache_hit {
             hits += 1;
         } else if o.coalesced {
@@ -116,15 +124,15 @@ impl SearchCtx {
 
     /// Execute a single query as its own (sequential) round. A lookup the
     /// caching interface serves for free counts as a cache hit, not a
-    /// query.
+    /// query; a failed lookup reads as the empty page.
     pub fn search(&self, q: &SearchQuery) -> TopKResponse {
         let start = Instant::now();
-        let (resp, outcome) = self.db.search_observed(q);
-        let (misses, hits, coalesced) = tally(std::iter::once(&outcome));
+        let probed = self.db.probe(q);
+        let (misses, hits, coalesced) = tally(std::iter::once(&probed));
         self.stats
             .lock()
             .record_lookups(misses, hits, coalesced, start.elapsed());
-        resp
+        page_or_empty(probed)
     }
 
     /// Execute a batch as one round. Responses are returned in input order.
@@ -136,32 +144,27 @@ impl SearchCtx {
             return Vec::new();
         }
         let start = Instant::now();
-        let observed: Vec<(TopKResponse, SearchOutcome)> = match self.kind {
-            ExecutorKind::Sequential => qs.iter().map(|q| self.db.search_observed(q)).collect(),
+        let probed: Vec<Probed> = match self.kind {
+            ExecutorKind::Sequential => qs.iter().map(|q| self.db.probe(q)).collect(),
             ExecutorKind::Parallel { fanout } => {
                 let fanout = fanout.max(1).min(qs.len());
                 if fanout == 1 || qs.len() == 1 {
-                    qs.iter().map(|q| self.db.search_observed(q)).collect()
+                    qs.iter().map(|q| self.db.probe(q)).collect()
                 } else {
                     self.parallel_batch(qs, fanout)
                 }
             }
         };
-        let (misses, hits, coalesced) = tally(observed.iter().map(|(_, o)| o));
+        let (misses, hits, coalesced) = tally(probed.iter());
         self.stats
             .lock()
             .record_lookups(misses, hits, coalesced, start.elapsed());
-        observed.into_iter().map(|(resp, _)| resp).collect()
+        probed.into_iter().map(page_or_empty).collect()
     }
 
-    fn parallel_batch(
-        &self,
-        qs: &[SearchQuery],
-        fanout: usize,
-    ) -> Vec<(TopKResponse, SearchOutcome)> {
+    fn parallel_batch(&self, qs: &[SearchQuery], fanout: usize) -> Vec<Probed> {
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<(TopKResponse, SearchOutcome)>>> =
-            (0..qs.len()).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<Probed>>> = (0..qs.len()).map(|_| Mutex::new(None)).collect();
         let db = &self.db;
         // Worker threads have no ambient trace of their own: re-enter the
         // submitting request's trace (when it is being traced) so the
@@ -175,8 +178,8 @@ impl SearchCtx {
                         if i >= qs.len() {
                             break;
                         }
-                        let observed = db.search_observed(&qs[i]);
-                        *slots[i].lock() = Some(observed);
+                        let probed = db.probe(&qs[i]);
+                        *slots[i].lock() = Some(probed);
                     };
                     match &trace {
                         Some(t) => t.enter(work),
@@ -437,27 +440,21 @@ mod tests {
             self.inner.system_k()
         }
         fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            self.search_observed(q).0
+            page_or_empty(self.probe(q))
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.inner.ledger()
         }
-        fn search_observed(
-            &self,
-            q: &SearchQuery,
-        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome) {
+        fn probe(&self, q: &SearchQuery) -> Probed {
             if let Some(resp) = self.memo.lock().get(q) {
-                return (
-                    resp.clone(),
-                    qr2_webdb::SearchOutcome {
-                        cache_hit: true,
-                        coalesced: false,
-                    },
-                );
+                return Ok(Answer {
+                    resp: resp.clone(),
+                    outcome: qr2_webdb::SearchOutcome::CACHE_HIT,
+                });
             }
             let resp = self.inner.search(q);
             self.memo.lock().insert(q.clone(), resp.clone());
-            (resp, qr2_webdb::SearchOutcome::MISS)
+            Ok(Answer::paid(resp))
         }
     }
 
@@ -515,16 +512,13 @@ mod tests {
             self.0.system_k()
         }
         fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            self.search_observed(q).0
+            page_or_empty(self.probe(q))
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.0.ledger()
         }
-        fn search_observed(
-            &self,
-            q: &SearchQuery,
-        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome) {
-            qr2_obs::span("test.executor", || self.0.search_observed(q))
+        fn probe(&self, q: &SearchQuery) -> Probed {
+            qr2_obs::span("test.executor", || self.0.probe(q))
         }
     }
 
@@ -550,6 +544,43 @@ mod tests {
             spans, 8,
             "every worker-thread lookup must land in the request trace"
         );
+    }
+
+    /// A source whose every probe fails, standing in for a cancelled or
+    /// failed probe from the scheduler upstream of this crate.
+    struct FailingDb(Arc<SimulatedWebDb>);
+
+    impl qr2_webdb::TopKInterface for FailingDb {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.0.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            page_or_empty(self.probe(q))
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.0.ledger()
+        }
+        fn probe(&self, _q: &SearchQuery) -> Probed {
+            Err(SearchError::Cancelled)
+        }
+    }
+
+    #[test]
+    fn failed_lookups_read_as_empty_pages_and_free_waits() {
+        let d = db();
+        let ctx = SearchCtx::new(
+            Arc::new(FailingDb(d.clone())),
+            ExecutorKind::Parallel { fanout: 4 },
+        );
+        assert!(ctx.search(&SearchQuery::all()).is_underflow());
+        let pages = ctx.search_batch(&probes(3, d.schema()));
+        assert!(pages.iter().all(TopKResponse::is_underflow));
+        let stats = ctx.stats();
+        assert_eq!(stats.total_queries(), 0, "a failed lookup is not a query");
+        assert_eq!(stats.coalesced_waits, 4);
     }
 
     #[test]

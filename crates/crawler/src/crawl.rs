@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use qr2_webdb::{AttrId, SearchQuery, TopKInterface, Tuple, TupleId};
+use qr2_webdb::{Answer, AttrId, SearchQuery, TopKInterface, Tuple, TupleId};
 
 use crate::splitter::{split_region, SplitPolicy};
 
@@ -38,6 +38,10 @@ pub enum CrawlOutcome {
     /// reveal them all. The visible `system-k` of each such region are
     /// included in the result.
     AtomicOverflow,
+    /// A probe failed (a source fault, or the crawl's session was
+    /// cancelled): the failed region and any still queued behind it were
+    /// never retrieved, so the result is only part of the region.
+    Interrupted,
 }
 
 /// Result of a crawl.
@@ -48,7 +52,8 @@ pub struct CrawlResult {
     pub tuples: Vec<Tuple>,
     /// Queries this crawl actually spent against the web database. Probes
     /// served by a caching interface for free (see
-    /// [`qr2_webdb::SearchOutcome`]) are counted separately below.
+    /// [`qr2_webdb::SearchOutcome`]) are counted separately below; a
+    /// failed probe counts nowhere.
     pub queries: usize,
     /// Probes answered from a shared answer cache (free).
     pub cache_hits: usize,
@@ -104,10 +109,17 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
                 outcome = CrawlOutcome::BudgetExhausted;
                 break;
             }
-            let (resp, probe) = self.db.search_observed(&q);
-            if probe.cache_hit {
+            let Ok(Answer {
+                resp,
+                outcome: served,
+            }) = self.db.probe(&q)
+            else {
+                outcome = CrawlOutcome::Interrupted;
+                break;
+            };
+            if served.cache_hit {
                 cache_hits += 1;
-            } else if probe.coalesced {
+            } else if served.coalesced {
                 coalesced += 1;
             } else {
                 queries += 1;
@@ -269,6 +281,21 @@ mod tests {
         .crawl(&SearchQuery::all());
         assert_eq!(res.outcome, CrawlOutcome::BudgetExhausted);
         assert_eq!(res.queries, 3);
+        assert!(res.tuples.len() < 64);
+    }
+
+    #[test]
+    fn failed_probe_interrupts_the_crawl() {
+        use qr2_webdb::{FaultInjectingInterface, FaultScript};
+        // Every probe from the fourth on hits an outage.
+        let db = FaultInjectingInterface::new(
+            std::sync::Arc::new(grid_db(2)),
+            FaultScript::healthy().with_outage(3, u64::MAX),
+        );
+        let res = crawl(&db, &SearchQuery::all());
+        assert_eq!(res.outcome, CrawlOutcome::Interrupted);
+        assert!(!res.is_complete());
+        assert_eq!(res.queries, 3, "the failed probe is not counted as spent");
         assert!(res.tuples.len() < 64);
     }
 

@@ -38,7 +38,9 @@ use qr2_crawler::{effective_cats, effective_range, split_region, SplitPolicy};
 use qr2_sched::context::{next_session_key, with_session};
 use qr2_sched::{QueryClass, SessionCtx};
 use qr2_store::RankIndex;
-use qr2_webdb::{AttrId, AttrKind, Schema, SearchQuery, TopKInterface, TopKResponse, Tuple};
+use qr2_webdb::{
+    Answer, AttrId, AttrKind, Schema, SearchError, SearchQuery, TopKInterface, TopKResponse, Tuple,
+};
 
 use crate::cursor::{ReconCursor, TupleSet};
 use crate::serve::ServeOrder;
@@ -93,7 +95,8 @@ impl Default for JobOptions {
 pub struct JobReport {
     /// Job id (unique per source).
     pub job_id: u64,
-    /// `"complete"`, `"budget_exhausted"`, or `"cancelled"`.
+    /// `"complete"`, `"budget_exhausted"`, `"cancelled"`, or `"failed"`
+    /// (a probe failed at the source; the failed region stays pending).
     pub state: &'static str,
     /// Paid web-DB queries this job spent.
     pub paid_queries: usize,
@@ -499,7 +502,20 @@ impl ReconIndex {
                 state_str = "complete";
                 break;
             };
-            let (resp, outcome) = db.search_observed(&q);
+            let Answer { resp, outcome } = match db.probe(&q) {
+                Ok(answer) => answer,
+                Err(err) => {
+                    // The region was not retrieved: it stays on the
+                    // frontier, so coverage never claims it.
+                    worklist.push((q, depth));
+                    state_str = if err == SearchError::Cancelled {
+                        "cancelled"
+                    } else {
+                        "failed"
+                    };
+                    break;
+                }
+            };
             if outcome.is_free() {
                 free += 1;
             } else {
@@ -544,8 +560,9 @@ impl ReconIndex {
             }
         }
 
-        // Final checkpoint. A cancelled or exhausted job pushes its
-        // unfinished region back so the frontier stays a superset.
+        // Final checkpoint. The worklist still holds every region not
+        // retrieved (a failed probe's included), so the frontier stays a
+        // superset of the truly uncovered regions.
         let (added, errors) = self.checkpoint(
             &mut batch,
             &worklist,

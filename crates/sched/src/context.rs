@@ -1,7 +1,7 @@
 //! Ambient per-session scheduling context.
 //!
-//! The reranking engines call [`qr2_webdb::TopKInterface::search_observed`]
-//! with no notion of *who* is asking; the scheduler needs exactly that to
+//! The reranking engines call [`qr2_webdb::TopKInterface::probe`] with no
+//! notion of *who* is asking; the scheduler needs exactly that to
 //! apportion fair share and honor cancellation. Rather than thread a
 //! session handle through every engine signature, the service installs a
 //! [`SessionCtx`] around each engine step with [`with_session`], and the
@@ -20,11 +20,11 @@ use qr2_core::CancelToken;
 
 /// A shared one-way flag a session's probes trip when the source fails
 /// them terminally (retries exhausted, breaker open past the scheduler's
-/// parking patience). The failing probe still returns the degraded empty
-/// answer so the engine step unwinds cleanly; the service checks the
-/// signal afterwards to turn the page into a structured `503` or a
-/// `status: "failed"` stream summary instead of silently serving an
-/// empty page.
+/// parking patience). The failing probe returns the source's error, which
+/// the engine's executor reads as the empty page so the step unwinds
+/// cleanly; the service checks the signal afterwards to turn the page
+/// into a structured `503` or a `status: "failed"` stream summary instead
+/// of silently serving an empty page.
 #[derive(Debug, Clone, Default)]
 pub struct FailureSignal {
     tripped: Arc<AtomicBool>,

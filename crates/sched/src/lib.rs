@@ -14,9 +14,10 @@
 //! * **Priority classes** — [`QueryClass::Interactive`] probes (a user
 //!   waiting on a page) strictly precede [`QueryClass::Background`]
 //!   (crawls, prefetch).
-//! * **Token-bucket pacing** — the scheduler only ever calls the shaped
-//!   interface's *fallible* search, so a simulated 429 never reaches the
-//!   engines: the probe is requeued and retried when the bucket refills.
+//! * **Token-bucket pacing** — the scheduler dispatches through
+//!   [`qr2_webdb::TopKInterface::probe`], which returns a simulated 429 as
+//!   an error instead of blocking, so a 429 never reaches the engines: the
+//!   probe is requeued and retried when the bucket refills.
 //! * **Frontier coalescing** — when one session's pending probe *covers*
 //!   another's ([`qr2_webdb::SearchQuery::covers`]), one covering query is
 //!   issued and the answer is fanned out to every waiter, each waiter's

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use qr2_webdb::{
-    Admission, QueryLedger, ResilientInterface, Schema, SearchError, SearchOutcome, SearchQuery,
-    Throttled, TopKInterface, TopKResponse, TrafficShapedInterface,
+    page_or_empty, Admission, Answer, QueryLedger, ResilientInterface, Schema, SearchError,
+    SearchOutcome, SearchQuery, Throttled, TopKInterface, TopKResponse, TrafficShapedInterface,
 };
 
 use crate::coalesce::derive_answer;
@@ -64,18 +64,15 @@ enum ProbeState {
     /// Being executed against the shaped interface by some submitter.
     InFlight,
     /// Completed; waiters derive their answers from the page.
-    Done {
-        resp: TopKResponse,
-        authoritative: bool,
-    },
+    Done(TopKResponse),
     /// Withdrawn (session cancelled, or absorbed into a widened covering
     /// probe); waiters must retry.
     Abandoned,
     /// The source failed this probe terminally (retries exhausted, or it
     /// out-waited [`SchedConfig::max_outage_park`] behind an open
-    /// breaker). Waiters get the degraded empty answer and trip their
-    /// session's failure signal.
-    Failed,
+    /// breaker). Waiters get the terminal error and trip their session's
+    /// failure signal.
+    Failed(SearchError),
 }
 
 /// One pending web-DB probe plus its rendezvous point. Multiple submitters
@@ -285,10 +282,10 @@ enum Plan {
 }
 
 enum Driven {
-    Done(TopKResponse, bool),
+    Done(TopKResponse),
     Abandoned,
     Cancelled,
-    Failed,
+    Failed(SearchError),
 }
 
 enum Dispatch {
@@ -296,25 +293,19 @@ enum Dispatch {
     Throttled(Duration),
     /// The breaker is open (or dispatch failed terminally but the probe
     /// is within its parking patience): the probe stays queued, no slot
-    /// is burned, and the waiter naps for the hinted duration.
-    Parked(Duration),
+    /// is burned, and the waiter naps for the hinted duration. The error
+    /// is what the probe fails with once its patience runs out.
+    Parked(Duration, SearchError),
     Idle,
 }
-
-/// Outcome of a waiter served by frontier coalescing: free, like the
-/// cache's single-flight coalescing.
-const COALESCED: SearchOutcome = SearchOutcome {
-    cache_hit: false,
-    coalesced: true,
-};
 
 /// The scheduler of one source.
 ///
 /// All probe traffic for the source goes through [`submit`]
 /// (via [`ScheduledInterface`]); the scheduler paces it against the
-/// source's [`qr2_webdb::SourcePolicy`] using only the shaped interface's
-/// *fallible* search, so every simulated 429 is absorbed by requeue-and-
-/// retry instead of surfacing to the engines.
+/// source's [`qr2_webdb::SourcePolicy`]: every dispatch goes through the
+/// resilience layer's [`TopKInterface::probe`], so every simulated 429 is
+/// absorbed by requeue-and-retry instead of surfacing to the engines.
 ///
 /// [`submit`]: SourceScheduler::submit
 pub struct SourceScheduler {
@@ -502,82 +493,58 @@ impl SourceScheduler {
     }
 
     /// Submit one probe on behalf of the ambient session
-    /// ([`context::current`]) and block until it is answered. Returns the
-    /// response, the cost outcome (`MISS` when this submitter paid,
-    /// coalesced when served from a covering probe), and the
-    /// authoritative flag.
+    /// ([`context::current`]) and block until it is answered. The answer's
+    /// outcome is `MISS` when this submitter paid and coalesced when it
+    /// was served from a covering probe.
     ///
-    /// A cancelled session gets the empty non-authoritative response — the
-    /// same degraded-answer convention a remote gateway uses for an
-    /// outage — with a free outcome, since no query was spent on it.
-    pub fn submit(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome, bool) {
+    /// A cancelled session gets [`SearchError::Cancelled`] (nothing was
+    /// spent on it); a probe the source failed terminally gets the
+    /// source's error and trips the session's failure signal.
+    pub fn submit(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         qr2_obs::span("sched.queue", || self.submit_inner(q))
     }
 
-    fn submit_inner(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome, bool) {
+    fn submit_inner(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let ctx = context::current();
         if ctx.is_cancelled() {
-            return (TopKResponse::empty(), COALESCED, false);
+            return Err(SearchError::Cancelled);
         }
         let mut allow_attach = true;
         loop {
-            match self.plan(q, &ctx, allow_attach) {
-                Plan::Attach { probe, widened } => match self.drive(&probe, &ctx, false) {
-                    Driven::Done(resp, authoritative) => {
-                        let executed = probe.query.lock().clone();
-                        if widened && executed == *q {
-                            // We widened the probe to our own query and it
-                            // executed as such: we are the payer of record.
-                            return (resp, SearchOutcome::MISS, authoritative);
-                        }
-                        match derive_answer(q, &executed, &resp) {
-                            Some(derived) => {
-                                self.frontier_hits.fetch_add(1, Ordering::Relaxed);
-                                return (derived, COALESCED, authoritative);
-                            }
-                            // The covering page overflowed: nothing exact
-                            // can be said about our region. Pay for our
-                            // own probe instead of guessing.
-                            None => {
-                                allow_attach = false;
-                                continue;
-                            }
-                        }
+            // `payer`: the probe executes our own query unless another
+            // session widened it — we enqueued it, or widened it to us.
+            let (probe, owned, payer) = match self.plan(q, &ctx, allow_attach) {
+                Plan::Attach { probe, widened } => (probe, false, widened),
+                Plan::Own(probe) => (probe, true, true),
+            };
+            match self.drive(&probe, &ctx, owned) {
+                Driven::Done(resp) => {
+                    let executed = probe.query.lock().clone();
+                    if payer && executed == *q {
+                        return Ok(Answer::paid(resp));
                     }
-                    Driven::Abandoned => continue,
-                    Driven::Cancelled => return (TopKResponse::empty(), COALESCED, false),
-                    Driven::Failed => {
-                        ctx.trip_failure();
-                        return (TopKResponse::empty(), COALESCED, false);
-                    }
-                },
-                Plan::Own(probe) => match self.drive(&probe, &ctx, true) {
-                    Driven::Done(resp, authoritative) => {
-                        let executed = probe.query.lock().clone();
-                        if executed == *q {
-                            return (resp, SearchOutcome::MISS, authoritative);
+                    // Derive our page from the covering one; its payer of
+                    // record is another session.
+                    match derive_answer(q, &executed, &resp) {
+                        Some(derived) => {
+                            self.frontier_hits.fetch_add(1, Ordering::Relaxed);
+                            return Ok(Answer {
+                                resp: derived,
+                                outcome: SearchOutcome::COALESCED,
+                            });
                         }
-                        // Our probe was widened by another session, which
-                        // became the payer of record; derive our page from
-                        // the wider one.
-                        match derive_answer(q, &executed, &resp) {
-                            Some(derived) => {
-                                self.frontier_hits.fetch_add(1, Ordering::Relaxed);
-                                return (derived, COALESCED, authoritative);
-                            }
-                            None => {
-                                allow_attach = false;
-                                continue;
-                            }
-                        }
+                        // The covering page overflowed: nothing exact can
+                        // be said about our region. Pay for our own probe
+                        // instead of guessing.
+                        None => allow_attach = false,
                     }
-                    Driven::Abandoned => continue,
-                    Driven::Cancelled => return (TopKResponse::empty(), COALESCED, false),
-                    Driven::Failed => {
-                        ctx.trip_failure();
-                        return (TopKResponse::empty(), COALESCED, false);
-                    }
-                },
+                }
+                Driven::Abandoned => {}
+                Driven::Cancelled => return Err(SearchError::Cancelled),
+                Driven::Failed(err) => {
+                    ctx.trip_failure();
+                    return Err(err);
+                }
             }
         }
     }
@@ -683,12 +650,9 @@ impl SourceScheduler {
             {
                 let state = probe.lock_state();
                 match &*state {
-                    ProbeState::Done {
-                        resp,
-                        authoritative,
-                    } => return Driven::Done(resp.clone(), *authoritative),
+                    ProbeState::Done(resp) => return Driven::Done(resp.clone()),
                     ProbeState::Abandoned => return Driven::Abandoned,
-                    ProbeState::Failed => return Driven::Failed,
+                    ProbeState::Failed(err) => return Driven::Failed(err.clone()),
                     ProbeState::Queued | ProbeState::InFlight => {}
                 }
             }
@@ -720,13 +684,13 @@ impl SourceScheduler {
                     qr2_obs::annotate_add("backoff_ms", backoff.as_secs_f64() * 1e3);
                     self.wait_brief(probe, backoff);
                 }
-                Dispatch::Parked(retry_after) => {
+                Dispatch::Parked(retry_after, err) => {
                     self.parked_waits.fetch_add(1, Ordering::Relaxed);
                     if probe.enqueued.elapsed() >= self.cfg.max_outage_park {
                         // The source has been unhealthy longer than the
                         // probe's parking patience: fail it (and anyone
                         // coalesced onto it) honestly.
-                        self.fail_probe(probe);
+                        self.fail_probe(probe, err);
                         continue;
                     }
                     qr2_obs::annotate_add("parked_ms", retry_after.as_secs_f64() * 1e3);
@@ -737,16 +701,16 @@ impl SourceScheduler {
         }
     }
 
-    /// Resolve a probe as terminally failed: out of the queues, state
-    /// `Failed`, every waiter notified.
-    fn fail_probe(&self, probe: &Arc<Probe>) {
+    /// Resolve a probe as terminally failed with `err`: out of the
+    /// queues, state `Failed`, every waiter notified.
+    fn fail_probe(&self, probe: &Arc<Probe>, err: SearchError) {
         {
             let mut st = self.state.lock();
             st.lane_mut(probe.class).remove(probe);
             st.inflight.retain(|p| !Arc::ptr_eq(p, probe));
         }
         self.failed_probes.fetch_add(1, Ordering::Relaxed);
-        probe.set_state(ProbeState::Failed);
+        probe.set_state(ProbeState::Failed(err));
     }
 
     /// Sleep on the probe's condvar until it changes state or `timeout`
@@ -754,7 +718,7 @@ impl SourceScheduler {
     fn wait_brief(&self, probe: &Probe, timeout: Duration) {
         let state = probe.lock_state();
         match &*state {
-            ProbeState::Done { .. } | ProbeState::Abandoned | ProbeState::Failed => {}
+            ProbeState::Done(_) | ProbeState::Abandoned | ProbeState::Failed(_) => {}
             ProbeState::Queued | ProbeState::InFlight => {
                 let _ = probe
                     .cv
@@ -778,16 +742,19 @@ impl SourceScheduler {
 
     /// One cooperative dispatch attempt: pick the fair-share-next probe if
     /// the source has capacity, execute it via the resilience layer's
-    /// fallible search, and complete, requeue (429), park (open breaker /
-    /// transient fault), or fail it.
+    /// probe, and complete, requeue (429), park (open breaker / transient
+    /// fault), or fail it.
     fn try_dispatch(&self) -> Dispatch {
         // An open breaker parks the whole queue: no probe is picked, no
         // dispatch slot is burned on a call that would fail fast.
         if let Admission::Rejected { retry_after } = self.resilient.breaker_admission() {
-            return Dispatch::Parked(retry_after.clamp(
-                Duration::from_millis(1),
-                self.cfg.poll_interval.max(Duration::from_millis(5)),
-            ));
+            return Dispatch::Parked(
+                retry_after.clamp(
+                    Duration::from_millis(1),
+                    self.cfg.poll_interval.max(Duration::from_millis(5)),
+                ),
+                SearchError::Unavailable { retry_after },
+            );
         }
         let probe = {
             let mut st = self.state.lock();
@@ -813,8 +780,8 @@ impl SourceScheduler {
         probe.set_state(ProbeState::InFlight);
         let query = probe.query.lock().clone();
         let waited = probe.enqueued.elapsed();
-        match self.resilient.search_resilient(&query) {
-            Ok((resp, authoritative)) => {
+        match self.resilient.probe(&query) {
+            Ok(Answer { resp, .. }) => {
                 match probe.class {
                     QueryClass::Interactive => {
                         self.dispatched_interactive.fetch_add(1, Ordering::Relaxed);
@@ -829,10 +796,7 @@ impl SourceScheduler {
                     let mut st = self.state.lock();
                     st.inflight.retain(|p| !Arc::ptr_eq(p, &probe));
                 }
-                probe.set_state(ProbeState::Done {
-                    resp,
-                    authoritative,
-                });
+                probe.set_state(ProbeState::Done(resp));
                 Dispatch::Did
             }
             Err(SearchError::Throttled(throttled)) => {
@@ -864,9 +828,10 @@ impl SourceScheduler {
                     }
                     Dispatch::Parked(
                         retry_after.min(self.cfg.poll_interval.max(Duration::from_millis(5))),
+                        err,
                     )
                 } else {
-                    self.fail_probe(&probe);
+                    self.fail_probe(&probe, err);
                     Dispatch::Did
                 }
             }
@@ -903,27 +868,14 @@ impl TopKInterface for ScheduledInterface {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.sched.submit(q).0
+        page_or_empty(self.probe(q))
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.sched.shaped.ledger()
     }
 
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        let (resp, outcome, _) = self.sched.submit(q);
-        (resp, outcome)
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        let (resp, _, authoritative) = self.sched.submit(q);
-        (resp, authoritative)
-    }
-
-    fn search_observed_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> (TopKResponse, SearchOutcome, bool) {
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         self.sched.submit(q)
     }
 }
@@ -962,10 +914,8 @@ mod tests {
             SchedConfig::default(),
         );
         let q = SearchQuery::all();
-        let (resp, outcome, authoritative) = sched.submit(&q);
-        assert_eq!(resp, db.search(&q));
-        assert_eq!(outcome, SearchOutcome::MISS);
-        assert!(authoritative);
+        let answer = sched.submit(&q).expect("answered");
+        assert_eq!(answer, Answer::paid(db.search(&q)));
         let stats = sched.stats();
         assert_eq!(stats.dispatched, 1);
         assert_eq!(stats.queued, 0);
@@ -993,9 +943,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
                 with_session(ctx, || {
-                    let (resp, _, authoritative) = sched.submit(&q);
-                    assert!(authoritative);
-                    assert_eq!(resp, want);
+                    let answer = sched.submit(&q).expect("answered");
+                    assert_eq!(answer.resp, want);
                 })
             }));
         }
@@ -1016,11 +965,9 @@ mod tests {
         token.cancel();
         let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive).with_cancel(token);
         let before = db.ledger().total();
-        let (resp, outcome, authoritative) =
-            with_session(ctx, || sched.submit(&SearchQuery::all()));
-        assert!(resp.is_underflow());
-        assert!(outcome.is_free());
-        assert!(!authoritative, "cancelled answers are degraded");
+        let err = with_session(ctx, || sched.submit(&SearchQuery::all()))
+            .expect_err("a cancelled session gets no answer");
+        assert_eq!(err, SearchError::Cancelled);
         assert_eq!(db.ledger().total(), before);
     }
 
@@ -1038,7 +985,7 @@ mod tests {
         // Drain the single burst token.
         let x = sched.shaped().schema().expect_id("x");
         let burner = SearchQuery::all().and_range(x, RangePred::closed(990.0, 1000.0));
-        assert!(sched.shaped().try_search(&burner).is_ok());
+        assert!(sched.shaped().probe(&burner).is_ok());
         let before = db.ledger().total();
 
         let key = next_session_key();
@@ -1056,10 +1003,8 @@ mod tests {
         }
         token.cancel();
         sched.cancel_session(key);
-        let (resp, outcome, authoritative) = waiter.join().unwrap();
-        assert!(resp.is_underflow());
-        assert!(outcome.is_free());
-        assert!(!authoritative);
+        let err = waiter.join().unwrap().expect_err("drained, not answered");
+        assert_eq!(err, SearchError::Cancelled);
         assert_eq!(sched.stats().queued, 0, "queue drained");
         assert_eq!(
             db.ledger().total(),
@@ -1078,9 +1023,10 @@ mod tests {
             db.clone(),
             SourcePolicy::unlimited(),
         ));
-        let faulty: Arc<dyn qr2_webdb::FallibleSearch> = Arc::new(
-            qr2_webdb::FaultInjectingInterface::new(shaped.clone(), script),
-        );
+        let faulty = Arc::new(qr2_webdb::FaultInjectingInterface::new(
+            shaped.clone(),
+            script,
+        ));
         let retry = qr2_webdb::RetryPolicy {
             max_attempts: 1,
             base_backoff: Duration::from_micros(200),
@@ -1120,11 +1066,9 @@ mod tests {
         let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive)
             .with_failure(signal.clone());
         let before = db.ledger().total();
-        let (resp, outcome, authoritative) =
-            with_session(ctx, || sched.submit(&SearchQuery::all()));
-        assert!(resp.is_underflow(), "degraded empty answer");
-        assert!(outcome.is_free());
-        assert!(!authoritative);
+        let err = with_session(ctx, || sched.submit(&SearchQuery::all()))
+            .expect_err("the outage fails the probe");
+        assert_eq!(err.kind(), "unavailable");
         assert!(signal.is_tripped(), "terminal failure surfaced");
         assert_eq!(db.ledger().total(), before, "outage probes are free");
         let stats = sched.stats();
@@ -1163,10 +1107,12 @@ mod tests {
             .with_failure(signal.clone());
         let q = SearchQuery::all();
         let want = db.search(&q);
-        let (resp, outcome, authoritative) = with_session(ctx, || sched.submit(&q));
-        assert_eq!(resp, want, "the probe resumed after recovery");
-        assert_eq!(outcome, SearchOutcome::MISS);
-        assert!(authoritative);
+        let answer = with_session(ctx, || sched.submit(&q)).expect("rode through");
+        assert_eq!(
+            answer,
+            Answer::paid(want),
+            "the probe resumed after recovery"
+        );
         assert!(!signal.is_tripped(), "no terminal failure surfaced");
         assert_eq!(sched.stats().failed_probes, 0);
         assert_eq!(sched.resilient().health().breaker, "closed");
@@ -1186,7 +1132,7 @@ mod tests {
         );
         assert!(sched.admit().is_ok(), "token available: admit");
         // Burn the token; now a new probe waits ~100s > 1s.
-        assert!(sched.shaped().try_search(&SearchQuery::all()).is_ok());
+        assert!(sched.shaped().probe(&SearchQuery::all()).is_ok());
         let denial = sched.admit().expect_err("saturated");
         assert!(denial.retry_after > Duration::from_secs(1));
         assert_eq!(sched.stats().rejected, 1);

@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use qr2_http::{parse_json, HttpServer, Json, Method, Response, Router, Status};
 use qr2_webdb::{
-    AttrId, CatSet, Predicate, QueryLedger, RangePred, Schema, SearchQuery, TopKInterface,
-    TopKResponse, Tuple, TupleId, Value,
+    page_or_empty, Answer, AttrId, CatSet, Predicate, QueryLedger, RangePred, Schema, SearchError,
+    SearchQuery, TopKInterface, TopKResponse, Tuple, TupleId, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -248,8 +248,12 @@ impl WebDbGateway {
 // Client side
 // ---------------------------------------------------------------------------
 
-/// A web database reached over HTTP. Every [`TopKInterface::search`] call
-/// is one HTTP round trip — exactly the cost model of the paper.
+/// Back-off hint on a failed round trip: a connect error carries no
+/// `Retry-After` of its own.
+const UNAVAILABLE_RETRY_AFTER: std::time::Duration = std::time::Duration::from_millis(5);
+
+/// A web database reached over HTTP. Every [`TopKInterface::probe`] is one
+/// HTTP round trip — exactly the cost model of the paper.
 pub struct RemoteWebDb {
     addr: SocketAddr,
     schema: Schema,
@@ -291,34 +295,31 @@ impl TopKInterface for RemoteWebDb {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.search_authoritative(q).0
+        page_or_empty(self.probe(q))
     }
 
-    /// A failed round trip is returned as an empty, non-overflowing page
-    /// — the algorithms treat it as "no matches", the conservative read
-    /// of an unreachable site — but flagged **non-authoritative** so a
-    /// caching layer never remembers the outage as the real answer.
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
+    /// A failed round trip (connect error, non-200 status, unreadable
+    /// body) is [`SearchError::Unavailable`]: it is treated as unpaid and
+    /// not written to the ledger, so the resilience layer above can retry
+    /// it and count it, and no cache ever remembers it.
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let payload = query_to_json(q).to_string();
-        let parsed = http_request(self.addr, "POST", "/dbapi/search", Some(&payload))
+        let v = http_request(self.addr, "POST", "/dbapi/search", Some(&payload))
             .ok()
-            .and_then(|response| parse_json(&response).ok());
-        let (tuples, overflow, authoritative) = match parsed {
-            Some(v) => {
-                let tuples = v
-                    .get("tuples")
-                    .and_then(Json::as_arr)
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(|t| wire_tuple_from_json(t).ok())
-                            .collect::<Vec<Tuple>>()
-                    })
-                    .unwrap_or_default();
-                let overflow = v.get("overflow").and_then(Json::as_bool).unwrap_or(false);
-                (tuples, overflow, true)
-            }
-            None => (Vec::new(), false, false),
-        };
+            .and_then(|response| parse_json(&response).ok())
+            .ok_or(SearchError::Unavailable {
+                retry_after: UNAVAILABLE_RETRY_AFTER,
+            })?;
+        let tuples = v
+            .get("tuples")
+            .and_then(Json::as_arr)
+            .map(|a| {
+                a.iter()
+                    .filter_map(|t| wire_tuple_from_json(t).ok())
+                    .collect::<Vec<Tuple>>()
+            })
+            .unwrap_or_default();
+        let overflow = v.get("overflow").and_then(Json::as_bool).unwrap_or(false);
         // Fingerprint-keyed ledger entry: the display form renders lazily
         // in `recent()`, never on the per-query path.
         self.ledger.record_executed(
@@ -328,7 +329,7 @@ impl TopKInterface for RemoteWebDb {
             tuples.len(),
             overflow,
         );
-        (TopKResponse::new(tuples, overflow), authoritative)
+        Ok(Answer::paid(TopKResponse::new(tuples, overflow)))
     }
 
     fn ledger(&self) -> &QueryLedger {

@@ -1217,7 +1217,7 @@ mod tests {
         let source = reg.get("bluenile").unwrap();
         let q = SearchQuery::all();
         for _ in 0..n {
-            assert!(source.sched.resilient().search_resilient(&q).is_err());
+            assert!(source.sched.resilient().probe(&q).is_err());
         }
         assert_eq!(source.sched.resilient().health().breaker_code, 2);
     }

@@ -40,7 +40,7 @@ pub struct ReconServing {
     /// True when this answer was admitted under an operator degraded-
     /// serving policy (source breaker open, stale epoch tolerated); the
     /// flag is echoed on every page so clients can tell a degraded
-    /// answer from an authoritative one.
+    /// answer from a fresh one.
     pub degraded: bool,
 }
 

@@ -9,9 +9,9 @@ use qr2_http::Json;
 use qr2_recon::ReconIndex;
 use qr2_sched::{SchedConfig, ScheduledInterface, SourceScheduler};
 use qr2_webdb::{
-    BreakerConfig, FallibleSearch, FaultInjectingInterface, FaultScript, QueryLedger,
-    ResilientInterface, RetryPolicy, Schema, SearchOutcome, SearchQuery, SourcePolicy,
-    TopKInterface, TopKResponse, TrafficShapedInterface,
+    page_or_empty, Answer, BreakerConfig, FaultInjectingInterface, FaultScript, QueryLedger,
+    ResilientInterface, RetryPolicy, Schema, SearchError, SearchQuery, SourcePolicy, TopKInterface,
+    TopKResponse, TrafficShapedInterface,
 };
 
 /// Operator policy for what a source may serve while its circuit breaker
@@ -100,8 +100,8 @@ pub struct Source {
 /// Decorator that opportunistically feeds every observed answer into the
 /// source's reconstruction: a complete (non-overflowing) response that
 /// covers still-pending frontier regions retires them for free, growing
-/// recon coverage as a side effect of normal serving. Degraded
-/// (non-authoritative) answers are never fed.
+/// recon coverage as a side effect of normal serving. Only answers are
+/// fed; a failed probe proves nothing.
 struct ReconFeedInterface {
     inner: Arc<dyn TopKInterface>,
     recon: Arc<ReconIndex>,
@@ -118,37 +118,18 @@ impl TopKInterface for ReconFeedInterface {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        let (resp, _) = self.search_observed(q);
-        resp
+        page_or_empty(self.probe(q))
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.inner.ledger()
     }
 
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        let (resp, outcome) = self.inner.search_observed(q);
-        self.recon.feed_observed(q, &resp, self.cache.epoch());
-        (resp, outcome)
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        let (resp, authoritative) = self.inner.search_authoritative(q);
-        if authoritative {
-            self.recon.feed_observed(q, &resp, self.cache.epoch());
-        }
-        (resp, authoritative)
-    }
-
-    fn search_observed_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> (TopKResponse, SearchOutcome, bool) {
-        let (resp, outcome, authoritative) = self.inner.search_observed_authoritative(q);
-        if authoritative {
-            self.recon.feed_observed(q, &resp, self.cache.epoch());
-        }
-        (resp, outcome, authoritative)
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        let answer = self.inner.probe(q)?;
+        self.recon
+            .feed_observed(q, &answer.resp, self.cache.epoch());
+        Ok(answer)
     }
 }
 
@@ -264,16 +245,13 @@ impl Source {
         // Name the shaping and scheduling layers so their qr2-obs metrics
         // (throttles, search latency, queue delays) carry a `source` label.
         let shaped = Arc::new(TrafficShapedInterface::named(db.clone(), policy, &name));
-        let fallible: Arc<dyn FallibleSearch> = match resilience.script {
-            Some(script) => {
-                let inner: Arc<dyn FallibleSearch> = shaped.clone();
-                Arc::new(FaultInjectingInterface::new(inner, script))
-            }
+        let faulty: Arc<dyn TopKInterface> = match resilience.script {
+            Some(script) => Arc::new(FaultInjectingInterface::new(shaped.clone(), script)),
             None => shaped.clone(),
         };
         let resilient = Arc::new(ResilientInterface::new(
             Arc::clone(&shaped),
-            fallible,
+            faulty,
             resilience.retry,
             resilience.breaker,
             &name,

@@ -2,15 +2,14 @@
 //! injection for rehearsing it.
 //!
 //! QR2 is a third party: the web databases it probes are slow, metered,
-//! and can disappear mid-session. PR 7 modeled exactly one failure — the
-//! token-bucket 429 ([`Throttled`]) — so everything above it implicitly
-//! assumed a source that always answers eventually. [`SearchError`]
-//! generalizes the fallible search path to the failures a real remote
-//! source exhibits (timeouts, hard outages, truncated bodies), and
-//! [`FaultInjectingInterface`] is a decorator that *injects* those
-//! failures from a seeded, replayable [`FaultScript`], so every chaos
-//! scenario in the test suite and the `fault_smoke` bench is
-//! deterministic.
+//! and can disappear mid-session. [`SearchError`] is the one failure type
+//! of [`TopKInterface::probe`]: the token-bucket 429 ([`Throttled`]), the
+//! faults a real remote source exhibits (timeouts, hard outages,
+//! truncated bodies), and a probe withdrawn because its session was
+//! cancelled. [`FaultInjectingInterface`] is an ordinary
+//! [`TopKInterface`] decorator that *injects* faults from a seeded,
+//! replayable [`FaultScript`], so every chaos scenario in the test suite
+//! and the `fault_smoke` bench is deterministic.
 //!
 //! Determinism is the point: fault decisions are keyed on a monotone
 //! **attempt index** (not wall time) hashed with the script seed, so the
@@ -25,7 +24,7 @@
 //!   request that dies on the response path;
 //! * [`SearchError::Unavailable`] fails before the query reaches the
 //!   source — a connect error costs nothing;
-//! * [`SearchError::Throttled`] is the PR 7 429, passed through untouched.
+//! * [`SearchError::Throttled`] is the 429, passed through untouched.
 //!
 //! [`QueryLedger`]: crate::QueryLedger
 
@@ -33,12 +32,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::interface::TopKResponse;
+use crate::interface::{page_or_empty, Answer, TopKInterface, TopKResponse};
+use crate::metrics::QueryLedger;
 use crate::predicate::SearchQuery;
-use crate::traffic::{Throttled, TrafficShapedInterface};
+use crate::schema::Schema;
+use crate::traffic::Throttled;
 
-/// Every way a paid probe against a web database can fail, generalizing
-/// the PR 7 [`Throttled`]-only fallible path.
+/// Every way a probe against a web database can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchError {
     /// The source's rate limit denied admission (HTTP 429). Flow control,
@@ -63,6 +63,9 @@ pub enum SearchError {
         /// What was wrong with the response.
         detail: String,
     },
+    /// The probe's session was cancelled before it was answered. Nothing
+    /// was paid on its behalf.
+    Cancelled,
 }
 
 impl SearchError {
@@ -74,6 +77,7 @@ impl SearchError {
             SearchError::Timeout { .. } => "timeout",
             SearchError::Unavailable { .. } => "unavailable",
             SearchError::Malformed { .. } => "malformed",
+            SearchError::Cancelled => "cancelled",
         }
     }
 
@@ -82,7 +86,9 @@ impl SearchError {
         match self {
             SearchError::Throttled(t) => Some(t.retry_after),
             SearchError::Unavailable { retry_after } => Some(*retry_after),
-            SearchError::Timeout { .. } | SearchError::Malformed { .. } => None,
+            SearchError::Timeout { .. }
+            | SearchError::Malformed { .. }
+            | SearchError::Cancelled => None,
         }
     }
 
@@ -112,33 +118,8 @@ impl std::fmt::Display for SearchError {
                 write!(f, "unavailable; retry after {retry_after:?}")
             }
             SearchError::Malformed { detail } => write!(f, "malformed response: {detail}"),
+            SearchError::Cancelled => write!(f, "cancelled"),
         }
-    }
-}
-
-/// The generalized fallible search surface: any layer that can execute a
-/// probe and fail with a [`SearchError`]. Implemented by the PR 7
-/// [`TrafficShapedInterface`] (whose only failure is `Throttled`), by
-/// [`FaultInjectingInterface`], and by the resilience layer — so fault
-/// injection and retries stack in any order over the shaped source.
-pub trait FallibleSearch: Send + Sync {
-    /// Execute one probe; `Ok` carries the response and the authoritative
-    /// flag of [`TopKInterface::search_authoritative`].
-    ///
-    /// [`TopKInterface::search_authoritative`]: crate::TopKInterface::search_authoritative
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError>;
-}
-
-impl FallibleSearch for TrafficShapedInterface {
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
-        self.try_search_authoritative(q)
-            .map_err(SearchError::Throttled)
-    }
-}
-
-impl<T: FallibleSearch + ?Sized> FallibleSearch for Arc<T> {
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
-        (**self).search_fallible(q)
     }
 }
 
@@ -229,12 +210,12 @@ pub(crate) fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A [`FallibleSearch`] decorator that injects the faults scripted by a
-/// [`FaultScript`], deterministically, between the resilience layer and
-/// the traffic-shaped source:
+/// A [`TopKInterface`] decorator that injects the faults scripted by a
+/// [`FaultScript`], deterministically, into [`probe`](TopKInterface::probe)
+/// between the resilience layer and the traffic-shaped source:
 /// `… scheduler → resilient → fault injection → traffic shaping → raw db`.
 pub struct FaultInjectingInterface {
-    inner: Arc<dyn FallibleSearch>,
+    inner: Arc<dyn TopKInterface>,
     script: FaultScript,
     attempt: AtomicU64,
     timeouts: AtomicU64,
@@ -245,7 +226,7 @@ pub struct FaultInjectingInterface {
 
 impl FaultInjectingInterface {
     /// Wrap `inner` with `script`.
-    pub fn new(inner: Arc<dyn FallibleSearch>, script: FaultScript) -> FaultInjectingInterface {
+    pub fn new(inner: Arc<dyn TopKInterface>, script: FaultScript) -> FaultInjectingInterface {
         FaultInjectingInterface {
             inner,
             script,
@@ -282,8 +263,24 @@ impl FaultInjectingInterface {
     }
 }
 
-impl FallibleSearch for FaultInjectingInterface {
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
+impl TopKInterface for FaultInjectingInterface {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn system_k(&self) -> usize {
+        self.inner.system_k()
+    }
+
+    fn search(&self, q: &SearchQuery) -> TopKResponse {
+        page_or_empty(self.probe(q))
+    }
+
+    fn ledger(&self) -> &QueryLedger {
+        self.inner.ledger()
+    }
+
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let attempt = self.attempt.fetch_add(1, Ordering::Relaxed);
         // Outage windows and transient connect failures fire before the
         // query reaches the source: nothing is paid.
@@ -312,7 +309,7 @@ impl FallibleSearch for FaultInjectingInterface {
         // charged to the ledger exactly like a real request that dies on
         // the way back.
         let started = std::time::Instant::now();
-        let out = self.inner.search_fallible(q)?;
+        let out = self.inner.probe(q)?;
         if Self::is_nth(attempt, self.script.timeout_every) {
             self.timeouts.fetch_add(1, Ordering::Relaxed);
             return Err(SearchError::Timeout {
@@ -322,7 +319,7 @@ impl FallibleSearch for FaultInjectingInterface {
         if Self::is_nth(attempt, self.script.malformed_every) {
             self.malformed.fetch_add(1, Ordering::Relaxed);
             return Err(SearchError::Malformed {
-                detail: format!("response truncated at tuple 0 of {}", out.0.tuples.len()),
+                detail: format!("response truncated at tuple 0 of {}", out.resp.tuples.len()),
             });
         }
         Ok(out)
@@ -335,8 +332,7 @@ mod tests {
     use crate::ranking::SystemRanking;
     use crate::schema::Schema;
     use crate::table::TableBuilder;
-    use crate::traffic::SourcePolicy;
-    use crate::TopKInterface;
+    use crate::traffic::{SourcePolicy, TrafficShapedInterface};
 
     fn shaped() -> Arc<TrafficShapedInterface> {
         let schema = Schema::builder().numeric("price", 0.0, 100.0).build();
@@ -354,9 +350,8 @@ mod tests {
         let shaped = shaped();
         let faulty = FaultInjectingInterface::new(shaped.clone(), FaultScript::healthy());
         let q = SearchQuery::all();
-        let (resp, authoritative) = faulty.search_fallible(&q).expect("no faults");
-        assert!(authoritative);
-        assert_eq!(resp, shaped.try_search(&q).unwrap());
+        let answer = faulty.probe(&q).expect("no faults");
+        assert_eq!(answer, shaped.probe(&q).unwrap());
         let stats = faulty.fault_stats();
         assert_eq!(stats.attempts, 1);
         assert_eq!(stats.timeouts + stats.unavailable + stats.malformed, 0);
@@ -368,10 +363,10 @@ mod tests {
         let script = FaultScript::healthy().with_outage(1, 3);
         let faulty = FaultInjectingInterface::new(shaped.clone(), script);
         let q = SearchQuery::all();
-        assert!(faulty.search_fallible(&q).is_ok()); // attempt 0
+        assert!(faulty.probe(&q).is_ok()); // attempt 0
         let paid_before = shaped.ledger().total();
         for _ in 1..3 {
-            let err = faulty.search_fallible(&q).expect_err("outage window");
+            let err = faulty.probe(&q).expect_err("outage window");
             assert_eq!(err.kind(), "unavailable");
             assert!(err.retry_after().is_some());
             assert!(!err.was_paid());
@@ -381,7 +376,7 @@ mod tests {
             paid_before,
             "an outage failure never reaches the source"
         );
-        assert!(faulty.search_fallible(&q).is_ok()); // attempt 3: recovered
+        assert!(faulty.probe(&q).is_ok()); // attempt 3: recovered
         assert_eq!(faulty.fault_stats().unavailable, 2);
     }
 
@@ -394,11 +389,9 @@ mod tests {
         };
         let faulty = FaultInjectingInterface::new(shaped.clone(), script);
         let q = SearchQuery::all();
-        assert!(faulty.search_fallible(&q).is_ok()); // attempt 0
+        assert!(faulty.probe(&q).is_ok()); // attempt 0
         let paid_before = shaped.ledger().total();
-        let err = faulty
-            .search_fallible(&q)
-            .expect_err("2nd attempt times out");
+        let err = faulty.probe(&q).expect_err("2nd attempt times out");
         assert_eq!(err.kind(), "timeout");
         assert!(err.was_paid());
         assert_eq!(
@@ -416,9 +409,7 @@ mod tests {
             ..FaultScript::healthy()
         };
         let faulty = FaultInjectingInterface::new(shaped.clone(), script);
-        let err = faulty
-            .search_fallible(&SearchQuery::all())
-            .expect_err("malformed");
+        let err = faulty.probe(&SearchQuery::all()).expect_err("malformed");
         assert_eq!(err.kind(), "malformed");
         assert!(err.was_paid());
         assert!(err.to_string().contains("truncated"));
@@ -435,7 +426,7 @@ mod tests {
         let run = || {
             let faulty = FaultInjectingInterface::new(shaped(), script.clone());
             (0..64)
-                .map(|_| faulty.search_fallible(&SearchQuery::all()).is_ok())
+                .map(|_| faulty.probe(&SearchQuery::all()).is_ok())
                 .collect::<Vec<bool>>()
         };
         let first = run();
@@ -453,7 +444,7 @@ mod tests {
             },
         );
         let second: Vec<bool> = (0..64)
-            .map(|_| other.search_fallible(&SearchQuery::all()).is_ok())
+            .map(|_| other.probe(&SearchQuery::all()).is_ok())
             .collect();
         assert_ne!(first, second, "different seed, different sequence");
     }
@@ -471,8 +462,8 @@ mod tests {
         ));
         let faulty = FaultInjectingInterface::new(shaped, FaultScript::healthy());
         let q = SearchQuery::all();
-        assert!(faulty.search_fallible(&q).is_ok());
-        let err = faulty.search_fallible(&q).expect_err("bucket empty");
+        assert!(faulty.probe(&q).is_ok());
+        let err = faulty.probe(&q).expect_err("bucket empty");
         assert!(err.is_throttled());
         assert_eq!(err.kind(), "throttled");
     }

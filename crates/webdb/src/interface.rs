@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use crate::fault::SearchError;
 use crate::metrics::QueryLedger;
 use crate::predicate::SearchQuery;
 use crate::schema::Schema;
@@ -52,8 +53,8 @@ impl TopKResponse {
     }
 }
 
-/// Per-call metadata a caching decorator attaches to a search: whether the
-/// answer was served without spending a query against the web database.
+/// How one answered probe was served: whether it cost the caller a
+/// query against the web database.
 ///
 /// The plain [`TopKInterface::search`] contract is "every call costs one
 /// query"; a decorator such as `qr2-cache`'s `CachedInterface` breaks that
@@ -76,10 +77,50 @@ impl SearchOutcome {
         coalesced: false,
     };
 
+    /// Served from the answer cache (see [`SearchOutcome::cache_hit`]).
+    pub const CACHE_HIT: SearchOutcome = SearchOutcome {
+        cache_hit: true,
+        coalesced: false,
+    };
+
+    /// Served by another caller's probe (see [`SearchOutcome::coalesced`]).
+    pub const COALESCED: SearchOutcome = SearchOutcome {
+        cache_hit: false,
+        coalesced: true,
+    };
+
     /// True when this call cost the caller zero web-DB queries.
     pub fn is_free(&self) -> bool {
         self.cache_hit || self.coalesced
     }
+}
+
+/// A successful probe: the page the source returned and how this caller
+/// was served. Only an `Answer` may be remembered (cached, fed to a
+/// reconstruction, stored as a crawled region); a failed probe is a
+/// [`SearchError`], never an empty `Answer`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Answer {
+    /// The result page.
+    pub resp: TopKResponse,
+    /// Whether the page cost this caller a query.
+    pub outcome: SearchOutcome,
+}
+
+impl Answer {
+    /// A page this caller paid one web-DB query for.
+    pub fn paid(resp: TopKResponse) -> Answer {
+        Answer {
+            resp,
+            outcome: SearchOutcome::MISS,
+        }
+    }
+}
+
+/// The page an infallible [`TopKInterface::search`] returns for a probe
+/// result: the answer's page, or the empty page when the probe failed.
+pub fn page_or_empty(probe: Result<Answer, SearchError>) -> TopKResponse {
+    probe.map_or_else(|_| TopKResponse::empty(), |answer| answer.resp)
 }
 
 /// A web database's public search interface.
@@ -93,41 +134,21 @@ pub trait TopKInterface: Send + Sync {
     /// The interface's result-page size `k`.
     fn system_k(&self) -> usize;
 
-    /// Execute a conjunctive search. Every call costs one query.
+    /// Execute a conjunctive search. Every call costs one query. A layer
+    /// whose [`probe`](TopKInterface::probe) can fail answers `search`
+    /// with [`page_or_empty`], so a failure reads as "no matches": callers
+    /// that remember answers must call `probe` instead.
     fn search(&self, q: &SearchQuery) -> TopKResponse;
 
     /// The shared query ledger (cost accounting).
     fn ledger(&self) -> &QueryLedger;
 
-    /// [`search`](TopKInterface::search) plus cost metadata. Raw
-    /// interfaces always report a miss (one real query); caching
-    /// decorators override this to flag free answers so cost accounting
-    /// upstream stays truthful.
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (self.search(q), SearchOutcome::MISS)
-    }
-
-    /// [`search`](TopKInterface::search) plus an *authoritative* flag.
-    /// `false` marks a degraded answer — e.g. a remote gateway mapping a
-    /// failed round trip to an empty page — that callers must treat as
-    /// best-effort: a shared answer cache serves it to the waiting
-    /// request but never admits or persists it.
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        (self.search(q), true)
-    }
-
-    /// [`search_observed`](TopKInterface::search_observed) and
-    /// [`search_authoritative`](TopKInterface::search_authoritative)
-    /// combined: response, cost metadata, and the authoritative flag in
-    /// one call. Decorator stacks (scheduler under cache) override this so
-    /// a caching layer fetching through a coalescing layer can propagate
-    /// the inner outcome instead of assuming every fetch was a paid miss.
-    fn search_observed_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> (TopKResponse, SearchOutcome, bool) {
-        let (resp, authoritative) = self.search_authoritative(q);
-        (resp, SearchOutcome::MISS, authoritative)
+    /// Execute one probe: the page and how it was served, or why the
+    /// source could not answer. A raw interface never fails and always
+    /// pays; decorators override this to report free answers (cache hits,
+    /// coalesced waits) and failures (throttles, faults, cancellation).
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        Ok(Answer::paid(self.search(q)))
     }
 }
 
@@ -146,17 +167,8 @@ impl<T: TopKInterface + ?Sized> TopKInterface for std::sync::Arc<T> {
     fn ledger(&self) -> &QueryLedger {
         (**self).ledger()
     }
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (**self).search_observed(q)
-    }
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        (**self).search_authoritative(q)
-    }
-    fn search_observed_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> (TopKResponse, SearchOutcome, bool) {
-        (**self).search_observed_authoritative(q)
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        (**self).probe(q)
     }
 }
 
@@ -173,17 +185,8 @@ impl<T: TopKInterface + ?Sized> TopKInterface for &T {
     fn ledger(&self) -> &QueryLedger {
         (**self).ledger()
     }
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (**self).search_observed(q)
-    }
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        (**self).search_authoritative(q)
-    }
-    fn search_observed_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> (TopKResponse, SearchOutcome, bool) {
-        (**self).search_observed_authoritative(q)
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        (**self).probe(q)
     }
 }
 
@@ -218,16 +221,8 @@ mod tests {
     #[test]
     fn outcome_flags() {
         assert!(!SearchOutcome::MISS.is_free());
-        assert!(SearchOutcome {
-            cache_hit: true,
-            coalesced: false
-        }
-        .is_free());
-        assert!(SearchOutcome {
-            cache_hit: false,
-            coalesced: true
-        }
-        .is_free());
+        assert!(SearchOutcome::CACHE_HIT.is_free());
+        assert!(SearchOutcome::COALESCED.is_free());
         assert_eq!(SearchOutcome::default(), SearchOutcome::MISS);
     }
 }

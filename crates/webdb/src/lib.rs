@@ -63,9 +63,9 @@ mod tuple;
 mod value;
 
 pub use attr::{AttrId, AttrKind, Attribute};
-pub use fault::{FallibleSearch, FaultInjectingInterface, FaultScript, FaultStats, SearchError};
+pub use fault::{FaultInjectingInterface, FaultScript, FaultStats, SearchError};
 pub use index::{Projection, QueryPlan, TableIndex};
-pub use interface::{SearchOutcome, TopKInterface, TopKResponse};
+pub use interface::{page_or_empty, Answer, SearchOutcome, TopKInterface, TopKResponse};
 pub use metrics::{
     ExecBreakdown, ExecPath, LatencyModel, QueryLedger, QueryLogEntry, RECENT_COPY_CAP,
 };

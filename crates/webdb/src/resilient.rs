@@ -1,16 +1,20 @@
 //! The resilience layer: retries with capped jittered backoff, per-probe
-//! deadlines, and a per-source circuit breaker over any fallible source.
+//! deadlines, and a per-source circuit breaker over any source.
 //!
-//! [`ResilientInterface`] sits between the scheduler and the (possibly
-//! fault-injected) traffic-shaped source:
+//! [`ResilientInterface`] is a [`TopKInterface`] decorator whose
+//! [`probe`](TopKInterface::probe) sits between the scheduler and the
+//! (possibly fault-injected) traffic-shaped source:
 //! `cache → scheduler → resilient → fault injection → traffic shaping → raw db`.
+//! Blocking retry is this layer's job alone: the layers above see one
+//! `probe` that either answers or returns the terminal [`SearchError`].
 //!
-//! Division of labor with the PR 7 scheduler:
+//! Division of labor with the scheduler:
 //!
 //! * [`SearchError::Throttled`] is **flow control**, not a fault. It
 //!   passes straight through — no retry, no breaker effect — because the
 //!   scheduler owns pacing and coalescing, and retrying a 429 here would
-//!   fight its fair-share loop.
+//!   fight its fair-share loop. [`SearchError::Cancelled`] passes through
+//!   the same way.
 //! * Genuine faults (`Timeout`, `Unavailable`, `Malformed`) are retried
 //!   with capped exponential backoff + deterministic jitter, honoring the
 //!   source's `retry_after` hint, under a per-probe deadline. Every retry
@@ -30,9 +34,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::fault::{splitmix64, unit_f64, FallibleSearch, SearchError};
-use crate::interface::TopKResponse;
+use crate::fault::{splitmix64, unit_f64, SearchError};
+use crate::interface::{page_or_empty, Answer, TopKInterface, TopKResponse};
+use crate::metrics::QueryLedger;
 use crate::predicate::SearchQuery;
+use crate::schema::Schema;
 use crate::traffic::TrafficShapedInterface;
 
 /// How hard the resilience layer tries before declaring a probe failed.
@@ -278,10 +284,10 @@ pub fn jittered_backoff(
     }
 }
 
-/// The retry + circuit-breaker decorator over a fallible source.
+/// The retry + circuit-breaker decorator over a source.
 pub struct ResilientInterface {
     shaped: Arc<TrafficShapedInterface>,
-    fallible: Arc<dyn FallibleSearch>,
+    inner: Arc<dyn TopKInterface>,
     retry: RetryPolicy,
     breaker: Breaker,
     retries: AtomicU64,
@@ -300,31 +306,16 @@ pub struct ResilientInterface {
 }
 
 impl ResilientInterface {
-    /// Wrap the fault-free shaped source with default resilience,
-    /// metrics under the source label `default`. Behavior-preserving:
-    /// the only failure [`TrafficShapedInterface`] produces is
-    /// `Throttled`, which bypasses retries and the breaker entirely.
-    pub fn passthrough(shaped: Arc<TrafficShapedInterface>) -> ResilientInterface {
-        let fallible: Arc<dyn FallibleSearch> = shaped.clone();
-        ResilientInterface::new(
-            shaped,
-            fallible,
-            RetryPolicy::default(),
-            BreakerConfig::default(),
-            "default",
-        )
-    }
-
-    /// Wrap `fallible` (typically a [`FaultInjectingInterface`] over
+    /// Wrap `inner` (typically a [`FaultInjectingInterface`] over
     /// `shaped`, or `shaped` itself) with the given retry policy and
     /// breaker, metrics labeled by `source`. `shaped` must be the
-    /// traffic-shaping layer underneath `fallible`: the scheduler
+    /// traffic-shaping layer underneath `inner`: the scheduler
     /// reads pacing policy and traffic stats through it.
     ///
     /// [`FaultInjectingInterface`]: crate::FaultInjectingInterface
     pub fn new(
         shaped: Arc<TrafficShapedInterface>,
-        fallible: Arc<dyn FallibleSearch>,
+        inner: Arc<dyn TopKInterface>,
         retry: RetryPolicy,
         breaker: BreakerConfig,
         source: &str,
@@ -337,7 +328,7 @@ impl ResilientInterface {
         };
         ResilientInterface {
             shaped,
-            fallible,
+            inner,
             retry,
             breaker: Breaker::new(breaker),
             retries: AtomicU64::new(0),
@@ -410,15 +401,33 @@ impl ResilientInterface {
                 self.malformed.fetch_add(1, Ordering::Relaxed);
                 self.obs_err_malformed.inc();
             }
-            SearchError::Throttled(_) => {}
+            SearchError::Throttled(_) | SearchError::Cancelled => {}
         }
         *self.last_error.lock() = Some(err.to_string());
+    }
+}
+
+impl TopKInterface for ResilientInterface {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn system_k(&self) -> usize {
+        self.inner.system_k()
+    }
+
+    fn search(&self, q: &SearchQuery) -> TopKResponse {
+        page_or_empty(self.probe(q))
+    }
+
+    fn ledger(&self) -> &QueryLedger {
+        self.inner.ledger()
     }
 
     /// Execute one probe with retries and breaker protection. `Err` is
     /// either the flow-control `Throttled` (pass-through) or the terminal
     /// fault after retries were exhausted / the breaker rejected.
-    pub fn search_resilient(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         qr2_obs::span("resilient.search", || {
             let probing = match self.breaker.try_acquire() {
                 Admission::Proceed => false,
@@ -430,7 +439,7 @@ impl ResilientInterface {
             let started = Instant::now();
             let mut attempts = 0u32;
             loop {
-                match self.fallible.search_fallible(q) {
+                match self.inner.probe(q) {
                     Ok(out) => {
                         self.breaker.record_success();
                         if attempts > 0 {
@@ -438,13 +447,13 @@ impl ResilientInterface {
                         }
                         return Ok(out);
                     }
-                    Err(SearchError::Throttled(t)) => {
-                        // Flow control: hand the 429 back to the
-                        // scheduler without a breaker verdict.
+                    Err(err @ (SearchError::Throttled(_) | SearchError::Cancelled)) => {
+                        // Flow control or a cancelled session, not a
+                        // fault: hand it back without a breaker verdict.
                         if probing {
                             self.breaker.abort_probe();
                         }
-                        return Err(SearchError::Throttled(t));
+                        return Err(err);
                     }
                     Err(err) => {
                         self.note_error(&err);
@@ -481,12 +490,6 @@ impl ResilientInterface {
     }
 }
 
-impl FallibleSearch for ResilientInterface {
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
-        self.search_resilient(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,7 +498,6 @@ mod tests {
     use crate::schema::Schema;
     use crate::table::TableBuilder;
     use crate::traffic::SourcePolicy;
-    use crate::TopKInterface;
 
     fn shaped() -> Arc<TrafficShapedInterface> {
         let schema = Schema::builder().numeric("price", 0.0, 100.0).build();
@@ -520,8 +522,7 @@ mod tests {
 
     fn resilient_over(script: FaultScript, breaker: BreakerConfig) -> ResilientInterface {
         let shaped = shaped();
-        let faulty: Arc<dyn FallibleSearch> =
-            Arc::new(FaultInjectingInterface::new(shaped.clone(), script));
+        let faulty = Arc::new(FaultInjectingInterface::new(shaped.clone(), script));
         ResilientInterface::new(shaped, faulty, fast_retry(), breaker, "test")
     }
 
@@ -532,11 +533,8 @@ mod tests {
             FaultScript::healthy().with_outage(0, 1),
             BreakerConfig::default(),
         );
-        let (resp, authoritative) = r
-            .search_resilient(&SearchQuery::all())
-            .expect("retry recovers");
-        assert!(authoritative);
-        assert!(!resp.tuples.is_empty());
+        let answer = r.probe(&SearchQuery::all()).expect("retry recovers");
+        assert!(!answer.resp.tuples.is_empty());
         let h = r.health();
         assert_eq!(h.retries, 1);
         assert_eq!(h.unavailable, 1);
@@ -548,7 +546,7 @@ mod tests {
     fn every_paid_retry_hits_the_ledger() {
         // Every attempt times out: paid, discarded, retried to exhaustion.
         let shaped = shaped();
-        let faulty: Arc<dyn FallibleSearch> = Arc::new(FaultInjectingInterface::new(
+        let faulty = Arc::new(FaultInjectingInterface::new(
             shaped.clone(),
             FaultScript {
                 timeout_every: Some(1),
@@ -563,7 +561,7 @@ mod tests {
             "test",
         );
         let err = r
-            .search_resilient(&SearchQuery::all())
+            .probe(&SearchQuery::all())
             .expect_err("all attempts time out");
         assert_eq!(err.kind(), "timeout");
         assert_eq!(
@@ -586,9 +584,9 @@ mod tests {
         };
         let r = resilient_over(FaultScript::healthy().with_outage(0, u64::MAX), breaker);
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_err()); // failed probe #1
+        assert!(r.probe(&q).is_err()); // failed probe #1
         assert_eq!(r.health().breaker, "closed");
-        assert!(r.search_resilient(&q).is_err()); // failed probe #2 → open
+        assert!(r.probe(&q).is_err()); // failed probe #2 → open
         let h = r.health();
         assert_eq!(h.breaker, "open");
         assert_eq!(h.breaker_code, 2);
@@ -598,7 +596,7 @@ mod tests {
         // While open, probes are rejected instantly without reaching the
         // fault layer.
         let before = h.unavailable;
-        let err = r.search_resilient(&q).expect_err("breaker open");
+        let err = r.probe(&q).expect_err("breaker open");
         assert_eq!(err.kind(), "unavailable");
         assert!(err.retry_after().is_some());
         assert_eq!(r.health().unavailable, before, "rejected before execution");
@@ -614,12 +612,12 @@ mod tests {
         // source recovers.
         let r = resilient_over(FaultScript::healthy().with_outage(0, 3), breaker);
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_err());
+        assert!(r.probe(&q).is_err());
         assert_eq!(r.health().breaker, "open");
         std::thread::sleep(Duration::from_millis(10));
         // Cooldown elapsed: the next call is the half-open trial probe,
         // the source is healthy again, the breaker recloses.
-        assert!(r.search_resilient(&q).is_ok());
+        assert!(r.probe(&q).is_ok());
         let h = r.health();
         assert_eq!(h.breaker, "closed");
         assert_eq!(h.consecutive_failures, 0);
@@ -634,10 +632,10 @@ mod tests {
         };
         let r = resilient_over(FaultScript::healthy().with_outage(0, u64::MAX), breaker);
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_err());
+        assert!(r.probe(&q).is_err());
         assert_eq!(r.health().breaker, "open");
         std::thread::sleep(Duration::from_millis(10));
-        assert!(r.search_resilient(&q).is_err(), "trial probe fails");
+        assert!(r.probe(&q).is_err(), "trial probe fails");
         let h = r.health();
         assert_eq!(h.breaker, "open", "failed probe reopens immediately");
         assert_eq!(h.breaker_opens, 2);
@@ -651,13 +649,13 @@ mod tests {
         };
         let r = resilient_over(FaultScript::healthy().with_outage(0, 3), breaker);
         assert!(matches!(r.breaker_admission(), Admission::Proceed));
-        assert!(r.search_resilient(&SearchQuery::all()).is_err());
+        assert!(r.probe(&SearchQuery::all()).is_err());
         assert!(matches!(r.breaker_admission(), Admission::Rejected { .. }));
         std::thread::sleep(Duration::from_millis(5));
         // The check reports Probe but releases the slot, so the real call
         // can still carry the trial.
         assert!(matches!(r.breaker_admission(), Admission::Probe));
-        assert!(r.search_resilient(&SearchQuery::all()).is_ok());
+        assert!(r.probe(&SearchQuery::all()).is_ok());
         assert_eq!(r.health().breaker, "closed");
     }
 
@@ -672,10 +670,9 @@ mod tests {
             db,
             SourcePolicy::rate_limited(0.001, 1.0),
         ));
-        let fallible: Arc<dyn FallibleSearch> = shaped.clone();
         let r = ResilientInterface::new(
+            shaped.clone(),
             shaped,
-            fallible,
             fast_retry(),
             BreakerConfig {
                 failure_threshold: 1,
@@ -684,8 +681,8 @@ mod tests {
             "test",
         );
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_ok());
-        let err = r.search_resilient(&q).expect_err("bucket empty");
+        assert!(r.probe(&q).is_ok());
+        let err = r.probe(&q).expect_err("bucket empty");
         assert!(err.is_throttled());
         let h = r.health();
         assert_eq!(h.breaker, "closed", "a 429 is not a fault");
@@ -694,12 +691,18 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_wrap_is_transparent() {
+    fn wrap_over_the_shaped_source_is_transparent() {
         let shaped = shaped();
-        let r = ResilientInterface::passthrough(shaped.clone());
+        let r = ResilientInterface::new(
+            shaped.clone(),
+            shaped.clone(),
+            RetryPolicy::default(),
+            BreakerConfig::default(),
+            "test",
+        );
         let q = SearchQuery::all();
-        let (resp, _) = r.search_resilient(&q).expect("healthy");
-        assert_eq!(resp, shaped.try_search(&q).unwrap());
+        let answer = r.probe(&q).expect("healthy");
+        assert_eq!(answer, shaped.probe(&q).unwrap());
         assert_eq!(r.health().breaker, "closed");
     }
 

@@ -9,16 +9,12 @@
 //! policy to any [`TopKInterface`] — the local [`SimulatedWebDb`] or a
 //! remote gateway client alike.
 //!
-//! The decorator exposes two call styles:
-//!
-//! * the *fallible* `try_search*` methods return [`Throttled`] — the
-//!   in-process rendering of an HTTP 429 with a `Retry-After` hint — when
-//!   the policy denies admission, leaving backoff to the caller (the
-//!   scheduler's pacing loop);
-//! * the plain [`TopKInterface`] methods block, sleeping out each
-//!   `Retry-After` until the query is admitted, so legacy callers that
-//!   predate the scheduler keep working (just slower, as the policy
-//!   intends).
+//! A denial surfaces through [`TopKInterface::probe`] as
+//! [`SearchError::Throttled`] — the in-process rendering of an HTTP 429
+//! with a `Retry-After` hint — leaving backoff to the caller (the
+//! scheduler's pacing loop). [`TopKInterface::search`] instead sleeps out
+//! each `Retry-After` until the query is admitted, so callers without a
+//! scheduler still get an answer (just slower, as the policy intends).
 //!
 //! [`SimulatedWebDb`]: crate::SimulatedWebDb
 
@@ -28,7 +24,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::interface::{SearchOutcome, TopKInterface, TopKResponse};
+use crate::fault::SearchError;
+use crate::interface::{page_or_empty, Answer, TopKInterface, TopKResponse};
 use crate::metrics::{LatencyModel, QueryLedger};
 use crate::predicate::SearchQuery;
 use crate::schema::Schema;
@@ -142,7 +139,7 @@ impl std::fmt::Display for Throttled {
 pub struct TrafficStats {
     /// Queries admitted and executed.
     pub admitted: u64,
-    /// Denials (simulated 429s) returned to fallible callers.
+    /// Denials (simulated 429s) returned by `probe`.
     pub throttled: u64,
     /// Blocking-path sleeps (a legacy caller waited a `Retry-After` out).
     pub waited: u64,
@@ -313,37 +310,6 @@ impl TrafficShapedInterface {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(guard)
     }
-
-    /// Fallible search: `Err` is the simulated 429.
-    pub fn try_search(&self, q: &SearchQuery) -> Result<TopKResponse, Throttled> {
-        self.try_search_authoritative(q).map(|(resp, _)| resp)
-    }
-
-    /// Fallible [`TopKInterface::search_authoritative`]: `Err` is the
-    /// simulated 429. On `Ok`, the query was admitted, charged to the
-    /// ledger by the inner interface, and (if configured) delayed by the
-    /// latency model.
-    pub fn try_search_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> Result<(TopKResponse, bool), Throttled> {
-        qr2_obs::span("traffic.shape", || {
-            let guard = self.try_admit()?;
-            // The latency model simulates the remote source's round trip,
-            // so it counts as webdb.search time.
-            let out = qr2_obs::span("webdb.search", || {
-                let start = Instant::now();
-                if let Some(latency) = &self.latency {
-                    std::thread::sleep(latency.sample());
-                }
-                let out = self.inner.search_authoritative(q);
-                self.obs_search_us.record(start.elapsed());
-                out
-            });
-            drop(guard);
-            Ok(out)
-        })
-    }
 }
 
 impl TopKInterface for TrafficShapedInterface {
@@ -355,32 +321,45 @@ impl TopKInterface for TrafficShapedInterface {
         self.inner.system_k()
     }
 
-    /// Blocking search: sleeps out each `Retry-After` until admitted. This
-    /// is the legacy path for callers without a scheduler; the scheduler
-    /// itself only uses the fallible methods so pacing stays under its
-    /// control.
+    /// Blocking search: sleeps out each `Retry-After` until admitted. The
+    /// scheduler never calls this; it paces denials itself through
+    /// [`probe`](TopKInterface::probe).
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.search_authoritative(q).0
+        loop {
+            match self.probe(q) {
+                Err(SearchError::Throttled(throttled)) => {
+                    self.waited.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(throttled.retry_after);
+                }
+                other => return page_or_empty(other),
+            }
+        }
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.inner.ledger()
     }
 
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (self.search(q), SearchOutcome::MISS)
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        loop {
-            match self.try_search_authoritative(q) {
-                Ok(out) => return out,
-                Err(throttled) => {
-                    self.waited.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(throttled.retry_after);
+    /// `Err(Throttled)` is the simulated 429. Once admitted, the query is
+    /// delayed by the latency model (if configured) and passed to the
+    /// inner interface, which charges the ledger.
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        qr2_obs::span("traffic.shape", || {
+            let guard = self.try_admit().map_err(SearchError::Throttled)?;
+            // The latency model simulates the remote source's round trip,
+            // so it counts as webdb.search time.
+            let out = qr2_obs::span("webdb.search", || {
+                let start = Instant::now();
+                if let Some(latency) = &self.latency {
+                    std::thread::sleep(latency.sample());
                 }
-            }
-        }
+                let out = self.inner.probe(q);
+                self.obs_search_us.record(start.elapsed());
+                out
+            });
+            drop(guard);
+            out
+        })
     }
 }
 
@@ -417,9 +396,11 @@ mod tests {
         // denied with a ~1s Retry-After.
         let shaped = TrafficShapedInterface::new(db, SourcePolicy::rate_limited(1.0, 2.0));
         let q = SearchQuery::all();
-        assert!(shaped.try_search(&q).is_ok());
-        assert!(shaped.try_search(&q).is_ok());
-        let denial = shaped.try_search(&q).expect_err("burst exhausted");
+        assert!(shaped.probe(&q).is_ok());
+        assert!(shaped.probe(&q).is_ok());
+        let Err(SearchError::Throttled(denial)) = shaped.probe(&q) else {
+            panic!("burst exhausted");
+        };
         assert!(denial.retry_after > Duration::from_millis(500));
         assert!(denial.retry_after_secs() >= 1);
         let stats = shaped.traffic_stats();
@@ -460,9 +441,9 @@ mod tests {
         let db = tiny_db();
         let shaped = TrafficShapedInterface::new(db, SourcePolicy::rate_limited(0.001, 1.0));
         let q = SearchQuery::all();
-        assert!(shaped.try_search(&q).is_ok());
+        assert!(shaped.probe(&q).is_ok());
         let after_first = shaped.ledger().total();
-        assert!(shaped.try_search(&q).is_err());
+        assert!(shaped.probe(&q).is_err());
         assert_eq!(
             shaped.ledger().total(),
             after_first,

@@ -21,6 +21,9 @@
 //! * a reconstruction job "crashed" mid-crawl (budget exhausted between
 //!   checkpoints) resumes from its persisted frontier, and the recovered
 //!   index serves degraded traffic byte-identically.
+//! * a source that fails mid-crawl never leaves a claim behind: a recon
+//!   job ends `failed` with the failed region still pending, and the
+//!   dense-region index does not store the partial crawl as the region.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -120,7 +123,7 @@ fn open_breaker(reg: &Arc<SourceRegistry>, n: usize) {
     let source = reg.get("chaos").unwrap();
     let q = SearchQuery::all();
     for _ in 0..n {
-        assert!(source.sched.resilient().search_resilient(&q).is_err());
+        assert!(source.sched.resilient().probe(&q).is_err());
     }
     assert_eq!(source.sched.resilient().health().breaker, "open");
 }
@@ -575,4 +578,78 @@ fn crashed_recon_job_resumes_from_checkpoint_and_serves_degraded() {
     }
     assert_eq!(source.db.ledger().total(), paid_before);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A 400-row source whose fault script fails every attempt from the
+/// sixth on, with a short parking patience so failed probes resolve
+/// quickly.
+fn outage_after_six() -> (Arc<SimulatedWebDb>, Arc<SourceRegistry>) {
+    let db = chaos_db(400, 10);
+    let reg = chaos_registry(
+        Arc::clone(&db),
+        Arc::new(ReconIndex::ephemeral()),
+        ResilienceConfig {
+            script: Some(FaultScript::healthy().with_outage(6, u64::MAX)),
+            ..ResilienceConfig::default()
+        },
+        SchedConfig {
+            max_outage_park: Duration::from_millis(20),
+            poll_interval: Duration::from_millis(1),
+            ..SchedConfig::default()
+        },
+    );
+    (db, reg)
+}
+
+#[test]
+fn recon_job_through_a_failing_source_never_claims_coverage_it_lacks() {
+    let (_db, reg) = outage_after_six();
+    let source = reg.get("chaos").unwrap();
+    let epoch = source.cache.epoch();
+    let job = source
+        .recon
+        .run_job(
+            &*source.probe,
+            &JobOptions {
+                max_queries: usize::MAX,
+                ..JobOptions::default()
+            },
+            epoch,
+        )
+        .unwrap();
+    let status = source.recon.status(source.schema(), epoch);
+    assert!(status.tuples < 400, "the outage cut the crawl short");
+    assert_eq!(job.state, "failed", "a failed probe ends the job as failed");
+    assert_ne!(status.state, "complete");
+    assert!(
+        status.pending_regions > 0,
+        "the failed region stays on the frontier"
+    );
+    assert!(status.coverage < 1.0);
+    assert!(
+        !source.recon.covered(&SearchQuery::all(), epoch),
+        "holding {} of 400 tuples must not cover the whole space",
+        status.tuples
+    );
+}
+
+#[test]
+fn dense_index_never_stores_a_crawl_cut_short_by_the_source() {
+    use qr2::core::SearchCtx;
+
+    let (_db, reg) = outage_after_six();
+    let source = reg.get("chaos").unwrap();
+    let ctx = SearchCtx::new(Arc::clone(&source.probe), ExecutorKind::Sequential);
+    let dense = DenseIndex::in_memory();
+    let all = SearchQuery::all();
+    let partial = dense.get_or_crawl(&ctx, &all);
+    assert!(partial.len() < 400, "the outage cut the crawl short");
+    if let Some(stored) = dense.lookup(&all) {
+        assert_eq!(
+            stored.len(),
+            400,
+            "a stored region must hold every tuple, not {} of 400",
+            stored.len()
+        );
+    }
 }

@@ -130,7 +130,7 @@ fn reranking_service_over_a_remote_web_database() {
 
 /// A site outage degrades to an empty page for the in-flight request but
 /// must never be remembered by the shared answer cache as the permanent
-/// answer (`RemoteWebDb` flags it non-authoritative).
+/// answer (`RemoteWebDb` reports it as an error).
 #[test]
 fn outage_answers_are_served_but_never_cached() {
     use qr2::cache::{AnswerCache, CacheConfig, CachedInterface};
@@ -169,4 +169,61 @@ fn outage_answers_are_served_but_never_cached() {
     // ...while the pre-outage answer keeps serving from the cache.
     assert_eq!(cached.search(&q_live), live);
     assert!(cache.stats().hits >= 1);
+}
+
+/// A stopped site is a source failure, not an empty answer: probes
+/// through a `Source` reach the resilience layer as errors (counted in
+/// its health) and nothing is charged to the ledger.
+#[test]
+fn stopped_gateway_failures_reach_resilience_and_cost_nothing() {
+    use qr2::cache::{AnswerCache, CacheConfig};
+    use qr2::recon::ReconIndex;
+    use qr2::sched::SchedConfig;
+    use qr2::webdb::{RangePred, SearchQuery, SourcePolicy};
+    use std::time::Duration;
+
+    let site_db = Arc::new(bluenile_db(&DiamondsConfig {
+        n: 200,
+        seed: 9,
+        ..DiamondsConfig::default()
+    }));
+    let site = WebDbGateway::serve(site_db, "127.0.0.1:0", 2).unwrap();
+    let remote: Arc<dyn TopKInterface> =
+        Arc::new(RemoteWebDb::connect(site.addr()).expect("connect"));
+    let price = remote.schema().expect_id("price");
+    let source = Source::with_scheduler(
+        "remote",
+        "remote site",
+        Arc::clone(&remote),
+        SourcePolicy::unlimited(),
+        SchedConfig {
+            max_outage_park: Duration::from_millis(20),
+            poll_interval: Duration::from_millis(1),
+            ..SchedConfig::default()
+        },
+        ExecutorKind::Sequential,
+        Arc::new(DenseIndex::in_memory()),
+        vec![],
+        Arc::new(AnswerCache::new(CacheConfig::default())),
+        Arc::new(ReconIndex::ephemeral()),
+    );
+    site.stop();
+
+    for i in 0..10 {
+        let lo = f64::from(i) * 100.0;
+        let q = SearchQuery::all().and_range(price, RangePred::closed(lo, lo + 50.0));
+        let page = source.probe.search(&q);
+        assert!(page.tuples.is_empty(), "a stopped site answers nothing");
+    }
+    let health = source.sched.resilient().health();
+    assert!(
+        health.unavailable > 0,
+        "failed round trips must reach the resilience layer: {health:?}"
+    );
+    assert_eq!(
+        remote.ledger().total(),
+        0,
+        "a failed round trip is not a paid query"
+    );
+    assert_eq!(source.cache.len(), 0, "no failure is cached");
 }

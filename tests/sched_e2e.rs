@@ -21,7 +21,7 @@ use qr2::service::{
     QueryRequest, QueryService, RankingDto, SessionManager, Source, SourceRegistry,
 };
 use qr2::webdb::{
-    RangePred, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder,
+    Answer, RangePred, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder,
     TopKInterface, TrafficShapedInterface,
 };
 
@@ -139,9 +139,12 @@ fn fair_share_under_a_hot_competitor() {
                     let lo = band + (p % 40) as f64;
                     let q = range(reference.as_ref(), lo, lo + 30.0);
                     let ctx = SessionCtx::new(key, QueryClass::Interactive);
-                    let (resp, _, authoritative) = with_session(ctx, || sched.submit(&q));
-                    assert!(authoritative);
-                    assert_eq!(resp, reference.search(&q), "probe {p} answered wrong");
+                    let answer = with_session(ctx, || sched.submit(&q)).expect("answered");
+                    assert_eq!(
+                        answer.resp,
+                        reference.search(&q),
+                        "probe {p} answered wrong"
+                    );
                 }
                 start.elapsed().as_secs_f64() * 1e3
             }
@@ -166,7 +169,7 @@ fn interactive_class_dispatches_before_queued_background() {
     // Drain the single burst token.
     sched
         .shaped()
-        .try_search(&range(db.as_ref(), 900.0, 1000.0))
+        .probe(&range(db.as_ref(), 900.0, 1000.0))
         .unwrap();
 
     let finish_order = AtomicU64::new(0);
@@ -176,7 +179,7 @@ fn interactive_class_dispatches_before_queued_background() {
         let bg_q = range(db.as_ref(), 0.0, 50.0);
         let bg = scope.spawn(move || {
             let ctx = SessionCtx::new(next_session_key(), QueryClass::Background);
-            with_session(ctx, || bg_sched.submit(&bg_q));
+            with_session(ctx, || bg_sched.submit(&bg_q)).expect("answered");
             order.fetch_add(1, Ordering::SeqCst) // 0 if first to finish
         });
         // Only spawn the interactive probe once the background one is
@@ -186,7 +189,7 @@ fn interactive_class_dispatches_before_queued_background() {
         let int_q = range(db.as_ref(), 60.0, 99.0);
         let int = scope.spawn(move || {
             let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
-            with_session(ctx, || int_sched.submit(&int_q));
+            with_session(ctx, || int_sched.submit(&int_q)).expect("answered");
             order.fetch_add(1, Ordering::SeqCst)
         });
         let int_rank = int.join().unwrap();
@@ -209,7 +212,7 @@ fn frontier_coalescing_issues_one_covering_query_with_exact_answers() {
     let sched = sched_over(db.clone(), SourcePolicy::rate_limited(5.0, 1.0));
     sched
         .shaped()
-        .try_search(&range(db.as_ref(), 900.0, 1000.0))
+        .probe(&range(db.as_ref(), 900.0, 1000.0))
         .unwrap();
     let paid_before = db.ledger().total();
 
@@ -219,9 +222,8 @@ fn frontier_coalescing_issues_one_covering_query_with_exact_answers() {
         let wide_want = reference.search(&wide_q);
         scope.spawn(move || {
             let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
-            let (resp, _, authoritative) = with_session(ctx, || wide_sched.submit(&wide_q));
-            assert!(authoritative);
-            assert_eq!(resp, wide_want, "covering probe answered wrong");
+            let answer = with_session(ctx, || wide_sched.submit(&wide_q)).expect("answered");
+            assert_eq!(answer.resp, wide_want, "covering probe answered wrong");
         });
         wait_until("the covering probe to queue", || sched.stats().queued > 0);
         for i in 0..3 {
@@ -231,9 +233,8 @@ fn frontier_coalescing_issues_one_covering_query_with_exact_answers() {
             let narrow_want = reference.search(&narrow_q);
             scope.spawn(move || {
                 let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
-                let (resp, outcome, authoritative) =
-                    with_session(ctx, || narrow_sched.submit(&narrow_q));
-                assert!(authoritative, "derived answers are exact, not degraded");
+                let Answer { resp, outcome } = with_session(ctx, || narrow_sched.submit(&narrow_q))
+                    .expect("derived answers are exact, not failures");
                 assert_eq!(
                     resp, narrow_want,
                     "waiter {i}'s derived answer differs from a direct search"
@@ -263,7 +264,7 @@ fn saturated_source_returns_structured_503_with_retry_after() {
         SchedConfig::default(),
     );
     let burner = range(&x_db(1, 1), 0.0, 1000.0);
-    source.sched.shaped().try_search(&burner).unwrap();
+    source.sched.shaped().probe(&burner).unwrap();
 
     let err = service
         .create_query("x", &query_request(0.0, 40.0, None))
@@ -398,7 +399,7 @@ fn delete_drains_the_sessions_pending_scheduler_entries() {
     // Exhaust whatever burst the first page left behind, so the next
     // page must park in the scheduler (~5 s per fresh token).
     let burner = range(db.as_ref(), 900.0, 1000.0);
-    while source.sched.shaped().try_search(&burner).is_ok() {}
+    while source.sched.shaped().probe(&burner).is_ok() {}
 
     let id = first.query_id.clone();
     std::thread::scope(|scope| {
