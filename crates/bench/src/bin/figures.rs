@@ -3,13 +3,14 @@
 //! ```sh
 //! cargo run --release -p qr2-bench --bin figures            # everything
 //! cargo run --release -p qr2-bench --bin figures -- --fig2a # one artifact
+//! cargo run --release -p qr2-bench --bin figures -- --smoke # BENCH_pr*.json
 //! ```
 //!
 //! Text tables go to stdout; CSVs to `target/figures/`.
 
 use std::time::Duration;
 
-use qr2_bench::report::write_csv;
+use qr2_bench::report::{run_suite, workspace_root, write_csv, Scenario};
 use qr2_bench::workloads::Scale;
 use qr2_bench::{
     ablation_dense_delta, ablation_parallel_fanout, ablation_session_cache, ablation_split_policy,
@@ -19,62 +20,32 @@ use qr2_bench::{
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // `--smoke`: the CI-runnable subset — per-algorithm get-next latency
-    // and query cost on the fixed-seed workload, written as
-    // machine-readable JSON to seed the perf trajectory.
+    // `--smoke`: the seven smoke scenarios. Each rewrites its committed
+    // `BENCH_pr*.json` at the workspace root; the run fails on any failing
+    // contract or any deterministic value that drifted from the committed
+    // file.
     if args.iter().any(|a| a == "--smoke") {
-        let records = qr2_bench::run_smoke();
-        println!("{}", qr2_bench::smoke_table(&records).render());
-        let path = qr2_bench::write_smoke_report(&records);
-        println!("wrote {}", path.display());
-        // Cold-vs-warm answer-cache pass: hit rate and warm-path
-        // get-next latency; CI guards warm_db_queries == 0.
-        let records = qr2_bench::run_cache_smoke();
-        println!("{}", qr2_bench::cache_smoke_table(&records).render());
-        let path = qr2_bench::write_cache_smoke_report(&records);
-        println!("wrote {}", path.display());
-        // Scan-vs-index execution engine pass at 1M rows; CI guards the
-        // deterministic fields (identical responses, equal ledgers) and
-        // the ≥10× median speedup. The warm-cache section reuses the
-        // records measured above, so both reports describe one run.
-        let report = qr2_bench::run_perf_smoke(&qr2_bench::PerfSmokeConfig::default(), records);
-        println!("{}", qr2_bench::perf_smoke_table(&report).render());
-        let path = qr2_bench::write_perf_smoke_report(&report);
-        println!("wrote {}", path.display());
-        // Scheduler contention pass: cross-session coalescing must make
-        // the scheduled stack strictly cheaper than traffic shaping
-        // alone, and deficit round-robin must keep equal-demand
-        // sessions' completion times bounded. CI guards inequalities
-        // only (paid counts depend on thread interleavings).
-        let report = qr2_bench::run_sched_smoke();
-        println!("{}", qr2_bench::sched_smoke_table(&report).render());
-        let path = qr2_bench::write_sched_smoke_report(&report);
-        println!("wrote {}", path.display());
-        // Reconstruction pass: crawl the 1M-row source offline to full
-        // coverage, then serve live vs from the reconstruction. CI
-        // guards byte-identical responses and a zero ledger delta
-        // during recon serving.
-        let report = qr2_bench::run_recon_smoke(&qr2_bench::ReconSmokeConfig::default());
-        println!("{}", qr2_bench::recon_smoke_table(&report).render());
-        let path = qr2_bench::write_recon_smoke_report(&report);
-        println!("wrote {}", path.display());
-        // Observability pass: warm get-next with span recording on vs
-        // globally off. CI bounds the overall overhead ratio at 1.05 and
-        // requires spans_recorded > 0 (the enabled side really ran).
-        let report = qr2_bench::run_obs_smoke(&qr2_bench::ObsSmokeConfig::default());
-        println!("{}", qr2_bench::obs_smoke_table(&report).render());
-        let path = qr2_bench::write_obs_smoke_report(&report);
-        println!("wrote {}", path.display());
-        // Resilience pass: a scripted total outage with the breaker
-        // latched open must serve every recon-covered stream to
-        // completion (flagged degraded, byte-identical, zero ledger
-        // queries) while the unprotected twin drops them; on a healthy
-        // source the resilient stack may cost at most 5% steady-state
-        // overhead. CI guards those invariants from BENCH_pr10.json.
-        let report = qr2_bench::run_fault_smoke(&qr2_bench::FaultSmokeConfig::default());
-        println!("{}", qr2_bench::fault_smoke_table(&report).render());
-        let path = qr2_bench::write_fault_smoke_report(&report);
-        println!("wrote {}", path.display());
+        let scenarios: [Scenario; 7] = [
+            ("BENCH_pr3.json", qr2_bench::run_smoke),
+            ("BENCH_pr4.json", qr2_bench::run_cache_smoke),
+            ("BENCH_pr5.json", || {
+                qr2_bench::run_perf_smoke(&qr2_bench::PerfSmokeConfig::default())
+            }),
+            ("BENCH_pr7.json", qr2_bench::run_sched_smoke),
+            ("BENCH_pr8.json", || {
+                qr2_bench::run_recon_smoke(&qr2_bench::ReconSmokeConfig::default())
+            }),
+            ("BENCH_pr9.json", || {
+                qr2_bench::run_obs_smoke(&qr2_bench::ObsSmokeConfig::default())
+            }),
+            ("BENCH_pr10.json", || {
+                qr2_bench::run_fault_smoke(&qr2_bench::FaultSmokeConfig::default())
+            }),
+        ];
+        if !run_suite(&workspace_root(), &scenarios) {
+            eprintln!("smoke run failed: see the FAIL lines above");
+            std::process::exit(1);
+        }
         return;
     }
 

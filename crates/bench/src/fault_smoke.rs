@@ -1,6 +1,6 @@
-//! CI smoke benchmark for the resilience layer: a scripted total outage
-//! against the full serving stack, resilience on vs off, emitted as
-//! machine-readable JSON (`BENCH_pr10.json`).
+//! Smoke scenario `BENCH_pr10.json`: the resilience layer under a
+//! scripted total outage against the full serving stack, resilience on
+//! vs off.
 //!
 //! Three phases:
 //!
@@ -8,32 +8,31 @@
 //!    reconstruction tier covers the whole database goes hard-down (a
 //!    scripted outage over every attempt) and its breaker opens. All
 //!    seven paper algorithms then create queries and drain them to
-//!    completion. CI guards the contract: **zero dropped covered
+//!    completion. The runner checks the contract: **zero dropped covered
 //!    streams**, every answer flagged `degraded` and byte-identical to
 //!    pre-outage serving, zero web-database queries spent, and the
 //!    breaker opened at most `failure_threshold` times (it must latch
 //!    open, not flap).
 //! 2. **The same outage without resilience.** Retries off, breaker
 //!    disabled: the degradation path never engages, so every covered
-//!    session surfaces a structured failure instead. CI guards that the
-//!    unprotected run really drops its streams — the contrast that makes
+//!    session surfaces a structured failure instead. The runner checks
+//!    that the unprotected run really drops its streams — the contrast that makes
 //!    phase 1 meaningful.
 //! 3. **Steady-state overhead.** On a healthy source, interleaved
 //!    best-of-rounds probe batches through the resilient stack (default
-//!    retry policy + breaker) vs the bare traffic-shaped stack. CI
-//!    bounds the ratio at 1.05: protection may cost at most 5% on the
-//!    healthy path.
+//!    retry policy + breaker) vs the bare traffic-shaped stack. The
+//!    runner bounds the ratio at 1.05: protection may cost at most 5% on
+//!    the healthy path.
 //!
-//! Wall-clock fields are machine-dependent; CI asserts the deterministic
-//! fields and the overhead inequality only.
+//! Wall-clock fields and the breaker's open count are `measured`; every
+//! per-stream outcome is `deterministic` and drift-checked.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qr2_cache::{AnswerCache, CacheConfig};
 use qr2_core::{DenseIndex, ExecutorKind};
-use qr2_http::{parse_json, Decode, FromJson, IntoJson};
+use qr2_http::{parse_json, Decode, FromJson, IntoJson, Json};
 use qr2_recon::{JobOptions, ReconIndex};
 use qr2_sched::SchedConfig;
 use qr2_service::{
@@ -45,7 +44,7 @@ use qr2_webdb::{
     SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
 };
 
-use crate::report::Table;
+use crate::report::{round, Contract, Report};
 
 /// Rows in the outage-phase database.
 const ROWS: usize = 120;
@@ -80,54 +79,6 @@ impl Default for FaultSmokeConfig {
     fn default() -> Self {
         FaultSmokeConfig { rounds: 120 }
     }
-}
-
-/// Per-algorithm outcome of the outage phase.
-#[derive(Debug, Clone)]
-pub struct FaultStreamRecord {
-    /// Paper algorithm name.
-    pub algorithm: &'static str,
-    /// The resilient run drained the stream to `done`.
-    pub finished: bool,
-    /// Every page of the resilient run carried the `degraded` flag.
-    pub degraded: bool,
-    /// Tuples the resilient run served across all pages.
-    pub tuples: usize,
-    /// First degraded page byte-identical to the pre-outage baseline.
-    pub identical: bool,
-    /// The unprotected run dropped this stream (structured failure).
-    pub unprotected_dropped: bool,
-}
-
-/// The full PR10 fault smoke measurement.
-#[derive(Debug, Clone)]
-pub struct FaultSmokeReport {
-    /// Covered sessions attempted in the outage phase (one per algorithm).
-    pub covered_sessions: usize,
-    /// Resilient-run streams that failed to finish — the headline guard.
-    pub dropped_covered_streams: usize,
-    /// Resilient-run streams answered with the `degraded` flag.
-    pub answered_degraded: usize,
-    /// Every degraded first page matched its pre-outage baseline.
-    pub identical_responses: bool,
-    /// Web-database queries spent while serving degraded (must be 0).
-    pub degraded_ledger_queries: u64,
-    /// Times the breaker opened across the outage phase.
-    pub breaker_opens: u64,
-    /// The configured failure threshold (breaker_opens must not exceed it).
-    pub failure_threshold: u32,
-    /// Unprotected-run streams that dropped under the same outage.
-    pub unprotected_dropped_streams: usize,
-    /// Per-algorithm outcomes.
-    pub records: Vec<FaultStreamRecord>,
-    /// Interleaved rounds per side in the steady-state phase.
-    pub rounds: usize,
-    /// Fastest baseline (bare shaped stack) round, microseconds.
-    pub baseline_us: f64,
-    /// Fastest resilient-stack round, microseconds.
-    pub resilient_us: f64,
-    /// `resilient_us / baseline_us`; CI bounds it at 1.05.
-    pub overhead: f64,
 }
 
 /// Deterministic two-attribute database: `x0` counts up, `x1` is a
@@ -209,7 +160,7 @@ fn rendered(page: &PageResponse) -> String {
 }
 
 /// Run all three phases.
-pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
+pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> Report {
     // ── Phase 1: total outage, resilience ON ───────────────────────
     let db = chaos_db(ROWS, SYSTEM_K);
     let reg = outage_registry(
@@ -250,7 +201,8 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     assert_eq!(source.sched.resilient().health().breaker, "open");
 
     let paid_before = source.db.ledger().total();
-    let mut records = Vec::new();
+    // (finished, every page degraded, tuples, first page identical).
+    let mut outcomes = Vec::new();
     for (algo, baseline) in ALGORITHMS.into_iter().zip(&baselines) {
         let mut finished = false;
         let mut degraded = true;
@@ -275,14 +227,7 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
             }
             finished = done;
         }
-        records.push(FaultStreamRecord {
-            algorithm: algo,
-            finished,
-            degraded,
-            tuples,
-            identical,
-            unprotected_dropped: false,
-        });
+        outcomes.push((finished, degraded, tuples, identical));
     }
     let degraded_ledger_queries = source.db.ledger().total() - paid_before;
     let breaker_opens = source.sched.resilient().health().breaker_opens;
@@ -310,10 +255,23 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
         .flush()
         .expect("flush");
     let svc_off = service_over(&reg_off);
-    for record in records.iter_mut() {
-        record.unprotected_dropped = svc_off
-            .create_query("chaos", &request_for(record.algorithm))
-            .is_err();
+    let (mut dropped, mut answered_degraded, mut unprotected_dropped) = (0, 0, 0);
+    let mut identical_responses = true;
+    let mut records = Vec::new();
+    for (algo, (finished, degraded, tuples, identical)) in ALGORITHMS.into_iter().zip(outcomes) {
+        let unprotected = svc_off.create_query("chaos", &request_for(algo)).is_err();
+        dropped += usize::from(!finished);
+        answered_degraded += usize::from(degraded && finished);
+        unprotected_dropped += usize::from(unprotected);
+        identical_responses &= identical;
+        records.push(Json::obj([
+            ("algorithm", algo.into()),
+            ("finished", finished.into()),
+            ("degraded", degraded.into()),
+            ("tuples", tuples.into()),
+            ("identical", identical.into()),
+            ("unprotected_dropped", unprotected.into()),
+        ]));
     }
 
     // ── Phase 3: steady-state overhead on a healthy source ─────────
@@ -350,210 +308,136 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
         resilient_us = resilient_us.min(start.elapsed().as_secs_f64() * 1e6);
     }
 
-    FaultSmokeReport {
-        covered_sessions: ALGORITHMS.len(),
-        dropped_covered_streams: records.iter().filter(|r| !r.finished).count(),
-        answered_degraded: records.iter().filter(|r| r.degraded && r.finished).count(),
-        identical_responses: records.iter().all(|r| r.identical),
-        degraded_ledger_queries,
-        breaker_opens,
-        failure_threshold: FAILURE_THRESHOLD,
-        unprotected_dropped_streams: records.iter().filter(|r| r.unprotected_dropped).count(),
-        records,
-        rounds: cfg.rounds,
-        baseline_us,
-        resilient_us,
-        overhead: resilient_us / baseline_us,
-    }
-}
-
-/// Render the report as a text table.
-pub fn fault_smoke_table(report: &FaultSmokeReport) -> Table {
-    let mut table = Table::new(
-        format!(
-            "PR10 fault smoke — total outage over {ROWS} rows, breaker threshold {}, \
-             best of {} interleaved overhead rounds",
-            report.failure_threshold, report.rounds
-        ),
-        &[
-            "algorithm",
-            "finished",
-            "degraded",
-            "tuples",
-            "identical",
-            "unprotected",
+    let covered = ALGORITHMS.len();
+    let overhead = round(resilient_us / baseline_us, 4);
+    Report {
+        bench: "pr10_fault_smoke".into(),
+        workload: format!("two_attr_{ROWS}rows_total_outage_k{SYSTEM_K}"),
+        deterministic: Json::obj([
+            ("covered_sessions", covered.into()),
+            ("dropped_covered_streams", dropped.into()),
+            ("answered_degraded", answered_degraded.into()),
+            ("identical_responses", identical_responses.into()),
+            (
+                "degraded_ledger_queries",
+                Json::Num(degraded_ledger_queries as f64),
+            ),
+            ("failure_threshold", Json::Num(f64::from(FAILURE_THRESHOLD))),
+            ("unprotected_dropped_streams", unprotected_dropped.into()),
+            ("records", records.into()),
+            (
+                "steady_state",
+                Json::obj([
+                    ("rounds", cfg.rounds.into()),
+                    ("probes_per_round", OVERHEAD_PROBES.into()),
+                ]),
+            ),
+        ]),
+        measured: Json::obj([
+            ("breaker_opens", Json::Num(breaker_opens as f64)),
+            (
+                "steady_state",
+                Json::obj([
+                    ("baseline_us", round(baseline_us, 1).into()),
+                    ("resilient_us", round(resilient_us, 1).into()),
+                    ("overhead", overhead.into()),
+                ]),
+            ),
+        ]),
+        contracts: vec![
+            Contract::new(
+                "no_dropped_covered_streams",
+                dropped == 0,
+                format!(
+                    "{dropped} recon-covered streams dropped during the outage; degraded \
+                     serving must finish every covered session"
+                ),
+            ),
+            Contract::new(
+                "all_answered_degraded",
+                answered_degraded == covered,
+                format!(
+                    "only {answered_degraded} of {covered} covered sessions were answered \
+                     with the degraded flag"
+                ),
+            ),
+            Contract::new(
+                "identical_responses",
+                identical_responses,
+                "degraded serving diverged from the pre-outage answers; stale-recon pages \
+                 must be byte-identical",
+            ),
+            Contract::new(
+                "degraded_serving_free",
+                degraded_ledger_queries == 0,
+                format!(
+                    "degraded serving cost the web database {degraded_ledger_queries} queries; \
+                     a source behind an open breaker must not be probed"
+                ),
+            ),
+            Contract::new(
+                "breaker_latches",
+                (1..=u64::from(FAILURE_THRESHOLD)).contains(&breaker_opens),
+                format!(
+                    "the breaker opened {breaker_opens} times under a sustained outage; it \
+                     must latch open once (<= threshold {FAILURE_THRESHOLD}), not flap"
+                ),
+            ),
+            Contract::new(
+                "unprotected_twin_drops",
+                unprotected_dropped > 0,
+                "the resilience-off twin dropped no streams under the same outage; the \
+                 comparison baseline is broken",
+            ),
+            Contract::new(
+                "steady_state_overhead",
+                overhead <= 1.05,
+                format!(
+                    "the resilient stack costs {overhead}x on a healthy source; the \
+                     steady-state ceiling is 1.05 (5% overhead)"
+                ),
+            ),
         ],
-    );
-    for r in &report.records {
-        table.row(&[
-            r.algorithm.to_string(),
-            r.finished.to_string(),
-            r.degraded.to_string(),
-            r.tuples.to_string(),
-            r.identical.to_string(),
-            if r.unprotected_dropped {
-                "dropped".to_string()
-            } else {
-                "served".to_string()
-            },
-        ]);
     }
-    table.row(&[
-        "steady-state overhead".to_string(),
-        format!("{:.3}", report.overhead),
-        format!(
-            "{:.1}µs vs {:.1}µs",
-            report.resilient_us, report.baseline_us
-        ),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-    ]);
-    table
-}
-
-/// Serialize the report as the `BENCH_pr10.json` document.
-pub fn fault_smoke_json(report: &FaultSmokeReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr10_fault_smoke\",\n");
-    out.push_str(&format!(
-        "  \"workload\": \"two_attr_{ROWS}rows_total_outage_k{SYSTEM_K}\",\n"
-    ));
-    out.push_str(&format!(
-        "  \"covered_sessions\": {},\n",
-        report.covered_sessions
-    ));
-    out.push_str(&format!(
-        "  \"dropped_covered_streams\": {},\n",
-        report.dropped_covered_streams
-    ));
-    out.push_str(&format!(
-        "  \"answered_degraded\": {},\n",
-        report.answered_degraded
-    ));
-    out.push_str(&format!(
-        "  \"identical_responses\": {},\n",
-        report.identical_responses
-    ));
-    out.push_str(&format!(
-        "  \"degraded_ledger_queries\": {},\n",
-        report.degraded_ledger_queries
-    ));
-    out.push_str(&format!("  \"breaker_opens\": {},\n", report.breaker_opens));
-    out.push_str(&format!(
-        "  \"failure_threshold\": {},\n",
-        report.failure_threshold
-    ));
-    out.push_str(&format!(
-        "  \"unprotected_dropped_streams\": {},\n",
-        report.unprotected_dropped_streams
-    ));
-    out.push_str("  \"records\": [\n");
-    for (i, r) in report.records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"finished\": {}, \"degraded\": {}, \
-             \"tuples\": {}, \"identical\": {}, \"unprotected_dropped\": {}}}{}\n",
-            r.algorithm,
-            r.finished,
-            r.degraded,
-            r.tuples,
-            r.identical,
-            r.unprotected_dropped,
-            if i + 1 < report.records.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"steady_state\": {\n");
-    out.push_str(&format!("    \"rounds\": {},\n", report.rounds));
-    out.push_str(&format!("    \"probes_per_round\": {OVERHEAD_PROBES},\n"));
-    out.push_str(&format!(
-        "    \"baseline_us\": {:.1},\n    \"resilient_us\": {:.1},\n",
-        report.baseline_us, report.resilient_us
-    ));
-    out.push_str(&format!("    \"overhead\": {:.4}\n  }}\n", report.overhead));
-    out.push_str("}\n");
-    out
-}
-
-/// Write `BENCH_pr10.json` at the workspace root; returns the path.
-pub fn write_fault_smoke_report(report: &FaultSmokeReport) -> PathBuf {
-    let path = crate::report::workspace_root().join("BENCH_pr10.json");
-    std::fs::write(&path, fault_smoke_json(report)).expect("write fault smoke report");
-    path
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::num;
 
     #[test]
     fn resilience_converts_drops_into_degraded_answers() {
         let report = run_fault_smoke(&FaultSmokeConfig { rounds: 2 });
-        assert_eq!(report.covered_sessions, ALGORITHMS.len());
-        assert_eq!(
-            report.dropped_covered_streams, 0,
-            "covered streams must all finish under the outage"
-        );
-        assert_eq!(report.answered_degraded, report.covered_sessions);
-        assert!(report.identical_responses, "{:?}", report.records);
-        assert_eq!(
-            report.degraded_ledger_queries, 0,
-            "degraded serving must not touch the web database"
-        );
-        assert!(
-            report.breaker_opens >= 1
-                && report.breaker_opens <= u64::from(report.failure_threshold),
-            "breaker must latch open without flapping: {} opens",
-            report.breaker_opens
-        );
-        assert_eq!(
-            report.unprotected_dropped_streams, report.covered_sessions,
-            "without resilience the same outage must drop every stream"
-        );
-        assert!(report.overhead.is_finite() && report.overhead > 0.0);
-        for r in &report.records {
+        // Every contract but the overhead bound (debug builds are too
+        // noisy for it): no covered stream dropped, all answered
+        // degraded and byte-identical, zero ledger queries, the breaker
+        // latched open without flapping, the unprotected twin dropped.
+        for c in &report.contracts {
             assert!(
-                r.tuples > 0,
-                "{}: degraded stream served nothing",
-                r.algorithm
+                c.passed || c.name == "steady_state_overhead",
+                "{}: {}",
+                c.name,
+                c.message
             );
         }
-    }
-
-    #[test]
-    fn fault_smoke_json_is_well_formed() {
-        let report = FaultSmokeReport {
-            covered_sessions: 7,
-            dropped_covered_streams: 0,
-            answered_degraded: 7,
-            identical_responses: true,
-            degraded_ledger_queries: 0,
-            breaker_opens: 1,
-            failure_threshold: 2,
-            unprotected_dropped_streams: 7,
-            records: vec![FaultStreamRecord {
-                algorithm: "md-ta",
-                finished: true,
-                degraded: true,
-                tuples: 120,
-                identical: true,
-                unprotected_dropped: true,
-            }],
-            rounds: 120,
-            baseline_us: 1000.0,
-            resilient_us: 1020.0,
-            overhead: 1.02,
-        };
-        let json = fault_smoke_json(&report);
-        assert!(json.contains("\"dropped_covered_streams\": 0"));
-        assert!(json.contains("\"breaker_opens\": 1"));
-        assert!(json.contains("\"overhead\": 1.0200"));
-        assert!(json.contains("\"unprotected_dropped_streams\": 7"));
-        let table = fault_smoke_table(&report);
-        assert!(!table.is_empty());
+        let det = &report.deterministic;
+        assert_eq!(num(det, "covered_sessions"), ALGORITHMS.len() as f64);
+        assert_eq!(
+            num(det, "unprotected_dropped_streams"),
+            num(det, "covered_sessions"),
+            "without resilience the same outage must drop every stream"
+        );
+        let overhead = num(
+            report.measured.get("steady_state").expect("steady_state"),
+            "overhead",
+        );
+        assert!(overhead.is_finite() && overhead > 0.0);
+        for r in report.records("records") {
+            assert!(
+                num(&r, "tuples") > 0.0,
+                "{r}: degraded stream served nothing"
+            );
+        }
     }
 }

@@ -1,15 +1,19 @@
 //! # qr2-bench — the experiment harness
 //!
 //! Every figure and demonstration scenario of the QR2 paper has a
-//! regeneration function here (see `DESIGN.md` §6 for the experiment
-//! index). The `figures` binary prints the tables and writes CSVs to
-//! `target/figures/`; the Criterion benches in `benches/` time the same
-//! workloads at reduced scale.
+//! regeneration function in [`experiments`]. The `figures` binary prints
+//! the tables and writes CSVs to `target/figures/`.
+//!
+//! `figures -- --smoke` runs the seven smoke scenarios (the `*_smoke`
+//! modules). Each returns a [`Report`] in the one schema of [`report`],
+//! written as a committed `BENCH_pr*.json`; the runner
+//! ([`report::run_suite`]) fails on any failing contract or any drift of
+//! a deterministic value from the committed file.
 //!
 //! The cost metric throughout is the paper's: **queries issued to the web
 //! database**, which is deterministic given the workload seed. Wall time
-//! appears only where the paper reports it (Fig. 4) and in the parallelism
-//! ablation.
+//! appears only where the paper reports it (Fig. 4), in the parallelism
+//! ablation and in the smoke reports' `measured` values.
 
 pub mod cache_smoke;
 pub mod experiments;
@@ -22,30 +26,12 @@ pub mod sched_smoke;
 pub mod smoke;
 pub mod workloads;
 
-pub use cache_smoke::{
-    cache_smoke_json, cache_smoke_table, run_cache_smoke, write_cache_smoke_report,
-    CacheSmokeRecord,
-};
+pub use cache_smoke::run_cache_smoke;
 pub use experiments::*;
-pub use fault_smoke::{
-    fault_smoke_json, fault_smoke_table, run_fault_smoke, write_fault_smoke_report,
-    FaultSmokeConfig, FaultSmokeReport, FaultStreamRecord,
-};
-pub use obs_smoke::{
-    obs_smoke_json, obs_smoke_table, run_obs_smoke, write_obs_smoke_report, ObsSmokeConfig,
-    ObsSmokeRecord, ObsSmokeReport,
-};
-pub use perf_smoke::{
-    perf_smoke_json, perf_smoke_table, run_perf_smoke, write_perf_smoke_report, PerfSmokeConfig,
-    PerfSmokeReport,
-};
-pub use recon_smoke::{
-    recon_smoke_json, recon_smoke_table, run_recon_smoke, write_recon_smoke_report,
-    ReconSmokeConfig, ReconSmokeRecord, ReconSmokeReport,
-};
-pub use report::{write_csv, Table};
-pub use sched_smoke::{
-    run_sched_smoke, sched_smoke_json, sched_smoke_table, write_sched_smoke_report,
-    SchedClassRecord, SchedSmokeReport,
-};
-pub use smoke::{run_smoke, smoke_json, smoke_table, write_smoke_report, SmokeRecord};
+pub use fault_smoke::{run_fault_smoke, FaultSmokeConfig};
+pub use obs_smoke::{run_obs_smoke, ObsSmokeConfig};
+pub use perf_smoke::{run_perf_smoke, PerfSmokeConfig};
+pub use recon_smoke::{run_recon_smoke, ReconSmokeConfig};
+pub use report::{write_csv, Contract, Report, Table};
+pub use sched_smoke::run_sched_smoke;
+pub use smoke::run_smoke;

@@ -1,6 +1,5 @@
-//! PR5 CI smoke benchmark for the indexed execution engine: scan-vs-index
-//! per-query latency on a 1M-row mixed workload, plus the warm-cache
-//! get-next latency of every algorithm family, emitted as `BENCH_pr5.json`.
+//! Smoke scenario `BENCH_pr5.json`: the indexed execution engine's
+//! scan-vs-index per-query latency on a 1M-row mixed workload.
 //!
 //! Two databases are built over the **same** fixed-seed table and hidden
 //! ranking: one forced to the rank-order scan ([`ExecMode::ScanOnly`], the
@@ -8,16 +7,16 @@
 //! ([`ExecMode::Auto`]: sorted-projection index with a cost-model scan
 //! fallback). Every query runs against both; responses must be identical
 //! and both ledgers must count exactly the same queries — the speedup is
-//! pure execution, never a behaviour change.
+//! pure execution, never a behaviour change. The runner checks both as
+//! contracts, plus an overall median speedup of at least 10×.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use qr2_datagen::{mixed_db, MixedConfig};
+use qr2_http::Json;
 use qr2_webdb::{CatSet, ExecMode, RangePred, SearchQuery, SimulatedWebDb, TopKInterface};
 
-use crate::cache_smoke::CacheSmokeRecord;
-use crate::report::Table;
+use crate::report::{round, Contract, Report};
 
 /// Sizing knobs for [`run_perf_smoke`].
 #[derive(Debug, Clone, Copy)]
@@ -35,51 +34,6 @@ impl Default for PerfSmokeConfig {
             queries_per_class: 25,
         }
     }
-}
-
-/// One query class's scan-vs-index latency summary.
-#[derive(Debug, Clone)]
-pub struct QueryClassRecord {
-    /// Class key (`"narrow_range"`, …).
-    pub class: &'static str,
-    /// Queries measured.
-    pub queries: usize,
-    /// Median per-query wall time through the forced scan, microseconds.
-    pub scan_median_us: f64,
-    /// Median per-query wall time through the automatic engine.
-    pub index_median_us: f64,
-    /// Median speedup (`scan_median / index_median`).
-    pub speedup: f64,
-}
-
-/// The whole PR5 measurement.
-#[derive(Debug, Clone)]
-pub struct PerfSmokeReport {
-    /// Inventory size.
-    pub rows: usize,
-    /// Per-class records.
-    pub classes: Vec<QueryClassRecord>,
-    /// Median over every measured query, scan side.
-    pub overall_scan_median_us: f64,
-    /// Median over every measured query, indexed side.
-    pub overall_index_median_us: f64,
-    /// `overall_scan_median_us / overall_index_median_us`.
-    pub overall_speedup: f64,
-    /// Ledger total of the scan database after the run.
-    pub scan_ledger_queries: u64,
-    /// Ledger total of the indexed database — must equal the scan side
-    /// (the index must not change what counts as a query).
-    pub index_ledger_queries: u64,
-    /// Queries the automatic engine sent through the index.
-    pub auto_indexed: u64,
-    /// Queries the automatic engine's cost model sent to the scan.
-    pub auto_scanned: u64,
-    /// True when every response pair was identical (tuples, order,
-    /// overflow flag).
-    pub identical_responses: bool,
-    /// Warm-cache get-next latency per algorithm (the PR4 cold-vs-warm
-    /// pass re-measured on the zero-copy answer path).
-    pub warm: Vec<CacheSmokeRecord>,
 }
 
 fn splitmix64(x: &mut u64) -> u64 {
@@ -156,13 +110,9 @@ fn median_us(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Run the scan-vs-index measurement. `warm` carries the cold-vs-warm
-/// cache records for the report's `warm_get_next` section — the caller
-/// passes the records it already measured (the `--smoke` runner shares
-/// one [`run_cache_smoke`](crate::cache_smoke::run_cache_smoke) pass
-/// between `BENCH_pr4.json` and `BENCH_pr5.json`) or an empty vec to
-/// skip the section. Deterministic in everything but wall time.
-pub fn run_perf_smoke(cfg: &PerfSmokeConfig, warm: Vec<CacheSmokeRecord>) -> PerfSmokeReport {
+/// Run the scan-vs-index measurement. Deterministic in everything but
+/// wall time.
+pub fn run_perf_smoke(cfg: &PerfSmokeConfig) -> Report {
     let mixed = MixedConfig {
         n: cfg.rows,
         ..MixedConfig::default()
@@ -207,162 +157,102 @@ pub fn run_perf_smoke(cfg: &PerfSmokeConfig, warm: Vec<CacheSmokeRecord>) -> Per
         }
         all_scan.extend_from_slice(&scan_us);
         all_index.extend_from_slice(&index_us);
-        let scan_median = median_us(&mut scan_us);
-        let index_median = median_us(&mut index_us);
-        class_records.push(QueryClassRecord {
-            class,
-            queries: queries.len(),
-            scan_median_us: scan_median,
-            index_median_us: index_median,
-            speedup: scan_median / index_median.max(1e-9),
-        });
+        class_records.push(medians(Some(*class), &mut scan_us, &mut index_us));
     }
-    let overall_scan = median_us(&mut all_scan);
-    let overall_index = median_us(&mut all_index);
+    let overall = medians(None, &mut all_scan, &mut all_index);
+    let speedup = overall.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
     let breakdown = auto_db.ledger().exec_breakdown();
-    PerfSmokeReport {
-        rows: cfg.rows,
-        classes: class_records,
-        overall_scan_median_us: overall_scan,
-        overall_index_median_us: overall_index,
-        overall_speedup: overall_scan / overall_index.max(1e-9),
-        scan_ledger_queries: scan_db.ledger().total(),
-        index_ledger_queries: auto_db.ledger().total(),
-        auto_indexed: breakdown.indexed,
-        auto_scanned: breakdown.scanned,
-        identical_responses: identical,
-        warm,
+    let (scan_ledger, index_ledger) = (scan_db.ledger().total(), auto_db.ledger().total());
+    let rows = cfg.rows;
+    Report {
+        bench: "pr5_index_smoke".into(),
+        workload: "mixed_uniform_2num_8cat_seed_0x5EED1DB5".into(),
+        deterministic: Json::obj([
+            ("rows", rows.into()),
+            ("queries_per_class", cfg.queries_per_class.into()),
+            ("identical_responses", identical.into()),
+            ("scan_ledger_queries", Json::Num(scan_ledger as f64)),
+            ("index_ledger_queries", Json::Num(index_ledger as f64)),
+            ("auto_indexed", Json::Num(breakdown.indexed as f64)),
+            ("auto_scanned", Json::Num(breakdown.scanned as f64)),
+        ]),
+        measured: Json::obj([("db_search", class_records.into()), ("overall", overall)]),
+        contracts: vec![
+            Contract::new(
+                "identical_responses",
+                identical,
+                "indexed search diverged from the scan path",
+            ),
+            Contract::new(
+                "index_ledger_within_scan",
+                index_ledger <= scan_ledger,
+                format!(
+                    "index path issued {index_ledger} ledger queries vs scan's {scan_ledger}; \
+                     the engine must not change what counts as a query"
+                ),
+            ),
+            Contract::new(
+                "speedup_floor",
+                speedup >= 10.0,
+                format!(
+                    "indexed search is only {speedup}x the scan path at {rows} rows; \
+                     the floor is 10x"
+                ),
+            ),
+        ],
     }
 }
 
-/// Render the per-class latencies as a text table.
-pub fn perf_smoke_table(report: &PerfSmokeReport) -> Table {
-    let mut table = Table::new(
-        format!(
-            "PR5 index smoke — scan vs index per-query latency, {} rows",
-            report.rows
-        ),
-        &["class", "queries", "scan_us", "index_us", "speedup"],
-    );
-    for c in &report.classes {
-        table.row(&[
-            c.class.to_string(),
-            c.queries.to_string(),
-            format!("{:.1}", c.scan_median_us),
-            format!("{:.1}", c.index_median_us),
-            format!("{:.1}x", c.speedup),
-        ]);
+/// Scan and index median latencies (µs) and the median speedup of one
+/// query class (`None`: over every query).
+fn medians(class: Option<&str>, scan_us: &mut [f64], index_us: &mut [f64]) -> Json {
+    let (scan, index) = (median_us(scan_us), median_us(index_us));
+    let mut fields = vec![
+        ("scan_median_us", round(scan, 1).into()),
+        ("index_median_us", round(index, 1).into()),
+        ("speedup", round(scan / index.max(1e-9), 1).into()),
+    ];
+    if let Some(class) = class {
+        fields.insert(0, ("class", class.into()));
     }
-    table.row(&[
-        "overall".to_string(),
-        report
-            .classes
-            .iter()
-            .map(|c| c.queries)
-            .sum::<usize>()
-            .to_string(),
-        format!("{:.1}", report.overall_scan_median_us),
-        format!("{:.1}", report.overall_index_median_us),
-        format!("{:.1}x", report.overall_speedup),
-    ]);
-    table
-}
-
-/// Serialize the report as the `BENCH_pr5.json` document.
-pub fn perf_smoke_json(report: &PerfSmokeReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr5_index_smoke\",\n");
-    out.push_str("  \"workload\": \"mixed_uniform_2num_8cat_seed_0x5EED1DB5\",\n");
-    out.push_str(&format!("  \"rows\": {},\n", report.rows));
-    out.push_str(&format!(
-        "  \"identical_responses\": {},\n",
-        report.identical_responses
-    ));
-    out.push_str(&format!(
-        "  \"scan_ledger_queries\": {},\n  \"index_ledger_queries\": {},\n",
-        report.scan_ledger_queries, report.index_ledger_queries
-    ));
-    out.push_str(&format!(
-        "  \"auto_indexed\": {},\n  \"auto_scanned\": {},\n",
-        report.auto_indexed, report.auto_scanned
-    ));
-    out.push_str("  \"db_search\": [\n");
-    for (i, c) in report.classes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"class\": \"{}\", \"queries\": {}, \"scan_median_us\": {:.1}, \
-             \"index_median_us\": {:.1}, \"speedup\": {:.1}}}{}\n",
-            c.class,
-            c.queries,
-            c.scan_median_us,
-            c.index_median_us,
-            c.speedup,
-            if i + 1 < report.classes.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"overall\": {{\"scan_median_us\": {:.1}, \"index_median_us\": {:.1}, \"speedup\": {:.1}}},\n",
-        report.overall_scan_median_us, report.overall_index_median_us, report.overall_speedup
-    ));
-    out.push_str("  \"warm_get_next\": [\n");
-    for (i, r) in report.warm.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"family\": \"{}\", \"warm_db_queries\": {}, \
-             \"warm_get_next_us\": {:.1}}}{}\n",
-            r.algorithm,
-            r.family,
-            r.warm_db_queries,
-            r.warm_get_next_us,
-            if i + 1 < report.warm.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_pr5.json` at the workspace root; returns the path.
-pub fn write_perf_smoke_report(report: &PerfSmokeReport) -> PathBuf {
-    let path = crate::report::workspace_root().join("BENCH_pr5.json");
-    std::fs::write(&path, perf_smoke_json(report)).expect("write perf smoke report");
-    path
+    Json::obj(fields)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::num;
 
     /// Reduced-scale run (debug builds time nothing meaningful; this pins
     /// the *semantics*: identical responses, identical ledgers, the cost
     /// model actually exercising both paths).
     #[test]
     fn reduced_run_is_equivalent_and_well_formed() {
-        let report = run_perf_smoke(
-            &PerfSmokeConfig {
-                rows: 20_000,
-                queries_per_class: 4,
-            },
-            Vec::new(),
-        );
-        assert!(report.identical_responses, "index must not change answers");
+        let report = run_perf_smoke(&PerfSmokeConfig {
+            rows: 20_000,
+            queries_per_class: 4,
+        });
+        let det = &report.deterministic;
         assert_eq!(
-            report.scan_ledger_queries, report.index_ledger_queries,
+            det.get("identical_responses"),
+            Some(&Json::Bool(true)),
+            "index must not change answers"
+        );
+        assert_eq!(
+            num(det, "scan_ledger_queries"),
+            num(det, "index_ledger_queries"),
             "the index must not change what counts as a query"
         );
-        assert_eq!(report.scan_ledger_queries, 16);
-        assert!(report.auto_indexed > 0, "selective classes use the index");
+        assert_eq!(num(det, "scan_ledger_queries"), 16.0);
         assert!(
-            report.auto_scanned > 0,
+            num(det, "auto_indexed") > 0.0,
+            "selective classes use the index"
+        );
+        assert!(
+            num(det, "auto_scanned") > 0.0,
             "the broad class falls back to the scan"
         );
-        let json = perf_smoke_json(&report);
-        assert!(json.contains("\"bench\": \"pr5_index_smoke\""));
-        assert!(json.contains("\"identical_responses\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(perf_smoke_table(&report).len(), 5, "4 classes + overall");
+        assert_eq!(report.records("db_search").len(), 4);
+        assert!(num(report.measured.get("overall").expect("overall"), "speedup") > 0.0);
     }
 }

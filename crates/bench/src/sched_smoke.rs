@@ -1,6 +1,5 @@
-//! CI smoke benchmark for the rate-limit-aware scheduler: a contention
-//! scenario through one `SourceScheduler`, emitted as machine-readable
-//! JSON (`BENCH_pr7.json`).
+//! Smoke scenario `BENCH_pr7.json`: the rate-limit-aware scheduler
+//! under contention through one `SourceScheduler`.
 //!
 //! Two phases, each on a **fresh** database so ledgers are comparable:
 //!
@@ -9,8 +8,8 @@
 //!    covers the other three sessions' narrow ranges — while a
 //!    background crawl session hammers a disjoint range. The same
 //!    workload then replays **without** the scheduler (traffic shaping
-//!    only, every probe pays). CI guards the contract: scheduler-on
-//!    must spend *strictly fewer* web-database queries than
+//!    only, every probe pays). The runner checks the contract:
+//!    scheduler-on must spend *strictly fewer* web-database queries than
 //!    scheduler-off, and `coalesced_frontier_hits` must be positive.
 //!    Every answer — paid or derived from another session's covering
 //!    probe — is checked byte-for-byte against an untouched reference
@@ -20,16 +19,14 @@
 //!    session with 3× their demand through the paced bucket. Deficit
 //!    round-robin must serve the equal-demand sessions evenly: the
 //!    max/min ratio of their completion times is the fairness metric
-//!    (CI guards it ≤ 5.0; a FIFO queue that lets the first enqueuer
-//!    drain its backlog would not stay bounded).
+//!    (the runner checks it ≤ 5.0; a FIFO queue that lets the first
+//!    enqueuer drain its backlog would not stay bounded).
 //!
 //! Paid-query counts depend on thread interleavings (a narrow probe can
-//! win a burst token before the wide one arrives), so CI asserts
-//! *inequalities*, never exact values — unlike the seed-deterministic
-//! PR3/PR4/PR5 reports there is no drift check against the committed
-//! file.
+//! win a burst token before the wide one arrives), so they are
+//! `measured` and the contracts are *inequalities*, never exact values;
+//! only the scenario's shape is `deterministic`.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
@@ -40,7 +37,9 @@ use qr2_webdb::{
     TopKInterface, TrafficShapedInterface,
 };
 
-use crate::report::Table;
+use qr2_http::Json;
+
+use crate::report::{round, Contract, Report};
 
 /// Lock-stepped rounds in the coalescing phase.
 pub const SCHED_ROUNDS: usize = 12;
@@ -64,63 +63,6 @@ const ROWS: usize = 400;
 /// System k — larger than the table so every response is complete and
 /// narrow answers can be derived exactly from the wide covering probe.
 const SYSTEM_K: usize = 512;
-
-/// Per-class scheduler counters captured after the coalescing phase.
-#[derive(Debug, Clone)]
-pub struct SchedClassRecord {
-    /// `"interactive"` or `"background"`.
-    pub class: &'static str,
-    /// Paid probes dispatched for this class.
-    pub dispatched: u64,
-    /// Median queue delay of dispatches, milliseconds.
-    pub delay_p50_ms: f64,
-    /// 99th-percentile queue delay, milliseconds.
-    pub delay_p99_ms: f64,
-}
-
-/// The full PR7 scheduler smoke measurement.
-#[derive(Debug, Clone)]
-pub struct SchedSmokeReport {
-    /// Rounds in the coalescing phase.
-    pub rounds: usize,
-    /// Interactive sessions in the coalescing phase.
-    pub interactive_sessions: usize,
-    /// Background probes in the coalescing phase.
-    pub background_probes: usize,
-    /// Web-DB queries the scheduler-on run spent (ledger total).
-    pub paid_on: u64,
-    /// Web-DB queries the scheduler-off replay spent — same workload,
-    /// traffic shaping only, every probe pays.
-    pub paid_off: u64,
-    /// Waiters served from another session's covering probe for free.
-    pub coalesced_frontier_hits: u64,
-    /// Simulated 429s the scheduler absorbed by pacing.
-    pub throttle_waits: u64,
-    /// Paid probes the scheduler dispatched (all classes).
-    pub dispatched: u64,
-    /// Wall time of the scheduler-on coalescing run, milliseconds.
-    pub on_wall_ms: f64,
-    /// Wall time of the scheduler-off replay, milliseconds.
-    pub off_wall_ms: f64,
-    /// Per-class queue state after the coalescing run.
-    pub classes: Vec<SchedClassRecord>,
-    /// Slowest equal-demand session's completion time, milliseconds.
-    pub fair_max_light_ms: f64,
-    /// Fastest equal-demand session's completion time, milliseconds.
-    pub fair_min_light_ms: f64,
-    /// Fairness metric: `fair_max_light_ms / fair_min_light_ms`.
-    pub fairness_ratio: f64,
-    /// The hog session's completion time, milliseconds (expected ~3×
-    /// the light sessions' — it asked for 3× the work).
-    pub fair_hog_ms: f64,
-}
-
-impl SchedSmokeReport {
-    /// Queries the scheduler saved versus the shaped-only replay.
-    pub fn paid_saved(&self) -> u64 {
-        self.paid_off.saturating_sub(self.paid_on)
-    }
-}
 
 /// Fresh deterministic contention database: one numeric attribute,
 /// rows at integer positions, responses always complete.
@@ -162,7 +104,7 @@ fn background_query(db: &SimulatedWebDb) -> SearchQuery {
 }
 
 /// Run the full contention scenario (both phases, both stacks).
-pub fn run_sched_smoke() -> SchedSmokeReport {
+pub fn run_sched_smoke() -> Report {
     // An untouched copy answers "what should each probe have returned"
     // without polluting either measured ledger.
     let reference = contention_db();
@@ -303,236 +245,126 @@ pub fn run_sched_smoke() -> SchedSmokeReport {
         1.0
     };
 
-    SchedSmokeReport {
-        rounds: SCHED_ROUNDS,
-        interactive_sessions: SCHED_SESSIONS,
-        background_probes: SCHED_BG_PROBES,
-        paid_on,
-        paid_off,
-        coalesced_frontier_hits: snapshot.coalesced_frontier_hits,
-        throttle_waits: snapshot.throttle_waits,
-        dispatched: snapshot.dispatched,
-        on_wall_ms,
-        off_wall_ms,
-        classes: snapshot
-            .classes
-            .iter()
-            .map(|c| SchedClassRecord {
-                class: c.class.as_str(),
-                dispatched: c.dispatched,
-                delay_p50_ms: c.delay_p50_ms,
-                delay_p99_ms: c.delay_p99_ms,
-            })
-            .collect(),
-        fair_max_light_ms,
-        fair_min_light_ms,
-        fairness_ratio,
-        fair_hog_ms: hog_ms,
+    let ratio = round(fairness_ratio, 3);
+    let dispatched = snapshot.dispatched;
+    let coalesced = snapshot.coalesced_frontier_hits;
+    let classes: Vec<Json> = snapshot
+        .classes
+        .iter()
+        .map(|c| {
+            Json::obj([
+                ("class", c.class.as_str().into()),
+                ("dispatched", Json::Num(c.dispatched as f64)),
+                ("delay_p50_ms", round(c.delay_p50_ms, 2).into()),
+                ("delay_p99_ms", round(c.delay_p99_ms, 2).into()),
+            ])
+        })
+        .collect();
+    Report {
+        bench: "pr7_sched_smoke".into(),
+        workload: format!("uniform_x_{ROWS}rows_rate{RATE_PER_SEC}_contention"),
+        deterministic: Json::obj([
+            ("rounds", SCHED_ROUNDS.into()),
+            ("interactive_sessions", SCHED_SESSIONS.into()),
+            ("background_probes", SCHED_BG_PROBES.into()),
+            (
+                "fairness",
+                Json::obj([
+                    ("light_sessions", FAIR_LIGHT_SESSIONS.into()),
+                    ("probes_per_session", FAIR_PROBES.into()),
+                    ("hog_probes", FAIR_HOG_PROBES.into()),
+                ]),
+            ),
+        ]),
+        measured: Json::obj([
+            ("scheduler_on_paid_queries", Json::Num(paid_on as f64)),
+            ("scheduler_off_paid_queries", Json::Num(paid_off as f64)),
+            (
+                "paid_saved",
+                Json::Num(paid_off.saturating_sub(paid_on) as f64),
+            ),
+            ("coalesced_frontier_hits", Json::Num(coalesced as f64)),
+            ("throttle_waits", Json::Num(snapshot.throttle_waits as f64)),
+            ("dispatched", Json::Num(dispatched as f64)),
+            ("on_wall_ms", round(on_wall_ms, 1).into()),
+            ("off_wall_ms", round(off_wall_ms, 1).into()),
+            ("classes", classes.into()),
+            (
+                "fairness",
+                Json::obj([
+                    ("max_light_ms", round(fair_max_light_ms, 1).into()),
+                    ("min_light_ms", round(fair_min_light_ms, 1).into()),
+                    ("hog_ms", round(hog_ms, 1).into()),
+                    ("round_ratio", ratio.into()),
+                ]),
+            ),
+        ]),
+        contracts: vec![
+            Contract::new(
+                "scheduler_cheaper",
+                paid_on < paid_off,
+                format!(
+                    "scheduler-on spent {paid_on} web-DB queries vs {paid_off} without it; \
+                     cross-session coalescing must strictly reduce paid queries"
+                ),
+            ),
+            Contract::new(
+                "coalescing_fired",
+                coalesced > 0,
+                "no waiter was served from a covering probe; frontier coalescing never \
+                 fired under contention",
+            ),
+            Contract::new(
+                "dispatched_is_paid",
+                dispatched == paid_on,
+                format!(
+                    "scheduler dispatched {dispatched} probes but the ledger saw {paid_on}; \
+                     only paid dispatches may reach the ledger"
+                ),
+            ),
+            Contract::new(
+                "fairness_bounded",
+                (1.0..=5.0).contains(&ratio),
+                format!(
+                    "equal-demand sessions completed at a {ratio}x max/min ratio; deficit \
+                     round-robin must keep it bounded (<= 5)"
+                ),
+            ),
+        ],
     }
-}
-
-/// Render the report as a text table.
-pub fn sched_smoke_table(report: &SchedSmokeReport) -> Table {
-    let mut table = Table::new(
-        format!(
-            "PR7 sched smoke — {} sessions × {} rounds on a {}/s source",
-            report.interactive_sessions, report.rounds, RATE_PER_SEC
-        ),
-        &["metric", "scheduler on", "scheduler off"],
-    );
-    table.row(&[
-        "paid web-DB queries".to_string(),
-        report.paid_on.to_string(),
-        report.paid_off.to_string(),
-    ]);
-    table.row(&[
-        "wall (ms)".to_string(),
-        format!("{:.1}", report.on_wall_ms),
-        format!("{:.1}", report.off_wall_ms),
-    ]);
-    table.row(&[
-        "coalesced frontier hits".to_string(),
-        report.coalesced_frontier_hits.to_string(),
-        "-".to_string(),
-    ]);
-    table.row(&[
-        "throttle waits".to_string(),
-        report.throttle_waits.to_string(),
-        "-".to_string(),
-    ]);
-    for c in &report.classes {
-        table.row(&[
-            format!("{} p50/p99 delay (ms)", c.class),
-            format!("{:.2}/{:.2}", c.delay_p50_ms, c.delay_p99_ms),
-            "-".to_string(),
-        ]);
-    }
-    table.row(&[
-        "fairness max/min ratio".to_string(),
-        format!("{:.2}", report.fairness_ratio),
-        "-".to_string(),
-    ]);
-    table
-}
-
-/// Serialize the report as the `BENCH_pr7.json` document.
-pub fn sched_smoke_json(report: &SchedSmokeReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr7_sched_smoke\",\n");
-    out.push_str(&format!(
-        "  \"workload\": \"uniform_x_{ROWS}rows_rate{RATE_PER_SEC}_contention\",\n"
-    ));
-    out.push_str(&format!("  \"rounds\": {},\n", report.rounds));
-    out.push_str(&format!(
-        "  \"interactive_sessions\": {},\n",
-        report.interactive_sessions
-    ));
-    out.push_str(&format!(
-        "  \"background_probes\": {},\n",
-        report.background_probes
-    ));
-    out.push_str(&format!(
-        "  \"scheduler_on_paid_queries\": {},\n",
-        report.paid_on
-    ));
-    out.push_str(&format!(
-        "  \"scheduler_off_paid_queries\": {},\n",
-        report.paid_off
-    ));
-    out.push_str(&format!("  \"paid_saved\": {},\n", report.paid_saved()));
-    out.push_str(&format!(
-        "  \"coalesced_frontier_hits\": {},\n",
-        report.coalesced_frontier_hits
-    ));
-    out.push_str(&format!(
-        "  \"throttle_waits\": {},\n",
-        report.throttle_waits
-    ));
-    out.push_str(&format!("  \"dispatched\": {},\n", report.dispatched));
-    out.push_str(&format!("  \"on_wall_ms\": {:.1},\n", report.on_wall_ms));
-    out.push_str(&format!("  \"off_wall_ms\": {:.1},\n", report.off_wall_ms));
-    out.push_str("  \"classes\": [\n");
-    for (i, c) in report.classes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"class\": \"{}\", \"dispatched\": {}, \"delay_p50_ms\": {:.2}, \
-             \"delay_p99_ms\": {:.2}}}{}\n",
-            c.class,
-            c.dispatched,
-            c.delay_p50_ms,
-            c.delay_p99_ms,
-            if i + 1 < report.classes.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"fairness\": {\n");
-    out.push_str(&format!(
-        "    \"light_sessions\": {FAIR_LIGHT_SESSIONS},\n    \"probes_per_session\": {FAIR_PROBES},\n    \"hog_probes\": {FAIR_HOG_PROBES},\n"
-    ));
-    out.push_str(&format!(
-        "    \"max_light_ms\": {:.1},\n    \"min_light_ms\": {:.1},\n    \"hog_ms\": {:.1},\n",
-        report.fair_max_light_ms, report.fair_min_light_ms, report.fair_hog_ms
-    ));
-    out.push_str(&format!(
-        "    \"round_ratio\": {:.3}\n  }}\n",
-        report.fairness_ratio
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Write `BENCH_pr7.json` at the workspace root; returns the path.
-pub fn write_sched_smoke_report(report: &SchedSmokeReport) -> PathBuf {
-    let path = crate::report::workspace_root().join("BENCH_pr7.json");
-    std::fs::write(&path, sched_smoke_json(report)).expect("write sched smoke report");
-    path
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::num;
 
     #[test]
     fn scheduler_strictly_reduces_paid_queries_and_stays_fair() {
         let report = run_sched_smoke();
-        // The whole point: coalescing must make the scheduler-on run
-        // strictly cheaper than the shaped-only replay of the same
-        // workload.
-        assert!(
-            report.paid_on < report.paid_off,
-            "scheduler-on spent {} paid queries vs {} without it",
-            report.paid_on,
-            report.paid_off
-        );
+        // The contracts: coalescing makes the scheduler-on run strictly
+        // cheaper than the shaped-only replay, coalescing fired, every
+        // paid dispatch reached the ledger and nothing else did, and
+        // equal-demand sessions finished within a bounded ratio.
+        for c in &report.contracts {
+            assert!(c.passed, "{}: {}", c.name, c.message);
+        }
+        let m = &report.measured;
         // The shaped-only replay pays for every probe, deterministically.
         assert_eq!(
-            report.paid_off,
-            (SCHED_SESSIONS * SCHED_ROUNDS + SCHED_BG_PROBES) as u64
-        );
-        assert!(
-            report.coalesced_frontier_hits > 0,
-            "no cross-session coalescing happened"
-        );
-        // Every paid dispatch reached the ledger and nothing else did.
-        assert_eq!(report.dispatched, report.paid_on);
-        assert!(
-            report.fairness_ratio >= 1.0 && report.fairness_ratio <= 5.0,
-            "equal-demand sessions diverged: ratio {:.2}",
-            report.fairness_ratio
+            num(m, "scheduler_off_paid_queries"),
+            (SCHED_SESSIONS * SCHED_ROUNDS + SCHED_BG_PROBES) as f64
         );
         // The hog asked for 3× the work; it must not finish faster than
         // the slowest equal-demand session.
-        assert!(report.fair_hog_ms >= report.fair_min_light_ms);
+        let fairness = m.get("fairness").expect("fairness");
+        assert!(num(fairness, "hog_ms") >= num(fairness, "min_light_ms"));
         // Both classes dispatched and recorded delay percentiles.
-        assert_eq!(report.classes.len(), 2);
-        for c in &report.classes {
-            assert!(c.dispatched > 0, "{} never dispatched", c.class);
-            assert!(c.delay_p99_ms >= c.delay_p50_ms, "{}", c.class);
+        let classes = report.records("classes");
+        assert_eq!(classes.len(), 2);
+        for c in &classes {
+            assert!(num(c, "dispatched") > 0.0, "{c} never dispatched");
+            assert!(num(c, "delay_p99_ms") >= num(c, "delay_p50_ms"), "{c}");
         }
-    }
-
-    #[test]
-    fn sched_smoke_json_is_well_formed() {
-        let report = SchedSmokeReport {
-            rounds: 12,
-            interactive_sessions: 4,
-            background_probes: 12,
-            paid_on: 25,
-            paid_off: 60,
-            coalesced_frontier_hits: 33,
-            throttle_waits: 40,
-            dispatched: 25,
-            on_wall_ms: 90.0,
-            off_wall_ms: 200.0,
-            classes: vec![
-                SchedClassRecord {
-                    class: "interactive",
-                    dispatched: 13,
-                    delay_p50_ms: 3.0,
-                    delay_p99_ms: 12.0,
-                },
-                SchedClassRecord {
-                    class: "background",
-                    dispatched: 12,
-                    delay_p50_ms: 9.0,
-                    delay_p99_ms: 30.0,
-                },
-            ],
-            fair_max_light_ms: 150.0,
-            fair_min_light_ms: 140.0,
-            fairness_ratio: 150.0 / 140.0,
-            fair_hog_ms: 420.0,
-        };
-        let json = sched_smoke_json(&report);
-        assert!(json.contains("\"scheduler_on_paid_queries\": 25"));
-        assert!(json.contains("\"scheduler_off_paid_queries\": 60"));
-        assert!(json.contains("\"paid_saved\": 35"));
-        assert!(json.contains("\"round_ratio\": 1.071"));
-        assert_eq!(report.paid_saved(), 35);
-        let table = sched_smoke_table(&report);
-        assert!(!table.is_empty());
     }
 }

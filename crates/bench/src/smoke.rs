@@ -1,44 +1,33 @@
-//! CI smoke benchmark: per-algorithm get-next cost and latency on the
-//! fixed-seed diamonds workload, emitted as machine-readable JSON.
+//! Smoke scenario `BENCH_pr3.json`: per-algorithm get-next cost and
+//! latency on the fixed-seed diamonds workload.
 //!
-//! `cargo run --release -p qr2-bench --bin figures -- --smoke` runs in
-//! seconds and writes `BENCH_pr3.json` at the workspace root — one record
-//! per algorithm with the query cost (deterministic given the seed) and
-//! wall-clock get-next latency (machine-dependent). Committing the file
-//! per PR seeds a perf trajectory: query-cost changes are regressions or
-//! wins, latency changes are trends to watch.
+//! Each of the seven algorithms serves [`SMOKE_DEPTH`] tuples from a cold
+//! dense index. The query cost (queries, rounds) is deterministic given
+//! the seed, so the `--smoke` runner drift-checks it against the
+//! committed file: a change is a regression or a win. Wall-clock get-next
+//! latency is measured and machine-dependent, a trend to watch.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use qr2_core::{
     Algorithm, ExecutorKind, LinearFunction, OneDimFunction, RankingFunction, RerankRequest,
 };
+use qr2_http::Json;
 use qr2_webdb::{SearchQuery, TopKInterface};
 
-use crate::report::Table;
+use crate::report::{round, Report};
 use crate::workloads::{bluenile, cold_reranker, Scale};
 
 /// How many tuples each smoke run serves.
 pub const SMOKE_DEPTH: usize = 10;
 
-/// One algorithm's smoke measurement.
-#[derive(Debug, Clone)]
-pub struct SmokeRecord {
-    /// Paper name (`"MD-RERANK"`).
-    pub algorithm: &'static str,
-    /// `"1d"` or `"md"`.
-    pub family: &'static str,
-    /// Tuples served.
-    pub tuples: usize,
-    /// Web-DB queries spent (deterministic for the fixed seed).
-    pub queries: usize,
-    /// Executor rounds.
-    pub rounds: usize,
-    /// Total wall time of the run, in milliseconds.
-    pub wall_ms: f64,
-    /// Mean wall time per get-next, in microseconds.
-    pub get_next_us: f64,
+/// `"1d"` or `"md"`: the algorithm's family in smoke reports.
+pub fn family(algorithm: Algorithm) -> &'static str {
+    if algorithm.is_one_dimensional() {
+        "1d"
+    } else {
+        "md"
+    }
 }
 
 /// The seven-algorithm smoke case set over a schema with `price`/`carat`
@@ -63,130 +52,63 @@ pub fn smoke_cases(schema: &qr2_webdb::Schema) -> Vec<(Algorithm, RankingFunctio
 
 /// Run every algorithm for [`SMOKE_DEPTH`] tuples on the fixed-seed
 /// small-scale diamonds workload (cold dense index each time).
-pub fn run_smoke() -> Vec<SmokeRecord> {
+pub fn run_smoke() -> Report {
     let db = bluenile(Scale::Small);
-    let cases = smoke_cases(db.schema());
-    cases
-        .into_iter()
-        .map(|(algorithm, function)| {
-            let reranker = cold_reranker(db.clone(), ExecutorKind::Sequential);
-            let mut session = reranker.query(RerankRequest {
-                filter: SearchQuery::all(),
-                function,
-                algorithm,
-            });
-            let start = Instant::now();
-            let tuples = session.next_page(SMOKE_DEPTH).len();
-            let wall = start.elapsed();
-            let stats = session.stats();
-            SmokeRecord {
-                algorithm: algorithm.paper_name(),
-                family: if algorithm.is_one_dimensional() {
-                    "1d"
-                } else {
-                    "md"
-                },
-                tuples,
-                queries: stats.total_queries(),
-                rounds: stats.num_rounds(),
-                wall_ms: wall.as_secs_f64() * 1e3,
-                get_next_us: wall.as_secs_f64() * 1e6 / tuples.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
-/// Render the records as a text table.
-pub fn smoke_table(records: &[SmokeRecord]) -> Table {
-    let mut table = Table::new(
-        format!("PR3 smoke — top-{SMOKE_DEPTH} on fixed-seed diamonds"),
-        &["algorithm", "queries", "rounds", "wall_ms", "get_next_us"],
-    );
-    for r in records {
-        table.row(&[
-            r.algorithm.to_string(),
-            r.queries.to_string(),
-            r.rounds.to_string(),
-            format!("{:.3}", r.wall_ms),
-            format!("{:.1}", r.get_next_us),
-        ]);
+    let (mut costs, mut timings) = (Vec::new(), Vec::new());
+    for (algorithm, function) in smoke_cases(db.schema()) {
+        let reranker = cold_reranker(db.clone(), ExecutorKind::Sequential);
+        let mut session = reranker.query(RerankRequest {
+            filter: SearchQuery::all(),
+            function,
+            algorithm,
+        });
+        let start = Instant::now();
+        let tuples = session.next_page(SMOKE_DEPTH).len();
+        let wall = start.elapsed().as_secs_f64();
+        let stats = session.stats();
+        let name = algorithm.paper_name();
+        costs.push(Json::obj([
+            ("algorithm", name.into()),
+            ("family", family(algorithm).into()),
+            ("tuples", tuples.into()),
+            ("queries", stats.total_queries().into()),
+            ("rounds", stats.num_rounds().into()),
+        ]));
+        timings.push(Json::obj([
+            ("algorithm", name.into()),
+            ("wall_ms", round(wall * 1e3, 3).into()),
+            (
+                "get_next_us",
+                round(wall * 1e6 / tuples.max(1) as f64, 1).into(),
+            ),
+        ]));
     }
-    table
-}
-
-/// Serialize the records as the `BENCH_pr3.json` document.
-pub fn smoke_json(records: &[SmokeRecord]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr3_smoke\",\n");
-    out.push_str("  \"workload\": \"bluenile_diamonds_small_seed_0xB10E9115\",\n");
-    out.push_str(&format!("  \"depth\": {SMOKE_DEPTH},\n"));
-    out.push_str("  \"algorithms\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"family\": \"{}\", \"tuples\": {}, \
-             \"queries\": {}, \"rounds\": {}, \"wall_ms\": {:.3}, \"get_next_us\": {:.1}}}{}\n",
-            r.algorithm,
-            r.family,
-            r.tuples,
-            r.queries,
-            r.rounds,
-            r.wall_ms,
-            r.get_next_us,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
+    Report {
+        bench: "pr3_smoke".into(),
+        workload: "bluenile_diamonds_small_seed_0xB10E9115".into(),
+        deterministic: Json::obj([("depth", SMOKE_DEPTH.into()), ("algorithms", costs.into())]),
+        measured: Json::obj([("algorithms", timings.into())]),
+        contracts: Vec::new(),
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_pr3.json` at the workspace root; returns the path.
-pub fn write_smoke_report(records: &[SmokeRecord]) -> PathBuf {
-    let path = crate::report::workspace_root().join("BENCH_pr3.json");
-    std::fs::write(&path, smoke_json(records)).expect("write smoke report");
-    path
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::num;
 
     #[test]
     fn smoke_covers_all_seven_algorithms_and_is_deterministic_in_cost() {
         let a = run_smoke();
-        assert_eq!(a.len(), 7);
-        for r in &a {
-            assert_eq!(r.tuples, SMOKE_DEPTH, "{}", r.algorithm);
-            assert!(r.queries > 0, "{}", r.algorithm);
-            assert!(r.wall_ms > 0.0);
+        let records = a.records("algorithms");
+        assert_eq!(records.len(), 7);
+        for r in &records {
+            assert_eq!(num(r, "tuples"), SMOKE_DEPTH as f64, "{r}");
+            assert!(num(r, "queries") > 0.0, "{r}");
+            assert!(num(r, "wall_ms") > 0.0, "{r}");
         }
         // Query costs are seed-deterministic: a second run matches.
         let b = run_smoke();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.queries, y.queries, "{}", x.algorithm);
-        }
-    }
-
-    #[test]
-    fn smoke_json_is_valid_machine_readable_output() {
-        let records = vec![SmokeRecord {
-            algorithm: "1D-BINARY",
-            family: "1d",
-            tuples: 10,
-            queries: 42,
-            rounds: 40,
-            wall_ms: 1.25,
-            get_next_us: 125.0,
-        }];
-        let json = smoke_json(&records);
-        assert!(json.contains("\"bench\": \"pr3_smoke\""));
-        assert!(json.contains("\"queries\": 42"));
-        assert!(json.contains("\"algorithm\": \"1D-BINARY\""));
-        // Balanced braces/brackets (cheap well-formedness check — the
-        // workspace's JSON parser lives in qr2-http, which bench does not
-        // depend on).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let table = smoke_table(&records);
-        assert_eq!(table.len(), 1);
+        assert_eq!(a.deterministic, b.deterministic);
     }
 }
