@@ -30,8 +30,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qr2_cache::{AnswerCache, CacheConfig};
-use qr2_core::{DenseIndex, ExecutorKind};
+use qr2_core::ExecutorKind;
 use qr2_http::{parse_json, Decode, FromJson, IntoJson, Json};
 use qr2_recon::{JobOptions, ReconIndex};
 use qr2_sched::SchedConfig;
@@ -112,24 +111,19 @@ fn outage_registry(db: Arc<SimulatedWebDb>, resilience: ResilienceConfig) -> Arc
         .expect("no concurrent job");
     assert_eq!(job.state, "complete", "offline crawl must cover the db");
     let mut reg = SourceRegistry::new();
-    reg.register(Source::with_resilience(
-        "chaos",
-        "fault-smoke source",
-        db as Arc<dyn TopKInterface>,
-        SourcePolicy::unlimited(),
-        SchedConfig {
-            // Keep the unprotected phase fast: a parked probe gives up
-            // (and surfaces the structured failure) after 40 ms.
-            max_outage_park: Duration::from_millis(40),
-            ..SchedConfig::default()
-        },
-        resilience,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-        Arc::new(AnswerCache::new(CacheConfig::default())),
-        recon,
-    ));
+    reg.register(
+        Source::builder("chaos", "fault-smoke source", db as Arc<dyn TopKInterface>)
+            .sched_config(SchedConfig {
+                // Keep the unprotected phase fast: a parked probe gives up
+                // (and surfaces the structured failure) after 40 ms.
+                max_outage_park: Duration::from_millis(40),
+                ..SchedConfig::default()
+            })
+            .resilience(resilience)
+            .executor(ExecutorKind::Sequential)
+            .recon(recon)
+            .build(),
+    );
     Arc::new(reg)
 }
 

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use qr2_core::{DenseIndex, ExecutorKind};
+use qr2_core::ExecutorKind;
 use qr2_http::{parse_json, Body, Handler, Json, Method, Request};
 use qr2_service::{Qr2App, Source, SourceRegistry};
 use qr2_webdb::TopKInterface;
@@ -92,14 +92,15 @@ fn obs_cases() -> Vec<(&'static str, &'static str, &'static str)> {
 /// full service handler.
 pub fn run_obs_smoke(cfg: &ObsSmokeConfig) -> Report {
     let mut reg = SourceRegistry::new();
-    reg.register(Source::new(
-        "bench",
-        "fixed-seed diamonds",
-        bluenile(Scale::Small) as Arc<dyn TopKInterface>,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-    ));
+    reg.register(
+        Source::builder(
+            "bench",
+            "fixed-seed diamonds",
+            bluenile(Scale::Small) as Arc<dyn TopKInterface>,
+        )
+        .executor(ExecutorKind::Sequential)
+        .build(),
+    );
     let app = Qr2App::new(reg);
     let handler = app.handler();
 

@@ -33,8 +33,8 @@ use std::time::Instant;
 use qr2_sched::context::{next_session_key, with_session};
 use qr2_sched::{QueryClass, SchedConfig, SessionCtx, SourceScheduler};
 use qr2_webdb::{
-    RangePred, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder,
-    TopKInterface, TrafficShapedInterface,
+    BreakerConfig, RangePred, ResilientInterface, RetryPolicy, SearchQuery, SimulatedWebDb,
+    SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
 };
 
 use qr2_http::Json;
@@ -103,6 +103,24 @@ fn background_query(db: &SimulatedWebDb) -> SearchQuery {
     SearchQuery::all().and_range(x, RangePred::closed(650.0, 1000.0))
 }
 
+/// A default-config scheduler over `db` paced by [`policy`], with the
+/// default (fault-free) resilience layer, labeled `default`.
+fn sched_over(db: Arc<SimulatedWebDb>) -> Arc<SourceScheduler> {
+    let shaped = Arc::new(TrafficShapedInterface::new(db, policy()));
+    let resilient = Arc::new(ResilientInterface::new(
+        Arc::clone(&shaped),
+        shaped,
+        RetryPolicy::default(),
+        BreakerConfig::default(),
+        "default",
+    ));
+    Arc::new(SourceScheduler::new(
+        resilient,
+        SchedConfig::default(),
+        "default",
+    ))
+}
+
 /// Run the full contention scenario (both phases, both stacks).
 pub fn run_sched_smoke() -> Report {
     // An untouched copy answers "what should each probe have returned"
@@ -111,10 +129,7 @@ pub fn run_sched_smoke() -> Report {
 
     // ── Phase 1a: coalescing contention, scheduler ON ──────────────
     let db_on = contention_db();
-    let sched = Arc::new(SourceScheduler::new(
-        Arc::new(TrafficShapedInterface::new(db_on.clone(), policy())),
-        SchedConfig::default(),
-    ));
+    let sched = sched_over(db_on.clone());
     let start = Instant::now();
     let barrier = Barrier::new(SCHED_SESSIONS);
     std::thread::scope(|scope| {
@@ -187,10 +202,7 @@ pub fn run_sched_smoke() -> Report {
 
     // ── Phase 2: fairness under a hog session ──────────────────────
     let db_fair = contention_db();
-    let sched_fair = Arc::new(SourceScheduler::new(
-        Arc::new(TrafficShapedInterface::new(db_fair.clone(), policy())),
-        SchedConfig::default(),
-    ));
+    let sched_fair = sched_over(db_fair.clone());
     let x = db_fair.schema().expect_id("x");
     // Disjoint per-session bands: no covering relationships, so every
     // probe pays and the only leverage is the dispatch order.

@@ -170,9 +170,10 @@ impl SearchCtx {
         // submitting request's trace (when it is being traced) so the
         // stage spans of a parallel round still land in it.
         let trace = qr2_obs::current_handle();
-        crossbeam::thread::scope(|scope| {
+        // A worker's panic is re-raised here when the scope joins it.
+        std::thread::scope(|scope| {
             for _ in 0..fanout {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let work = || loop {
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         if i >= qs.len() {
@@ -187,8 +188,7 @@ impl SearchCtx {
                     }
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
         slots
             .into_iter()
             .map(|s| s.into_inner().expect("every slot filled"))

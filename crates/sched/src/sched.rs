@@ -329,36 +329,11 @@ pub struct SourceScheduler {
 }
 
 impl SourceScheduler {
-    /// A scheduler over `shaped` with the given config, recording delay
-    /// metrics under the source label `default`. Prefer
-    /// [`SourceScheduler::named`] when the source has a name.
-    pub fn new(shaped: Arc<TrafficShapedInterface>, cfg: SchedConfig) -> SourceScheduler {
-        SourceScheduler::named(shaped, cfg, "default")
-    }
-
-    /// A scheduler over `shaped`, with queue-delay histograms registered
-    /// under `source` in the global qr2-obs registry. The shaped source
-    /// gets a default resilience wrap — behavior-preserving, since the
-    /// only failure it produces is the flow-control 429, which bypasses
-    /// retries and the breaker.
-    pub fn named(
-        shaped: Arc<TrafficShapedInterface>,
-        cfg: SchedConfig,
-        source: &str,
-    ) -> SourceScheduler {
-        let resilient = Arc::new(ResilientInterface::new(
-            Arc::clone(&shaped),
-            shaped.clone(),
-            qr2_webdb::RetryPolicy::default(),
-            qr2_webdb::BreakerConfig::default(),
-            source,
-        ));
-        SourceScheduler::with_resilience(resilient, cfg, source)
-    }
-
-    /// A scheduler over an explicit resilience layer (retry policy,
-    /// circuit breaker, optionally a fault-injected source underneath).
-    pub fn with_resilience(
+    /// A scheduler dispatching through `resilient` (retry policy, circuit
+    /// breaker, optionally a fault-injected source underneath), with
+    /// queue-delay histograms registered under `source` in the global
+    /// qr2-obs registry.
+    pub fn new(
         resilient: Arc<ResilientInterface>,
         cfg: SchedConfig,
         source: &str,
@@ -902,7 +877,14 @@ mod tests {
         cfg: SchedConfig,
     ) -> Arc<SourceScheduler> {
         let shaped = Arc::new(TrafficShapedInterface::new(db, policy));
-        Arc::new(SourceScheduler::new(shaped, cfg))
+        let resilient = Arc::new(ResilientInterface::new(
+            Arc::clone(&shaped),
+            shaped,
+            qr2_webdb::RetryPolicy::default(),
+            qr2_webdb::BreakerConfig::default(),
+            "default",
+        ));
+        Arc::new(SourceScheduler::new(resilient, cfg, "default"))
     }
 
     #[test]
@@ -1040,11 +1022,7 @@ mod tests {
             breaker,
             "sched-test",
         ));
-        let sched = Arc::new(SourceScheduler::with_resilience(
-            resilient,
-            cfg,
-            "sched-test",
-        ));
+        let sched = Arc::new(SourceScheduler::new(resilient, cfg, "sched-test"));
         (sched, db)
     }
 

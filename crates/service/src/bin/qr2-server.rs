@@ -18,7 +18,6 @@ struct Args {
     homes: usize,
     fanout: usize,
     workers: usize,
-    latency_ms: u64,
     session_ttl_secs: u64,
     cache_dir: Option<String>,
 }
@@ -31,7 +30,6 @@ impl Default for Args {
             homes: 50_000,
             fanout: 8,
             workers: 4,
-            latency_ms: 0,
             session_ttl_secs: 900,
             cache_dir: None,
         }
@@ -65,11 +63,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
             }
-            "--latency-ms" => {
-                args.latency_ms = take("--latency-ms")?
-                    .parse()
-                    .map_err(|e| format!("--latency-ms: {e}"))?
-            }
             "--session-ttl" => {
                 args.session_ttl_secs = take("--session-ttl")?
                     .parse()
@@ -80,11 +73,12 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "qr2-server — the QR2 reranking service\n\n\
                      USAGE: qr2-server [--addr HOST:PORT] [--diamonds N] [--homes N]\n\
-                            [--fanout N] [--workers N] [--latency-ms MS] [--session-ttl SECS]\n\
-                            [--cache-dir DIR]\n\n\
+                            [--fanout N] [--workers N] [--session-ttl SECS] [--cache-dir DIR]\n\n\
                      --cache-dir persists each source's shared answer cache to\n\
-                     DIR/<source>-answers.log and warm-starts it at boot, so\n\
-                     repeated queries stay free across restarts.\n"
+                     DIR/<source>-answers.log and its rank reconstruction to\n\
+                     DIR/<source>-recon.log, and warm-starts both at boot, so\n\
+                     repeated queries stay free and reconstructed coverage\n\
+                     keeps serving across restarts.\n"
                 );
                 std::process::exit(0);
             }
@@ -117,9 +111,6 @@ fn main() {
         "booting QR2: {} diamonds, {} homes, fan-out {}…",
         args.diamonds, args.homes, args.fanout
     );
-    if args.latency_ms > 0 {
-        eprintln!("note: --latency-ms is advisory; demo sources run without artificial latency");
-    }
     let registry = match &args.cache_dir {
         Some(dir) => {
             let dir = std::path::Path::new(dir);

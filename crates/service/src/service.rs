@@ -1149,11 +1149,9 @@ mod tests {
     // -- resilience / degraded serving --------------------------------------
 
     use crate::sources::{DegradedPolicy, ResilienceConfig};
-    use qr2_cache::{AnswerCache, CacheConfig};
-    use qr2_core::DenseIndex;
     use qr2_datagen::{bluenile_db, DiamondsConfig};
     use qr2_sched::SchedConfig;
-    use qr2_webdb::{BreakerConfig, FaultScript, RetryPolicy, SourcePolicy, TopKInterface};
+    use qr2_webdb::{BreakerConfig, FaultScript, RetryPolicy, TopKInterface};
 
     /// One-source registry over a fault-scripted diamonds db; `crawl`
     /// reconstructs the full rank order offline (at epoch 0) first.
@@ -1184,24 +1182,19 @@ mod tests {
             assert_eq!(job.state, "complete");
         }
         let mut reg = SourceRegistry::new();
-        reg.register(Source::with_resilience(
-            "bluenile",
-            "Blue Nile (faulted)",
-            db,
-            SourcePolicy::unlimited(),
-            sched_cfg,
-            ResilienceConfig {
-                script: Some(script),
-                retry,
-                breaker,
-                degraded,
-            },
-            ExecutorKind::Sequential,
-            Arc::new(DenseIndex::in_memory()),
-            Vec::new(),
-            Arc::new(AnswerCache::new(CacheConfig::default())),
-            recon,
-        ));
+        reg.register(
+            Source::builder("bluenile", "Blue Nile (faulted)", db)
+                .sched_config(sched_cfg)
+                .resilience(ResilienceConfig {
+                    script: Some(script),
+                    retry,
+                    breaker,
+                    degraded,
+                })
+                .executor(ExecutorKind::Sequential)
+                .recon(recon)
+                .build(),
+        );
         Arc::new(reg)
     }
 

@@ -49,15 +49,16 @@ pub struct ResilienceConfig {
     pub degraded: DegradedPolicy,
 }
 
-/// One reranking-enabled web database.
+/// One reranking-enabled web database, built with [`Source::builder`].
 ///
 /// Every session's query traffic funnels through the source's decorator
-/// stack `cache → scheduler → traffic shaping → raw db`: repeated
-/// questions from any number of users cost the web database one query,
-/// concurrent identical questions coalesce onto a single in-flight
-/// request, and cache misses are paced against the source's
-/// [`SourcePolicy`] by the per-source [`SourceScheduler`] (which also
-/// coalesces *overlapping* probes across sessions).
+/// stack `recon feed → cache → scheduler → resilient → fault injection →
+/// traffic shaping → raw db`: repeated questions from any number of
+/// users cost the web database one query, concurrent identical questions
+/// coalesce onto a single in-flight request, and cache misses are paced
+/// against the source's [`SourcePolicy`] by the per-source
+/// [`SourceScheduler`] (which also coalesces *overlapping* probes across
+/// sessions).
 pub struct Source {
     /// Source key (`"bluenile"`, `"zillow"`).
     pub name: String,
@@ -133,115 +134,104 @@ impl TopKInterface for ReconFeedInterface {
     }
 }
 
-impl Source {
-    /// Build a source with a fresh reranker over `db` and a default-sized
-    /// volatile answer cache.
-    pub fn new(
-        name: impl Into<String>,
-        title: impl Into<String>,
-        db: Arc<dyn TopKInterface>,
-        executor: ExecutorKind,
-        dense: Arc<DenseIndex>,
-        popular: Vec<(String, Vec<(String, f64)>)>,
-    ) -> Self {
-        Self::with_cache(
-            name,
-            title,
-            db,
-            executor,
-            dense,
-            popular,
-            Arc::new(AnswerCache::new(CacheConfig::default())),
-            Arc::new(ReconIndex::ephemeral()),
-        )
+/// Builder for a [`Source`], from [`Source::builder`].
+///
+/// Every setter is optional. The defaults are an unlimited
+/// [`SourcePolicy`], default scheduler and resilience config (no fault
+/// script), a default-sized volatile answer cache, an ephemeral
+/// reconstruction index, no popular functions, and the reranker's
+/// default executor.
+pub struct SourceBuilder {
+    name: String,
+    title: String,
+    db: Arc<dyn TopKInterface>,
+    policy: SourcePolicy,
+    sched_cfg: SchedConfig,
+    resilience: ResilienceConfig,
+    executor: Option<ExecutorKind>,
+    popular: Vec<(String, Vec<(String, f64)>)>,
+    cache: Option<Arc<AnswerCache>>,
+    recon: Option<Arc<ReconIndex>>,
+    /// The reranker's dense index; set only by [`Source::with_scheduler`]
+    /// and removed with it.
+    dense: Option<Arc<DenseIndex>>,
+}
+
+impl SourceBuilder {
+    /// The traffic policy the scheduler paces probes against (absorbing
+    /// its simulated 429s).
+    #[must_use]
+    pub fn policy(mut self, policy: SourcePolicy) -> Self {
+        self.policy = policy;
+        self
     }
 
-    /// Build a source over an explicit answer cache — per-source capacity
-    /// config, or a persistent cache warm-started from an
-    /// [`qr2_store::AnswerStore`] — and an explicit reconstruction index
-    /// (persistent via [`qr2_store::RankIndex`], or ephemeral). The
-    /// source's traffic policy defaults to unlimited (the scheduler
-    /// passes probes straight through).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_cache(
-        name: impl Into<String>,
-        title: impl Into<String>,
-        db: Arc<dyn TopKInterface>,
-        executor: ExecutorKind,
-        dense: Arc<DenseIndex>,
-        popular: Vec<(String, Vec<(String, f64)>)>,
-        cache: Arc<AnswerCache>,
-        recon: Arc<ReconIndex>,
-    ) -> Self {
-        Self::with_scheduler(
-            name,
-            title,
-            db,
-            SourcePolicy::unlimited(),
-            SchedConfig::default(),
-            executor,
-            dense,
-            popular,
-            cache,
-            recon,
-        )
+    /// The per-source scheduler's config (fair share, pacing, frontier
+    /// coalescing, outage parking).
+    #[must_use]
+    pub fn sched_config(mut self, cfg: SchedConfig) -> Self {
+        self.sched_cfg = cfg;
+        self
     }
 
-    /// Build a source with an explicit traffic policy and scheduler
-    /// config. Every cache miss is routed through the per-source
-    /// scheduler, which paces probes against `policy` (absorbing its
-    /// simulated 429s), apportions fair share across sessions, and
-    /// coalesces overlapping probes into one covering query.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_scheduler(
-        name: impl Into<String>,
-        title: impl Into<String>,
-        db: Arc<dyn TopKInterface>,
-        policy: SourcePolicy,
-        sched_cfg: SchedConfig,
-        executor: ExecutorKind,
-        dense: Arc<DenseIndex>,
-        popular: Vec<(String, Vec<(String, f64)>)>,
-        cache: Arc<AnswerCache>,
-        recon: Arc<ReconIndex>,
-    ) -> Self {
-        Self::with_resilience(
+    /// Retry policy, circuit breaker, degraded-serving policy, and an
+    /// optional deterministic [`FaultScript`] (tests and chaos benches
+    /// inject outages here).
+    #[must_use]
+    pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
+        self.resilience = resilience;
+        self
+    }
+
+    /// The reranker's executor.
+    #[must_use]
+    pub fn executor(mut self, kind: ExecutorKind) -> Self {
+        self.executor = Some(kind);
+        self
+    }
+
+    /// Suggested "popular functions" (label → `(attr, weight)` list).
+    #[must_use]
+    pub fn popular(mut self, popular: Vec<(String, Vec<(String, f64)>)>) -> Self {
+        self.popular = popular;
+        self
+    }
+
+    /// An explicit answer cache: per-source capacity config, or a
+    /// persistent cache warm-started from an [`qr2_store::AnswerStore`].
+    #[must_use]
+    pub fn cache(mut self, cache: Arc<AnswerCache>) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// An explicit reconstruction index (persistent via
+    /// [`qr2_store::RankIndex`], or pre-crawled).
+    #[must_use]
+    pub fn recon(mut self, recon: Arc<ReconIndex>) -> Self {
+        self.recon = Some(recon);
+        self
+    }
+
+    /// Assemble the source's decorator stack, outermost first: `recon
+    /// feed → cache → scheduler → resilient → fault injection → traffic
+    /// shaping → raw db`, with a reranker over the top.
+    pub fn build(self) -> Source {
+        let SourceBuilder {
             name,
             title,
             db,
             policy,
             sched_cfg,
-            ResilienceConfig::default(),
+            resilience,
             executor,
-            dense,
             popular,
             cache,
             recon,
-        )
-    }
-
-    /// Build a source with explicit resilience wiring on top of
-    /// [`Source::with_scheduler`]'s stack: the scheduler dispatches
-    /// through `resilience.retry`/`resilience.breaker`, optionally over a
-    /// deterministic [`FaultScript`] (tests and chaos benches inject
-    /// outages here), making the full stack `recon feed → cache →
-    /// scheduler → resilient → fault injection → traffic shaping → raw
-    /// db`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_resilience(
-        name: impl Into<String>,
-        title: impl Into<String>,
-        db: Arc<dyn TopKInterface>,
-        policy: SourcePolicy,
-        sched_cfg: SchedConfig,
-        resilience: ResilienceConfig,
-        executor: ExecutorKind,
-        dense: Arc<DenseIndex>,
-        popular: Vec<(String, Vec<(String, f64)>)>,
-        cache: Arc<AnswerCache>,
-        recon: Arc<ReconIndex>,
-    ) -> Self {
-        let name = name.into();
+            dense,
+        } = self;
+        let cache = cache.unwrap_or_else(|| Arc::new(AnswerCache::new(CacheConfig::default())));
+        let recon = recon.unwrap_or_else(|| Arc::new(ReconIndex::ephemeral()));
         // Name the shaping and scheduling layers so their qr2-obs metrics
         // (throttles, search latency, queue delays) carry a `source` label.
         let shaped = Arc::new(TrafficShapedInterface::named(db.clone(), policy, &name));
@@ -256,9 +246,7 @@ impl Source {
             resilience.breaker,
             &name,
         ));
-        let sched = Arc::new(SourceScheduler::with_resilience(
-            resilient, sched_cfg, &name,
-        ));
+        let sched = Arc::new(SourceScheduler::new(resilient, sched_cfg, &name));
         let scheduled: Arc<dyn TopKInterface> =
             Arc::new(ScheduledInterface::new(Arc::clone(&sched)));
         // Cache outermost: warm lookups must not queue behind the
@@ -272,12 +260,13 @@ impl Source {
             recon: Arc::clone(&recon),
             cache: Arc::clone(&cache),
         });
-        let reranker = Arc::new(
-            Reranker::builder(Arc::clone(&probe))
-                .executor(executor)
-                .dense_index(dense)
-                .build(),
-        );
+        let mut reranker = Reranker::builder(Arc::clone(&probe));
+        if let Some(kind) = executor {
+            reranker = reranker.executor(kind);
+        }
+        if let Some(dense) = dense {
+            reranker = reranker.dense_index(dense);
+        }
         let obs_created_live = qr2_obs::counter(
             "qr2_service_sessions_created_total",
             &[("served_by", "live"), ("source", &name)],
@@ -288,8 +277,8 @@ impl Source {
         );
         Source {
             name,
-            title: title.into(),
-            reranker,
+            title,
+            reranker: Arc::new(reranker.build()),
             db,
             cache,
             sched,
@@ -300,6 +289,64 @@ impl Source {
             obs_created_live,
             obs_created_recon,
         }
+    }
+}
+
+impl Source {
+    /// Start building a source named `name` (its key in URLs and metric
+    /// labels) over the raw web database `db`.
+    pub fn builder(
+        name: impl Into<String>,
+        title: impl Into<String>,
+        db: Arc<dyn TopKInterface>,
+    ) -> SourceBuilder {
+        SourceBuilder {
+            name: name.into(),
+            title: title.into(),
+            db,
+            policy: SourcePolicy::unlimited(),
+            sched_cfg: SchedConfig::default(),
+            resilience: ResilienceConfig::default(),
+            executor: None,
+            popular: Vec::new(),
+            cache: None,
+            recon: None,
+            dense: None,
+        }
+    }
+
+    /// Positional form of [`Source::builder`] with a policy, scheduler
+    /// config, executor, dense index, popular functions, cache and recon
+    /// index. Kept only for `sessionbench/src/run.rs`; deleted by the
+    /// change after the one that moves that caller to the builder
+    /// (ROADMAP item 7a).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the session benchmark's positional call; goes with this wrapper"
+    )]
+    pub fn with_scheduler(
+        name: impl Into<String>,
+        title: impl Into<String>,
+        db: Arc<dyn TopKInterface>,
+        policy: SourcePolicy,
+        sched_cfg: SchedConfig,
+        executor: ExecutorKind,
+        dense: Arc<DenseIndex>,
+        popular: Vec<(String, Vec<(String, f64)>)>,
+        cache: Arc<AnswerCache>,
+        recon: Arc<ReconIndex>,
+    ) -> Self {
+        SourceBuilder {
+            dense: Some(dense),
+            ..Source::builder(name, title, db)
+        }
+        .policy(policy)
+        .sched_config(sched_cfg)
+        .executor(executor)
+        .popular(popular)
+        .cache(cache)
+        .recon(recon)
+        .build()
     }
 
     /// The source's schema.
@@ -389,52 +436,48 @@ impl SourceRegistry {
             n: diamonds,
             ..DiamondsConfig::default()
         }));
-        reg.register(Source::with_cache(
-            "bluenile",
-            "Blue Nile (diamonds, simulated)",
-            bluenile,
-            executor,
-            Arc::new(DenseIndex::in_memory()),
-            vec![
-                (
-                    "Best value (price − 0.1·carat − 0.5·depth)".to_string(),
-                    vec![
-                        ("price".to_string(), 1.0),
-                        ("carat".to_string(), -0.1),
-                        ("depth".to_string(), -0.5),
-                    ],
-                ),
-                (
-                    "Big & cheap (price − 0.5·carat)".to_string(),
-                    vec![("price".to_string(), 1.0), ("carat".to_string(), -0.5)],
-                ),
-            ],
-            cache_for("bluenile")?,
-            recon_for("bluenile")?,
-        ));
+        reg.register(
+            Source::builder("bluenile", "Blue Nile (diamonds, simulated)", bluenile)
+                .executor(executor)
+                .popular(vec![
+                    (
+                        "Best value (price − 0.1·carat − 0.5·depth)".to_string(),
+                        vec![
+                            ("price".to_string(), 1.0),
+                            ("carat".to_string(), -0.1),
+                            ("depth".to_string(), -0.5),
+                        ],
+                    ),
+                    (
+                        "Big & cheap (price − 0.5·carat)".to_string(),
+                        vec![("price".to_string(), 1.0), ("carat".to_string(), -0.5)],
+                    ),
+                ])
+                .cache(cache_for("bluenile")?)
+                .recon(recon_for("bluenile")?)
+                .build(),
+        );
         let zillow: Arc<dyn TopKInterface> = Arc::new(zillow_db(&HomesConfig {
             n: homes,
             ..HomesConfig::default()
         }));
-        reg.register(Source::with_cache(
-            "zillow",
-            "Zillow (real estate, simulated)",
-            zillow,
-            executor,
-            Arc::new(DenseIndex::in_memory()),
-            vec![
-                (
-                    "Small & affordable (price + sqft)".to_string(),
-                    vec![("price".to_string(), 1.0), ("sqft".to_string(), 1.0)],
-                ),
-                (
-                    "Space for money (price − 0.3·sqft)".to_string(),
-                    vec![("price".to_string(), 1.0), ("sqft".to_string(), -0.3)],
-                ),
-            ],
-            cache_for("zillow")?,
-            recon_for("zillow")?,
-        ));
+        reg.register(
+            Source::builder("zillow", "Zillow (real estate, simulated)", zillow)
+                .executor(executor)
+                .popular(vec![
+                    (
+                        "Small & affordable (price + sqft)".to_string(),
+                        vec![("price".to_string(), 1.0), ("sqft".to_string(), 1.0)],
+                    ),
+                    (
+                        "Space for money (price − 0.3·sqft)".to_string(),
+                        vec![("price".to_string(), 1.0), ("sqft".to_string(), -0.3)],
+                    ),
+                ])
+                .cache(cache_for("zillow")?)
+                .recon(recon_for("zillow")?)
+                .build(),
+        );
         Ok(reg)
     }
 }
@@ -540,13 +583,6 @@ mod tests {
         let mut reg = registry();
         let again = SourceRegistry::demo(100, 100, ExecutorKind::Sequential);
         let s = again.get("zillow").unwrap();
-        reg.register(Source::new(
-            "zillow",
-            "again",
-            s.db.clone(),
-            ExecutorKind::Sequential,
-            Arc::new(DenseIndex::in_memory()),
-            vec![],
-        ));
+        reg.register(Source::builder("zillow", "again", s.db.clone()).build());
     }
 }

@@ -4,33 +4,34 @@
 //! All multi-byte fixed-width values are little-endian. The codec is the
 //! foundation of the log-record, key/value, and tuple formats; it is fully
 //! round-trip tested (including property tests in `tests/codec_props.rs`).
-
-use bytes::{Buf, BufMut};
+//!
+//! Writers append to a `Vec<u8>`; readers consume a `&[u8]` cursor in
+//! place, checking the remaining length before every read.
 
 use crate::{Result, StoreError};
 
 /// Append an unsigned LEB128 varint.
-pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
 /// Read an unsigned LEB128 varint.
-pub fn get_varint(buf: &mut impl Buf) -> Result<u64> {
+pub fn get_varint(buf: &mut &[u8]) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
+        let Some((&byte, rest)) = buf.split_first() else {
             return Err(StoreError::Corrupt("truncated varint".into()));
-        }
-        let byte = buf.get_u8();
+        };
+        *buf = rest;
         if shift == 63 && byte > 1 {
             return Err(StoreError::Corrupt("varint overflows u64".into()));
         }
@@ -58,69 +59,70 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Append a signed varint (zig-zag + LEB128).
-pub fn put_signed(buf: &mut impl BufMut, v: i64) {
+pub fn put_signed(buf: &mut Vec<u8>, v: i64) {
     put_varint(buf, zigzag(v));
 }
 
 /// Read a signed varint.
-pub fn get_signed(buf: &mut impl Buf) -> Result<i64> {
+pub fn get_signed(buf: &mut &[u8]) -> Result<i64> {
     Ok(unzigzag(get_varint(buf)?))
 }
 
 /// Append an `f64` as its little-endian bit pattern (total-order exact; NaN
 /// payloads preserved).
-pub fn put_f64(buf: &mut impl BufMut, v: f64) {
-    buf.put_u64_le(v.to_bits());
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 /// Read an `f64` bit pattern.
-pub fn get_f64(buf: &mut impl Buf) -> Result<f64> {
-    if buf.remaining() < 8 {
+pub fn get_f64(buf: &mut &[u8]) -> Result<f64> {
+    let Some((raw, rest)) = buf.split_first_chunk::<8>() else {
         return Err(StoreError::Corrupt("truncated f64".into()));
-    }
-    Ok(f64::from_bits(buf.get_u64_le()))
+    };
+    *buf = rest;
+    Ok(f64::from_bits(u64::from_le_bytes(*raw)))
 }
 
 /// Append a fixed-width `u32` (little-endian).
-pub fn put_u32(buf: &mut impl BufMut, v: u32) {
-    buf.put_u32_le(v);
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read a fixed-width `u32`.
-pub fn get_u32(buf: &mut impl Buf) -> Result<u32> {
-    if buf.remaining() < 4 {
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32> {
+    let Some((raw, rest)) = buf.split_first_chunk::<4>() else {
         return Err(StoreError::Corrupt("truncated u32".into()));
-    }
-    Ok(buf.get_u32_le())
+    };
+    *buf = rest;
+    Ok(u32::from_le_bytes(*raw))
 }
 
 /// Append length-prefixed bytes.
-pub fn put_bytes(buf: &mut impl BufMut, data: &[u8]) {
+pub fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
     put_varint(buf, data.len() as u64);
-    buf.put_slice(data);
+    buf.extend_from_slice(data);
 }
 
 /// Read length-prefixed bytes.
-pub fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
+pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
+    let Some((data, rest)) = buf.split_at_checked(len) else {
         return Err(StoreError::Corrupt(format!(
             "truncated bytes: want {len}, have {}",
-            buf.remaining()
+            buf.len()
         )));
-    }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
+    };
+    *buf = rest;
+    Ok(data.to_vec())
 }
 
 /// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut impl BufMut, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
 /// Read a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut impl Buf) -> Result<String> {
+pub fn get_str(buf: &mut &[u8]) -> Result<String> {
     let raw = get_bytes(buf)?;
     String::from_utf8(raw).map_err(|e| StoreError::Corrupt(format!("invalid utf-8: {e}")))
 }
@@ -221,6 +223,7 @@ mod tests {
         let mut buf = Vec::new();
         put_f64(&mut buf, nan);
         assert_eq!(get_f64(&mut &buf[..]).unwrap().to_bits(), nan.to_bits());
+        assert!(get_f64(&mut &buf[..7]).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! same behaviours as an embedded component:
 //!
 //! * [`codec`]: a compact hand-rolled binary codec (varints, zig-zag, f64
-//!   bit-patterns, strings) over the `bytes` buffer traits;
+//!   bit-patterns, strings) appending to `Vec<u8>` and reading from `&[u8]`;
 //! * [`crc32`]: table-driven CRC-32 (IEEE) for record integrity;
 //! * [`Log`]: an append-only, checksummed record log with crash recovery
 //!   (a torn or corrupt tail is detected and truncated);

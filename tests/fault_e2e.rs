@@ -30,7 +30,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use qr2::cache::{AnswerCache, CacheConfig};
 use qr2::core::{DenseIndex, ExecutorKind};
 use qr2::http::{parse_json, Decode, FromJson, IntoJson, Json, Status};
 use qr2::recon::{JobOptions, ReconIndex};
@@ -40,8 +39,8 @@ use qr2::service::{
     SessionManager, Source, SourceRegistry,
 };
 use qr2::webdb::{
-    BreakerConfig, FaultScript, RetryPolicy, Schema, SearchQuery, SimulatedWebDb, SourcePolicy,
-    SystemRanking, TableBuilder, TopKInterface,
+    BreakerConfig, FaultScript, RetryPolicy, Schema, SearchQuery, SimulatedWebDb, SystemRanking,
+    TableBuilder, TopKInterface,
 };
 
 /// A deterministic two-attribute database: `x0` counts up, `x1` is a
@@ -69,19 +68,18 @@ fn chaos_sources(
     sched_cfg: SchedConfig,
 ) -> SourceRegistry {
     let mut reg = SourceRegistry::new();
-    reg.register(Source::with_resilience(
-        "chaos",
-        "chaos-scripted source",
-        db as Arc<dyn TopKInterface>,
-        SourcePolicy::unlimited(),
-        sched_cfg,
-        resilience,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-        Arc::new(AnswerCache::new(CacheConfig::default())),
-        recon,
-    ));
+    reg.register(
+        Source::builder(
+            "chaos",
+            "chaos-scripted source",
+            db as Arc<dyn TopKInterface>,
+        )
+        .sched_config(sched_cfg)
+        .resilience(resilience)
+        .executor(ExecutorKind::Sequential)
+        .recon(recon)
+        .build(),
+    );
     reg
 }
 

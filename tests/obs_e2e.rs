@@ -13,10 +13,8 @@
 use std::sync::Arc;
 
 use qr2::cache::{AnswerCache, CacheConfig};
-use qr2::core::{DenseIndex, ExecutorKind};
+use qr2::core::ExecutorKind;
 use qr2::http::{Body, Handler, Method, Request};
-use qr2::recon::ReconIndex;
-use qr2::sched::SchedConfig;
 use qr2::service::{Qr2App, Source, SourceRegistry};
 use qr2::webdb::{
     Schema, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder, TopKInterface,
@@ -36,14 +34,15 @@ fn inventory() -> Arc<SimulatedWebDb> {
 
 fn registry() -> SourceRegistry {
     let mut reg = SourceRegistry::new();
-    reg.register(Source::new(
-        "fast",
-        "zero-latency test inventory",
-        inventory() as Arc<dyn TopKInterface>,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-    ));
+    reg.register(
+        Source::builder(
+            "fast",
+            "zero-latency test inventory",
+            inventory() as Arc<dyn TopKInterface>,
+        )
+        .executor(ExecutorKind::Sequential)
+        .build(),
+    );
     reg
 }
 
@@ -213,21 +212,20 @@ fn throttled_probe_trace_records_sched_queue_backoff() {
     // next back-to-back probe of the same multi-probe session finds it
     // empty — a simulated 429 the scheduler absorbs by backing off.
     let mut reg = SourceRegistry::new();
-    reg.register(Source::with_scheduler(
-        "throttled",
-        "rate-limited test inventory",
-        inventory() as Arc<dyn TopKInterface>,
-        SourcePolicy::rate_limited(20.0, 1.0),
-        SchedConfig::default(),
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-        Arc::new(AnswerCache::new(CacheConfig {
+    reg.register(
+        Source::builder(
+            "throttled",
+            "rate-limited test inventory",
+            inventory() as Arc<dyn TopKInterface>,
+        )
+        .policy(SourcePolicy::rate_limited(20.0, 1.0))
+        .executor(ExecutorKind::Sequential)
+        .cache(Arc::new(AnswerCache::new(CacheConfig {
             shards: 4,
             capacity: 1 << 12,
-        })),
-        Arc::new(ReconIndex::ephemeral()),
-    ));
+        })))
+        .build(),
+    );
     let app = Qr2App::new(reg);
     let handler = app.handler();
 

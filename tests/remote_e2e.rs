@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use qr2::core::{DenseIndex, ExecutorKind};
+use qr2::core::ExecutorKind;
 use qr2::datagen::{bluenile_db, DiamondsConfig};
 use qr2::http::parse_json;
 use qr2::service::{Qr2App, RemoteWebDb, Source, SourceRegistry, WebDbGateway};
@@ -50,14 +50,11 @@ fn reranking_service_over_a_remote_web_database() {
     let remote: Arc<dyn TopKInterface> =
         Arc::new(RemoteWebDb::connect(site.addr()).expect("connect to site"));
     let mut registry = SourceRegistry::new();
-    registry.register(Source::new(
-        "bluenile-remote",
-        "Blue Nile (via HTTP gateway)",
-        remote,
-        ExecutorKind::Parallel { fanout: 4 },
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-    ));
+    registry.register(
+        Source::builder("bluenile-remote", "Blue Nile (via HTTP gateway)", remote)
+            .executor(ExecutorKind::Parallel { fanout: 4 })
+            .build(),
+    );
     let qr2 = Qr2App::new(registry).serve("127.0.0.1:0", 4).unwrap();
 
     // 3. A user session, end to end across both hops.
@@ -176,10 +173,8 @@ fn outage_answers_are_served_but_never_cached() {
 /// its health) and nothing is charged to the ledger.
 #[test]
 fn stopped_gateway_failures_reach_resilience_and_cost_nothing() {
-    use qr2::cache::{AnswerCache, CacheConfig};
-    use qr2::recon::ReconIndex;
     use qr2::sched::SchedConfig;
-    use qr2::webdb::{RangePred, SearchQuery, SourcePolicy};
+    use qr2::webdb::{RangePred, SearchQuery};
     use std::time::Duration;
 
     let site_db = Arc::new(bluenile_db(&DiamondsConfig {
@@ -191,22 +186,14 @@ fn stopped_gateway_failures_reach_resilience_and_cost_nothing() {
     let remote: Arc<dyn TopKInterface> =
         Arc::new(RemoteWebDb::connect(site.addr()).expect("connect"));
     let price = remote.schema().expect_id("price");
-    let source = Source::with_scheduler(
-        "remote",
-        "remote site",
-        Arc::clone(&remote),
-        SourcePolicy::unlimited(),
-        SchedConfig {
+    let source = Source::builder("remote", "remote site", Arc::clone(&remote))
+        .sched_config(SchedConfig {
             max_outage_park: Duration::from_millis(20),
             poll_interval: Duration::from_millis(1),
             ..SchedConfig::default()
-        },
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-        Arc::new(AnswerCache::new(CacheConfig::default())),
-        Arc::new(ReconIndex::ephemeral()),
-    );
+        })
+        .executor(ExecutorKind::Sequential)
+        .build();
     site.stop();
 
     for i in 0..10 {

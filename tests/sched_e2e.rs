@@ -5,7 +5,7 @@
 //!
 //! Scheduler-level tests drive a `SourceScheduler` directly over a
 //! traffic-shaped simulated database; service-level tests go through
-//! `QueryService` with a `Source::with_scheduler` stack (cache →
+//! `QueryService` with a `Source::builder` stack (cache →
 //! scheduler → traffic shaping → web DB), exactly as the HTTP handlers
 //! do.
 
@@ -14,15 +14,15 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qr2::cache::{AnswerCache, CacheConfig};
-use qr2::core::{DenseIndex, ExecutorKind};
+use qr2::core::ExecutorKind;
 use qr2::sched::context::{next_session_key, with_session};
 use qr2::sched::{QueryClass, SchedConfig, SessionCtx, SourceScheduler};
 use qr2::service::{
     QueryRequest, QueryService, RankingDto, SessionManager, Source, SourceRegistry,
 };
 use qr2::webdb::{
-    Answer, RangePred, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder,
-    TopKInterface, TrafficShapedInterface,
+    Answer, BreakerConfig, RangePred, ResilientInterface, RetryPolicy, SearchQuery, SimulatedWebDb,
+    SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
 };
 
 /// A deterministic one-attribute database: rows at integer positions,
@@ -42,7 +42,18 @@ fn x_db(n: usize, k: usize) -> Arc<SimulatedWebDb> {
 /// Scheduler directly over the shaped database (no cache, no engine).
 fn sched_over(db: Arc<SimulatedWebDb>, policy: SourcePolicy) -> Arc<SourceScheduler> {
     let shaped = Arc::new(TrafficShapedInterface::new(db, policy));
-    Arc::new(SourceScheduler::new(shaped, SchedConfig::default()))
+    let resilient = Arc::new(ResilientInterface::new(
+        Arc::clone(&shaped),
+        shaped,
+        RetryPolicy::default(),
+        BreakerConfig::default(),
+        "default",
+    ));
+    Arc::new(SourceScheduler::new(
+        resilient,
+        SchedConfig::default(),
+        "default",
+    ))
 }
 
 /// Poll `cond` until it holds, panicking after 10 s — a regression that
@@ -62,7 +73,7 @@ fn range(db: &SimulatedWebDb, lo: f64, hi: f64) -> SearchQuery {
 }
 
 /// The full serving stack for service-level tests: one source named
-/// `"x"` wired through `Source::with_scheduler`.
+/// `"x"` wired through `Source::builder`.
 fn service_over(
     db: Arc<SimulatedWebDb>,
     policy: SourcePolicy,
@@ -73,18 +84,14 @@ fn service_over(
         capacity: 1 << 12,
     }));
     let mut registry = SourceRegistry::new();
-    registry.register(Source::with_scheduler(
-        "x",
-        "Contended numeric source",
-        db,
-        policy,
-        cfg,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-        cache,
-        Arc::new(qr2::recon::ReconIndex::ephemeral()),
-    ));
+    registry.register(
+        Source::builder("x", "Contended numeric source", db)
+            .policy(policy)
+            .sched_config(cfg)
+            .executor(ExecutorKind::Sequential)
+            .cache(cache)
+            .build(),
+    );
     let registry = Arc::new(registry);
     let source = registry.get("x").expect("source registered");
     let service = QueryService::new(

@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use qr2::cache::{AnswerCache, CacheConfig};
-use qr2::core::{DenseIndex, ExecutorKind};
+use qr2::core::ExecutorKind;
 use qr2::http::{parse_json, Json};
 use qr2::recon::{JobOptions, ReconIndex};
 use qr2::service::{Qr2App, Source, SourceRegistry};
@@ -112,16 +111,16 @@ fn recon_served_stream_packs_its_free_lines_into_few_chunks() {
         .expect("no concurrent job");
     assert_eq!(job.state, "complete");
     let mut reg = SourceRegistry::new();
-    reg.register(Source::with_cache(
-        "packed",
-        "fully reconstructed inventory",
-        raw as Arc<dyn TopKInterface>,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-        Arc::new(AnswerCache::new(CacheConfig::default())),
-        recon,
-    ));
+    reg.register(
+        Source::builder(
+            "packed",
+            "fully reconstructed inventory",
+            raw as Arc<dyn TopKInterface>,
+        )
+        .executor(ExecutorKind::Sequential)
+        .recon(recon)
+        .build(),
+    );
     let server = Qr2App::new(reg).serve("127.0.0.1:0", 2).unwrap();
     let addr = server.addr();
 
@@ -220,14 +219,15 @@ fn panicking_source_ends_the_stream_with_one_partial_summary() {
         .collect();
     let mut reg = SourceRegistry::new();
     for (name, db) in ["steady", "crashy"].into_iter().zip(&dbs) {
-        reg.register(Source::new(
-            name,
-            "test inventory",
-            Arc::clone(db) as Arc<dyn TopKInterface>,
-            ExecutorKind::Sequential,
-            Arc::new(DenseIndex::in_memory()),
-            vec![],
-        ));
+        reg.register(
+            Source::builder(
+                name,
+                "test inventory",
+                Arc::clone(db) as Arc<dyn TopKInterface>,
+            )
+            .executor(ExecutorKind::Sequential)
+            .build(),
+        );
     }
     let server = Qr2App::new(reg).serve("127.0.0.1:0", 2).unwrap();
     let addr = server.addr();

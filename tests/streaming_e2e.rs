@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use qr2::core::{DenseIndex, ExecutorKind};
+use qr2::core::ExecutorKind;
 use qr2::http::{parse_json, Json};
 use qr2::service::{Qr2App, Source, SourceRegistry};
 use qr2::webdb::{Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface};
@@ -38,22 +38,24 @@ fn inventory(latency: Duration) -> Arc<SimulatedWebDb> {
 
 fn registry() -> SourceRegistry {
     let mut reg = SourceRegistry::new();
-    reg.register(Source::new(
-        "lagged",
-        "latency-bound test inventory",
-        inventory(Duration::from_millis(40)) as Arc<dyn TopKInterface>,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-    ));
-    reg.register(Source::new(
-        "fast",
-        "zero-latency test inventory",
-        inventory(Duration::ZERO) as Arc<dyn TopKInterface>,
-        ExecutorKind::Sequential,
-        Arc::new(DenseIndex::in_memory()),
-        vec![],
-    ));
+    reg.register(
+        Source::builder(
+            "lagged",
+            "latency-bound test inventory",
+            inventory(Duration::from_millis(40)) as Arc<dyn TopKInterface>,
+        )
+        .executor(ExecutorKind::Sequential)
+        .build(),
+    );
+    reg.register(
+        Source::builder(
+            "fast",
+            "zero-latency test inventory",
+            inventory(Duration::ZERO) as Arc<dyn TopKInterface>,
+        )
+        .executor(ExecutorKind::Sequential)
+        .build(),
+    );
     reg
 }
 
