@@ -3,15 +3,21 @@
 //! A covered region's answer is every reconstructed tuple that matches
 //! the filter, in the engines' serving order ([`ServeOrder`]). Instead of
 //! materializing and sorting that set for every session, a
-//! [`ReconCursor`] pulls it in order, one tuple at a time, from sorted
-//! per-attribute projections ([`qr2_webdb::Projection`]) that the
-//! reconstruction builds once per version of its tuple set:
+//! [`ReconCursor`] pulls it in order, one tuple at a time, from
+//! per-attribute row-indexed columns ([`qr2_webdb::Column`]) and sorted
+//! projections ([`qr2_webdb::Projection`]) that the reconstruction builds
+//! once per version of its tuple set. Every walk, filter check and score
+//! reads the columns; a [`Tuple`] is read only when it is emitted.
 //!
 //! * **1D orders** walk the ranking attribute's projection inside the
 //!   filter's run on that attribute (found by binary search) and re-check
-//!   every tuple against the full filter. `Asc` is the projection's own
+//!   every row against the full filter. `Asc` is the projection's own
 //!   order (value, then id). `Desc` takes equal-value groups from the top
-//!   and emits each group in ascending id, the engines' tie-break.
+//!   and emits each group in ascending id, the engines' tie-break. It
+//!   finds a group's first position by galloping down from the top of
+//!   the remaining run (1, 2, 4, … rows, then a binary search inside the
+//!   last step): O(log g) comparisons for a group of g rows, and one for
+//!   a single-row group, whatever the length of the run.
 //! * **MD orders** run Fagin's Threshold Algorithm (the paper's MD-TA,
 //!   exact here because the reconstruction is complete). Each function
 //!   attribute gets one list, walked within its filter run in the
@@ -36,18 +42,24 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use qr2_core::{Normalizer, Scorer, SortDir};
-use qr2_webdb::{AttrId, Projection, SearchQuery, Tuple, TupleId};
+use qr2_webdb::{AttrId, Column, Projection, SearchQuery, Tuple, TupleId};
 
 use crate::serve::ServeOrder;
 
 /// An immutable snapshot of the reconstructed tuples: ordered by id,
-/// deduplicated, with each attribute's projection built on first use.
-/// A projection row is a position in `tuples`, so ascending rows are
+/// deduplicated, with each attribute's column and projection built on
+/// first use. A row is a position in `tuples`, so ascending rows are
 /// ascending tuple ids.
 #[derive(Debug, Default)]
 pub(crate) struct TupleSet {
     tuples: Vec<Tuple>,
+    columns: Vec<OnceLock<Column>>,
     projections: Vec<OnceLock<Projection>>,
+}
+
+/// The value of `row` in a numeric column.
+fn at(values: &[f64], row: u32) -> f64 {
+    values.get(row as usize).copied().unwrap_or(f64::NAN)
 }
 
 impl TupleSet {
@@ -56,6 +68,7 @@ impl TupleSet {
         let arity = tuples.first().map_or(0, Tuple::arity);
         TupleSet {
             tuples,
+            columns: (0..arity).map(|_| OnceLock::new()).collect(),
             projections: (0..arity).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -96,23 +109,56 @@ impl TupleSet {
         self.tuples.get(row as usize)
     }
 
-    /// Numeric value of `attr` at `row`.
-    fn num(&self, row: u32, attr: AttrId) -> f64 {
-        self.get(row).map_or(f64::NAN, |t| t.num_at(attr))
+    /// The column of `attr`, built on first use. `None` when the set has
+    /// no such attribute (an empty set has none).
+    pub(crate) fn column(&self, attr: AttrId) -> Option<&Column> {
+        let cell = self.columns.get(attr.index())?;
+        Some(cell.get_or_init(|| {
+            if self.tuples.first().is_some_and(|t| t.value(attr).is_num()) {
+                Column::Numeric(self.tuples.iter().map(|t| t.num_at(attr)).collect())
+            } else {
+                Column::Categorical(self.tuples.iter().map(|t| t.value(attr).as_cat()).collect())
+            }
+        }))
     }
 
-    /// The projection of numeric `attr`, built on first use. `None` when
-    /// the set has no such attribute (an empty set has none).
+    /// The column of `attr` if it is built already.
+    #[cfg(test)]
+    pub(crate) fn built_column(&self, attr: AttrId) -> Option<&Column> {
+        self.columns.get(attr.index())?.get()
+    }
+
+    /// The projection of `attr` if it is built already.
+    #[cfg(test)]
+    pub(crate) fn built_projection(&self, attr: AttrId) -> Option<&Projection> {
+        self.projections.get(attr.index())?.get()
+    }
+
+    /// The values of numeric `attr` by row (empty when there are none).
+    fn values(&self, attr: AttrId) -> &[f64] {
+        self.column(attr).and_then(Column::numeric).unwrap_or(&[])
+    }
+
+    /// Numeric value of `attr` at `row`.
+    fn num(&self, row: u32, attr: AttrId) -> f64 {
+        at(self.values(attr), row)
+    }
+
+    /// Whether `row` matches `filter`, read from the columns.
+    fn matches(&self, row: u32, filter: &SearchQuery) -> bool {
+        filter.predicates().all(|(attr, p)| {
+            self.column(attr)
+                .and_then(|c| c.value(row as usize))
+                .is_some_and(|v| p.matches(v))
+        })
+    }
+
+    /// The projection of numeric `attr`, built on first use after its
+    /// column. `None` when the set has no such numeric attribute.
     pub(crate) fn projection(&self, attr: AttrId) -> Option<&Projection> {
+        let values = self.column(attr)?.numeric()?;
         let cell = self.projections.get(attr.index())?;
-        Some(cell.get_or_init(|| {
-            // Sort through a transient copy of the column: one array
-            // load per comparison instead of two pointer chases.
-            let column: Vec<f64> = self.tuples.iter().map(|t| t.num_at(attr)).collect();
-            Projection::build(column.len(), |row| {
-                column.get(row as usize).copied().unwrap_or(f64::NAN)
-            })
-        }))
+        Some(cell.get_or_init(|| Projection::build(values.len(), |row| at(values, row))))
     }
 
     fn rows(&self, attr: AttrId) -> &[u32] {
@@ -133,10 +179,37 @@ impl TupleSet {
 
     /// (value, id) order of two rows on `attr` — the projection's order.
     fn key_cmp(&self, attr: AttrId, a: u32, b: u32) -> Ordering {
-        self.num(a, attr)
-            .total_cmp(&self.num(b, attr))
-            .then(a.cmp(&b))
+        let values = self.values(attr);
+        at(values, a).total_cmp(&at(values, b)).then(a.cmp(&b))
     }
+}
+
+/// The first position of the projection run `lo..hi` (non-empty) whose
+/// value equals the value at `hi - 1` in `total_cmp` order, so -0.0 and
+/// 0.0 are separate groups, as in the engines' sort. Gallops down from
+/// the top in steps of 1, 2, 4, … until a step lands below the group or
+/// past `lo`, then binary-searches inside that last step.
+fn group_start(rows: &[u32], values: &[f64], lo: usize, hi: usize) -> usize {
+    let value = |pos: usize| rows.get(pos).map_or(f64::NAN, |&row| at(values, row));
+    let top = value(hi.saturating_sub(1));
+    let below = |v: f64| v.total_cmp(&top) == Ordering::Less;
+    // `eq` holds the top value; every position under `floor` is below it.
+    let mut eq = hi.saturating_sub(1);
+    let mut step = 1;
+    let floor = loop {
+        match eq.checked_sub(step).filter(|&pos| pos >= lo) {
+            None => break lo,
+            Some(pos) if below(value(pos)) => break pos + 1,
+            Some(pos) => {
+                eq = pos;
+                step *= 2;
+            }
+        }
+    };
+    floor
+        + rows
+            .get(floor..eq)
+            .map_or(0, |run| run.partition_point(|&row| below(at(values, row))))
 }
 
 /// A lazy, exact, engine-ordered stream of one covered region's answer
@@ -235,10 +308,7 @@ impl ReconCursor {
     fn next_row(&mut self) -> Option<u32> {
         let set = &*self.set;
         let filter = &self.filter;
-        let matches = |row: u32| {
-            set.get(row)
-                .is_some_and(|t| filter.matches_with(|a| t.value(a)))
-        };
+        let matches = |row: u32| set.matches(row, filter);
         match &mut self.walk {
             Walk::Asc { attr, pos, end } => {
                 let rows = set.rows(*attr);
@@ -259,6 +329,7 @@ impl ReconCursor {
                 group_end,
             } => {
                 let rows = set.rows(*attr);
+                let values = set.values(*attr);
                 loop {
                     if *pos < *group_end {
                         let row = rows.get(*pos).copied();
@@ -271,16 +342,7 @@ impl ReconCursor {
                     if *hi <= *lo {
                         return None;
                     }
-                    // The next group: every row of lo..hi whose value
-                    // equals the top one's (total order, so -0.0 and 0.0
-                    // are separate groups, as in the engines' sort).
-                    let top = set.num(rows.get(*hi - 1).copied()?, *attr);
-                    let below = rows.get(*lo..*hi).map_or(0, |run| {
-                        run.partition_point(|&r| {
-                            set.num(r, *attr).total_cmp(&top) == Ordering::Less
-                        })
-                    });
-                    *pos = *lo + below;
+                    *pos = group_start(rows, values, *lo, *hi);
                     *group_end = *hi;
                     *hi = *pos;
                 }
@@ -378,7 +440,8 @@ struct Threshold {
     tau: f64,
     /// Some list ran out: every matching tuple is in the heap or emitted.
     exhausted: bool,
-    /// Scratch for the lists' last-read values.
+    /// Scratch for a point on the lists' attributes: a first-seen row's
+    /// values, then the lists' last-read values.
     point: Vec<f64>,
 }
 
@@ -415,10 +478,13 @@ impl Threshold {
                     .any(|(j, other)| j != i && other.passed(set, row))
             };
             if matches(row) && first_sight() {
-                if let Some(t) = set.get(row) {
-                    let score = self.scorer.score(t);
-                    self.heap.push(Reverse(Scored { score, row }));
-                }
+                // The lists follow the function's weights, as the
+                // scorer's terms do.
+                self.point.clear();
+                self.point
+                    .extend(self.lists.iter().map(|l| set.num(row, l.attr)));
+                let score = self.scorer.score_point(&self.point);
+                self.heap.push(Reverse(Scored { score, row }));
             }
         }
         self.point.clear();
@@ -459,29 +525,38 @@ mod tests {
     }
 
     /// `x`: a discrete attribute with heavy exact ties and both zeros;
-    /// `y`: continuous; `c`: categorical.
+    /// `y`: coarse, with ties; `c`: categorical; `z`: continuous, every
+    /// value distinct.
     fn schema() -> Schema {
         Schema::builder()
             .numeric("x", -3.0, 3.0)
             .numeric("y", 0.0, 100.0)
             .categorical("c", ["a", "b", "c", "d"])
+            .numeric("z", 0.0, 1000.0)
             .build()
     }
 
     const XS: [f64; 7] = [-3.0, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0];
 
-    fn random_set(rng: &mut Rng, n: usize) -> Arc<TupleSet> {
+    /// `n` random tuples; `heavy` puts most x values in one tie group.
+    fn random_set(rng: &mut Rng, n: usize, heavy: bool) -> Arc<TupleSet> {
         // Sparse, shuffled ids with a few duplicates: absorb orders and
         // deduplicates them.
         let tuples = (0..n)
             .map(|_| {
                 let id = rng.below(3 * n as u64 + 1) as u32;
+                let x = if heavy && rng.below(5) < 3 {
+                    1.0
+                } else {
+                    rng.pick(&XS)
+                };
                 Tuple::new(
                     TupleId(id),
                     vec![
-                        Value::Num(rng.pick(&XS)),
+                        Value::Num(x),
                         Value::Num((rng.unit() * 20.0).round() * 5.0),
                         Value::Cat(rng.below(4) as u32),
+                        Value::Num(rng.unit() * 1000.0),
                     ],
                 )
             })
@@ -528,11 +603,16 @@ mod tests {
             let codes: Vec<u32> = (0..4).filter(|_| rng.below(2) == 0).collect();
             q = q.and_cats(s.expect_id("c"), CatSet::new(codes));
         }
+        if rng.below(4) == 0 {
+            // Continuous bounds: they cut through x's and y's tie groups.
+            let r = random_range(rng, 0.0, 1000.0, &[0.0, 1000.0]);
+            q = q.and_range(s.expect_id("z"), r);
+        }
         q
     }
 
     fn random_order(rng: &mut Rng, s: &Schema) -> ServeOrder {
-        let attr = s.expect_id(rng.pick(&["x", "y"]));
+        let attr = s.expect_id(rng.pick(&["x", "y", "z"]));
         match rng.below(4) {
             0 => ServeOrder::OneDim {
                 attr,
@@ -545,16 +625,45 @@ mod tests {
             2 => ServeOrder::Scored(
                 LinearFunction::new(vec![(attr, rng.pick(&[1.0, -1.0, 0.05, -0.3]))]).unwrap(),
             ),
-            _ => {
-                // Mixed signs, and a small weight beside a unit one.
-                let wx = rng.pick(&[1.0, -1.0, 0.05, -0.05, 0.4]);
-                let wy = rng.pick(&[1.0, -1.0, 0.05, -0.7]);
-                ServeOrder::Scored(
-                    LinearFunction::new(vec![(s.expect_id("x"), wx), (s.expect_id("y"), wy)])
-                        .unwrap(),
-                )
-            }
+            _ => ServeOrder::Scored(random_function(rng, s)),
         }
+    }
+
+    /// A two- or three-attribute function: mixed signs, and a small
+    /// weight beside a unit one.
+    fn random_function(rng: &mut Rng, s: &Schema) -> LinearFunction {
+        let mut weights = vec![
+            (s.expect_id("x"), rng.pick(&[1.0, -1.0, 0.05, -0.05, 0.4])),
+            (s.expect_id("y"), rng.pick(&[1.0, -1.0, 0.05, -0.7])),
+        ];
+        if rng.below(3) == 0 {
+            weights.push((s.expect_id("z"), rng.pick(&[1.0, -0.3, 0.002])));
+        }
+        LinearFunction::new(weights).unwrap()
+    }
+
+    /// A normalizer as a live reranker's may be: the schema domains, or
+    /// calibrated to narrower observed bounds.
+    fn random_normalizer(rng: &mut Rng, s: &Schema) -> Normalizer {
+        let norm = Normalizer::from_domains(s);
+        if rng.below(3) == 0 {
+            norm.set(
+                s.expect_id("y"),
+                AttrStats {
+                    min: 5.0,
+                    max: 95.0,
+                },
+            );
+            let lo = rng.unit() * 100.0;
+            norm.set(
+                s.expect_id("z"),
+                AttrStats {
+                    min: lo,
+                    max: lo + 1.0 + rng.unit() * 800.0,
+                },
+            );
+        }
+        norm
     }
 
     /// The reference answer: filter, then sort with the engines' comparators.
@@ -589,29 +698,56 @@ mod tests {
         }
     }
 
+    /// The longest run of equal (`total_cmp`) `attr` values in `ids`.
+    fn longest_tie(set: &TupleSet, ids: &[TupleId], attr: AttrId) -> usize {
+        let value = |id: &TupleId| {
+            let row = set.tuples.binary_search_by_key(id, |t| t.id).unwrap();
+            set.tuples[row].num_at(attr).to_bits()
+        };
+        let values: Vec<u64> = ids.iter().map(value).collect();
+        values
+            .chunk_by(|a, b| a == b)
+            .map(<[u64]>::len)
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn cursors_equal_filter_then_sort() {
         let s = schema();
+        let x = s.expect_id("x");
         let mut rng = Rng(0x5EED_C0DE);
         let mut nonempty = 0;
+        let mut longest_desc_tie = 0;
         for case in 0..1000 {
-            let n = rng.pick(&[0usize, 1, 7, 60, 250]);
-            let set = random_set(&mut rng, n);
-            let norm = Normalizer::from_domains(&s);
-            if rng.below(3) == 0 {
-                // A calibrated normalizer, as a live reranker's may be.
-                norm.set(
-                    s.expect_id("y"),
-                    AttrStats {
-                        min: 5.0,
-                        max: 95.0,
-                    },
-                );
-            }
+            // Every 25th case: a 3,000-tuple set whose x = 1.0 group is
+            // longer than 2^10 rows, walked Desc on x half the time.
+            let heavy = case % 25 == 0;
+            let n = if heavy {
+                3000
+            } else {
+                rng.pick(&[0usize, 1, 7, 60, 250])
+            };
+            let set = random_set(&mut rng, n, heavy);
+            let norm = random_normalizer(&mut rng, &s);
             let q = random_filter(&mut rng, &s);
-            let order = random_order(&mut rng, &s);
+            let order = if heavy && rng.below(2) == 0 {
+                ServeOrder::OneDim {
+                    attr: x,
+                    dir: SortDir::Desc,
+                }
+            } else {
+                random_order(&mut rng, &s)
+            };
             let want = reference(&set, &q, &order, &norm);
             nonempty += usize::from(!want.is_empty());
+            if let ServeOrder::OneDim {
+                attr,
+                dir: SortDir::Desc,
+            } = order
+            {
+                longest_desc_tie = longest_desc_tie.max(longest_tie(&set, &want, attr));
+            }
             let got = drain(
                 &mut rng,
                 ReconCursor::new(Arc::clone(&set), q.clone(), &order, &norm),
@@ -619,6 +755,75 @@ mod tests {
             assert_eq!(got, want, "case {case}: filter {q}, order {order:?}");
         }
         assert!(nonempty > 333, "too few cases with matches: {nonempty}");
+        assert!(
+            longest_desc_tie > 1 << 10,
+            "no Desc answer had a tie group over 2^10 rows: {longest_desc_tie}"
+        );
+    }
+
+    #[test]
+    fn group_start_gallops_to_each_group_edge() {
+        // Naive: scan down from the top while the value is equal.
+        fn naive(values: &[f64], lo: usize, hi: usize) -> usize {
+            let top = values[hi - 1];
+            (lo..hi)
+                .rev()
+                .take_while(|&pos| values[pos].total_cmp(&top) == Ordering::Equal)
+                .last()
+                .unwrap()
+        }
+        let mut rng = Rng(0x6A11_0B5E);
+        // Group lengths 1 (one comparison), runs ending at `lo` (the
+        // gallop runs past it) or above a smaller value (a step lands
+        // below), over 2^10 rows, and -0.0 below 0.0.
+        let lengths = [1usize, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 1025, 1500];
+        for case in 0..400 {
+            let mut values = Vec::new();
+            for v in [-1.0, -0.0, 0.0, 2.0, 7.5] {
+                if rng.below(4) != 0 {
+                    let len = rng.pick(&lengths);
+                    values.extend(std::iter::repeat_n(v, len));
+                }
+            }
+            if values.is_empty() {
+                continue;
+            }
+            // Projection rows are a permutation; any one checks the
+            // indirection. Reverse the positions.
+            let rows: Vec<u32> = (0..values.len() as u32).rev().collect();
+            let by_row: Vec<f64> = values.iter().rev().copied().collect();
+            let lo = rng.below(values.len() as u64) as usize;
+            let mut hi = values.len();
+            while hi > lo {
+                let want = naive(&values, lo, hi);
+                assert_eq!(
+                    group_start(&rows, &by_row, lo, hi),
+                    want,
+                    "case {case}: lo {lo}, hi {hi}"
+                );
+                hi = want;
+            }
+        }
+    }
+
+    #[test]
+    fn score_point_over_columns_is_bit_identical_to_score() {
+        let s = schema();
+        let mut rng = Rng(0xB175_EC0D);
+        for _ in 0..50 {
+            let set = random_set(&mut rng, 200, false);
+            let norm = random_normalizer(&mut rng, &s);
+            let f = random_function(&mut rng, &s);
+            let scorer = f.scorer(&norm);
+            for (row, t) in set.tuples.iter().enumerate() {
+                let point: Vec<f64> = f.attrs().map(|a| set.num(row as u32, a)).collect();
+                assert_eq!(
+                    scorer.score_point(&point).to_bits(),
+                    scorer.score(t).to_bits(),
+                    "{f:?} on {t:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -632,7 +837,12 @@ mod tests {
             .map(|(i, &v)| {
                 Tuple::new(
                     TupleId(10 - i as u32),
-                    vec![Value::Num(v), Value::Num(0.0), Value::Cat(0)],
+                    vec![
+                        Value::Num(v),
+                        Value::Num(0.0),
+                        Value::Cat(0),
+                        Value::Num(0.0),
+                    ],
                 )
             })
             .collect();

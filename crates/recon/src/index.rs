@@ -14,8 +14,8 @@
 //!   permanently uncoverable holes;
 //! * `tuples` — every tuple retrieved so far, deduplicated and ordered by
 //!   id: one immutable snapshot, replaced (never mutated) by each merge,
-//!   whose sorted projections are built on first use and shared by every
-//!   cursor over that version.
+//!   whose per-attribute columns and sorted projections are built on
+//!   first use and shared by every cursor over that version.
 //!
 //! A conjunctive region `q` is **covered** iff the reconstruction is at
 //! the caller's current epoch, `root` covers `q`, and `q` intersects no
@@ -234,9 +234,9 @@ impl ReconIndex {
     /// brand-new session.
     ///
     /// Nothing is materialized or sorted here: the cursor shares the
-    /// current tuple snapshot and its projections (built once per
-    /// version, on the first serve that needs them) and does its work as
-    /// the session pulls pages.
+    /// current tuple snapshot and its columns and projections (built once
+    /// per version, on the first serve that needs them) and does its
+    /// work as the session pulls pages.
     pub fn serve(
         &self,
         q: &SearchQuery,
@@ -256,11 +256,11 @@ impl ReconIndex {
         })
     }
 
-    /// Build the sorted projections of `attrs` (numeric attributes) on
-    /// the current tuple snapshot now. They are otherwise built by the
-    /// first [`ReconIndex::serve`] that needs them — wall-clock
-    /// benchmarks call this so that one-time cost is not charged to the
-    /// first measured session.
+    /// Build the columns of `attrs`, and the sorted projections of the
+    /// numeric ones, on the current tuple snapshot now. They are
+    /// otherwise built by the first [`ReconIndex::serve`] that needs them
+    /// — wall-clock benchmarks call this so that one-time cost is not
+    /// charged to the first measured session.
     pub fn prewarm_projections(&self, attrs: &[AttrId]) {
         let tuples = Arc::clone(&self.state.read().tuples);
         for &attr in attrs {
@@ -703,7 +703,9 @@ pub fn region_volume(schema: &Schema, q: &SearchQuery) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr2_webdb::{RangePred, SimulatedWebDb, SystemRanking, TableBuilder};
+    use qr2_webdb::{
+        CatSet, Column, Projection, RangePred, SimulatedWebDb, SystemRanking, TableBuilder, Value,
+    };
 
     /// 64 tuples on an 8×8 grid, hidden rank = x descending, system-k 5.
     fn grid_inner(system_k: usize) -> SimulatedWebDb {
@@ -791,6 +793,91 @@ mod tests {
         assert_eq!(idx.status(schema, 0).state, "complete");
         assert!(!idx.status(schema, 0).stale);
         assert!(idx.status(schema, 1).stale);
+    }
+
+    #[test]
+    fn prewarm_builds_columns_and_projections_the_first_serve_reuses() {
+        let db = grid_db(5);
+        let idx = ReconIndex::ephemeral();
+        idx.run_job(&*db, &JobOptions::default(), 0).unwrap();
+        let schema = db.schema();
+        let (x, y) = (schema.expect_id("x"), schema.expect_id("y"));
+        idx.prewarm_projections(&[x, y]);
+        let built = |attr| {
+            let st = idx.state.read();
+            let column = st.tuples.built_column(attr).map(|c| c as *const Column);
+            let projection = st
+                .tuples
+                .built_projection(attr)
+                .map(|p| p as *const Projection);
+            (column, projection)
+        };
+        let warm = [built(x), built(y)];
+        for (column, projection) in warm {
+            assert!(column.is_some(), "prewarm builds the column");
+            assert!(projection.is_some(), "prewarm builds the projection");
+        }
+        let norm = Normalizer::from_domains(schema);
+        let lin = qr2_core::LinearFunction::new(vec![(x, 1.0), (y, -0.5)]).unwrap();
+        for order in [
+            ServeOrder::OneDim {
+                attr: x,
+                dir: qr2_core::SortDir::Desc,
+            },
+            ServeOrder::Scored(lin),
+        ] {
+            let q = SearchQuery::all().and_range(y, RangePred::closed(1.0, 6.0));
+            let served = idx.serve(&q, &order, &norm, || 0).unwrap().count();
+            assert_eq!(served, 48);
+        }
+        assert_eq!(
+            [built(x), built(y)],
+            warm,
+            "the first serve after prewarm builds nothing"
+        );
+    }
+
+    #[test]
+    fn categorical_filter_serves_through_a_categorical_column() {
+        let schema = Schema::builder()
+            .numeric("x", 0.0, 8.0)
+            .categorical("c", ["a", "b", "c"])
+            .build();
+        let mut tb = TableBuilder::new(schema.clone());
+        for i in 0..30u32 {
+            tb.push_values(vec![Value::Num(f64::from(i % 8)), Value::Cat(i % 3)])
+                .unwrap();
+        }
+        let ranking = SystemRanking::linear(&schema, &[("x", 1.0)]).unwrap();
+        let db = SimulatedWebDb::new(tb.build(), ranking, 4);
+        let idx = ReconIndex::ephemeral();
+        let report = idx.run_job(&db, &JobOptions::default(), 0).unwrap();
+        assert_eq!(report.state, "complete");
+        let (x, c) = (schema.expect_id("x"), schema.expect_id("c"));
+        let q = SearchQuery::all().and_cats(c, CatSet::new([0, 2]));
+        let order = ServeOrder::OneDim {
+            attr: x,
+            dir: qr2_core::SortDir::Asc,
+        };
+        let norm = Normalizer::from_domains(&schema);
+        let got: Vec<Tuple> = idx.serve(&q, &order, &norm, || 0).unwrap().collect();
+        let truth = db.ground_truth();
+        let mut want: Vec<Tuple> = truth
+            .matching_rows(&q)
+            .into_iter()
+            .map(|r| truth.tuple(r))
+            .collect();
+        order.sort(&mut want, &norm);
+        assert_eq!(got, want);
+        let st = idx.state.read();
+        assert!(
+            matches!(st.tuples.built_column(c), Some(Column::Categorical(codes)) if codes.len() == 30),
+            "the filter check built c's codes"
+        );
+        assert!(
+            st.tuples.built_projection(c).is_none(),
+            "a filter-only attribute needs no projection"
+        );
     }
 
     #[test]

@@ -272,10 +272,7 @@ impl StreamState {
             }
             // Recon-served sessions stream straight from the recon
             // cursor — every line is free, no budget applies.
-            let recon_step = entry
-                .recon
-                .as_mut()
-                .map(|s| (s.next_page(1).into_iter().next(), s.done()));
+            let recon_step = entry.recon.as_mut().map(|s| (s.next_one(), s.done()));
             if let Some((tuple, done)) = recon_step {
                 entry.done = done;
                 match tuple {

@@ -65,16 +65,25 @@ impl ReconServing {
 
     /// Serve the next page of up to `n` tuples and record the recon hit.
     pub fn next_page(&mut self, n: usize) -> Vec<Tuple> {
-        let page: Vec<Tuple> = std::iter::from_fn(|| {
-            let t = self.ahead.take()?;
-            self.ahead = self.cursor.next();
-            Some(t)
-        })
-        .take(n)
-        .collect();
-        self.served += page.len();
+        let page: Vec<Tuple> = std::iter::from_fn(|| self.pull()).take(n).collect();
         self.stats.record_recon_hit();
         page
+    }
+
+    /// Serve a one-tuple page (one NDJSON stream line) and record the
+    /// recon hit, as `next_page(1)` does, without building the page.
+    pub fn next_one(&mut self) -> Option<Tuple> {
+        let t = self.pull();
+        self.stats.record_recon_hit();
+        t
+    }
+
+    /// The next tuple, counted as served.
+    fn pull(&mut self) -> Option<Tuple> {
+        let t = self.ahead.take()?;
+        self.ahead = self.cursor.next();
+        self.served += 1;
+        Some(t)
     }
 
     /// Tuples served so far.

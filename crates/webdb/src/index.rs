@@ -34,9 +34,10 @@ use crate::table::Table;
 /// (`f64::total_cmp`, ties by ascending row id).
 ///
 /// A projection holds only the ids — 4 bytes per row. The values stay
-/// with the projection's owner (a [`Table`] column, a tuple vector) and
-/// are read back through a `value(row)` accessor, so the simulator and
-/// the reconstruction tier share one type without duplicating a column.
+/// with the projection's owner (a [`Table`]'s or the reconstruction
+/// tier's [`Column`](crate::Column)) and are read back through a
+/// `value(row)` accessor, so the simulator and the reconstruction tier
+/// share one type without duplicating a column.
 #[derive(Debug, Clone, Default)]
 pub struct Projection {
     rows: Vec<u32>,

@@ -76,7 +76,7 @@ pub use resilient::{
 };
 pub use schema::{Schema, SchemaBuilder};
 pub use sim::{ExecMode, SimulatedWebDb};
-pub use table::{Table, TableBuilder};
+pub use table::{Column, Table, TableBuilder};
 pub use traffic::{RateLimit, SourcePolicy, Throttled, TrafficShapedInterface, TrafficStats};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;

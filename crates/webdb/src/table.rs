@@ -6,10 +6,14 @@ use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 
-/// One column of values.
+/// One attribute's values, indexed by row: a [`Table`]'s storage, and
+/// the reconstruction tier's per-attribute column over its tuple vector
+/// (`qr2-recon`), so both read values by row through one type.
 #[derive(Debug, Clone)]
-enum Column {
+pub enum Column {
+    /// A numeric attribute's values.
     Numeric(Vec<f64>),
+    /// A categorical attribute's codes.
     Categorical(Vec<u32>),
 }
 
@@ -18,6 +22,23 @@ impl Column {
         match self {
             Column::Numeric(v) => v.len(),
             Column::Categorical(v) => v.len(),
+        }
+    }
+
+    /// The value at `row`, or `None` past the end.
+    #[inline]
+    pub fn value(&self, row: usize) -> Option<Value> {
+        match self {
+            Column::Numeric(v) => v.get(row).copied().map(Value::Num),
+            Column::Categorical(v) => v.get(row).copied().map(Value::Cat),
+        }
+    }
+
+    /// The numeric values; `None` for a categorical column.
+    pub fn numeric(&self) -> Option<&[f64]> {
+        match self {
+            Column::Numeric(v) => Some(v),
+            Column::Categorical(_) => None,
         }
     }
 
@@ -90,10 +111,7 @@ impl Table {
     /// Raw numeric column storage (index building); `None` for
     /// categorical attributes.
     pub(crate) fn raw_numeric(&self, attr: AttrId) -> Option<&[f64]> {
-        match &self.columns[attr.index()] {
-            Column::Numeric(v) => Some(v),
-            Column::Categorical(_) => None,
-        }
+        self.columns[attr.index()].numeric()
     }
 
     /// Raw categorical column storage (index building); `None` for

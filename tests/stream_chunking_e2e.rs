@@ -153,6 +153,15 @@ fn recon_served_stream_packs_its_free_lines_into_few_chunks() {
     let summary = &lines[50];
     assert_eq!(summary.get("status").unwrap().as_str(), Some("complete"));
     assert_eq!(summary.get("count").unwrap().as_usize(), Some(50));
+    // One recon hit per line, on top of the create's page.
+    let stat = |summary: &Json, key: &str| {
+        summary
+            .get("stats")
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_usize)
+    };
+    assert_eq!(stat(summary, "recon_hits"), Some(51));
+    assert_eq!(stat(summary, "served"), Some(55));
     assert_eq!(
         stream_lines_total("packed") - before,
         51,
@@ -171,6 +180,9 @@ fn recon_served_stream_packs_its_free_lines_into_few_chunks() {
     let summary = &rest[945];
     assert_eq!(summary.get("status").unwrap().as_str(), Some("done"));
     assert_eq!(summary.get("count").unwrap().as_usize(), Some(945));
+    // The pull that finds the answer drained counts as a hit too.
+    assert_eq!(stat(summary, "recon_hits"), Some(51 + 946));
+    assert_eq!(stat(summary, "served"), Some(1000));
     server.stop();
 }
 
