@@ -30,7 +30,7 @@
 //! query is what gets executed on a miss, so the observable wire traffic
 //! is untouched.
 
-use qr2_store::dense_codec::encode_query;
+use qr2_store::codec::encode_query;
 use qr2_webdb::{AttrKind, Predicate, RangePred, Schema, SearchQuery};
 
 /// The canonical form of a query: either provably empty (all empty

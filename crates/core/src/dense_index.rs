@@ -3,19 +3,20 @@
 //! When `1D-RERANK` / `MD-RERANK` meet a region that is dense (many tuples
 //! within a tiny interval or cell — including exact ties), they crawl it
 //! **once**, store the full contents here, and answer every later query
-//! that falls inside a cached region for free. The paper backs this index
-//! with MySQL because it is shared across users and persists across
-//! restarts; we back it with [`qr2_store::DenseRegionStore`].
+//! that falls inside a cached region for free. The paper keeps this index
+//! in MySQL, shared across users; here it lives in memory next to the
+//! reranker, and the source's flush ([`DenseIndex::clear`]) is the one
+//! place it forgets what it crawled.
 //!
 //! Cached regions are *unfiltered*: they are crawled without the user's
 //! filter predicates so any session — whatever its filters — can reuse
 //! them. Serving filters the cached tuples in memory.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use qr2_crawler::{Crawler, CrawlerConfig};
-use qr2_store::DenseRegionStore;
 use qr2_webdb::{SearchQuery, Tuple};
 
 use crate::executor::SearchCtx;
@@ -31,36 +32,46 @@ pub struct DenseIndexStats {
     pub crawl_queries: usize,
 }
 
+/// The cached regions and the generation they belong to. [`DenseIndex::clear`]
+/// bumps the generation, so a crawl that started before the clear cannot
+/// put its region back afterwards.
+#[derive(Default)]
+struct Regions {
+    generation: u64,
+    map: HashMap<SearchQuery, Vec<Tuple>>,
+}
+
+impl Regions {
+    /// Exact-region lookup, else any cached superset region, restricted to
+    /// `region`.
+    fn lookup(&self, region: &SearchQuery) -> Option<Vec<Tuple>> {
+        if let Some(ts) = self.map.get(region) {
+            return Some(ts.clone());
+        }
+        self.map.iter().find_map(|(cached_q, tuples)| {
+            query_contains(cached_q, region).then(|| {
+                tuples
+                    .iter()
+                    .filter(|t| region.matches_with(|a| t.value(a)))
+                    .cloned()
+                    .collect()
+            })
+        })
+    }
+}
+
 /// Shared, thread-safe dense-region index.
 pub struct DenseIndex {
-    store: Mutex<DenseRegionStore>,
+    regions: Mutex<Regions>,
     stats: Mutex<DenseIndexStats>,
     crawler_config: CrawlerConfig,
 }
 
 impl DenseIndex {
-    /// Volatile index.
+    /// An empty index.
     pub fn in_memory() -> Self {
         DenseIndex {
-            store: Mutex::new(DenseRegionStore::in_memory()),
-            stats: Mutex::new(DenseIndexStats::default()),
-            crawler_config: CrawlerConfig::default(),
-        }
-    }
-
-    /// Index persisted at `path` (reopens existing contents).
-    pub fn persistent(path: impl AsRef<std::path::Path>) -> qr2_store::Result<Self> {
-        Ok(DenseIndex {
-            store: Mutex::new(DenseRegionStore::open(path)?),
-            stats: Mutex::new(DenseIndexStats::default()),
-            crawler_config: CrawlerConfig::default(),
-        })
-    }
-
-    /// Wrap an existing store (e.g. one that was just boot-verified).
-    pub fn from_store(store: DenseRegionStore) -> Self {
-        DenseIndex {
-            store: Mutex::new(store),
+            regions: Mutex::new(Regions::default()),
             stats: Mutex::new(DenseIndexStats::default()),
             crawler_config: CrawlerConfig::default(),
         }
@@ -68,12 +79,12 @@ impl DenseIndex {
 
     /// Number of cached regions.
     pub fn len(&self) -> usize {
-        self.store.lock().len()
+        self.regions.lock().map.len()
     }
 
     /// True when nothing has been indexed yet.
     pub fn is_empty(&self) -> bool {
-        self.store.lock().is_empty()
+        self.regions.lock().map.is_empty()
     }
 
     /// Cache statistics so far.
@@ -86,36 +97,39 @@ impl DenseIndex {
         *self.stats.lock() = DenseIndexStats::default();
     }
 
+    /// Forget every cached region and start a new generation: a crawl
+    /// still running from before the clear is not remembered when it
+    /// finishes.
+    pub fn clear(&self) {
+        let mut regions = self.regions.lock();
+        regions.map.clear();
+        regions.generation += 1;
+    }
+
     /// Look up a region (exact key or any cached superset region). Returns
     /// the cached tuples **restricted to `region`** on a hit.
     pub fn lookup(&self, region: &SearchQuery) -> Option<Vec<Tuple>> {
-        let store = self.store.lock();
-        if let Some(ts) = store.get(region) {
+        let hit = self.regions.lock().lookup(region);
+        if hit.is_some() {
             self.stats.lock().hits += 1;
-            return Some(ts.to_vec());
         }
-        // Superset scan: a cached region containing `region` can serve it.
-        for (cached_q, tuples) in store.regions() {
-            if query_contains(cached_q, region) {
-                let filtered: Vec<Tuple> = tuples
-                    .iter()
-                    .filter(|t| region.matches_with(|a| t.value(a)))
-                    .cloned()
-                    .collect();
-                self.stats.lock().hits += 1;
-                return Some(filtered);
-            }
-        }
-        None
+        hit
     }
 
     /// Serve `region` from the cache, crawling it (through `ctx.db()`) on a
-    /// miss. Only a complete crawl is inserted; a crawl cut short (budget,
-    /// atomic overflow, a failed probe) returns the tuples it found without
-    /// remembering them as the region. Crawl probes are recorded on the
-    /// context ledger as sequential rounds. Returns the tuples of `region`.
+    /// miss. Only a complete crawl is inserted, and only if no
+    /// [`DenseIndex::clear`] ran while it crawled; a crawl cut short
+    /// (budget, atomic overflow, a failed probe) returns the tuples it
+    /// found without remembering them as the region. Crawl probes are
+    /// recorded on the context ledger as sequential rounds. Returns the
+    /// tuples of `region`.
     pub fn get_or_crawl(&self, ctx: &SearchCtx, region: &SearchQuery) -> Vec<Tuple> {
-        if let Some(ts) = self.lookup(region) {
+        let (hit, generation) = {
+            let regions = self.regions.lock();
+            (regions.lookup(region), regions.generation)
+        };
+        if let Some(ts) = hit {
+            self.stats.lock().hits += 1;
             return ts;
         }
         let start = Instant::now();
@@ -133,21 +147,15 @@ impl DenseIndex {
             stats.crawl_queries += result.queries;
         }
         if result.is_complete() {
-            let mut store = self.store.lock();
-            store
-                .insert(region.clone(), result.tuples.clone())
-                .expect("dense store insert failed");
+            let mut tuples = result.tuples.clone();
+            tuples.sort_by_key(|t| t.id);
+            tuples.dedup_by_key(|t| t.id);
+            let mut regions = self.regions.lock();
+            if regions.generation == generation {
+                regions.map.insert(region.clone(), tuples);
+            }
         }
         result.tuples
-    }
-
-    /// Run the boot-time freshness verification against the database (see
-    /// [`DenseRegionStore::verify`]). Stale regions are dropped.
-    pub fn verify(
-        &self,
-        db: &dyn qr2_webdb::TopKInterface,
-    ) -> qr2_store::Result<qr2_store::VerifyReport> {
-        self.store.lock().verify(&db)
     }
 }
 
@@ -188,9 +196,11 @@ mod tests {
     use super::*;
     use crate::executor::ExecutorKind;
     use qr2_webdb::{
-        RangePred, Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface,
+        QueryLedger, RangePred, Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface,
+        TopKResponse,
     };
 
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn db() -> Arc<SimulatedWebDb> {
@@ -273,23 +283,76 @@ mod tests {
     }
 
     #[test]
-    fn verify_passthrough_drops_stale() {
+    fn clear_forgets_regions_and_a_crawl_spanning_it() {
+        let d = db();
+        let idx = Arc::new(DenseIndex::in_memory());
+        let x = d.schema().expect_id("x");
+        let region = SearchQuery::all().and_range(x, RangePred::closed(0.0, 1.0));
+
+        let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
+        idx.get_or_crawl(&ctx, &region);
+        assert_eq!(idx.len(), 1);
+        idx.clear();
+        assert!(idx.is_empty());
+
+        /// Clears the index on its first probe: the crawl starts before
+        /// the clear and finishes after it.
+        struct ClearsMidCrawl {
+            inner: Arc<SimulatedWebDb>,
+            index: Arc<DenseIndex>,
+            cleared: AtomicBool,
+        }
+        impl TopKInterface for ClearsMidCrawl {
+            fn schema(&self) -> &Schema {
+                self.inner.schema()
+            }
+            fn system_k(&self) -> usize {
+                self.inner.system_k()
+            }
+            fn search(&self, q: &SearchQuery) -> TopKResponse {
+                if !self.cleared.swap(true, Ordering::SeqCst) {
+                    self.index.clear();
+                }
+                self.inner.search(q)
+            }
+            fn ledger(&self) -> &QueryLedger {
+                self.inner.ledger()
+            }
+        }
+        let racing = SearchCtx::new(
+            Arc::new(ClearsMidCrawl {
+                inner: d.clone(),
+                index: Arc::clone(&idx),
+                cleared: AtomicBool::new(false),
+            }),
+            ExecutorKind::Sequential,
+        );
+        let tuples = idx.get_or_crawl(&racing, &region);
+        assert_eq!(tuples.len(), 20, "the caller still gets the crawl");
+        assert!(
+            idx.is_empty(),
+            "a crawl that spans a clear must not be remembered"
+        );
+        let misses = idx.stats().misses;
+        idx.get_or_crawl(&ctx, &region);
+        assert_eq!(
+            idx.stats().misses,
+            misses + 1,
+            "the region is crawled again"
+        );
+        assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn insert_sorts_and_dedups_by_id() {
         let d = db();
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let idx = DenseIndex::in_memory();
         let x = d.schema().expect_id("x");
-        let region = SearchQuery::all().and_range(x, RangePred::closed(0.0, 1.0));
+        let region = SearchQuery::all().and_range(x, RangePred::closed(5.0, 6.0));
         idx.get_or_crawl(&ctx, &region);
-        assert_eq!(idx.len(), 1);
-
-        // Same schema, different contents → stale.
-        let schema = d.schema().clone();
-        let mut tb = TableBuilder::new(schema.clone());
-        tb.push_row(vec![0.5, 0.5]).unwrap();
-        let ranking = SystemRanking::linear(&schema, &[("x", 1.0)]).unwrap();
-        let changed = SimulatedWebDb::new(tb.build(), ranking, 7);
-        let report = idx.verify(&changed).unwrap();
-        assert_eq!(report.dropped, 1);
-        assert!(idx.is_empty());
+        let cached = idx.lookup(&region).expect("cached");
+        assert_eq!(cached.len(), 20);
+        assert!(cached.windows(2).all(|w| w[0].id < w[1].id));
     }
 }

@@ -75,8 +75,8 @@ pub struct RerankerBuilder {
 }
 
 impl RerankerBuilder {
-    /// Use a specific dense index (e.g. a persistent, boot-verified one).
-    /// Defaults to a fresh in-memory index.
+    /// Share a specific dense index (e.g. one index across rerankers over
+    /// the same source). Defaults to a fresh, empty index.
     #[must_use]
     pub fn dense_index(mut self, dense: Arc<DenseIndex>) -> Self {
         self.dense = Some(dense);

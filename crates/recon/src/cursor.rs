@@ -102,7 +102,13 @@ impl TupleSet {
     }
 
     fn contains(&self, id: TupleId) -> bool {
-        self.tuples.binary_search_by_key(&id, |t| t.id).is_ok()
+        self.find(id).is_some()
+    }
+
+    /// The tuple with `id`, if the set holds it.
+    pub(crate) fn find(&self, id: TupleId) -> Option<&Tuple> {
+        let row = self.tuples.binary_search_by_key(&id, |t| t.id).ok()?;
+        self.tuples.get(row)
     }
 
     fn get(&self, row: u32) -> Option<&Tuple> {

@@ -167,6 +167,19 @@ pub struct ReconStatus {
     pub job: Option<JobStatus>,
 }
 
+/// Outcome of a boot-time freshness check ([`ReconIndex::verify`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VerifyReport {
+    /// Reconstructed tuples the check compared against.
+    pub tuples: usize,
+    /// Web-DB queries the check issued: none for an empty
+    /// reconstruction, else one.
+    pub queries: usize,
+    /// True when the source disagrees with the reconstruction: its
+    /// database changed since the crawl.
+    pub stale: bool,
+}
+
 /// The live offline-reconstruction index of one source.
 ///
 /// Thread-safe and cheap to share (`Arc`). Serving reads take a short
@@ -299,6 +312,66 @@ impl ReconIndex {
                 let _ = store.save_frontier(&pending, &atomic);
             }
         }
+    }
+
+    /// Boot-time freshness check (paper §II-B: "before the system boots
+    /// up we verify the cache and update the changes from the web
+    /// database"). An empty reconstruction issues no query. Otherwise the
+    /// root region is probed once on `db` — the raw source, since a check
+    /// served from the answer cache would always look fresh — and the
+    /// reconstruction is stale when
+    ///
+    /// * a returned tuple that lies in no pending or atomic region is
+    ///   missing from the index or differs from its indexed copy, or
+    /// * the reconstruction is complete and the root's size disagrees:
+    ///   the root fits in one page but holds a different number of
+    ///   tuples, or it overflows while the index holds fewer than
+    ///   `system_k`.
+    ///
+    /// One query, not a re-crawl. A failed probe proves nothing, so it
+    /// reports fresh. The check only reads; the caller decides what to
+    /// drop.
+    pub fn verify(&self, db: &dyn TopKInterface) -> VerifyReport {
+        let (root, pending, atomic, tuples) = {
+            let st = self.state.read();
+            let Some(root) = st.root.clone() else {
+                return VerifyReport::default();
+            };
+            (
+                root,
+                st.pending.clone(),
+                st.atomic.clone(),
+                Arc::clone(&st.tuples),
+            )
+        };
+        let mut report = VerifyReport {
+            tuples: tuples.len(),
+            queries: 1,
+            stale: false,
+        };
+        let Ok(Answer { resp, .. }) = db.probe(&root) else {
+            return report;
+        };
+        let unclaimed = |t: &Tuple| {
+            pending
+                .iter()
+                .chain(&atomic)
+                .any(|r| r.matches_with(|a| t.value(a)))
+        };
+        let differs = resp
+            .tuples
+            .iter()
+            .filter(|t| !unclaimed(t))
+            .any(|t| tuples.find(t.id) != Some(t));
+        let complete = pending.is_empty() && atomic.is_empty();
+        let miscounted = complete
+            && if resp.overflow {
+                tuples.len() < db.system_k()
+            } else {
+                resp.tuples.len() != tuples.len()
+            };
+        report.stale = differs || miscounted;
+        report
     }
 
     /// Drop the reconstruction (memory and disk) and move to
@@ -1099,6 +1172,71 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         assert!(idx.covered(&SearchQuery::all(), 0));
+    }
+
+    /// One numeric attribute `x`, one tuple per value.
+    fn line_db(xs: &[f64], system_k: usize) -> SimulatedWebDb {
+        let schema = Schema::builder().numeric("x", 0.0, 10.0).build();
+        let mut tb = TableBuilder::new(schema.clone());
+        for &x in xs {
+            tb.push_row(vec![x]).unwrap();
+        }
+        let ranking = SystemRanking::linear(&schema, &[("x", 1.0)]).unwrap();
+        SimulatedWebDb::new(tb.build(), ranking, system_k)
+    }
+
+    fn reconstructed(db: &SimulatedWebDb) -> ReconIndex {
+        let idx = ReconIndex::ephemeral();
+        assert_eq!(
+            idx.run_job(db, &JobOptions::default(), 0).unwrap().state,
+            "complete"
+        );
+        idx
+    }
+
+    #[test]
+    fn verify_of_an_empty_reconstruction_is_free() {
+        let db = line_db(&[1.0, 2.0], 10);
+        let report = ReconIndex::ephemeral().verify(&db);
+        assert_eq!(report, VerifyReport::default());
+        assert_eq!(db.ledger().total(), 0, "no query for nothing to check");
+    }
+
+    #[test]
+    fn verify_keeps_a_fresh_reconstruction() {
+        let db = line_db(&[1.0, 2.0, 3.0, 8.0], 10);
+        let report = reconstructed(&db).verify(&db);
+        assert_eq!((report.tuples, report.queries), (4, 1));
+        assert!(!report.stale);
+
+        // A fresh partial reconstruction is not stale either: tuples in
+        // its pending regions make no claim.
+        let grid = grid_db(2);
+        let idx = ReconIndex::ephemeral();
+        let small = JobOptions {
+            max_queries: 5,
+            checkpoint_every: 2,
+            ..JobOptions::default()
+        };
+        assert_eq!(
+            idx.run_job(&*grid, &small, 0).unwrap().state,
+            "budget_exhausted"
+        );
+        assert!(!idx.verify(&*grid).stale);
+    }
+
+    #[test]
+    fn verify_flags_a_changed_tuple() {
+        let idx = reconstructed(&line_db(&[1.0, 2.0, 3.0], 10));
+        assert!(idx.verify(&line_db(&[1.0, 2.5, 3.0], 10)).stale);
+    }
+
+    #[test]
+    fn verify_flags_a_removed_tuple_by_count() {
+        // Every returned tuple matches its indexed copy; only the count
+        // of the one-page root shows the removal.
+        let idx = reconstructed(&line_db(&[1.0, 2.0, 3.0], 10));
+        assert!(idx.verify(&line_db(&[1.0, 2.0], 10)).stale);
     }
 
     #[test]

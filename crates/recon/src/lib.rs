@@ -38,7 +38,10 @@
 //! against the caller-supplied *current* epoch (the answer cache's). A
 //! database-change flush bumps the cache epoch, which instantly marks the
 //! reconstruction stale — serving falls back to the live engines until a
-//! re-crawl rebuilds the index at the new epoch.
+//! re-crawl rebuilds the index at the new epoch. At boot,
+//! [`ReconIndex::verify`] probes the source once to check that a
+//! persisted reconstruction still matches it; the service flushes the
+//! source and drops the reconstruction when it does not.
 
 mod cursor;
 mod index;
@@ -47,5 +50,6 @@ mod serve;
 pub use cursor::ReconCursor;
 pub use index::{
     region_volume, JobOptions, JobReport, JobStatus, ReconIndex, ReconJobError, ReconStatus,
+    VerifyReport,
 };
 pub use serve::ServeOrder;

@@ -8,7 +8,7 @@ use qr2_http::{
     AccessLog, CatchPanic, HttpServer, Json, Method, MetricsLayer, RequestId, RequireJsonBody,
     Response, Router, Stack,
 };
-use qr2_store::VerifyReport;
+use qr2_recon::VerifyReport;
 
 use crate::api::ApiState;
 use crate::session::SessionManager;
@@ -100,33 +100,33 @@ impl Qr2App {
         &self.state
     }
 
-    /// Boot procedure (paper §II-B): verify every source's dense-region
-    /// cache against the live database, dropping stale regions. Returns
-    /// one report per source.
+    /// Boot procedure (paper §II-B): check every source's persisted
+    /// reconstruction against the live database ([`ReconIndex::verify`]).
+    /// Returns one report per source; an empty reconstruction costs no
+    /// query.
     ///
     /// Verification runs against the **raw** interface (`Source::db`) —
     /// freshness checks served from the answer cache would always look
-    /// fresh. When a source's database turns out to have changed (any
-    /// region dropped), the source's shared answer cache is flushed too:
-    /// its staleness epoch advances and any persistent answers are
-    /// durably invalidated.
+    /// fresh. When a source's database turns out to have changed, the
+    /// source forgets what it learned ([`Source::flush`]: its answer
+    /// epoch advances, any persistent answers are durably invalidated,
+    /// its dense regions are cleared) and the reconstruction is dropped
+    /// at the new epoch.
+    ///
+    /// [`ReconIndex::verify`]: qr2_recon::ReconIndex::verify
+    /// [`Source::flush`]: crate::Source::flush
     pub fn verify_caches(&self) -> Vec<(String, VerifyReport)> {
         self.state
             .registry
             .all()
             .iter()
             .map(|s| {
-                let report = s
-                    .reranker
-                    .dense_index()
-                    .verify(&*s.db)
-                    // qr2-allow: panic-path boot-time integrity check; refusing to start beats serving stale answers
-                    .expect("cache verification must not fail on a healthy store");
-                if report.dropped > 0 {
-                    s.cache
-                        .flush()
-                        // qr2-allow: panic-path boot-time invalidation; a store that cannot flush must not serve
-                        .expect("answer-cache flush must not fail on a healthy store");
+                let report = s.recon.verify(&*s.db);
+                if report.stale {
+                    s.flush()
+                        .and_then(|epoch| s.recon.drop_index(epoch))
+                        // qr2-allow: panic-path boot-time invalidation; a store that cannot forget must not serve
+                        .expect("boot-time invalidation must not fail on a healthy store");
                 }
                 (s.name.clone(), report)
             })
@@ -289,8 +289,27 @@ mod tests {
         let reports = app.verify_caches();
         assert_eq!(reports.len(), 2);
         for (_, r) in reports {
-            assert_eq!(r.dropped, 0, "fresh caches have nothing to drop");
+            assert_eq!(
+                r,
+                VerifyReport::default(),
+                "nothing to verify costs nothing"
+            );
         }
+
+        // A fresh reconstruction is checked with one query and kept.
+        let s = app.state().registry.get("bluenile").unwrap();
+        let opts = qr2_recon::JobOptions {
+            max_queries: usize::MAX,
+            ..qr2_recon::JobOptions::default()
+        };
+        s.recon.run_job(&*s.db, &opts, s.cache.epoch()).unwrap();
+        let before = s.db.ledger().total();
+        let reports = app.verify_caches();
+        let (_, r) = reports.iter().find(|(name, _)| name == "bluenile").unwrap();
+        assert_eq!((r.tuples, r.queries, r.stale), (300, 1, false));
+        assert_eq!(s.db.ledger().total(), before + 1);
+        assert_eq!(s.cache.epoch(), 0, "a fresh source is not flushed");
+        assert_eq!(s.recon.status(s.schema(), 0).state, "complete");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! qr2-server --addr 127.0.0.1:8080 --diamonds 20000 --homes 50000
 //! ```
 //!
-//! Boots the simulated Blue Nile and Zillow sources, verifies the dense
-//! cache, and serves the REST API plus the single-page UI.
+//! Boots the simulated Blue Nile and Zillow sources, verifies each persisted
+//! reconstruction against its source, and serves the REST API plus the
+//! single-page UI.
 
 use std::time::Duration;
 
@@ -150,8 +151,15 @@ fn main() {
     let app = Qr2App::new(registry).with_session_ttl(Duration::from_secs(args.session_ttl_secs));
     for (source, report) in app.verify_caches() {
         eprintln!(
-            "  dense cache [{}]: {} checked, {} dropped",
-            source, report.checked, report.dropped
+            "  recon verification [{}]: {} tuples, {} queries, {}",
+            source,
+            report.tuples,
+            report.queries,
+            if report.stale {
+                "stale (flushed and dropped)"
+            } else {
+                "fresh"
+            }
         );
     }
     let server = match app.serve(&args.addr, args.workers) {

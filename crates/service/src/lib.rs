@@ -3,9 +3,10 @@
 //! The third-party reranking service of the paper's Fig. 1: users connect,
 //! pick a data source (Blue Nile / Zillow), submit a filter query plus a
 //! ranking preference, and page through reranked results via get-next. The
-//! service keeps a per-user session (seen-tuple cache), a shared persistent
-//! dense-region index (verified against the sources at boot), and a
-//! statistics panel reporting query cost and processing time.
+//! service keeps a per-user session (seen-tuple cache), a shared
+//! dense-region index, a shared answer cache and rank reconstruction per
+//! source (the persisted reconstruction is verified against the source at
+//! boot), and a statistics panel reporting query cost and processing time.
 //!
 //! The HTTP surface (all JSON; full contract in `docs/API.md`). Versioned
 //! resource API:
@@ -19,7 +20,7 @@
 //! | `GET /v1/queries/:id/stats` | the statistics panel |
 //! | `DELETE /v1/queries/:id` | drop a query (204) |
 //! | `GET /v1/sources/:source/cache` | the source's shared answer-cache statistics |
-//! | `DELETE /v1/sources/:source/cache` | flush the source's shared answer cache (204) |
+//! | `DELETE /v1/sources/:source/cache` | flush the source: its answer cache and dense regions (204) |
 //! | `POST /v1/sources/:source/recon` | start/resume an offline rank-reconstruction job (202) |
 //! | `GET /v1/sources/:source/recon` | reconstruction coverage, epoch and job state |
 //! | `DELETE /v1/sources/:source/recon` | drop the reconstructed index (204) |

@@ -409,16 +409,16 @@ impl QueryService {
         })
     }
 
-    /// `DELETE /v1/sources/:source/cache`: flush the source's shared
-    /// answer cache (drops every entry, advances the staleness epoch,
-    /// durably clears any persistent backing store).
+    /// `DELETE /v1/sources/:source/cache`: make the source forget what it
+    /// learned ([`Source::flush`]): drop every cached answer, advance the
+    /// staleness epoch, durably clear any persistent backing store, and
+    /// clear the dense regions.
     pub fn flush_cache(&self, source_name: &str) -> Result<(), ApiError> {
         let source = self
             .registry
             .get(source_name)
             .ok_or_else(|| unknown_source(source_name))?;
         source
-            .cache
             .flush()
             .map(|_| ())
             .map_err(|e| ApiError::internal(format!("cache flush failed: {e}")))

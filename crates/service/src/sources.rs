@@ -70,8 +70,8 @@ pub struct Source {
     /// Raw interface handle. Boot verification and freshness checks use
     /// this — checks served from the cache would always look fresh.
     pub db: Arc<dyn TopKInterface>,
-    /// The shared cross-session answer cache (stats / flush endpoints,
-    /// boot invalidation).
+    /// The shared cross-session answer cache (stats endpoint; flushed
+    /// through [`Source::flush`]).
     pub cache: Arc<AnswerCache>,
     /// The per-source scheduler every cache miss is routed through
     /// (admission control, fair share, pacing, frontier coalescing).
@@ -80,10 +80,10 @@ pub struct Source {
     /// are served with zero web-DB queries (see `qr2-recon`).
     pub recon: Arc<ReconIndex>,
     /// The full decorator stack (`recon feed → cache → scheduler →
-    /// traffic shaping → raw db`): what the reranker probes through, and
-    /// what the reconstruction driver's background crawl probes through —
-    /// recon jobs pay the same pacing and enjoy the same cache as
-    /// everyone else.
+    /// resilient → fault injection → traffic shaping → raw db`): what the
+    /// reranker probes through, and what the reconstruction driver's
+    /// background crawl probes through — recon jobs pay the same pacing
+    /// and enjoy the same cache as everyone else.
     pub probe: Arc<dyn TopKInterface>,
     /// Suggested "popular functions" shown in the ranking section
     /// (paper §II-C): label → `(attr, weight)` list.
@@ -347,6 +347,18 @@ impl Source {
         .cache(cache)
         .recon(recon)
         .build()
+    }
+
+    /// Forget what the source has learned from its web database: flush
+    /// the answer cache, which advances its epoch and so stales the
+    /// reconstruction, then clear the reranker's dense regions. The
+    /// regions are cleared even when the durable store write fails, and
+    /// after the epoch advances, so a crawl that read a pre-flush answer
+    /// is never remembered. Returns the new epoch.
+    pub fn flush(&self) -> qr2_store::Result<u64> {
+        let flushed = self.cache.flush();
+        self.reranker.dense_index().clear();
+        flushed
     }
 
     /// The source's schema.

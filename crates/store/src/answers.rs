@@ -1,8 +1,7 @@
 //! The persistent query-answer store behind the shared answer cache.
 //!
-//! Where [`crate::DenseRegionStore`] persists *crawled regions* (complete
-//! tuple sets), the [`AnswerStore`] persists raw **top-k answers**: the
-//! exact `TopKResponse` the web database returned for one canonical query.
+//! The [`AnswerStore`] persists raw **top-k answers**: the exact
+//! `TopKResponse` the web database returned for one canonical query.
 //! `qr2-cache` uses it to warm-start its in-memory LRU at boot, so a
 //! restarted service serves repeated queries without spending a single
 //! web-DB query.
@@ -15,7 +14,7 @@
 //!   epoch** (varint);
 //! * key `[0x01] ++ caller-key` — one answer: `varint(epoch)`,
 //!   `u8(overflow)`, then the tuple list in the shared
-//!   [`crate::dense_codec`] format.
+//!   [`crate::codec`] format.
 //!
 //! ## Epochs
 //!
@@ -31,8 +30,7 @@ use std::path::Path;
 
 use qr2_webdb::TopKResponse;
 
-use crate::codec::{get_varint, put_varint};
-use crate::dense::{decode_tuples, encode_tuples};
+use crate::codec::{decode_tuples, encode_tuples, get_varint, put_varint};
 use crate::kv::KvStore;
 use crate::{Result, StoreError};
 

@@ -1,5 +1,7 @@
 //! Compact binary codec: LEB128 varints, zig-zag signed integers, IEEE-754
-//! bit patterns for floats, and length-prefixed strings/bytes.
+//! bit patterns for floats, and length-prefixed strings/bytes — and, on
+//! top of them, the stable formats for [`SearchQuery`]s and tuple lists
+//! that the answer store, the rank index and `qr2-cache`'s keys share.
 //!
 //! All multi-byte fixed-width values are little-endian. The codec is the
 //! foundation of the log-record, key/value, and tuple formats; it is fully
@@ -7,6 +9,8 @@
 //!
 //! Writers append to a `Vec<u8>`; readers consume a `&[u8]` cursor in
 //! place, checking the remaining length before every read.
+
+use qr2_webdb::{AttrId, CatSet, Predicate, RangePred, SearchQuery, Tuple, TupleId, Value};
 
 use crate::{Result, StoreError};
 
@@ -125,6 +129,120 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 pub fn get_str(buf: &mut &[u8]) -> Result<String> {
     let raw = get_bytes(buf)?;
     String::from_utf8(raw).map_err(|e| StoreError::Corrupt(format!("invalid utf-8: {e}")))
+}
+
+// ---------------------------------------------------------------------------
+// Queries and tuples: the formats every store and the cache key share.
+// ---------------------------------------------------------------------------
+
+const PRED_RANGE: u64 = 1;
+const PRED_CATS: u64 = 2;
+const VAL_NUM: u64 = 0;
+const VAL_CAT: u64 = 1;
+
+/// Serialize a [`SearchQuery`] canonically (predicates are already sorted by
+/// attribute id inside the query).
+pub fn encode_query(buf: &mut Vec<u8>, q: &SearchQuery) {
+    put_varint(buf, q.num_predicates() as u64);
+    for (attr, pred) in q.predicates() {
+        put_varint(buf, attr.0 as u64);
+        match pred {
+            Predicate::Range(r) => {
+                put_varint(buf, PRED_RANGE);
+                put_f64(buf, r.lo);
+                put_f64(buf, r.hi);
+                let flags = (r.lo_inc as u8) | ((r.hi_inc as u8) << 1);
+                buf.push(flags);
+            }
+            Predicate::Cats(s) => {
+                put_varint(buf, PRED_CATS);
+                put_varint(buf, s.len() as u64);
+                for &c in s.codes() {
+                    put_varint(buf, c as u64);
+                }
+            }
+        }
+    }
+}
+
+/// Inverse of [`encode_query`].
+pub fn decode_query(buf: &mut &[u8]) -> Result<SearchQuery> {
+    let count = get_varint(buf)? as usize;
+    let mut q = SearchQuery::all();
+    for _ in 0..count {
+        let attr = AttrId(get_varint(buf)? as u16);
+        match get_varint(buf)? {
+            PRED_RANGE => {
+                let lo = get_f64(buf)?;
+                let hi = get_f64(buf)?;
+                if buf.is_empty() {
+                    return Err(StoreError::Corrupt("truncated range flags".into()));
+                }
+                let flags = buf[0];
+                *buf = &buf[1..];
+                q = q.with(
+                    attr,
+                    Predicate::Range(RangePred {
+                        lo,
+                        hi,
+                        lo_inc: flags & 1 != 0,
+                        hi_inc: flags & 2 != 0,
+                    }),
+                );
+            }
+            PRED_CATS => {
+                let n = get_varint(buf)? as usize;
+                let mut codes = Vec::with_capacity(n);
+                for _ in 0..n {
+                    codes.push(get_varint(buf)? as u32);
+                }
+                q = q.with(attr, Predicate::Cats(CatSet::new(codes)));
+            }
+            t => return Err(StoreError::Corrupt(format!("unknown predicate tag {t}"))),
+        }
+    }
+    Ok(q)
+}
+
+/// Serialize a tuple list.
+pub fn encode_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
+    put_varint(buf, tuples.len() as u64);
+    for t in tuples {
+        put_u32(buf, t.id.0);
+        put_varint(buf, t.values().len() as u64);
+        for v in t.values() {
+            match v {
+                Value::Num(x) => {
+                    put_varint(buf, VAL_NUM);
+                    put_f64(buf, *x);
+                }
+                Value::Cat(c) => {
+                    put_varint(buf, VAL_CAT);
+                    put_varint(buf, *c as u64);
+                }
+            }
+        }
+    }
+}
+
+/// Inverse of [`encode_tuples`].
+pub fn decode_tuples(buf: &mut &[u8]) -> Result<Vec<Tuple>> {
+    let n = get_varint(buf)? as usize;
+    let mut out = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        let id = TupleId(get_u32(buf)?);
+        let arity = get_varint(buf)? as usize;
+        let mut values = Vec::with_capacity(arity.min(1 << 10));
+        for _ in 0..arity {
+            match get_varint(buf)? {
+                VAL_NUM => values.push(Value::Num(get_f64(buf)?)),
+                VAL_CAT => values.push(Value::Cat(get_varint(buf)? as u32)),
+                t => return Err(StoreError::Corrupt(format!("unknown value tag {t}"))),
+            }
+        }
+        out.push(Tuple::new(id, values));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -251,5 +369,52 @@ mod tests {
         put_u32(&mut buf, 0xDEAD_BEEF);
         assert_eq!(get_u32(&mut &buf[..]).unwrap(), 0xDEAD_BEEF);
         assert!(get_u32(&mut &buf[..3]).is_err());
+    }
+
+    fn sample_query() -> SearchQuery {
+        SearchQuery::all()
+            .and_range(AttrId(0), RangePred::half_open(1.5, 3.75))
+            .and(AttrId(2), Predicate::Cats(CatSet::new([0, 3, 7])))
+    }
+
+    #[test]
+    fn query_codec_roundtrip() {
+        let q = sample_query();
+        let mut buf = Vec::new();
+        encode_query(&mut buf, &q);
+        assert_eq!(decode_query(&mut &buf[..]).unwrap(), q);
+    }
+
+    #[test]
+    fn empty_query_roundtrip() {
+        let mut buf = Vec::new();
+        encode_query(&mut buf, &SearchQuery::all());
+        assert_eq!(decode_query(&mut &buf[..]).unwrap(), SearchQuery::all());
+    }
+
+    #[test]
+    fn tuple_codec_roundtrip() {
+        let ts = vec![
+            Tuple::new(
+                TupleId(4),
+                vec![Value::Num(2.0), Value::Num(-1.0), Value::Cat(3)],
+            ),
+            Tuple::new(
+                TupleId(9),
+                vec![Value::Num(3.5), Value::Num(0.25), Value::Cat(7)],
+            ),
+        ];
+        let mut buf = Vec::new();
+        encode_tuples(&mut buf, &ts);
+        assert_eq!(decode_tuples(&mut &buf[..]).unwrap(), ts);
+    }
+
+    #[test]
+    fn corrupt_predicate_tag_rejected() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1); // one predicate
+        put_varint(&mut buf, 0); // attr 0
+        put_varint(&mut buf, 99); // bogus tag
+        assert!(decode_query(&mut &buf[..]).is_err());
     }
 }

@@ -1,26 +1,25 @@
-//! # qr2-store — embedded persistence for the shared dense-region cache
+//! # qr2-store — embedded persistence for what QR2 learns about a source
 //!
-//! The QR2 paper stores the on-the-fly dense-region index in MySQL because
-//! the index is "shared between all the users \[and\] may become relatively
-//! large, not to fit in the main memory", and is verified against the web
-//! database "before the system boots up" (§II-B). This crate provides the
-//! same behaviours as an embedded component:
+//! The QR2 paper keeps what the service learns in MySQL because it is
+//! "shared between all the users \[and\] may become relatively large, not
+//! to fit in the main memory", and verifies it against the web database
+//! "before the system boots up" (§II-B). This crate provides the same
+//! behaviours as an embedded component:
 //!
 //! * [`codec`]: a compact hand-rolled binary codec (varints, zig-zag, f64
-//!   bit-patterns, strings) appending to `Vec<u8>` and reading from `&[u8]`;
+//!   bit-patterns, strings, queries, tuple lists) appending to `Vec<u8>`
+//!   and reading from `&[u8]`;
 //! * [`crc32`]: table-driven CRC-32 (IEEE) for record integrity;
 //! * [`Log`]: an append-only, checksummed record log with crash recovery
 //!   (a torn or corrupt tail is detected and truncated);
 //! * [`KvStore`]: a keyed store with compaction on top of the log;
-//! * [`DenseRegionStore`]: the dense-region cache itself — region
-//!   descriptor → crawled tuples — with the boot-time verification hook;
 //! * [`AnswerStore`]: persisted top-k answers keyed by canonical query,
 //!   with epoch-based invalidation — the durable half of the shared
 //!   cross-session answer cache (`qr2-cache`);
 //! * [`RankIndex`]: the persisted offline rank reconstruction of one
 //!   source — crawled tuples plus the uncovered-region frontier — with
 //!   crash-safe incremental checkpoints and the same epoch-based
-//!   invalidation (`qr2-recon`).
+//!   invalidation (`qr2-recon`), checked against the live source at boot.
 //!
 //! No serde: the formats here are small, versioned, and fully tested,
 //! including property-based round-trips and corruption injection.
@@ -28,24 +27,14 @@
 mod answers;
 pub mod codec;
 pub mod crc32;
-mod dense;
 mod kv;
 mod log;
 mod recon;
 
 pub use answers::AnswerStore;
-pub use dense::{DenseRegion, DenseRegionStore, VerifyReport};
 pub use kv::KvStore;
 pub use log::{Log, LogStats};
 pub use recon::{RankIndex, RankSnapshot};
-
-/// Stable binary formats for queries, tuples and metadata records, shared
-/// by the dense-region cache and the service layer.
-pub mod dense_codec {
-    pub use crate::dense::{
-        decode_meta, decode_query, decode_tuples, encode_meta, encode_query, encode_tuples,
-    };
-}
 
 /// Errors produced by the storage layer.
 #[derive(Debug)]

@@ -16,12 +16,12 @@
 //!
 //! * key `[0x00]` — metadata: `varint(epoch)`, `varint(budget_spent)`,
 //!   `u8(has_root)` and, when set, the root region in
-//!   [`crate::dense_codec`] query format;
+//!   [`crate::codec`] query format;
 //! * key `[0x01]` — the frontier: `varint(epoch)`, the pending region
 //!   list, then the atomic-overflow region list (each
 //!   `varint(n)` + `n` encoded queries);
 //! * key `[0x02] ++ u64-be(seq)` — one checkpointed tuple batch:
-//!   `varint(epoch)` + the tuple list in [`crate::dense_codec`] format.
+//!   `varint(epoch)` + the tuple list in [`crate::codec`] format.
 //!
 //! ## Crash safety
 //!
@@ -43,8 +43,9 @@ use std::path::Path;
 
 use qr2_webdb::{SearchQuery, Tuple, TupleId};
 
-use crate::codec::{get_varint, put_varint};
-use crate::dense::{decode_query, decode_tuples, encode_query, encode_tuples};
+use crate::codec::{
+    decode_query, decode_tuples, encode_query, encode_tuples, get_varint, put_varint,
+};
 use crate::kv::KvStore;
 use crate::{Result, StoreError};
 

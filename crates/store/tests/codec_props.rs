@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use qr2_store::codec::{
-    get_bytes, get_f64, get_signed, get_str, get_varint, put_bytes, put_f64, put_signed, put_str,
-    put_varint, unzigzag, zigzag,
+    decode_query, decode_tuples, encode_query, encode_tuples, get_bytes, get_f64, get_signed,
+    get_str, get_varint, put_bytes, put_f64, put_signed, put_str, put_varint, unzigzag, zigzag,
 };
-use qr2_store::{DenseRegionStore, Log};
+use qr2_store::Log;
 use qr2_webdb::{AttrId, CatSet, Predicate, RangePred, SearchQuery, Tuple, TupleId, Value};
 
 proptest! {
@@ -125,16 +125,16 @@ proptest! {
     #[test]
     fn query_codec_bijective(q in query_strategy()) {
         let mut buf = Vec::new();
-        qr2_store::dense_codec::encode_query(&mut buf, &q);
-        let back = qr2_store::dense_codec::decode_query(&mut &buf[..]).unwrap();
+        encode_query(&mut buf, &q);
+        let back = decode_query(&mut &buf[..]).unwrap();
         prop_assert_eq!(back, q);
     }
 
     #[test]
     fn tuple_codec_bijective(ts in tuples_strategy()) {
         let mut buf = Vec::new();
-        qr2_store::dense_codec::encode_tuples(&mut buf, &ts);
-        let back = qr2_store::dense_codec::decode_tuples(&mut &buf[..]).unwrap();
+        encode_tuples(&mut buf, &ts);
+        let back = decode_tuples(&mut &buf[..]).unwrap();
         prop_assert_eq!(back, ts);
     }
 
@@ -172,29 +172,6 @@ proptest! {
         for (a, b) in recovered.iter().zip(&records) {
             prop_assert_eq!(a, b);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Dense store: insert/reopen/get agree for arbitrary regions+tuples.
-    #[test]
-    fn dense_store_persistence(q in query_strategy(), ts in tuples_strategy()) {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "qr2-dense-prop-{}-{}.log",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        {
-            let mut s = DenseRegionStore::open(&path).unwrap();
-            s.insert(q.clone(), ts.clone()).unwrap();
-        }
-        let s = DenseRegionStore::open(&path).unwrap();
-        let got = s.get(&q).unwrap();
-        let mut expect = ts;
-        expect.sort_by_key(|t| t.id);
-        expect.dedup_by_key(|t| t.id);
-        prop_assert_eq!(got, expect.as_slice());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -57,8 +57,14 @@ fn main() {
     ));
     for (source, report) in app.verify_caches() {
         println!(
-            "  cache verification [{source}]: {} regions checked, {} dropped",
-            report.checked, report.dropped
+            "  recon verification [{source}]: {} tuples, {} queries, {}",
+            report.tuples,
+            report.queries,
+            if report.stale {
+                "stale (flushed and dropped)"
+            } else {
+                "fresh"
+            }
         );
     }
     let server = app.serve("127.0.0.1:0", 4).expect("server starts");

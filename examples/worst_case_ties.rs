@@ -5,7 +5,9 @@
 //! value the service must first **crawl every tied tuple** (the paper's
 //! general-positioning fix, §II-B). The on-the-fly dense-region index makes
 //! this cost *amortized*: the first session pays for the crawl, every later
-//! session reads it back for free.
+//! session reads it back for free — until the source is flushed
+//! (`Source::flush`), which clears the index so the next session crawls
+//! the group again.
 //!
 //! ```sh
 //! cargo run --release --example worst_case_ties
@@ -73,6 +75,13 @@ fn main() {
         "  → amortization: {:.0}% of the cold cost\n",
         100.0 * warm as f64 / cold.max(1) as f64
     );
+
+    // A flush (the operator's "the site changed") forgets the crawled
+    // group: the next session pays for it again.
+    reranker.dense_index().clear();
+    let flushed = run("session 3 (after a flush)");
+    assert!(flushed > warm, "a cleared index must crawl again");
+    println!();
 
     // Contrast: 1D-BINARY has no index; every session pays the crawl.
     let reranker_binary = Reranker::builder(db.clone())

@@ -12,7 +12,7 @@
 //!   sharded LRU, single-flight deduplication, persistence),
 //! * [`datagen`] — synthetic Blue Nile / Zillow data generators,
 //! * [`crawler`] — the hidden-database region crawler (Sheng et al.),
-//! * [`store`] — the embedded persistent dense-region cache store,
+//! * [`store`] — the embedded persistent answer and reconstruction stores,
 //! * [`core`] — the reranking algorithms (1D/MD × BASELINE/BINARY/RERANK,
 //!   MD-TA) and the get-next primitive,
 //! * [`recon`] — offline rank reconstruction and zero-query serving,

@@ -1,15 +1,23 @@
 //! Workspace-level integration tests: the full pipeline from synthetic
-//! inventories through the reranking engines, the shared persistent dense
-//! index, and boot-time cache verification.
+//! inventories through the reranking engines, warm restarts through the
+//! persistent answer store, and boot-time verification of a persisted
+//! reconstruction.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use qr2::cache::{AnswerCache, CacheConfig};
 use qr2::core::{
-    Algorithm, DenseIndex, ExecutorKind, LinearFunction, Normalizer, OneDimFunction, RerankRequest,
-    Reranker, SortDir,
+    Algorithm, ExecutorKind, LinearFunction, Normalizer, OneDimFunction, RerankRequest, Reranker,
+    SortDir,
 };
 use qr2::datagen::{bluenile_db, bluenile_table, DiamondsConfig};
-use qr2::webdb::{RangePred, SearchQuery, SimulatedWebDb, SystemRanking, TopKInterface, TupleId};
+use qr2::recon::{JobOptions, ReconIndex};
+use qr2::service::{Qr2App, Source, SourceRegistry};
+use qr2::store::AnswerStore;
+use qr2::webdb::{
+    RangePred, SearchQuery, SimulatedWebDb, SystemRanking, TopKInterface, Tuple, TupleId,
+};
 
 fn diamonds(n: usize, seed: u64) -> Arc<SimulatedWebDb> {
     Arc::new(bluenile_db(&DiamondsConfig {
@@ -97,108 +105,156 @@ fn one_d_streams_agree_with_oracle_on_tied_attribute() {
     }
 }
 
-#[test]
-fn dense_index_persists_across_service_restarts() {
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "qr2-integration-dense-{}-{}.log",
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "qr2-integration-{name}-{}-{}",
         std::process::id(),
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .unwrap()
             .as_nanos()
     ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
-    let db = diamonds(1000, 9);
-    let lw = db.schema().expect_id("lw_ratio");
+/// One "boot" of a diamonds source whose answers and reconstruction
+/// persist under `dir`.
+fn persistent_source(db: &Arc<SimulatedWebDb>, dir: &Path) -> Source {
+    let cache = AnswerCache::with_store(
+        CacheConfig::default(),
+        AnswerStore::open(dir.join("answers.log")).unwrap(),
+    );
+    Source::builder(
+        "diamonds",
+        "diamonds",
+        Arc::clone(db) as Arc<dyn TopKInterface>,
+    )
+    .executor(ExecutorKind::Sequential)
+    .cache(Arc::new(cache))
+    .recon(Arc::new(ReconIndex::open(dir.join("recon.log")).unwrap()))
+    .build()
+}
 
-    // "First boot": run a tie-heavy workload that populates the index.
-    let cold_queries = {
-        let dense = Arc::new(DenseIndex::persistent(&path).unwrap());
-        let reranker = Reranker::builder(db.clone())
-            .executor(ExecutorKind::Sequential)
-            .dense_index(dense)
-            .build();
-        let mut session = reranker.query(RerankRequest {
+/// Boot `source` as the service does, and return it from the registry.
+fn boot(source: Source) -> Arc<Source> {
+    let mut registry = SourceRegistry::new();
+    registry.register(source);
+    let app = Qr2App::new(registry);
+    app.verify_caches();
+    app.state().registry.get("diamonds").unwrap()
+}
+
+fn tie_session(source: &Source, depth: usize) -> Vec<Tuple> {
+    let lw = source.schema().expect_id("lw_ratio");
+    source
+        .reranker
+        .query(RerankRequest {
             filter: SearchQuery::all(),
             function: OneDimFunction::asc(lw).into(),
             algorithm: Algorithm::OneDRerank,
-        });
-        session.next_page(300);
+        })
+        .next_page(depth)
+}
+
+#[test]
+fn warm_boot_beats_cold_boot_through_the_answer_store() {
+    let dir = temp_dir("warm");
+    let db = diamonds(1000, 9);
+
+    // "First boot": a tie-heavy workload crawls the tie group, and every
+    // answer it paid for is written through to the answer store.
+    let cold_queries = {
+        let source = boot(persistent_source(&db, &dir));
+        tie_session(&source, 300);
         assert!(
-            !reranker.dense_index().is_empty(),
-            "tie workload must populate the index"
+            !source.reranker.dense_index().is_empty(),
+            "tie workload must crawl a dense region"
         );
-        session.stats().total_queries()
+        db.ledger().total()
     };
 
-    // "Second boot": a brand-new reranker re-opens the same file, verifies
-    // it against the unchanged database, and serves cheaper.
-    {
-        let dense = Arc::new(DenseIndex::persistent(&path).unwrap());
-        assert!(!dense.is_empty(), "index reloaded from disk");
-        let report = dense.verify(&*db).unwrap();
-        assert_eq!(report.dropped, 0, "unchanged database keeps the cache");
-
-        let reranker = Reranker::builder(db.clone())
-            .executor(ExecutorKind::Sequential)
-            .dense_index(dense)
-            .build();
-        let mut session = reranker.query(RerankRequest {
-            filter: SearchQuery::all(),
-            function: OneDimFunction::asc(lw).into(),
-            algorithm: Algorithm::OneDRerank,
-        });
-        session.next_page(300);
-        let warm_queries = session.stats().total_queries();
-        assert!(
-            warm_queries < cold_queries,
-            "warm boot ({warm_queries}) must beat cold boot ({cold_queries})"
-        );
-    }
-    std::fs::remove_file(&path).ok();
+    // "Second boot": a brand-new source over the unchanged database
+    // warm-starts from the store and pays less for the same session.
+    let source = boot(persistent_source(&db, &dir));
+    assert!(
+        source.cache.stats().entries > 0,
+        "answers reloaded from disk"
+    );
+    assert!(
+        source.reranker.dense_index().is_empty(),
+        "regions do not persist"
+    );
+    tie_session(&source, 300);
+    let warm_queries = db.ledger().total() - cold_queries;
+    assert!(
+        warm_queries < cold_queries,
+        "warm boot ({warm_queries}) must beat cold boot ({cold_queries})"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn boot_verification_drops_cache_when_inventory_changes() {
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "qr2-integration-stale-{}-{}.log",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-
+    let dir = temp_dir("stale");
     let db_v1 = diamonds(800, 1);
-    let lw = db_v1.schema().expect_id("lw_ratio");
+    let crawl = JobOptions {
+        max_queries: usize::MAX,
+        ..JobOptions::default()
+    };
+
+    // First boot: reconstruct the whole inventory through the source's
+    // stack, which also persists every answer it paid for.
     {
-        let dense = Arc::new(DenseIndex::persistent(&path).unwrap());
-        let reranker = Reranker::builder(db_v1.clone())
-            .executor(ExecutorKind::Sequential)
-            .dense_index(dense)
-            .build();
-        let mut session = reranker.query(RerankRequest {
-            filter: SearchQuery::all(),
-            function: OneDimFunction::asc(lw).into(),
-            algorithm: Algorithm::OneDRerank,
-        });
-        session.next_page(250);
-        assert!(!reranker.dense_index().is_empty());
+        let source = boot(persistent_source(&db_v1, &dir));
+        let job = source
+            .recon
+            .run_job(&*source.probe, &crawl, source.cache.epoch())
+            .unwrap();
+        assert_eq!(job.state, "complete");
+        tie_session(&source, 100);
     }
 
-    // The site's inventory changes overnight (new seed).
+    // A restart over the unchanged inventory keeps both.
+    {
+        let source = boot(persistent_source(&db_v1, &dir));
+        assert!(source.cache.stats().entries > 0);
+        let status = source.recon.status(source.schema(), source.cache.epoch());
+        assert_eq!((status.state, status.stale), ("complete", false));
+    }
+
+    // The site's inventory changes overnight (new seed). Before the boot
+    // check, the persisted answers and coverage are still there.
     let db_v2 = diamonds(800, 2);
-    let dense = DenseIndex::persistent(&path).unwrap();
-    let before = dense.len();
-    assert!(before > 0);
-    let report = dense.verify(&*db_v2).unwrap();
-    assert!(
-        report.dropped > 0,
-        "changed inventory must invalidate cached regions"
+    let source = persistent_source(&db_v2, &dir);
+    assert!(source.cache.stats().entries > 0);
+    assert_eq!(source.recon.coverage(source.schema()), 1.0);
+    let epoch = source.cache.epoch();
+
+    let source = boot(source);
+    assert_eq!(
+        source.cache.stats().entries,
+        0,
+        "changed inventory must drop the persisted answers"
     );
-    std::fs::remove_file(&path).ok();
+    assert!(source.cache.epoch() > epoch, "and advance the answer epoch");
+    let status = source.recon.status(source.schema(), source.cache.epoch());
+    assert_eq!(status.state, "empty", "and drop the reconstruction");
+    assert_eq!(status.coverage, 0.0);
+    assert!(!source
+        .recon
+        .covered(&SearchQuery::all(), source.cache.epoch()));
+
+    // What the source now serves comes from the new inventory.
+    let lw = db_v2.schema().expect_id("lw_ratio");
+    let want = oracle(
+        &db_v2,
+        &LinearFunction::new(vec![(lw, 1.0)]).unwrap(),
+        &SearchQuery::all(),
+    );
+    let got: Vec<TupleId> = tie_session(&source, 100).iter().map(|t| t.id).collect();
+    assert_eq!(got, want[..100].to_vec());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
