@@ -2,6 +2,7 @@
 //!
 //! ```sh
 //! cargo run --release -p qr2-bench --bin figures            # everything
+//! cargo run --release -p qr2-bench --bin figures -- --small # everything, small scale
 //! cargo run --release -p qr2-bench --bin figures -- --fig2a # one artifact
 //! cargo run --release -p qr2-bench --bin figures -- --smoke # BENCH_pr*.json
 //! ```
@@ -49,7 +50,8 @@ fn main() {
         return;
     }
 
-    let all = args.is_empty() || args.iter().any(|a| a == "--all");
+    // No artifact flag (only a scale flag, or nothing) means everything.
+    let all = args.iter().all(|a| a == "--small") || args.iter().any(|a| a == "--all");
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
     let scale = if args.iter().any(|a| a == "--small") {
         Scale::Small

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use qr2_crawler::{Crawler, CrawlerConfig};
+use qr2_crawler::{snap_integral, Crawler, CrawlerConfig};
 use qr2_webdb::{AttrId, RangePred, SearchQuery, Tuple};
 
 use crate::dense_index::DenseIndex;
@@ -13,33 +13,33 @@ use crate::oned::OneDAlgo;
 
 /// A fully enumerated prefix of a searched interval.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// The sub-interval that is now completely known. Always a prefix of
     /// the searched interval from its preferred end (low end for `Asc`).
-    pub complete: RangePred,
+    pub(crate) complete: RangePred,
     /// Every tuple matching the filter whose ranking value lies in
     /// `complete`, in no particular order.
-    pub tuples: Vec<Tuple>,
+    pub(crate) tuples: Vec<Tuple>,
 }
 
 /// Parameters shared by all chunk finders.
-pub struct ChunkParams<'a> {
+pub(crate) struct ChunkParams<'a> {
     /// Execution context.
-    pub ctx: &'a SearchCtx,
+    pub(crate) ctx: &'a SearchCtx,
     /// The user's filter query (may itself constrain the ranking attribute;
     /// intervals passed to the finder are already inside that range).
-    pub filter: &'a SearchQuery,
+    pub(crate) filter: &'a SearchQuery,
     /// Ranking attribute.
-    pub attr: AttrId,
+    pub(crate) attr: AttrId,
     /// Sort direction.
-    pub dir: SortDir,
+    pub(crate) dir: SortDir,
     /// Algorithm.
-    pub algo: OneDAlgo,
+    pub(crate) algo: OneDAlgo,
     /// Shared dense index (`Rerank` only).
-    pub dense: Option<&'a DenseIndex>,
+    pub(crate) dense: Option<&'a DenseIndex>,
     /// Dense-interval threshold as a fraction of the attribute's domain
     /// width (`Rerank` only).
-    pub delta: f64,
+    pub(crate) delta: f64,
 }
 
 impl ChunkParams<'_> {
@@ -99,6 +99,7 @@ impl ChunkParams<'_> {
 
     fn is_unsplittable(&self, r: RangePred) -> bool {
         if self.ctx.schema().attr(self.attr).is_integral() {
+            let r = snap_integral(r);
             r.hi - r.lo < 1.0
         } else {
             let mid = r.lo + (r.hi - r.lo) / 2.0;
@@ -115,9 +116,12 @@ impl ChunkParams<'_> {
         }
     }
 
-    /// Split `r` into (preferred half, other half).
+    /// Split `r` into (preferred half, other half). On an integral
+    /// attribute `r` is snapped first: a remainder that excludes the value
+    /// just served must not split back to include it.
     fn split(&self, r: RangePred) -> (RangePred, RangePred) {
         let (low, high) = if self.ctx.schema().attr(self.attr).is_integral() {
+            let r = snap_integral(r);
             let m = ((r.lo + r.hi) / 2.0).floor();
             (RangePred::closed(r.lo, m), RangePred::closed(m + 1.0, r.hi))
         } else {
@@ -174,11 +178,21 @@ impl ChunkParams<'_> {
 }
 
 /// Find the next complete prefix of `interval` (which must be non-empty).
-pub fn find_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
+///
+/// `stack` is the bisection stack of `Binary`/`Rerank`, owned by the
+/// session: empty on the first call, and afterwards holding the unprobed
+/// siblings left by the previous chunk, which partition `interval` in
+/// serving order. Bisection resumes from them instead of re-splitting the
+/// whole remainder. `Baseline` leaves it empty.
+pub(crate) fn find_chunk(
+    p: &ChunkParams<'_>,
+    interval: RangePred,
+    stack: &mut Vec<RangePred>,
+) -> Chunk {
     debug_assert!(!interval.is_empty(), "chunk finder needs a live interval");
     match p.algo {
         OneDAlgo::Baseline => baseline_chunk(p, interval),
-        OneDAlgo::Binary | OneDAlgo::Rerank => binary_chunk(p, interval),
+        OneDAlgo::Binary | OneDAlgo::Rerank => binary_chunk(p, interval, stack),
     }
 }
 
@@ -195,7 +209,7 @@ fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
             // The bound collapsed onto the preferred endpoint: everything
             // better is known empty; enumerate the ties at the bound value.
             let b = bound.expect("empty probe implies a bound");
-            return value_chunk(p, interval, b, true);
+            return value_chunk(p, interval, b);
         }
         let resp = p.ctx.search(&p.probe_query(probe));
         if !resp.overflow {
@@ -203,7 +217,7 @@ fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
                 if let Some(b) = bound {
                     // Nothing better than the bound exists: the bound value
                     // itself is the minimum. Enumerate its ties.
-                    return value_chunk(p, interval, b, true);
+                    return value_chunk(p, interval, b);
                 }
                 // Whole interval empty.
                 return Chunk {
@@ -221,15 +235,9 @@ fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
 }
 
 /// Complete prefix `[start .. v]` whose only possible occupants are the
-/// ties at `v`. When `known_empty_before` is true the sub-interval strictly
-/// better than `v` has already been proven empty.
-fn value_chunk(
-    p: &ChunkParams<'_>,
-    interval: RangePred,
-    v: f64,
-    known_empty_before: bool,
-) -> Chunk {
-    debug_assert!(known_empty_before);
+/// ties at `v`: the sub-interval strictly better than `v` has already been
+/// proven empty.
+fn value_chunk(p: &ChunkParams<'_>, interval: RangePred, v: f64) -> Chunk {
     let point = RangePred::point(v);
     let resp = p.ctx.search(&p.probe_query(point));
     let tuples = if resp.overflow {
@@ -246,8 +254,16 @@ fn value_chunk(
 
 /// `1D-BINARY` / `1D-RERANK`: preferred-first interval bisection with a
 /// stack; RERANK diverts dense intervals to the shared index.
-fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
-    let mut stack: Vec<RangePred> = vec![interval];
+///
+/// A chunk found at a leaf leaves its unprobed siblings on `stack` for the
+/// next call; the top one is never empty, since its parent overflowed and
+/// the chunk held at most system-k of the parent's matches. A dense chunk
+/// clears the stack instead: its siblings are slivers of the tie's
+/// neighbourhood, and restarting from the remainder splits it afresh.
+fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred, stack: &mut Vec<RangePred>) -> Chunk {
+    if stack.is_empty() {
+        stack.push(interval);
+    }
     while let Some(cur) = stack.pop() {
         if cur.is_empty() {
             continue;
@@ -269,6 +285,7 @@ fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
                 // (possible via the unfiltered index path): keep moving.
                 continue;
             }
+            stack.clear();
             return Chunk {
                 complete: p.join_prefix(interval, cur),
                 tuples,
@@ -324,6 +341,11 @@ mod tests {
         }
     }
 
+    /// A chunk found from a fresh stack, as a new session's first refill.
+    fn first_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
+        find_chunk(p, interval, &mut Vec::new())
+    }
+
     fn full_interval() -> RangePred {
         RangePred::closed(0.0, 100.0)
     }
@@ -334,7 +356,7 @@ mod tests {
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let filter = SearchQuery::all();
         let p = params(&ctx, &filter, OneDAlgo::Baseline, None, SortDir::Asc);
-        let chunk = find_chunk(&p, full_interval());
+        let chunk = first_chunk(&p, full_interval());
         let min_found = chunk
             .tuples
             .iter()
@@ -350,7 +372,7 @@ mod tests {
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let filter = SearchQuery::all();
         let p = params(&ctx, &filter, OneDAlgo::Binary, None, SortDir::Asc);
-        let chunk = find_chunk(&p, full_interval());
+        let chunk = first_chunk(&p, full_interval());
         assert!(chunk.tuples.iter().any(|t| t.num(0) == 10.0));
         // Everything in the complete prefix is enumerated.
         for t in &chunk.tuples {
@@ -365,7 +387,7 @@ mod tests {
         let filter = SearchQuery::all();
         for algo in [OneDAlgo::Baseline, OneDAlgo::Binary] {
             let p = params(&ctx, &filter, algo, None, SortDir::Desc);
-            let chunk = find_chunk(&p, full_interval());
+            let chunk = first_chunk(&p, full_interval());
             assert!(
                 chunk.tuples.iter().any(|t| t.num(0) == 90.0),
                 "{algo:?} must find the max"
@@ -374,12 +396,40 @@ mod tests {
     }
 
     #[test]
+    fn integral_remainder_never_reaches_back_to_its_excluded_end() {
+        // 30 ties at x=5 (> system-k) on an integral attribute: after the
+        // dense chunk at 5, the remainder (5, 100] must split as [6, ..].
+        let schema = Schema::builder()
+            .integral("x", 0.0, 100.0)
+            .numeric("y", 0.0, 100.0)
+            .build();
+        let mut tb = TableBuilder::new(schema.clone());
+        for i in 0..30 {
+            tb.push_row(vec![5.0, i as f64]).unwrap();
+        }
+        tb.push_row(vec![6.0, 0.0]).unwrap();
+        let ranking = SystemRanking::linear(&schema, &[("x", 1.0)]).unwrap();
+        let d = Arc::new(SimulatedWebDb::new(tb.build(), ranking, 3));
+        let ctx = SearchCtx::new(d, ExecutorKind::Sequential);
+        let filter = SearchQuery::all();
+        let p = params(&ctx, &filter, OneDAlgo::Binary, None, SortDir::Asc);
+        let rest = RangePred {
+            lo: 5.0,
+            lo_inc: false,
+            ..full_interval()
+        };
+        let chunk = first_chunk(&p, rest);
+        assert!(chunk.tuples.iter().all(|t| t.num(0) == 6.0));
+        assert!(!chunk.complete.matches(5.0));
+    }
+
+    #[test]
     fn empty_interval_chunk() {
         let d = db(&[50.0], 2);
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let filter = SearchQuery::all();
         let p = params(&ctx, &filter, OneDAlgo::Binary, None, SortDir::Asc);
-        let chunk = find_chunk(&p, RangePred::closed(60.0, 100.0));
+        let chunk = first_chunk(&p, RangePred::closed(60.0, 100.0));
         assert!(chunk.tuples.is_empty());
         assert_eq!(chunk.complete, RangePred::closed(60.0, 100.0));
     }
@@ -394,7 +444,7 @@ mod tests {
         for algo in [OneDAlgo::Baseline, OneDAlgo::Binary] {
             ctx.reset_stats();
             let p = params(&ctx, &filter, algo, None, SortDir::Asc);
-            let chunk = find_chunk(&p, full_interval());
+            let chunk = first_chunk(&p, full_interval());
             let ties = chunk.tuples.iter().filter(|t| t.num(0) == 25.0).count();
             assert_eq!(ties, 20, "{algo:?} must enumerate all ties");
         }
@@ -408,14 +458,14 @@ mod tests {
         let filter = SearchQuery::all();
         let index = DenseIndex::in_memory();
         let p = params(&ctx, &filter, OneDAlgo::Rerank, Some(&index), SortDir::Asc);
-        let chunk = find_chunk(&p, full_interval());
+        let chunk = first_chunk(&p, full_interval());
         assert_eq!(chunk.tuples.iter().filter(|t| t.num(0) == 25.0).count(), 30);
         assert_eq!(index.stats().misses, 1);
 
         // Second run over a fresh context: the dense part is a cache hit.
         let ctx2 = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let p2 = params(&ctx2, &filter, OneDAlgo::Rerank, Some(&index), SortDir::Asc);
-        let chunk2 = find_chunk(&p2, full_interval());
+        let chunk2 = first_chunk(&p2, full_interval());
         assert_eq!(chunk2.tuples.len(), chunk.tuples.len());
         assert!(index.stats().hits >= 1);
         assert!(
@@ -441,7 +491,7 @@ mod tests {
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let filter = SearchQuery::all();
         let p = params(&ctx, &filter, OneDAlgo::Baseline, None, SortDir::Asc);
-        let chunk = find_chunk(&p, full_interval());
+        let chunk = first_chunk(&p, full_interval());
         assert!(chunk.tuples.iter().any(|t| t.num(0) == 0.0));
         assert!(
             ctx.stats().total_queries() <= 4,
@@ -458,7 +508,7 @@ mod tests {
         // y values are i % 97 = 0,1,2,3; filter y >= 2 keeps x ∈ {30, 40}.
         let filter = SearchQuery::all().and_range(y, RangePred::closed(2.0, 100.0));
         let p = params(&ctx, &filter, OneDAlgo::Binary, None, SortDir::Asc);
-        let chunk = find_chunk(&p, full_interval());
+        let chunk = first_chunk(&p, full_interval());
         assert!(chunk.tuples.iter().any(|t| t.num(0) == 30.0));
         assert!(chunk.tuples.iter().all(|t| t.num(0) >= 30.0));
     }

@@ -9,6 +9,14 @@
 //! get-next primitive (the user-level session cache is the stream's pending
 //! buffer).
 //!
+//! Bisection state is session state too: the stream keeps the chunk
+//! finder's stack between refills, so each later chunk of `Binary`/`Rerank`
+//! resumes from the unprobed siblings the previous chunk left instead of
+//! re-bisecting the whole remainder. The one exception is a dense chunk
+//! (an enumerated tie or cluster): its siblings are slivers of the dense
+//! neighbourhood, so the stack is cleared and the next refill restarts from
+//! the remainder.
+//!
 //! * [`OneDAlgo::Baseline`] — narrow `[lo, best)` with the best returned
 //!   value as the new bound; fast when the hidden ranking agrees with the
 //!   user's, linear-ish when it opposes it.
@@ -21,7 +29,6 @@
 mod chunk;
 mod stream;
 
-pub use chunk::{find_chunk, Chunk};
 pub use stream::OneDimStream;
 
 /// Algorithm selector for 1D reranking.

@@ -24,6 +24,10 @@ pub struct OneDimStream {
     delta: f64,
     /// Unexplored remainder of the attribute interval (None = exhausted).
     frontier: Option<RangePred>,
+    /// Bisection stack of `Binary`/`Rerank`: the unprobed siblings left by
+    /// the last chunk, which partition `frontier`, so the next refill
+    /// resumes bisection instead of re-splitting the whole remainder.
+    stack: Vec<RangePred>,
     /// Completely known tuples not yet served, in serving order.
     pending: VecDeque<Tuple>,
     served: usize,
@@ -64,6 +68,7 @@ impl OneDimStream {
             } else {
                 Some(interval)
             },
+            stack: Vec::new(),
             pending: VecDeque::new(),
             served: 0,
         }
@@ -102,7 +107,12 @@ impl OneDimStream {
                 dense: self.dense.as_deref(),
                 delta: self.delta,
             };
-            let chunk = find_chunk(&params, interval);
+            // Taken out while the finder runs: a search that panics leaves
+            // the stream with an empty stack, which restarts bisection from
+            // the untouched frontier rather than from a half-popped stack.
+            let mut stack = std::mem::take(&mut self.stack);
+            let chunk = find_chunk(&params, interval, &mut stack);
+            self.stack = stack;
             // Serving order: by value in `dir`, then by id for determinism.
             let mut tuples = chunk.tuples;
             let attr = self.attr;

@@ -266,10 +266,10 @@ impl RerankSession {
     /// [`StepOutcome`] along with the incremental [`QueryStats`] delta.
     ///
     /// Sessions are resumable: a later `advance` continues exactly where
-    /// this one stopped (frontier/index/buffer state persists across both
-    /// the 1D and MD engine families), so slicing a run into budgeted
-    /// steps yields the identical tuple order and identical total query
-    /// cost as one unbudgeted run. Tuples already discovered are served
+    /// this one stopped (frontier, bisection stack, index and buffer state
+    /// persist across both the 1D and MD engine families), so slicing a
+    /// run into budgeted steps yields the identical tuple order and
+    /// identical total query cost as one unbudgeted run. Tuples already discovered are served
     /// without spending budget; the query cap is checked between
     /// discoveries, so a step may overshoot it by the cost of completing
     /// the one in-flight discovery but never starts a new one past it.

@@ -25,5 +25,5 @@ mod region;
 mod splitter;
 
 pub use crawl::{crawl, crawl_point, CrawlOutcome, CrawlResult, Crawler, CrawlerConfig};
-pub use region::{effective_cats, effective_range, region_diag};
+pub use region::{effective_cats, effective_range, region_diag, snap_integral};
 pub use splitter::{split_region, SplitPolicy};

@@ -25,7 +25,7 @@ pub fn effective_range(schema: &Schema, q: &SearchQuery, attr: AttrId) -> RangeP
 }
 
 /// Snap a range on an integral attribute to inclusive whole-number bounds.
-fn snap_integral(r: RangePred) -> RangePred {
+pub fn snap_integral(r: RangePred) -> RangePred {
     // Smallest integer satisfying the lower bound:
     //   inclusive: ceil(lo); exclusive: floor(lo + 1) (= lo+1 when lo is
     //   already whole, otherwise ceil(lo)).
