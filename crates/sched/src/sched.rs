@@ -29,11 +29,6 @@ pub struct SchedConfig {
     /// Hard ceiling on concurrently in-flight probes (further bounded by
     /// the source policy's own concurrency cap).
     pub max_inflight: usize,
-    /// Retained for config compatibility. Queue-delay percentiles now come
-    /// from the shared qr2-obs histogram (`qr2_sched_queue_delay_us`),
-    /// which keeps all samples in fixed-size log-linear buckets instead of
-    /// a bounded reservoir.
-    pub delay_samples: usize,
     /// Idle back-off for a waiter when there is nothing to dispatch.
     pub poll_interval: Duration,
     /// How long a probe may sit parked behind an unhealthy source (open
@@ -50,7 +45,6 @@ impl Default for SchedConfig {
             max_admission_wait: Duration::from_secs(30),
             quantum: 1,
             max_inflight: 64,
-            delay_samples: 512,
             poll_interval: Duration::from_millis(5),
             max_outage_park: Duration::from_millis(500),
         }

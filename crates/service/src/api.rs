@@ -4,7 +4,8 @@
 //!
 //! * the versioned resource API under `/v1` (the contract new clients use):
 //!   `POST /v1/sources/:source/queries` (201 + `Location`),
-//!   `GET|POST /v1/queries/:id/next`, `GET /v1/queries/:id/stats`,
+//!   `GET|POST /v1/queries/:id/next`, `GET /v1/queries/:id/results`,
+//!   `GET /v1/queries/:id/stream` (NDJSON), `GET /v1/queries/:id/stats`,
 //!   `DELETE /v1/queries/:id`, `GET /v1/sources`, `GET /v1/algorithms`;
 //! * the legacy RPC-style `/api/*` endpoints, kept as deprecated shims that
 //!   delegate to the same service methods and render the same error
@@ -12,28 +13,20 @@
 //!
 //! Handlers only decode DTOs, call one service method, and encode the
 //! result — all request parsing lives in [`crate::dto`], all logic in
-//! [`crate::QueryService`].
+//! [`crate::QueryService`]. That holds for the stream too: the handler
+//! wraps the service's NDJSON producer in a chunked response.
 
 use std::sync::Arc;
 
-use qr2_core::Budget;
-use qr2_http::{
-    decode_body, ApiError, ChunkStream, IntoJson, Json, Params, Request, Response, Status,
-};
-use qr2_webdb::{Schema, Tuple};
+use qr2_http::{decode_body, ApiError, IntoJson, Json, Params, Request, Response, Status};
 
 use crate::dto::{
     algorithm_catalog, GetNextRequest, NextPageRequest, QueryRequest, ReconStartRequest,
-    TupleEventEncoder,
 };
-use crate::error::{codes, unknown_query};
-use crate::service::{entry_stats, remaining_lifetime, QueryService};
-use crate::session::{SessionEntry, SessionHandle, SessionManager};
+use crate::error::codes;
+use crate::service::QueryService;
+use crate::session::SessionManager;
 use crate::sources::SourceRegistry;
-
-/// Streaming responses may ask for more rows than a buffered page (the
-/// stream emits them incrementally instead of holding them in memory).
-const STREAM_LIMIT_RANGE: (usize, usize) = (1, 1000);
 
 /// Shared state behind the HTTP handlers.
 pub struct ApiState {
@@ -146,228 +139,6 @@ fn trace_json(t: &qr2_obs::TraceSnapshot) -> Json {
     ])
 }
 
-/// The size a stream chunk fills up to with query-free lines (a single
-/// line may exceed it).
-const STREAM_CHUNK_BYTES: usize = 16 << 10;
-
-/// The NDJSON producer behind `GET /v1/queries/:id/stream`.
-///
-/// Pull-based: each call produces one chunk and is invoked only after the
-/// previous chunk was flushed to the socket. A chunk starts with one line
-/// — a tuple event (`{"event":"tuple",...}`) or the terminating summary
-/// (`{"event":"summary",...}`) — which may spend web-DB queries: one tuple
-/// is discovered per line (`advance` with a 1-tuple budget). The chunk
-/// then takes every following line that is ready without a query
-/// ([`StreamState::next_is_free`]), up to [`STREAM_CHUNK_BYTES`]. A line
-/// that needs a probe always starts the next chunk, so every line that
-/// cost a query reaches the client before the next probe goes out. The
-/// entry lock is held for one chunk, and the optional query `budget` plus
-/// the session's lifetime cap bound the total spend across the stream.
-fn ndjson_stream(
-    id: String,
-    handle: Arc<SessionHandle>,
-    schema: Schema,
-    limit: usize,
-    budget: Option<usize>,
-) -> ChunkStream {
-    let mut state = StreamState {
-        id,
-        encoder: TupleEventEncoder::new(schema),
-        limit,
-        budget,
-        emitted: 0,
-        stream_queries: 0,
-        status: None,
-        summary_sent: false,
-    };
-    // The producer runs after the request's middleware chain has returned:
-    // capture the ambient trace now (the handler is still inside it) so
-    // every chunk records a late `stream.page` span into the same trace.
-    let trace = qr2_obs::current_handle();
-    let lines_total = qr2_obs::counter(
-        "qr2_service_stream_lines_total",
-        &[("source", &handle.source)],
-    );
-    ChunkStream::new(move || {
-        if state.summary_sent {
-            return None;
-        }
-        let mut chunk = String::with_capacity(STREAM_CHUNK_BYTES);
-        // Lines in `chunk`, and its length up to the last complete line.
-        let (mut lines, mut complete) = (0u64, 0);
-        let mut fill = || {
-            let mut entry = handle.lock();
-            // The stream never re-enters SessionManager::get, so refresh the
-            // idle timer itself — an actively consumed stream must not be
-            // TTL-evicted out from under its client.
-            handle.touch();
-            loop {
-                state.push_line(&handle, &mut entry, &mut chunk);
-                lines += 1;
-                let line_len = chunk.len() - complete;
-                complete = chunk.len();
-                // Stop where another line of this size would overflow.
-                if state.summary_sent
-                    || complete + line_len > STREAM_CHUNK_BYTES
-                    || !state.next_is_free(&entry)
-                {
-                    break;
-                }
-            }
-        };
-        // A panicking producer would otherwise drop the connection with no
-        // terminal line; catch it, keep the lines already complete, and end
-        // with a one-time `failed`/`partial` summary so every stream — even
-        // a crashed one — ends with a parseable status.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &trace {
-            Some(t) => t.enter(|| qr2_obs::span("stream.page", &mut fill)),
-            None => qr2_obs::span("stream.page", &mut fill),
-        }));
-        if caught.is_err() && !state.summary_sent {
-            chunk.truncate(complete);
-            state.push_summary(&mut chunk, state.interrupted(), None);
-            lines += 1;
-        }
-        lines_total.add(lines);
-        (!chunk.is_empty()).then(|| chunk.into_bytes())
-    })
-}
-
-/// Per-stream progress of [`ndjson_stream`].
-struct StreamState {
-    id: String,
-    encoder: TupleEventEncoder,
-    limit: usize,
-    budget: Option<usize>,
-    /// Tuple lines produced so far.
-    emitted: usize,
-    stream_queries: usize,
-    /// The stopping condition, once reached; the next line is the summary.
-    status: Option<&'static str>,
-    summary_sent: bool,
-}
-
-impl StreamState {
-    /// True when the next line is ready without a web-DB query: the
-    /// session is recon-served, the engine has buffered tuples, or the
-    /// summary is already decided.
-    fn next_is_free(&self, entry: &SessionEntry) -> bool {
-        self.status.is_some()
-            || self.emitted >= self.limit
-            || entry.recon.is_some()
-            || entry.session.buffered() > 0
-    }
-
-    /// Append the next line (tuple event or summary) to `out`.
-    fn push_line(&mut self, handle: &SessionHandle, entry: &mut SessionEntry, out: &mut String) {
-        loop {
-            if let Some(status) = self.status {
-                // A stopping condition was reached: emit the summary.
-                let stats = entry_stats(entry).to_json();
-                return self.push_summary(out, status, Some(stats));
-            }
-            if self.emitted >= self.limit {
-                self.status = Some("complete");
-                continue;
-            }
-            // Recon-served sessions stream straight from the recon
-            // cursor — every line is free, no budget applies.
-            let recon_step = entry.recon.as_mut().map(|s| (s.next_one(), s.done()));
-            if let Some((tuple, done)) = recon_step {
-                entry.done = done;
-                match tuple {
-                    Some(t) => return self.push_tuple(out, 0, 0, &t),
-                    None => {
-                        self.status = Some("done");
-                        continue;
-                    }
-                }
-            }
-            let remaining = match remaining_lifetime(&self.id, handle, entry) {
-                Ok(r) => r,
-                Err(_) => {
-                    // The 200 is committed; report exhaustion in-band.
-                    self.status = Some("budget_exhausted");
-                    continue;
-                }
-            };
-            let step_cap = match (
-                self.budget.map(|b| b.saturating_sub(self.stream_queries)),
-                remaining,
-            ) {
-                (Some(b), Some(r)) => Some(b.min(r)),
-                (Some(b), None) => Some(b),
-                (None, r) => r,
-            };
-            let step =
-                qr2_sched::context::with_session(crate::service::session_ctx(handle), || {
-                    entry.session.advance(Budget {
-                        queries: step_cap,
-                        tuples: Some(1),
-                    })
-                });
-            entry.done = step.is_done();
-            let step_queries = step.stats_delta().total_queries();
-            self.stream_queries += step_queries;
-            // A terminally failed probe (source outage outlasting the
-            // scheduler's patience) trips the session's failure signal.
-            // The 200 is committed, so terminate in-band: drop the step's
-            // tuple (it was assembled around a failed probe) and emit a
-            // truthful summary.
-            if handle.failure.is_tripped() {
-                handle.failure.clear();
-                self.status = Some(self.interrupted());
-                continue;
-            }
-            match step.tuples().first() {
-                Some(t) => {
-                    let total = entry.session.stats().total_queries();
-                    return self.push_tuple(out, step_queries, total, t);
-                }
-                None => {
-                    // No tuple: the step stopped for a terminal reason.
-                    self.status = Some(step.label());
-                    continue;
-                }
-            }
-        }
-    }
-
-    fn push_tuple(&mut self, out: &mut String, queries: usize, total: usize, t: &Tuple) {
-        self.encoder
-            .write_event(out, self.emitted, queries, total, t);
-        out.push('\n');
-        self.emitted += 1;
-    }
-
-    /// The status of a stream cut short: `failed` if nothing was
-    /// delivered, `partial` if the client already has tuples.
-    fn interrupted(&self) -> &'static str {
-        if self.emitted == 0 {
-            "failed"
-        } else {
-            "partial"
-        }
-    }
-
-    /// Append the one summary line; `count` is the tuple lines
-    /// delivered. After a producer panic `stats` is left out: the session
-    /// may be mid-step, so the summary reports only what this stream
-    /// knows for certain.
-    fn push_summary(&mut self, out: &mut String, status: &str, stats: Option<Json>) {
-        let mut fields = vec![
-            ("event", Json::from("summary")),
-            ("status", Json::from(status)),
-            ("count", Json::from(self.emitted)),
-            ("stream_queries", Json::from(self.stream_queries)),
-        ];
-        fields.extend(stats.map(|stats| ("stats", stats)));
-        out.push_str(&Json::obj(fields).to_string());
-        out.push('\n');
-        self.summary_sent = true;
-    }
-}
-
 impl ApiState {
     /// Assemble the handler state.
     pub fn new(registry: Arc<SourceRegistry>, sessions: Arc<SessionManager>) -> ApiState {
@@ -466,33 +237,16 @@ impl ApiState {
     /// session's entry lock is taken per chunk, not for the whole stream,
     /// so stats and other requests interleave with an active stream.
     pub fn v1_stream(&self, req: &Request, p: &Params) -> Response {
-        let result = (|| -> Result<Response, ApiError> {
-            let id = p.require("id")?.to_string();
+        let result = (|| {
+            let id = p.require("id")?;
             let limit = usize_param(req, "limit")?;
             let budget = usize_param(req, "budget")?;
-            let handle = self.sessions.get(&id).ok_or_else(|| unknown_query(&id))?;
-            let source = self.registry.get(&handle.source).ok_or_else(|| {
-                ApiError::internal(format!("session source '{}' vanished", handle.source))
-            })?;
-            let schema = source.schema().clone();
-            let limit = limit
-                .unwrap_or(handle.page_size)
-                .clamp(STREAM_LIMIT_RANGE.0, STREAM_LIMIT_RANGE.1);
-            // Reject an already-exhausted lifetime budget as a structured
-            // 402 *before* committing to a 200 streaming response.
-            // Recon-served sessions are exempt: their pages cost nothing.
-            {
-                let entry = handle.lock();
-                if entry.recon.is_none() {
-                    remaining_lifetime(&id, &handle, &entry)?;
-                }
-            }
-            Ok(Response::stream(
-                "application/x-ndjson; charset=utf-8",
-                ndjson_stream(id, handle, schema, limit, budget),
-            ))
+            self.service.stream(id, limit, budget)
         })();
-        result.unwrap_or_else(Into::into)
+        match result {
+            Ok(stream) => Response::stream("application/x-ndjson; charset=utf-8", stream),
+            Err(e) => e.into(),
+        }
     }
 
     /// `GET /v1/queries/:id/stats`

@@ -55,5 +55,5 @@ pub use dto::{
 };
 pub use remote::{RemoteWebDb, WebDbGateway};
 pub use service::{compile_filters, compile_ranking, resolve_algorithm, QueryService};
-pub use session::{ReconServing, SessionEntry, SessionHandle, SessionId, SessionManager};
+pub use session::{SessionEntry, SessionHandle, SessionId, SessionManager};
 pub use sources::{DegradedPolicy, ResilienceConfig, Source, SourceBuilder, SourceRegistry};

@@ -4,30 +4,47 @@
 //! Handlers stay thin — decode a DTO, call one method here, encode the
 //! result — and both API surfaces (`/v1` and the legacy `/api` shims)
 //! share this exact logic, so behaviour cannot drift between them.
+//!
+//! Creating a query picks the session's serving tier (reconstruction,
+//! degraded reconstruction, or live engine behind the scheduler's
+//! admission). From then on every endpoint that serves tuples — the first
+//! page, `next`, `results` and each NDJSON stream line — is one
+//! [`SessionEntry::step`](crate::SessionEntry) followed by rendering its
+//! result.
 
 use std::sync::Arc;
 
 use qr2_core::{
-    Algorithm, Budget, LinearFunction, OneDimFunction, RankingFunction, RerankRequest, SortDir,
+    Algorithm, LinearFunction, OneDimFunction, RankingFunction, RerankRequest, SortDir,
 };
-use qr2_http::ApiError;
+use qr2_http::{ApiError, ChunkStream, IntoJson, Json};
 use qr2_recon::{JobOptions, ReconJobError, ServeOrder};
-use qr2_sched::{context as sched_context, FailureSignal, QueryClass, SessionCtx};
-use qr2_webdb::{AttrKind, CatSet, RangePred, Schema, SearchQuery};
+use qr2_sched::QueryClass;
+use qr2_webdb::{AttrKind, CatSet, RangePred, Schema, SearchQuery, Tuple};
 
 use crate::dto::{
     algorithm_catalog, CacheStatsResponse, FilterDto, HealthResponse, PageResponse, QueryRequest,
     RankingDto, ReconJobResponse, ReconStartRequest, ReconStatusResponse, ResultsResponse,
-    SchedStatsResponse, SourceDescriptor, StatsResponse, TupleDto,
+    SchedStatsResponse, SourceDescriptor, StatsResponse, TupleDto, TupleEventEncoder,
 };
 use crate::error::{
     budget_exceeded, codes, source_throttled, source_unavailable, unknown_query, unknown_source,
 };
-use crate::session::{ReconServing, SessionEntry, SessionHandle, SessionManager};
+use crate::session::{
+    ReconServing, Serving, SessionEntry, SessionHandle, SessionManager, StepError,
+};
 use crate::sources::{Source, SourceRegistry};
 
 /// Page sizes are clamped to this range.
 const PAGE_SIZE_RANGE: (usize, usize) = (1, 100);
+
+/// Streams may ask for more rows than a buffered page (the stream emits
+/// them incrementally instead of holding them in memory).
+const STREAM_LIMIT_RANGE: (usize, usize) = (1, 1000);
+
+/// The size a stream chunk fills up to with query-free lines (a single
+/// line may exceed it).
+const STREAM_CHUNK_BYTES: usize = 16 << 10;
 
 /// The QR2 application service.
 pub struct QueryService {
@@ -89,15 +106,13 @@ impl QueryService {
         // evaluated once, at creation: the session keeps its snapshot even
         // if the epoch moves later (exactly like a live session keeps its
         // buffered tuples).
-        let recon_serving = ServeOrder::for_request(algorithm, &function)
-            .and_then(|order| {
-                source
-                    .recon
-                    .serve(&filter, &order, source.reranker.normalizer(), || {
-                        source.cache.epoch()
-                    })
-            })
-            .map(ReconServing::new);
+        let order = ServeOrder::for_request(algorithm, &function);
+        let serve = |epoch_at: &dyn Fn() -> u64| {
+            let order = order.as_ref()?;
+            let norm = source.reranker.normalizer();
+            source.recon.serve(&filter, order, norm, epoch_at)
+        };
+        let fresh = serve(&|| source.cache.epoch());
         // Degraded serving: when the source's circuit breaker rejects new
         // work, a fresh-epoch recon miss gets one more chance — if the
         // operator policy tolerates staleness, re-check coverage against
@@ -114,177 +129,85 @@ impl QueryService {
             qr2_webdb::Admission::Rejected { retry_after } => Some(retry_after),
             _ => None,
         };
-        let breaker_open = breaker_retry_after.is_some();
-        let recon_serving = match recon_serving {
-            Some(s) => Some(s),
-            None if breaker_open && source.degraded_policy.allow_stale_recon => {
+        let recon_serving = match fresh {
+            Some(cursor) => Some(ReconServing::new(cursor, false)),
+            None if breaker_retry_after.is_some() && source.degraded_policy.allow_stale_recon => {
                 let recon_epoch = source.recon.epoch();
-                ServeOrder::for_request(algorithm, &function)
-                    .and_then(|order| {
-                        source.recon.serve(
-                            &filter,
-                            &order,
-                            source.reranker.normalizer(),
-                            move || recon_epoch,
-                        )
-                    })
-                    .map(|cursor| ReconServing::new(cursor).degraded())
+                serve(&move || recon_epoch).map(|cursor| ReconServing::new(cursor, true))
             }
             None => None,
         };
-        if recon_serving.is_none() {
-            if let Some(retry_after) = breaker_retry_after {
-                return Err(source_unavailable(source_name, Some(retry_after)));
-            }
-            // Admission control: when the source is so saturated that a new
-            // session's first probe would wait past the scheduler's admission
-            // ceiling, refuse with a structured 503 + Retry-After instead of
-            // letting the request hang in the queue.
-            source
-                .sched
-                .admit()
-                .map_err(|t| source_throttled(source_name, &t))?;
-        }
-
-        let mut session = source.reranker.query(RerankRequest {
-            filter,
-            function,
-            algorithm,
-        });
-        let sched_key = sched_context::next_session_key();
-        let (results, done, stats, recon_serving) = match recon_serving {
-            Some(mut serving) => {
-                let page = serving.next_page(page_size);
-                let results = page.iter().map(|t| TupleDto::new(&schema, t)).collect();
-                let done = serving.done();
-                let stats = StatsResponse::new(&serving.stats, serving.served());
-                (results, done, stats, Some(serving))
-            }
+        let (serving, created) = match recon_serving {
+            Some(serving) => (Serving::Recon(serving), &source.obs_created_recon),
             None => {
-                // The first page runs before the session table has a
-                // handle, so it carries its own failure signal: a probe
-                // failing terminally (source down past the scheduler's
-                // outage patience) trips it and the whole request becomes
-                // a structured 503 instead of a silent empty page.
-                let failure = FailureSignal::new();
-                let ctx = SessionCtx::new(sched_key, class)
-                    .with_cancel(session.cancel_token())
-                    .with_failure(failure.clone());
-                // The first page respects the lifetime budget from query zero.
-                let step = sched_context::with_session(ctx, || {
-                    session.advance(Budget {
-                        queries: req.max_queries,
-                        tuples: Some(page_size),
-                    })
-                });
-                if failure.is_tripped() {
-                    let health = source.sched.resilient().health();
-                    return Err(source_unavailable(source_name, health.retry_after));
+                if let Some(retry_after) = breaker_retry_after {
+                    return Err(source_unavailable(source_name, Some(retry_after)));
                 }
-                let done = step.is_done();
-                let results = step
-                    .into_tuples()
-                    .iter()
-                    .map(|t| TupleDto::new(&schema, t))
-                    .collect();
-                let stats = StatsResponse::new(&session.stats(), session.served());
-                (results, done, stats, None)
+                // Admission control: when the source is so saturated that
+                // a new session's first probe would wait past the
+                // scheduler's admission ceiling, refuse with a structured
+                // 503 + Retry-After instead of letting the request hang in
+                // the queue.
+                source
+                    .sched
+                    .admit()
+                    .map_err(|t| source_throttled(source_name, &t))?;
+                let session = source.reranker.query(RerankRequest {
+                    filter,
+                    function,
+                    algorithm,
+                });
+                (Serving::Live(session), &source.obs_created_live)
             }
         };
-        if recon_serving.is_some() {
-            source.obs_created_recon.inc();
-        } else {
-            source.obs_created_live.inc();
-        }
-        let degraded = recon_serving.as_ref().map(|s| s.degraded).unwrap_or(false);
-        let query_id = self.sessions.create(
-            session,
-            source_name,
-            page_size,
-            req.max_queries,
-            class,
-            sched_key,
-        );
-        if let Some(serving) = recon_serving {
-            if let Some(handle) = self.sessions.get(&query_id) {
-                let mut entry = handle.lock();
-                entry.done = done;
-                entry.recon = Some(serving);
+
+        // The first page is the session's first step, taken before the
+        // session is registered: a query whose first page fails is never
+        // created.
+        let handle = SessionHandle::new(source_name, page_size, req.max_queries, class, serving);
+        let (step, stats) = {
+            let mut entry = handle.lock();
+            (entry.step(&handle, page_size, None), entry.stats())
+        };
+        let (tuples, done, degraded) = match step {
+            Ok(step) => (step.tuples, step.done, step.degraded),
+            // A zero lifetime budget still opens the query; its first page
+            // is empty and every later step is refused.
+            Err(StepError::BudgetExceeded { .. }) => (Vec::new(), false, false),
+            Err(StepError::Outage { .. }) => {
+                let retry_after = source.sched.resilient().health().retry_after;
+                return Err(source_unavailable(source_name, retry_after));
             }
-        }
+        };
+        created.inc();
+        let query_id = self.sessions.register(handle);
         Ok(PageResponse {
             query_id,
             algorithm: Some(algorithm.paper_name()),
-            results,
+            results: render(&schema, &tuples),
             done,
             degraded,
             stats,
         })
     }
 
-    /// `GET|POST /v1/queries/:id/next`: the next page of a live query
+    /// `GET|POST /v1/queries/:id/next`: the next page of a query
     /// (blocking within the session's lifetime budget).
     pub fn next_page(&self, id: &str, page_size: Option<usize>) -> Result<PageResponse, ApiError> {
-        let handle = self.sessions.get(id).ok_or_else(|| unknown_query(id))?;
-        // Resolve the source *before* taking the session's entry lock:
-        // registry lookups and schema clones must not serialize behind
-        // another request paging this same session — and paging one session
-        // must never wait on state shared with other sessions.
-        let source = self.source_of(&handle.source)?;
-        let schema = source.schema().clone();
+        let (handle, source) = self.session(id)?;
         let page_size = clamp_page_size(page_size.unwrap_or(handle.page_size));
 
         let mut entry = handle.lock();
-        // Recon-served sessions page from the recon cursor: free,
-        // so the lifetime budget check does not apply.
-        let recon_step = entry.recon.as_mut().map(|serving| {
-            let page = serving.next_page(page_size);
-            let stats = StatsResponse::new(&serving.stats, serving.served());
-            (page, serving.done(), serving.degraded, stats)
-        });
-        if let Some((page, done, degraded, stats)) = recon_step {
-            entry.done = done;
-            let results = page.iter().map(|t| TupleDto::new(&schema, t)).collect();
-            return Ok(PageResponse {
-                query_id: id.to_string(),
-                algorithm: None,
-                results,
-                done,
-                degraded,
-                stats,
-            });
-        }
-        let remaining = remaining_lifetime(id, &handle, &entry)?;
-        let step = sched_context::with_session(session_ctx(&handle), || {
-            entry.session.advance(Budget {
-                queries: remaining,
-                tuples: Some(page_size),
-            })
-        });
-        // A probe that failed terminally mid-step (source down past the
-        // scheduler's outage patience) trips the session's failure signal.
-        // Discard the step — a page assembled around a failed probe may be
-        // mis-ordered — and surface the outage as a structured 503; the
-        // session stays live and resumes once the source recovers.
-        if handle.failure.is_tripped() {
-            handle.failure.clear();
-            let health = source.sched.resilient().health();
-            return Err(source_unavailable(&handle.source, health.retry_after));
-        }
-        entry.done = step.is_done();
-        let results: Vec<TupleDto> = step
-            .into_tuples()
-            .iter()
-            .map(|t| TupleDto::new(&schema, t))
-            .collect();
-        let stats = StatsResponse::new(&entry.session.stats(), entry.session.served());
+        let step = entry
+            .step(&handle, page_size, None)
+            .map_err(|e| step_error(id, &source, e))?;
         Ok(PageResponse {
             query_id: id.to_string(),
             algorithm: None,
-            results,
-            done: entry.done,
-            degraded: false,
-            stats,
+            results: render(source.schema(), &step.tuples),
+            done: step.done,
+            degraded: step.degraded,
+            stats: entry.stats(),
         })
     }
 
@@ -300,75 +223,64 @@ impl QueryService {
         limit: Option<usize>,
         budget: Option<usize>,
     ) -> Result<ResultsResponse, ApiError> {
-        let handle = self.sessions.get(id).ok_or_else(|| unknown_query(id))?;
-        let source = self.source_of(&handle.source)?;
-        let schema = source.schema().clone();
+        let (handle, source) = self.session(id)?;
         let limit = clamp_page_size(limit.unwrap_or(handle.page_size));
 
         let mut entry = handle.lock();
-        let recon_step = entry.recon.as_mut().map(|serving| {
-            let page = serving.next_page(limit);
-            let stats = StatsResponse::new(&serving.stats, serving.served());
-            (page, serving.done(), serving.degraded, stats)
-        });
-        if let Some((page, done, degraded, stats)) = recon_step {
-            entry.done = done;
-            let results = page.iter().map(|t| TupleDto::new(&schema, t)).collect();
-            return Ok(ResultsResponse {
-                query_id: id.to_string(),
-                results,
-                status: if done { "done" } else { "complete" },
-                step_queries: 0,
-                degraded,
-                stats,
-            });
-        }
-        let remaining = remaining_lifetime(id, &handle, &entry)?;
-        // The step may spend at most min(request budget, remaining
-        // lifetime budget).
-        let step_budget = match (budget, remaining) {
-            (Some(b), Some(r)) => Some(b.min(r)),
-            (Some(b), None) => Some(b),
-            (None, r) => r,
-        };
-        let step = sched_context::with_session(session_ctx(&handle), || {
-            entry.session.advance(Budget {
-                queries: step_budget,
-                tuples: Some(limit),
-            })
-        });
-        // Same terminal-failure discipline as `next_page`: a tripped
-        // signal turns the step into a structured 503 rather than a page
-        // that silently omits the failed probe's contribution.
-        if handle.failure.is_tripped() {
-            handle.failure.clear();
-            let health = source.sched.resilient().health();
-            return Err(source_unavailable(&handle.source, health.retry_after));
-        }
-        entry.done = step.is_done();
-        let status = step.label();
-        let step_queries = step.stats_delta().total_queries();
-        let results: Vec<TupleDto> = step
-            .into_tuples()
-            .iter()
-            .map(|t| TupleDto::new(&schema, t))
-            .collect();
-        let stats = StatsResponse::new(&entry.session.stats(), entry.session.served());
+        let step = entry
+            .step(&handle, limit, budget)
+            .map_err(|e| step_error(id, &source, e))?;
         Ok(ResultsResponse {
             query_id: id.to_string(),
-            results,
-            status,
-            step_queries,
-            degraded: false,
-            stats,
+            results: render(source.schema(), &step.tuples),
+            status: step.status,
+            step_queries: step.queries,
+            degraded: step.degraded,
+            stats: entry.stats(),
         })
+    }
+
+    /// `GET /v1/queries/:id/stream?limit=N&budget=Q`: the query's next
+    /// `limit` tuples as NDJSON chunks, one tuple event per line and one
+    /// closing summary line, produced on demand as the response is
+    /// written. `budget` caps the queries of the whole stream. An
+    /// already-spent lifetime budget is a structured `402` here, before
+    /// the stream's `200` is committed.
+    pub fn stream(
+        &self,
+        id: &str,
+        limit: Option<usize>,
+        budget: Option<usize>,
+    ) -> Result<ChunkStream, ApiError> {
+        let (handle, source) = self.session(id)?;
+        let limit = limit
+            .unwrap_or(handle.page_size)
+            .clamp(STREAM_LIMIT_RANGE.0, STREAM_LIMIT_RANGE.1);
+        // A zero-tuple step spends nothing; it fails only where the
+        // stream's first line would.
+        let degraded = handle
+            .lock()
+            .step(&handle, 0, None)
+            .map_err(|e| step_error(id, &source, e))?
+            .degraded;
+        let state = StreamState {
+            encoder: TupleEventEncoder::new(source.schema().clone()),
+            limit,
+            budget,
+            emitted: 0,
+            stream_queries: 0,
+            degraded,
+            status: None,
+            summary_sent: false,
+        };
+        Ok(ndjson_stream(handle, state))
     }
 
     /// `GET /v1/queries/:id/stats`: the statistics panel.
     pub fn stats(&self, id: &str) -> Result<StatsResponse, ApiError> {
         let handle = self.sessions.get(id).ok_or_else(|| unknown_query(id))?;
-        let entry = handle.lock();
-        Ok(entry_stats(&entry))
+        let stats = handle.lock().stats();
+        Ok(stats)
     }
 
     /// `DELETE /v1/queries/:id`: drop a live query. Cancels the session's
@@ -528,10 +440,180 @@ impl QueryService {
             .map_err(|e| ApiError::internal(format!("recon drop failed: {e}")))
     }
 
-    fn source_of(&self, name: &str) -> Result<Arc<Source>, ApiError> {
-        self.registry
+    /// A session and its source. Resolved *before* the caller takes the
+    /// session's entry lock: registry lookups must not serialize behind
+    /// another request paging this same session — and paging one session
+    /// must never wait on state shared with other sessions.
+    fn session(&self, id: &str) -> Result<(Arc<SessionHandle>, Arc<Source>), ApiError> {
+        let handle = self.sessions.get(id).ok_or_else(|| unknown_query(id))?;
+        let name = &handle.source;
+        let source = self
+            .registry
             .get(name)
-            .ok_or_else(|| ApiError::internal(format!("session source '{name}' vanished")))
+            .ok_or_else(|| ApiError::internal(format!("session source '{name}' vanished")))?;
+        Ok((handle, source))
+    }
+}
+
+/// The NDJSON producer behind `GET /v1/queries/:id/stream`.
+///
+/// Pull-based: each call produces one chunk and is invoked only after the
+/// previous chunk was flushed to the socket. A chunk starts with one line
+/// — a tuple event (`{"event":"tuple",...}`) or the terminating summary
+/// (`{"event":"summary",...}`) — which may spend web-DB queries: each
+/// tuple line is one one-tuple [`SessionEntry::step`]. The chunk then
+/// takes every following line that is ready without a query
+/// ([`StreamState::next_is_free`]), up to [`STREAM_CHUNK_BYTES`]. A line
+/// that needs a probe always starts the next chunk, so every line that
+/// cost a query reaches the client before the next probe goes out. The
+/// entry lock is held for one chunk, and the optional query `budget` plus
+/// the session's lifetime cap bound the total spend across the stream.
+fn ndjson_stream(handle: Arc<SessionHandle>, mut state: StreamState) -> ChunkStream {
+    // The producer runs after the request's middleware chain has returned:
+    // capture the ambient trace now (the handler is still inside it) so
+    // every chunk records a late `stream.page` span into the same trace.
+    let trace = qr2_obs::current_handle();
+    let lines_total = qr2_obs::counter(
+        "qr2_service_stream_lines_total",
+        &[("source", &handle.source)],
+    );
+    ChunkStream::new(move || {
+        if state.summary_sent {
+            return None;
+        }
+        let mut chunk = String::with_capacity(STREAM_CHUNK_BYTES);
+        // Lines in `chunk`, and its length up to the last complete line.
+        let (mut lines, mut complete) = (0u64, 0);
+        let mut fill = || {
+            let mut entry = handle.lock();
+            // The stream never re-enters SessionManager::get, so refresh the
+            // idle timer itself — an actively consumed stream must not be
+            // TTL-evicted out from under its client.
+            handle.touch();
+            loop {
+                state.push_line(&handle, &mut entry, &mut chunk);
+                lines += 1;
+                let line_len = chunk.len() - complete;
+                complete = chunk.len();
+                // Stop where another line of this size would overflow.
+                if state.summary_sent
+                    || complete + line_len > STREAM_CHUNK_BYTES
+                    || !state.next_is_free(&entry)
+                {
+                    break;
+                }
+            }
+        };
+        // A panicking producer would otherwise drop the connection with no
+        // terminal line; catch it, keep the lines already complete, and end
+        // with a one-time `failed`/`partial` summary so every stream — even
+        // a crashed one — ends with a parseable status.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &trace {
+            Some(t) => t.enter(|| qr2_obs::span("stream.page", &mut fill)),
+            None => qr2_obs::span("stream.page", &mut fill),
+        }));
+        if caught.is_err() && !state.summary_sent {
+            chunk.truncate(complete);
+            state.push_summary(&mut chunk, state.interrupted(), None);
+            lines += 1;
+        }
+        lines_total.add(lines);
+        (!chunk.is_empty()).then(|| chunk.into_bytes())
+    })
+}
+
+/// Per-stream progress of [`ndjson_stream`].
+struct StreamState {
+    encoder: TupleEventEncoder,
+    limit: usize,
+    budget: Option<usize>,
+    /// Tuple lines produced so far.
+    emitted: usize,
+    stream_queries: usize,
+    /// Whether the session serves under the degraded policy, as its last
+    /// step reported.
+    degraded: bool,
+    /// The stopping condition, once reached; the next line is the summary.
+    status: Option<&'static str>,
+    summary_sent: bool,
+}
+
+impl StreamState {
+    /// True when the next line is ready without a web-DB query: the
+    /// summary is already decided or the session's next step is free.
+    fn next_is_free(&self, entry: &SessionEntry) -> bool {
+        self.status.is_some() || self.emitted >= self.limit || entry.next_is_free()
+    }
+
+    /// Append the next line (tuple event or summary) to `out`.
+    fn push_line(&mut self, handle: &SessionHandle, entry: &mut SessionEntry, out: &mut String) {
+        if self.status.is_none() && self.emitted >= self.limit {
+            self.status = Some("complete");
+        }
+        if let Some(status) = self.status {
+            let stats = entry.stats().to_json();
+            return self.push_summary(out, status, Some(stats));
+        }
+        let budget = self.budget.map(|b| b.saturating_sub(self.stream_queries));
+        match entry.step(handle, 1, budget) {
+            Ok(step) => {
+                self.stream_queries += step.queries;
+                self.degraded = step.degraded;
+                match step.tuples.first() {
+                    Some(t) => {
+                        self.encoder.write_event(
+                            out,
+                            self.emitted,
+                            step.queries,
+                            entry.total_queries(),
+                            t,
+                        );
+                        out.push('\n');
+                        self.emitted += 1;
+                        return;
+                    }
+                    // No tuple: the step stopped for a terminal reason.
+                    None => self.status = Some(step.status),
+                }
+            }
+            // The 200 is committed; report exhaustion in-band.
+            Err(StepError::BudgetExceeded { .. }) => self.status = Some("budget_exhausted"),
+            // A probe failed terminally: terminate in-band with a
+            // truthful summary (the step's tuple was dropped).
+            Err(StepError::Outage { queries }) => {
+                self.stream_queries += queries;
+                self.status = Some(self.interrupted());
+            }
+        }
+        self.push_line(handle, entry, out)
+    }
+
+    /// The status of a stream cut short: `failed` if nothing was
+    /// delivered, `partial` if the client already has tuples.
+    fn interrupted(&self) -> &'static str {
+        if self.emitted == 0 {
+            "failed"
+        } else {
+            "partial"
+        }
+    }
+
+    /// Append the one summary line; `count` is the tuple lines
+    /// delivered. After a producer panic `stats` is left out: the session
+    /// may be mid-step, so the summary reports only what this stream
+    /// knows for certain.
+    fn push_summary(&mut self, out: &mut String, status: &str, stats: Option<Json>) {
+        let mut fields = vec![
+            ("event", Json::from("summary")),
+            ("status", Json::from(status)),
+            ("count", Json::from(self.emitted)),
+            ("stream_queries", Json::from(self.stream_queries)),
+            ("degraded", Json::Bool(self.degraded)),
+        ];
+        fields.extend(stats.map(|stats| ("stats", stats)));
+        out.push_str(&Json::obj(fields).to_string());
+        out.push('\n');
+        self.summary_sent = true;
     }
 }
 
@@ -553,41 +635,21 @@ fn parse_class(raw: Option<&str>) -> Result<QueryClass, ApiError> {
     }
 }
 
-/// The statistics panel for a session: recon-served sessions report the
-/// serving tier's counters (`recon_hits`, zero queries), live sessions the
-/// engine's.
-pub(crate) fn entry_stats(entry: &SessionEntry) -> StatsResponse {
-    match &entry.recon {
-        Some(s) => StatsResponse::new(&s.stats, s.served()),
-        None => StatsResponse::new(&entry.session.stats(), entry.session.served()),
-    }
+/// Render served tuples as response DTOs.
+fn render(schema: &Schema, tuples: &[Tuple]) -> Vec<TupleDto> {
+    tuples.iter().map(|t| TupleDto::new(schema, t)).collect()
 }
 
-/// The ambient scheduler context for requests driving an existing session.
-pub(crate) fn session_ctx(handle: &SessionHandle) -> SessionCtx {
-    SessionCtx::new(handle.sched_key, handle.class)
-        .with_cancel(handle.cancel.clone())
-        .with_failure(handle.failure.clone())
-}
-
-/// The session's remaining lifetime query budget (`None` = uncapped).
-/// When the cap is fully spent and nothing is buffered — i.e. the request
-/// cannot produce a single tuple without exceeding the cap — this is the
-/// `402 budget_exceeded` error.
-pub(crate) fn remaining_lifetime(
-    id: &str,
-    handle: &SessionHandle,
-    entry: &SessionEntry,
-) -> Result<Option<usize>, ApiError> {
-    let Some(cap) = handle.max_queries else {
-        return Ok(None);
-    };
-    let spent = entry.session.stats().total_queries();
-    let remaining = cap.saturating_sub(spent);
-    if remaining == 0 && entry.session.buffered() == 0 {
-        return Err(budget_exceeded(id, cap, spent));
+/// The structured error for a step that served nothing: `402
+/// budget_exceeded` for a spent lifetime budget, `503 source_unavailable`
+/// (with the breaker's `Retry-After`) for a terminal source failure.
+fn step_error(id: &str, source: &Source, e: StepError) -> ApiError {
+    match e {
+        StepError::BudgetExceeded { cap, spent } => budget_exceeded(id, cap, spent),
+        StepError::Outage { .. } => {
+            source_unavailable(&source.name, source.sched.resilient().health().retry_after)
+        }
     }
-    Ok(Some(remaining))
 }
 
 /// Compile the `filters` DTOs against a schema.
@@ -1020,6 +1082,31 @@ mod tests {
         }
         // The session itself is still alive: stats keep working.
         assert!(svc.stats(&page.query_id).is_ok());
+    }
+
+    #[test]
+    fn zero_lifetime_budget_opens_the_query_then_refuses_every_step() {
+        let svc = svc(400);
+        let req = query_req(
+            r#"{"ranking":{"type":"1d","attr":"price","dir":"desc"},
+                "algorithm":"1d-binary","page_size":5,"max_queries":0}"#,
+        );
+        // Creation succeeds (the handler's 201) with an empty, unfinished
+        // first page and no query spent.
+        let page = svc.create_query("bluenile", &req).unwrap();
+        assert!(page.results.is_empty());
+        assert!(!page.done);
+        assert_eq!(page.stats.queries, 0);
+        // Every later step is the 402.
+        for result in [
+            svc.next_page(&page.query_id, None).map(|_| ()),
+            svc.results(&page.query_id, None, None).map(|_| ()),
+            svc.stream(&page.query_id, None, None).map(|_| ()),
+        ] {
+            let e = result.unwrap_err();
+            assert_eq!(e.status, qr2_http::Status::PaymentRequired);
+            assert_eq!(e.code, codes::BUDGET_EXCEEDED);
+        }
     }
 
     #[test]

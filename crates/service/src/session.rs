@@ -1,12 +1,20 @@
-//! User sessions: each submitted query opens a session whose reranking
-//! engine persists between get-next calls — the "session variable (user
-//! level cache)" of the paper's architecture.
+//! User sessions: each submitted query opens a session whose serving state
+//! persists between get-next calls — the "session variable (user level
+//! cache)" of the paper's architecture.
 //!
 //! A session is split into an immutable [`SessionHandle`] (source name,
-//! default page size, creation time) and the mutable [`SessionEntry`]
-//! behind the handle's lock. Request handlers read the immutable half —
-//! e.g. to resolve the source registry entry — *before* taking the entry
-//! lock, so slow paging in one session never blocks lookups for another.
+//! default page size, lifetime budget, scheduler identity, cancel token)
+//! and the mutable [`SessionEntry`] behind the handle's lock. Request
+//! handlers read the immutable half — e.g. to resolve the source registry
+//! entry — *before* taking the entry lock, so slow paging in one session
+//! never blocks lookups for another.
+//!
+//! The entry owns the session's serving tier — a live reranking engine or
+//! a zero-query cursor over the source's offline rank reconstruction — and
+//! the one way to serve from it: [`SessionEntry::step`]. Every page,
+//! `results` call and NDJSON stream line is one step, so the tier choice,
+//! the lifetime query budget, the scheduler context, cancellation and the
+//! outage signal are decided in one place for every endpoint.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,68 +22,72 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
-use qr2_core::{CancelToken, QueryStats, RerankSession};
+use qr2_core::{Budget, CancelToken, QueryStats, RerankSession, StepOutcome};
 use qr2_recon::ReconCursor;
-use qr2_sched::{FailureSignal, QueryClass};
+use qr2_sched::{context as sched_context, FailureSignal, QueryClass, SessionCtx};
 use qr2_webdb::Tuple;
+
+use crate::dto::StatsResponse;
 
 /// Opaque session identifier (`"s17"`).
 pub type SessionId = String;
 
 /// Zero-query serving state for a session whose filter region is covered
-/// by the source's offline rank reconstruction (`qr2-recon`): pages are
+/// by the source's offline rank reconstruction (`qr2-recon`): tuples are
 /// pulled lazily from a [`ReconCursor`] in the engines' exact order — no
 /// engine, no scheduler, no web-DB spend. Coverage was checked against
 /// the answer-cache epoch at creation; like a live session's
 /// already-buffered tuples, the cursor's snapshot is *not* invalidated
 /// mid-session by a later epoch bump (see docs/RECON.md).
-pub struct ReconServing {
+pub(crate) struct ReconServing {
     cursor: ReconCursor,
-    /// The next tuple, pulled one ahead so [`ReconServing::done`] is
-    /// exact without a page having come back short.
+    /// The next tuple, pulled one ahead so a step that serves the last
+    /// tuple already reports [`StepOutcome::Done`].
     ahead: Option<Tuple>,
     served: usize,
-    /// Serving-tier statistics: `recon_hits` pages, zero queries.
-    pub stats: QueryStats,
+    /// Serving-tier statistics: one `recon_hits` per step, zero queries.
+    stats: QueryStats,
     /// True when this answer was admitted under an operator degraded-
     /// serving policy (source breaker open, stale epoch tolerated); the
     /// flag is echoed on every page so clients can tell a degraded
     /// answer from a fresh one.
-    pub degraded: bool,
+    degraded: bool,
 }
 
 impl ReconServing {
-    /// Serve the answer `cursor` (from `ReconIndex::serve`) pulls.
-    pub fn new(mut cursor: ReconCursor) -> ReconServing {
+    /// Serve the answer `cursor` (from `ReconIndex::serve`) pulls;
+    /// `degraded` when a stale recon epoch is tolerated because the
+    /// source's circuit breaker is open.
+    pub(crate) fn new(mut cursor: ReconCursor, degraded: bool) -> ReconServing {
         ReconServing {
             ahead: cursor.next(),
             cursor,
             served: 0,
             stats: QueryStats::default(),
-            degraded: false,
+            degraded,
         }
     }
 
-    /// Mark the answer as served under a degraded policy (stale recon
-    /// epoch tolerated while the source's circuit breaker is open).
-    pub fn degraded(mut self) -> ReconServing {
-        self.degraded = true;
-        self
-    }
-
-    /// Serve the next page of up to `n` tuples and record the recon hit.
-    pub fn next_page(&mut self, n: usize) -> Vec<Tuple> {
-        let page: Vec<Tuple> = std::iter::from_fn(|| self.pull()).take(n).collect();
-        self.stats.record_recon_hit();
-        page
-    }
-
-    /// Serve a one-tuple page (one NDJSON stream line) and record the
-    /// recon hit, as `next_page(1)` does, without building the page.
-    pub fn next_one(&mut self) -> Option<Tuple> {
-        let t = self.pull();
-        self.stats.record_recon_hit();
-        t
+    /// Serve up to `budget.tuples` tuples (the query cap does not apply:
+    /// nothing here queries). Each step that pulls from the cursor — a
+    /// page, a stream line, or the pull that finds the answer drained —
+    /// records one recon hit; a zero-tuple step touches nothing.
+    fn advance(&mut self, budget: Budget) -> StepOutcome {
+        let n = budget.tuples.unwrap_or(usize::MAX);
+        let mut stats = QueryStats::default();
+        if n > 0 {
+            stats.record_recon_hit();
+            self.stats.record_recon_hit();
+        }
+        let tuples: Vec<Tuple> = std::iter::from_fn(|| self.pull()).take(n).collect();
+        if self.ahead.is_none() {
+            StepOutcome::Done {
+                partial: tuples,
+                stats,
+            }
+        } else {
+            StepOutcome::Ready { tuples, stats }
+        }
     }
 
     /// The next tuple, counted as served.
@@ -85,65 +97,219 @@ impl ReconServing {
         self.served += 1;
         Some(t)
     }
+}
+
+/// Which tier serves a session, fixed at creation.
+pub(crate) enum Serving {
+    /// The reranking engine with its session cache, probing through the
+    /// source's scheduler.
+    Live(RerankSession),
+    /// The offline rank reconstruction's cursor: free, never probes.
+    Recon(ReconServing),
+}
+
+/// What one [`SessionEntry::step`] served.
+pub(crate) struct Step {
+    /// The tuples, in ranking order.
+    pub(crate) tuples: Vec<Tuple>,
+    /// Why the step stopped: `complete` | `budget_exhausted` | `done` |
+    /// `cancelled`.
+    pub(crate) status: &'static str,
+    /// Web-DB queries this step spent.
+    pub(crate) queries: usize,
+    /// True when every tuple has been served.
+    pub(crate) done: bool,
+    /// True when the session serves under the degraded policy.
+    pub(crate) degraded: bool,
+}
+
+/// Why a [`SessionEntry::step`] served nothing.
+#[derive(Debug)]
+pub(crate) enum StepError {
+    /// The lifetime query budget is spent and nothing is buffered: the
+    /// step cannot produce a tuple without exceeding the cap.
+    BudgetExceeded {
+        /// The session's lifetime cap.
+        cap: usize,
+        /// Queries spent so far.
+        spent: usize,
+    },
+    /// A probe failed terminally (the source stayed down past the
+    /// scheduler's outage patience). The step's tuples were assembled
+    /// around the failed probe and are discarded; the session stays live
+    /// and resumes once the source recovers.
+    Outage {
+        /// Queries the failed step spent before the failure.
+        queries: usize,
+    },
+}
+
+/// The mutable state of a session (held behind [`SessionHandle`]'s lock).
+pub struct SessionEntry {
+    serving: Serving,
+}
+
+impl SessionEntry {
+    /// Serve up to `tuples` tuples. `budget` caps the queries this one
+    /// step may spend (`None` = uncapped); the session's lifetime cap
+    /// (`handle.max_queries`) bounds it further. A cancelled session
+    /// (deleted, or evicted while a stream holds its handle) serves
+    /// nothing and reports `cancelled`, whichever tier serves it. A
+    /// zero-tuple step spends nothing; it only reports whether the
+    /// session could step at all.
+    pub(crate) fn step(
+        &mut self,
+        handle: &SessionHandle,
+        tuples: usize,
+        budget: Option<usize>,
+    ) -> Result<Step, StepError> {
+        let degraded = matches!(&self.serving, Serving::Recon(s) if s.degraded);
+        let outcome = match &mut self.serving {
+            _ if handle.cancel.is_cancelled() => StepOutcome::Cancelled {
+                partial: Vec::new(),
+                stats: QueryStats::default(),
+            },
+            Serving::Recon(serving) => serving.advance(Budget::tuples(tuples)),
+            Serving::Live(session) => {
+                let queries = match handle.max_queries {
+                    None => budget,
+                    Some(cap) => {
+                        let spent = session.stats().total_queries();
+                        let remaining = cap.saturating_sub(spent);
+                        if remaining == 0 && session.buffered() == 0 {
+                            return Err(StepError::BudgetExceeded { cap, spent });
+                        }
+                        Some(budget.map_or(remaining, |b| b.min(remaining)))
+                    }
+                };
+                let ctx = SessionCtx::new(handle.sched_key, handle.class)
+                    .with_cancel(handle.cancel.clone())
+                    .with_failure(handle.failure.clone());
+                let outcome = sched_context::with_session(ctx, || {
+                    session.advance(Budget {
+                        queries,
+                        tuples: Some(tuples),
+                    })
+                });
+                if handle.failure.is_tripped() {
+                    handle.failure.clear();
+                    return Err(StepError::Outage {
+                        queries: outcome.stats_delta().total_queries(),
+                    });
+                }
+                outcome
+            }
+        };
+        Ok(Step {
+            status: outcome.label(),
+            queries: outcome.stats_delta().total_queries(),
+            done: outcome.is_done(),
+            degraded,
+            tuples: outcome.into_tuples(),
+        })
+    }
 
     /// Tuples served so far.
     pub fn served(&self) -> usize {
-        self.served
+        match &self.serving {
+            Serving::Live(session) => session.served(),
+            Serving::Recon(serving) => serving.served,
+        }
     }
 
-    /// True when every tuple has been served.
-    pub fn done(&self) -> bool {
-        self.ahead.is_none()
+    /// The statistics panel: recon-served sessions report the serving
+    /// tier's counters (`recon_hits`, zero queries), live sessions the
+    /// engine's.
+    pub(crate) fn stats(&self) -> StatsResponse {
+        match &self.serving {
+            Serving::Live(session) => StatsResponse::new(&session.stats(), session.served()),
+            Serving::Recon(serving) => StatsResponse::new(&serving.stats, serving.served),
+        }
+    }
+
+    /// Queries the session has spent in total.
+    pub(crate) fn total_queries(&self) -> usize {
+        match &self.serving {
+            Serving::Live(session) => session.stats().total_queries(),
+            Serving::Recon(_) => 0,
+        }
+    }
+
+    /// True when the next step serves without a web-DB query: the
+    /// session is recon-served or the engine has buffered tuples.
+    pub(crate) fn next_is_free(&self) -> bool {
+        match &self.serving {
+            Serving::Live(session) => session.buffered() > 0,
+            Serving::Recon(_) => true,
+        }
     }
 }
 
-/// The mutable state of a live session (held behind [`SessionHandle`]'s
-/// lock).
-pub struct SessionEntry {
-    /// The reranking engine with its session cache.
-    pub session: RerankSession,
-    /// Whether the stream has been exhausted.
-    pub done: bool,
-    /// When set, the session serves from the offline rank reconstruction
-    /// and the engine in `session` is never advanced.
-    pub recon: Option<ReconServing>,
-}
-
-/// A live session: immutable metadata plus the locked mutable state. The
-/// idle timer lives behind its own tiny lock so looking a session up never
+/// A session: immutable metadata plus the locked mutable state. The idle
+/// timer lives behind its own tiny lock so looking a session up never
 /// waits on an in-flight page request holding the entry lock.
 pub struct SessionHandle {
     /// Source the session runs against (immutable — readable without the
     /// entry lock).
-    pub source: String,
+    pub(crate) source: String,
     /// Results per page requested at creation (immutable).
-    pub page_size: usize,
+    pub(crate) page_size: usize,
     /// Lifetime cap on web-DB queries this session may spend (immutable;
     /// `None` = uncapped). Exceeding it yields the `budget_exceeded`
     /// error.
-    pub max_queries: Option<usize>,
+    pub(crate) max_queries: Option<usize>,
     /// Cooperative cancellation handle — deleting the session cancels any
-    /// in-flight stream between discoveries (readable without the entry
-    /// lock).
-    pub cancel: CancelToken,
+    /// in-flight stream at its next step (readable without the entry
+    /// lock). A live session shares it with its engine, so a step also
+    /// stops between discoveries.
+    pub(crate) cancel: CancelToken,
     /// Scheduler priority class of this session's probes (immutable; set
     /// from the create-query request's `class` field).
-    pub class: QueryClass,
+    pub(crate) class: QueryClass,
     /// Scheduler identity of this session (fair-share accounting and
     /// `DELETE`-time queue draining).
-    pub sched_key: u64,
+    pub(crate) sched_key: u64,
     /// Tripped by the scheduler when a probe of this session fails
-    /// terminally (source down past the parking patience): the service
-    /// turns the otherwise-empty page into a structured `503` or a
-    /// `status: "failed"` stream summary. Cleared between pages so the
+    /// terminally (source down past the parking patience); the step
+    /// reads and clears it, turning the otherwise-empty page into a
+    /// structured `503` or a `failed`/`partial` stream summary, and the
     /// session resumes cleanly once the source recovers.
-    pub failure: FailureSignal,
+    pub(crate) failure: FailureSignal,
     created: Instant,
     last_access: Mutex<Instant>,
     entry: Mutex<SessionEntry>,
 }
 
 impl SessionHandle {
+    /// A session served by `serving`, not yet registered; it gets a fresh
+    /// scheduler identity. `max_queries` is its lifetime query budget
+    /// (`None` = uncapped).
+    pub(crate) fn new(
+        source: impl Into<String>,
+        page_size: usize,
+        max_queries: Option<usize>,
+        class: QueryClass,
+        serving: Serving,
+    ) -> SessionHandle {
+        let cancel = match &serving {
+            Serving::Live(session) => session.cancel_token(),
+            Serving::Recon(_) => CancelToken::new(),
+        };
+        let now = Instant::now();
+        SessionHandle {
+            source: source.into(),
+            page_size,
+            max_queries,
+            cancel,
+            class,
+            sched_key: sched_context::next_session_key(),
+            failure: FailureSignal::new(),
+            created: now,
+            last_access: Mutex::new(now),
+            entry: Mutex::new(SessionEntry { serving }),
+        }
+    }
+
     /// Lock the mutable session state.
     pub fn lock(&self) -> MutexGuard<'_, SessionEntry> {
         self.entry.lock()
@@ -174,37 +340,9 @@ impl SessionManager {
         }
     }
 
-    /// Register a new session; returns its id. `max_queries` is the
-    /// session's lifetime query budget (`None` = uncapped); `class` and
-    /// `sched_key` are its scheduler identity (see
-    /// [`qr2_sched::context::next_session_key`]).
-    pub fn create(
-        &self,
-        session: RerankSession,
-        source: impl Into<String>,
-        page_size: usize,
-        max_queries: Option<usize>,
-        class: QueryClass,
-        sched_key: u64,
-    ) -> SessionId {
+    /// Register a session; returns its id.
+    pub(crate) fn register(&self, handle: SessionHandle) -> SessionId {
         let id = format!("s{}", self.next_id.fetch_add(1, Ordering::Relaxed));
-        let now = Instant::now();
-        let handle = SessionHandle {
-            source: source.into(),
-            page_size,
-            max_queries,
-            cancel: session.cancel_token(),
-            class,
-            sched_key,
-            failure: FailureSignal::new(),
-            created: now,
-            last_access: Mutex::new(now),
-            entry: Mutex::new(SessionEntry {
-                session,
-                done: false,
-                recon: None,
-            }),
-        };
         self.sessions.lock().insert(id.clone(), Arc::new(handle));
         id
     }
@@ -276,6 +414,17 @@ mod tests {
     use qr2_datagen::{generic_db, SyntheticConfig};
     use qr2_webdb::SearchQuery;
 
+    /// An unregistered live session over a 50-row synthetic source.
+    fn live(source: &str, page_size: usize, max_queries: Option<usize>) -> SessionHandle {
+        SessionHandle::new(
+            source,
+            page_size,
+            max_queries,
+            QueryClass::Interactive,
+            Serving::Live(make_session()),
+        )
+    }
+
     fn make_session() -> RerankSession {
         let cfg = SyntheticConfig {
             n: 50,
@@ -298,14 +447,7 @@ mod tests {
     #[test]
     fn create_get_remove() {
         let mgr = SessionManager::new(Duration::from_secs(60));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         assert_eq!(mgr.len(), 1);
         assert!(mgr.get(&id).is_some());
         assert!(mgr.age(&id).is_some());
@@ -318,22 +460,8 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         let mgr = SessionManager::new(Duration::from_secs(60));
-        let a = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
-        let b = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let a = mgr.register(live("test", 10, None));
+        let b = mgr.register(live("test", 10, None));
         assert_ne!(a, b);
     }
 
@@ -342,14 +470,7 @@ mod tests {
         // A slow in-flight page request holds the entry lock; get() must
         // still return promptly (it only touches the idle timer's lock).
         let mgr = Arc::new(SessionManager::new(Duration::from_secs(60)));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         let handle = mgr.get(&id).unwrap();
         let guard = handle.lock();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -368,14 +489,7 @@ mod tests {
     #[test]
     fn metadata_readable_without_entry_lock() {
         let mgr = SessionManager::new(Duration::from_secs(60));
-        let id = mgr.create(
-            make_session(),
-            "bluenile",
-            7,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("bluenile", 7, None));
         let handle = mgr.get(&id).unwrap();
         let guard = handle.lock();
         // Source and page size stay readable while the entry is locked.
@@ -387,34 +501,21 @@ mod tests {
     #[test]
     fn sessions_drive_get_next() {
         let mgr = SessionManager::new(Duration::from_secs(60));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         let handle = mgr.get(&id).unwrap();
         let mut guard = handle.lock();
-        let page = guard.session.next_page(5);
+        let page = guard.step(&handle, 5, None).unwrap().tuples;
         assert_eq!(page.len(), 5);
-        let page2 = guard.session.next_page(5);
+        let page2 = guard.step(&handle, 5, None).unwrap().tuples;
         assert_eq!(page2.len(), 5);
         assert_ne!(page[0].id, page2[0].id);
+        assert_eq!(guard.served(), 10);
     }
 
     #[test]
     fn budget_cap_is_readable_without_the_entry_lock() {
         let mgr = SessionManager::new(Duration::from_secs(60));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            Some(250),
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, Some(250)));
         let handle = mgr.get(&id).unwrap();
         let guard = handle.lock();
         assert_eq!(handle.max_queries, Some(250));
@@ -424,14 +525,7 @@ mod tests {
     #[test]
     fn eviction_cancels_the_session_token() {
         let mgr = SessionManager::new(Duration::from_millis(20));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         let handle = mgr.get(&id).unwrap();
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(mgr.evict_idle(), 1);
@@ -444,14 +538,7 @@ mod tests {
     #[test]
     fn touch_keeps_a_session_alive() {
         let mgr = SessionManager::new(Duration::from_millis(60));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         let handle = mgr.get(&id).unwrap();
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(30));
@@ -463,14 +550,7 @@ mod tests {
     #[test]
     fn remove_cancels_the_session_token() {
         let mgr = SessionManager::new(Duration::from_secs(60));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         let handle = mgr.get(&id).unwrap();
         assert!(!handle.cancel.is_cancelled());
         assert!(mgr.remove(&id));
@@ -483,14 +563,7 @@ mod tests {
     #[test]
     fn ttl_eviction() {
         let mgr = SessionManager::new(Duration::from_millis(20));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         assert_eq!(mgr.evict_idle(), 0, "fresh session survives");
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(mgr.evict_idle(), 1);
@@ -500,14 +573,7 @@ mod tests {
     #[test]
     fn access_refreshes_ttl() {
         let mgr = SessionManager::new(Duration::from_millis(60));
-        let id = mgr.create(
-            make_session(),
-            "test",
-            10,
-            None,
-            QueryClass::Interactive,
-            qr2_sched::context::next_session_key(),
-        );
+        let id = mgr.register(live("test", 10, None));
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(30));
             assert!(mgr.get(&id).is_some(), "access keeps the session alive");

@@ -33,11 +33,34 @@ fn query_req(body: &str) -> QueryRequest {
     QueryRequest::from_json(&Decode::root(&v)).unwrap()
 }
 
-/// Drain one query to completion. Returns the rendered tuples (the
-/// byte-level client contract), the cumulative paid-query count, and the
-/// recon-hit count.
+/// The endpoint a drain pages through after the create's first page.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    /// `next`, 50 tuples a page.
+    Next,
+    /// `results`, 50 tuples and at most 2 queries a call.
+    Results,
+    /// One NDJSON `stream` call of up to 1000 tuples at a time.
+    Stream,
+}
+
+/// Drain one query to completion through `next`. Returns the rendered
+/// tuples (the byte-level client contract), the cumulative paid-query
+/// count, and the recon-hit count.
 fn drain(svc: &QueryService, source: &str, body: &str) -> (Vec<String>, usize, usize) {
+    drain_via(svc, source, body, Via::Next)
+}
+
+/// Drain one query to completion through `via`; returns what [`drain`]
+/// does. Stream lines are rendered through the same JSON writer as pages.
+fn drain_via(
+    svc: &QueryService,
+    source: &str,
+    body: &str,
+    via: Via,
+) -> (Vec<String>, usize, usize) {
     let page = svc.create_query(source, &query_req(body)).unwrap();
+    let id = page.query_id.as_str();
     let mut tuples: Vec<String> = page
         .results
         .iter()
@@ -46,13 +69,34 @@ fn drain(svc: &QueryService, source: &str, body: &str) -> (Vec<String>, usize, u
     let mut done = page.done;
     let mut rounds = 0;
     while !done {
-        let p = svc.next_page(&page.query_id, Some(50)).unwrap();
-        done = p.done;
-        tuples.extend(p.results.iter().map(|t| t.to_json().to_string()));
+        match via {
+            Via::Next => {
+                let p = svc.next_page(id, Some(50)).unwrap();
+                done = p.done;
+                tuples.extend(p.results.iter().map(|t| t.to_json().to_string()));
+            }
+            Via::Results => {
+                let r = svc.results(id, Some(50), Some(2)).unwrap();
+                done = r.status == "done";
+                tuples.extend(r.results.iter().map(|t| t.to_json().to_string()));
+            }
+            Via::Stream => {
+                let mut stream = svc.stream(id, Some(1000), None).unwrap();
+                while let Some(chunk) = stream.next_chunk() {
+                    for line in std::str::from_utf8(&chunk).unwrap().lines() {
+                        let event = parse_json(line).unwrap();
+                        match event.get("tuple") {
+                            Some(t) => tuples.push(t.to_string()),
+                            None => done = event.get("status").unwrap().as_str() == Some("done"),
+                        }
+                    }
+                }
+            }
+        }
         rounds += 1;
         assert!(rounds < 1000, "drain did not terminate");
     }
-    let stats = svc.stats(&page.query_id).unwrap();
+    let stats = svc.stats(id).unwrap();
     (tuples, stats.queries, stats.recon_hits)
 }
 
@@ -135,6 +179,24 @@ fn fully_reconstructed_source_serves_all_algorithms_identically_for_free() {
             "{}: live service has no recon",
             algo.name
         );
+        // The other two endpoints serve the same tuples on both tiers,
+        // and the recon tier serves them just as free.
+        for via in [Via::Results, Via::Stream] {
+            let (tuples, _, _) = drain_via(&live_svc, "bluenile", &body, via);
+            assert_eq!(tuples, live_tuples, "{} via {via:?}: live", algo.name);
+            let (tuples, queries, hits) = drain_via(&recon_svc, "bluenile", &body, via);
+            assert_eq!(
+                tuples, live_tuples,
+                "{} via {via:?}: recon serving must be byte-identical to live",
+                algo.name
+            );
+            assert_eq!(
+                queries, 0,
+                "{} via {via:?}: recon serving is free",
+                algo.name
+            );
+            assert!(hits > 0, "{} via {via:?}", algo.name);
+        }
     }
     assert!(
         live_reg.get("bluenile").unwrap().db.ledger().total() > 0,

@@ -217,6 +217,25 @@ fn open_breaker_serves_all_seven_algorithms_byte_identical_and_free() {
             guard += 1;
             assert!(guard < 64, "{algo}: degraded stream did not terminate");
         }
+        // Streamed, the answer drains degraded and free, and the summary
+        // says so.
+        let id = svc
+            .create_query("chaos", &request_for(algo, 10))
+            .unwrap()
+            .query_id;
+        let mut stream = svc.stream(&id, Some(1000), None).unwrap();
+        let mut body = String::new();
+        while let Some(chunk) = stream.next_chunk() {
+            body.push_str(std::str::from_utf8(&chunk).unwrap());
+        }
+        let summary = parse_json(body.lines().last().unwrap()).unwrap();
+        assert_eq!(summary.get("status").unwrap().as_str(), Some("done"));
+        assert_eq!(
+            summary.get("degraded").unwrap().as_bool(),
+            Some(true),
+            "{algo}: the stream summary is flagged: {summary}"
+        );
+        assert_eq!(summary.get("stream_queries").unwrap().as_usize(), Some(0));
     }
     assert_eq!(
         source.db.ledger().total(),

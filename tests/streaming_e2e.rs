@@ -7,6 +7,8 @@
 //! socket while the session is still searching for the remaining tuples —
 //! and a budgeted `results` call returns a `budget_exhausted` partial page
 //! that a follow-up call resumes without re-issuing any web-DB query.
+//! Deleting a query mid-stream ends the stream at its next line with a
+//! `cancelled` summary, whether the session is live or recon-served.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -14,7 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qr2::core::ExecutorKind;
-use qr2::http::{parse_json, Json};
+use qr2::http::{parse_json, Body, Handler, Json, Method, Request, Status};
+use qr2::recon::JobOptions;
 use qr2::service::{Qr2App, Source, SourceRegistry};
 use qr2::webdb::{Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface};
 
@@ -133,7 +136,7 @@ fn stream_emits_the_first_tuple_before_the_session_finishes() {
     let handle = state.sessions.get(&id).expect("session is live");
     let served_at_first_line = {
         let entry = handle.lock();
-        entry.session.served()
+        entry.served()
     };
     assert!(
         served_at_first_line < LIMIT,
@@ -316,4 +319,88 @@ fn lifetime_cap_yields_402_with_retry_after_over_http() {
     assert!(!out.contains("chunked"), "{out}");
 
     server.stop();
+}
+
+/// Open a `1d-rerank` query on `handler`'s bluenile, stream `limit=300`,
+/// pull one chunk, `DELETE` the query, then drain the stream in process.
+/// Returns the tuple lines of the first chunk, the tuple lines after the
+/// delete, and the summary line.
+fn delete_mid_stream(handler: &dyn Handler) -> (usize, usize, Json) {
+    let mut create = Request::test(
+        Method::Post,
+        "/v1/sources/bluenile/queries",
+        br#"{"ranking":{"type":"1d","attr":"price","dir":"desc"},
+            "algorithm":"1d-rerank","page_size":1}"#
+            .to_vec(),
+    );
+    create
+        .headers
+        .insert("content-type".into(), "application/json".into());
+    let resp = handler.handle(&create);
+    assert_eq!(resp.status, Status::Created);
+    let v = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let id = v.get("query_id").unwrap().as_str().unwrap().to_string();
+
+    let mut get = Request::test(Method::Get, &format!("/v1/queries/{id}/stream"), Vec::new());
+    get.query.insert("limit".into(), "300".into());
+    let Body::Stream(mut stream) = handler.handle(&get).body else {
+        panic!("the stream endpoint answers with a chunk stream");
+    };
+    let first = String::from_utf8(stream.next_chunk().unwrap()).unwrap();
+    let delete = Request::test(Method::Delete, &format!("/v1/queries/{id}"), Vec::new());
+    assert_eq!(handler.handle(&delete).status, Status::NoContent);
+    let mut rest = String::new();
+    while let Some(chunk) = stream.next_chunk() {
+        rest.push_str(std::str::from_utf8(&chunk).unwrap());
+    }
+    let tuples = |s: &str| s.matches("\"event\":\"tuple\"").count();
+    let summary = rest
+        .lines()
+        .chain(first.lines())
+        .find(|l| l.contains("\"event\":\"summary\""))
+        .map(|l| parse_json(l).unwrap())
+        .expect("the stream ends with a summary");
+    (tuples(&first), tuples(&rest), summary)
+}
+
+#[test]
+fn delete_cancels_live_and_recon_served_streams_alike() {
+    let live = Qr2App::new(SourceRegistry::demo(400, 400, ExecutorKind::Sequential));
+    let recon = Qr2App::new(SourceRegistry::demo(400, 400, ExecutorKind::Sequential));
+    let src = recon.state().registry.get("bluenile").unwrap();
+    let job = src
+        .recon
+        .run_job(
+            &*src.probe,
+            &JobOptions {
+                max_queries: usize::MAX,
+                ..JobOptions::default()
+            },
+            src.cache.epoch(),
+        )
+        .unwrap();
+    assert_eq!(job.state, "complete");
+
+    for (tier, app) in [("live", &live), ("recon-served", &recon)] {
+        let (first, after, summary) = delete_mid_stream(&app.handler());
+        assert!(first >= 1, "{tier}: the first chunk carries a tuple");
+        assert!(first < 300, "{tier}: the stream was cut mid-way");
+        assert_eq!(after, 0, "{tier}: no tuple line after the delete");
+        assert_eq!(
+            summary.get("status").unwrap().as_str(),
+            Some("cancelled"),
+            "{tier}: {summary}"
+        );
+        assert_eq!(
+            summary.get("count").unwrap().as_usize(),
+            Some(first),
+            "{tier}"
+        );
+        let queries = summary.get("stats").unwrap().get("queries").unwrap();
+        assert_eq!(
+            queries.as_usize() == Some(0),
+            tier == "recon-served",
+            "{tier}: only the recon tier serves for free"
+        );
+    }
 }
