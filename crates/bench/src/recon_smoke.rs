@@ -13,11 +13,12 @@
 //!   reranker's own normalizer) pulls the same number of tuples, exactly
 //!   how the hybrid tier in `qr2-service` answers a covered session.
 //!
-//! The reconstruction's columns and sorted projections are built once,
-//! before any case is timed, and reported on their own
-//! (`projection_build_ms`): every session after the first at a
-//! reconstruction version shares them, so charging their build to
-//! whichever case runs first would misstate per-session serving cost.
+//! The reconstruction's columns, sorted projections and the kd-tree
+//! over both columns are built once, before any case is timed, and
+//! reported on their own (`projection_build_ms`): every session after
+//! the first at a reconstruction version shares them, so charging their
+//! build to whichever case runs first would misstate per-session serving
+//! cost.
 //!
 //! The crawl cost and coverage are seed-deterministic and drift-checked.
 //! The runner checks the contracts: `identical_responses` (every recon
@@ -119,7 +120,7 @@ pub fn run_recon_smoke(cfg: &ReconSmokeConfig) -> Report {
         .map(|(id, _)| id)
         .collect();
     let start = Instant::now();
-    idx.prewarm_projections(&numeric);
+    idx.prewarm(&numeric);
     let projection_build_ms = start.elapsed().as_secs_f64() * 1e3;
 
     // ── Serve each case live, then from the reconstruction ─────────

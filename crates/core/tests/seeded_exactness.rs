@@ -1,9 +1,12 @@
-//! Seeded exactness grid for the 1D engines and MD-TA, compiled into every
+//! Seeded exactness grid for every engine, compiled into every
 //! `cargo test` (the property-based oracle sits behind a feature).
 //!
-//! For seeds × data shapes × algorithms × directions × filters:
+//! For seeds × data shapes × filters × algorithms × orders (1D engines and
+//! MD-TA by one attribute in each direction; the MD engines also by
+//! 2-attribute linear functions):
 //!
-//! * a drained session equals the ground-truth order by (value, tuple id);
+//! * a drained session equals the ground-truth order: by (value, tuple
+//!   id), or by (score, tuple id) under the reranker's normalizer;
 //! * slicing the same session into `Budget::queries(1)` steps serves the
 //!   same tuples for the same total query count — the bisection stack,
 //!   frontier and buffer are session state, so a resumed step never pays
@@ -12,8 +15,8 @@
 use std::sync::Arc;
 
 use qr2_core::{
-    Algorithm, Budget, ExecutorKind, OneDimFunction, RerankRequest, RerankSession, Reranker,
-    SortDir,
+    Algorithm, Budget, ExecutorKind, LinearFunction, Normalizer, OneDimFunction, RerankRequest,
+    RerankSession, Reranker, SortDir,
 };
 use qr2_webdb::{
     AttrId, RangePred, Schema, SearchQuery, SimulatedWebDb, SystemRanking, TableBuilder,
@@ -49,6 +52,16 @@ const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::OneDRerank,
     Algorithm::MdTa,
 ];
+
+const MD_ALGORITHMS: [Algorithm; 4] = [
+    Algorithm::MdBaseline,
+    Algorithm::MdBinary,
+    Algorithm::MdRerank,
+    Algorithm::MdTa,
+];
+
+/// Mixed signs, and a small weight beside a unit one.
+const MD_WEIGHTS: [[f64; 2]; 3] = [[1.0, 1.0], [1.0, -0.5], [-0.05, 1.0]];
 
 /// `x` is the ranking attribute, `y` the other one. The hidden ranking
 /// varies with the seed: agreeing with `x`, opposing it, or on `y`.
@@ -112,13 +125,50 @@ fn oracle(db: &SimulatedWebDb, filter: &SearchQuery, x: AttrId, dir: SortDir) ->
     rows.into_iter().map(|r| TupleId(r as u32)).collect()
 }
 
-/// A session on a fresh reranker, so RERANK's dense index starts cold and
-/// two runs of the same request pay the same.
-fn session(db: &Arc<SimulatedWebDb>, req: &RerankRequest) -> RerankSession {
+/// The matches of `filter` ordered by `f`'s score under `norm`, ties by
+/// tuple id.
+fn md_oracle(
+    db: &SimulatedWebDb,
+    filter: &SearchQuery,
+    f: &LinearFunction,
+    norm: &Normalizer,
+) -> Vec<TupleId> {
+    let t = db.ground_truth();
+    let mut scored: Vec<(f64, usize)> = t
+        .matching_rows(filter)
+        .into_iter()
+        .map(|r| (f.score(&t.tuple(r), norm), r))
+        .collect();
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    scored.into_iter().map(|(_, r)| TupleId(r as u32)).collect()
+}
+
+/// A fresh reranker, so RERANK's dense index starts cold and two runs of
+/// the same request pay the same.
+fn reranker(db: &Arc<SimulatedWebDb>) -> Reranker {
     Reranker::builder(db.clone())
         .executor(ExecutorKind::Sequential)
         .build()
-        .query(req.clone())
+}
+
+fn session(db: &Arc<SimulatedWebDb>, req: &RerankRequest) -> RerankSession {
+    reranker(db).query(req.clone())
+}
+
+/// Drain `req` whole and in one-query steps: both must serve `want`, and
+/// for the same total query count.
+fn check(db: &Arc<SimulatedWebDb>, req: &RerankRequest, want: &[TupleId], case: &str) {
+    let mut plain = session(db, req);
+    let got: Vec<TupleId> = plain.by_ref().map(|t| t.id).collect();
+    assert_eq!(got, want, "{case}: drained order");
+
+    let mut sliced = session(db, req);
+    assert_eq!(drain_sliced(&mut sliced), want, "{case}: sliced order");
+    assert_eq!(
+        sliced.stats().total_queries(),
+        plain.stats().total_queries(),
+        "{case}: sliced cost"
+    );
 }
 
 /// Drain `s` in one-query steps; returns the served ids.
@@ -160,17 +210,7 @@ fn drained_and_sliced_sessions_equal_the_ground_truth_order() {
                             function: function.into(),
                             algorithm,
                         };
-                        let mut plain = session(&db, &req);
-                        let got: Vec<TupleId> = plain.by_ref().map(|t| t.id).collect();
-                        assert_eq!(got, want, "{case}: drained order");
-
-                        let mut sliced = session(&db, &req);
-                        assert_eq!(drain_sliced(&mut sliced), want, "{case}: sliced order");
-                        assert_eq!(
-                            sliced.stats().total_queries(),
-                            plain.stats().total_queries(),
-                            "{case}: sliced cost"
-                        );
+                        check(&db, &req, &want, &case);
                         sessions += 1;
                     }
                 }
@@ -178,4 +218,39 @@ fn drained_and_sliced_sessions_equal_the_ground_truth_order() {
         }
     }
     assert_eq!(sessions, 3 * 4 * 3 * 2 * 4);
+}
+
+#[test]
+fn md_sessions_equal_the_ground_truth_score_order() {
+    let mut sessions = 0;
+    for seed in 1..=3u64 {
+        for shape in SHAPES {
+            let db = database(seed, shape);
+            let x = db.schema().expect_id("x");
+            let y = db.schema().expect_id("y");
+            // Every session's reranker is built the same way, so one
+            // normalizer scores the ground truth for all of them.
+            let norm = Arc::clone(reranker(&db).normalizer());
+            for (filter_name, filter) in filters(x, y) {
+                for [wx, wy] in MD_WEIGHTS {
+                    let f = LinearFunction::new(vec![(x, wx), (y, wy)]).expect("valid weights");
+                    let want = md_oracle(&db, &filter, &f, &norm);
+                    for algorithm in MD_ALGORITHMS {
+                        let case = format!(
+                            "seed {seed}, {shape:?}, {filter_name}, {wx}·x + {wy}·y, {}",
+                            algorithm.paper_name()
+                        );
+                        let req = RerankRequest {
+                            filter: filter.clone(),
+                            function: f.clone().into(),
+                            algorithm,
+                        };
+                        check(&db, &req, &want, &case);
+                        sessions += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(sessions, 3 * 4 * 3 * 3 * 4);
 }

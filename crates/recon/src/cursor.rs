@@ -4,10 +4,11 @@
 //! the filter, in the engines' serving order ([`ServeOrder`]). Instead of
 //! materializing and sorting that set for every session, a
 //! [`ReconCursor`] pulls it in order, one tuple at a time, from
-//! per-attribute row-indexed columns ([`qr2_webdb::Column`]) and sorted
-//! projections ([`qr2_webdb::Projection`]) that the reconstruction builds
-//! once per version of its tuple set. Every walk, filter check and score
-//! reads the columns; a [`Tuple`] is read only when it is emitted.
+//! structures the reconstruction builds once per version of its tuple
+//! set: per-attribute row-indexed columns ([`qr2_webdb::Column`]), sorted
+//! projections ([`qr2_webdb::Projection`]) and a kd-tree per set of
+//! function attributes. Every walk, filter check and score reads these; a
+//! [`Tuple`] is read only when it is emitted.
 //!
 //! * **1D orders** walk the ranking attribute's projection inside the
 //!   filter's run on that attribute (found by binary search) and re-check
@@ -18,44 +19,59 @@
 //!   the remaining run (1, 2, 4, … rows, then a binary search inside the
 //!   last step): O(log g) comparisons for a group of g rows, and one for
 //!   a single-row group, whatever the length of the run.
-//! * **MD orders** run Fagin's Threshold Algorithm (the paper's MD-TA,
-//!   exact here because the reconstruction is complete). Each function
-//!   attribute gets one list, walked within its filter run in the
-//!   direction that raises the score; lists are read round-robin. A
-//!   matching tuple met for the first time is scored once and pushed on a
-//!   min-heap ordered by (score, id). Whether another list already passed
-//!   a tuple is decided by comparing (value, id) keys, so no seen-set is
-//!   kept. The threshold τ is the score of the lists' last-read values;
-//!   normalization, weighting and a fixed-order sum are each monotone
-//!   under IEEE rounding, so no unseen tuple scores below τ — but one can
-//!   tie τ with a smaller id. The heap minimum is therefore emitted only
-//!   while its score is strictly below τ. Once any list is exhausted,
-//!   every match has been seen and τ = +∞.
+//! * **MD orders** walk a kd-tree best-first: branch-and-bound ranked
+//!   search (Tao et al., "Branch-and-bound processing of ranked queries",
+//!   Information Systems 2007), exact here because the reconstruction is
+//!   complete. The tree indexes exactly the function's attributes, so
+//!   every split narrows a term of the score; a column the function does
+//!   not read would spend levels that tighten no bound. A leaf holds up
+//!   to [`LEAF`] rows, contiguous in the tree's row order, and every node
+//!   keeps the bounding box of its rows. A node's bound is the function's
+//!   score at one corner of that box clipped to the filter's range
+//!   predicates on those attributes: each attribute takes the end its
+//!   weight prefers, the low end for a positive weight. Normalization,
+//!   weighting and a fixed-order sum are each monotone under IEEE
+//!   rounding, so no matching row in the node scores below the bound; a
+//!   node whose clipped box is empty holds no match and is pruned. Nodes
+//!   are expanded in bound order. The rows of a leaf that match the whole
+//!   filter (its other predicates included) are scored and pushed on a
+//!   min-heap ordered by (score, id). The heap minimum is emitted only
+//!   while its score is strictly below the least pending bound: a row not
+//!   yet scanned can tie that bound with a smaller id. Once no node is
+//!   pending, every match is in the heap.
 //!
-//! A cursor's state never grows with the number of matches: the 1D walk
-//! keeps a few positions, and the TA heap holds only tuples the lists
-//! have already read.
+//! A cursor's state holds only what it has read: the 1D walk keeps a few
+//! positions, and the MD walk the nodes it has bounded and the matching
+//! rows of the leaves it has scanned.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use qr2_core::{Normalizer, Scorer, SortDir};
-use qr2_webdb::{AttrId, Column, Projection, SearchQuery, Tuple, TupleId};
+use parking_lot::Mutex;
+use qr2_core::{LinearFunction, Normalizer, Scorer, SortDir};
+use qr2_webdb::{AttrId, Column, Projection, RangePred, SearchQuery, Tuple, TupleId};
 
 use crate::serve::ServeOrder;
 
 /// An immutable snapshot of the reconstructed tuples: ordered by id,
-/// deduplicated, with each attribute's column and projection built on
-/// first use. A row is a position in `tuples`, so ascending rows are
-/// ascending tuple ids.
+/// deduplicated, with each attribute's column and projection and the
+/// kd-trees built on first use. A row is a position in `tuples`, so
+/// ascending rows are ascending tuple ids.
 #[derive(Debug, Default)]
 pub(crate) struct TupleSet {
     tuples: Vec<Tuple>,
     columns: Vec<OnceLock<Column>>,
     projections: Vec<OnceLock<Projection>>,
+    /// The kd-trees built so far, oldest first, at most [`TREES`].
+    trees: Mutex<Vec<Arc<KdTree>>>,
 }
+
+/// The most kd-trees one [`TupleSet`] keeps: one per set of function
+/// attributes. Building another drops the oldest; open cursors keep
+/// theirs.
+const TREES: usize = 8;
 
 /// The value of `row` in a numeric column.
 fn at(values: &[f64], row: u32) -> f64 {
@@ -70,9 +86,9 @@ impl TupleSet {
             tuples,
             columns: (0..arity).map(|_| OnceLock::new()).collect(),
             projections: (0..arity).map(|_| OnceLock::new()).collect(),
+            trees: Mutex::default(),
         }
     }
-
     /// Merge `batch` into `set` and return the tuples that were new. The
     /// first copy of an id wins, in the set and within the batch. The
     /// snapshot is replaced, never mutated, so cursors over the old one
@@ -120,12 +136,21 @@ impl TupleSet {
     pub(crate) fn column(&self, attr: AttrId) -> Option<&Column> {
         let cell = self.columns.get(attr.index())?;
         Some(cell.get_or_init(|| {
-            if self.tuples.first().is_some_and(|t| t.value(attr).is_num()) {
-                Column::Numeric(self.tuples.iter().map(|t| t.num_at(attr)).collect())
-            } else {
-                Column::Categorical(self.tuples.iter().map(|t| t.value(attr).as_cat()).collect())
-            }
+            qr2_obs::span("recon.build", || {
+                if self.is_numeric(attr) {
+                    Column::Numeric(self.tuples.iter().map(|t| t.num_at(attr)).collect())
+                } else {
+                    Column::Categorical(
+                        self.tuples.iter().map(|t| t.value(attr).as_cat()).collect(),
+                    )
+                }
+            })
         }))
+    }
+
+    /// Whether `attr` holds numbers, read from the first tuple.
+    fn is_numeric(&self, attr: AttrId) -> bool {
+        self.tuples.first().is_some_and(|t| t.value(attr).is_num())
     }
 
     /// The column of `attr` if it is built already.
@@ -138,6 +163,13 @@ impl TupleSet {
     #[cfg(test)]
     pub(crate) fn built_projection(&self, attr: AttrId) -> Option<&Projection> {
         self.projections.get(attr.index())?.get()
+    }
+
+    /// The kd-tree over `attrs` if it is built already.
+    #[cfg(test)]
+    pub(crate) fn built_tree(&self, attrs: &[AttrId]) -> Option<Arc<KdTree>> {
+        let key = self.tree_key(attrs);
+        self.trees.lock().iter().find(|t| t.attrs == key).cloned()
     }
 
     /// The values of numeric `attr` by row (empty when there are none).
@@ -164,7 +196,11 @@ impl TupleSet {
     pub(crate) fn projection(&self, attr: AttrId) -> Option<&Projection> {
         let values = self.column(attr)?.numeric()?;
         let cell = self.projections.get(attr.index())?;
-        Some(cell.get_or_init(|| Projection::build(values.len(), |row| at(values, row))))
+        Some(cell.get_or_init(|| {
+            qr2_obs::span("recon.build", || {
+                Projection::build(values.len(), |row| at(values, row))
+            })
+        }))
     }
 
     fn rows(&self, attr: AttrId) -> &[u32] {
@@ -183,10 +219,38 @@ impl TupleSet {
         }
     }
 
-    /// (value, id) order of two rows on `attr` — the projection's order.
-    fn key_cmp(&self, attr: AttrId, a: u32, b: u32) -> Ordering {
-        let values = self.values(attr);
-        at(values, a).total_cmp(&at(values, b)).then(a.cmp(&b))
+    /// The numeric attributes among `attrs`, ascending and distinct.
+    fn tree_key(&self, attrs: &[AttrId]) -> Vec<AttrId> {
+        let mut key: Vec<AttrId> = attrs
+            .iter()
+            .copied()
+            .filter(|&a| a.index() < self.columns.len() && self.is_numeric(a))
+            .collect();
+        key.sort_unstable();
+        key.dedup();
+        key
+    }
+
+    /// The kd-tree over the numeric columns among `attrs`, built on first
+    /// use after those columns. An MD order walks the tree over exactly
+    /// its function's attributes, so every split narrows a term of the
+    /// score. A build holds the lock, so each set is built once per
+    /// version and builds of different sets run one after another.
+    pub(crate) fn tree(&self, attrs: &[AttrId]) -> Arc<KdTree> {
+        let key = self.tree_key(attrs);
+        let mut trees = self.trees.lock();
+        if let Some(tree) = trees.iter().find(|t| t.attrs == key) {
+            return Arc::clone(tree);
+        }
+        let columns: Vec<(AttrId, &[f64])> = key.iter().map(|&a| (a, self.values(a))).collect();
+        let tree = Arc::new(qr2_obs::span("recon.build", || {
+            KdTree::build(&columns, self.len())
+        }));
+        if trees.len() == TREES {
+            trees.remove(0);
+        }
+        trees.push(Arc::clone(&tree));
+        tree
     }
 }
 
@@ -218,6 +282,177 @@ fn group_start(rows: &[u32], values: &[f64], lo: usize, hi: usize) -> usize {
             .map_or(0, |run| run.partition_point(|&row| below(at(values, row))))
 }
 
+/// Rows per kd-tree leaf. A node splits while it holds more, at a
+/// multiple of this, so every leaf but the last of a run is full.
+const LEAF: usize = 32;
+
+/// A kd-tree over some numeric columns of one [`TupleSet`] version. Each
+/// node covers a contiguous run of `rows` and keeps the bounding box of
+/// those rows. An inner node splits its run at a multiple of [`LEAF`] on
+/// the dimension where its region is widest relative to the root's.
+#[derive(Debug)]
+pub(crate) struct KdTree {
+    /// The numeric attributes: dimension `d` is `attrs[d]`.
+    attrs: Vec<AttrId>,
+    /// Rows in tree order.
+    rows: Vec<u32>,
+    nodes: Vec<Node>,
+    /// Per node, per dimension, the least and greatest value of its rows.
+    boxes: Vec<(f64, f64)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The node's rows are `rows[start..end]`.
+    start: usize,
+    end: usize,
+    /// The first child's index (the second follows it); 0 for a leaf,
+    /// since the root is nobody's child.
+    children: usize,
+}
+
+impl KdTree {
+    /// Index `len` rows by the numeric `columns`. The splits are chosen
+    /// on region boxes (a parent's box cut at the split value); once the
+    /// rows are placed, every node's box is tightened to its rows.
+    fn build(columns: &[(AttrId, &[f64])], len: usize) -> KdTree {
+        let values: Vec<&[f64]> = columns.iter().map(|&(_, v)| v).collect();
+        let dims = values.len();
+        let value = |d: usize, row: u32| values.get(d).map_or(f64::NAN, |v| at(v, row));
+        let mut rows: Vec<u32> = (0..len).map_while(|r| u32::try_from(r).ok()).collect();
+        let mut nodes = Vec::new();
+        let mut boxes = Vec::new();
+        if dims > 0 && !rows.is_empty() {
+            nodes.push(Node {
+                start: 0,
+                end: rows.len(),
+                children: 0,
+            });
+            boxes.extend((0..dims).map(|d| bounding(rows.iter().map(|&row| value(d, row)))));
+        }
+        let root = boxes.clone();
+        let mut keyed = Vec::new();
+        let mut stack = vec![0];
+        while let Some(i) = stack.pop() {
+            let Some(&Node { start, end, .. }) = nodes.get(i) else {
+                continue;
+            };
+            if end - start <= LEAF {
+                continue;
+            }
+            let region: Vec<(f64, f64)> = boxes
+                .get(i * dims..(i + 1) * dims)
+                .map_or_else(Vec::new, <[_]>::to_vec);
+            let relative = |(&(lo, hi), &(root_lo, root_hi)): (&(f64, f64), &(f64, f64))| {
+                let span = root_hi - root_lo;
+                if span > 0.0 {
+                    (hi - lo) / span
+                } else {
+                    0.0
+                }
+            };
+            let d = region
+                .iter()
+                .zip(&root)
+                .map(relative)
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map_or(0, |(d, _)| d);
+            let mid = start + LEAF * ((end - start).div_ceil(LEAF) / 2);
+            let Some(run) = rows.get_mut(start..end) else {
+                continue;
+            };
+            // Select on (value, row) pairs: contiguous keys, not a
+            // column read per comparison.
+            keyed.clear();
+            keyed.extend(run.iter().map(|&row| (value(d, row), row)));
+            keyed.select_nth_unstable_by(mid - start, |a, b| {
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+            });
+            for (slot, &(_, row)) in run.iter_mut().zip(&keyed) {
+                *slot = row;
+            }
+            let split = keyed.get(mid - start).map_or(f64::NAN, |&(v, _)| v);
+            let first = nodes.len();
+            if let Some(node) = nodes.get_mut(i) {
+                node.children = first;
+            }
+            for (s, e) in [(start, mid), (mid, end)] {
+                let mut child = region.clone();
+                if let Some(side) = child.get_mut(d) {
+                    if s == start {
+                        side.1 = split;
+                    } else {
+                        side.0 = split;
+                    }
+                }
+                stack.push(nodes.len());
+                nodes.push(Node {
+                    start: s,
+                    end: e,
+                    children: 0,
+                });
+                boxes.extend(child);
+            }
+        }
+        let mut tree = KdTree {
+            attrs: columns.iter().map(|&(attr, _)| attr).collect(),
+            rows,
+            nodes,
+            boxes,
+        };
+        tree.tighten(&values);
+        tree
+    }
+
+    /// Replace every node's region by the bounding box of its rows,
+    /// children before parents: children are stored after their parent.
+    fn tighten(&mut self, values: &[&[f64]]) {
+        let dims = values.len();
+        for i in (0..self.nodes.len()).rev() {
+            let Some(&node) = self.nodes.get(i) else {
+                continue;
+            };
+            let tight: Vec<(f64, f64)> = values
+                .iter()
+                .enumerate()
+                .map(|(d, v)| match node.children {
+                    0 => bounding(self.rows_of(node).iter().map(|&row| at(v, row))),
+                    c => {
+                        let (a_lo, a_hi) = self.extent(c, d);
+                        let (b_lo, b_hi) = self.extent(c + 1, d);
+                        (a_lo.min(b_lo), a_hi.max(b_hi))
+                    }
+                })
+                .collect();
+            if let Some(slot) = self.boxes.get_mut(i * dims..(i + 1) * dims) {
+                slot.copy_from_slice(&tight);
+            }
+        }
+    }
+
+    /// The rows of `node`.
+    fn rows_of(&self, node: Node) -> &[u32] {
+        self.rows.get(node.start..node.end).unwrap_or(&[])
+    }
+
+    /// Node `node`'s least and greatest value on dimension `d`.
+    fn extent(&self, node: usize, d: usize) -> (f64, f64) {
+        self.boxes
+            .get(node * self.attrs.len() + d)
+            .copied()
+            .unwrap_or((f64::NAN, f64::NAN))
+    }
+}
+
+/// The least and greatest of `values` by IEEE comparison.
+fn bounding(mut values: impl Iterator<Item = f64>) -> (f64, f64) {
+    let first = values.next().unwrap_or(f64::NAN);
+    values.fold((first, first), |(lo, hi), v| {
+        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+    })
+}
+
 /// A lazy, exact, engine-ordered stream of one covered region's answer
 /// (see the module docs). Holds its snapshot of the reconstruction, so
 /// later crawls or drops never change what an open session serves.
@@ -243,8 +478,11 @@ enum Walk {
         pos: usize,
         group_end: usize,
     },
-    /// Fagin's Threshold Algorithm.
-    Ta(Box<Threshold>),
+    /// Best-first search over the kd-tree of the function's attributes.
+    Best {
+        tree: Arc<KdTree>,
+        walk: Box<BestFirst>,
+    },
 }
 
 impl ReconCursor {
@@ -283,28 +521,10 @@ impl ReconCursor {
                 }
             }
             ServeOrder::Scored(f) => {
-                let lists = f
-                    .weights()
-                    .iter()
-                    .map(|&(attr, w)| {
-                        let run = set.run(attr, &filter);
-                        List {
-                            attr,
-                            up: w > 0.0,
-                            lo: run.start,
-                            hi: run.end,
-                            last: None,
-                        }
-                    })
-                    .collect();
-                Walk::Ta(Box::new(Threshold {
-                    scorer: f.scorer(norm),
-                    lists,
-                    heap: BinaryHeap::new(),
-                    tau: f64::NEG_INFINITY,
-                    exhausted: false,
-                    point: Vec::new(),
-                }))
+                let attrs: Vec<AttrId> = f.attrs().collect();
+                let tree = set.tree(&attrs);
+                let walk = Box::new(BestFirst::new(&tree, &filter, f, norm));
+                Walk::Best { tree, walk }
             }
         };
         ReconCursor { set, filter, walk }
@@ -353,7 +573,7 @@ impl ReconCursor {
                     *hi = *pos;
                 }
             }
-            Walk::Ta(ta) => ta.next(set, &matches),
+            Walk::Best { tree, walk } => walk.next(set, tree, &matches),
         }
     }
 }
@@ -367,52 +587,12 @@ impl Iterator for ReconCursor {
     }
 }
 
-/// One TA list: a projection run read from the end that scores lowest.
-struct List {
-    attr: AttrId,
-    /// Read upwards (positive weight) or downwards (negative weight).
-    up: bool,
-    /// Unread positions `lo..hi`.
-    lo: usize,
-    hi: usize,
-    /// The row read last.
-    last: Option<u32>,
-}
-
-impl List {
-    fn read(&mut self, rows: &[u32]) -> Option<u32> {
-        if self.lo >= self.hi {
-            return None;
-        }
-        let row = if self.up {
-            self.lo += 1;
-            rows.get(self.lo - 1).copied()
-        } else {
-            self.hi -= 1;
-            rows.get(self.hi).copied()
-        };
-        self.last = row;
-        row
-    }
-
-    /// True when this list has already read `row` (which lies in its run).
-    fn passed(&self, set: &TupleSet, row: u32) -> bool {
-        self.last.is_some_and(|last| {
-            let ord = set.key_cmp(self.attr, row, last);
-            if self.up {
-                ord != Ordering::Greater
-            } else {
-                ord != Ordering::Less
-            }
-        })
-    }
-}
-
-/// A scored heap entry, ordered by (score, row) — rows ascend with ids.
+/// A heap entry: a row by its score or a node by its bound, ordered by
+/// (score, id). Rows ascend with tuple ids.
 #[derive(Debug, Clone, Copy)]
 struct Scored {
     score: f64,
-    row: u32,
+    id: usize,
 }
 
 impl PartialEq for Scored {
@@ -433,81 +613,164 @@ impl Ord for Scored {
     fn cmp(&self, other: &Self) -> Ordering {
         self.score
             .total_cmp(&other.score)
-            .then(self.row.cmp(&other.row))
+            .then(self.id.cmp(&other.id))
     }
 }
 
-/// Fagin's Threshold Algorithm state (see the module docs).
-struct Threshold {
+/// Best-first branch-and-bound over the kd-tree (see the module docs).
+struct BestFirst {
     scorer: Scorer,
-    lists: Vec<List>,
-    heap: BinaryHeap<Reverse<Scored>>,
-    /// No unseen matching tuple scores below this.
-    tau: f64,
-    /// Some list ran out: every matching tuple is in the heap or emitted.
-    exhausted: bool,
-    /// Scratch for a point on the lists' attributes: a first-seen row's
-    /// values, then the lists' last-read values.
+    /// Each function term's tree dimension, in the scorer's order, and
+    /// whether its weight is negative: then a larger value scores lower,
+    /// so the high end of a box bounds it.
+    terms: Vec<(usize, bool)>,
+    /// The filter's range predicate on each tree dimension.
+    ranges: Vec<Option<RangePred>>,
+    /// Pending nodes by (bound, index).
+    nodes: BinaryHeap<Reverse<Scored>>,
+    /// The matching rows of scanned leaves by (score, row).
+    rows: BinaryHeap<Reverse<Scored>>,
+    /// Scratch for a point on the function's attributes.
     point: Vec<f64>,
+    /// Leaves scanned so far.
+    #[cfg(test)]
+    leaves: usize,
 }
 
-impl Threshold {
-    fn next(&mut self, set: &TupleSet, matches: &impl Fn(u32) -> bool) -> Option<u32> {
+impl BestFirst {
+    /// The walk over `tree` for `f`, with the root queued. Empty when a
+    /// function attribute is not a tree dimension: the set has no such
+    /// numeric column, so no row can be ranked.
+    fn new(tree: &KdTree, filter: &SearchQuery, f: &LinearFunction, norm: &Normalizer) -> Self {
+        let dim = |attr: AttrId| tree.attrs.iter().position(|&a| a == attr);
+        let terms: Option<Vec<(usize, bool)>> = f
+            .weights()
+            .iter()
+            .map(|&(attr, w)| Some((dim(attr)?, w < 0.0)))
+            .collect();
+        let mut walk = BestFirst {
+            scorer: f.scorer(norm),
+            terms: Vec::new(),
+            ranges: tree
+                .attrs
+                .iter()
+                .map(|&a| filter.range_of(a).copied())
+                .collect(),
+            nodes: BinaryHeap::new(),
+            rows: BinaryHeap::new(),
+            point: Vec::new(),
+            #[cfg(test)]
+            leaves: 0,
+        };
+        if let Some(terms) = terms {
+            walk.terms = terms;
+            walk.push(tree, 0);
+        }
+        walk
+    }
+
+    fn next(
+        &mut self,
+        set: &TupleSet,
+        tree: &KdTree,
+        matches: &impl Fn(u32) -> bool,
+    ) -> Option<u32> {
         loop {
-            match self.heap.peek() {
-                // IEEE `<`, not `total_cmp`: with τ = 0.0 an unseen tuple
-                // can still score -0.0 and tie a seen -0.0 with a smaller id.
-                Some(Reverse(top)) if self.exhausted || top.score < self.tau => {
-                    return self.heap.pop().map(|Reverse(s)| s.row);
+            let pending = self.nodes.peek().map(|Reverse(node)| node.score);
+            match self.rows.peek() {
+                // IEEE `<`, not `total_cmp`: with a bound of 0.0 a row not
+                // yet scanned can still score -0.0 and tie with a smaller id.
+                Some(Reverse(top)) if pending.is_none_or(|bound| top.score < bound) => {
+                    return self
+                        .rows
+                        .pop()
+                        .and_then(|Reverse(s)| u32::try_from(s.id).ok());
                 }
-                None if self.exhausted => return None,
-                _ => self.round(set, matches),
+                None if pending.is_none() => return None,
+                _ => self.expand(set, tree, matches),
             }
         }
     }
 
-    /// Read one row from every list, then raise τ.
-    fn round(&mut self, set: &TupleSet, matches: &impl Fn(u32) -> bool) {
-        for i in 0..self.lists.len() {
-            let Some(list) = self.lists.get_mut(i) else {
-                break;
+    /// Pop the node with the least bound: queue its children, or score
+    /// its matching rows if it is a leaf.
+    fn expand(&mut self, set: &TupleSet, tree: &KdTree, matches: &impl Fn(u32) -> bool) {
+        let Some(Reverse(Scored { id, .. })) = self.nodes.pop() else {
+            return;
+        };
+        let Some(&node) = tree.nodes.get(id) else {
+            return;
+        };
+        if node.children != 0 {
+            self.push(tree, node.children);
+            self.push(tree, node.children + 1);
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.leaves += 1;
+        }
+        for &row in tree.rows_of(node).iter().filter(|&&row| matches(row)) {
+            // The terms follow the function's weights, as the scorer's do.
+            self.point.clear();
+            self.point.extend(self.terms.iter().map(|&(d, _)| {
+                tree.attrs
+                    .get(d)
+                    .map_or(f64::NAN, |&attr| set.num(row, attr))
+            }));
+            let score = self.scorer.score_point(&self.point);
+            self.rows.push(Reverse(Scored {
+                score,
+                id: row as usize,
+            }));
+        }
+    }
+
+    /// Queue `node` by its bound, unless no row in it can match.
+    fn push(&mut self, tree: &KdTree, node: usize) {
+        if let Some(bound) = self.bound(tree, node) {
+            self.nodes.push(Reverse(Scored {
+                score: bound,
+                id: node,
+            }));
+        }
+    }
+
+    /// No row of `node` that passes the filter's range predicates scores
+    /// below this; `None` when none can pass (its clipped box is empty).
+    fn bound(&mut self, tree: &KdTree, node: usize) -> Option<f64> {
+        let ranges = &self.ranges;
+        let clipped = |d: usize| {
+            let (lo, hi) = tree.extent(node, d);
+            let bounds = RangePred {
+                lo,
+                hi,
+                lo_inc: true,
+                hi_inc: true,
             };
-            let Some(row) = list.read(set.rows(list.attr)) else {
-                self.exhausted = true;
-                return;
+            let clipped = match ranges.get(d) {
+                Some(Some(r)) => bounds.intersect(r),
+                _ => bounds,
             };
-            let first_sight = || {
-                !self
-                    .lists
-                    .iter()
-                    .enumerate()
-                    .any(|(j, other)| j != i && other.passed(set, row))
-            };
-            if matches(row) && first_sight() {
-                // The lists follow the function's weights, as the
-                // scorer's terms do.
-                self.point.clear();
-                self.point
-                    .extend(self.lists.iter().map(|l| set.num(row, l.attr)));
-                let score = self.scorer.score_point(&self.point);
-                self.heap.push(Reverse(Scored { score, row }));
-            }
+            (!clipped.is_empty()).then_some(clipped)
+        };
+        if (0..ranges.len()).any(|d| clipped(d).is_none()) {
+            return None;
         }
         self.point.clear();
-        self.point.extend(
-            self.lists
-                .iter()
-                .map(|l| l.last.map_or(f64::NAN, |row| set.num(row, l.attr))),
-        );
-        self.tau = self.scorer.score_point(&self.point);
+        for &(d, high) in &self.terms {
+            let c = clipped(d)?;
+            self.point.push(if high { c.hi } else { c.lo });
+        }
+        Some(self.scorer.score_point(&self.point))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr2_core::{AttrStats, LinearFunction};
-    use qr2_webdb::{CatSet, RangePred, Schema, Value};
+    use qr2_core::AttrStats;
+    use qr2_webdb::{CatSet, Schema, Value};
 
     /// xorshift64: deterministic and dependency-free.
     struct Rng(u64);
@@ -669,6 +932,11 @@ mod tests {
                 },
             );
         }
+        if rng.below(3) == 0 {
+            // x's minimum at zero: x = -0.0 normalizes to -0.0, so scores
+            // of -0.0 and 0.0 tie under IEEE `<` but not under `total_cmp`.
+            norm.set(s.expect_id("x"), AttrStats { min: 0.0, max: 3.0 });
+        }
         norm
     }
 
@@ -704,18 +972,23 @@ mod tests {
         }
     }
 
-    /// The longest run of equal (`total_cmp`) `attr` values in `ids`.
-    fn longest_tie(set: &TupleSet, ids: &[TupleId], attr: AttrId) -> usize {
-        let value = |id: &TupleId| {
-            let row = set.tuples.binary_search_by_key(id, |t| t.id).unwrap();
-            set.tuples[row].num_at(attr).to_bits()
-        };
-        let values: Vec<u64> = ids.iter().map(value).collect();
+    /// The longest run of equal (`total_cmp`) keys in `ids`' order.
+    fn longest_tie(set: &TupleSet, ids: &[TupleId], key: impl Fn(&Tuple) -> f64) -> usize {
+        let values: Vec<u64> = ids
+            .iter()
+            .map(|&id| key(set.find(id).unwrap()).to_bits())
+            .collect();
         values
             .chunk_by(|a, b| a == b)
             .map(<[u64]>::len)
             .max()
             .unwrap_or(0)
+    }
+
+    /// A filter of one categorical predicate and nothing else.
+    fn categorical_filter(rng: &mut Rng, s: &Schema) -> SearchQuery {
+        let codes: Vec<u32> = (0..4).filter(|_| rng.below(3) != 0).collect();
+        SearchQuery::all().and_cats(s.expect_id("c"), CatSet::new(codes))
     }
 
     #[test]
@@ -725,34 +998,68 @@ mod tests {
         let mut rng = Rng(0x5EED_C0DE);
         let mut nonempty = 0;
         let mut longest_desc_tie = 0;
+        // Deep scored cases: 3-attribute functions, categorical-only
+        // filters, the longest score tie, and answers holding both a -0.0
+        // and a 0.0 score.
+        let (mut deep, mut three, mut categorical) = (0, 0, 0);
+        let (mut longest_score_tie, mut signed_zeros) = (0, 0);
         for case in 0..1000 {
             // Every 25th case: a 3,000-tuple set whose x = 1.0 group is
             // longer than 2^10 rows, walked Desc on x half the time.
             let heavy = case % 25 == 0;
-            let n = if heavy {
+            // Every 25th case, offset: a scored order on 3,000 tuples, so
+            // the kd-tree is several levels deep and tie groups and both
+            // zeros of x span leaf boundaries.
+            let deep_scored = case % 25 == 12;
+            let n = if heavy || deep_scored {
                 3000
             } else {
                 rng.pick(&[0usize, 1, 7, 60, 250])
             };
-            let set = random_set(&mut rng, n, heavy);
+            let ties = heavy || (deep_scored && rng.below(2) == 0);
+            let set = random_set(&mut rng, n, ties);
             let norm = random_normalizer(&mut rng, &s);
-            let q = random_filter(&mut rng, &s);
+            let q = if deep_scored && rng.below(3) == 0 {
+                categorical += 1;
+                categorical_filter(&mut rng, &s)
+            } else {
+                random_filter(&mut rng, &s)
+            };
             let order = if heavy && rng.below(2) == 0 {
                 ServeOrder::OneDim {
                     attr: x,
                     dir: SortDir::Desc,
                 }
+            } else if deep_scored {
+                let f = random_function(&mut rng, &s);
+                three += usize::from(f.dims() == 3);
+                ServeOrder::Scored(f)
             } else {
                 random_order(&mut rng, &s)
             };
             let want = reference(&set, &q, &order, &norm);
             nonempty += usize::from(!want.is_empty());
-            if let ServeOrder::OneDim {
-                attr,
-                dir: SortDir::Desc,
-            } = order
-            {
-                longest_desc_tie = longest_desc_tie.max(longest_tie(&set, &want, attr));
+            match &order {
+                ServeOrder::OneDim {
+                    attr,
+                    dir: SortDir::Desc,
+                } => {
+                    longest_desc_tie =
+                        longest_desc_tie.max(longest_tie(&set, &want, |t| t.num_at(*attr)));
+                }
+                ServeOrder::Scored(f) if deep_scored => {
+                    deep += 1;
+                    let score = |t: &Tuple| f.score(t, &norm);
+                    longest_score_tie = longest_score_tie.max(longest_tie(&set, &want, score));
+                    let bits: Vec<u64> = want
+                        .iter()
+                        .map(|&id| score(set.find(id).unwrap()).to_bits())
+                        .collect();
+                    signed_zeros += usize::from(
+                        bits.contains(&(-0.0f64).to_bits()) && bits.contains(&0.0f64.to_bits()),
+                    );
+                }
+                _ => {}
             }
             let got = drain(
                 &mut rng,
@@ -765,6 +1072,181 @@ mod tests {
             longest_desc_tie > 1 << 10,
             "no Desc answer had a tie group over 2^10 rows: {longest_desc_tie}"
         );
+        assert_eq!(deep, 40);
+        assert!(three >= 5, "too few deep 3-attribute cases: {three}");
+        assert!(
+            categorical >= 5,
+            "too few deep categorical-only filters: {categorical}"
+        );
+        assert!(
+            longest_score_tie > 2 * LEAF,
+            "no deep answer had a score tie spanning leaves: {longest_score_tie}"
+        );
+        assert!(signed_zeros > 0, "no deep answer scored both -0.0 and 0.0");
+    }
+
+    #[test]
+    fn node_bounds_never_exceed_a_matching_rows_score() {
+        let s = schema();
+        let mut rng = Rng(0xB0_0DED);
+        let mut checked = 0;
+        for case in 0..60 {
+            let n = rng.pick(&[1usize, 40, 300, 2000]);
+            let ties = rng.below(2) == 0;
+            let set = random_set(&mut rng, n, ties);
+            let norm = random_normalizer(&mut rng, &s);
+            let q = random_filter(&mut rng, &s);
+            let f = random_function(&mut rng, &s);
+            let scorer = f.scorer(&norm);
+            let tree = set.tree(&f.attrs().collect::<Vec<_>>());
+            let mut walk = BestFirst::new(&tree, &q, &f, &norm);
+            for (i, node) in tree.nodes.iter().enumerate() {
+                let bound = walk.bound(&tree, i);
+                if node.children == 0 {
+                    assert!(node.end - node.start <= LEAF, "case {case}: leaf {node:?}");
+                } else {
+                    let (a, b) = (&tree.nodes[node.children], &tree.nodes[node.children + 1]);
+                    assert_eq!((a.start, a.end, b.end), (node.start, b.start, node.end));
+                }
+                for &row in tree.rows_of(*node) {
+                    let t = set.get(row).unwrap();
+                    for (d, &attr) in tree.attrs.iter().enumerate() {
+                        let (lo, hi) = tree.extent(i, d);
+                        assert!(
+                            lo <= t.num_at(attr) && t.num_at(attr) <= hi,
+                            "case {case}: box"
+                        );
+                    }
+                    if !set.matches(row, &q) {
+                        continue;
+                    }
+                    let bound = bound.unwrap_or_else(|| panic!("case {case}: node {i} pruned"));
+                    let score = scorer.score(t);
+                    assert!(
+                        bound <= score,
+                        "case {case}: node {i} bound {bound} > {score}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 10_000, "too few matching rows checked: {checked}");
+    }
+
+    #[test]
+    fn top_85_scans_a_small_fraction_of_the_leaves() {
+        // Wider than the functions: three numeric columns (`u`, `v`, `w`)
+        // that no function reads, as on a real source's form.
+        let s = Schema::builder()
+            .numeric("x", -3.0, 3.0)
+            .numeric("y", 0.0, 100.0)
+            .categorical("c", ["a", "b", "c", "d"])
+            .numeric("z", 0.0, 1000.0)
+            .numeric("u", 0.0, 1.0)
+            .numeric("v", 0.0, 1.0)
+            .numeric("w", 0.0, 1.0)
+            .build();
+        let [x, y, z, u] = ["x", "y", "z", "u"].map(|a| s.expect_id(a));
+        let mut rng = Rng(0x0C0_FFEE);
+        let tuples = (0..20_000)
+            .map(|id| {
+                let mut values = vec![
+                    Value::Num(-3.0 + 6.0 * rng.unit()),
+                    Value::Num(100.0 * rng.unit()),
+                    Value::Cat(rng.below(4) as u32),
+                    Value::Num(1000.0 * rng.unit()),
+                ];
+                values.extend((0..3).map(|_| Value::Num(rng.unit())));
+                Tuple::new(TupleId(id), values)
+            })
+            .collect();
+        let mut set = Arc::default();
+        TupleSet::absorb(&mut set, tuples);
+        let norm = Normalizer::from_domains(&s);
+        let leaves = 20_000usize.div_ceil(LEAF);
+        let f = |w: &[(AttrId, f64)]| ServeOrder::Scored(LinearFunction::new(w.to_vec()).unwrap());
+        let cases = [
+            (SearchQuery::all(), f(&[(x, 1.0), (y, 1.0)])),
+            (
+                SearchQuery::all().and_range(x, RangePred::closed(0.0, 0.3)),
+                f(&[(x, 1.0), (y, -0.5)]),
+            ),
+            (
+                SearchQuery::all().and_range(y, RangePred::half_open(40.0, 45.0)),
+                f(&[(x, -1.0), (y, 1.0), (z, 0.2)]),
+            ),
+            (
+                SearchQuery::all().and_cats(s.expect_id("c"), CatSet::single(2)),
+                f(&[(x, 0.5), (z, 1.0)]),
+            ),
+            (
+                SearchQuery::all().and_range(u, RangePred::closed(0.2, 0.6)),
+                f(&[(y, -1.0), (z, 0.3)]),
+            ),
+        ];
+        for (q, order) in cases {
+            let mut cursor = ReconCursor::new(Arc::clone(&set), q.clone(), &order, &norm);
+            let got: Vec<TupleId> = cursor.by_ref().take(85).map(|t| t.id).collect();
+            let want = reference(&set, &q, &order, &norm);
+            assert_eq!(got, want[..85], "filter {q}, order {order:?}");
+            let Walk::Best { tree, walk } = &cursor.walk else {
+                panic!("an MD order walks the tree");
+            };
+            let ServeOrder::Scored(function) = &order else {
+                unreachable!()
+            };
+            let mut attrs: Vec<AttrId> = function.attrs().collect();
+            attrs.sort_unstable();
+            assert_eq!(
+                tree.attrs, attrs,
+                "the tree indexes the function's attributes"
+            );
+            let full = tree.nodes.iter().filter(|n| n.children == 0).count();
+            assert_eq!(full, leaves, "every leaf full");
+            assert!(
+                walk.leaves * 20 <= leaves,
+                "filter {q}, order {order:?}: scanned {} of {leaves} leaves",
+                walk.leaves
+            );
+        }
+    }
+
+    #[test]
+    fn a_version_keeps_at_most_eight_trees_dropping_the_oldest() {
+        let tuples = (0..100)
+            .map(|id| {
+                Tuple::new(
+                    TupleId(id),
+                    (0..5).map(|d| Value::Num(f64::from(id * d))).collect(),
+                )
+            })
+            .collect();
+        let mut set = Arc::default();
+        TupleSet::absorb(&mut set, tuples);
+        // Nine distinct sets of attributes; the reversed first one is the
+        // same set.
+        let keys: Vec<Vec<AttrId>> = (3u16..=11)
+            .map(|bits| {
+                (0..5)
+                    .filter(|d| bits & (1 << d) != 0)
+                    .map(AttrId)
+                    .collect()
+            })
+            .collect();
+        let first = set.tree(&keys[0]);
+        let mut reversed = keys[0].clone();
+        reversed.reverse();
+        assert!(
+            Arc::ptr_eq(&first, &set.tree(&reversed)),
+            "one tree per set"
+        );
+        for key in &keys[1..] {
+            set.tree(key);
+        }
+        assert_eq!(set.trees.lock().len(), TREES);
+        assert!(set.built_tree(&keys[0]).is_none(), "the oldest is dropped");
+        assert!(keys[1..].iter().all(|k| set.built_tree(k).is_some()));
+        assert_eq!(first.attrs, keys[0], "a holder keeps its tree");
     }
 
     #[test]

@@ -247,9 +247,9 @@ impl ReconIndex {
     /// brand-new session.
     ///
     /// Nothing is materialized or sorted here: the cursor shares the
-    /// current tuple snapshot and its columns and projections (built once
-    /// per version, on the first serve that needs them) and does its
-    /// work as the session pulls pages.
+    /// current tuple snapshot and its columns, projections and kd-trees
+    /// (built once per version, on the first serve that needs them) and
+    /// does its work as the session pulls pages.
     pub fn serve(
         &self,
         q: &SearchQuery,
@@ -269,16 +269,19 @@ impl ReconIndex {
         })
     }
 
-    /// Build the columns of `attrs`, and the sorted projections of the
-    /// numeric ones, on the current tuple snapshot now. They are
-    /// otherwise built by the first [`ReconIndex::serve`] that needs them
-    /// — wall-clock benchmarks call this so that one-time cost is not
-    /// charged to the first measured session.
-    pub fn prewarm_projections(&self, attrs: &[AttrId]) {
+    /// Build the columns of `attrs`, the sorted projections of the
+    /// numeric ones, and the kd-tree over those numeric ones (the tree an
+    /// MD order over exactly `attrs` walks), on the current tuple
+    /// snapshot now. They are otherwise built by the first
+    /// [`ReconIndex::serve`] that needs them — wall-clock benchmarks call
+    /// this so that one-time cost is not charged to the first measured
+    /// session.
+    pub fn prewarm(&self, attrs: &[AttrId]) {
         let tuples = Arc::clone(&self.state.read().tuples);
         for &attr in attrs {
             tuples.projection(attr);
         }
+        tuples.tree(attrs);
     }
 
     /// Opportunistically absorb a live answer observed during fallback
@@ -869,13 +872,30 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_builds_columns_and_projections_the_first_serve_reuses() {
+    fn prewarm_builds_columns_projections_and_tree_the_first_serve_reuses() {
         let db = grid_db(5);
         let idx = ReconIndex::ephemeral();
         idx.run_job(&*db, &JobOptions::default(), 0).unwrap();
         let schema = db.schema();
         let (x, y) = (schema.expect_id("x"), schema.expect_id("y"));
-        idx.prewarm_projections(&[x, y]);
+        let builds = || {
+            qr2_obs::global()
+                .histogram("qr2_stage_duration_us", &[("stage", "recon.build")])
+                .count()
+        };
+        let before = builds();
+        idx.prewarm(&[x, y]);
+        // Other tests may build concurrently; they only add samples.
+        assert!(
+            builds() >= before + 5,
+            "two columns, two projections and the tree each record a recon.build sample"
+        );
+        let tree = || {
+            let st = idx.state.read();
+            st.tuples.built_tree(&[x, y]).map(|t| Arc::as_ptr(&t))
+        };
+        let warm_tree = tree();
+        assert!(warm_tree.is_some(), "prewarm builds the tree");
         let built = |attr| {
             let st = idx.state.read();
             let column = st.tuples.built_column(attr).map(|c| c as *const Column);
@@ -904,8 +924,8 @@ mod tests {
             assert_eq!(served, 48);
         }
         assert_eq!(
-            [built(x), built(y)],
-            warm,
+            ([built(x), built(y)], tree()),
+            (warm, warm_tree),
             "the first serve after prewarm builds nothing"
         );
     }

@@ -27,9 +27,10 @@
 //! * [`ServeOrder`] and [`ReconCursor`] — the engines' client-visible
 //!   serving order, reproduced exactly: [`ReconIndex::serve`] hands the
 //!   hybrid serving tier in `qr2-service` a lazy cursor that walks sorted
-//!   per-attribute projections (1D orders) or runs Fagin's Threshold
-//!   Algorithm over them (MD orders), so a reconstruction-served page is
-//!   **byte-identical** to the live path without sorting the matches.
+//!   per-attribute projections (1D orders) or searches a kd-tree over the
+//!   function's columns best-first (MD orders), so a reconstruction-served
+//!   page is **byte-identical** to the live path without sorting the
+//!   matches.
 //!
 //! ## Staleness
 //!
