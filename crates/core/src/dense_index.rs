@@ -13,10 +13,8 @@
 //! them. Serving filters the cached tuples in memory.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use parking_lot::Mutex;
-use qr2_crawler::{Crawler, CrawlerConfig};
 use qr2_webdb::{SearchQuery, Tuple};
 
 use crate::executor::SearchCtx;
@@ -64,7 +62,6 @@ impl Regions {
 pub struct DenseIndex {
     regions: Mutex<Regions>,
     stats: Mutex<DenseIndexStats>,
-    crawler_config: CrawlerConfig,
 }
 
 impl DenseIndex {
@@ -73,7 +70,6 @@ impl DenseIndex {
         DenseIndex {
             regions: Mutex::new(Regions::default()),
             stats: Mutex::new(DenseIndexStats::default()),
-            crawler_config: CrawlerConfig::default(),
         }
     }
 
@@ -116,13 +112,12 @@ impl DenseIndex {
         hit
     }
 
-    /// Serve `region` from the cache, crawling it (through `ctx.db()`) on a
-    /// miss. Only a complete crawl is inserted, and only if no
-    /// [`DenseIndex::clear`] ran while it crawled; a crawl cut short
-    /// (budget, atomic overflow, a failed probe) returns the tuples it
-    /// found without remembering them as the region. Crawl probes are
-    /// recorded on the context ledger as sequential rounds. Returns the
-    /// tuples of `region`.
+    /// Serve `region` from the cache, crawling it with
+    /// [`SearchCtx::crawl`] on a miss. Only a complete crawl is inserted,
+    /// and only if no [`DenseIndex::clear`] ran while it crawled; a crawl
+    /// cut short (budget, atomic overflow, a failed probe) returns the
+    /// tuples it found without remembering them as the region. Returns
+    /// the tuples of `region`.
     pub fn get_or_crawl(&self, ctx: &SearchCtx, region: &SearchQuery) -> Vec<Tuple> {
         let (hit, generation) = {
             let regions = self.regions.lock();
@@ -132,27 +127,16 @@ impl DenseIndex {
             self.stats.lock().hits += 1;
             return ts;
         }
-        let start = Instant::now();
-        let crawler = Crawler::new(ctx.db(), self.crawler_config.clone());
-        let result = crawler.crawl(region);
-        ctx.record_external_crawl(
-            result.queries,
-            result.cache_hits,
-            result.coalesced,
-            start.elapsed(),
-        );
+        let result = ctx.crawl(region);
         {
             let mut stats = self.stats.lock();
             stats.misses += 1;
             stats.crawl_queries += result.queries;
         }
         if result.is_complete() {
-            let mut tuples = result.tuples.clone();
-            tuples.sort_by_key(|t| t.id);
-            tuples.dedup_by_key(|t| t.id);
             let mut regions = self.regions.lock();
             if regions.generation == generation {
-                regions.map.insert(region.clone(), tuples);
+                regions.map.insert(region.clone(), result.tuples.clone());
             }
         }
         result.tuples

@@ -8,11 +8,19 @@
 //! together. Note the paper's caveat — parallelism can *increase* the total
 //! number of queries (a batch is built before its first response arrives) —
 //! which the ablation benches quantify.
+//!
+//! Every lookup of a session goes through this context, crawls included.
+//! [`SearchCtx::search`] and [`SearchCtx::crawl`] share one accounting
+//! rule: each probe is recorded with its own elapsed time, a paid probe
+//! as a round of one query, a cache hit as a hit, and a coalesced or
+//! failed probe as a coalesced wait (a failed probe cost this caller
+//! nothing). A crawl therefore adds one sequential round per paid probe.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use qr2_crawler::{CrawlResult, Crawler, CrawlerConfig};
 use qr2_webdb::{page_or_empty, Answer, SearchError, SearchQuery, TopKInterface, TopKResponse};
 
 use crate::stats::QueryStats;
@@ -110,13 +118,6 @@ impl SearchCtx {
         self.db.system_k()
     }
 
-    /// The underlying interface (for components that need raw access, e.g.
-    /// the crawler — fold their query spend back in with
-    /// [`SearchCtx::record_external_sequential`]).
-    pub fn db(&self) -> &dyn TopKInterface {
-        &*self.db
-    }
-
     /// Executor configuration.
     pub fn kind(&self) -> ExecutorKind {
         self.kind
@@ -126,13 +127,26 @@ impl SearchCtx {
     /// caching interface serves for free counts as a cache hit, not a
     /// query; a failed lookup reads as the empty page.
     pub fn search(&self, q: &SearchQuery) -> TopKResponse {
+        page_or_empty(self.probe_one(q))
+    }
+
+    /// Crawl every tuple of `region` (see [`Crawler`]). Each probe is
+    /// accounted exactly as [`SearchCtx::search`] accounts its query: a
+    /// paid probe is a round of one, a free or failed one a hit or a
+    /// coalesced wait, each with its own elapsed time.
+    pub fn crawl(&self, region: &SearchQuery) -> CrawlResult {
+        Crawler::new(&*self.db, CrawlerConfig::default()).crawl_with(region, |q| self.probe_one(q))
+    }
+
+    /// Probe `q` as one sequential lookup and record it on the ledger.
+    fn probe_one(&self, q: &SearchQuery) -> Probed {
         let start = Instant::now();
         let probed = self.db.probe(q);
         let (misses, hits, coalesced) = tally(std::iter::once(&probed));
         self.stats
             .lock()
             .record_lookups(misses, hits, coalesced, start.elapsed());
-        page_or_empty(probed)
+        probed
     }
 
     /// Execute a batch as one round. Responses are returned in input order.
@@ -193,57 +207,6 @@ impl SearchCtx {
             .into_iter()
             .map(|s| s.into_inner().expect("every slot filled"))
             .collect()
-    }
-
-    /// Fold externally issued queries (e.g. a crawl) into the ledger as one
-    /// round.
-    pub fn record_external_round(&self, queries: usize, elapsed: std::time::Duration) {
-        if queries > 0 {
-            self.stats.lock().record_round(queries, elapsed);
-        }
-    }
-
-    /// Fold externally issued queries in as `queries` sequential rounds of
-    /// one. Used for crawls, which probe one region at a time — counting
-    /// them as sequential keeps the parallel-fraction metric conservative.
-    pub fn record_external_sequential(&self, queries: usize, elapsed: std::time::Duration) {
-        if queries == 0 {
-            return;
-        }
-        let mut stats = self.stats.lock();
-        let per = elapsed / queries as u32;
-        for _ in 0..queries {
-            stats.record_round(1, per);
-        }
-    }
-
-    /// Fold one externally run crawl into the ledger: its real queries as
-    /// sequential rounds (see
-    /// [`record_external_sequential`](SearchCtx::record_external_sequential))
-    /// and its free lookups (cache hits, coalesced waits) as such. The
-    /// crawl's wall time is attributed to the rounds when any real query
-    /// ran, otherwise to the free lookups — a fully-cached crawl still
-    /// spends measurable time that the stats panel must report.
-    pub fn record_external_crawl(
-        &self,
-        queries: usize,
-        cache_hits: usize,
-        coalesced: usize,
-        elapsed: std::time::Duration,
-    ) {
-        if queries == 0 && cache_hits == 0 && coalesced == 0 {
-            return;
-        }
-        let mut stats = self.stats.lock();
-        if queries > 0 {
-            let per = elapsed / queries as u32;
-            for _ in 0..queries {
-                stats.record_round(1, per);
-            }
-            stats.record_lookups(0, cache_hits, coalesced, std::time::Duration::ZERO);
-        } else {
-            stats.record_lookups(0, cache_hits, coalesced, elapsed);
-        }
     }
 
     /// Snapshot of the statistics so far.
@@ -389,41 +352,6 @@ mod tests {
         assert_eq!(ctx.stats().num_rounds(), 0);
     }
 
-    #[test]
-    fn external_rounds_fold_in() {
-        let d = db();
-        let ctx = SearchCtx::new(d, ExecutorKind::Sequential);
-        ctx.record_external_round(7, Duration::from_millis(3));
-        ctx.record_external_round(0, Duration::ZERO); // ignored
-        ctx.record_external_sequential(3, Duration::from_millis(3));
-        assert_eq!(ctx.stats().rounds, vec![7, 1, 1, 1]);
-    }
-
-    #[test]
-    fn external_crawls_fold_in_with_wall_time() {
-        let d = db();
-        let ctx = SearchCtx::new(d, ExecutorKind::Sequential);
-        // Mixed crawl: real queries carry the wall time, hits ride along.
-        ctx.record_external_crawl(2, 3, 1, Duration::from_millis(4));
-        let stats = ctx.stats();
-        assert_eq!(stats.rounds, vec![1, 1]);
-        assert_eq!((stats.cache_hits, stats.coalesced_waits), (3, 1));
-        assert_eq!(stats.search_time, Duration::from_millis(4));
-        // Fully-cached crawl: zero rounds, but its time is still reported.
-        ctx.record_external_crawl(0, 5, 0, Duration::from_millis(2));
-        let stats = ctx.stats();
-        assert_eq!(stats.rounds, vec![1, 1]);
-        assert_eq!(stats.cache_hits, 8);
-        assert_eq!(
-            stats.search_time,
-            Duration::from_millis(6),
-            "a fully-cached crawl's wall time must not vanish"
-        );
-        // No-op crawl records nothing.
-        ctx.record_external_crawl(0, 0, 0, Duration::from_millis(9));
-        assert_eq!(ctx.stats().search_time, Duration::from_millis(6));
-    }
-
     /// A minimal caching decorator: answers repeated queries from memory
     /// and reports them as cache hits (stand-in for `qr2-cache`, which
     /// lives upstream of this crate).
@@ -497,6 +425,60 @@ mod tests {
         let stats = ctx.stats();
         assert_eq!(stats.rounds, vec![1, 2]);
         assert_eq!(stats.cache_hits, 1);
+    }
+
+    #[test]
+    fn crawl_probes_are_accounted_like_searches() {
+        let cached = Arc::new(MemoCachingDb {
+            inner: db(),
+            memo: Mutex::new(std::collections::HashMap::new()),
+        });
+        // A parallel executor still crawls one probe at a time.
+        let ctx = SearchCtx::new(cached, ExecutorKind::Parallel { fanout: 4 });
+        // Warm the crawl's root region, so the first crawl mixes paid
+        // probes with a hit.
+        ctx.search(&SearchQuery::all());
+        let before = ctx.snapshot();
+        let cold = ctx.crawl(&SearchQuery::all());
+        assert!(cold.is_complete());
+        assert_eq!(cold.tuples.len(), 100);
+        assert!(cold.queries > 1);
+        assert_eq!(cold.cache_hits, 1);
+        let delta = ctx.delta_since(&before);
+        assert_eq!(
+            delta.rounds,
+            vec![1; cold.queries],
+            "each paid crawl probe is its own round of one"
+        );
+        assert_eq!((delta.cache_hits, delta.coalesced_waits), (1, 0));
+        assert!(delta.search_time > Duration::ZERO);
+
+        // The same crawl again: every probe is a hit, no round, no query,
+        // but the time it took is still reported.
+        let before = ctx.snapshot();
+        let warm = ctx.crawl(&SearchQuery::all());
+        assert_eq!(warm.tuples, cold.tuples);
+        assert_eq!(warm.queries, 0);
+        let delta = ctx.delta_since(&before);
+        assert!(delta.rounds.is_empty(), "hits never open a round");
+        assert_eq!(delta.total_queries(), 0);
+        assert_eq!(delta.cache_hits, cold.queries + cold.cache_hits);
+        assert!(
+            delta.search_time > Duration::ZERO,
+            "a fully cached crawl's wall time must not vanish"
+        );
+    }
+
+    #[test]
+    fn failed_crawl_probe_interrupts_as_one_coalesced_wait() {
+        let ctx = SearchCtx::new(Arc::new(FailingDb(db())), ExecutorKind::Sequential);
+        let result = ctx.crawl(&SearchQuery::all());
+        assert_eq!(result.outcome, qr2_crawler::CrawlOutcome::Interrupted);
+        assert!(result.tuples.is_empty());
+        assert_eq!(result.queries, 0);
+        let stats = ctx.stats();
+        assert_eq!(stats.num_rounds(), 0, "a failed probe is not a query");
+        assert_eq!(stats.coalesced_waits, 1);
     }
 
     /// A decorator that records a stage span per lookup, standing in for

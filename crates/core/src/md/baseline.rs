@@ -9,9 +9,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 
-use qr2_crawler::{Crawler, CrawlerConfig};
 use qr2_webdb::{SearchQuery, Tuple, TupleId};
 
 use crate::executor::SearchCtx;
@@ -208,15 +206,7 @@ impl BaselineEngine {
     /// Enumerate an atomic region by crawling (baseline pays full price —
     /// no shared index).
     fn crawl_region(&self, region: &NBox, best: &mut Option<(f64, Tuple)>) {
-        let start = Instant::now();
-        let crawler = Crawler::new(self.ctx.db(), CrawlerConfig::default());
-        let result = crawler.crawl(&region.to_query(&self.filter));
-        self.ctx.record_external_crawl(
-            result.queries,
-            result.cache_hits,
-            result.coalesced,
-            start.elapsed(),
-        );
+        let result = self.ctx.crawl(&region.to_query(&self.filter));
         for t in result.tuples {
             if self.served_ids.contains(&t.id) {
                 continue;

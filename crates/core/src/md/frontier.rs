@@ -13,9 +13,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
-use qr2_crawler::{Crawler, CrawlerConfig};
 use qr2_webdb::{SearchQuery, Tuple, TupleId};
 
 use crate::dense_index::DenseIndex;
@@ -312,18 +310,7 @@ impl FrontierEngine {
                     .filter(|t| self.filter.matches_with(|a| t.value(a)))
                     .collect()
             }
-            None => {
-                let start = Instant::now();
-                let crawler = Crawler::new(self.ctx.db(), CrawlerConfig::default());
-                let result = crawler.crawl(&nbox.to_query(&self.filter));
-                self.ctx.record_external_crawl(
-                    result.queries,
-                    result.cache_hits,
-                    result.coalesced,
-                    start.elapsed(),
-                );
-                result.tuples
-            }
+            None => self.ctx.crawl(&nbox.to_query(&self.filter)).tuples,
         };
         for t in tuples {
             self.add_tuple(t);

@@ -1,9 +1,7 @@
 //! Chunk finders: retrieve a *complete prefix* of an interval — the
 //! interval's preferred end together with every matching tuple inside it.
 
-use std::time::Instant;
-
-use qr2_crawler::{snap_integral, Crawler, CrawlerConfig};
+use qr2_crawler::snap_integral;
 use qr2_webdb::{AttrId, RangePred, SearchQuery, Tuple};
 
 use crate::dense_index::DenseIndex;
@@ -161,18 +159,7 @@ impl ChunkParams<'_> {
                     .filter(|t| self.filter.matches_with(|a| t.value(a)))
                     .collect()
             }
-            _ => {
-                let start = Instant::now();
-                let crawler = Crawler::new(self.ctx.db(), CrawlerConfig::default());
-                let result = crawler.crawl(&self.probe_query(r));
-                self.ctx.record_external_crawl(
-                    result.queries,
-                    result.cache_hits,
-                    result.coalesced,
-                    start.elapsed(),
-                );
-                result.tuples
-            }
+            _ => self.ctx.crawl(&self.probe_query(r)).tuples,
         }
     }
 }

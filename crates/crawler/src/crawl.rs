@@ -2,9 +2,10 @@
 
 use std::collections::HashMap;
 
-use qr2_webdb::{Answer, AttrId, SearchQuery, TopKInterface, Tuple, TupleId};
+use qr2_webdb::{Answer, AttrId, SearchError, SearchQuery, TopKInterface, Tuple, TupleId};
 
-use crate::splitter::{split_region, SplitPolicy};
+use crate::frontier::{Absorbed, Frontier};
+use crate::splitter::SplitPolicy;
 
 /// Configuration for a crawl.
 #[derive(Debug, Clone)]
@@ -87,15 +88,29 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
         Crawler { db, config }
     }
 
-    /// Retrieve every tuple matching `region`.
-    ///
-    /// Work-list driven depth-first traversal; subregions created by
-    /// [`split_region`] partition their parent exactly, so `Complete`
-    /// results are exhaustive.
+    /// Retrieve every tuple matching `region`, probing through the
+    /// crawler's database.
     pub fn crawl(&self, region: &SearchQuery) -> CrawlResult {
-        let schema = self.db.schema();
+        self.crawl_with(region, |q| self.db.probe(q))
+    }
+
+    /// Retrieve every tuple matching `region`, issuing each probe through
+    /// `probe` (for callers that account for probes themselves).
+    ///
+    /// Depth-first walk of a [`Frontier`]: its split halves partition
+    /// their parent exactly, so `Complete` results are exhaustive.
+    pub fn crawl_with(
+        &self,
+        region: &SearchQuery,
+        mut probe: impl FnMut(&SearchQuery) -> Result<Answer, SearchError>,
+    ) -> CrawlResult {
+        let mut frontier = Frontier::new(
+            self.db.schema(),
+            self.config.policy,
+            [region.clone()],
+            Vec::new(),
+        );
         let mut found: HashMap<TupleId, Tuple> = HashMap::new();
-        let mut stack: Vec<(SearchQuery, usize)> = vec![(region.clone(), 0)];
         let mut queries = 0usize;
         let mut cache_hits = 0usize;
         let mut coalesced = 0usize;
@@ -103,7 +118,7 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
         let mut max_depth = 0usize;
         let mut outcome = CrawlOutcome::Complete;
 
-        while let Some((q, depth)) = stack.pop() {
+        while let Some((q, depth)) = frontier.pop() {
             // The budget caps real web-DB spend; cached probes are free.
             if queries >= self.config.max_queries {
                 outcome = CrawlOutcome::BudgetExhausted;
@@ -112,7 +127,7 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
             let Ok(Answer {
                 resp,
                 outcome: served,
-            }) = self.db.probe(&q)
+            }) = probe(&q)
             else {
                 outcome = CrawlOutcome::Interrupted;
                 break;
@@ -128,32 +143,14 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
             for t in resp.tuples.iter() {
                 found.entry(t.id).or_insert_with(|| t.clone());
             }
-            if resp.overflow {
-                match split_region(
-                    schema,
-                    &q,
-                    match self.config.policy {
-                        SplitPolicy::RoundRobin { .. } => SplitPolicy::RoundRobin { depth },
-                        p => p,
-                    },
-                ) {
-                    Some((left, right)) => {
-                        // Skip provably empty halves without spending queries.
-                        if !right.is_trivially_empty() {
-                            stack.push((right, depth + 1));
-                        }
-                        if !left.is_trivially_empty() {
-                            stack.push((left, depth + 1));
-                        }
-                    }
-                    None => {
-                        // Atomic overflow: remember, keep crawling the rest.
-                        outcome = CrawlOutcome::AtomicOverflow;
-                        leaves += 1;
-                    }
+            match frontier.absorb(q, depth, &resp) {
+                Absorbed::Split => {}
+                Absorbed::Leaf => leaves += 1,
+                Absorbed::Atomic => {
+                    // Remember, keep crawling the rest.
+                    outcome = CrawlOutcome::AtomicOverflow;
+                    leaves += 1;
                 }
-            } else {
-                leaves += 1;
             }
         }
 

@@ -11,19 +11,25 @@
 //! the two halves partition `R` exactly (half-open interval splits), each
 //! hidden tuple becomes visible in exactly one non-overflowing leaf.
 //!
-//! QR2 invokes this machinery in two places:
+//! The split rule lives in one type, the [`Frontier`]: a LIFO stack of
+//! pending `(region, depth)` plus the atomic regions, whose
+//! [`Frontier::absorb`] turns a probe's answer into split halves, a leaf
+//! or an atomic hole. Every crawl in QR2 walks one:
 //!
-//! * **tie handling** (paper §II-B): when more than `system-k` tuples share
-//!   a value `V` on attribute `Aᵢ`, the query `Aᵢ = V` can never underflow;
-//!   [`crawl_point`] enumerates the tied tuples by splitting on the *other*
-//!   attributes;
-//! * **dense-region indexing**: `1D-/MD-RERANK` crawl a dense interval or
-//!   cell once and serve subsequent queries from the index.
+//! * **tie handling** (paper §II-B) and **dense-region indexing**
+//!   (`1D-/MD-RERANK` crawl a dense interval or cell once and serve later
+//!   queries from their index) run a [`Crawler`] through `qr2-core`'s
+//!   `SearchCtx::crawl`, which passes [`Crawler::crawl_with`] a probe that
+//!   counts and times each query like any other lookup of the session;
+//! * **offline reconstruction**: `qr2-recon`'s job drives a frontier it
+//!   checkpoints, cancels and resumes across budget-capped jobs.
 
 mod crawl;
+mod frontier;
 mod region;
 mod splitter;
 
 pub use crawl::{crawl, crawl_point, CrawlOutcome, CrawlResult, Crawler, CrawlerConfig};
+pub use frontier::{Absorbed, Frontier};
 pub use region::{effective_cats, effective_range, region_diag, snap_integral};
-pub use splitter::{split_region, SplitPolicy};
+pub use splitter::SplitPolicy;

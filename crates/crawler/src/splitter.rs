@@ -81,7 +81,7 @@ fn candidates(schema: &Schema, q: &SearchQuery) -> Vec<Candidate> {
 /// Split `q` into two disjoint subqueries that exactly partition its match
 /// set, or `None` when the region is *atomic* (every attribute is pinned to
 /// a point / single label and further separation is impossible).
-pub fn split_region(
+pub(crate) fn split_region(
     schema: &Schema,
     q: &SearchQuery,
     policy: SplitPolicy,

@@ -25,6 +25,14 @@
 //! by a [`ReconCursor`], reproduce the live engines' output byte for
 //! byte.
 //!
+//! ## The driver
+//!
+//! [`ReconIndex::run_job`] walks a [`qr2_crawler::Frontier`] built from
+//! `pending` and `atomic`, so the split rule lives in `qr2-crawler` and
+//! the job owns only checkpoints, cancellation and persistence. It pops
+//! a region before it checks the budget, so a job whose last paid probe
+//! spends `max_queries` exactly reports `complete`.
+//!
 //! The driver and the opportunistic feed path only ever shrink coverage
 //! claims on crash or race (a checkpoint's frontier is a superset of the
 //! truly uncovered regions): the index under-claims, never over-claims.
@@ -34,7 +42,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use qr2_core::{CancelToken, Normalizer};
-use qr2_crawler::{effective_cats, effective_range, split_region, SplitPolicy};
+use qr2_crawler::{effective_cats, effective_range, Absorbed, Frontier, SplitPolicy};
 use qr2_sched::context::{next_session_key, with_session};
 use qr2_sched::{QueryClass, SessionCtx};
 use qr2_store::RankIndex;
@@ -75,8 +83,6 @@ pub struct JobOptions {
     pub max_queries: usize,
     /// Paid queries between incremental checkpoints.
     pub checkpoint_every: usize,
-    /// Region split policy.
-    pub policy: SplitPolicy,
 }
 
 impl Default for JobOptions {
@@ -85,7 +91,6 @@ impl Default for JobOptions {
             root: None,
             max_queries: 10_000,
             checkpoint_every: 32,
-            policy: SplitPolicy::WidestRelative,
         }
     }
 }
@@ -527,7 +532,7 @@ impl ReconIndex {
         let mut persist_errors = 0usize;
 
         // Fresh start or resume: an epoch or root change restarts.
-        let (resume, mut worklist): (bool, Vec<(SearchQuery, usize)>) = {
+        let (resume, mut frontier) = {
             let mut st = self.state.write();
             let resume = st.epoch == epoch && st.root.as_ref() == Some(&root);
             if !resume {
@@ -538,7 +543,13 @@ impl ReconIndex {
                     ..State::default()
                 };
             }
-            (resume, st.pending.iter().cloned().map(|q| (q, 0)).collect())
+            let frontier = Frontier::new(
+                schema,
+                SplitPolicy::WidestRelative,
+                st.pending.iter().cloned(),
+                st.atomic.clone(),
+            );
+            (resume, frontier)
         };
         {
             let mut store = self.store.lock();
@@ -554,7 +565,6 @@ impl ReconIndex {
             }
         }
 
-        let mut atomic: Vec<SearchQuery> = self.state.read().atomic.clone();
         let mut batch: Vec<Tuple> = Vec::new();
         let mut paid = 0usize;
         let mut free = 0usize;
@@ -568,22 +578,25 @@ impl ReconIndex {
                 state_str = "cancelled";
                 break;
             }
-            if paid >= opts.max_queries {
-                state_str = "budget_exhausted";
-                break;
-            }
-            let Some((q, depth)) = worklist.pop() else {
+            let Some((q, depth)) = frontier.pop() else {
                 // Every splittable region is retrieved (atomic holes, if
                 // any, can never be — they stay excluded from coverage).
                 state_str = "complete";
                 break;
             };
+            // Checked after the pop, so a job whose last paid probe spends
+            // the budget exactly still reports `complete`.
+            if paid >= opts.max_queries {
+                frontier.push_back(q, depth);
+                state_str = "budget_exhausted";
+                break;
+            }
             let Answer { resp, outcome } = match db.probe(&q) {
                 Ok(answer) => answer,
                 Err(err) => {
                     // The region was not retrieved: it stays on the
                     // frontier, so coverage never claims it.
-                    worklist.push((q, depth));
+                    frontier.push_back(q, depth);
                     state_str = if err == SearchError::Cancelled {
                         "cancelled"
                     } else {
@@ -599,53 +612,21 @@ impl ReconIndex {
                 since_checkpoint += 1;
             }
             batch.extend(resp.tuples.iter().cloned());
-            if resp.overflow {
-                let policy = match opts.policy {
-                    SplitPolicy::RoundRobin { .. } => SplitPolicy::RoundRobin { depth },
-                    p => p,
-                };
-                match split_region(schema, &q, policy) {
-                    Some((left, right)) => {
-                        if !right.is_trivially_empty() {
-                            worklist.push((right, depth + 1));
-                        }
-                        if !left.is_trivially_empty() {
-                            worklist.push((left, depth + 1));
-                        }
-                    }
-                    None => {
-                        if !atomic.contains(&q) {
-                            atomic.push(q);
-                        }
-                    }
-                }
-            } else {
+            if frontier.absorb(q, depth, &resp) == Absorbed::Leaf {
                 completed += 1;
             }
             if since_checkpoint >= opts.checkpoint_every.max(1) {
-                let (added, errors) = self.checkpoint(
-                    &mut batch,
-                    &worklist,
-                    &atomic,
-                    paid + free,
-                    since_checkpoint,
-                );
+                let (added, errors) = self.checkpoint(&mut batch, &frontier, since_checkpoint);
                 since_checkpoint = 0;
                 tuples_added += added;
                 persist_errors += errors;
             }
         }
 
-        // Final checkpoint. The worklist still holds every region not
-        // retrieved (a failed probe's included), so the frontier stays a
-        // superset of the truly uncovered regions.
-        let (added, errors) = self.checkpoint(
-            &mut batch,
-            &worklist,
-            &atomic,
-            paid + free,
-            since_checkpoint,
-        );
+        // Final checkpoint. The frontier still holds every region not
+        // retrieved (a failed probe's included), so it stays a superset
+        // of the truly uncovered regions.
+        let (added, errors) = self.checkpoint(&mut batch, &frontier, since_checkpoint);
         tuples_added += added;
         persist_errors += errors;
 
@@ -666,12 +647,11 @@ impl ReconIndex {
     fn checkpoint(
         &self,
         batch: &mut Vec<Tuple>,
-        worklist: &[(SearchQuery, usize)],
-        atomic: &[SearchQuery],
-        _lookups: usize,
+        frontier: &Frontier<'_>,
         paid_delta: usize,
     ) -> (usize, usize) {
-        let pending: Vec<SearchQuery> = worklist.iter().map(|(q, _)| q.clone()).collect();
+        let pending: Vec<SearchQuery> = frontier.pending().cloned().collect();
+        let atomic = frontier.atomic();
         let (added, budget_spent) = {
             let mut st = self.state.write();
             let added = TupleSet::absorb(&mut st.tuples, std::mem::take(batch));
@@ -998,6 +978,32 @@ mod tests {
         assert_eq!(idx.state.read().tuples.len(), 64);
         // Total spend accumulated across both jobs.
         assert!(idx.status(schema, 0).budget_spent >= 5);
+    }
+
+    #[test]
+    fn a_job_that_spends_its_budget_exactly_reports_complete() {
+        let db = grid_db(5);
+        let schema = db.schema();
+        let full = ReconIndex::ephemeral()
+            .run_job(&*db, &JobOptions::default(), 0)
+            .unwrap();
+        assert_eq!((full.state, full.paid_queries), ("complete", 31));
+        for (budget, state) in [(31, "complete"), (30, "budget_exhausted")] {
+            let idx = ReconIndex::ephemeral();
+            let opts = JobOptions {
+                max_queries: budget,
+                ..JobOptions::default()
+            };
+            let report = idx.run_job(&*db, &opts, 0).unwrap();
+            assert_eq!(report.paid_queries, budget);
+            assert_eq!(report.state, state, "max_queries {budget}");
+            let status = if state == "complete" {
+                "complete"
+            } else {
+                "partial"
+            };
+            assert_eq!(idx.status(schema, 0).state, status);
+        }
     }
 
     #[test]

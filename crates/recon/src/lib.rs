@@ -17,9 +17,9 @@
 //!   Optionally persisted through [`qr2_store::RankIndex`] with
 //!   crash-safe incremental checkpoints.
 //! * The **reconstruction driver** ([`ReconIndex::run_job`]) — a
-//!   budgeted, resumable walk of the root region built on
-//!   `qr2-crawler`'s [`split_region`](qr2_crawler::split_region)
-//!   machinery. Every probe runs under an ambient background-class
+//!   budgeted, resumable walk of the root region that drives
+//!   `qr2-crawler`'s [`Frontier`](qr2_crawler::Frontier), the split rule
+//!   every crawl in QR2 shares. Every probe runs under an ambient background-class
 //!   [`qr2_sched::SessionCtx`], so reconstruction work queues behind
 //!   interactive sessions in the per-source scheduler and benefits from
 //!   answer-cache hits and cross-session coalescing like any other
