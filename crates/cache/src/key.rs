@@ -74,8 +74,9 @@ fn canon_range(r: &RangePred, min: f64, max: f64, integral: bool) -> CanonRange 
         // Whole-number values only: open bounds have an exact closed
         // integer equivalent, erasing bound openness from the key.
         // (`(-0.5).ceil()` is `-0.0`, so re-normalize the zero sign.)
-        lo = positive_zero(if lo_inc { lo.ceil() } else { lo.floor() + 1.0 });
-        hi = positive_zero(if hi_inc { hi.floor() } else { hi.ceil() - 1.0 });
+        let snapped = r.snap_integral();
+        lo = positive_zero(snapped.lo);
+        hi = positive_zero(snapped.hi);
         lo_inc = true;
         hi_inc = true;
         if lo > hi {

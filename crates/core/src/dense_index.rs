@@ -88,11 +88,6 @@ impl DenseIndex {
         *self.stats.lock()
     }
 
-    /// Reset statistics (between experiment phases).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = DenseIndexStats::default();
-    }
-
     /// Forget every cached region and start a new generation: a crawl
     /// still running from before the clear is not remembered when it
     /// finishes.

@@ -1,7 +1,6 @@
 //! Chunk finders: retrieve a *complete prefix* of an interval — the
 //! interval's preferred end together with every matching tuple inside it.
 
-use qr2_crawler::snap_integral;
 use qr2_webdb::{AttrId, RangePred, SearchQuery, Tuple};
 
 use crate::dense_index::DenseIndex;
@@ -95,54 +94,22 @@ impl ChunkParams<'_> {
         (hi - lo).max(f64::MIN_POSITIVE)
     }
 
-    fn is_unsplittable(&self, r: RangePred) -> bool {
-        if self.ctx.schema().attr(self.attr).is_integral() {
-            let r = snap_integral(r);
-            r.hi - r.lo < 1.0
-        } else {
-            let mid = r.lo + (r.hi - r.lo) / 2.0;
-            mid <= r.lo || mid >= r.hi
-        }
+    /// `Rerank` treats an interval narrower than δ of the domain as dense.
+    fn is_narrow(&self, r: RangePred) -> bool {
+        self.algo == OneDAlgo::Rerank && r.width() / self.domain_width() < self.delta
     }
 
-    fn is_dense(&self, r: RangePred) -> bool {
-        match self.algo {
-            OneDAlgo::Rerank => {
-                self.is_unsplittable(r) || r.width() / self.domain_width() < self.delta
-            }
-            _ => self.is_unsplittable(r),
-        }
-    }
-
-    /// Split `r` into (preferred half, other half). On an integral
-    /// attribute `r` is snapped first: a remainder that excludes the value
-    /// just served must not split back to include it.
-    fn split(&self, r: RangePred) -> (RangePred, RangePred) {
-        let (low, high) = if self.ctx.schema().attr(self.attr).is_integral() {
-            let r = snap_integral(r);
-            let m = ((r.lo + r.hi) / 2.0).floor();
-            (RangePred::closed(r.lo, m), RangePred::closed(m + 1.0, r.hi))
-        } else {
-            let mid = r.lo + (r.hi - r.lo) / 2.0;
-            (
-                RangePred {
-                    lo: r.lo,
-                    lo_inc: r.lo_inc,
-                    hi: mid,
-                    hi_inc: false,
-                },
-                RangePred {
-                    lo: mid,
-                    lo_inc: true,
-                    hi: r.hi,
-                    hi_inc: r.hi_inc,
-                },
-            )
-        };
-        match self.dir {
+    /// Split `r` into (preferred half, other half), or `None` when it
+    /// cannot be cut. On an integral attribute `r` is snapped first: a
+    /// remainder that excludes the value just served must not split back
+    /// to include it.
+    fn split(&self, r: RangePred) -> Option<(RangePred, RangePred)> {
+        let integral = self.ctx.schema().attr(self.attr).is_integral();
+        let (low, high) = if integral { r.snap_integral() } else { r }.bisect(integral)?;
+        Some(match self.dir {
             SortDir::Asc => (low, high),
             SortDir::Desc => (high, low),
-        }
+        })
     }
 
     /// Enumerate a fully dense sub-interval. `Rerank` goes through the
@@ -265,22 +232,27 @@ fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred, stack: &mut Vec<RangeP
                 tuples: resp.tuples.to_vec(),
             };
         }
-        if p.is_dense(cur) {
-            let tuples = p.enumerate_dense(cur);
-            if tuples.is_empty() {
-                // The region holds tuples, but none match the filter
-                // (possible via the unfiltered index path): keep moving.
-                continue;
+        // A dense interval, one that cannot be cut or (`Rerank`) is
+        // narrower than δ, is enumerated instead of bisected.
+        match p.split(cur) {
+            Some((pref, other)) if !p.is_narrow(cur) => {
+                stack.push(other);
+                stack.push(pref);
             }
-            stack.clear();
-            return Chunk {
-                complete: p.join_prefix(interval, cur),
-                tuples,
-            };
+            _ => {
+                let tuples = p.enumerate_dense(cur);
+                if tuples.is_empty() {
+                    // The region holds tuples, but none match the filter
+                    // (possible via the unfiltered index path): keep moving.
+                    continue;
+                }
+                stack.clear();
+                return Chunk {
+                    complete: p.join_prefix(interval, cur),
+                    tuples,
+                };
+            }
         }
-        let (pref, other) = p.split(cur);
-        stack.push(other);
-        stack.push(pref);
     }
     Chunk {
         complete: interval,

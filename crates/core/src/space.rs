@@ -126,13 +126,7 @@ impl NBox {
     ) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, (attr, r)) in self.dims.iter().enumerate() {
-            let splittable = if schema.attr(*attr).is_integral() {
-                r.hi - r.lo >= 1.0
-            } else {
-                let mid = r.lo + (r.hi - r.lo) / 2.0;
-                mid > r.lo && mid < r.hi
-            };
-            if !splittable {
+            if r.bisect(schema.attr(*attr).is_integral()).is_none() {
                 continue;
             }
             let w = f
@@ -150,34 +144,15 @@ impl NBox {
         best.map(|(i, _)| i)
     }
 
-    /// Split dimension `i` at its midpoint into two boxes that partition
-    /// this one. Integral attributes split on whole numbers.
+    /// Split dimension `i` at its midpoint ([`RangePred::bisect`], without
+    /// snapping) into two boxes that partition this one. Integral
+    /// attributes split on whole numbers. Panics when the dimension cannot
+    /// be cut ([`NBox::widest_splittable_dim`] skips those).
     pub fn split(&self, i: usize, schema: &Schema) -> (NBox, NBox) {
         let (attr, r) = self.dims[i];
-        let (left, right) = if schema.attr(attr).is_integral() {
-            let m = ((r.lo + r.hi) / 2.0).floor();
-            (RangePred::closed(r.lo, m), RangePred::closed(m + 1.0, r.hi))
-        } else {
-            let mid = r.lo + (r.hi - r.lo) / 2.0;
-            assert!(
-                mid > r.lo && mid < r.hi,
-                "dimension {i} too narrow to split"
-            );
-            (
-                RangePred {
-                    lo: r.lo,
-                    hi: mid,
-                    lo_inc: r.lo_inc,
-                    hi_inc: false,
-                },
-                RangePred {
-                    lo: mid,
-                    hi: r.hi,
-                    lo_inc: true,
-                    hi_inc: r.hi_inc,
-                },
-            )
-        };
+        let (left, right) = r
+            .bisect(schema.attr(attr).is_integral())
+            .unwrap_or_else(|| panic!("dimension {i} too narrow to split"));
         let mut a = self.clone();
         a.dims[i].1 = left;
         let mut b = self.clone();

@@ -95,7 +95,7 @@ fn database(seed: u64, shape: Shape) -> Arc<SimulatedWebDb> {
     Arc::new(SimulatedWebDb::new(tb.build(), ranking, SYSTEM_K))
 }
 
-fn filters(x: AttrId, y: AttrId) -> [(&'static str, SearchQuery); 3] {
+fn filters(x: AttrId, y: AttrId) -> [(&'static str, SearchQuery); 4] {
     [
         ("no filter", SearchQuery::all()),
         (
@@ -106,6 +106,12 @@ fn filters(x: AttrId, y: AttrId) -> [(&'static str, SearchQuery); 3] {
             "filter on x",
             // Closed at the tie value, so the ties sit on the filter's edge.
             SearchQuery::all().and_range(x, RangePred::closed(5.0, 50.0)),
+        ),
+        (
+            "open filter on x",
+            // Exclusive one ulp below 1: on the integral shape, snapping
+            // must keep x = 1.
+            SearchQuery::all().and_range(x, RangePred::open(1.0f64.next_down(), 5.0)),
         ),
     ]
 }
@@ -217,7 +223,7 @@ fn drained_and_sliced_sessions_equal_the_ground_truth_order() {
             }
         }
     }
-    assert_eq!(sessions, 3 * 4 * 3 * 2 * 4);
+    assert_eq!(sessions, 3 * 4 * 4 * 2 * 4);
 }
 
 #[test]
@@ -252,5 +258,5 @@ fn md_sessions_equal_the_ground_truth_score_order() {
             }
         }
     }
-    assert_eq!(sessions, 3 * 4 * 3 * 3 * 4);
+    assert_eq!(sessions, 3 * 4 * 4 * 3 * 4);
 }

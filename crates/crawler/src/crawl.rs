@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use qr2_webdb::{Answer, AttrId, SearchError, SearchQuery, TopKInterface, Tuple, TupleId};
+use qr2_webdb::{Answer, SearchError, SearchQuery, TopKInterface, Tuple, TupleId};
 
 use crate::frontier::{Absorbed, Frontier};
 use crate::splitter::SplitPolicy;
@@ -168,28 +168,14 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
     }
 }
 
-/// Crawl every tuple matching `region` using the default configuration.
-pub fn crawl<D: TopKInterface + ?Sized>(db: &D, region: &SearchQuery) -> CrawlResult {
-    Crawler::new(db, CrawlerConfig::default()).crawl(region)
-}
-
-/// Enumerate the tuples with `attr = value` inside `base` — QR2's tie
-/// handler (§II-B): the point predicate pins `attr`, so the crawler is
-/// forced to separate the tied tuples on the *other* attributes.
-pub fn crawl_point<D: TopKInterface + ?Sized>(
-    db: &D,
-    base: &SearchQuery,
-    attr: AttrId,
-    value: f64,
-) -> CrawlResult {
-    let region = base.and_point(attr, value);
-    crawl(db, &region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qr2_webdb::{RangePred, Schema, SimulatedWebDb, SystemRanking, TableBuilder};
+
+    fn crawl<D: TopKInterface + ?Sized>(db: &D, region: &SearchQuery) -> CrawlResult {
+        Crawler::new(db, CrawlerConfig::default()).crawl(region)
+    }
 
     /// 64 tuples on a 8x8 grid, hidden rank = x descending.
     fn grid_db(system_k: usize) -> SimulatedWebDb {
@@ -243,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn crawl_point_enumerates_ties() {
+    fn point_region_crawl_enumerates_ties() {
         // 40 tuples share x = 1.0; system-k = 6; y separates them.
         let schema = Schema::builder()
             .numeric("x", 0.0, 2.0)
@@ -259,7 +245,7 @@ mod tests {
         let ranking = SystemRanking::linear(&schema, &[("y", 1.0)]).unwrap();
         let db = SimulatedWebDb::new(tb.build(), ranking, 6);
         let x = db.schema().expect_id("x");
-        let res = crawl_point(&db, &SearchQuery::all(), x, 1.0);
+        let res = crawl(&db, &SearchQuery::all().and_point(x, 1.0));
         assert!(res.is_complete());
         assert_eq!(res.tuples.len(), 40);
         assert!(res.tuples.iter().all(|t| t.num_at(x) == 1.0));

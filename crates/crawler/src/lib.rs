@@ -29,7 +29,7 @@ mod frontier;
 mod region;
 mod splitter;
 
-pub use crawl::{crawl, crawl_point, CrawlOutcome, CrawlResult, Crawler, CrawlerConfig};
+pub use crawl::{CrawlOutcome, CrawlResult, Crawler, CrawlerConfig};
 pub use frontier::{Absorbed, Frontier};
-pub use region::{effective_cats, effective_range, region_diag, snap_integral};
+pub use region::{effective_cats, effective_range};
 pub use splitter::SplitPolicy;

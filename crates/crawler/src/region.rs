@@ -18,29 +18,10 @@ pub fn effective_range(schema: &Schema, q: &SearchQuery, attr: AttrId) -> RangeP
         None => base,
     };
     if a.is_integral() {
-        snap_integral(r)
+        r.snap_integral()
     } else {
         r
     }
-}
-
-/// Snap a range on an integral attribute to inclusive whole-number bounds.
-pub fn snap_integral(r: RangePred) -> RangePred {
-    // Smallest integer satisfying the lower bound:
-    //   inclusive: ceil(lo); exclusive: floor(lo + 1) (= lo+1 when lo is
-    //   already whole, otherwise ceil(lo)).
-    let lo = if r.lo_inc {
-        r.lo.ceil()
-    } else {
-        (r.lo + 1.0).floor()
-    };
-    // Largest integer satisfying the upper bound (mirror image).
-    let hi = if r.hi_inc {
-        r.hi.floor()
-    } else {
-        (r.hi - 1.0).ceil()
-    };
-    RangePred::closed(lo, hi)
 }
 
 /// The effective categorical extent of `attr` under `q`: the query's set if
@@ -56,32 +37,6 @@ pub fn effective_cats(schema: &Schema, q: &SearchQuery, attr: AttrId) -> CatSet 
             schema.attr(attr).name
         ),
     }
-}
-
-/// A scale-free "diagonal" of the region: the sum over numeric attributes of
-/// the effective width relative to the domain width, plus the fraction of
-/// categorical labels still allowed. Zero means the region is a single
-/// point; used by dense-region detection and split ordering.
-pub fn region_diag(schema: &Schema, q: &SearchQuery) -> f64 {
-    let mut diag = 0.0;
-    for (id, attr) in schema.iter() {
-        match &attr.kind {
-            AttrKind::Numeric { min, max, .. } => {
-                let dw = max - min;
-                if dw > 0.0 {
-                    diag += effective_range(schema, q, id).width() / dw;
-                }
-            }
-            AttrKind::Categorical { labels } => {
-                let total = labels.len() as f64;
-                let allowed = effective_cats(schema, q, id).len() as f64;
-                if total > 1.0 {
-                    diag += (allowed - 1.0).max(0.0) / (total - 1.0);
-                }
-            }
-        }
-    }
-    diag
 }
 
 #[cfg(test)]
@@ -147,30 +102,5 @@ mod tests {
     fn effective_cats_on_numeric_panics() {
         let s = schema();
         effective_cats(&s, &SearchQuery::all(), s.expect_id("price"));
-    }
-
-    #[test]
-    fn diag_full_space_vs_point() {
-        let s = schema();
-        let full = region_diag(&s, &SearchQuery::all());
-        assert!(full > 2.9, "full space diag ≈ 3, got {full}");
-        let price = s.expect_id("price");
-        let beds = s.expect_id("beds");
-        let cut = s.expect_id("cut");
-        let q = SearchQuery::all()
-            .and_point(price, 5.0)
-            .and_point(beds, 3.0)
-            .and(cut, Predicate::Cats(CatSet::single(2)));
-        assert_eq!(region_diag(&s, &q), 0.0);
-    }
-
-    #[test]
-    fn diag_decreases_under_narrowing() {
-        let s = schema();
-        let price = s.expect_id("price");
-        let q1 = SearchQuery::all().and_range(price, RangePred::closed(0.0, 50.0));
-        let q2 = q1.and_range(price, RangePred::closed(0.0, 25.0));
-        assert!(region_diag(&s, &q2) < region_diag(&s, &q1));
-        assert!(region_diag(&s, &q1) < region_diag(&s, &SearchQuery::all()));
     }
 }

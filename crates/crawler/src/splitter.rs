@@ -1,7 +1,7 @@
 //! Region splitting: turn one overflowing region into two disjoint
 //! subregions that exactly partition it.
 
-use qr2_webdb::{AttrId, AttrKind, Predicate, RangePred, Schema, SearchQuery};
+use qr2_webdb::{AttrId, AttrKind, Predicate, Schema, SearchQuery};
 
 use crate::region::{effective_cats, effective_range};
 
@@ -15,7 +15,8 @@ pub enum SplitPolicy {
     #[default]
     WidestRelative,
     /// Rotate through splittable attributes by depth. Used by the split
-    /// ablation (DESIGN.md §5) as the "naive" comparator.
+    /// ablation (A2 in `qr2-bench`'s `experiments.rs`) as the "naive"
+    /// comparator.
     RoundRobin {
         /// Current recursion depth (caller-maintained).
         depth: usize,
@@ -118,58 +119,27 @@ pub(crate) fn split_region(
         SplitPolicy::RoundRobin { depth } => cands[depth % cands.len()].clone(),
     };
 
-    match chosen {
+    let (attr, left, right) = match chosen {
         Candidate::Numeric { attr, .. } => {
-            let r = effective_range(schema, q, attr);
-            if schema.attr(attr).is_integral() {
-                // [lo, m] and [m+1, hi] over whole numbers.
-                let m = ((r.lo + r.hi) / 2.0).floor();
-                let left = RangePred::closed(r.lo, m);
-                let right = RangePred::closed(m + 1.0, r.hi);
-                debug_assert!(!left.is_empty() && !right.is_empty());
-                Some((
-                    q.with(attr, Predicate::Range(left)),
-                    q.with(attr, Predicate::Range(right)),
-                ))
-            } else {
-                let mid = r.lo + (r.hi - r.lo) / 2.0;
-                if mid <= r.lo || mid >= r.hi {
-                    // Range too narrow for f64 to represent a midpoint.
-                    return None;
-                }
-                let left = RangePred {
-                    lo: r.lo,
-                    hi: mid,
-                    lo_inc: r.lo_inc,
-                    hi_inc: false,
-                };
-                let right = RangePred {
-                    lo: mid,
-                    hi: r.hi,
-                    lo_inc: true,
-                    hi_inc: r.hi_inc,
-                };
-                Some((
-                    q.with(attr, Predicate::Range(left)),
-                    q.with(attr, Predicate::Range(right)),
-                ))
-            }
+            // `None` only for a continuous range too narrow for f64 to
+            // represent a midpoint.
+            let (l, r) =
+                effective_range(schema, q, attr).bisect(schema.attr(attr).is_integral())?;
+            (attr, Predicate::Range(l), Predicate::Range(r))
         }
         Candidate::Categorical { attr, .. } => {
-            let s = effective_cats(schema, q, attr);
-            let (a, b) = s.split();
-            Some((
-                q.with(attr, Predicate::Cats(a)),
-                q.with(attr, Predicate::Cats(b)),
-            ))
+            let (a, b) = effective_cats(schema, q, attr).split();
+            (attr, Predicate::Cats(a), Predicate::Cats(b))
         }
-    }
+    };
+    debug_assert!(!left.is_empty() && !right.is_empty());
+    Some((q.with(attr, left), q.with(attr, right)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr2_webdb::CatSet;
+    use qr2_webdb::{CatSet, RangePred};
 
     fn schema() -> Schema {
         Schema::builder()

@@ -1,10 +1,10 @@
 //! Property tests: the crawler's central invariant is **completeness** —
-//! `crawl(R)` returns exactly the tuples matching `R` whenever it reports
+//! crawling `R` returns exactly the tuples matching `R` whenever it reports
 //! `Complete`, and even under *atomic overflow* (more identical tuples than
 //! `system-k`) it returns every tuple that is separable.
 
 use proptest::prelude::*;
-use qr2_crawler::{crawl, crawl_point, CrawlOutcome};
+use qr2_crawler::{CrawlOutcome, Crawler, CrawlerConfig};
 use qr2_datagen::{generic_db, Correlation, Distribution, SyntheticConfig};
 use qr2_webdb::{
     RangePred, Schema, SearchQuery, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface,
@@ -70,7 +70,7 @@ proptest! {
     fn crawl_full_space_is_complete(cfg in continuous_db_strategy()) {
         let weights: Vec<f64> = (0..cfg.dims).map(|d| if d % 2 == 0 { 1.0 } else { -1.0 }).collect();
         let db = generic_db(&cfg, &weights);
-        let res = crawl(&db, &SearchQuery::all());
+        let res = Crawler::new(&db, CrawlerConfig::default()).crawl(&SearchQuery::all());
         prop_assert!(res.is_complete());
         prop_assert_eq!(res.tuples.len(), cfg.n);
         for (i, t) in res.tuples.iter().enumerate() {
@@ -90,7 +90,7 @@ proptest! {
         let db = generic_db(&cfg, &weights);
         let x0 = db.schema().expect_id("x0");
         let q = SearchQuery::all().and_range(x0, RangePred::half_open(lo, (lo + width).min(1.0)));
-        let res = crawl(&db, &q);
+        let res = Crawler::new(&db, CrawlerConfig::default()).crawl(&q);
         prop_assert!(res.is_complete());
         let truth = db.ground_truth().matching_rows(&q);
         prop_assert_eq!(res.tuples.len(), truth.len());
@@ -105,9 +105,9 @@ proptest! {
     fn tie_crawl_is_complete(seed in any::<u64>(), system_k in 2usize..10) {
         let db = tied_x0_db(seed, 300, system_k);
         let x0 = db.schema().expect_id("x0");
-        let res = crawl_point(&db, &SearchQuery::all(), x0, 0.25);
-        prop_assert!(res.is_complete());
         let q = SearchQuery::all().and_point(x0, 0.25);
+        let res = Crawler::new(&db, CrawlerConfig::default()).crawl(&q);
+        prop_assert!(res.is_complete());
         prop_assert_eq!(res.tuples.len(), db.ground_truth().count_matches(&q));
     }
 
@@ -128,7 +128,7 @@ proptest! {
             system_k,
         };
         let db = generic_db(&cfg, &[1.0]);
-        let res = crawl(&db, &SearchQuery::all());
+        let res = Crawler::new(&db, CrawlerConfig::default()).crawl(&SearchQuery::all());
         let x0 = db.schema().expect_id("x0");
         let truth = db.ground_truth();
         let tied = truth.count_matches(&SearchQuery::all().and_point(x0, 0.5));
@@ -156,7 +156,7 @@ proptest! {
     fn query_cost_is_sane(cfg in continuous_db_strategy()) {
         let weights: Vec<f64> = (0..cfg.dims).map(|_| 1.0).collect();
         let db = generic_db(&cfg, &weights);
-        let res = crawl(&db, &SearchQuery::all());
+        let res = Crawler::new(&db, CrawlerConfig::default()).crawl(&SearchQuery::all());
         prop_assert!(res.is_complete());
         let n = cfg.n as f64;
         let k = cfg.system_k as f64;

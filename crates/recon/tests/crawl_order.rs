@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use qr2_crawler::crawl;
+use qr2_crawler::{CrawlOutcome, Crawler, CrawlerConfig};
 use qr2_datagen::{bluenile_db, DiamondsConfig};
 use qr2_recon::{JobOptions, ReconIndex};
 use qr2_webdb::{
@@ -89,7 +89,7 @@ fn assert_one_probe_sequence(db: SimulatedWebDb, name: &str) {
     let db = Arc::new(db);
 
     let spy = Spy::new(&db);
-    let crawled = crawl(&spy, &SearchQuery::all());
+    let crawled = Crawler::new(&spy, CrawlerConfig::default()).crawl(&SearchQuery::all());
     let by_crawler = spy.probed();
 
     let spy = Spy::new(&db);
@@ -122,8 +122,10 @@ fn assert_one_probe_sequence(db: SimulatedWebDb, name: &str) {
 #[test]
 fn crawler_and_recon_jobs_probe_one_sequence_on_a_seeded_grid() {
     let db = seeded_grid();
-    let atomic = crawl(&db, &SearchQuery::all()).outcome;
-    assert_eq!(atomic, qr2_crawler::CrawlOutcome::AtomicOverflow);
+    let atomic = Crawler::new(&db, CrawlerConfig::default())
+        .crawl(&SearchQuery::all())
+        .outcome;
+    assert_eq!(atomic, CrawlOutcome::AtomicOverflow);
     assert_one_probe_sequence(db, "grid");
 }
 

@@ -10,7 +10,10 @@ use crate::value::Value;
 ///
 /// Exclusive bounds matter: binary-search style algorithms repeatedly query
 /// half-open intervals such as `[lo, mid)` so the two halves partition the
-/// space without double-counting boundary tuples.
+/// space without double-counting boundary tuples. [`RangePred::bisect`] is
+/// the one cut: the crawler, the MD boxes and the 1D chunk finder all split
+/// a range through it, and [`RangePred::snap_integral`] is the one rounding
+/// of a range onto whole numbers.
 #[derive(Debug, Clone, Copy)]
 pub struct RangePred {
     /// Lower bound.
@@ -94,11 +97,6 @@ impl RangePred {
         self.lo > self.hi || (self.lo == self.hi && !(self.lo_inc && self.hi_inc))
     }
 
-    /// True when the predicate admits exactly one value (`[v, v]`).
-    pub fn is_point(&self) -> bool {
-        self.lo == self.hi && self.lo_inc && self.hi_inc
-    }
-
     /// Interval width (`hi - lo`, 0 for empty/point intervals).
     pub fn width(&self) -> f64 {
         (self.hi - self.lo).max(0.0)
@@ -137,6 +135,64 @@ impl RangePred {
             lo_inc,
             hi_inc,
         }
+    }
+
+    /// The whole numbers the range admits, as inclusive bounds (empty when
+    /// it admits none). An exclusive bound steps from its neighbouring
+    /// integer, `floor(lo) + 1` and `ceil(hi) - 1`, which is exact in f64:
+    /// `floor(lo + 1)` would round a bound one ulp below an integer up to
+    /// the next one and drop that integer.
+    pub fn snap_integral(&self) -> RangePred {
+        let lo = if self.lo_inc {
+            self.lo.ceil()
+        } else {
+            self.lo.floor() + 1.0
+        };
+        let hi = if self.hi_inc {
+            self.hi.floor()
+        } else {
+            self.hi.ceil() - 1.0
+        };
+        RangePred::closed(lo, hi)
+    }
+
+    /// Cut the range into a low and a high half that partition it, or
+    /// `None` when it cannot be cut.
+    ///
+    /// `integral`: `[lo, m]` and `[m + 1, hi]` at `m = floor((lo + hi) / 2)`,
+    /// which partition the whole numbers of a closed range; `None` unless
+    /// `hi - lo >= 1`. The bounds are not snapped first: callers that need
+    /// whole-number bounds call [`snap_integral`](Self::snap_integral).
+    /// Otherwise `[lo, mid)` and `[mid, hi]` at `mid = lo + (hi - lo) / 2`,
+    /// keeping the outer bounds' inclusivity; `None` when no f64 lies
+    /// strictly between `lo` and `hi`.
+    pub fn bisect(&self, integral: bool) -> Option<(RangePred, RangePred)> {
+        if integral {
+            if self.hi - self.lo < 1.0 {
+                return None;
+            }
+            let m = ((self.lo + self.hi) / 2.0).floor();
+            return Some((
+                RangePred::closed(self.lo, m),
+                RangePred::closed(m + 1.0, self.hi),
+            ));
+        }
+        let mid = self.lo + (self.hi - self.lo) / 2.0;
+        if !(mid > self.lo && mid < self.hi) {
+            return None;
+        }
+        Some((
+            RangePred {
+                hi: mid,
+                hi_inc: false,
+                ..*self
+            },
+            RangePred {
+                lo: mid,
+                lo_inc: true,
+                ..*self
+            },
+        ))
     }
 }
 
@@ -497,7 +553,6 @@ mod tests {
         assert!(RangePred::half_open(1.0, 1.0).is_empty());
         assert!(RangePred::open(1.0, 1.0).is_empty());
         assert!(!RangePred::point(1.0).is_empty());
-        assert!(RangePred::point(1.0).is_point());
         assert!(RangePred::closed(2.0, 1.0).is_empty());
     }
 
@@ -516,6 +571,124 @@ mod tests {
     fn range_width() {
         assert_eq!(RangePred::closed(1.0, 4.0).width(), 3.0);
         assert_eq!(RangePred::closed(4.0, 1.0).width(), 0.0);
+    }
+
+    /// Each probe lies in exactly one half when it lies in `parent`, and in
+    /// neither otherwise.
+    fn assert_partition(parent: RangePred, (low, high): (RangePred, RangePred), probes: &[f64]) {
+        for &v in probes {
+            let halves = low.matches(v) as u8 + high.matches(v) as u8;
+            assert_eq!(
+                halves,
+                parent.matches(v) as u8,
+                "{v} in {parent}: low {low}, high {high}"
+            );
+        }
+    }
+
+    #[test]
+    fn bisect_partitions_continuous_ranges_under_every_inclusivity() {
+        for (lo_inc, hi_inc) in [(true, true), (true, false), (false, true), (false, false)] {
+            let r = RangePred {
+                lo: 0.0,
+                hi: 10.0,
+                lo_inc,
+                hi_inc,
+            };
+            let (low, high) = r.bisect(false).unwrap();
+            assert_eq!(
+                low,
+                RangePred {
+                    hi: 5.0,
+                    hi_inc: false,
+                    ..r
+                }
+            );
+            assert_eq!(
+                high,
+                RangePred {
+                    lo: 5.0,
+                    lo_inc: true,
+                    ..r
+                }
+            );
+            let probes = [
+                -1.0,
+                0.0,
+                0.0f64.next_up(),
+                5.0f64.next_down(),
+                5.0,
+                5.0f64.next_up(),
+                10.0f64.next_down(),
+                10.0,
+                11.0,
+            ];
+            assert_partition(r, (low, high), &probes);
+        }
+    }
+
+    #[test]
+    fn bisect_partitions_integral_ranges() {
+        for (lo, hi, m) in [
+            (0.0, 7.0, 3.0),
+            (-3.0, 4.0, 0.0),
+            (2.0, 3.0, 2.0),
+            (0.0, 20.0, 10.0),
+        ] {
+            let r = RangePred::closed(lo, hi);
+            let (low, high) = r.bisect(true).unwrap();
+            assert_eq!(low, RangePred::closed(lo, m));
+            assert_eq!(high, RangePred::closed(m + 1.0, hi));
+            // The halves partition the whole numbers: every integer from
+            // one below the range to one above, so the endpoints and the
+            // midpoint `m` with its neighbours.
+            let probes: Vec<f64> = ((lo as i64 - 1)..=(hi as i64 + 1))
+                .map(|v| v as f64)
+                .collect();
+            assert_partition(r, (low, high), &probes);
+        }
+    }
+
+    #[test]
+    fn bisect_refuses_a_single_integer_and_a_one_ulp_range() {
+        assert_eq!(RangePred::point(4.0).bisect(true), None);
+        assert_eq!(RangePred::closed(4.0, 4.5).bisect(true), None);
+        assert_eq!(RangePred::closed(1.0, 1.0f64.next_up()).bisect(false), None);
+        assert_eq!(RangePred::open(1.0, 1.0f64.next_up()).bisect(false), None);
+        assert!(RangePred::closed(1.0, 1.0f64.next_up().next_up())
+            .bisect(false)
+            .is_some());
+    }
+
+    #[test]
+    fn snap_integral_keeps_exactly_the_admitted_integers() {
+        assert_eq!(
+            RangePred::half_open(1.2, 6.0).snap_integral(),
+            RangePred::closed(2.0, 5.0)
+        );
+        assert_eq!(
+            RangePred::open(2.0, 5.0).snap_integral(),
+            RangePred::closed(3.0, 4.0)
+        );
+        assert_eq!(
+            RangePred::closed(-1.5, 3.7).snap_integral(),
+            RangePred::closed(-1.0, 3.0)
+        );
+        assert!(RangePred::open(2.0, 3.0).snap_integral().is_empty());
+    }
+
+    #[test]
+    fn snap_integral_keeps_an_integer_one_ulp_above_an_exclusive_bound() {
+        // `floor(lo + 1)` rounds these bounds up to the next integer.
+        for n in [1.0f64, 2.0, 4.0, 8.0, 1024.0] {
+            let r = RangePred::open(n.next_down(), 100.0).snap_integral();
+            assert_eq!(r.lo, n, "exclusive lower bound one ulp below {n}");
+        }
+        let r = RangePred::open(0.0f64.next_down(), 5.0).snap_integral();
+        assert_eq!(r, RangePred::closed(0.0, 4.0));
+        // The mirror case: an exclusive upper bound one ulp above 0.
+        let r = RangePred::open(-5.0, 0.0f64.next_up()).snap_integral();
+        assert_eq!(r, RangePred::closed(-4.0, 0.0));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use qr2::core::{
     Algorithm, ExecutorKind, LinearFunction, Normalizer, OneDimFunction, RerankRequest, Reranker,
     SortDir,
 };
+use qr2::crawler::{Crawler, CrawlerConfig};
 use qr2::datagen::{bluenile_db, bluenile_table, DiamondsConfig};
 use qr2::recon::{JobOptions, ReconIndex};
 use qr2::service::{Qr2App, Source, SourceRegistry};
@@ -333,7 +334,7 @@ fn crawler_enumerates_entire_diamond_inventory() {
     });
     let ranking = SystemRanking::opaque(99);
     let db = SimulatedWebDb::new(table, ranking, 25);
-    let result = qr2::crawler::crawl(&db, &SearchQuery::all());
+    let result = Crawler::new(&db, CrawlerConfig::default()).crawl(&SearchQuery::all());
     assert!(result.is_complete());
     assert_eq!(result.tuples.len(), 600);
 }
