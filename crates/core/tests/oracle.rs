@@ -4,13 +4,29 @@
 //!
 //! The oracle scans the simulator's hidden table directly — something the
 //! real service can never do — and sorts by (score, tuple id).
+//!
+//! Each property runs as a seeded loop: case `i` draws from
+//! `StdRng::seed_from_u64(base + i)`, and a failure names that seed.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use qr2_core::{Algorithm, ExecutorKind, LinearFunction, Normalizer, RerankRequest, Reranker};
 use qr2_datagen::{generic_db, Correlation, Distribution, SyntheticConfig};
 use qr2_webdb::{RangePred, SearchQuery, SimulatedWebDb, TopKInterface, TupleId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const CASES: u64 = 24;
+
+/// Runs `property` on `CASES` seeded cases starting at seed `base`.
+fn check(property: &str, base: u64, mut body: impl FnMut(&mut StdRng)) {
+    for seed in base..base + CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| body(&mut rng)));
+        assert!(run.is_ok(), "oracle::{property} failed at seed {seed}");
+    }
+}
 
 fn oracle_ids(
     db: &SimulatedWebDb,
@@ -30,44 +46,49 @@ fn oracle_ids(
         .collect()
 }
 
-fn config_strategy() -> impl Strategy<Value = SyntheticConfig> {
-    (
-        40usize..250,
-        1usize..3,
-        3usize..14,
-        any::<u64>(),
-        prop_oneof![
-            3 => Just(Distribution::Uniform),
-            1 => Just(Distribution::Clustered { clusters: 4, spread: 0.01 }),
-            1 => Just(Distribution::WithTies { fraction: 0.25, value: 0.5 }),
-        ],
-        prop_oneof![
-            Just(Correlation::Independent),
-            Just(Correlation::Positive(0.7)),
-            Just(Correlation::Negative(0.7)),
-        ],
-    )
-        .prop_map(
-            |(n, extra_dims, system_k, seed, distribution, correlation)| SyntheticConfig {
-                n,
-                dims: 1 + extra_dims,
-                distribution,
-                correlation,
-                quantize_step: 0.0,
-                seed,
-                system_k,
-            },
-        )
+/// A synthetic workload of 40..250 rows over `dims` attributes, system-k
+/// 3..14: uniform, clustered or tied (3:1:1), under one of three
+/// correlations.
+fn config(rng: &mut StdRng, dims: usize) -> SyntheticConfig {
+    let distribution = match rng.gen_range(0..5) {
+        0..=2 => Distribution::Uniform,
+        3 => Distribution::Clustered {
+            clusters: 4,
+            spread: 0.01,
+        },
+        _ => Distribution::WithTies {
+            fraction: 0.25,
+            value: 0.5,
+        },
+    };
+    let correlation = match rng.gen_range(0..3) {
+        0 => Correlation::Independent,
+        1 => Correlation::Positive(0.7),
+        _ => Correlation::Negative(0.7),
+    };
+    SyntheticConfig {
+        n: rng.gen_range(40..250),
+        dims,
+        distribution,
+        correlation,
+        quantize_step: 0.0,
+        seed: rng.gen(),
+        system_k: rng.gen_range(3..14),
+    }
 }
 
-fn weight_strategy(dims: usize) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (1i32..=10).prop_map(|w| w as f64 / 10.0),
-            (1i32..=10).prop_map(|w| -w as f64 / 10.0)
-        ],
-        dims..=dims,
-    )
+/// `dims` weights of magnitude 0.1..=1.0, each of either sign.
+fn weights(rng: &mut StdRng, dims: usize) -> Vec<f64> {
+    (0..dims)
+        .map(|_| {
+            let w = rng.gen_range(1i32..=10) as f64 / 10.0;
+            if rng.gen() {
+                w
+            } else {
+                -w
+            }
+        })
+        .collect()
 }
 
 /// Run one algorithm's session and compare its first `h` results against
@@ -81,7 +102,7 @@ fn check_algorithm(
     weights: &[f64],
     filter: &SearchQuery,
     h: usize,
-) -> Result<(), TestCaseError> {
+) {
     let reranker = Reranker::builder(db.clone())
         .executor(ExecutorKind::Sequential)
         .build();
@@ -107,7 +128,7 @@ fn check_algorithm(
             None => break,
         }
     }
-    prop_assert_eq!(
+    assert_eq!(
         got.len(),
         h.min(want.len()),
         "{} returned too few tuples",
@@ -115,7 +136,7 @@ fn check_algorithm(
     );
     // Scores must match the oracle exactly, position by position.
     for (i, ((gs, _), (ws, _))) in got.iter().zip(&want).enumerate() {
-        prop_assert!(
+        assert!(
             gs == ws,
             "{} position {}: score {} != oracle {}",
             algorithm.paper_name(),
@@ -139,7 +160,7 @@ fn check_algorithm(
             let mut w: Vec<TupleId> = want[i..j].iter().map(|(_, id)| *id).collect();
             g.sort();
             w.sort();
-            prop_assert_eq!(
+            assert_eq!(
                 g,
                 w,
                 "{} id set mismatch at score {}",
@@ -149,36 +170,33 @@ fn check_algorithm(
         }
         i = j;
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// All 1D algorithms are exact on arbitrary single-attribute workloads.
-    #[test]
-    fn oned_algorithms_match_oracle(
-        cfg in config_strategy(),
-        ascending in any::<bool>(),
-    ) {
-        let mut cfg = cfg;
-        cfg.dims = 2; // one ranking attr + one free attr
+/// All 1D algorithms are exact on arbitrary single-attribute workloads.
+#[test]
+fn oned_algorithms_match_oracle() {
+    check("oned_algorithms_match_oracle", 0, |rng| {
+        let cfg = config(rng, 2); // one ranking attr + one free attr
+        let ascending: bool = rng.gen();
         let hidden = [1.0, -0.4];
         let db = Arc::new(generic_db(&cfg, &hidden));
         let w = if ascending { 1.0 } else { -1.0 };
-        for algorithm in [Algorithm::OneDBaseline, Algorithm::OneDBinary, Algorithm::OneDRerank] {
-            check_algorithm(&db, algorithm, &[w], &SearchQuery::all(), 12)?;
+        for algorithm in [
+            Algorithm::OneDBaseline,
+            Algorithm::OneDBinary,
+            Algorithm::OneDRerank,
+        ] {
+            check_algorithm(&db, algorithm, &[w], &SearchQuery::all(), 12);
         }
-    }
+    });
+}
 
-    /// All MD algorithms are exact on arbitrary 2-3D workloads.
-    #[test]
-    fn md_algorithms_match_oracle(
-        cfg in config_strategy(),
-        weights in weight_strategy(3),
-    ) {
-        let mut cfg = cfg;
-        cfg.dims = 3;
+/// All MD algorithms are exact on arbitrary 2-3D workloads.
+#[test]
+fn md_algorithms_match_oracle() {
+    check("md_algorithms_match_oracle", 1000, |rng| {
+        let cfg = config(rng, 3);
+        let weights = weights(rng, 3);
         let hidden = [0.5, -1.0, 0.2];
         let db = Arc::new(generic_db(&cfg, &hidden));
         let dims = 2 + (cfg.seed % 2) as usize; // exercise 2D and 3D
@@ -189,27 +207,26 @@ proptest! {
             Algorithm::MdRerank,
             Algorithm::MdTa,
         ] {
-            check_algorithm(&db, algorithm, ws, &SearchQuery::all(), 8)?;
+            check_algorithm(&db, algorithm, ws, &SearchQuery::all(), 8);
         }
-    }
+    });
+}
 
-    /// Exactness holds under user filters too.
-    #[test]
-    fn algorithms_match_oracle_with_filters(
-        cfg in config_strategy(),
-        lo in 0.0f64..0.5,
-        width in 0.2f64..0.6,
-    ) {
-        let mut cfg = cfg;
-        cfg.dims = 2;
+/// Exactness holds under user filters too.
+#[test]
+fn algorithms_match_oracle_with_filters() {
+    check("algorithms_match_oracle_with_filters", 2000, |rng| {
+        let cfg = config(rng, 2);
+        let lo = rng.gen_range(0.0..0.5);
+        let width = rng.gen_range(0.2..0.6);
         let db = Arc::new(generic_db(&cfg, &[1.0, 1.0]));
         let x1 = db.schema().expect_id("x1");
-        let filter = SearchQuery::all()
-            .and_range(x1, RangePred::half_open(lo, (lo + width).min(1.0)));
+        let filter =
+            SearchQuery::all().and_range(x1, RangePred::half_open(lo, (lo + width).min(1.0)));
         for algorithm in [Algorithm::OneDBinary, Algorithm::MdRerank, Algorithm::MdTa] {
-            check_algorithm(&db, algorithm, &[1.0], &filter, 6)?;
+            check_algorithm(&db, algorithm, &[1.0], &filter, 6);
         }
-    }
+    });
 }
 
 /// Deterministic end-to-end regression: same seed ⇒ same stream, twice.

@@ -1,5 +1,5 @@
-//! Seeded exactness grid for every engine, compiled into every
-//! `cargo test` (the property-based oracle sits behind a feature).
+//! Seeded exactness grid for every engine: a fixed grid beside
+//! `oracle.rs`'s randomized cases, both run by every `cargo test`.
 //!
 //! For seeds × data shapes × filters × algorithms × orders (1D engines and
 //! MD-TA by one attribute in each direction; the MD engines also by

@@ -5,9 +5,10 @@
 //! `std::net::TcpListener` whose worker threads each accept their own
 //! connections, a path router, and a JSON value type with parser and
 //! serializer (no serde — the format is small and fully tested, including
-//! property-based round-trips). The serializer's number and string writers
-//! are public, so hot paths can encode fixed-shape JSON straight into a
-//! buffer with the same bytes a [`Json`] tree would produce.
+//! seeded randomized round-trips in `tests/json_props.rs`). The
+//! serializer's number and string writers are public, so hot paths can
+//! encode fixed-shape JSON straight into a buffer with the same bytes a
+//! [`Json`] tree would produce.
 //!
 //! Scope is deliberately narrow — what a service front door needs:
 //! `GET`/`HEAD`/`POST`/`DELETE`, `Content-Length` bodies, query strings,

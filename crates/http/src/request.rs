@@ -96,17 +96,23 @@ impl Request {
             .map(String::as_str)
     }
 
+    /// The path the router splits: the undecoded path from the request
+    /// line, or `path` for a hand-built request without one.
+    pub fn routed_path(&self) -> &str {
+        if self.raw_path.is_empty() {
+            &self.path
+        } else {
+            &self.raw_path
+        }
+    }
+
     /// Path split into percent-decoded segments for routing. Splits the raw
     /// (undecoded) path so an encoded `%2F` stays inside its segment, then
     /// decodes each segment independently. Exactly one trailing slash is
     /// ignored (`/api/sources/` ≡ `/api/sources`); interior empty segments
     /// are preserved so routes can reject empty captures explicitly.
     pub fn path_segments(&self) -> Vec<String> {
-        let raw = if self.raw_path.is_empty() {
-            &self.path
-        } else {
-            &self.raw_path
-        };
+        let raw = self.routed_path();
         let mut segments: Vec<String> = raw
             .split('/')
             .skip(usize::from(raw.starts_with('/')))

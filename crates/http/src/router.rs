@@ -54,6 +54,7 @@ type Handler = Box<dyn Fn(&Request, &Params) -> Response + Send + Sync>;
 
 struct Route {
     method: Method,
+    pattern: &'static str,
     segments: Vec<Segment>,
     handler: Handler,
 }
@@ -79,7 +80,7 @@ impl Router {
     pub fn route(
         mut self,
         method: Method,
-        pattern: &str,
+        pattern: &'static str,
         handler: impl Fn(&Request, &Params) -> Response + Send + Sync + 'static,
     ) -> Self {
         let segments = pattern
@@ -95,10 +96,29 @@ impl Router {
             .collect();
         self.routes.push(Route {
             method,
+            pattern,
             segments,
             handler: Box::new(handler),
         });
         self
+    }
+
+    /// Every registered pattern, in registration order (once per route, so
+    /// a path served under two methods appears twice).
+    pub fn patterns(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.routes.iter().map(|route| route.pattern)
+    }
+
+    /// The pattern of the first route whose path shape matches `path` (an
+    /// undecoded request path, see [`Request::routed_path`]), whatever the
+    /// route's method; `None` when no route matches. Literal segments are
+    /// compared undecoded, and nothing is allocated, so this can label
+    /// every request (the `route` label of the HTTP metrics).
+    pub fn template(&self, path: &str) -> Option<&'static str> {
+        self.routes
+            .iter()
+            .find(|route| matches_path(&route.segments, path))
+            .map(|route| route.pattern)
     }
 
     /// Dispatch a request. `404` when no pattern matches, `405` with an
@@ -170,6 +190,21 @@ fn match_segments(pattern: &[Segment], parts: &[&str]) -> Option<Params> {
         }
     }
     Some(params)
+}
+
+/// [`match_segments`] without captures or decoding, over the segments
+/// [`Request::path_segments`] would split `path` into.
+fn matches_path(pattern: &[Segment], path: &str) -> bool {
+    let path = path.strip_prefix('/').unwrap_or(path);
+    if path.is_empty() {
+        return pattern.is_empty();
+    }
+    let mut parts = path.strip_suffix('/').unwrap_or(path).split('/');
+    pattern.iter().all(|seg| match (seg, parts.next()) {
+        (Segment::Literal(lit), Some(part)) => lit == part,
+        (Segment::Param(_), Some(_)) => true,
+        (_, None) => false,
+    }) && parts.next().is_none()
 }
 
 fn empty_capture<'p>(pattern: &'p [Segment], params: &Params) -> Option<&'p str> {
@@ -297,6 +332,31 @@ mod tests {
     fn trailing_slash_equivalence() {
         let r = router().dispatch(&req(Method::Get, "/api/sources/"));
         assert_eq!(r.status, Status::Ok);
+    }
+
+    #[test]
+    fn template_matches_the_path_shape_whatever_the_method() {
+        let r = router();
+        for (path, want) in [
+            ("/api/sources", Some("/api/sources")),
+            ("/api/sources/", Some("/api/sources")),
+            ("/api/session/s42/stats", Some("/api/session/:id/stats")),
+            ("/api/session//stats", Some("/api/session/:id/stats")),
+            // POST-only route: labelled by path, not by method.
+            ("/api/query", Some("/api/query")),
+            ("/api/session/s1", Some("/api/session/:id")),
+            ("/", None),
+            ("/nope", None),
+            ("/api/session/s42/stats/extra", None),
+        ] {
+            assert_eq!(r.template(path), want, "{path}");
+        }
+        assert_eq!(
+            Router::new()
+                .route(Method::Get, "/", |_, _| Response::no_content())
+                .template("/"),
+            Some("/")
+        );
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub mod context;
 mod sched;
 
 pub use context::{FailureSignal, QueryClass, SessionCtx};
-pub use sched::{ClassSnapshot, SchedConfig, SchedSnapshot, ScheduledInterface, SourceScheduler};
+pub use sched::{ClassSnapshot, SchedConfig, SchedSnapshot, SourceScheduler};

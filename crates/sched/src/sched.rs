@@ -296,7 +296,7 @@ enum Dispatch {
 /// The scheduler of one source.
 ///
 /// All probe traffic for the source goes through [`submit`]
-/// (via [`ScheduledInterface`]); the scheduler paces it against the
+/// (its [`TopKInterface::probe`]); the scheduler paces it against the
 /// source's [`qr2_webdb::SourcePolicy`]: every dispatch goes through the
 /// resilience layer's [`TopKInterface::probe`], so every simulated 429 is
 /// absorbed by requeue-and-retry instead of surfacing to the engines.
@@ -808,44 +808,29 @@ impl SourceScheduler {
     }
 }
 
-/// [`TopKInterface`] adapter over a [`SourceScheduler`], so the scheduler
-/// slots into the standard decorator stack:
-/// `cache → scheduler → traffic shaping → raw db`.
-pub struct ScheduledInterface {
-    sched: Arc<SourceScheduler>,
-}
-
-impl ScheduledInterface {
-    /// Wrap `sched`.
-    pub fn new(sched: Arc<SourceScheduler>) -> ScheduledInterface {
-        ScheduledInterface { sched }
-    }
-
-    /// The scheduler behind this interface.
-    pub fn scheduler(&self) -> &Arc<SourceScheduler> {
-        &self.sched
-    }
-}
-
-impl TopKInterface for ScheduledInterface {
+/// The scheduler is itself a layer of the standard decorator stack
+/// (`cache → scheduler → resilience → traffic shaping → raw db`): its
+/// [`TopKInterface::probe`] is [`SourceScheduler::submit`], and the schema,
+/// system-k and ledger are the shaped source's.
+impl TopKInterface for SourceScheduler {
     fn schema(&self) -> &Schema {
-        self.sched.shaped.schema()
+        self.shaped.schema()
     }
 
     fn system_k(&self) -> usize {
-        self.sched.shaped.system_k()
+        self.shaped.system_k()
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        page_or_empty(self.probe(q))
+        page_or_empty(self.submit(q))
     }
 
     fn ledger(&self) -> &QueryLedger {
-        self.sched.shaped.ledger()
+        self.shaped.ledger()
     }
 
     fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
-        self.sched.submit(q)
+        self.submit(q)
     }
 }
 

@@ -591,7 +591,7 @@ mod tests {
         }
         let out = std::sync::Arc::new(std::sync::Mutex::new(None));
         let out2 = out.clone();
-        let router = qr2_http::Router::new().route(Method::Get, &pattern, move |_, p| {
+        let router = qr2_http::Router::new().route(Method::Get, pattern.leak(), move |_, p| {
             *out2.lock().unwrap() = Some(p.clone());
             Response::no_content()
         });

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qr2_http::{
-    AccessLog, CatchPanic, HttpServer, Json, Method, MetricsLayer, RequestId, RequireJsonBody,
-    Response, Router, Stack,
+    AccessLog, CatchPanic, HttpServer, Json, Method, MetricsLayer, Request, RequestId,
+    RequireJsonBody, Response, Router, Stack,
 };
 use qr2_recon::VerifyReport;
 
@@ -14,59 +14,6 @@ use crate::api::ApiState;
 use crate::session::SessionManager;
 use crate::sources::SourceRegistry;
 use crate::ui::INDEX_HTML;
-
-/// Collapse a request path into its route template (`/v1/queries/:id/next`)
-/// for the `route` metric label, so per-request ids and source names do not
-/// explode label cardinality. Paths that match no known route — scanners,
-/// typos — all collapse into one `other` label.
-fn route_label(path: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "/",
-        "/api/health",
-        "/v1/sources",
-        "/v1/algorithms",
-        "/v1/sources/:source/queries",
-        "/v1/sources/:source/cache",
-        "/v1/sources/:source/sched",
-        "/v1/sources/:source/health",
-        "/v1/sources/:source/recon",
-        "/v1/queries/:id/next",
-        "/v1/queries/:id/results",
-        "/v1/queries/:id/stream",
-        "/v1/queries/:id/stats",
-        "/v1/queries/:id",
-        "/metrics",
-        "/v1/observe/metrics",
-        "/v1/observe/traces",
-        "/api/sources",
-        "/api/query",
-        "/api/getnext",
-        "/api/session/:id/stats",
-        "/api/session/:id",
-    ];
-    // Segment-wise match against the templates (`:x` segments match
-    // anything) — no allocation until the matched template is returned.
-    let matches = |template: &str| -> bool {
-        let mut t = template.split('/').filter(|s| !s.is_empty());
-        let mut p = path.split('/').filter(|s| !s.is_empty());
-        loop {
-            match (t.next(), p.next()) {
-                (None, None) => return true,
-                (Some(ts), Some(ps)) => {
-                    if !ts.starts_with(':') && ts != ps {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
-    };
-    KNOWN
-        .iter()
-        .find(|template| matches(template))
-        .copied()
-        .unwrap_or("other")
-}
 
 /// The QR2 application.
 pub struct Qr2App {
@@ -225,12 +172,19 @@ impl Qr2App {
     /// response), request-id injection (which installs the request trace),
     /// per-route metrics, panic recovery, content-type enforcement, then
     /// the router.
+    ///
+    /// The `route` metric label is the matched route's pattern
+    /// (`/v1/queries/:id/next`), so per-request ids and source names do not
+    /// explode label cardinality; paths that match no route (scanners,
+    /// typos) all share the label `other`.
     pub fn handler(&self) -> Stack {
-        Stack::new(self.router())
+        let router = Arc::new(self.router());
+        let routes = Arc::clone(&router);
+        Stack::new(move |req: &Request| router.dispatch(req))
             .layer(AccessLog::stderr_if_env())
             .layer(RequestId::new())
-            .layer(MetricsLayer::new(|req: &qr2_http::Request| {
-                route_label(&req.path).into()
+            .layer(MetricsLayer::new(move |req: &Request| {
+                routes.template(req.routed_path()).unwrap_or("other").into()
             }))
             .layer(CatchPanic)
             .layer(RequireJsonBody)

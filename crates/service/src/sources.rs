@@ -7,7 +7,7 @@ use qr2_core::{DenseIndex, ExecutorKind, Reranker};
 use qr2_datagen::{bluenile_db, zillow_db, DiamondsConfig, HomesConfig};
 use qr2_http::Json;
 use qr2_recon::ReconIndex;
-use qr2_sched::{SchedConfig, ScheduledInterface, SourceScheduler};
+use qr2_sched::{SchedConfig, SourceScheduler};
 use qr2_webdb::{
     page_or_empty, Answer, BreakerConfig, FaultInjectingInterface, FaultScript, QueryLedger,
     ResilientInterface, RetryPolicy, Schema, SearchError, SearchQuery, SourcePolicy, TopKInterface,
@@ -247,12 +247,11 @@ impl SourceBuilder {
             &name,
         ));
         let sched = Arc::new(SourceScheduler::new(resilient, sched_cfg, &name));
-        let scheduled: Arc<dyn TopKInterface> =
-            Arc::new(ScheduledInterface::new(Arc::clone(&sched)));
-        // Cache outermost: warm lookups must not queue behind the
-        // scheduler, and a throttled source never delays a cached answer.
+        // Cache outermost, straight over the scheduler: warm lookups must
+        // not queue behind it, and a throttled source never delays a
+        // cached answer.
         let cached: Arc<dyn TopKInterface> =
-            Arc::new(CachedInterface::new(scheduled, Arc::clone(&cache)));
+            Arc::new(CachedInterface::new(sched.clone(), Arc::clone(&cache)));
         // Feed layer over the cache: even free (cached) answers can
         // retire reconstruction frontier regions.
         let probe: Arc<dyn TopKInterface> = Arc::new(ReconFeedInterface {

@@ -5,7 +5,8 @@
 //!
 //! All multi-byte fixed-width values are little-endian. The codec is the
 //! foundation of the log-record, key/value, and tuple formats; it is fully
-//! round-trip tested (including property tests in `tests/codec_props.rs`).
+//! round-trip tested (including the seeded property loops in
+//! `tests/codec_props.rs`).
 //!
 //! Writers append to a `Vec<u8>`; readers consume a `&[u8]` cursor in
 //! place, checking the remaining length before every read.

@@ -22,7 +22,8 @@
 //!   invalidation (`qr2-recon`), checked against the live source at boot.
 //!
 //! No serde: the formats here are small, versioned, and fully tested,
-//! including property-based round-trips and corruption injection.
+//! including seeded randomized round-trips (`tests/codec_props.rs`) and
+//! corruption injection.
 
 mod answers;
 pub mod codec;

@@ -7,6 +7,7 @@
 //! vary).
 
 use crate::attr::AttrId;
+use crate::fault::splitmix64;
 use crate::schema::Schema;
 use crate::table::Table;
 
@@ -151,13 +152,6 @@ impl SystemRanking {
     fn linear_score(&self, table: &Table, row: usize, ws: &[(AttrId, f64)]) -> f64 {
         ws.iter().map(|(a, w)| table.num(row, *a) * w).sum()
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 //! to the rank-order scan — same tuples, same order, same overflow flag —
 //! across randomized schemas, tables, queries, and system-k.
 //!
-//! Runs on a deterministic seeded generator (not the `property-tests`
-//! proptest harness) so the equivalence contract is enforced in every
-//! build, offline included. 64 random databases × 48 random queries each.
+//! Runs on a deterministic seeded generator, like every randomized test
+//! in the workspace. 64 random databases × 48 random queries each.
 
 use qr2_webdb::{
     AttrKind, CatSet, ExecMode, RangePred, Schema, SearchQuery, SimulatedWebDb, SystemRanking,

@@ -4,7 +4,7 @@
 //! serving stack (cache hits skip `webdb.search`; throttled probes record
 //! `sched.queue` backoff).
 //!
-//! All three tests drive the full middleware stack (`Qr2App::handler`),
+//! All four tests drive the full middleware stack (`Qr2App::handler`),
 //! so traces are installed by the real `RequestId` layer and metrics by
 //! the real `MetricsLayer`, exactly as over TCP. The metrics registry and
 //! trace ring are process-global, so assertions are monotone (`>=`,
@@ -149,6 +149,39 @@ fn metrics_exposition_parses_and_counts_a_known_request() {
         text.contains("qr2_recon_coverage_ratio{source=\"fast\"}"),
         "missing recon coverage gauge"
     );
+}
+
+/// Every route the app registers labels its requests with its own
+/// pattern, whatever the request's method, and a path no route matches
+/// labels as `other`.
+#[test]
+fn every_route_labels_requests_with_its_pattern() {
+    let app = Qr2App::new(registry());
+    let handler = app.handler();
+    let router = app.router();
+    let patterns: Vec<&str> = router.patterns().collect();
+    assert!(patterns.len() >= 22, "{patterns:?}");
+    for pattern in &patterns {
+        let path = pattern.replace(":source", "fast").replace(":id", "s404");
+        assert_eq!(router.template(&path), Some(*pattern), "{path}");
+        // A GET on a route of another method is a 405, labelled all the same.
+        handler.handle(&Request::test(Method::Get, &path, Vec::new()));
+    }
+    assert_eq!(router.template("/v1/no/such/route"), None);
+    let unknown = Request::test(Method::Get, "/v1/no/such/route", Vec::new());
+    assert_eq!(handler.handle(&unknown).status.code(), 404);
+
+    let metrics = Request::test(Method::Get, "/metrics", Vec::new());
+    let text = body_text(handler.handle(&metrics).body);
+    let labelled = |route: &str| {
+        let label = format!("route=\"{route}\"");
+        text.lines()
+            .any(|l| l.starts_with("qr2_http_requests_total{") && l.contains(&label))
+    };
+    for pattern in patterns {
+        assert!(labelled(pattern), "no request labelled {pattern}");
+    }
+    assert!(labelled("other"), "no request labelled other");
 }
 
 #[test]
