@@ -59,7 +59,10 @@ pub fn run_cache_smoke() -> Report {
                 algorithm,
             });
             let start = Instant::now();
-            let tuples = session.next_page(SMOKE_DEPTH).len();
+            let tuples = session
+                .next_page(SMOKE_DEPTH)
+                .expect("the simulator never fails")
+                .len();
             let wall = start.elapsed();
             assert_eq!(tuples, SMOKE_DEPTH, "{label}: short page");
             let stats_after = cache.stats();

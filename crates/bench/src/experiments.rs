@@ -49,7 +49,9 @@ pub fn fig2(scale: Scale, dims: usize, depth_tuples: usize) -> (Table, Fig2Summa
         function: f.into(),
         algorithm: Algorithm::MdRerank,
     });
-    session.next_page(depth_tuples);
+    session
+        .next_page(depth_tuples)
+        .expect("the simulator never fails");
     let stats = session.stats();
 
     let mut table = Table::new(
@@ -100,7 +102,7 @@ pub fn fig4(scale: Scale, latency: Option<Duration>, page: usize) -> (Table, Fig
         function: f.into(),
         algorithm: Algorithm::MdRerank,
     });
-    session.next_page(page);
+    session.next_page(page).expect("the simulator never fails");
     let wall = start.elapsed();
     let stats = session.stats();
 
@@ -162,7 +164,7 @@ pub fn e1(scale: Scale) -> Table {
                 let mut served = 0usize;
                 for (mi, target) in [1usize, 10, 50].iter().enumerate() {
                     while served < *target {
-                        if session.next().is_none() {
+                        if session.next().expect("the simulator never fails").is_none() {
                             break;
                         }
                         served += 1;
@@ -220,7 +222,7 @@ pub fn e2(scale: Scale) -> Table {
                 function: f.clone().into(),
                 algorithm,
             });
-            session.next_page(10);
+            session.next_page(10).expect("the simulator never fails");
             table.row(&[
                 label.to_string(),
                 weights.len().to_string(),
@@ -261,7 +263,7 @@ pub fn e3(scale: Scale, sessions: usize) -> Table {
                 function: OneDimFunction::asc(lw).into(),
                 algorithm,
             });
-            session.next_page(depth);
+            session.next_page(depth).expect("the simulator never fails");
             session.stats().total_queries()
         };
         let rq = run(&rerank_service, Algorithm::OneDRerank);
@@ -294,7 +296,9 @@ pub fn e4(scale: Scale) -> Table {
             function: OneDimFunction::asc(lw).into(),
             algorithm: Algorithm::OneDRerank,
         });
-        session.next_page(ties + 40);
+        session
+            .next_page(ties + 40)
+            .expect("the simulator never fails");
         session.stats().total_queries()
     };
     let cold = deep_run();
@@ -316,7 +320,7 @@ pub fn e4(scale: Scale) -> Table {
             function: f.clone().into(),
             algorithm: Algorithm::MdRerank,
         });
-        session.next_page(10);
+        session.next_page(10).expect("the simulator never fails");
         session.stats().total_queries()
     };
     let cold = best_run();
@@ -359,7 +363,7 @@ pub fn ablation_dense_delta(scale: Scale, depth: usize) -> Table {
         )
         .with_delta(delta);
         for _ in 0..depth {
-            if stream.next().is_none() {
+            if stream.next().expect("the simulator never fails").is_none() {
                 break;
             }
         }
@@ -442,7 +446,7 @@ pub fn ablation_parallel_fanout(scale: Scale, latency: Duration) -> Table {
             function: f.into(),
             algorithm: Algorithm::MdRerank,
         });
-        session.next_page(10);
+        session.next_page(10).expect("the simulator never fails");
         let wall = start.elapsed();
         table.row(&[
             fanout.to_string(),
@@ -469,7 +473,7 @@ pub fn ablation_system_k(scale: Scale) -> Table {
             function: f.into(),
             algorithm: Algorithm::MdRerank,
         });
-        session.next_page(10);
+        session.next_page(10).expect("the simulator never fails");
         table.row(&[k.to_string(), session.stats().total_queries().to_string()]);
     }
     table
@@ -492,7 +496,7 @@ pub fn ablation_session_cache(scale: Scale, n: usize) -> Table {
         function: OneDimFunction::asc(price).into(),
         algorithm: Algorithm::OneDBinary,
     });
-    session.next_page(n);
+    session.next_page(n).expect("the simulator never fails");
     table.row(&[
         "incremental session".to_string(),
         session.stats().total_queries().to_string(),
@@ -507,7 +511,7 @@ pub fn ablation_session_cache(scale: Scale, n: usize) -> Table {
             function: OneDimFunction::asc(price).into(),
             algorithm: Algorithm::OneDBinary,
         });
-        session.next_page(i);
+        session.next_page(i).expect("the simulator never fails");
         total += session.stats().total_queries();
     }
     table.row(&["session per request".to_string(), total.to_string()]);

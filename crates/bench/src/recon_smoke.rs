@@ -140,7 +140,9 @@ pub fn run_recon_smoke(cfg: &ReconSmokeConfig) -> Report {
             function: function.clone(),
             algorithm,
         });
-        let live = session.next_page(cfg.depth);
+        let live = session
+            .next_page(cfg.depth)
+            .expect("the simulator never fails");
         let live_wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let live_queries = db.ledger().total() - ledger_before;
         assert_eq!(

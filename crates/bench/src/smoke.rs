@@ -63,7 +63,10 @@ pub fn run_smoke() -> Report {
             algorithm,
         });
         let start = Instant::now();
-        let tuples = session.next_page(SMOKE_DEPTH).len();
+        let tuples = session
+            .next_page(SMOKE_DEPTH)
+            .expect("the simulator never fails")
+            .len();
         let wall = start.elapsed().as_secs_f64();
         let stats = session.stats();
         let name = algorithm.paper_name();

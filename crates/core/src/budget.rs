@@ -12,6 +12,12 @@
 //!   the incremental [`QueryStats`] delta it cost;
 //! * a [`CancelToken`] cooperatively stops a session between discoveries.
 //!
+//! A probe the source fails ends the step as [`StepOutcome::Failed`]. The
+//! tuples the step had produced are not lost: the session keeps them and
+//! the next `advance` serves them first, and the engine keeps the failed
+//! region pending, so resuming after the source recovers yields the same
+//! order as a run that never failed.
+//!
 //! Sessions are resumable: calling `advance` again continues exactly where
 //! the previous step stopped — the engines' frontier/index state persists,
 //! tuples already discovered (but not yet served) are served for free, and
@@ -28,7 +34,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use qr2_webdb::Tuple;
+use qr2_webdb::{SearchError, Tuple};
 
 use crate::stats::QueryStats;
 
@@ -147,16 +153,27 @@ pub enum StepOutcome {
         /// Queries spent by this step.
         stats: QueryStats,
     },
+    /// A probe failed (the source is down, or the probe was cancelled).
+    /// The step serves nothing; the tuples it produced are served first
+    /// by the next `advance`, which resumes at the failed region.
+    Failed {
+        /// Queries spent by this step before the failure.
+        stats: QueryStats,
+        /// Why the probe failed.
+        error: SearchError,
+    },
 }
 
 impl StepOutcome {
-    /// The tuples this step produced, regardless of variant.
+    /// The tuples this step served, regardless of variant (none for
+    /// [`StepOutcome::Failed`]).
     pub fn tuples(&self) -> &[Tuple] {
         match self {
             StepOutcome::Ready { tuples, .. } => tuples,
             StepOutcome::BudgetExhausted { partial, .. }
             | StepOutcome::Done { partial, .. }
             | StepOutcome::Cancelled { partial, .. } => partial,
+            StepOutcome::Failed { .. } => &[],
         }
     }
 
@@ -167,6 +184,7 @@ impl StepOutcome {
             StepOutcome::BudgetExhausted { partial, .. }
             | StepOutcome::Done { partial, .. }
             | StepOutcome::Cancelled { partial, .. } => partial,
+            StepOutcome::Failed { .. } => Vec::new(),
         }
     }
 
@@ -176,7 +194,8 @@ impl StepOutcome {
             StepOutcome::Ready { stats, .. }
             | StepOutcome::BudgetExhausted { stats, .. }
             | StepOutcome::Done { stats, .. }
-            | StepOutcome::Cancelled { stats, .. } => stats,
+            | StepOutcome::Cancelled { stats, .. }
+            | StepOutcome::Failed { stats, .. } => stats,
         }
     }
 
@@ -191,14 +210,15 @@ impl StepOutcome {
     }
 
     /// Stable wire label for the outcome (`complete` | `budget_exhausted`
-    /// | `done` | `cancelled`), as reported by the service's `status`
-    /// field.
+    /// | `done` | `cancelled` | `failed`), as reported by the service's
+    /// `status` field.
     pub fn label(&self) -> &'static str {
         match self {
             StepOutcome::Ready { .. } => "complete",
             StepOutcome::BudgetExhausted { .. } => "budget_exhausted",
             StepOutcome::Done { .. } => "done",
             StepOutcome::Cancelled { .. } => "cancelled",
+            StepOutcome::Failed { .. } => "failed",
         }
     }
 }

@@ -12,16 +12,22 @@
 //! Every lookup of a session goes through this context, crawls included.
 //! [`SearchCtx::search`] and [`SearchCtx::crawl`] share one accounting
 //! rule: each probe is recorded with its own elapsed time, a paid probe
-//! as a round of one query, a cache hit as a hit, and a coalesced or
-//! failed probe as a coalesced wait (a failed probe cost this caller
-//! nothing). A crawl therefore adds one sequential round per paid probe.
+//! as a round of one query, a cache hit as a hit, and a coalesced probe
+//! as a coalesced wait. A crawl therefore adds one sequential round per
+//! paid probe.
+//!
+//! A failed probe is an error, never a page: `search`, `search_batch` and
+//! `crawl` return the probe's [`SearchError`] (the first failure of a
+//! batch, in input order), and the engines pass it up with `?`, leaving
+//! the failed region pending so a later step retries it. A failed probe
+//! counts as no lookup at all; only its elapsed time is recorded.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use qr2_crawler::{CrawlResult, Crawler, CrawlerConfig};
-use qr2_webdb::{page_or_empty, Answer, SearchError, SearchQuery, TopKInterface, TopKResponse};
+use qr2_webdb::{Answer, SearchError, SearchQuery, TopKInterface, TopKResponse};
 
 use crate::stats::QueryStats;
 
@@ -68,15 +74,10 @@ pub struct StatsSnapshot {
 type Probed = Result<Answer, SearchError>;
 
 /// Classify a stream of per-lookup results into `(misses, hits,
-/// coalesced)`. A failed lookup cost this caller nothing and serves the
-/// empty page, so it tallies as a free coalesced wait.
+/// coalesced)`. A failed lookup is none of the three.
 fn tally<'a>(results: impl Iterator<Item = &'a Probed>) -> (usize, usize, usize) {
     let (mut misses, mut hits, mut coalesced) = (0, 0, 0);
-    for result in results {
-        let Ok(Answer { outcome: o, .. }) = result else {
-            coalesced += 1;
-            continue;
-        };
+    for Answer { outcome: o, .. } in results.flatten() {
         if o.cache_hit {
             hits += 1;
         } else if o.coalesced {
@@ -125,17 +126,22 @@ impl SearchCtx {
 
     /// Execute a single query as its own (sequential) round. A lookup the
     /// caching interface serves for free counts as a cache hit, not a
-    /// query; a failed lookup reads as the empty page.
-    pub fn search(&self, q: &SearchQuery) -> TopKResponse {
-        page_or_empty(self.probe_one(q))
+    /// query; a failed lookup is the probe's error.
+    pub fn search(&self, q: &SearchQuery) -> Result<TopKResponse, SearchError> {
+        self.probe_one(q).map(|answer| answer.resp)
     }
 
     /// Crawl every tuple of `region` (see [`Crawler`]). Each probe is
     /// accounted exactly as [`SearchCtx::search`] accounts its query: a
-    /// paid probe is a round of one, a free or failed one a hit or a
-    /// coalesced wait, each with its own elapsed time.
-    pub fn crawl(&self, region: &SearchQuery) -> CrawlResult {
-        Crawler::new(&*self.db, CrawlerConfig::default()).crawl_with(region, |q| self.probe_one(q))
+    /// paid probe is a round of one, a free one a hit or a coalesced
+    /// wait, each with its own elapsed time. A crawl cut short by a failed
+    /// probe is that probe's error, not a partial result.
+    pub fn crawl(&self, region: &SearchQuery) -> Result<CrawlResult, SearchError> {
+        let mut failure = None;
+        let result = Crawler::new(&*self.db, CrawlerConfig::default()).crawl_with(region, |q| {
+            self.probe_one(q).inspect_err(|e| failure = Some(e.clone()))
+        });
+        failure.map_or(Ok(result), Err)
     }
 
     /// Probe `q` as one sequential lookup and record it on the ledger.
@@ -152,10 +158,12 @@ impl SearchCtx {
     /// Execute a batch as one round. Responses are returned in input order.
     /// With a parallel executor, up to `fanout` queries run concurrently.
     /// Only the batch's cache misses — the queries the web database really
-    /// saw — count toward the round's query total.
-    pub fn search_batch(&self, qs: &[SearchQuery]) -> Vec<TopKResponse> {
+    /// saw — count toward the round's query total. When any lookup fails,
+    /// the batch is the first failure in input order; the answered
+    /// lookups are still accounted.
+    pub fn search_batch(&self, qs: &[SearchQuery]) -> Result<Vec<TopKResponse>, SearchError> {
         if qs.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let start = Instant::now();
         let probed: Vec<Probed> = match self.kind {
@@ -173,7 +181,10 @@ impl SearchCtx {
         self.stats
             .lock()
             .record_lookups(misses, hits, coalesced, start.elapsed());
-        probed.into_iter().map(page_or_empty).collect()
+        probed
+            .into_iter()
+            .map(|p| p.map(|answer| answer.resp))
+            .collect()
     }
 
     fn parallel_batch(&self, qs: &[SearchQuery], fanout: usize) -> Vec<Probed> {
@@ -282,7 +293,7 @@ mod tests {
         let d = db();
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let qs = probes(5, d.schema());
-        let rs = ctx.search_batch(&qs);
+        let rs = ctx.search_batch(&qs).unwrap();
         assert_eq!(rs.len(), 5);
         for (i, r) in rs.iter().enumerate() {
             assert_eq!(r.tuples.len(), 10, "bucket {i} has 10 tuples");
@@ -302,8 +313,8 @@ mod tests {
         let seq = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let par = SearchCtx::new(d.clone(), ExecutorKind::Parallel { fanout: 4 });
         let qs = probes(8, d.schema());
-        let a = seq.search_batch(&qs);
-        let b = par.search_batch(&qs);
+        let a = seq.search_batch(&qs).unwrap();
+        let b = par.search_batch(&qs).unwrap();
         assert_eq!(a, b);
     }
 
@@ -323,7 +334,7 @@ mod tests {
         let ctx = SearchCtx::new(d, ExecutorKind::Parallel { fanout: 8 });
         let qs = probes(8, &schema);
         let start = Instant::now();
-        ctx.search_batch(&qs);
+        ctx.search_batch(&qs).unwrap();
         let elapsed = start.elapsed();
         // Sequentially this is >= 200ms; with fanout 8 it should be ~25ms.
         assert!(
@@ -336,8 +347,8 @@ mod tests {
     fn single_query_rounds() {
         let d = db();
         let ctx = SearchCtx::new(d, ExecutorKind::Parallel { fanout: 4 });
-        ctx.search(&SearchQuery::all());
-        ctx.search(&SearchQuery::all());
+        ctx.search(&SearchQuery::all()).unwrap();
+        ctx.search(&SearchQuery::all()).unwrap();
         let stats = ctx.stats();
         assert_eq!(stats.rounds, vec![1, 1]);
         assert_eq!(stats.parallel_rounds(), 0);
@@ -347,7 +358,7 @@ mod tests {
     fn empty_batch_records_nothing() {
         let d = db();
         let ctx = SearchCtx::new(d, ExecutorKind::Sequential);
-        let rs = ctx.search_batch(&[]);
+        let rs = ctx.search_batch(&[]).unwrap();
         assert!(rs.is_empty());
         assert_eq!(ctx.stats().num_rounds(), 0);
     }
@@ -367,8 +378,8 @@ mod tests {
         fn system_k(&self) -> usize {
             self.inner.system_k()
         }
-        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            page_or_empty(self.probe(q))
+        fn search(&self, _q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            unreachable!("SearchCtx only probes")
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.inner.ledger()
@@ -395,10 +406,10 @@ mod tests {
         });
         let ctx = SearchCtx::new(cached, ExecutorKind::Sequential);
         let q = SearchQuery::all();
-        let a = ctx.search(&q);
+        let a = ctx.search(&q).unwrap();
         let snap = ctx.snapshot();
-        let b = ctx.search(&q); // hit
-        let c = ctx.search_batch(&[q.clone(), q.clone()]); // two hits
+        let b = ctx.search(&q).unwrap(); // hit
+        let c = ctx.search_batch(&[q.clone(), q.clone()]).unwrap(); // two hits
         assert_eq!(a, b);
         assert_eq!(c, vec![a.clone(), a]);
         let stats = ctx.stats();
@@ -420,8 +431,8 @@ mod tests {
         });
         let ctx = SearchCtx::new(cached, ExecutorKind::Sequential);
         let qs = probes(3, ctx.schema());
-        ctx.search(&qs[0]); // warm one probe
-        ctx.search_batch(&qs); // 1 hit + 2 misses
+        ctx.search(&qs[0]).unwrap(); // warm one probe
+        ctx.search_batch(&qs).unwrap(); // 1 hit + 2 misses
         let stats = ctx.stats();
         assert_eq!(stats.rounds, vec![1, 2]);
         assert_eq!(stats.cache_hits, 1);
@@ -437,9 +448,9 @@ mod tests {
         let ctx = SearchCtx::new(cached, ExecutorKind::Parallel { fanout: 4 });
         // Warm the crawl's root region, so the first crawl mixes paid
         // probes with a hit.
-        ctx.search(&SearchQuery::all());
+        ctx.search(&SearchQuery::all()).unwrap();
         let before = ctx.snapshot();
-        let cold = ctx.crawl(&SearchQuery::all());
+        let cold = ctx.crawl(&SearchQuery::all()).unwrap();
         assert!(cold.is_complete());
         assert_eq!(cold.tuples.len(), 100);
         assert!(cold.queries > 1);
@@ -456,7 +467,7 @@ mod tests {
         // The same crawl again: every probe is a hit, no round, no query,
         // but the time it took is still reported.
         let before = ctx.snapshot();
-        let warm = ctx.crawl(&SearchQuery::all());
+        let warm = ctx.crawl(&SearchQuery::all()).unwrap();
         assert_eq!(warm.tuples, cold.tuples);
         assert_eq!(warm.queries, 0);
         let delta = ctx.delta_since(&before);
@@ -470,15 +481,15 @@ mod tests {
     }
 
     #[test]
-    fn failed_crawl_probe_interrupts_as_one_coalesced_wait() {
+    fn failed_crawl_probe_is_the_crawls_error_and_no_lookup() {
         let ctx = SearchCtx::new(Arc::new(FailingDb(db())), ExecutorKind::Sequential);
-        let result = ctx.crawl(&SearchQuery::all());
-        assert_eq!(result.outcome, qr2_crawler::CrawlOutcome::Interrupted);
-        assert!(result.tuples.is_empty());
-        assert_eq!(result.queries, 0);
+        assert_eq!(
+            ctx.crawl(&SearchQuery::all()).unwrap_err(),
+            SearchError::Cancelled
+        );
         let stats = ctx.stats();
         assert_eq!(stats.num_rounds(), 0, "a failed probe is not a query");
-        assert_eq!(stats.coalesced_waits, 1);
+        assert_eq!(stats.free_lookups(), 0, "nor a hit or a coalesced wait");
     }
 
     /// A decorator that records a stage span per lookup, standing in for
@@ -493,8 +504,8 @@ mod tests {
         fn system_k(&self) -> usize {
             self.0.system_k()
         }
-        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            page_or_empty(self.probe(q))
+        fn search(&self, _q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            unreachable!("SearchCtx only probes")
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.0.ledger()
@@ -514,7 +525,7 @@ mod tests {
         let qs = probes(8, d.schema());
         let id = format!("exec-par-{}", std::process::id());
         qr2_obs::with_trace(&id, "test", || {
-            ctx.search_batch(&qs);
+            ctx.search_batch(&qs).unwrap();
         });
         let trace = qr2_obs::find_trace(&id).expect("finished trace is in the recent ring");
         let spans = trace
@@ -539,8 +550,8 @@ mod tests {
         fn system_k(&self) -> usize {
             self.0.system_k()
         }
-        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            page_or_empty(self.probe(q))
+        fn search(&self, _q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            unreachable!("SearchCtx only probes")
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.0.ledger()
@@ -551,18 +562,20 @@ mod tests {
     }
 
     #[test]
-    fn failed_lookups_read_as_empty_pages_and_free_waits() {
+    fn failed_lookups_are_errors_not_pages() {
         let d = db();
         let ctx = SearchCtx::new(
             Arc::new(FailingDb(d.clone())),
             ExecutorKind::Parallel { fanout: 4 },
         );
-        assert!(ctx.search(&SearchQuery::all()).is_underflow());
-        let pages = ctx.search_batch(&probes(3, d.schema()));
-        assert!(pages.iter().all(TopKResponse::is_underflow));
+        assert_eq!(ctx.search(&SearchQuery::all()), Err(SearchError::Cancelled));
+        assert_eq!(
+            ctx.search_batch(&probes(3, d.schema())),
+            Err(SearchError::Cancelled)
+        );
         let stats = ctx.stats();
         assert_eq!(stats.total_queries(), 0, "a failed lookup is not a query");
-        assert_eq!(stats.coalesced_waits, 4);
+        assert_eq!(stats.free_lookups(), 0);
     }
 
     #[test]
@@ -570,7 +583,7 @@ mod tests {
         let d = db();
         let ctx = SearchCtx::new(d, ExecutorKind::Sequential);
         let clone = ctx.clone();
-        clone.search(&SearchQuery::all());
+        clone.search(&SearchQuery::all()).unwrap();
         assert_eq!(ctx.stats().total_queries(), 1);
     }
 
@@ -578,7 +591,7 @@ mod tests {
     fn reset_clears() {
         let d = db();
         let ctx = SearchCtx::new(d, ExecutorKind::Sequential);
-        ctx.search(&SearchQuery::all());
+        ctx.search(&SearchQuery::all()).unwrap();
         ctx.reset_stats();
         assert_eq!(ctx.stats().num_rounds(), 0);
     }

@@ -49,7 +49,7 @@
 //!     function: f.into(),
 //!     algorithm: Algorithm::MdRerank,
 //! });
-//! let top = session.next().unwrap();
+//! let top = session.next().expect("a simulated source never fails");
 //! println!("top tuple: {top:?}, cost: {} queries", session.stats().total_queries());
 //! ```
 

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use qr2_webdb::{SearchQuery, Tuple, TupleId};
+use qr2_webdb::{SearchError, SearchQuery, Tuple, TupleId};
 
 use crate::executor::SearchCtx;
 use crate::function::LinearFunction;
@@ -73,9 +73,10 @@ impl BaselineEngine {
 
     /// Get-next: each call re-runs the narrowing search, excluding tuples
     /// already served (the paper's baseline has no reusable state beyond
-    /// the session's seen set).
+    /// the session's seen set). A failed probe returns its error and
+    /// leaves that state untouched, so the next call searches afresh.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
+    pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
         if let Some(all) = &self.complete {
             let next = all
                 .iter()
@@ -85,13 +86,13 @@ impl BaselineEngine {
                 self.served_ids.insert(t.id);
                 self.served += 1;
             }
-            return next;
+            return Ok(next);
         }
 
         let attrs: Vec<_> = self.f.attrs().collect();
         let root = NBox::full(self.ctx.schema(), &self.filter, &attrs);
         if root.is_empty() || self.filter.is_trivially_empty() {
-            return None;
+            return Ok(None);
         }
 
         let mut best: Option<(f64, Tuple)> = None;
@@ -108,7 +109,7 @@ impl BaselineEngine {
             }
             loop {
                 let q = region.to_query(&self.filter);
-                let resp = self.ctx.search(&q);
+                let resp = self.ctx.search(&q)?;
                 let overflow = resp.overflow;
                 let mut improved = false;
                 for t in resp.tuples.iter().cloned() {
@@ -130,7 +131,7 @@ impl BaselineEngine {
                         // Root underflow: the entire match set is visible.
                         // Cache it so later get-nexts are free.
                         let mut all: Vec<(f64, Tuple)> = Vec::new();
-                        let again = self.ctx.search(&root.to_query(&self.filter));
+                        let again = self.ctx.search(&root.to_query(&self.filter))?;
                         for t in again.tuples.iter().cloned() {
                             all.push((self.f.score(&t, &self.norm), t));
                         }
@@ -145,7 +146,7 @@ impl BaselineEngine {
                     // Overflow with no usable tuple (all served): split.
                     if !self.split_into(&mut pending, region.clone()) {
                         // Atomic region: enumerate ties by crawling.
-                        self.crawl_region(&region, &mut best);
+                        self.crawl_region(&region, &mut best)?;
                     }
                     break;
                 };
@@ -158,7 +159,7 @@ impl BaselineEngine {
                                 > MIN_SHRINK * region.rel_volume(&self.norm);
                         if stuck {
                             if !self.split_into(&mut pending, narrowed.clone()) {
-                                self.crawl_region(&narrowed, &mut best);
+                                self.crawl_region(&narrowed, &mut best)?;
                                 break;
                             }
                             break;
@@ -173,9 +174,9 @@ impl BaselineEngine {
         if let Some((_, t)) = best {
             self.served_ids.insert(t.id);
             self.served += 1;
-            Some(t)
+            Ok(Some(t))
         } else {
-            None
+            Ok(None)
         }
     }
 
@@ -205,8 +206,12 @@ impl BaselineEngine {
 
     /// Enumerate an atomic region by crawling (baseline pays full price —
     /// no shared index).
-    fn crawl_region(&self, region: &NBox, best: &mut Option<(f64, Tuple)>) {
-        let result = self.ctx.crawl(&region.to_query(&self.filter));
+    fn crawl_region(
+        &self,
+        region: &NBox,
+        best: &mut Option<(f64, Tuple)>,
+    ) -> Result<(), SearchError> {
+        let result = self.ctx.crawl(&region.to_query(&self.filter))?;
         for t in result.tuples {
             if self.served_ids.contains(&t.id) {
                 continue;
@@ -220,6 +225,7 @@ impl BaselineEngine {
                 *best = Some((score, t));
             }
         }
+        Ok(())
     }
 }
 
@@ -263,7 +269,7 @@ mod tests {
         let mut e = BaselineEngine::new(ctx, SearchQuery::all(), f.clone(), norm.clone());
         let want = oracle_ids(&d, &f, &norm);
         for expected in want.iter().take(5) {
-            let got = e.next().expect("tuple available");
+            let got = e.next().unwrap().expect("tuple available");
             assert_eq!(got.id, *expected);
         }
     }
@@ -277,7 +283,7 @@ mod tests {
         let mut e = BaselineEngine::new(ctx, SearchQuery::all(), f.clone(), norm.clone());
         let want = oracle_ids(&d, &f, &norm);
         for expected in want.iter().take(3) {
-            assert_eq!(e.next().unwrap().id, *expected);
+            assert_eq!(e.next().unwrap().unwrap().id, *expected);
         }
     }
 
@@ -288,10 +294,10 @@ mod tests {
         let f = LinearFunction::from_names(d.schema(), &[("x", 1.0), ("y", 1.0)]).unwrap();
         let norm = Arc::new(Normalizer::from_domains(d.schema()));
         let mut e = BaselineEngine::new(ctx.clone(), SearchQuery::all(), f, norm);
-        let first = e.next().unwrap();
+        let first = e.next().unwrap().unwrap();
         let cost_after_first = ctx.stats().total_queries();
         let mut rest = 0;
-        while e.next().is_some() {
+        while e.next().unwrap().is_some() {
             rest += 1;
         }
         assert_eq!(rest, 4);
@@ -311,9 +317,9 @@ mod tests {
         let norm = Arc::new(Normalizer::from_domains(d.schema()));
         let mut e = BaselineEngine::new(ctx, SearchQuery::all(), f, norm);
         for _ in 0..3 {
-            assert!(e.next().is_some());
+            assert!(e.next().unwrap().is_some());
         }
-        assert!(e.next().is_none());
-        assert!(e.next().is_none());
+        assert!(e.next().unwrap().is_none());
+        assert!(e.next().unwrap().is_none());
     }
 }

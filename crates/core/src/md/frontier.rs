@@ -9,12 +9,15 @@
 //! tuple are searched together in one (parallel) round; this is exactly the
 //! paper's verification parallelism, and the per-round query counts feed
 //! Fig. 2.
+//!
+//! A failed probe puts the cells it left unexplored back on the frontier
+//! and returns the error; the next get-next searches them again.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
-use qr2_webdb::{SearchQuery, Tuple, TupleId};
+use qr2_webdb::{SearchError, SearchQuery, Tuple, TupleId};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -169,7 +172,7 @@ impl FrontierEngine {
 
     /// Serve the next tuple in score order.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
+    pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
         loop {
             // A candidate is provably next when no frontier cell could
             // contain a strictly better tuple.
@@ -177,20 +180,20 @@ impl FrontierEngine {
                 (Some(c), Some(cell)) => c.score < cell.min_score,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
-                (None, None) => return None,
+                (None, None) => return Ok(None),
             };
             if safe {
                 let c = self.candidates.pop().expect("peeked candidate");
                 self.served += 1;
-                return Some(c.tuple);
+                return Ok(Some(c.tuple));
             }
-            self.expand_round();
+            self.expand_round()?;
         }
     }
 
     /// Pop every frontier cell that could beat the best candidate (bounded
     /// by the executor fan-out) and search them in one round.
-    fn expand_round(&mut self) {
+    fn expand_round(&mut self) -> Result<(), SearchError> {
         let bound = self.candidates.peek().map(|c| c.score);
         let batch_limit = self.ctx.kind().fanout().max(1);
         let mut batch: Vec<Cell> = Vec::new();
@@ -250,9 +253,16 @@ impl FrontierEngine {
             .iter()
             .map(|c| c.nbox.to_query(&self.filter))
             .collect();
-        let responses = self.ctx.search_batch(&queries);
+        let responses = match self.ctx.search_batch(&queries) {
+            Ok(responses) => responses,
+            Err(e) => {
+                self.cells.extend(batch);
+                return Err(e);
+            }
+        };
 
-        for (cell, resp) in batch.into_iter().zip(responses) {
+        let mut searched = batch.into_iter().zip(responses);
+        while let Some((cell, resp)) = searched.next() {
             let overflow = resp.overflow;
             for t in resp.tuples.iter().cloned() {
                 self.add_tuple(t);
@@ -260,14 +270,15 @@ impl FrontierEngine {
             if !overflow {
                 continue; // cell fully enumerated
             }
-            if self.is_dense(&cell.nbox) {
-                self.enumerate_dense(&cell.nbox);
-                continue;
-            }
-            match cell
-                .nbox
-                .widest_splittable_dim(&self.f, &self.norm, self.ctx.schema())
-            {
+            // A dense cell, or an atomic one (all ranking attrs pinned:
+            // the tie case), is enumerated by crawling instead of split.
+            let dim = if self.is_dense(&cell.nbox) {
+                None
+            } else {
+                cell.nbox
+                    .widest_splittable_dim(&self.f, &self.norm, self.ctx.schema())
+            };
+            match dim {
                 Some(dim) => {
                     // Both children stay on the frontier: get-next keeps
                     // serving deeper into the order, so a cell that cannot
@@ -282,12 +293,18 @@ impl FrontierEngine {
                     }
                 }
                 None => {
-                    // Atomic cell (all ranking attrs pinned): enumerate via
-                    // crawl on the remaining attributes — the tie case.
-                    self.enumerate_dense(&cell.nbox);
+                    if let Err(e) = self.enumerate_dense(&cell.nbox) {
+                        // The failed cell and the ones not yet expanded go
+                        // back: their tuples are re-found (and
+                        // deduplicated) when they are searched again.
+                        self.cells.push(cell);
+                        self.cells.extend(searched.map(|(cell, _)| cell));
+                        return Err(e);
+                    }
                 }
             }
         }
+        Ok(())
     }
 
     fn is_dense(&self, nbox: &NBox) -> bool {
@@ -300,21 +317,22 @@ impl FrontierEngine {
 
     /// Fully enumerate a cell. MD-RERANK goes through the shared index with
     /// an unfiltered region; MD-BINARY crawls the filtered region directly.
-    fn enumerate_dense(&mut self, nbox: &NBox) {
+    fn enumerate_dense(&mut self, nbox: &NBox) -> Result<(), SearchError> {
         let tuples: Vec<Tuple> = match &self.dense {
             Some(index) => {
                 let region = nbox.to_query(&SearchQuery::all());
                 index
-                    .get_or_crawl(&self.ctx, &region)
+                    .get_or_crawl(&self.ctx, &region)?
                     .into_iter()
                     .filter(|t| self.filter.matches_with(|a| t.value(a)))
                     .collect()
             }
-            None => self.ctx.crawl(&nbox.to_query(&self.filter)).tuples,
+            None => self.ctx.crawl(&nbox.to_query(&self.filter))?.tuples,
         };
         for t in tuples {
             self.add_tuple(t);
         }
+        Ok(())
     }
 }
 
@@ -367,7 +385,7 @@ mod tests {
         let f = LinearFunction::from_names(d.schema(), &[("x", 1.0), ("y", -0.5)]).unwrap();
         let norm = Normalizer::from_domains(d.schema());
         let mut got = Vec::new();
-        while let Some(t) = e.next() {
+        while let Some(t) = e.next().unwrap() {
             got.push(f.score(&t, &norm));
         }
         let want = oracle_scores(&d);
@@ -383,8 +401,8 @@ mod tests {
         let mut a = engine(&d, false, ExecutorKind::Sequential);
         let mut b = engine(&d, true, ExecutorKind::Sequential);
         for _ in 0..20 {
-            let ta = a.next().map(|t| t.id);
-            let tb = b.next().map(|t| t.id);
+            let ta = a.next().unwrap().map(|t| t.id);
+            let tb = b.next().unwrap().map(|t| t.id);
             assert_eq!(ta, tb);
         }
     }
@@ -397,7 +415,7 @@ mod tests {
         let norm = Arc::new(Normalizer::from_domains(d.schema()));
         let mut e = FrontierEngine::new(ctx.clone(), SearchQuery::all(), f, norm, None);
         for _ in 0..5 {
-            e.next().unwrap();
+            e.next().unwrap().unwrap();
         }
         let stats = ctx.stats();
         assert!(
@@ -412,8 +430,8 @@ mod tests {
         let d = grid_db(8);
         let mut e = engine(&d, false, ExecutorKind::Sequential);
         assert_eq!(e.served(), 0);
-        e.next();
-        e.next();
+        e.next().unwrap();
+        e.next().unwrap();
         assert_eq!(e.served(), 2);
     }
 
@@ -427,6 +445,6 @@ mod tests {
         let norm = Arc::new(Normalizer::from_domains(schema));
         let filter = SearchQuery::all().and_range(x, qr2_webdb::RangePred::closed(2.0, 3.0));
         let mut e = FrontierEngine::new(ctx, filter, f, norm, None);
-        assert!(e.next().is_none());
+        assert!(e.next().unwrap().is_none());
     }
 }

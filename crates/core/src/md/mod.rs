@@ -21,7 +21,7 @@ mod ta;
 
 use std::sync::Arc;
 
-use qr2_webdb::{SearchQuery, Tuple};
+use qr2_webdb::{SearchError, SearchQuery, Tuple};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -108,9 +108,11 @@ impl MdReranker {
     }
 
     /// The get-next primitive: the next tuple in score order (smallest
-    /// first), or `None` when the filter's matches are exhausted.
+    /// first), `None` when the filter's matches are exhausted, or the
+    /// error of a failed probe (the engine keeps the failed region pending
+    /// and resumes from it on the next call).
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
+    pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
         match &mut self.inner {
             Engine::Frontier(e) => e.next(),
             Engine::Baseline(e) => e.next(),
@@ -135,13 +137,5 @@ impl MdReranker {
             Engine::Baseline(e) => e.buffered(),
             Engine::Ta(e) => e.buffered(),
         }
-    }
-}
-
-impl Iterator for MdReranker {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        MdReranker::next(self)
     }
 }

@@ -14,7 +14,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
-use qr2_webdb::{SearchQuery, Tuple, TupleId};
+use qr2_webdb::{SearchError, SearchQuery, Tuple, TupleId};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -135,24 +135,27 @@ impl TaEngine {
         Some(tau)
     }
 
-    /// Get-next in score order.
+    /// Get-next in score order. A failed sorted access returns its error
+    /// before the round-robin moves on, so the next call retries the same
+    /// stream.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
+    pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
         loop {
             if let (Some(c), Some(tau)) = (self.candidates.peek(), self.threshold()) {
                 if c.score <= tau {
                     let c = self.candidates.pop().expect("peeked");
                     self.served += 1;
-                    return Some(c.tuple);
+                    return Ok(Some(c.tuple));
                 }
             }
             if self.any_exhausted && self.candidates.is_empty() {
-                return None;
+                return Ok(None);
             }
             // Sorted access: pull the next tuple from the current stream.
             let i = self.rr % self.streams.len();
+            let pulled = self.streams[i].next()?;
             self.rr += 1;
-            match self.streams[i].next() {
+            match pulled {
                 Some(t) => {
                     self.last[i] = Some(t.num_at(self.f.weights()[i].0));
                     if self.discovered.insert(t.id) {
@@ -223,7 +226,7 @@ mod tests {
         let (mut e, _) = engine(&d, &weights);
         let want = oracle_ids(&d, &weights, &SearchQuery::all());
         for expected in want.iter().take(10) {
-            assert_eq!(e.next().unwrap().id, *expected);
+            assert_eq!(e.next().unwrap().unwrap().id, *expected);
         }
     }
 
@@ -234,7 +237,7 @@ mod tests {
         let (mut e, _) = engine(&d, &weights);
         let want = oracle_ids(&d, &weights, &SearchQuery::all());
         for expected in want.iter().take(8) {
-            assert_eq!(e.next().unwrap().id, *expected);
+            assert_eq!(e.next().unwrap().unwrap().id, *expected);
         }
     }
 
@@ -244,11 +247,11 @@ mod tests {
         let weights = [("x", 1.0), ("y", 1.0)];
         let (mut e, _) = engine(&d, &weights);
         let mut count = 0;
-        while e.next().is_some() {
+        while e.next().unwrap().is_some() {
             count += 1;
         }
         assert_eq!(count, 12);
-        assert!(e.next().is_none());
+        assert!(e.next().unwrap().is_none());
         assert_eq!(e.served(), 12);
     }
 
@@ -265,7 +268,7 @@ mod tests {
         let mut e = TaEngine::new(ctx, filter.clone(), f, norm, dense);
         let want = oracle_ids(&d, &weights, &filter);
         for expected in want.iter().take(6) {
-            assert_eq!(e.next().unwrap().id, *expected);
+            assert_eq!(e.next().unwrap().unwrap().id, *expected);
         }
     }
 
@@ -290,7 +293,7 @@ mod tests {
         let norm = Arc::new(Normalizer::from_domains(&schema));
         let dense = Arc::new(DenseIndex::in_memory());
         let mut e = TaEngine::new(ctx.clone(), SearchQuery::all(), f, norm, dense);
-        e.next().unwrap();
+        e.next().unwrap().unwrap();
         // Cost sanity: far fewer queries than tuples.
         assert!(
             ctx.stats().total_queries() < 100,

@@ -1,7 +1,7 @@
 //! Chunk finders: retrieve a *complete prefix* of an interval — the
 //! interval's preferred end together with every matching tuple inside it.
 
-use qr2_webdb::{AttrId, RangePred, SearchQuery, Tuple};
+use qr2_webdb::{AttrId, RangePred, SearchError, SearchQuery, Tuple};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -116,18 +116,18 @@ impl ChunkParams<'_> {
     /// shared index with an *unfiltered* region (reusable across sessions);
     /// the others crawl the filtered region directly, paying full price
     /// every time (the behaviour the paper contrasts against).
-    fn enumerate_dense(&self, r: RangePred) -> Vec<Tuple> {
-        match (self.algo, self.dense) {
+    fn enumerate_dense(&self, r: RangePred) -> Result<Vec<Tuple>, SearchError> {
+        Ok(match (self.algo, self.dense) {
             (OneDAlgo::Rerank, Some(index)) => {
                 let region = SearchQuery::all().and_range(self.attr, r);
-                let tuples = index.get_or_crawl(self.ctx, &region);
+                let tuples = index.get_or_crawl(self.ctx, &region)?;
                 tuples
                     .into_iter()
                     .filter(|t| self.filter.matches_with(|a| t.value(a)))
                     .collect()
             }
-            _ => self.ctx.crawl(&self.probe_query(r)).tuples,
-        }
+            _ => self.ctx.crawl(&self.probe_query(r))?.tuples,
+        })
     }
 }
 
@@ -138,11 +138,14 @@ impl ChunkParams<'_> {
 /// siblings left by the previous chunk, which partition `interval` in
 /// serving order. Bisection resumes from them instead of re-splitting the
 /// whole remainder. `Baseline` leaves it empty.
+///
+/// A failed probe is returned as the error with `stack` as it was before
+/// the probed interval was popped, so the next call retries that interval.
 pub(crate) fn find_chunk(
     p: &ChunkParams<'_>,
     interval: RangePred,
     stack: &mut Vec<RangePred>,
-) -> Chunk {
+) -> Result<Chunk, SearchError> {
     debug_assert!(!interval.is_empty(), "chunk finder needs a live interval");
     match p.algo {
         OneDAlgo::Baseline => baseline_chunk(p, interval),
@@ -152,7 +155,7 @@ pub(crate) fn find_chunk(
 
 /// `1D-BASELINE`: repeatedly narrow toward the preferred end using the best
 /// returned value as an exclusive bound.
-fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
+fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Result<Chunk, SearchError> {
     let mut bound: Option<f64> = None;
     loop {
         let probe = match bound {
@@ -165,7 +168,7 @@ fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
             let b = bound.expect("empty probe implies a bound");
             return value_chunk(p, interval, b);
         }
-        let resp = p.ctx.search(&p.probe_query(probe));
+        let resp = p.ctx.search(&p.probe_query(probe))?;
         if !resp.overflow {
             if resp.tuples.is_empty() {
                 if let Some(b) = bound {
@@ -174,15 +177,15 @@ fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
                     return value_chunk(p, interval, b);
                 }
                 // Whole interval empty.
-                return Chunk {
+                return Ok(Chunk {
                     complete: interval,
                     tuples: Vec::new(),
-                };
+                });
             }
-            return Chunk {
+            return Ok(Chunk {
                 complete: probe,
                 tuples: resp.tuples.to_vec(),
-            };
+            });
         }
         bound = Some(p.best_value(&resp.tuples));
     }
@@ -191,19 +194,19 @@ fn baseline_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
 /// Complete prefix `[start .. v]` whose only possible occupants are the
 /// ties at `v`: the sub-interval strictly better than `v` has already been
 /// proven empty.
-fn value_chunk(p: &ChunkParams<'_>, interval: RangePred, v: f64) -> Chunk {
+fn value_chunk(p: &ChunkParams<'_>, interval: RangePred, v: f64) -> Result<Chunk, SearchError> {
     let point = RangePred::point(v);
-    let resp = p.ctx.search(&p.probe_query(point));
+    let resp = p.ctx.search(&p.probe_query(point))?;
     let tuples = if resp.overflow {
         // More ties than system-k: the paper's tie-crawl case.
-        p.enumerate_dense(point)
+        p.enumerate_dense(point)?
     } else {
         resp.tuples.to_vec()
     };
-    Chunk {
+    Ok(Chunk {
         complete: p.join_prefix(interval, point),
         tuples,
-    }
+    })
 }
 
 /// `1D-BINARY` / `1D-RERANK`: preferred-first interval bisection with a
@@ -214,7 +217,11 @@ fn value_chunk(p: &ChunkParams<'_>, interval: RangePred, v: f64) -> Chunk {
 /// the chunk held at most system-k of the parent's matches. A dense chunk
 /// clears the stack instead: its siblings are slivers of the tie's
 /// neighbourhood, and restarting from the remainder splits it afresh.
-fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred, stack: &mut Vec<RangePred>) -> Chunk {
+fn binary_chunk(
+    p: &ChunkParams<'_>,
+    interval: RangePred,
+    stack: &mut Vec<RangePred>,
+) -> Result<Chunk, SearchError> {
     if stack.is_empty() {
         stack.push(interval);
     }
@@ -222,15 +229,18 @@ fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred, stack: &mut Vec<RangeP
         if cur.is_empty() {
             continue;
         }
-        let resp = p.ctx.search(&p.probe_query(cur));
+        let resp = p
+            .ctx
+            .search(&p.probe_query(cur))
+            .inspect_err(|_| stack.push(cur))?;
         if !resp.overflow {
             if resp.tuples.is_empty() {
                 continue; // cur proven empty: the prefix extends past it
             }
-            return Chunk {
+            return Ok(Chunk {
                 complete: p.join_prefix(interval, cur),
                 tuples: resp.tuples.to_vec(),
-            };
+            });
         }
         // A dense interval, one that cannot be cut or (`Rerank`) is
         // narrower than δ, is enumerated instead of bisected.
@@ -240,24 +250,24 @@ fn binary_chunk(p: &ChunkParams<'_>, interval: RangePred, stack: &mut Vec<RangeP
                 stack.push(pref);
             }
             _ => {
-                let tuples = p.enumerate_dense(cur);
+                let tuples = p.enumerate_dense(cur).inspect_err(|_| stack.push(cur))?;
                 if tuples.is_empty() {
                     // The region holds tuples, but none match the filter
                     // (possible via the unfiltered index path): keep moving.
                     continue;
                 }
                 stack.clear();
-                return Chunk {
+                return Ok(Chunk {
                     complete: p.join_prefix(interval, cur),
                     tuples,
-                };
+                });
             }
         }
     }
-    Chunk {
+    Ok(Chunk {
         complete: interval,
         tuples: Vec::new(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -302,7 +312,7 @@ mod tests {
 
     /// A chunk found from a fresh stack, as a new session's first refill.
     fn first_chunk(p: &ChunkParams<'_>, interval: RangePred) -> Chunk {
-        find_chunk(p, interval, &mut Vec::new())
+        find_chunk(p, interval, &mut Vec::new()).unwrap()
     }
 
     fn full_interval() -> RangePred {

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use qr2_webdb::{AttrId, RangePred, SearchQuery, Tuple};
+use qr2_webdb::{AttrId, RangePred, SearchError, SearchQuery, Tuple};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -93,10 +93,10 @@ impl OneDimStream {
         self.pending.len()
     }
 
-    fn refill(&mut self) {
+    fn refill(&mut self) -> Result<(), SearchError> {
         while self.pending.is_empty() {
             let Some(interval) = self.frontier else {
-                return;
+                return Ok(());
             };
             let params = ChunkParams {
                 ctx: &self.ctx,
@@ -110,9 +110,12 @@ impl OneDimStream {
             // Taken out while the finder runs: a search that panics leaves
             // the stream with an empty stack, which restarts bisection from
             // the untouched frontier rather than from a half-popped stack.
+            // A failed probe puts the stack back with the failed interval
+            // on top, and the frontier stays where it was.
             let mut stack = std::mem::take(&mut self.stack);
             let chunk = find_chunk(&params, interval, &mut stack);
             self.stack = stack;
+            let chunk = chunk?;
             // Serving order: by value in `dir`, then by id for determinism.
             let mut tuples = chunk.tuples;
             let attr = self.attr;
@@ -133,6 +136,22 @@ impl OneDimStream {
             let rem = remainder(interval, chunk.complete, self.dir);
             self.frontier = if rem.is_empty() { None } else { Some(rem) };
         }
+        Ok(())
+    }
+
+    /// The get-next primitive: the next tuple in ranking order, `None`
+    /// when the filter's matches are exhausted, or the error of a failed
+    /// probe (the stream then resumes from the same state).
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
+        if self.pending.is_empty() {
+            self.refill()?;
+        }
+        let Some(t) = self.pending.pop_front() else {
+            return Ok(None);
+        };
+        self.served += 1;
+        Ok(Some(t))
     }
 }
 
@@ -151,21 +170,6 @@ fn remainder(interval: RangePred, complete: RangePred, dir: SortDir) -> RangePre
             hi: complete.lo,
             hi_inc: !complete.lo_inc,
         },
-    }
-}
-
-impl Iterator for OneDimStream {
-    type Item = Tuple;
-
-    /// The get-next primitive: the next tuple in ranking order, or `None`
-    /// when the filter's matches are exhausted.
-    fn next(&mut self) -> Option<Tuple> {
-        if self.pending.is_empty() {
-            self.refill();
-        }
-        let t = self.pending.pop_front()?;
-        self.served += 1;
-        Some(t)
     }
 }
 
@@ -215,8 +219,11 @@ mod tests {
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
         let index = Arc::new(DenseIndex::in_memory());
         let dense = (algo == OneDAlgo::Rerank).then_some(index);
-        let stream = OneDimStream::new(ctx.clone(), filter.clone(), AttrId(0), dir, algo, dense);
-        let got: Vec<TupleId> = stream.map(|t| t.id).collect();
+        let mut stream =
+            OneDimStream::new(ctx.clone(), filter.clone(), AttrId(0), dir, algo, dense);
+        let got: Vec<TupleId> = std::iter::from_fn(|| stream.next().unwrap())
+            .map(|t| t.id)
+            .collect();
         let want = oracle(d, &filter, dir);
         assert_eq!(got, want, "{algo:?} {dir:?} stream must equal oracle");
     }
@@ -261,8 +268,8 @@ mod tests {
         let filter = SearchQuery::all().and_range(x, RangePred::closed(60.0, 70.0));
         let mut stream =
             OneDimStream::new(ctx.clone(), filter, x, SortDir::Asc, OneDAlgo::Binary, None);
-        assert!(stream.next().is_none());
-        assert!(stream.next().is_none(), "stays exhausted");
+        assert!(stream.next().unwrap().is_none());
+        assert!(stream.next().unwrap().is_none(), "stays exhausted");
     }
 
     #[test]
@@ -277,13 +284,13 @@ mod tests {
             OneDAlgo::Binary,
             None,
         );
-        let _first = stream.next().unwrap();
+        let _first = stream.next().unwrap().unwrap();
         let cost_first = ctx.stats().total_queries();
         // The chunk that produced the first tuple buffered its complete
         // interval; several follow-ups must be free.
         let buffered = stream.buffered();
         for _ in 0..buffered {
-            stream.next().unwrap();
+            stream.next().unwrap().unwrap();
         }
         assert_eq!(
             ctx.stats().total_queries(),
@@ -305,8 +312,8 @@ mod tests {
             None,
         );
         assert_eq!(stream.served(), 0);
-        stream.next();
-        stream.next();
+        stream.next().unwrap();
+        stream.next().unwrap();
         assert_eq!(stream.served(), 2);
     }
 
@@ -365,7 +372,7 @@ mod tests {
             OneDAlgo::Baseline,
             None,
         );
-        s.next().unwrap();
+        s.next().unwrap().unwrap();
         let baseline_cost = ctx_b.stats().total_queries();
 
         let ctx_bin = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
@@ -377,7 +384,7 @@ mod tests {
             OneDAlgo::Binary,
             None,
         );
-        s.next().unwrap();
+        s.next().unwrap().unwrap();
         let binary_cost = ctx_bin.stats().total_queries();
 
         assert!(

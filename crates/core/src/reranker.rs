@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use qr2_webdb::{Schema, SearchQuery, TopKInterface, Tuple};
+use qr2_webdb::{Schema, SearchError, SearchQuery, TopKInterface, Tuple};
 
 use crate::budget::{Budget, CancelToken, StepOutcome};
 use crate::dense_index::DenseIndex;
@@ -240,6 +240,7 @@ impl Reranker {
         RerankSession {
             ctx,
             inner,
+            carried: Vec::new(),
             cancel: CancelToken::new(),
         }
     }
@@ -256,6 +257,9 @@ enum SessionInner {
 pub struct RerankSession {
     ctx: SearchCtx,
     inner: SessionInner,
+    /// Tuples a failed step produced, in order; the next step serves them
+    /// first.
+    carried: Vec<Tuple>,
     cancel: CancelToken,
 }
 
@@ -273,10 +277,18 @@ impl RerankSession {
     /// without spending budget; the query cap is checked between
     /// discoveries, so a step may overshoot it by the cost of completing
     /// the one in-flight discovery but never starts a new one past it.
+    ///
+    /// A failed probe ends the step as [`StepOutcome::Failed`]; the tuples
+    /// it had produced are served first by the next `advance`.
     pub fn advance(&mut self, budget: Budget) -> StepOutcome {
         let start = self.ctx.snapshot();
         let delta = |ctx: &SearchCtx| ctx.delta_since(&start);
-        let mut out: Vec<Tuple> = Vec::new();
+        let mut out = std::mem::take(&mut self.carried);
+        if let Some(target) = budget.tuples {
+            if out.len() > target {
+                self.carried = out.split_off(target);
+            }
+        }
         loop {
             if self.cancel.is_cancelled() {
                 return StepOutcome::Cancelled {
@@ -305,45 +317,60 @@ impl RerankSession {
                 }
             }
             match self.engine_next() {
-                Some(t) => out.push(t),
-                None => {
+                Ok(Some(t)) => out.push(t),
+                Ok(None) => {
                     return StepOutcome::Done {
                         partial: out,
                         stats: delta(&self.ctx),
                     }
+                }
+                Err(error) => {
+                    self.carried = out;
+                    return StepOutcome::Failed {
+                        stats: delta(&self.ctx),
+                        error,
+                    };
                 }
             }
         }
     }
 
     /// The blocking get-next primitive (an unbudgeted
-    /// [`advance`](RerankSession::advance) for one tuple).
+    /// [`advance`](RerankSession::advance) for one tuple): the next tuple,
+    /// `None` once the stream is exhausted or cancelled, or the error of a
+    /// failed probe.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
-        self.advance(Budget::tuples(1)).into_tuples().pop()
+    pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
+        Ok(self.next_page(1)?.pop())
     }
 
     /// Fetch the next `k` tuples (one results page; an unbudgeted
-    /// [`advance`](RerankSession::advance)).
-    pub fn next_page(&mut self, k: usize) -> Vec<Tuple> {
-        self.advance(Budget::tuples(k)).into_tuples()
+    /// [`advance`](RerankSession::advance)), or the error of a failed
+    /// probe (the page's tuples are kept for the next call).
+    pub fn next_page(&mut self, k: usize) -> Result<Vec<Tuple>, SearchError> {
+        match self.advance(Budget::tuples(k)) {
+            StepOutcome::Failed { error, .. } => Err(error),
+            step => Ok(step.into_tuples()),
+        }
     }
 
     /// Tuples served so far.
     pub fn served(&self) -> usize {
-        match &self.inner {
+        let produced = match &self.inner {
             SessionInner::OneD(s) => s.served(),
             SessionInner::Md(s) => s.served(),
-        }
+        };
+        produced - self.carried.len()
     }
 
     /// Tuples already discovered that upcoming calls serve without
     /// issuing any web-DB query.
     pub fn buffered(&self) -> usize {
-        match &self.inner {
+        let engine = match &self.inner {
             SessionInner::OneD(s) => s.buffered(),
             SessionInner::Md(s) => s.buffered(),
-        }
+        };
+        self.carried.len() + engine
     }
 
     /// A cooperative cancellation handle; any clone can stop the session
@@ -357,19 +384,11 @@ impl RerankSession {
         self.ctx.stats()
     }
 
-    fn engine_next(&mut self) -> Option<Tuple> {
+    fn engine_next(&mut self) -> Result<Option<Tuple>, SearchError> {
         match &mut self.inner {
             SessionInner::OneD(s) => s.next(),
             SessionInner::Md(s) => s.next(),
         }
-    }
-}
-
-impl Iterator for RerankSession {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        RerankSession::next(self)
     }
 }
 
@@ -420,7 +439,7 @@ mod tests {
                 function: OneDimFunction::asc(price).into(),
                 algorithm: algo,
             });
-            let t = s.next().expect("tuple");
+            let t = s.next().unwrap().expect("tuple");
             tops.push((algo, t.num_at(price)));
         }
         for (algo, v) in &tops {
@@ -440,7 +459,7 @@ mod tests {
             function: OneDimFunction::asc(price).into(),
             algorithm: Algorithm::OneDBinary,
         });
-        let page = s.next_page(10);
+        let page = s.next_page(10).unwrap();
         assert_eq!(page.len(), 10);
         // Ordered ascending by price.
         for w in page.windows(2) {
@@ -465,7 +484,7 @@ mod tests {
         });
         // weight -1 ⇒ descending ⇒ max price first.
         let price = schema.expect_id("price");
-        assert_eq!(s.next().unwrap().num_at(price), 98.0);
+        assert_eq!(s.next().unwrap().unwrap().num_at(price), 98.0);
     }
 
     #[test]
@@ -480,7 +499,7 @@ mod tests {
             function: OneDimFunction::desc(price).into(),
             algorithm: Algorithm::MdBinary,
         });
-        assert_eq!(s.next().unwrap().num_at(price), 98.0);
+        assert_eq!(s.next().unwrap().unwrap().num_at(price), 98.0);
     }
 
     #[test]
@@ -536,10 +555,10 @@ mod tests {
             algorithm: Algorithm::OneDRerank,
         };
         let mut s1 = r.query(req.clone());
-        while s1.next().is_some() {}
+        while s1.next().unwrap().is_some() {}
         let after_first = r.dense_index().stats();
         let mut s2 = r.query(req);
-        while s2.next().is_some() {}
+        while s2.next().unwrap().is_some() {}
         let after_second = r.dense_index().stats();
         assert!(
             after_second.misses == after_first.misses || after_second.hits > after_first.hits,
@@ -563,7 +582,7 @@ mod tests {
                 algorithm: algo,
             };
             let mut plain = r.query(req.clone());
-            let want: Vec<_> = plain.next_page(20).iter().map(|t| t.id).collect();
+            let want: Vec<_> = plain.next_page(20).unwrap().iter().map(|t| t.id).collect();
             let want_cost = plain.stats().total_queries();
 
             for slice in [1, 3] {
@@ -670,15 +689,19 @@ mod tests {
             algorithm: Algorithm::OneDBinary,
         });
         let token = s.cancel_token();
-        assert_eq!(s.next_page(3).len(), 3, "runs normally before cancel");
+        assert_eq!(
+            s.next_page(3).unwrap().len(),
+            3,
+            "runs normally before cancel"
+        );
         token.cancel();
         let step = s.advance(Budget::tuples(3));
         assert_eq!(step.label(), "cancelled");
         assert!(step.tuples().is_empty());
         assert_eq!(step.stats_delta().total_queries(), 0);
         // Sticks: the wrappers observe it too.
-        assert!(s.next().is_none());
-        assert!(s.next_page(5).is_empty());
+        assert!(s.next().unwrap().is_none());
+        assert!(s.next_page(5).unwrap().is_empty());
     }
 
     #[test]
@@ -701,6 +724,78 @@ mod tests {
         assert_eq!(last.tuples().len(), 5, "final step carries the tail");
         assert!(s.advance(Budget::UNLIMITED).is_done());
         assert!(s.advance(Budget::UNLIMITED).tuples().is_empty());
+    }
+
+    /// Fails its `fail_at`-th probe (counted from 0), once.
+    struct FailsOnce {
+        inner: Arc<SimulatedWebDb>,
+        fail_at: usize,
+        probes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TopKInterface for FailsOnce {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            self.inner.search(q)
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+        fn probe(&self, q: &SearchQuery) -> Result<qr2_webdb::Answer, SearchError> {
+            let n = self
+                .probes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if n == self.fail_at {
+                return Err(SearchError::Cancelled);
+            }
+            Ok(qr2_webdb::Answer::paid(self.inner.search(q)))
+        }
+    }
+
+    #[test]
+    fn a_failed_step_keeps_its_tuples_for_the_next_steps() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let d = db();
+        let price = d.schema().expect_id("price");
+        let session = |fail_at| {
+            let source = Arc::new(FailsOnce {
+                inner: d.clone(),
+                fail_at,
+                probes: Default::default(),
+            });
+            let s = Reranker::builder(source.clone())
+                .executor(ExecutorKind::Sequential)
+                .build()
+                .query(RerankRequest {
+                    filter: SearchQuery::all(),
+                    function: OneDimFunction::asc(price).into(),
+                    algorithm: Algorithm::OneDBinary,
+                });
+            (s, source)
+        };
+        let (mut healthy, _) = session(usize::MAX);
+        let want = healthy.next_page(50).unwrap();
+        assert_eq!(want.len(), 50);
+
+        // Fail the first probe after the first chunk: a ten-tuple page
+        // has found that chunk's tuples when the failure stops it.
+        let (mut sizing, counter) = session(usize::MAX);
+        let chunk = sizing.next_page(1).unwrap().len() + sizing.buffered();
+        assert!((3..10).contains(&chunk), "the first chunk holds {chunk}");
+        let (mut s, _) = session(counter.probes.load(SeqCst));
+        assert_eq!(s.next_page(10), Err(SearchError::Cancelled));
+        assert_eq!(s.buffered(), chunk, "the failed page's tuples are kept");
+        assert_eq!(s.served(), 0);
+        // A smaller page than the kept tuples serves a prefix of them.
+        let mut got = s.next_page(2).unwrap();
+        assert_eq!((s.served(), s.buffered()), (2, chunk - 2));
+        got.extend(s.next_page(48).unwrap());
+        assert_eq!(got, want);
     }
 
     #[test]

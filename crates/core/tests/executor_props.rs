@@ -89,9 +89,10 @@ fn ledger_accounts_every_query() {
         let ctx = SearchCtx::new(db.clone(), ExecutorKind::Parallel { fanout: 4 });
         let mut expected = 0usize;
         for batch in &batches {
-            ctx.search_batch(batch);
+            ctx.search_batch(batch).expect("the simulator never fails");
             expected += batch.len();
-            ctx.search(&SearchQuery::all());
+            ctx.search(&SearchQuery::all())
+                .expect("the simulator never fails");
             expected += 1;
         }
         assert_eq!(ctx.stats().total_queries(), expected);

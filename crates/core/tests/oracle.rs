@@ -123,7 +123,7 @@ fn check_algorithm(
     });
     let mut got: Vec<(f64, TupleId)> = Vec::new();
     for _ in 0..h.min(want.len()) {
-        match session.next() {
+        match session.next().expect("the simulator never fails") {
             Some(t) => got.push((f.score(&t, &norm), t.id)),
             None => break,
         }
@@ -253,7 +253,9 @@ fn sessions_are_deterministic() {
             function: f.into(),
             algorithm: Algorithm::MdRerank,
         })
-        .take(20)
+        .next_page(20)
+        .expect("the simulator never fails")
+        .iter()
         .map(|t| t.id)
         .collect()
     };
@@ -289,7 +291,7 @@ fn rerank_amortizes_on_ties() {
             algorithm,
         });
         for _ in 0..30 {
-            if s.next().is_none() {
+            if s.next().expect("the simulator never fails").is_none() {
                 break;
             }
         }

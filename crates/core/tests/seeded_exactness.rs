@@ -11,16 +11,23 @@
 //!   same tuples for the same total query count — the bisection stack,
 //!   frontier and buffer are session state, so a resumed step never pays
 //!   again for what an earlier one learned.
+//!
+//! And for every engine × direction × executor, a source that fails one
+//! seeded probe once: the step that meets it returns `Failed`, and
+//! advancing on drains exactly the ground-truth order, no tuple lost or
+//! served twice.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use qr2_core::{
-    Algorithm, Budget, ExecutorKind, LinearFunction, Normalizer, OneDimFunction, RerankRequest,
-    RerankSession, Reranker, SortDir,
+    Algorithm, Budget, ExecutorKind, LinearFunction, Normalizer, OneDimFunction, RankingFunction,
+    RerankRequest, RerankSession, Reranker, SortDir, StepOutcome,
 };
 use qr2_webdb::{
-    AttrId, RangePred, Schema, SearchQuery, SimulatedWebDb, SystemRanking, TableBuilder,
-    TopKInterface, TupleId,
+    Answer, AttrId, QueryLedger, RangePred, Schema, SearchError, SearchQuery, SimulatedWebDb,
+    SystemRanking, TableBuilder, TopKInterface, TopKResponse, TupleId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -165,7 +172,9 @@ fn session(db: &Arc<SimulatedWebDb>, req: &RerankRequest) -> RerankSession {
 /// for the same total query count.
 fn check(db: &Arc<SimulatedWebDb>, req: &RerankRequest, want: &[TupleId], case: &str) {
     let mut plain = session(db, req);
-    let got: Vec<TupleId> = plain.by_ref().map(|t| t.id).collect();
+    let got: Vec<TupleId> = std::iter::from_fn(|| plain.next().expect("the simulator never fails"))
+        .map(|t| t.id)
+        .collect();
     assert_eq!(got, want, "{case}: drained order");
 
     let mut sliced = session(db, req);
@@ -259,4 +268,127 @@ fn md_sessions_equal_the_ground_truth_score_order() {
         }
     }
     assert_eq!(sessions, 3 * 4 * 4 * 3 * 4);
+}
+
+/// Wraps the simulator and fails its `fail_at`-th probe (counted from 0
+/// across all threads) once; `probes` counts every probe.
+struct FailsOnce {
+    inner: Arc<SimulatedWebDb>,
+    fail_at: u64,
+    probes: AtomicU64,
+}
+
+impl TopKInterface for FailsOnce {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+    fn system_k(&self) -> usize {
+        self.inner.system_k()
+    }
+    fn search(&self, q: &SearchQuery) -> TopKResponse {
+        self.inner.search(q)
+    }
+    fn ledger(&self) -> &QueryLedger {
+        self.inner.ledger()
+    }
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        if self.probes.fetch_add(1, Ordering::SeqCst) == self.fail_at {
+            return Err(SearchError::Unavailable {
+                retry_after: Duration::ZERO,
+            });
+        }
+        Ok(Answer::paid(self.inner.search(q)))
+    }
+}
+
+/// Drain `s` in pages of seven; returns the served ids and the number of
+/// steps that failed.
+fn drain_through_failures(s: &mut RerankSession) -> (Vec<TupleId>, usize) {
+    let (mut got, mut failed) = (Vec::new(), 0);
+    for _ in 0..100_000 {
+        match s.advance(Budget::tuples(7)) {
+            StepOutcome::Failed { .. } => failed += 1,
+            step => {
+                let done = step.is_done();
+                got.extend(step.tuples().iter().map(|t| t.id));
+                if done {
+                    return (got, failed);
+                }
+            }
+        }
+    }
+    panic!("the session made no progress");
+}
+
+#[test]
+fn a_failed_probe_fails_its_step_and_the_session_resumes_exactly() {
+    const SEVEN: [Algorithm; 7] = [
+        Algorithm::OneDBaseline,
+        Algorithm::OneDBinary,
+        Algorithm::OneDRerank,
+        Algorithm::MdBaseline,
+        Algorithm::MdBinary,
+        Algorithm::MdRerank,
+        Algorithm::MdTa,
+    ];
+    let mut cases = 0;
+    let mut rng = StdRng::seed_from_u64(1_000);
+    // One database per shape; seeds 1..=4 give all three hidden rankings.
+    for (seed, shape) in (1..).zip(SHAPES) {
+        let db = database(seed, shape);
+        let x = db.schema().expect_id("x");
+        let y = db.schema().expect_id("y");
+        let norm = Arc::clone(reranker(&db).normalizer());
+        let all = SearchQuery::all();
+        for kind in [
+            ExecutorKind::Sequential,
+            ExecutorKind::Parallel { fanout: 4 },
+        ] {
+            for dir in [SortDir::Asc, SortDir::Desc] {
+                for algorithm in SEVEN {
+                    let (function, want): (RankingFunction, _) = if algorithm.is_one_dimensional() {
+                        let f = OneDimFunction { attr: x, dir };
+                        (f.into(), oracle(&db, &all, x, dir))
+                    } else {
+                        let sign = if dir == SortDir::Asc { 1.0 } else { -1.0 };
+                        let f = LinearFunction::new(vec![(x, sign), (y, 0.5 * sign)])
+                            .expect("valid weights");
+                        let want = md_oracle(&db, &all, &f, &norm);
+                        (f.into(), want)
+                    };
+                    let req = RerankRequest {
+                        filter: all.clone(),
+                        function,
+                        algorithm,
+                    };
+                    let open = |fail_at| {
+                        let source = Arc::new(FailsOnce {
+                            inner: Arc::clone(&db),
+                            fail_at,
+                            probes: AtomicU64::new(0),
+                        });
+                        let session = Reranker::builder(source.clone())
+                            .executor(kind)
+                            .build()
+                            .query(req.clone());
+                        (session, source)
+                    };
+                    let case = format!(
+                        "seed {seed}, {shape:?}, {kind:?}, {dir:?}, {}",
+                        algorithm.paper_name()
+                    );
+                    let (mut healthy, source) = open(u64::MAX);
+                    assert_eq!(drain_through_failures(&mut healthy), (want.clone(), 0));
+                    let fail_at = rng.gen_range(0..source.probes.load(Ordering::SeqCst));
+
+                    let (mut session, _) = open(fail_at);
+                    let (got, failed) = drain_through_failures(&mut session);
+                    assert_eq!(failed, 1, "{case}: probe {fail_at} fails one step");
+                    assert_eq!(got, want, "{case}: order after probe {fail_at} failed");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 4 * 2 * 2 * 7);
 }

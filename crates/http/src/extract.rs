@@ -24,7 +24,6 @@
 use crate::error::ApiError;
 use crate::json::{parse_json, Json};
 use crate::request::Request;
-use crate::response::Status;
 
 /// Types decodable from a request JSON body.
 pub trait FromJson: Sized {
@@ -110,21 +109,6 @@ impl<'a> Decode<'a> {
         } else {
             e.with_field(&self.path)
         }
-    }
-
-    /// Same as [`Decode::error`] but with a non-400 status (e.g. a 404 for
-    /// a name that fails lookup).
-    pub fn error_with_status(
-        &self,
-        status: Status,
-        code: &'static str,
-        message: impl Into<String>,
-    ) -> ApiError {
-        let mut e = ApiError::new(status, code, message);
-        if !self.path.is_empty() {
-            e = e.with_field(&self.path);
-        }
-        e
     }
 
     /// Required object field (`missing_field` when absent or `null`).
@@ -231,6 +215,7 @@ fn kind_of(v: &Json) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::response::Status;
 
     fn doc() -> Json {
         parse_json(

@@ -7,51 +7,22 @@
 //! [`SessionCtx`] around each engine step with [`with_session`], and the
 //! scheduler reads it back with [`current`].
 //!
+//! The context says who is asking, in which class, and whether they have
+//! cancelled. A probe that fails reaches the session as its
+//! [`SearchError`](qr2_webdb::SearchError), returned up through the engine
+//! to the session's step.
+//!
 //! The context is thread-local. Engine steps that fan out onto scoped
 //! worker threads (the parallel executor) fall back to the anonymous
 //! default context on those workers — they still get scheduled and paced,
-//! just accounted to the shared anonymous session.
+//! and their failures still return to the engine, but they are accounted
+//! to the shared anonymous session: they escape the session's
+//! cancellation and its fair share.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use qr2_core::CancelToken;
-
-/// A shared one-way flag a session's probes trip when the source fails
-/// them terminally (retries exhausted, breaker open past the scheduler's
-/// parking patience). The failing probe returns the source's error, which
-/// the engine's executor reads as the empty page so the step unwinds
-/// cleanly; the service checks the signal afterwards to turn the page
-/// into a structured `503` or a `status: "failed"` stream summary instead
-/// of silently serving an empty page.
-#[derive(Debug, Clone, Default)]
-pub struct FailureSignal {
-    tripped: Arc<AtomicBool>,
-}
-
-impl FailureSignal {
-    /// A fresh, untripped signal.
-    pub fn new() -> FailureSignal {
-        FailureSignal::default()
-    }
-
-    /// Mark the session as having hit a terminal source failure.
-    pub fn trip(&self) {
-        self.tripped.store(true, Ordering::Release);
-    }
-
-    /// Whether a terminal failure has been recorded.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped.load(Ordering::Acquire)
-    }
-
-    /// Reset the flag (the service clears it between pages so one failed
-    /// page does not condemn the session after the source recovers).
-    pub fn clear(&self) {
-        self.tripped.store(false, Ordering::Release);
-    }
-}
 
 /// Deadline/priority class of a session's probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,10 +66,6 @@ pub struct SessionCtx {
     /// Cancellation flag: a cancelled session's queued probes are
     /// abandoned instead of spending paid queries.
     pub cancel: Option<CancelToken>,
-    /// Failure flag: tripped when a probe of this session fails
-    /// terminally (source down, retries exhausted) so the service can
-    /// surface a structured failure instead of an empty page.
-    pub failure: Option<FailureSignal>,
 }
 
 impl SessionCtx {
@@ -108,7 +75,6 @@ impl SessionCtx {
             key,
             class,
             cancel: None,
-            failure: None,
         }
     }
 
@@ -117,20 +83,6 @@ impl SessionCtx {
     pub fn with_cancel(mut self, cancel: CancelToken) -> SessionCtx {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// Attach a failure signal.
-    #[must_use]
-    pub fn with_failure(mut self, failure: FailureSignal) -> SessionCtx {
-        self.failure = Some(failure);
-        self
-    }
-
-    /// Trip the failure signal, when one is attached.
-    pub fn trip_failure(&self) {
-        if let Some(f) = &self.failure {
-            f.trip();
-        }
     }
 
     /// True when the session has been cancelled.
@@ -224,19 +176,6 @@ mod tests {
         token.cancel();
         assert!(ctx.is_cancelled());
         assert!(!SessionCtx::default().is_cancelled());
-    }
-
-    #[test]
-    fn failure_signal_trips_and_clears_through_clones() {
-        let signal = FailureSignal::new();
-        let ctx = SessionCtx::new(9, QueryClass::Interactive).with_failure(signal.clone());
-        assert!(!signal.is_tripped());
-        ctx.trip_failure();
-        assert!(signal.is_tripped(), "clones share the flag");
-        signal.clear();
-        assert!(!signal.is_tripped());
-        // A context without a signal ignores trips.
-        SessionCtx::default().trip_failure();
     }
 
     #[test]

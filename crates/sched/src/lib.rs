@@ -37,5 +37,5 @@ pub mod coalesce;
 pub mod context;
 mod sched;
 
-pub use context::{FailureSignal, QueryClass, SessionCtx};
+pub use context::{QueryClass, SessionCtx};
 pub use sched::{ClassSnapshot, SchedConfig, SchedSnapshot, SourceScheduler};

@@ -64,8 +64,7 @@ enum ProbeState {
     Abandoned,
     /// The source failed this probe terminally (retries exhausted, or it
     /// out-waited [`SchedConfig::max_outage_park`] behind an open
-    /// breaker). Waiters get the terminal error and trip their session's
-    /// failure signal.
+    /// breaker). Waiters get the terminal error.
     Failed(SearchError),
 }
 
@@ -468,7 +467,7 @@ impl SourceScheduler {
     ///
     /// A cancelled session gets [`SearchError::Cancelled`] (nothing was
     /// spent on it); a probe the source failed terminally gets the
-    /// source's error and trips the session's failure signal.
+    /// source's error.
     pub fn submit(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         qr2_obs::span("sched.queue", || self.submit_inner(q))
     }
@@ -510,10 +509,7 @@ impl SourceScheduler {
                 }
                 Driven::Abandoned => {}
                 Driven::Cancelled => return Err(SearchError::Cancelled),
-                Driven::Failed(err) => {
-                    ctx.trip_failure();
-                    return Err(err);
-                }
+                Driven::Failed(err) => return Err(err),
             }
         }
     }
@@ -1006,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn hard_outage_fails_probe_and_trips_failure_signal() {
+    fn hard_outage_fails_probe_with_the_sources_error() {
         let (sched, db) = resilient_sched(
             qr2_webdb::FaultScript::healthy().with_outage(0, u64::MAX),
             qr2_webdb::BreakerConfig {
@@ -1019,14 +1015,11 @@ mod tests {
                 ..SchedConfig::default()
             },
         );
-        let signal = crate::context::FailureSignal::new();
-        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive)
-            .with_failure(signal.clone());
+        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
         let before = db.ledger().total();
         let err = with_session(ctx, || sched.submit(&SearchQuery::all()))
             .expect_err("the outage fails the probe");
         assert_eq!(err.kind(), "unavailable");
-        assert!(signal.is_tripped(), "terminal failure surfaced");
         assert_eq!(db.ledger().total(), before, "outage probes are free");
         let stats = sched.stats();
         assert_eq!(stats.failed_probes, 1);
@@ -1059,9 +1052,7 @@ mod tests {
                 ..SchedConfig::default()
             },
         );
-        let signal = crate::context::FailureSignal::new();
-        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive)
-            .with_failure(signal.clone());
+        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
         let q = SearchQuery::all();
         let want = db.search(&q);
         let answer = with_session(ctx, || sched.submit(&q)).expect("rode through");
@@ -1070,7 +1061,6 @@ mod tests {
             Answer::paid(want),
             "the probe resumed after recovery"
         );
-        assert!(!signal.is_tripped(), "no terminal failure surfaced");
         assert_eq!(sched.stats().failed_probes, 0);
         assert_eq!(sched.resilient().health().breaker, "closed");
         assert!(sched.resilient().health().breaker_opens >= 1);

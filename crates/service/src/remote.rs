@@ -140,6 +140,23 @@ pub fn wire_tuple_from_json(v: &Json) -> Result<Tuple, String> {
     Ok(Tuple::new(id, values))
 }
 
+/// Decode a `/dbapi/search` body: both fields present, every tuple whole.
+fn page_from_json(body: &str) -> Result<TopKResponse, String> {
+    let v = parse_json(body).map_err(|e| format!("search body is not JSON: {e}"))?;
+    let tuples = v
+        .get("tuples")
+        .and_then(Json::as_arr)
+        .ok_or("search body needs tuples")?
+        .iter()
+        .map(wire_tuple_from_json)
+        .collect::<Result<Vec<Tuple>, _>>()?;
+    let overflow = v
+        .get("overflow")
+        .and_then(Json::as_bool)
+        .ok_or("search body needs overflow")?;
+    Ok(TopKResponse::new(tuples, overflow))
+}
+
 fn schema_to_json(schema: &Schema) -> Json {
     let attrs: Vec<Json> = schema
         .iter()
@@ -280,7 +297,7 @@ impl RemoteWebDb {
             addr,
             schema,
             system_k,
-            ledger: QueryLedger::new(64),
+            ledger: QueryLedger::default(),
         })
     }
 }
@@ -298,38 +315,24 @@ impl TopKInterface for RemoteWebDb {
         page_or_empty(self.probe(q))
     }
 
-    /// A failed round trip (connect error, non-200 status, unreadable
-    /// body) is [`SearchError::Unavailable`]: it is treated as unpaid and
-    /// not written to the ledger, so the resilience layer above can retry
-    /// it and count it, and no cache ever remembers it.
+    /// A failed round trip (connect error, unreadable response, non-200
+    /// status) is [`SearchError::Unavailable`]: it is treated as unpaid
+    /// and not written to the ledger, so the resilience layer above can
+    /// retry it and count it, and no cache ever remembers it. A `200`
+    /// whose body is not a whole page (not JSON, a missing `tuples` or
+    /// `overflow`, a tuple that does not decode) was executed by the site:
+    /// it is recorded on the ledger and is [`SearchError::Malformed`].
     fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let payload = query_to_json(q).to_string();
-        let v = http_request(self.addr, "POST", "/dbapi/search", Some(&payload))
-            .ok()
-            .and_then(|response| parse_json(&response).ok())
-            .ok_or(SearchError::Unavailable {
-                retry_after: UNAVAILABLE_RETRY_AFTER,
+        let body =
+            http_request(self.addr, "POST", "/dbapi/search", Some(&payload)).map_err(|_| {
+                SearchError::Unavailable {
+                    retry_after: UNAVAILABLE_RETRY_AFTER,
+                }
             })?;
-        let tuples = v
-            .get("tuples")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|t| wire_tuple_from_json(t).ok())
-                    .collect::<Vec<Tuple>>()
-            })
-            .unwrap_or_default();
-        let overflow = v.get("overflow").and_then(Json::as_bool).unwrap_or(false);
-        // Fingerprint-keyed ledger entry: the display form renders lazily
-        // in `recent()`, never on the per-query path.
-        self.ledger.record_executed(
-            q,
-            q.fingerprint(),
-            qr2_webdb::ExecPath::External,
-            tuples.len(),
-            overflow,
-        );
-        Ok(Answer::paid(TopKResponse::new(tuples, overflow)))
+        self.ledger.record_executed(qr2_webdb::ExecPath::External);
+        let page = page_from_json(&body).map_err(|detail| SearchError::Malformed { detail })?;
+        Ok(Answer::paid(page))
     }
 
     fn ledger(&self) -> &QueryLedger {
@@ -459,7 +462,9 @@ mod tests {
                     function: OneDimFunction::asc(price).into(),
                     algorithm: Algorithm::OneDRerank,
                 })
-                .take(8)
+                .next_page(8)
+                .unwrap()
+                .iter()
                 .map(|t| t.id)
                 .collect()
         };

@@ -579,7 +579,8 @@ impl StreamState {
             // The 200 is committed; report exhaustion in-band.
             Err(StepError::BudgetExceeded { .. }) => self.status = Some("budget_exhausted"),
             // A probe failed terminally: terminate in-band with a
-            // truthful summary (the step's tuple was dropped).
+            // truthful summary. Nothing is lost: the session keeps what
+            // the step found and its next step resumes there.
             Err(StepError::Outage { queries }) => {
                 self.stream_queries += queries;
                 self.status = Some(self.interrupted());
@@ -1396,7 +1397,7 @@ mod tests {
     #[test]
     fn terminal_outage_on_live_first_page_is_a_structured_503() {
         // Breaker disabled: the outage is surfaced by the scheduler's
-        // per-probe patience window tripping the failure signal instead.
+        // per-probe patience window failing the probe instead.
         let reg = fault_registry(
             FaultScript::healthy().with_outage(0, u64::MAX),
             RetryPolicy::none(),

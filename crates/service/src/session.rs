@@ -13,8 +13,8 @@
 //! a zero-query cursor over the source's offline rank reconstruction — and
 //! the one way to serve from it: [`SessionEntry::step`]. Every page,
 //! `results` call and NDJSON stream line is one step, so the tier choice,
-//! the lifetime query budget, the scheduler context, cancellation and the
-//! outage signal are decided in one place for every endpoint.
+//! the lifetime query budget, the scheduler context, cancellation and a
+//! failed probe's outage are decided in one place for every endpoint.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, MutexGuard};
 use qr2_core::{Budget, CancelToken, QueryStats, RerankSession, StepOutcome};
 use qr2_recon::ReconCursor;
-use qr2_sched::{context as sched_context, FailureSignal, QueryClass, SessionCtx};
+use qr2_sched::{context as sched_context, QueryClass, SessionCtx};
 use qr2_webdb::Tuple;
 
 use crate::dto::StatsResponse;
@@ -135,9 +135,9 @@ pub(crate) enum StepError {
         spent: usize,
     },
     /// A probe failed terminally (the source stayed down past the
-    /// scheduler's outage patience). The step's tuples were assembled
-    /// around the failed probe and are discarded; the session stays live
-    /// and resumes once the source recovers.
+    /// scheduler's outage patience). The tuples the step had produced
+    /// stay with the session and are served first by its next step, which
+    /// resumes at the failed region once the source recovers.
     Outage {
         /// Queries the failed step spent before the failure.
         queries: usize,
@@ -183,18 +183,16 @@ impl SessionEntry {
                     }
                 };
                 let ctx = SessionCtx::new(handle.sched_key, handle.class)
-                    .with_cancel(handle.cancel.clone())
-                    .with_failure(handle.failure.clone());
+                    .with_cancel(handle.cancel.clone());
                 let outcome = sched_context::with_session(ctx, || {
                     session.advance(Budget {
                         queries,
                         tuples: Some(tuples),
                     })
                 });
-                if handle.failure.is_tripped() {
-                    handle.failure.clear();
+                if let StepOutcome::Failed { stats, .. } = outcome {
                     return Err(StepError::Outage {
-                        queries: outcome.stats_delta().total_queries(),
+                        queries: stats.total_queries(),
                     });
                 }
                 outcome
@@ -269,12 +267,6 @@ pub struct SessionHandle {
     /// Scheduler identity of this session (fair-share accounting and
     /// `DELETE`-time queue draining).
     pub(crate) sched_key: u64,
-    /// Tripped by the scheduler when a probe of this session fails
-    /// terminally (source down past the parking patience); the step
-    /// reads and clears it, turning the otherwise-empty page into a
-    /// structured `503` or a `failed`/`partial` stream summary, and the
-    /// session resumes cleanly once the source recovers.
-    pub(crate) failure: FailureSignal,
     created: Instant,
     last_access: Mutex<Instant>,
     entry: Mutex<SessionEntry>,
@@ -303,7 +295,6 @@ impl SessionHandle {
             cancel,
             class,
             sched_key: sched_context::next_session_key(),
-            failure: FailureSignal::new(),
             created: now,
             last_access: Mutex::new(now),
             entry: Mutex::new(SessionEntry { serving }),

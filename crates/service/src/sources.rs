@@ -537,11 +537,11 @@ mod tests {
             algorithm: qr2_core::Algorithm::OneDBinary,
         };
         let mut one = s.reranker.query(req.clone());
-        one.next_page(5);
+        one.next_page(5).unwrap();
         let ledger_after_first = s.db.ledger().total();
         assert!(ledger_after_first > 0);
         let mut two = s.reranker.query(req);
-        two.next_page(5);
+        two.next_page(5).unwrap();
         assert_eq!(
             s.db.ledger().total(),
             ledger_after_first,
@@ -574,7 +574,7 @@ mod tests {
                 function: qr2_core::OneDimFunction::desc(price).into(),
                 algorithm: qr2_core::Algorithm::OneDBinary,
             });
-            session.next_page(3);
+            session.next_page(3).unwrap();
         }
         // "Restart": a fresh registry over the same dir warm-starts.
         let reg =

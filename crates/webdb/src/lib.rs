@@ -66,9 +66,7 @@ pub use attr::{AttrId, AttrKind, Attribute};
 pub use fault::{FaultInjectingInterface, FaultScript, FaultStats, SearchError};
 pub use index::{Projection, QueryPlan, TableIndex};
 pub use interface::{page_or_empty, Answer, SearchOutcome, TopKInterface, TopKResponse};
-pub use metrics::{
-    ExecBreakdown, ExecPath, LatencyModel, QueryLedger, QueryLogEntry, RECENT_COPY_CAP,
-};
+pub use metrics::{ExecBreakdown, ExecPath, LatencyModel, QueryLedger};
 pub use predicate::{CatSet, Predicate, RangePred, SearchQuery};
 pub use ranking::SystemRanking;
 pub use resilient::{

@@ -6,26 +6,11 @@
 //! [`QueryLedger`] counts queries; the [`LatencyModel`] reproduces the
 //! wall-clock shape.
 //!
-//! The ledger is on the per-query hot path, so recording is allocation-
-//! light: structured queries are logged as a precomputed 64-bit
-//! [fingerprint](crate::SearchQuery::fingerprint) plus the (cheaply cloned)
-//! query itself, and the display string is rendered **on demand** when
-//! [`QueryLedger::recent`] is called — never per search.
+//! The ledger only counts: recording a query is one atomic increment of
+//! its execution path's counter, with no lock and no copy of the query.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-use parking_lot::Mutex;
-
-use crate::predicate::SearchQuery;
-
-/// Upper bound on how many entries one [`QueryLedger::recent`] call copies
-/// (and renders) out of the retained log. The retained log itself is bounded
-/// by the ledger's `log_capacity`; this caps the *copy* so a ledger
-/// configured with a large retention window still serves its debug panel in
-/// O([`RECENT_COPY_CAP`]) while holding the log lock.
-pub const RECENT_COPY_CAP: usize = 64;
 
 /// Which execution path served a recorded query (cost accounting for the
 /// simulator's engine — every path still costs the caller one query).
@@ -62,85 +47,18 @@ impl ExecBreakdown {
     }
 }
 
-/// One recorded query (for debugging and for the statistics panel),
-/// rendered for display by [`QueryLedger::recent`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryLogEntry {
-    /// Sequence number (1-based).
-    pub seq: u64,
-    /// Display form of the query.
-    pub query: String,
-    /// 64-bit structural fingerprint of the query.
-    pub fingerprint: u64,
-    /// Number of tuples returned.
-    pub returned: usize,
-    /// Whether the query overflowed (more matches than `system-k`).
-    pub overflow: bool,
-}
-
-/// Retained form of one query: either pre-rendered text (external
-/// recorders) or the structured query itself, rendered lazily.
-#[derive(Debug)]
-enum QueryRepr {
-    Text(String),
-    Query(SearchQuery),
-}
-
-impl QueryRepr {
-    fn render(&self) -> String {
-        match self {
-            QueryRepr::Text(s) => s.clone(),
-            QueryRepr::Query(q) => q.to_string(),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct LogSlot {
-    seq: u64,
-    fingerprint: u64,
-    repr: QueryRepr,
-    returned: usize,
-    overflow: bool,
-}
-
 /// Thread-safe ledger of queries issued against one web database.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct QueryLedger {
-    total: AtomicU64,
     indexed: AtomicU64,
     scanned: AtomicU64,
     shortcut: AtomicU64,
     external: AtomicU64,
-    log_capacity: usize,
-    log: Mutex<VecDeque<LogSlot>>,
-}
-
-/// FNV-1a over raw bytes (fingerprints for text-recorded queries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl QueryLedger {
-    /// New ledger keeping the most recent `log_capacity` query descriptions.
-    pub fn new(log_capacity: usize) -> Self {
-        QueryLedger {
-            total: AtomicU64::new(0),
-            indexed: AtomicU64::new(0),
-            scanned: AtomicU64::new(0),
-            shortcut: AtomicU64::new(0),
-            external: AtomicU64::new(0),
-            log_capacity,
-            log: Mutex::new(VecDeque::with_capacity(log_capacity.min(1024))),
-        }
-    }
-
-    fn bump(&self, path: ExecPath) -> u64 {
+    /// Record one executed query on `path`.
+    pub fn record_executed(&self, path: ExecPath) {
         match path {
             ExecPath::Indexed => &self.indexed,
             ExecPath::Scanned => &self.scanned,
@@ -148,76 +66,11 @@ impl QueryLedger {
             ExecPath::External => &self.external,
         }
         .fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn push_slot(
-        &self,
-        seq: u64,
-        fingerprint: u64,
-        repr: QueryRepr,
-        returned: usize,
-        overflow: bool,
-    ) {
-        let mut log = self.log.lock();
-        if log.len() == self.log_capacity {
-            log.pop_front();
-        }
-        log.push_back(LogSlot {
-            seq,
-            fingerprint,
-            repr,
-            returned,
-            overflow,
-        });
-    }
-
-    /// Record one query from pre-rendered text (external executors — e.g.
-    /// a remote gateway that already has the wire form); returns its
-    /// sequence number. Counts toward [`ExecPath::External`].
-    pub fn record(&self, query: &str, returned: usize, overflow: bool) -> u64 {
-        let seq = self.bump(ExecPath::External);
-        if self.log_capacity > 0 {
-            self.push_slot(
-                seq,
-                fnv1a(query.as_bytes()),
-                QueryRepr::Text(query.to_string()),
-                returned,
-                overflow,
-            );
-        }
-        seq
-    }
-
-    /// Record one locally executed query; returns its sequence number.
-    ///
-    /// The query is logged by fingerprint + structure — no string is
-    /// rendered here. Display rendering happens lazily in
-    /// [`QueryLedger::recent`].
-    pub fn record_executed(
-        &self,
-        q: &SearchQuery,
-        fingerprint: u64,
-        path: ExecPath,
-        returned: usize,
-        overflow: bool,
-    ) -> u64 {
-        let seq = self.bump(path);
-        if self.log_capacity > 0 {
-            self.push_slot(
-                seq,
-                fingerprint,
-                QueryRepr::Query(q.clone()),
-                returned,
-                overflow,
-            );
-        }
-        seq
     }
 
     /// Total number of queries recorded so far.
     pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
+        self.exec_breakdown().total()
     }
 
     /// Per-execution-path query counts.
@@ -228,47 +81,6 @@ impl QueryLedger {
             shortcut: self.shortcut.load(Ordering::Relaxed),
             external: self.external.load(Ordering::Relaxed),
         }
-    }
-
-    /// The newest retained query log entries (most recent last), rendered
-    /// for display. The copy is bounded by [`RECENT_COPY_CAP`] regardless
-    /// of the ledger's retention capacity; use
-    /// [`recent_n`](QueryLedger::recent_n) for an explicit bound.
-    pub fn recent(&self) -> Vec<QueryLogEntry> {
-        self.recent_n(RECENT_COPY_CAP)
-    }
-
-    /// The newest `limit` retained entries (most recent last). At most
-    /// `limit` entries are cloned and rendered while the log lock is held.
-    pub fn recent_n(&self, limit: usize) -> Vec<QueryLogEntry> {
-        let log = self.log.lock();
-        let skip = log.len().saturating_sub(limit);
-        log.iter()
-            .skip(skip)
-            .map(|slot| QueryLogEntry {
-                seq: slot.seq,
-                query: slot.repr.render(),
-                fingerprint: slot.fingerprint,
-                returned: slot.returned,
-                overflow: slot.overflow,
-            })
-            .collect()
-    }
-
-    /// Reset the counters and log. Experiments call this between runs.
-    pub fn reset(&self) {
-        self.total.store(0, Ordering::Relaxed);
-        self.indexed.store(0, Ordering::Relaxed);
-        self.scanned.store(0, Ordering::Relaxed);
-        self.shortcut.store(0, Ordering::Relaxed);
-        self.external.store(0, Ordering::Relaxed);
-        self.log.lock().clear();
-    }
-}
-
-impl Default for QueryLedger {
-    fn default() -> Self {
-        QueryLedger::new(0)
     }
 }
 
@@ -323,91 +135,29 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::AttrId;
-    use crate::predicate::RangePred;
 
     #[test]
-    fn ledger_counts_and_logs() {
-        let l = QueryLedger::new(2);
-        l.record("q1", 3, false);
-        l.record("q2", 5, true);
-        l.record("q3", 0, false);
+    fn ledger_counts_per_path() {
+        let l = QueryLedger::default();
+        l.record_executed(ExecPath::Indexed);
+        l.record_executed(ExecPath::Scanned);
+        l.record_executed(ExecPath::External);
         assert_eq!(l.total(), 3);
-        let recent = l.recent();
-        assert_eq!(recent.len(), 2, "log capacity bounds retention");
-        assert_eq!(recent[0].query, "q2");
-        assert_eq!(recent[1].query, "q3");
-        assert_eq!(recent[1].seq, 3);
-        assert_eq!(l.exec_breakdown().external, 3);
-    }
-
-    #[test]
-    fn ledger_records_structured_queries_lazily() {
-        let l = QueryLedger::new(4);
-        let q = SearchQuery::all().and_range(AttrId(0), RangePred::half_open(0.0, 1.0));
-        let fp = q.fingerprint();
-        l.record_executed(&q, fp, ExecPath::Indexed, 2, false);
-        l.record_executed(
-            &SearchQuery::all(),
-            SearchQuery::all().fingerprint(),
-            ExecPath::Scanned,
-            7,
-            true,
-        );
-        let recent = l.recent();
-        assert_eq!(recent[0].query, "A0 in [0, 1)", "rendered on demand");
-        assert_eq!(recent[0].fingerprint, fp);
-        assert_eq!(recent[1].query, "TRUE");
         let b = l.exec_breakdown();
-        assert_eq!((b.indexed, b.scanned), (1, 1));
+        assert_eq!((b.indexed, b.scanned, b.shortcut, b.external), (1, 1, 0, 1));
         assert_eq!(b.total(), l.total());
-    }
-
-    #[test]
-    fn recent_copy_is_capped() {
-        let l = QueryLedger::new(RECENT_COPY_CAP * 2);
-        for i in 0..RECENT_COPY_CAP * 2 {
-            l.record(&format!("q{i}"), 0, false);
-        }
-        let recent = l.recent();
-        assert_eq!(
-            recent.len(),
-            RECENT_COPY_CAP,
-            "copy bounded even when retention is larger"
-        );
-        assert_eq!(recent.last().unwrap().seq, (RECENT_COPY_CAP * 2) as u64);
-        assert_eq!(l.recent_n(3).len(), 3);
-        assert_eq!(l.recent_n(0).len(), 0);
-    }
-
-    #[test]
-    fn ledger_reset() {
-        let l = QueryLedger::new(4);
-        l.record("q", 1, false);
-        l.reset();
-        assert_eq!(l.total(), 0);
-        assert!(l.recent().is_empty());
-        assert_eq!(l.exec_breakdown(), ExecBreakdown::default());
-    }
-
-    #[test]
-    fn ledger_zero_capacity_skips_log() {
-        let l = QueryLedger::new(0);
-        l.record("q", 1, false);
-        assert_eq!(l.total(), 1);
-        assert!(l.recent().is_empty());
     }
 
     #[test]
     fn ledger_concurrent_counting() {
         use std::sync::Arc;
-        let l = Arc::new(QueryLedger::new(8));
+        let l = Arc::new(QueryLedger::default());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let l = Arc::clone(&l);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    l.record("q", 0, false);
+                    l.record_executed(ExecPath::External);
                 }
             }));
         }

@@ -470,49 +470,6 @@ impl SearchQuery {
     pub fn matches_with(&self, mut get: impl FnMut(AttrId) -> Value) -> bool {
         self.preds.iter().all(|(id, p)| p.matches(get(*id)))
     }
-
-    /// A 64-bit structural fingerprint of the query.
-    ///
-    /// Stable for the process lifetime and collision-resistant enough for
-    /// accounting: the query ledger records it instead of rendering the
-    /// query to a string on every search (formatting floats dominates the
-    /// ledger cost at high query rates). Equal queries always fingerprint
-    /// equal; distinct queries collide with ~2⁻⁶⁴ probability. **Not** a
-    /// canonical cache key — `qr2-cache` keys answers by canonical form,
-    /// which erases semantically irrelevant differences this fingerprint
-    /// preserves.
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over a stable per-predicate encoding.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.preds.len() as u64);
-        for (id, p) in &self.preds {
-            mix(id.0 as u64);
-            match p {
-                Predicate::Range(r) => {
-                    mix(0x52); // 'R'
-                    mix(r.lo.to_bits());
-                    mix(r.hi.to_bits());
-                    mix((r.lo_inc as u64) << 1 | r.hi_inc as u64);
-                }
-                Predicate::Cats(s) => {
-                    mix(0x43); // 'C'
-                    mix(s.len() as u64);
-                    for c in s.codes() {
-                        mix(*c as u64);
-                    }
-                }
-            }
-        }
-        h
-    }
 }
 
 impl fmt::Display for SearchQuery {
@@ -771,24 +728,6 @@ mod tests {
         let q = SearchQuery::all().and_range(AttrId(0), RangePred::half_open(0.0, 1.0));
         assert_eq!(q.to_string(), "A0 in [0, 1)");
         assert_eq!(SearchQuery::all().to_string(), "TRUE");
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_structure() {
-        let a = AttrId(0);
-        let b = AttrId(1);
-        let base = SearchQuery::all().and_range(a, RangePred::closed(0.0, 1.0));
-        assert_eq!(base.fingerprint(), base.clone().fingerprint());
-        let variants = [
-            SearchQuery::all(),
-            SearchQuery::all().and_range(a, RangePred::half_open(0.0, 1.0)),
-            SearchQuery::all().and_range(a, RangePred::closed(0.0, 2.0)),
-            SearchQuery::all().and_range(b, RangePred::closed(0.0, 1.0)),
-            SearchQuery::all().and_cats(a, CatSet::new([0, 1])),
-        ];
-        for v in &variants {
-            assert_ne!(base.fingerprint(), v.fingerprint(), "{v}");
-        }
     }
 
     #[test]

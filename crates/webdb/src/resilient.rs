@@ -353,11 +353,6 @@ impl ResilientInterface {
         &self.shaped
     }
 
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Breaker admission check without executing anything — the
     /// scheduler uses this to park queues while the breaker is open
     /// instead of burning dispatch slots on probes that would fail fast.

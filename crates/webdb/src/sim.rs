@@ -64,7 +64,7 @@ impl SimulatedWebDb {
             index: OnceLock::new(),
             mode: ExecMode::Auto,
             system_k,
-            ledger: QueryLedger::new(64),
+            ledger: QueryLedger::default(),
             latency: None,
         }
     }
@@ -81,11 +81,6 @@ impl SimulatedWebDb {
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// The active execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Ground-truth table. **Oracle/test use only** — the reranking service
@@ -149,10 +144,8 @@ impl TopKInterface for SimulatedWebDb {
         if let Some(lat) = &self.latency {
             std::thread::sleep(lat.sample());
         }
-        let fingerprint = q.fingerprint();
         if q.is_trivially_empty() {
-            self.ledger
-                .record_executed(q, fingerprint, ExecPath::Shortcut, 0, false);
+            self.ledger.record_executed(ExecPath::Shortcut);
             return TopKResponse::empty();
         }
         // One planning pass decides the path AND resolves the driver, so
@@ -175,8 +168,7 @@ impl TopKInterface for SimulatedWebDb {
             .into_iter()
             .map(|row| self.table.tuple(row as usize))
             .collect();
-        self.ledger
-            .record_executed(q, fingerprint, path, tuples.len(), overflow);
+        self.ledger.record_executed(path);
         TopKResponse::new(tuples, overflow)
     }
 
@@ -262,10 +254,6 @@ mod tests {
             db.search(&SearchQuery::all());
         }
         assert_eq!(db.ledger().total(), 5);
-        let log = db.ledger().recent();
-        assert_eq!(log.len(), 5);
-        assert!(log[0].overflow);
-        assert_eq!(log[0].query, "TRUE", "rendered lazily for the panel");
     }
 
     #[test]

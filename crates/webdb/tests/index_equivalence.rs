@@ -130,14 +130,6 @@ fn indexed_search_is_byte_identical_to_scan() {
         // Execution mode must not change cost accounting.
         assert_eq!(scan.ledger().total(), index.ledger().total());
         assert_eq!(scan.ledger().total(), auto.ledger().total());
-        // And the recorded fingerprints agree query by query.
-        let a = scan.ledger().recent();
-        let b = index.ledger().recent();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.fingerprint, y.fingerprint);
-            assert_eq!((x.returned, x.overflow), (y.returned, y.overflow));
-        }
     }
 }
 

@@ -55,7 +55,7 @@ fn main() {
             function: f3.clone().into(),
             algorithm,
         });
-        let top = session.next_page(10);
+        let top = session.next_page(10).expect("the simulator never fails");
         let stats = session.stats();
         println!(
             "{:<12} {:>9} {:>8} {:>10} {:>9.1}%",
@@ -96,7 +96,7 @@ fn main() {
             function: f.into(),
             algorithm: Algorithm::MdRerank,
         });
-        session.next_page(5);
+        session.next_page(5).expect("the simulator never fails");
         println!("{:<36} {:>9}", label, session.stats().total_queries());
     }
 
@@ -113,7 +113,7 @@ fn main() {
     });
     let mut last_total = 0;
     for page in 1..=5 {
-        session.next_page(5);
+        session.next_page(5).expect("the simulator never fails");
         let total = session.stats().total_queries();
         println!(
             "page {page}: +{} queries (cumulative {total})",

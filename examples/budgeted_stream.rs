@@ -52,6 +52,11 @@ fn main() {
         );
         match step {
             StepOutcome::Done { .. } | StepOutcome::Cancelled { .. } => break,
+            // A failed probe loses nothing: the session keeps the tuples
+            // the step found and the region it failed on, so a later step
+            // resumes there. A scheduler would back off first; the
+            // simulated source never fails, so this never runs here.
+            StepOutcome::Failed { error, .. } => println!("         source failed: {error:?}"),
             // BudgetExhausted: a scheduler would requeue the session here
             // and advance someone else's; we just loop.
             _ => {}

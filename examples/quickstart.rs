@@ -44,7 +44,12 @@ fn main() {
     let price = schema.expect_id("price");
     let carat = schema.expect_id("carat");
     let depth = schema.expect_id("depth");
-    for (i, t) in session.next_page(10).iter().enumerate() {
+    for (i, t) in session
+        .next_page(10)
+        .expect("the simulator never fails")
+        .iter()
+        .enumerate()
+    {
         println!(
             "{:>4}  {:>10.0} {:>7.2} {:>7.1}",
             i + 1,

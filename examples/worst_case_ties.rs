@@ -51,7 +51,10 @@ fn main() {
             function: OneDimFunction::asc(lw).into(),
             algorithm: Algorithm::OneDRerank,
         });
-        let served = session.next_page(deep).len();
+        let served = session
+            .next_page(deep)
+            .expect("the simulator never fails")
+            .len();
         let stats = session.stats();
         println!(
             "{label}: served {served} tuples for {} queries",
@@ -94,7 +97,7 @@ fn main() {
             function: OneDimFunction::asc(lw).into(),
             algorithm: Algorithm::OneDBinary,
         });
-        session.next_page(deep);
+        session.next_page(deep).expect("the simulator never fails");
         binary_cost = session.stats().total_queries();
         println!(
             "1D-BINARY session {sess}: {binary_cost} queries (no index, full price every time)"

@@ -54,7 +54,7 @@ fn main() {
     let price = schema.expect_id("price");
     let sqft = schema.expect_id("sqft");
     let beds = schema.expect_id("beds");
-    for t in session.next_page(5) {
+    for t in session.next_page(5).expect("the simulator never fails") {
         println!(
             "  ${:>9.0}  {:>5.0} sqft  {:>2.0} beds",
             t.num_at(price),
@@ -77,7 +77,7 @@ fn main() {
         function: f.into(),
         algorithm: Algorithm::MdRerank,
     });
-    for t in session.next_page(5) {
+    for t in session.next_page(5).expect("the simulator never fails") {
         println!(
             "  ${:>9.0}  {:>5.0} sqft  {:>2.0} beds",
             t.num_at(price),
@@ -101,7 +101,7 @@ fn main() {
         function: f.into(),
         algorithm: Algorithm::MdRerank,
     });
-    session.next_page(5);
+    session.next_page(5).expect("the simulator never fails");
     let s = session.stats();
     println!(
         "  → {} queries, {:.2}s (positive correlation finishes quickly)",

@@ -75,7 +75,7 @@ fn run_pass(cached: &Arc<dyn TopKInterface>, raw: &SimulatedWebDb) -> (Vec<Vec<T
             function,
             algorithm,
         });
-        let page = session.next_page(DEPTH);
+        let page = session.next_page(DEPTH).expect("the simulator never fails");
         assert_eq!(page.len(), DEPTH, "{}", algorithm.paper_name());
         served.push(page.into_iter().map(|t| t.id).collect());
     }
@@ -156,7 +156,12 @@ fn session_stats_report_the_warm_pass_as_cache_hits() {
             function: OneDimFunction::desc(price).into(),
             algorithm: Algorithm::OneDBinary,
         });
-        let ids: Vec<TupleId> = session.next_page(DEPTH).into_iter().map(|t| t.id).collect();
+        let ids: Vec<TupleId> = session
+            .next_page(DEPTH)
+            .expect("the simulator never fails")
+            .into_iter()
+            .map(|t| t.id)
+            .collect();
         (ids, session.stats())
     };
 

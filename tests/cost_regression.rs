@@ -44,7 +44,7 @@ fn run_1d(
         function: function.into(),
         algorithm,
     });
-    session.next_page(depth);
+    session.next_page(depth).expect("the simulator never fails");
     session.stats().total_queries()
 }
 
@@ -123,7 +123,7 @@ fn md_rerank_stays_within_budget_for_3d_top10() {
         function: f.into(),
         algorithm: Algorithm::MdRerank,
     });
-    session.next_page(10);
+    session.next_page(10).expect("the simulator never fails");
     let q = session.stats().total_queries();
     assert!(
         q <= 150,
@@ -144,7 +144,7 @@ fn md_rerank_beats_md_baseline_under_opposition() {
             function: f.clone().into(),
             algorithm,
         });
-        session.next_page(10);
+        session.next_page(10).expect("the simulator never fails");
         session.stats().total_queries()
     };
     let baseline = cost(Algorithm::MdBaseline);
@@ -172,7 +172,9 @@ fn warm_index_at_most_two_thirds_of_cold_on_tie_workload() {
             function: OneDimFunction::asc(lw).into(),
             algorithm: Algorithm::OneDRerank,
         });
-        session.next_page(ties + 30);
+        session
+            .next_page(ties + 30)
+            .expect("the simulator never fails");
         session.stats().total_queries()
     };
     let cold = run();
@@ -217,7 +219,12 @@ fn budgeted_advance_is_cost_and_order_equivalent_to_unbudgeted() {
         };
 
         let mut reference = fresh();
-        let want: Vec<_> = reference.next_page(40).iter().map(|t| t.id).collect();
+        let want: Vec<_> = reference
+            .next_page(40)
+            .expect("the simulator never fails")
+            .iter()
+            .map(|t| t.id)
+            .collect();
         let want_cost = reference.stats().total_queries();
 
         let mut budgeted = fresh();
@@ -267,7 +274,7 @@ fn parallel_mode_trades_queries_for_rounds() {
             function: f.clone().into(),
             algorithm: Algorithm::MdRerank,
         });
-        session.next_page(10);
+        session.next_page(10).expect("the simulator never fails");
         let stats = session.stats();
         (stats.total_queries(), stats.num_rounds())
     };

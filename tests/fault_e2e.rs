@@ -66,6 +66,7 @@ fn chaos_sources(
     recon: Arc<ReconIndex>,
     resilience: ResilienceConfig,
     sched_cfg: SchedConfig,
+    executor: ExecutorKind,
 ) -> SourceRegistry {
     let mut reg = SourceRegistry::new();
     reg.register(
@@ -76,7 +77,7 @@ fn chaos_sources(
         )
         .sched_config(sched_cfg)
         .resilience(resilience)
-        .executor(ExecutorKind::Sequential)
+        .executor(executor)
         .recon(recon)
         .build(),
     );
@@ -89,7 +90,13 @@ fn chaos_registry(
     resilience: ResilienceConfig,
     sched_cfg: SchedConfig,
 ) -> Arc<SourceRegistry> {
-    Arc::new(chaos_sources(db, recon, resilience, sched_cfg))
+    Arc::new(chaos_sources(
+        db,
+        recon,
+        resilience,
+        sched_cfg,
+        ExecutorKind::Sequential,
+    ))
 }
 
 fn service_over(reg: &Arc<SourceRegistry>) -> QueryService {
@@ -435,6 +442,82 @@ fn ledger_counts_every_paid_retry() {
     assert_eq!(health.breaker, "closed");
 }
 
+/// A terminal two-attempt outage placed `offset` probes after page one,
+/// with no retries, no parking and a breaker that never opens: each
+/// failed page must be a `503 source_unavailable`, and the pages that
+/// succeed must be the healthy twin's, byte for byte — the failed probe's
+/// region stays pending and the failed page's tuples are kept.
+#[test]
+fn terminal_outage_mid_session_resumes_exactly() {
+    const PAGES: usize = 8;
+    let mut failed_pages = 0;
+    for executor in [
+        ExecutorKind::Sequential,
+        ExecutorKind::Parallel { fanout: 4 },
+    ] {
+        for algo in SEVEN {
+            let (twin, ledger_after_page_one) = {
+                let db = chaos_db(120, 10);
+                let reg = Arc::new(chaos_sources(
+                    Arc::clone(&db),
+                    Arc::new(ReconIndex::ephemeral()),
+                    ResilienceConfig::default(),
+                    SchedConfig::default(),
+                    executor,
+                ));
+                let svc = service_over(&reg);
+                let first = svc.create_query("chaos", &request_for(algo, 10)).unwrap();
+                let paid = db.ledger().total();
+                let mut pages = vec![rendered(&first)];
+                for _ in 1..PAGES {
+                    pages.push(rendered(&svc.next_page(&first.query_id, None).unwrap()));
+                }
+                (pages, paid)
+            };
+            for offset in 0..6 {
+                let case = format!("{algo} {executor:?} outage at +{offset}");
+                let start = ledger_after_page_one + offset;
+                let reg = Arc::new(chaos_sources(
+                    chaos_db(120, 10),
+                    Arc::new(ReconIndex::ephemeral()),
+                    ResilienceConfig {
+                        script: Some(FaultScript::healthy().with_outage(start, start + 2)),
+                        retry: RetryPolicy::none(),
+                        breaker: BreakerConfig::disabled(),
+                        degraded: DegradedPolicy::default(),
+                    },
+                    SchedConfig {
+                        max_outage_park: Duration::ZERO,
+                        ..SchedConfig::default()
+                    },
+                    executor,
+                ));
+                let svc = service_over(&reg);
+                let first = svc.create_query("chaos", &request_for(algo, 10)).unwrap();
+                let mut pages = vec![rendered(&first)];
+                let mut failures = 0;
+                while pages.len() < PAGES {
+                    match svc.next_page(&first.query_id, None) {
+                        Ok(page) => pages.push(rendered(&page)),
+                        Err(e) => {
+                            assert_eq!(e.status, Status::ServiceUnavailable, "{case}");
+                            assert_eq!(e.code, "source_unavailable", "{case}");
+                            failures += 1;
+                            assert!(
+                                failures <= 2,
+                                "{case}: two failed attempts, {failures} 503s"
+                            );
+                        }
+                    }
+                }
+                assert_eq!(pages, twin, "{case}: pages after the outage");
+                failed_pages += failures;
+            }
+        }
+    }
+    assert!(failed_pages > 0, "the outage never failed a page");
+}
+
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Json) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(
@@ -473,6 +556,7 @@ fn stream_hit_by_hard_outage_terminates_with_failed_summary_not_a_drop() {
             max_outage_park: Duration::from_millis(40),
             ..SchedConfig::default()
         },
+        ExecutorKind::Sequential,
     );
     let server = Qr2App::new(reg).serve("127.0.0.1:0", 2).unwrap();
     let addr = server.addr();
@@ -659,14 +743,12 @@ fn dense_index_never_stores_a_crawl_cut_short_by_the_source() {
     let ctx = SearchCtx::new(Arc::clone(&source.probe), ExecutorKind::Sequential);
     let dense = DenseIndex::in_memory();
     let all = SearchQuery::all();
-    let partial = dense.get_or_crawl(&ctx, &all);
-    assert!(partial.len() < 400, "the outage cut the crawl short");
-    if let Some(stored) = dense.lookup(&all) {
-        assert_eq!(
-            stored.len(),
-            400,
-            "a stored region must hold every tuple, not {} of 400",
-            stored.len()
-        );
-    }
+    let err = dense
+        .get_or_crawl(&ctx, &all)
+        .expect_err("the outage cuts the crawl short");
+    assert_eq!(err.kind(), "unavailable");
+    assert!(
+        dense.lookup(&all).is_none(),
+        "a crawl cut short must not be stored as the region"
+    );
 }

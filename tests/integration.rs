@@ -65,7 +65,9 @@ fn all_algorithms_agree_on_realistic_diamonds() {
                 function: f.clone().into(),
                 algorithm,
             })
-            .take(12)
+            .next_page(12)
+            .expect("the simulator never fails")
+            .iter()
             .map(|t| t.id)
             .collect();
         assert_eq!(
@@ -99,7 +101,9 @@ fn one_d_streams_agree_with_oracle_on_tied_attribute() {
                 function: OneDimFunction::asc(lw).into(),
                 algorithm,
             })
-            .take(50)
+            .next_page(50)
+            .expect("the simulator never fails")
+            .iter()
             .map(|t| t.id)
             .collect();
         assert_eq!(got, want[..50].to_vec(), "{}", algorithm.paper_name());
@@ -156,6 +160,7 @@ fn tie_session(source: &Source, depth: usize) -> Vec<Tuple> {
             algorithm: Algorithm::OneDRerank,
         })
         .next_page(depth)
+        .expect("the simulator never fails")
 }
 
 #[test]
@@ -283,7 +288,7 @@ fn concurrent_sessions_share_one_reranker() {
                 function: qr2::core::OneDimFunction { attr: price, dir }.into(),
                 algorithm: Algorithm::OneDRerank,
             });
-            let page = session.next_page(8);
+            let page = session.next_page(8).expect("the simulator never fails");
             assert_eq!(page.len(), 8);
             // Each page is sorted in the requested direction.
             for w in page.windows(2) {

@@ -108,7 +108,9 @@ fn reranking_service_over_a_remote_web_database() {
                 function: f.into(),
                 algorithm: Algorithm::MdRerank,
             })
-            .take(5)
+            .next_page(5)
+            .expect("the simulator never fails")
+            .iter()
             .map(|t| t.id.0 as usize)
             .collect()
     };
@@ -213,4 +215,53 @@ fn stopped_gateway_failures_reach_resilience_and_cost_nothing() {
         "a failed round trip is not a paid query"
     );
     assert_eq!(source.cache.len(), 0, "no failure is cached");
+}
+
+/// A site that answers `200` with a body that is not a whole page was
+/// paid for, but its page must not be trusted: the probe is a `Malformed`
+/// error recorded on the ledger, and no cache remembers it.
+#[test]
+fn malformed_search_bodies_are_paid_errors_not_pages() {
+    use qr2::cache::{AnswerCache, CacheConfig, CachedInterface};
+    use qr2::http::{HttpServer, Method, Response, Router};
+    use qr2::webdb::{SearchError, SearchQuery};
+
+    let tuple = r#"{"id":1,"values":[{"n":2.5}]}"#;
+    for (what, body) in [
+        ("missing tuples", r#"{"overflow":false}"#.to_string()),
+        ("missing overflow", format!(r#"{{"tuples":[{tuple}]}}"#)),
+        (
+            "undecodable tuple",
+            format!(r#"{{"tuples":[{tuple},{{"id":2}}],"overflow":true}}"#),
+        ),
+    ] {
+        let page = parse_json(&body).unwrap();
+        let router = Router::new()
+            .route(Method::Get, "/dbapi/meta", |_, _| {
+                Response::ok_json(
+                    &parse_json(
+                        r#"{"schema":[{"name":"x","kind":"numeric","min":0,"max":10}],
+                            "system_k":5}"#,
+                    )
+                    .unwrap(),
+                )
+            })
+            .route(Method::Post, "/dbapi/search", move |_, _| {
+                Response::ok_json(&page)
+            });
+        let site = HttpServer::start("127.0.0.1:0", router, 1).unwrap();
+        let remote: Arc<dyn TopKInterface> =
+            Arc::new(RemoteWebDb::connect(site.addr()).expect("connect"));
+        let cache = Arc::new(AnswerCache::new(CacheConfig::default()));
+        let cached = CachedInterface::new(Arc::clone(&remote), Arc::clone(&cache));
+
+        let err = cached.probe(&SearchQuery::all()).unwrap_err();
+        assert!(
+            matches!(err, SearchError::Malformed { .. }),
+            "{what}: {err:?}"
+        );
+        assert_eq!(remote.ledger().total(), 1, "{what}: the query was paid");
+        assert_eq!(cache.len(), 0, "{what}: a malformed page is not cached");
+        site.stop();
+    }
 }
