@@ -334,7 +334,7 @@ pub fn e4(scale: Scale) -> Table {
 }
 
 /// **A1** — dense-region threshold δ sweep for 1D-RERANK on a clustered
-/// workload (DESIGN.md §5.1).
+/// workload (docs/PERF.md, "The 1D bisection stack").
 pub fn ablation_dense_delta(scale: Scale, depth: usize) -> Table {
     let db = clustered(scale);
     let x0 = db.schema().expect_id("x0");

@@ -18,11 +18,13 @@
 //!    session surfaces a structured failure instead. The runner checks
 //!    that the unprotected run really drops its streams — the contrast that makes
 //!    phase 1 meaningful.
-//! 3. **Steady-state overhead.** On a healthy source, interleaved
-//!    best-of-rounds probe batches through the resilient stack (default
-//!    retry policy + breaker) vs the bare traffic-shaped stack. The
-//!    runner bounds the ratio at 1.05: protection may cost at most 5% on
-//!    the healthy path.
+//! 3. **Steady-state overhead.** On a healthy source, interleaved rounds
+//!    of probe batches through the resilient stack (default retry policy
+//!    and breaker) vs the bare traffic-shaped stack. The runner bounds
+//!    the median of the per-round ratios at 1.05: protection may cost at
+//!    most 5% on the healthy path. A round's two batches run back to
+//!    back, so a burst of load on a shared machine slows both; the median
+//!    drops the rounds where it hit only one.
 //!
 //! Wall-clock fields and the breaker's open count are `measured`; every
 //! per-stream outcome is `deterministic` and drift-checked.
@@ -43,7 +45,7 @@ use qr2_webdb::{
     SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
 };
 
-use crate::report::{round, Contract, Report};
+use crate::report::{median, round, Contract, Report};
 
 /// Rows in the outage-phase database.
 const ROWS: usize = 120;
@@ -70,7 +72,7 @@ const ALGORITHMS: [&str; 7] = [
 /// Knobs for the steady-state phase.
 #[derive(Debug, Clone)]
 pub struct FaultSmokeConfig {
-    /// Interleaved measurement rounds per side (fastest round kept).
+    /// Interleaved measurement rounds (one batch per side each).
     pub rounds: usize,
 }
 
@@ -289,21 +291,25 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> Report {
     let probe = SearchQuery::all();
     let mut baseline_us = f64::INFINITY;
     let mut resilient_us = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(cfg.rounds.max(1));
     for _ in 0..cfg.rounds.max(1) {
         let start = Instant::now();
         for _ in 0..OVERHEAD_PROBES {
             let _ = bare.search(&probe);
         }
-        baseline_us = baseline_us.min(start.elapsed().as_secs_f64() * 1e6);
+        let bare_us = start.elapsed().as_secs_f64() * 1e6;
         let start = Instant::now();
         for _ in 0..OVERHEAD_PROBES {
             resilient.probe(&probe).expect("healthy probe succeeds");
         }
-        resilient_us = resilient_us.min(start.elapsed().as_secs_f64() * 1e6);
+        let protected_us = start.elapsed().as_secs_f64() * 1e6;
+        baseline_us = baseline_us.min(bare_us);
+        resilient_us = resilient_us.min(protected_us);
+        ratios.push(protected_us / bare_us);
     }
 
     let covered = ALGORITHMS.len();
-    let overhead = round(resilient_us / baseline_us, 4);
+    let overhead = round(median(&mut ratios), 4);
     Report {
         bench: "pr10_fault_smoke".into(),
         workload: format!("two_attr_{ROWS}rows_total_outage_k{SYSTEM_K}"),
@@ -387,8 +393,8 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> Report {
                 "steady_state_overhead",
                 overhead <= 1.05,
                 format!(
-                    "the resilient stack costs {overhead}x on a healthy source; the \
-                     steady-state ceiling is 1.05 (5% overhead)"
+                    "the resilient stack costs {overhead}x on a healthy source (median \
+                     per-round ratio); the steady-state ceiling is 1.05 (5% overhead)"
                 ),
             ),
         ],

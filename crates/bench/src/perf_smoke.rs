@@ -16,7 +16,7 @@ use qr2_datagen::{mixed_db, MixedConfig};
 use qr2_http::Json;
 use qr2_webdb::{CatSet, ExecMode, RangePred, SearchQuery, SimulatedWebDb, TopKInterface};
 
-use crate::report::{round, Contract, Report};
+use crate::report::{median, round, Contract, Report};
 
 /// Sizing knobs for [`run_perf_smoke`].
 #[derive(Debug, Clone, Copy)]
@@ -100,14 +100,6 @@ fn query_classes(db: &SimulatedWebDb, per_class: usize) -> Vec<(&'static str, Ve
             }),
         ),
     ]
-}
-
-fn median_us(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2]
 }
 
 /// Run the scan-vs-index measurement. Deterministic in everything but
@@ -206,7 +198,7 @@ pub fn run_perf_smoke(cfg: &PerfSmokeConfig) -> Report {
 /// Scan and index median latencies (µs) and the median speedup of one
 /// query class (`None`: over every query).
 fn medians(class: Option<&str>, scan_us: &mut [f64], index_us: &mut [f64]) -> Json {
-    let (scan, index) = (median_us(scan_us), median_us(index_us));
+    let (scan, index) = (median(scan_us), median(index_us));
     let mut fields = vec![
         ("scan_median_us", round(scan, 1).into()),
         ("index_median_us", round(index, 1).into()),

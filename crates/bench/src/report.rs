@@ -141,6 +141,13 @@ pub fn round(x: f64, places: i32) -> f64 {
     (x * scale).round() / scale
 }
 
+/// The median of `samples` (the upper one of an even count; 0 when empty).
+/// Sorts `samples` in place.
+pub(crate) fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples.get(samples.len() / 2).copied().unwrap_or(0.0)
+}
+
 /// One named pass/fail check of a smoke report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Contract {

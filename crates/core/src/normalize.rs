@@ -6,7 +6,7 @@
 //! attribute through 1D probes against the live interface (§II-B).
 
 use parking_lot::RwLock;
-use qr2_webdb::{AttrId, AttrKind, RangePred, Schema, SearchQuery, TopKInterface};
+use qr2_webdb::{AttrId, AttrKind, RangePred, Schema, SearchError, SearchQuery, TopKInterface};
 use std::collections::HashMap;
 
 use crate::function::SortDir;
@@ -93,12 +93,14 @@ impl Normalizer {
 /// `attr` over the whole database with a binary probe sequence — the
 /// paper's "simply doable using the 1D-RERANK algorithm".
 ///
-/// Returns the discovered extremum and the number of queries spent.
+/// Returns the discovered extremum and the number of queries spent, or the
+/// error of the first failed probe: a failure must not read as an empty
+/// half, or the bisection would move past the true extremum.
 pub fn discover_extremum<D: TopKInterface + ?Sized>(
     db: &D,
     attr: AttrId,
     dir: SortDir,
-) -> (f64, usize) {
+) -> Result<(f64, usize), SearchError> {
     let schema = db.schema();
     let (dmin, dmax) = schema.attr(attr).numeric_domain();
     let mut queries = 0usize;
@@ -115,7 +117,7 @@ pub fn discover_extremum<D: TopKInterface + ?Sized>(
             SortDir::Asc => RangePred::half_open(lo, mid),
             SortDir::Desc => RangePred::open_closed(mid, hi),
         };
-        let resp = db.search(&SearchQuery::all().and_range(attr, probe));
+        let resp = db.probe(&SearchQuery::all().and_range(attr, probe))?.resp;
         queries += 1;
         if resp.tuples.is_empty() && !resp.overflow {
             // Preferred half empty: move to the other half.
@@ -150,7 +152,7 @@ pub fn discover_extremum<D: TopKInterface + ?Sized>(
                     Some(b) => Some(if dir.better(v, b) { v } else { b }),
                 })
                 .expect("non-empty response");
-            return (best, queries);
+            return Ok((best, queries));
         }
         // Overflow: keep narrowing toward the preferred end.
         match dir {
@@ -160,34 +162,44 @@ pub fn discover_extremum<D: TopKInterface + ?Sized>(
     }
     // Width exhausted (dense cluster at the extremum): the observed best is
     // the extremum up to f64 resolution.
-    (
+    Ok((
         fallback.unwrap_or(match dir {
             SortDir::Asc => dmin,
             SortDir::Desc => dmax,
         }),
         queries,
-    )
+    ))
 }
 
 /// Discover and install extrema for every attribute of a ranking function.
-/// Returns total queries spent.
-pub fn calibrate<D: TopKInterface + ?Sized>(db: &D, norm: &Normalizer, attrs: &[AttrId]) -> usize {
+/// Returns total queries spent, or the first failed probe's error; the
+/// attributes calibrated before it keep their installed extrema.
+pub fn calibrate<D: TopKInterface + ?Sized>(
+    db: &D,
+    norm: &Normalizer,
+    attrs: &[AttrId],
+) -> Result<usize, SearchError> {
     let mut total = 0;
     for &attr in attrs {
-        let (min, q1) = discover_extremum(db, attr, SortDir::Asc);
-        let (max, q2) = discover_extremum(db, attr, SortDir::Desc);
+        let (min, q1) = discover_extremum(db, attr, SortDir::Asc)?;
+        let (max, q2) = discover_extremum(db, attr, SortDir::Desc)?;
         total += q1 + q2;
         if min <= max {
             norm.set(attr, AttrStats { min, max });
         }
     }
-    total
+    Ok(total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr2_webdb::{SimulatedWebDb, SystemRanking, TableBuilder};
+    use qr2_webdb::{
+        page_or_empty, Answer, QueryLedger, SimulatedWebDb, SystemRanking, TableBuilder,
+        TopKResponse,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn db(values: &[f64], system_k: usize) -> SimulatedWebDb {
         let schema = Schema::builder().numeric("x", 0.0, 1000.0).build();
@@ -246,9 +258,9 @@ mod tests {
     fn discovers_min_and_max() {
         let d = db(&[17.0, 100.0, 450.0, 451.0, 999.0], 2);
         let x = d.schema().expect_id("x");
-        let (min, _) = discover_extremum(&d, x, SortDir::Asc);
+        let (min, _) = discover_extremum(&d, x, SortDir::Asc).unwrap();
         assert_eq!(min, 17.0);
-        let (max, _) = discover_extremum(&d, x, SortDir::Desc);
+        let (max, _) = discover_extremum(&d, x, SortDir::Desc).unwrap();
         assert_eq!(max, 999.0);
     }
 
@@ -256,15 +268,15 @@ mod tests {
     fn discovery_on_singleton_database() {
         let d = db(&[123.0], 5);
         let x = d.schema().expect_id("x");
-        assert_eq!(discover_extremum(&d, x, SortDir::Asc).0, 123.0);
-        assert_eq!(discover_extremum(&d, x, SortDir::Desc).0, 123.0);
+        assert_eq!(discover_extremum(&d, x, SortDir::Asc).unwrap().0, 123.0);
+        assert_eq!(discover_extremum(&d, x, SortDir::Desc).unwrap().0, 123.0);
     }
 
     #[test]
     fn discovery_with_duplicates_at_extremum() {
         let d = db(&[5.0, 5.0, 5.0, 5.0, 800.0], 2);
         let x = d.schema().expect_id("x");
-        assert_eq!(discover_extremum(&d, x, SortDir::Asc).0, 5.0);
+        assert_eq!(discover_extremum(&d, x, SortDir::Asc).unwrap().0, 5.0);
     }
 
     #[test]
@@ -272,12 +284,71 @@ mod tests {
         let values: Vec<f64> = (0..500).map(|i| i as f64 * 2.0).collect();
         let d = db(&values, 10);
         let x = d.schema().expect_id("x");
-        let (min, queries) = discover_extremum(&d, x, SortDir::Asc);
+        let (min, queries) = discover_extremum(&d, x, SortDir::Asc).unwrap();
         assert_eq!(min, 0.0);
         assert!(
             queries <= 64,
             "binary probing should need ~log queries, used {queries}"
         );
+    }
+
+    /// A source whose probe number `fail_at` fails; `search` reads a
+    /// failure as an empty page, as the fallible decorators do.
+    struct FailsAt {
+        inner: SimulatedWebDb,
+        fail_at: usize,
+        probes: AtomicUsize,
+    }
+
+    impl TopKInterface for FailsAt {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> TopKResponse {
+            page_or_empty(self.probe(q))
+        }
+        fn ledger(&self) -> &QueryLedger {
+            self.inner.ledger()
+        }
+        fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+            if self.probes.fetch_add(1, Ordering::SeqCst) == self.fail_at {
+                return Err(SearchError::Unavailable {
+                    retry_after: Duration::ZERO,
+                });
+            }
+            Ok(Answer::paid(self.inner.search(q)))
+        }
+    }
+
+    #[test]
+    fn a_failed_probe_fails_calibration_and_installs_nothing() {
+        let values = [17.0, 100.0, 450.0, 451.0, 999.0];
+        let healthy = db(&values, 2);
+        let x = healthy.schema().expect_id("x");
+        let spent = calibrate(&healthy, &Normalizer::from_domains(healthy.schema()), &[x]).unwrap();
+        for fail_at in 0..spent {
+            let d = FailsAt {
+                inner: db(&values, 2),
+                fail_at,
+                probes: AtomicUsize::new(0),
+            };
+            let n = Normalizer::from_domains(d.schema());
+            let got = calibrate(&d, &n, &[x]);
+            assert!(
+                matches!(got, Err(SearchError::Unavailable { .. })),
+                "probe {fail_at} of {spent} fails calibration, got {got:?}"
+            );
+            assert_eq!(
+                n.stats(x),
+                AttrStats {
+                    min: 0.0,
+                    max: 1000.0
+                }
+            );
+        }
     }
 
     #[test]
@@ -286,7 +357,7 @@ mod tests {
         let schema = d.schema().clone();
         let n = Normalizer::from_domains(&schema);
         let x = schema.expect_id("x");
-        let spent = calibrate(&d, &n, &[x]);
+        let spent = calibrate(&d, &n, &[x]).unwrap();
         assert!(spent > 0);
         let s = n.stats(x);
         assert_eq!((s.min, s.max), (10.0, 90.0));

@@ -12,10 +12,10 @@
 //! Bisection state is session state too: the stream keeps the chunk
 //! finder's stack between refills, so each later chunk of `Binary`/`Rerank`
 //! resumes from the unprobed siblings the previous chunk left instead of
-//! re-bisecting the whole remainder. The one exception is a dense chunk
-//! (an enumerated tie or cluster): its siblings are slivers of the dense
-//! neighbourhood, so the stack is cleared and the next refill restarts from
-//! the remainder.
+//! re-bisecting the whole remainder, after a dense chunk (an enumerated tie
+//! or cluster) too. A page that proves a tie splits its interval three ways
+//! at the tied value, so the siblings of a tie are ordinary intervals, not
+//! slivers of its neighbourhood.
 //!
 //! * [`OneDAlgo::Baseline`] — narrow `[lo, best)` with the best returned
 //!   value as the new bound; fast when the hidden ranking agrees with the
@@ -46,12 +46,15 @@ pub enum OneDAlgo {
 /// than this fraction of the attribute's domain that still overflows is
 /// declared dense and crawled into the index.
 ///
-/// The default is deliberately near-point (2⁻²⁶ of the domain): eager
-/// crawling is reserved for genuine value-mass regions — exact ties and
-/// quantization atoms — where the interface *cannot* make progress by
-/// splitting. Wider thresholds trade first-session cost for warm-session
-/// savings on clustered data; the `ablation_dense_delta` bench sweeps this
-/// knob (DESIGN.md §5.1). On heavy-tailed attributes (prices), a wide δ
-/// misfires: the bulk of the inventory sits in a narrow band near the
-/// cheap end and would be crawled wholesale on first contact.
+/// δ covers clusters: more than system-k distinct values packed into a
+/// sliver of the domain. Exact ties do not wait for it: a page that proves
+/// a tie splits the point off at its value, and a point that overflows is
+/// enumerated whatever δ is. The default is deliberately near-point (2⁻²⁶
+/// of the domain), so eager crawling is reserved for value-mass regions
+/// where splitting cannot make progress. Wider thresholds trade
+/// first-session cost for warm-session savings on clustered data;
+/// experiment A1 sweeps this knob (docs/PERF.md, "The 1D bisection
+/// stack"). On heavy-tailed attributes (prices), a wide δ misfires: the
+/// bulk of the inventory sits in a narrow band near the cheap end and
+/// would be crawled wholesale on first contact.
 pub const DEFAULT_DENSE_DELTA_1D: f64 = 1.0 / (1u64 << 26) as f64;

@@ -156,7 +156,7 @@ impl OneDimStream {
 }
 
 /// The part of `interval` not covered by the completed prefix.
-fn remainder(interval: RangePred, complete: RangePred, dir: SortDir) -> RangePred {
+pub(super) fn remainder(interval: RangePred, complete: RangePred, dir: SortDir) -> RangePred {
     match dir {
         SortDir::Asc => RangePred {
             lo: complete.hi,

@@ -71,7 +71,8 @@ pub struct RerankerBuilder {
     db: Arc<dyn TopKInterface>,
     dense: Option<Arc<DenseIndex>>,
     executor: ExecutorKind,
-    calibrate_attrs: Vec<qr2_webdb::AttrId>,
+    norm: Normalizer,
+    calibration_queries: usize,
 }
 
 impl RerankerBuilder {
@@ -90,30 +91,25 @@ impl RerankerBuilder {
         self
     }
 
-    /// Discover true min/max for these attributes at build time (costs
-    /// queries once; improves normalization fidelity). Without this the
-    /// normalizer uses the public form domains.
-    #[must_use]
-    pub fn calibrate(mut self, attrs: &[qr2_webdb::AttrId]) -> Self {
-        self.calibrate_attrs.extend_from_slice(attrs);
-        self
+    /// Discover true min/max for these attributes now (costs queries
+    /// once; improves normalization fidelity), or fail with the first
+    /// failed probe's error. Without this the normalizer uses the public
+    /// form domains.
+    pub fn calibrate(mut self, attrs: &[qr2_webdb::AttrId]) -> Result<Self, SearchError> {
+        self.calibration_queries += calibrate(&*self.db, &self.norm, attrs)?;
+        Ok(self)
     }
 
     /// Build the reranker.
     pub fn build(self) -> Reranker {
-        let norm = Arc::new(Normalizer::from_domains(self.db.schema()));
-        let mut calibration_queries = 0;
-        if !self.calibrate_attrs.is_empty() {
-            calibration_queries = calibrate(&*self.db, &norm, &self.calibrate_attrs);
-        }
         Reranker {
             db: self.db,
             dense: self
                 .dense
                 .unwrap_or_else(|| Arc::new(DenseIndex::in_memory())),
-            norm,
+            norm: Arc::new(self.norm),
             executor: self.executor,
-            calibration_queries,
+            calibration_queries: self.calibration_queries,
         }
     }
 }
@@ -133,10 +129,11 @@ impl Reranker {
     /// Start building a reranker over `db`.
     pub fn builder(db: Arc<dyn TopKInterface>) -> RerankerBuilder {
         RerankerBuilder {
+            norm: Normalizer::from_domains(db.schema()),
             db,
             dense: None,
             executor: ExecutorKind::Parallel { fanout: 8 },
-            calibrate_attrs: Vec::new(),
+            calibration_queries: 0,
         }
     }
 
@@ -536,7 +533,7 @@ mod tests {
     fn calibration_improves_normalizer_and_costs_queries() {
         let d = db();
         let price = d.schema().expect_id("price");
-        let r = Reranker::builder(d).calibrate(&[price]).build();
+        let r = Reranker::builder(d).calibrate(&[price]).unwrap().build();
         assert!(r.calibration_queries() > 0);
         let stats = r.normalizer().stats(price);
         assert_eq!((stats.min, stats.max), (0.0, 98.0));
@@ -796,6 +793,19 @@ mod tests {
         assert_eq!((s.served(), s.buffered()), (2, chunk - 2));
         got.extend(s.next_page(48).unwrap());
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_failed_calibration_probe_is_the_builders_error() {
+        let d = db();
+        let price = d.schema().expect_id("price");
+        let source = Arc::new(FailsOnce {
+            inner: d,
+            fail_at: 3,
+            probes: Default::default(),
+        });
+        let got = Reranker::builder(source).calibrate(&[price]).map(|_| ());
+        assert_eq!(got, Err(SearchError::Cancelled));
     }
 
     #[test]

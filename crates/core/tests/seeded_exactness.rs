@@ -102,7 +102,7 @@ fn database(seed: u64, shape: Shape) -> Arc<SimulatedWebDb> {
     Arc::new(SimulatedWebDb::new(tb.build(), ranking, SYSTEM_K))
 }
 
-fn filters(x: AttrId, y: AttrId) -> [(&'static str, SearchQuery); 4] {
+fn filters(x: AttrId, y: AttrId) -> [(&'static str, SearchQuery); 5] {
     [
         ("no filter", SearchQuery::all()),
         (
@@ -113,6 +113,12 @@ fn filters(x: AttrId, y: AttrId) -> [(&'static str, SearchQuery); 4] {
             "filter on x",
             // Closed at the tie value, so the ties sit on the filter's edge.
             SearchQuery::all().and_range(x, RangePred::closed(5.0, 50.0)),
+        ),
+        (
+            "filter on x from the tie",
+            // Closed at the tie value from below: an ascending session
+            // starts on the ties, a descending one ends on them.
+            SearchQuery::all().and_range(x, RangePred::closed(50.0, 95.0)),
         ),
         (
             "open filter on x",
@@ -232,7 +238,7 @@ fn drained_and_sliced_sessions_equal_the_ground_truth_order() {
             }
         }
     }
-    assert_eq!(sessions, 3 * 4 * 4 * 2 * 4);
+    assert_eq!(sessions, 3 * 4 * 5 * 2 * 4);
 }
 
 #[test]
@@ -267,7 +273,7 @@ fn md_sessions_equal_the_ground_truth_score_order() {
             }
         }
     }
-    assert_eq!(sessions, 3 * 4 * 4 * 3 * 4);
+    assert_eq!(sessions, 3 * 4 * 5 * 3 * 4);
 }
 
 /// Wraps the simulator and fails its `fail_at`-th probe (counted from 0

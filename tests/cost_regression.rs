@@ -13,7 +13,7 @@ use qr2::core::{
     RerankRequest, Reranker,
 };
 use qr2::datagen::{bluenile_db, DiamondsConfig};
-use qr2::webdb::{SearchQuery, SimulatedWebDb, TopKInterface};
+use qr2::webdb::{RangePred, SearchQuery, SimulatedWebDb, TopKInterface};
 
 fn diamonds() -> Arc<SimulatedWebDb> {
     Arc::new(bluenile_db(&DiamondsConfig {
@@ -292,4 +292,41 @@ fn parallel_mode_trades_queries_for_rounds() {
         q_par <= 4 * q_seq,
         "speculation overhead must stay bounded: {q_par} vs {q_seq}"
     );
+}
+
+#[test]
+fn a_filter_bound_on_a_tie_is_split_off_at_its_value() {
+    // A closed filter bound on lw_ratio = 1.00, where 572 diamonds tie
+    // against system-k 30. The first page shows the tie on the bound, so
+    // top-10 costs the interval, the point and the tie's crawl (95
+    // queries). Bisecting toward the tie first cost 118 (desc) and 120
+    // (asc).
+    let db = diamonds();
+    let lw = db.schema().expect_id("lw_ratio");
+    let ties = {
+        let t = db.ground_truth();
+        (0..t.len()).filter(|&r| t.num(r, lw) == 1.00).count()
+    };
+    assert!(ties > db.system_k(), "{ties} ties");
+    for (asc, bound) in [
+        (true, RangePred::closed(1.00, 2.75)),
+        (false, RangePred::closed(0.75, 1.00)),
+    ] {
+        let reranker = Reranker::builder(db.clone())
+            .executor(ExecutorKind::Sequential)
+            .build();
+        let function = if asc {
+            OneDimFunction::asc(lw)
+        } else {
+            OneDimFunction::desc(lw)
+        };
+        let mut session = reranker.query(RerankRequest {
+            filter: SearchQuery::all().and_range(lw, bound),
+            function: function.into(),
+            algorithm: Algorithm::OneDRerank,
+        });
+        session.next_page(10).expect("the simulator never fails");
+        let q = session.stats().total_queries();
+        assert!(q <= 100, "asc={asc}: top-10 took {q} queries (budget 100)");
+    }
 }

@@ -322,8 +322,8 @@ fn min_max_discovery_matches_ground_truth() {
             .map(|r| t.num(r, carat))
             .fold(f64::MIN, f64::max)
     };
-    let (min, _) = qr2::core::discover_extremum(&*db, carat, SortDir::Asc);
-    let (max, _) = qr2::core::discover_extremum(&*db, carat, SortDir::Desc);
+    let (min, _) = qr2::core::discover_extremum(&*db, carat, SortDir::Asc).unwrap();
+    let (max, _) = qr2::core::discover_extremum(&*db, carat, SortDir::Desc).unwrap();
     assert_eq!(min, truth_min);
     assert_eq!(max, truth_max);
 }

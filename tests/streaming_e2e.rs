@@ -2,9 +2,9 @@
 //! real TCP sockets.
 //!
 //! The headline guarantee: `GET /v1/queries/:id/stream` really streams.
-//! Against a web database with per-query latency, the first NDJSON line
-//! (the first discovered tuple with its query cost) is readable from the
-//! socket while the session is still searching for the remaining tuples —
+//! Against a web database that holds every probe until the client has read
+//! the first NDJSON line (the first discovered tuple with its query cost),
+//! that line arrives while the remaining tuples are still unsearched —
 //! and a budgeted `results` call returns a `budget_exhausted` partial page
 //! that a follow-up call resumes without re-issuing any web-DB query.
 //! Deleting a query mid-stream ends the stream at its next line with a
@@ -12,18 +12,22 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use qr2::core::ExecutorKind;
 use qr2::http::{parse_json, Body, Handler, Json, Method, Request, Status};
 use qr2::recon::JobOptions;
 use qr2::service::{Qr2App, Source, SourceRegistry};
-use qr2::webdb::{Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface};
+use qr2::webdb::{
+    QueryLedger, Schema, SearchQuery, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface,
+    TopKResponse,
+};
 
 /// A small 1D inventory whose hidden ranking opposes the test queries, so
 /// every few served tuples cost fresh discoveries.
-fn inventory(latency: Duration) -> Arc<SimulatedWebDb> {
+fn inventory() -> Arc<SimulatedWebDb> {
     let schema = Schema::builder().numeric("x", 0.0, 100.0).build();
     let mut tb = TableBuilder::new(schema.clone());
     for i in 0..60 {
@@ -31,35 +35,71 @@ fn inventory(latency: Duration) -> Arc<SimulatedWebDb> {
         tb.push_row(vec![((i * 37) % 60) as f64 * 1.5]).unwrap();
     }
     let ranking = SystemRanking::linear(&schema, &[("x", 1.0)]).unwrap();
-    let db = SimulatedWebDb::new(tb.build(), ranking, 2);
-    Arc::new(if latency.is_zero() {
-        db
-    } else {
-        db.with_latency(latency, Duration::ZERO, 7)
-    })
+    Arc::new(SimulatedWebDb::new(tb.build(), ranking, 2))
 }
 
 fn registry() -> SourceRegistry {
     let mut reg = SourceRegistry::new();
     reg.register(
         Source::builder(
-            "lagged",
-            "latency-bound test inventory",
-            inventory(Duration::from_millis(40)) as Arc<dyn TopKInterface>,
-        )
-        .executor(ExecutorKind::Sequential)
-        .build(),
-    );
-    reg.register(
-        Source::builder(
             "fast",
             "zero-latency test inventory",
-            inventory(Duration::ZERO) as Arc<dyn TopKInterface>,
+            inventory() as Arc<dyn TopKInterface>,
         )
         .executor(ExecutorKind::Sequential)
         .build(),
     );
     reg
+}
+
+/// The inventory behind a gate: while the gate is shut, every probe waits
+/// until the test opens it. A probe that has waited [`Gate::PATIENCE`]
+/// goes through anyway and is counted, so the test ends even when the
+/// response does not stream.
+struct Gate {
+    inner: Arc<SimulatedWebDb>,
+    shut: Mutex<bool>,
+    opened: Condvar,
+    forced: AtomicUsize,
+}
+
+impl Gate {
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn set(&self, shut: bool) {
+        *self.shut.lock().unwrap() = shut;
+        self.opened.notify_all();
+    }
+
+    fn forced(&self) -> usize {
+        self.forced.load(Ordering::SeqCst)
+    }
+}
+
+impl TopKInterface for Gate {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+    fn system_k(&self) -> usize {
+        self.inner.system_k()
+    }
+    fn search(&self, q: &SearchQuery) -> TopKResponse {
+        let deadline = Instant::now() + Self::PATIENCE;
+        let mut shut = self.shut.lock().unwrap();
+        while *shut {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.forced.fetch_add(1, Ordering::SeqCst);
+                break;
+            }
+            shut = self.opened.wait_timeout(shut, left).unwrap().0;
+        }
+        drop(shut);
+        self.inner.search(q)
+    }
+    fn ledger(&self) -> &QueryLedger {
+        self.inner.ledger()
+    }
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Json) {
@@ -103,19 +143,36 @@ fn read_until(s: &mut TcpStream, pattern: &str, acc: &mut Vec<u8>) {
 
 #[test]
 fn stream_emits_the_first_tuple_before_the_session_finishes() {
-    let app = Qr2App::new(registry());
-    let state = Arc::clone(app.state());
-    let server = app.serve("127.0.0.1:0", 2).unwrap();
+    let gate = Arc::new(Gate {
+        inner: inventory(),
+        shut: Mutex::new(false),
+        opened: Condvar::new(),
+        forced: AtomicUsize::new(0),
+    });
+    let mut reg = registry();
+    reg.register(
+        Source::builder(
+            "gated",
+            "test inventory behind a gate",
+            Arc::clone(&gate) as Arc<dyn TopKInterface>,
+        )
+        .executor(ExecutorKind::Sequential)
+        .build(),
+    );
+    let server = Qr2App::new(reg).serve("127.0.0.1:0", 2).unwrap();
     let addr = server.addr();
 
+    // The first page finds a two-tuple chunk and serves one of it, so the
+    // stream's first line needs no probe.
     let (status, v) = post(
         addr,
-        "/v1/sources/lagged/queries",
-        r#"{"ranking":{"type":"1d","attr":"x","dir":"desc"},
+        "/v1/sources/gated/queries",
+        r#"{"ranking":{"type":"1d","attr":"x","dir":"asc"},
             "algorithm":"1d-binary","page_size":1}"#,
     );
     assert_eq!(status, 201);
     let id = v.get("query_id").unwrap().as_str().unwrap().to_string();
+    gate.set(true);
 
     const LIMIT: usize = 12;
     let mut s = TcpStream::connect(addr).unwrap();
@@ -130,19 +187,15 @@ fn stream_emits_the_first_tuple_before_the_session_finishes() {
     let so_far = String::from_utf8_lossy(&acc).into_owned();
     assert!(so_far.contains("Transfer-Encoding: chunked"), "{so_far}");
 
-    // ...and prove the session has NOT finished producing the remaining
-    // `limit` tuples: at ≥40 ms of web-DB latency per query, the later
-    // discoveries are still queries away while line one is already here.
-    let handle = state.sessions.get(&id).expect("session is live");
-    let served_at_first_line = {
-        let entry = handle.lock();
-        entry.served()
-    };
-    assert!(
-        served_at_first_line < LIMIT,
-        "first line arrived after only {served_at_first_line} of {LIMIT} \
-         tuples were produced — the response streamed"
+    // ...while the gate is still shut: no probe after the first page has
+    // been answered, so the remaining tuples are still unsearched.
+    let forced = gate.forced();
+    assert_eq!(
+        forced, 0,
+        "{forced} probe(s) outwaited the gate before the first line arrived: \
+         the response was buffered, or the first page left no tuple buffered"
     );
+    gate.set(false);
 
     // Drain the rest: exactly LIMIT tuple events, one summary, in order.
     let mut rest = String::new();
@@ -153,14 +206,14 @@ fn stream_emits_the_first_tuple_before_the_session_finishes() {
     assert!(full.contains("\"status\":\"complete\""), "{full}");
 
     // Events carry per-step and cumulative query costs; tuples arrive in
-    // the requested (descending) order.
+    // the requested (ascending) order.
     let lines: Vec<Json> = full
         .lines()
         .filter(|l| l.starts_with('{'))
         .map(|l| parse_json(l).expect("NDJSON line parses"))
         .collect();
     assert_eq!(lines.len(), LIMIT + 1);
-    let mut last_x = f64::INFINITY;
+    let mut last_x = f64::NEG_INFINITY;
     for (i, event) in lines[..LIMIT].iter().enumerate() {
         assert_eq!(event.get("index").unwrap().as_usize(), Some(i));
         assert!(event.get("queries").is_some());
@@ -174,7 +227,7 @@ fn stream_emits_the_first_tuple_before_the_session_finishes() {
             .unwrap()
             .as_f64()
             .unwrap();
-        assert!(x <= last_x, "descending order violated at index {i}");
+        assert!(x >= last_x, "ascending order violated at index {i}");
         last_x = x;
     }
     let summary = &lines[LIMIT];
