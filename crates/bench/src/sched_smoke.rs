@@ -30,8 +30,8 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use qr2_sched::context::{next_session_key, with_session};
-use qr2_sched::{QueryClass, SchedConfig, SessionCtx, SourceScheduler};
+use qr2_core::{next_session_key, with_session, CancelToken, QueryClass, SessionCtx};
+use qr2_sched::{SchedConfig, SourceScheduler};
 use qr2_webdb::{
     BreakerConfig, RangePred, ResilientInterface, RetryPolicy, SearchQuery, SimulatedWebDb,
     SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
@@ -142,7 +142,7 @@ pub fn run_sched_smoke() -> Report {
                 let key = next_session_key();
                 for round in 0..SCHED_ROUNDS {
                     barrier.wait();
-                    let ctx = SessionCtx::new(key, QueryClass::Interactive);
+                    let ctx = SessionCtx::new(key, QueryClass::Interactive, CancelToken::new());
                     let answer = with_session(ctx, || sched.submit(&q)).unwrap_or_else(|err| {
                         panic!("session {session} round {round}: probe failed: {err}")
                     });
@@ -159,7 +159,7 @@ pub fn run_sched_smoke() -> Report {
         scope.spawn(move || {
             let key = next_session_key();
             for _ in 0..SCHED_BG_PROBES {
-                let ctx = SessionCtx::new(key, QueryClass::Background);
+                let ctx = SessionCtx::new(key, QueryClass::Background, CancelToken::new());
                 let answer =
                     with_session(ctx, || sched_bg.submit(&q)).expect("background probe answered");
                 assert_eq!(answer.resp, want, "background crawl got a wrong answer");
@@ -223,7 +223,7 @@ pub fn run_sched_smoke() -> Report {
                 barrier.wait();
                 let start = Instant::now();
                 for probe in 0..FAIR_PROBES {
-                    let ctx = SessionCtx::new(key, QueryClass::Interactive);
+                    let ctx = SessionCtx::new(key, QueryClass::Interactive, CancelToken::new());
                     with_session(ctx, || sched.submit(&band_query(band, probe)))
                         .expect("light probe answered");
                 }
@@ -236,7 +236,7 @@ pub fn run_sched_smoke() -> Report {
             barrier.wait();
             let start = Instant::now();
             for probe in 0..FAIR_HOG_PROBES {
-                let ctx = SessionCtx::new(key, QueryClass::Interactive);
+                let ctx = SessionCtx::new(key, QueryClass::Interactive, CancelToken::new());
                 with_session(ctx, || {
                     sched.submit(&band_query(FAIR_LIGHT_SESSIONS, probe))
                 })

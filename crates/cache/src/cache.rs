@@ -69,10 +69,11 @@ impl CacheStats {
 
 enum FlightState {
     Pending,
-    /// The leader's fetch finished; an error is shared with the waiters
-    /// but never admitted.
+    /// The leader's fetch finished; an error other than the leader's own
+    /// cancellation is shared with the waiters but never admitted.
     Done(Result<TopKResponse, SearchError>),
-    /// The leader unwound without an answer; waiters retry themselves.
+    /// The leader unwound or was cancelled without an answer; waiters
+    /// retry themselves.
     Poisoned,
 }
 
@@ -349,7 +350,9 @@ impl AnswerCache {
     /// a scheduler below the cache whose frontier coalescing answered the
     /// fetch for free — so cost accounting above the cache stays truthful.
     /// An `Err` from the fetcher is returned to the leader and its waiters
-    /// but never admitted to the cache or the store.
+    /// but never admitted to the cache or the store; a
+    /// [`SearchError::Cancelled`] (the leader's session was cancelled) is
+    /// returned to the leader alone, and its waiters fetch again.
     pub fn get_or_fetch(
         &self,
         key: &[u8],
@@ -429,8 +432,12 @@ impl AnswerCache {
         };
         // Release the waiters before touching disk: the answer is already
         // admitted to memory, so coalesced callers must not stall behind
-        // the store mutex or its log writes.
-        flight.complete(fetched.clone().map(|answer| answer.resp));
+        // the store mutex or its log writes. A cancellation is the
+        // leader's own: its waiters retry under their own sessions.
+        match &fetched {
+            Err(SearchError::Cancelled) => flight.poison(),
+            _ => flight.complete(fetched.clone().map(|answer| answer.resp)),
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some((answer, evicted)) = admitted {
             self.evictions
@@ -558,6 +565,41 @@ mod tests {
         let (a, o) = fetch(&c, b"k", || paid(7));
         assert_eq!(o, SearchOutcome::MISS);
         assert_eq!(a, resp(7));
+    }
+
+    #[test]
+    fn a_cancelled_leader_sends_its_waiters_to_fetch_again() {
+        let c = Arc::new(AnswerCache::new(CacheConfig::default()));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                c.get_or_fetch(b"k", || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Err(SearchError::Cancelled)
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let waiter = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.get_or_fetch(b"k", || paid(3)))
+        };
+        // Let the waiter join the leader's flight before it is cancelled.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        assert_eq!(leader.join().unwrap().err(), Some(SearchError::Cancelled));
+        let answer = waiter
+            .join()
+            .unwrap()
+            .expect("the waiter fetches for itself");
+        assert_eq!(
+            (answer.resp, answer.outcome),
+            (resp(3), SearchOutcome::MISS)
+        );
+        assert_eq!(c.stats().coalesced, 0);
     }
 
     #[test]

@@ -73,7 +73,8 @@ impl TopKInterface for CachedInterface {
     fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let key = cache_key(self.inner.schema(), q);
         // A failed fetch (a remote outage, a cancelled session) reaches
-        // the caller as the error and is never admitted. A successful
+        // the caller as the error and is never admitted; a coalesced
+        // waiter fetches again rather than inherit a cancellation. A successful
         // fetch keeps its own outcome: when the inner interface is a
         // scheduler whose frontier coalescing served it for free, the
         // miss is *not* charged as a paid query upstream.

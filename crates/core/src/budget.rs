@@ -10,13 +10,20 @@
 //!   tuples to produce);
 //! * a [`StepOutcome`] reports what the step bought, why it stopped, and
 //!   the incremental [`QueryStats`] delta it cost;
-//! * a [`CancelToken`] cooperatively stops a session between discoveries.
+//! * a [`CancelToken`] cooperatively stops a session between discoveries;
+//! * a [`SessionCtx`] says who is probing, in which [`QueryClass`], and
+//!   carries the session's token. The service installs it around each
+//!   step with [`with_session`]; a scheduling decorator reads it back
+//!   with [`current`], and the parallel executor re-installs it on its
+//!   worker threads, so every probe of a step carries its session.
 //!
 //! A probe the source fails ends the step as [`StepOutcome::Failed`]. The
 //! tuples the step had produced are not lost: the session keeps them and
 //! the next `advance` serves them first, and the engine keeps the failed
 //! region pending, so resuming after the source recovers yields the same
-//! order as a run that never failed.
+//! order as a run that never failed. A probe cancelled with its session
+//! ends the step as [`StepOutcome::Cancelled`] instead: the session was
+//! stopped, the source did not fail.
 //!
 //! Sessions are resumable: calling `advance` again continues exactly where
 //! the previous step stopped — the engines' frontier/index state persists,
@@ -31,7 +38,8 @@
 //! resume), so a step may overshoot the cap by the cost of the in-flight
 //! discovery; it will never *start* spending past it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qr2_webdb::{SearchError, Tuple};
@@ -114,6 +122,98 @@ impl CancelToken {
     }
 }
 
+/// Deadline/priority class of a session's probes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QueryClass {
+    /// A user is waiting on this probe (page loads). Strictly precedes
+    /// background work.
+    #[default]
+    Interactive,
+    /// Crawls, prefetch, warm-up — work that tolerates queueing.
+    Background,
+}
+
+impl QueryClass {
+    /// Wire name of the class.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            QueryClass::Interactive => "interactive",
+            QueryClass::Background => "background",
+        }
+    }
+
+    /// Parse a wire name (`"interactive"`, `"background"`; `"crawl"` is
+    /// accepted as an alias for background).
+    pub fn parse(s: &str) -> Option<QueryClass> {
+        match s {
+            "interactive" => Some(QueryClass::Interactive),
+            "background" | "crawl" => Some(QueryClass::Background),
+            _ => None,
+        }
+    }
+}
+
+/// Who is probing on this thread, and how to treat the probes: the one
+/// identity of a session, installed with [`with_session`] and read back
+/// with [`current`]. The engines probe with no notion of who is asking;
+/// a scheduling decorator needs exactly that to apportion fair share and
+/// honor cancellation.
+#[derive(Debug, Clone, Default)]
+pub struct SessionCtx {
+    /// Scheduler identity of the session; `0` is the shared anonymous
+    /// session. Allocate real keys with [`next_session_key`].
+    pub key: u64,
+    /// Priority class of this session's probes.
+    pub class: QueryClass,
+    /// The session's cancellation token: a cancelled session's pending
+    /// probes are abandoned instead of spending paid queries. The
+    /// anonymous default owns a token nobody cancels.
+    pub cancel: CancelToken,
+}
+
+impl SessionCtx {
+    /// The context of session `key` in `class`, cancelled by `cancel`.
+    pub fn new(key: u64, class: QueryClass, cancel: CancelToken) -> SessionCtx {
+        SessionCtx { key, class, cancel }
+    }
+}
+
+static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
+
+/// Allocate a process-unique scheduler session key (never `0`).
+pub fn next_session_key() -> u64 {
+    NEXT_KEY.fetch_add(1, Ordering::Relaxed)
+}
+
+thread_local! {
+    static CURRENT: RefCell<Vec<SessionCtx>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` with `ctx` as the ambient session context on this thread.
+/// Nests: the innermost context wins; the previous one is restored on
+/// return (including unwinds).
+pub fn with_session<R>(ctx: SessionCtx, f: impl FnOnce() -> R) -> R {
+    struct PopGuard;
+    impl Drop for PopGuard {
+        fn drop(&mut self) {
+            CURRENT.with(|c| {
+                c.borrow_mut().pop();
+            });
+        }
+    }
+    CURRENT.with(|c| c.borrow_mut().push(ctx));
+    let _restore = PopGuard;
+    f()
+}
+
+/// The ambient session context of this thread (the anonymous default
+/// when none was installed).
+pub fn current() -> SessionCtx {
+    CURRENT
+        .with(|c| c.borrow().last().cloned())
+        .unwrap_or_default()
+}
+
 /// The result of one [`advance`](crate::RerankSession::advance) step.
 ///
 /// Every variant carries the tuples the step produced and the incremental
@@ -145,16 +245,18 @@ pub enum StepOutcome {
         /// Queries spent by this step.
         stats: QueryStats,
     },
-    /// The session's [`CancelToken`] fired. The session stays valid but
-    /// every further `advance` returns `Cancelled` immediately.
+    /// The session's [`CancelToken`] fired, or a probe of the step was
+    /// cancelled with its session ([`SearchError::Cancelled`]). Once the
+    /// token has fired, the session stays valid but every further
+    /// `advance` returns `Cancelled` immediately.
     Cancelled {
         /// Tuples produced before cancellation was observed.
         partial: Vec<Tuple>,
         /// Queries spent by this step.
         stats: QueryStats,
     },
-    /// A probe failed (the source is down, or the probe was cancelled).
-    /// The step serves nothing; the tuples it produced are served first
+    /// A probe failed: the source is down or refused it. The step
+    /// serves nothing; the tuples it produced are served first
     /// by the next `advance`, which resumes at the failed region.
     Failed {
         /// Queries spent by this step before the failure.
@@ -246,6 +348,75 @@ mod tests {
         assert!(t.is_cancelled());
         clone.cancel(); // idempotent
         assert!(clone.is_cancelled());
+    }
+
+    #[test]
+    fn class_names_round_trip() {
+        for class in [QueryClass::Interactive, QueryClass::Background] {
+            assert_eq!(QueryClass::parse(class.as_str()), Some(class));
+        }
+        assert_eq!(QueryClass::parse("crawl"), Some(QueryClass::Background));
+        assert_eq!(QueryClass::parse("vip"), None);
+    }
+
+    #[test]
+    fn context_nests_and_restores() {
+        assert_eq!(current().key, 0, "anonymous default");
+        let outer = SessionCtx::new(
+            next_session_key(),
+            QueryClass::Interactive,
+            CancelToken::new(),
+        );
+        let outer_key = outer.key;
+        with_session(outer, || {
+            assert_eq!(current().key, outer_key);
+            let inner = SessionCtx::new(
+                next_session_key(),
+                QueryClass::Background,
+                CancelToken::new(),
+            );
+            let inner_key = inner.key;
+            with_session(inner, || {
+                assert_eq!(current().key, inner_key);
+                assert_eq!(current().class, QueryClass::Background);
+            });
+            assert_eq!(current().key, outer_key, "outer context restored");
+        });
+        assert_eq!(current().key, 0);
+    }
+
+    #[test]
+    fn context_restored_across_unwind() {
+        let ctx = SessionCtx::new(
+            next_session_key(),
+            QueryClass::Interactive,
+            CancelToken::new(),
+        );
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_session(ctx, || panic!("boom"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(current().key, 0, "stack popped on unwind");
+    }
+
+    #[test]
+    fn the_context_shares_the_sessions_token() {
+        let token = CancelToken::new();
+        let ctx = SessionCtx::new(7, QueryClass::Interactive, token.clone());
+        with_session(ctx, || {
+            assert!(!current().cancel.is_cancelled());
+            token.cancel();
+            assert!(current().cancel.is_cancelled());
+        });
+        assert!(!current().cancel.is_cancelled(), "the anonymous default");
+    }
+
+    #[test]
+    fn session_keys_are_unique_and_nonzero() {
+        let a = next_session_key();
+        let b = next_session_key();
+        assert_ne!(a, 0);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use parking_lot::Mutex;
 use qr2_crawler::{CrawlResult, Crawler, CrawlerConfig};
 use qr2_webdb::{Answer, SearchError, SearchQuery, TopKInterface, TopKResponse};
 
+use crate::budget::{current, with_session};
 use crate::stats::QueryStats;
 
 /// How batches are executed.
@@ -191,9 +192,12 @@ impl SearchCtx {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Probed>>> = (0..qs.len()).map(|_| Mutex::new(None)).collect();
         let db = &self.db;
-        // Worker threads have no ambient trace of their own: re-enter the
-        // submitting request's trace (when it is being traced) so the
-        // stage spans of a parallel round still land in it.
+        // Worker threads have no ambient context of their own: re-install
+        // the submitting session (its key, class and cancel token) and
+        // re-enter its request's trace (when it is being traced), so a
+        // parallel round's probes are scheduled, cancelled and traced as
+        // the session's own.
+        let session = current();
         let trace = qr2_obs::current_handle();
         // A worker's panic is re-raised here when the scope joins it.
         std::thread::scope(|scope| {
@@ -207,10 +211,10 @@ impl SearchCtx {
                         let probed = db.probe(&qs[i]);
                         *slots[i].lock() = Some(probed);
                     };
-                    match &trace {
+                    with_session(session.clone(), || match &trace {
                         Some(t) => t.enter(work),
                         None => work(),
-                    }
+                    })
                 });
             }
         });
@@ -537,6 +541,61 @@ mod tests {
             spans, 8,
             "every worker-thread lookup must land in the request trace"
         );
+    }
+
+    /// A decorator that records the ambient session context of every
+    /// probe, standing in for the scheduler upstream of this crate.
+    struct SessionSpy {
+        inner: Arc<SimulatedWebDb>,
+        seen: Mutex<Vec<crate::SessionCtx>>,
+    }
+
+    impl qr2_webdb::TopKInterface for SessionSpy {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, _q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            unreachable!("SearchCtx only probes")
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+        fn probe(&self, q: &SearchQuery) -> Probed {
+            self.seen.lock().push(current());
+            self.inner.probe(q)
+        }
+    }
+
+    #[test]
+    fn parallel_batch_probes_carry_the_submitting_session() {
+        use crate::{next_session_key, CancelToken, QueryClass, SessionCtx};
+        let d = db();
+        let spy = Arc::new(SessionSpy {
+            inner: d.clone(),
+            seen: Mutex::new(Vec::new()),
+        });
+        let ctx = SearchCtx::new(spy.clone(), ExecutorKind::Parallel { fanout: 4 });
+        let token = CancelToken::new();
+        let key = next_session_key();
+        let session = SessionCtx::new(key, QueryClass::Background, token.clone());
+        with_session(session, || {
+            ctx.search(&SearchQuery::all()).unwrap();
+            ctx.search_batch(&probes(8, d.schema())).unwrap();
+        });
+        token.cancel();
+        let seen = spy.seen.lock();
+        assert_eq!(seen.len(), 9, "one search and an eight-probe batch");
+        for (i, probe) in seen.iter().enumerate() {
+            assert_eq!(probe.key, key, "probe {i} ran under the caller's key");
+            assert_eq!(probe.class, QueryClass::Background, "probe {i}");
+            assert!(
+                probe.cancel.is_cancelled(),
+                "probe {i} holds the caller's cancel token"
+            );
+        }
     }
 
     /// A source whose every probe fails, standing in for a cancelled or

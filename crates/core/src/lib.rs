@@ -64,7 +64,10 @@ mod reranker;
 mod space;
 mod stats;
 
-pub use budget::{Budget, CancelToken, StepOutcome};
+pub use budget::{
+    current, next_session_key, with_session, Budget, CancelToken, QueryClass, SessionCtx,
+    StepOutcome,
+};
 pub use dense_index::DenseIndex;
 pub use executor::{ExecutorKind, SearchCtx, StatsSnapshot};
 pub use function::{LinearFunction, OneDimFunction, RankingFunction, Scorer, SortDir};

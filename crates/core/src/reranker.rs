@@ -276,7 +276,9 @@ impl RerankSession {
     /// the one in-flight discovery but never starts a new one past it.
     ///
     /// A failed probe ends the step as [`StepOutcome::Failed`]; the tuples
-    /// it had produced are served first by the next `advance`.
+    /// it had produced are served first by the next `advance`. A probe
+    /// that fails [`SearchError::Cancelled`] after this session's token
+    /// fired ends it as [`StepOutcome::Cancelled`].
     pub fn advance(&mut self, budget: Budget) -> StepOutcome {
         let start = self.ctx.snapshot();
         let delta = |ctx: &SearchCtx| ctx.delta_since(&start);
@@ -317,6 +319,15 @@ impl RerankSession {
                 Ok(Some(t)) => out.push(t),
                 Ok(None) => {
                     return StepOutcome::Done {
+                        partial: out,
+                        stats: delta(&self.ctx),
+                    }
+                }
+                // This session was cancelled under its probe: the step
+                // ends as a cancellation, not as a source failure. A
+                // `Cancelled` this session did not ask for is a failure.
+                Err(SearchError::Cancelled) if self.cancel.is_cancelled() => {
+                    return StepOutcome::Cancelled {
                         partial: out,
                         stats: delta(&self.ctx),
                     }
@@ -723,10 +734,11 @@ mod tests {
         assert!(s.advance(Budget::UNLIMITED).tuples().is_empty());
     }
 
-    /// Fails its `fail_at`-th probe (counted from 0), once.
+    /// Fails its `fail_at`-th probe (counted from 0), once, with `error`.
     struct FailsOnce {
         inner: Arc<SimulatedWebDb>,
         fail_at: usize,
+        error: SearchError,
         probes: std::sync::atomic::AtomicUsize,
     }
 
@@ -748,44 +760,62 @@ mod tests {
                 .probes
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if n == self.fail_at {
-                return Err(SearchError::Cancelled);
+                // Like the scheduler, fail `Cancelled` as the ambient
+                // session's cancellation arrives.
+                if self.error == SearchError::Cancelled {
+                    crate::current().cancel.cancel();
+                }
+                return Err(self.error.clone());
             }
             Ok(qr2_webdb::Answer::paid(self.inner.search(q)))
         }
+    }
+
+    /// A source outage: the error a failed probe ends a step with.
+    const OUTAGE: SearchError = SearchError::Unavailable {
+        retry_after: std::time::Duration::ZERO,
+    };
+
+    /// A `1D-BINARY` session ascending on price whose `fail_at`-th probe
+    /// fails with `error`.
+    fn failing_session(
+        d: &Arc<SimulatedWebDb>,
+        fail_at: usize,
+        error: SearchError,
+    ) -> (RerankSession, Arc<FailsOnce>) {
+        let price = d.schema().expect_id("price");
+        let source = Arc::new(FailsOnce {
+            inner: d.clone(),
+            fail_at,
+            error,
+            probes: Default::default(),
+        });
+        let s = Reranker::builder(source.clone())
+            .executor(ExecutorKind::Sequential)
+            .build()
+            .query(RerankRequest {
+                filter: SearchQuery::all(),
+                function: OneDimFunction::asc(price).into(),
+                algorithm: Algorithm::OneDBinary,
+            });
+        (s, source)
     }
 
     #[test]
     fn a_failed_step_keeps_its_tuples_for_the_next_steps() {
         use std::sync::atomic::Ordering::SeqCst;
         let d = db();
-        let price = d.schema().expect_id("price");
-        let session = |fail_at| {
-            let source = Arc::new(FailsOnce {
-                inner: d.clone(),
-                fail_at,
-                probes: Default::default(),
-            });
-            let s = Reranker::builder(source.clone())
-                .executor(ExecutorKind::Sequential)
-                .build()
-                .query(RerankRequest {
-                    filter: SearchQuery::all(),
-                    function: OneDimFunction::asc(price).into(),
-                    algorithm: Algorithm::OneDBinary,
-                });
-            (s, source)
-        };
-        let (mut healthy, _) = session(usize::MAX);
+        let (mut healthy, _) = failing_session(&d, usize::MAX, OUTAGE);
         let want = healthy.next_page(50).unwrap();
         assert_eq!(want.len(), 50);
 
         // Fail the first probe after the first chunk: a ten-tuple page
         // has found that chunk's tuples when the failure stops it.
-        let (mut sizing, counter) = session(usize::MAX);
+        let (mut sizing, counter) = failing_session(&d, usize::MAX, OUTAGE);
         let chunk = sizing.next_page(1).unwrap().len() + sizing.buffered();
         assert!((3..10).contains(&chunk), "the first chunk holds {chunk}");
-        let (mut s, _) = session(counter.probes.load(SeqCst));
-        assert_eq!(s.next_page(10), Err(SearchError::Cancelled));
+        let (mut s, _) = failing_session(&d, counter.probes.load(SeqCst), OUTAGE);
+        assert_eq!(s.next_page(10), Err(OUTAGE));
         assert_eq!(s.buffered(), chunk, "the failed page's tuples are kept");
         assert_eq!(s.served(), 0);
         // A smaller page than the kept tuples serves a prefix of them.
@@ -796,16 +826,58 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_probe_ends_the_step_as_cancelled() {
+        let d = db();
+        let (mut healthy, _) = failing_session(&d, usize::MAX, OUTAGE);
+        let want = healthy.next_page(50).unwrap();
+
+        // The session is deleted while its fourth probe waits: the probe
+        // fails `Cancelled` under the session's own context.
+        let (mut s, _) = failing_session(&d, 3, SearchError::Cancelled);
+        let ctx = crate::SessionCtx::new(7, Default::default(), s.cancel_token());
+        let step = crate::with_session(ctx, || s.advance(Budget::tuples(50)));
+        let StepOutcome::Cancelled { partial, .. } = step else {
+            panic!("a cancelled probe is a cancellation, not a failure: {step:?}");
+        };
+        assert_eq!(partial, want[..partial.len()]);
+        assert!(s.cancel_token().is_cancelled());
+        assert!(matches!(
+            s.advance(Budget::tuples(50)),
+            StepOutcome::Cancelled { .. }
+        ));
+    }
+
+    #[test]
+    fn a_probe_cancelled_for_another_session_fails_the_step() {
+        let d = db();
+        let (mut healthy, _) = failing_session(&d, usize::MAX, OUTAGE);
+        let want = healthy.next_page(50).unwrap();
+
+        // A `Cancelled` shared from another session's probe (this one's
+        // token never fires): the step fails and keeps its tuples, and
+        // the next step resumes at the failed probe's region.
+        let (mut s, _) = failing_session(&d, 3, SearchError::Cancelled);
+        let step = s.advance(Budget::tuples(50));
+        let StepOutcome::Failed { error, .. } = step else {
+            panic!("this session was not cancelled: {step:?}");
+        };
+        assert_eq!(error, SearchError::Cancelled);
+        assert!(!s.cancel_token().is_cancelled());
+        assert_eq!(s.next_page(50).unwrap(), want);
+    }
+
+    #[test]
     fn a_failed_calibration_probe_is_the_builders_error() {
         let d = db();
         let price = d.schema().expect_id("price");
         let source = Arc::new(FailsOnce {
             inner: d,
             fail_at: 3,
+            error: OUTAGE,
             probes: Default::default(),
         });
         let got = Reranker::builder(source).calibrate(&[price]).map(|_| ());
-        assert_eq!(got, Err(SearchError::Cancelled));
+        assert_eq!(got, Err(OUTAGE));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   labeled families (source / algorithm / query class / pipeline
 //!   stage) and rendered as Prometheus text or structured snapshots;
 //! * **request tracing** ([`trace`]): an ambient thread-local span stack
-//!   (the same pattern as `qr2_sched::context`) that the pipeline stages
+//!   (the same pattern as `qr2_core::with_session`) that the pipeline stages
 //!   — `cache.lookup`, `sched.queue`, `traffic.shape`, `webdb.search`,
 //!   `recon.serve`, `stream.page` — record timed spans into, a bounded
 //!   ring of recent completed traces, and a slow-trace log gated by the

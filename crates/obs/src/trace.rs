@@ -5,7 +5,7 @@
 //! The service installs a trace around each request with [`with_trace`]
 //! (the request id from the `RequestId` middleware is the trace id), and
 //! pipeline stages record timed spans with [`span`] — the same ambient
-//! thread-local pattern as `qr2_sched::context::with_session`. Stages
+//! thread-local pattern as `qr2_core::with_session`. Stages
 //! record into a per-stage latency histogram family
 //! (`qr2_stage_duration_us{stage=…}`) whether or not a trace is active;
 //! span records additionally land in the active trace.
@@ -299,7 +299,7 @@ pub fn record_slow_root(id: &str, root: impl FnOnce() -> String, total: Duration
 /// also lands in the slow ring and one summary line goes to stderr.
 ///
 /// Nested calls stack (innermost wins), mirroring
-/// `qr2_sched::context::with_session`.
+/// `qr2_core::with_session`.
 pub fn with_trace<R>(id: &str, root: &str, f: impl FnOnce() -> R) -> R {
     if !crate::enabled() {
         return f();

@@ -41,10 +41,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use qr2_core::{CancelToken, Normalizer};
+use qr2_core::{next_session_key, with_session, CancelToken, Normalizer, QueryClass, SessionCtx};
 use qr2_crawler::{effective_cats, effective_range, Absorbed, Frontier, SplitPolicy};
-use qr2_sched::context::{next_session_key, with_session};
-use qr2_sched::{QueryClass, SessionCtx};
 use qr2_store::RankIndex;
 use qr2_webdb::{
     Answer, AttrId, AttrKind, Schema, SearchError, SearchQuery, TopKInterface, TopKResponse, Tuple,
@@ -483,8 +481,7 @@ impl ReconIndex {
         job_id: u64,
         cancel: CancelToken,
     ) -> JobReport {
-        let ctx =
-            SessionCtx::new(next_session_key(), QueryClass::Background).with_cancel(cancel.clone());
+        let ctx = SessionCtx::new(next_session_key(), QueryClass::Background, cancel.clone());
         let report = with_session(ctx, || self.drive(db, opts, current_epoch, job_id, &cancel));
         let mut jobs = self.jobs.lock();
         jobs.running = None;
@@ -1146,7 +1143,7 @@ mod tests {
                 self.inner.system_k()
             }
             fn search(&self, q: &SearchQuery) -> TopKResponse {
-                let ctx = qr2_sched::context::current();
+                let ctx = qr2_core::current();
                 if ctx.class == QueryClass::Background && ctx.key != 0 {
                     self.background.fetch_add(1, Ordering::Relaxed);
                 } else {

@@ -20,7 +20,7 @@
 //!   budgeted, resumable walk of the root region that drives
 //!   `qr2-crawler`'s [`Frontier`](qr2_crawler::Frontier), the split rule
 //!   every crawl in QR2 shares. Every probe runs under an ambient background-class
-//!   [`qr2_sched::SessionCtx`], so reconstruction work queues behind
+//!   [`qr2_core::SessionCtx`], so reconstruction work queues behind
 //!   interactive sessions in the per-source scheduler and benefits from
 //!   answer-cache hits and cross-session coalescing like any other
 //!   caller.

@@ -11,8 +11,8 @@
 //!   has one [`SourceScheduler`]; pending probes queue per session, and a
 //!   deficit-round-robin scan guarantees no session starves behind a hot
 //!   competitor ([`SchedConfig::quantum`]).
-//! * **Priority classes** — [`QueryClass::Interactive`] probes (a user
-//!   waiting on a page) strictly precede [`QueryClass::Background`]
+//! * **Priority classes** — [`qr2_core::QueryClass::Interactive`] probes (a user
+//!   waiting on a page) strictly precede [`qr2_core::QueryClass::Background`]
 //!   (crawls, prefetch).
 //! * **Token-bucket pacing** — the scheduler dispatches through
 //!   [`qr2_webdb::TopKInterface::probe`], which returns a simulated 429 as
@@ -29,13 +29,12 @@
 //! cooperatively dispatches whatever probe the fair-share scan picks next,
 //! so liveness never depends on a background worker.
 //!
-//! Sessions identify themselves with an ambient [`context::SessionCtx`]
-//! (thread-local), installed by the service around each engine step; work
+//! Sessions identify themselves with the ambient [`qr2_core::SessionCtx`]
+//! (thread-local), installed by the service around each engine step and
+//! re-installed by the parallel executor on its worker threads; work
 //! submitted without a context shares one anonymous best-effort session.
 
 pub mod coalesce;
-pub mod context;
 mod sched;
 
-pub use context::{QueryClass, SessionCtx};
 pub use sched::{ClassSnapshot, SchedConfig, SchedSnapshot, SourceScheduler};

@@ -14,7 +14,7 @@ use qr2_webdb::{
 };
 
 use crate::coalesce::derive_answer;
-use crate::context::{self, QueryClass, SessionCtx};
+use qr2_core::{QueryClass, SessionCtx};
 
 /// Tuning knobs of a [`SourceScheduler`].
 #[derive(Debug, Clone)]
@@ -461,7 +461,7 @@ impl SourceScheduler {
     }
 
     /// Submit one probe on behalf of the ambient session
-    /// ([`context::current`]) and block until it is answered. The answer's
+    /// ([`qr2_core::current`]) and block until it is answered. The answer's
     /// outcome is `MISS` when this submitter paid and coalesced when it
     /// was served from a covering probe.
     ///
@@ -473,12 +473,14 @@ impl SourceScheduler {
     }
 
     fn submit_inner(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
-        let ctx = context::current();
-        if ctx.is_cancelled() {
-            return Err(SearchError::Cancelled);
-        }
+        let ctx = qr2_core::current();
         let mut allow_attach = true;
         loop {
+            // Checked on every pass: a probe abandoned by the session's
+            // own `cancel_session` must not be planned and queued again.
+            if ctx.cancel.is_cancelled() {
+                return Err(SearchError::Cancelled);
+            }
             // `payer`: the probe executes our own query unless another
             // session widened it — we enqueued it, or widened it to us.
             let (probe, owned, payer) = match self.plan(q, &ctx, allow_attach) {
@@ -621,7 +623,7 @@ impl SourceScheduler {
                     ProbeState::Queued | ProbeState::InFlight => {}
                 }
             }
-            if ctx.is_cancelled() {
+            if ctx.cancel.is_cancelled() {
                 if owned {
                     self.withdraw(probe);
                 }
@@ -833,7 +835,7 @@ impl TopKInterface for SourceScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{next_session_key, with_session};
+    use qr2_core::{next_session_key, with_session, CancelToken};
     use qr2_webdb::{RangePred, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder};
 
     fn raw_db(n: usize, k: usize) -> Arc<dyn TopKInterface> {
@@ -898,7 +900,11 @@ mod tests {
             let q = q.clone();
             let want = want.clone();
             handles.push(std::thread::spawn(move || {
-                let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
+                let ctx = SessionCtx::new(
+                    next_session_key(),
+                    QueryClass::Interactive,
+                    CancelToken::new(),
+                );
                 with_session(ctx, || {
                     let answer = sched.submit(&q).expect("answered");
                     assert_eq!(answer.resp, want);
@@ -918,9 +924,9 @@ mod tests {
             SourcePolicy::unlimited(),
             SchedConfig::default(),
         );
-        let token = qr2_core::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
-        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive).with_cancel(token);
+        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive, token);
         let before = db.ledger().total();
         let err = with_session(ctx, || sched.submit(&SearchQuery::all()))
             .expect_err("a cancelled session gets no answer");
@@ -946,12 +952,12 @@ mod tests {
         let before = db.ledger().total();
 
         let key = next_session_key();
-        let token = qr2_core::CancelToken::new();
+        let token = CancelToken::new();
         let sched2 = Arc::clone(&sched);
         let token2 = token.clone();
         let q = SearchQuery::all().and_range(x, RangePred::closed(0.0, 10.0));
         let waiter = std::thread::spawn(move || {
-            let ctx = SessionCtx::new(key, QueryClass::Interactive).with_cancel(token2);
+            let ctx = SessionCtx::new(key, QueryClass::Interactive, token2);
             with_session(ctx, || sched2.submit(&q))
         });
         // Give the waiter time to enqueue, then drain the session.
@@ -1015,7 +1021,11 @@ mod tests {
                 ..SchedConfig::default()
             },
         );
-        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
+        let ctx = SessionCtx::new(
+            next_session_key(),
+            QueryClass::Interactive,
+            CancelToken::new(),
+        );
         let before = db.ledger().total();
         let err = with_session(ctx, || sched.submit(&SearchQuery::all()))
             .expect_err("the outage fails the probe");
@@ -1052,7 +1062,11 @@ mod tests {
                 ..SchedConfig::default()
             },
         );
-        let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
+        let ctx = SessionCtx::new(
+            next_session_key(),
+            QueryClass::Interactive,
+            CancelToken::new(),
+        );
         let q = SearchQuery::all();
         let want = db.search(&q);
         let answer = with_session(ctx, || sched.submit(&q)).expect("rode through");

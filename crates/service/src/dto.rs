@@ -150,7 +150,7 @@ pub struct QueryRequest {
     pub max_queries: Option<usize>,
     /// Scheduler priority class: `"interactive"` (default) or
     /// `"background"` (`"crawl"` accepted as an alias). Validated by the
-    /// service against [`qr2_sched::QueryClass`].
+    /// service against [`qr2_core::QueryClass`].
     pub class: Option<String>,
 }
 

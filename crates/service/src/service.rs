@@ -15,11 +15,10 @@
 use std::sync::Arc;
 
 use qr2_core::{
-    Algorithm, LinearFunction, OneDimFunction, RankingFunction, RerankRequest, SortDir,
+    Algorithm, LinearFunction, OneDimFunction, QueryClass, RankingFunction, RerankRequest, SortDir,
 };
 use qr2_http::{ApiError, ChunkStream, IntoJson, Json};
 use qr2_recon::{JobOptions, ReconJobError, ServeOrder};
-use qr2_sched::QueryClass;
 use qr2_webdb::{AttrKind, CatSet, RangePred, Schema, SearchQuery, Tuple};
 
 use crate::dto::{
@@ -292,7 +291,7 @@ impl QueryService {
         if self.sessions.remove(id) {
             if let Some(handle) = handle {
                 if let Some(source) = self.registry.get(&handle.source) {
-                    source.sched.cancel_session(handle.sched_key);
+                    source.sched.cancel_session(handle.ctx.key);
                 }
             }
             qr2_obs::counter("qr2_service_sessions_deleted_total", &[]).inc();

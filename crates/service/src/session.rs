@@ -3,8 +3,8 @@
 //! cache)" of the paper's architecture.
 //!
 //! A session is split into an immutable [`SessionHandle`] (source name,
-//! default page size, lifetime budget, scheduler identity, cancel token)
-//! and the mutable [`SessionEntry`] behind the handle's lock. Request
+//! default page size, lifetime budget, and the [`SessionCtx`] that is its
+//! scheduler key, class and cancel token) and the mutable [`SessionEntry`] behind the handle's lock. Request
 //! handlers read the immutable half — e.g. to resolve the source registry
 //! entry — *before* taking the entry lock, so slow paging in one session
 //! never blocks lookups for another.
@@ -22,9 +22,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
-use qr2_core::{Budget, CancelToken, QueryStats, RerankSession, StepOutcome};
+use qr2_core::{
+    next_session_key, with_session, Budget, CancelToken, QueryClass, QueryStats, RerankSession,
+    SessionCtx, StepOutcome,
+};
 use qr2_recon::ReconCursor;
-use qr2_sched::{context as sched_context, QueryClass, SessionCtx};
 use qr2_webdb::Tuple;
 
 use crate::dto::StatsResponse;
@@ -165,7 +167,7 @@ impl SessionEntry {
     ) -> Result<Step, StepError> {
         let degraded = matches!(&self.serving, Serving::Recon(s) if s.degraded);
         let outcome = match &mut self.serving {
-            _ if handle.cancel.is_cancelled() => StepOutcome::Cancelled {
+            _ if handle.ctx.cancel.is_cancelled() => StepOutcome::Cancelled {
                 partial: Vec::new(),
                 stats: QueryStats::default(),
             },
@@ -182,9 +184,7 @@ impl SessionEntry {
                         Some(budget.map_or(remaining, |b| b.min(remaining)))
                     }
                 };
-                let ctx = SessionCtx::new(handle.sched_key, handle.class)
-                    .with_cancel(handle.cancel.clone());
-                let outcome = sched_context::with_session(ctx, || {
+                let outcome = with_session(handle.ctx.clone(), || {
                     session.advance(Budget {
                         queries,
                         tuples: Some(tuples),
@@ -256,17 +256,16 @@ pub struct SessionHandle {
     /// `None` = uncapped). Exceeding it yields the `budget_exceeded`
     /// error.
     pub(crate) max_queries: Option<usize>,
-    /// Cooperative cancellation handle — deleting the session cancels any
-    /// in-flight stream at its next step (readable without the entry
-    /// lock). A live session shares it with its engine, so a step also
-    /// stops between discoveries.
-    pub(crate) cancel: CancelToken,
-    /// Scheduler priority class of this session's probes (immutable; set
-    /// from the create-query request's `class` field).
-    pub(crate) class: QueryClass,
-    /// Scheduler identity of this session (fair-share accounting and
-    /// `DELETE`-time queue draining).
-    pub(crate) sched_key: u64,
+    /// The session's one identity, installed around each of its steps
+    /// (immutable; readable without the entry lock): its scheduler key
+    /// (fair-share accounting and `DELETE`-time queue draining), the
+    /// priority class of its probes (the create-query request's `class`
+    /// field), and its cancel token. Deleting the session cancels the
+    /// token, which stops any in-flight stream at its next step and any
+    /// probe the step has pending in the scheduler; a live session shares
+    /// the token with its engine, so a step also stops between
+    /// discoveries.
+    pub(crate) ctx: SessionCtx,
     created: Instant,
     last_access: Mutex<Instant>,
     entry: Mutex<SessionEntry>,
@@ -292,9 +291,7 @@ impl SessionHandle {
             source: source.into(),
             page_size,
             max_queries,
-            cancel,
-            class,
-            sched_key: sched_context::next_session_key(),
+            ctx: SessionCtx::new(next_session_key(), class, cancel),
             created: now,
             last_access: Mutex::new(now),
             entry: Mutex::new(SessionEntry { serving }),
@@ -353,7 +350,7 @@ impl SessionManager {
     pub fn remove(&self, id: &str) -> bool {
         match self.sessions.lock().remove(id) {
             Some(handle) => {
-                handle.cancel.cancel();
+                handle.ctx.cancel.cancel();
                 true
             }
             None => false,
@@ -385,7 +382,7 @@ impl SessionManager {
                 // A producer may still hold the handle's Arc (a stream
                 // between two lines); cancel so it cannot keep spending
                 // queries on a session nobody can address anymore.
-                handle.cancel.cancel();
+                handle.ctx.cancel.cancel();
             }
             keep
         });
@@ -521,7 +518,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(mgr.evict_idle(), 1);
         assert!(
-            handle.cancel.is_cancelled(),
+            handle.ctx.cancel.is_cancelled(),
             "an evicted session must not keep spending queries"
         );
     }
@@ -543,10 +540,10 @@ mod tests {
         let mgr = SessionManager::new(Duration::from_secs(60));
         let id = mgr.register(live("test", 10, None));
         let handle = mgr.get(&id).unwrap();
-        assert!(!handle.cancel.is_cancelled());
+        assert!(!handle.ctx.cancel.is_cancelled());
         assert!(mgr.remove(&id));
         assert!(
-            handle.cancel.is_cancelled(),
+            handle.ctx.cancel.is_cancelled(),
             "delete must stop in-flight streams"
         );
     }

@@ -9,20 +9,22 @@
 //! scheduler → traffic shaping → web DB), exactly as the HTTP handlers
 //! do.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qr2::cache::{AnswerCache, CacheConfig};
-use qr2::core::ExecutorKind;
-use qr2::sched::context::{next_session_key, with_session};
-use qr2::sched::{QueryClass, SchedConfig, SessionCtx, SourceScheduler};
+use qr2::core::{
+    next_session_key, with_session, CancelToken, ExecutorKind, QueryClass, SessionCtx,
+};
+use qr2::sched::{SchedConfig, SourceScheduler};
 use qr2::service::{
     QueryRequest, QueryService, RankingDto, SessionManager, Source, SourceRegistry,
 };
 use qr2::webdb::{
-    Answer, BreakerConfig, RangePred, ResilientInterface, RetryPolicy, SearchQuery, SimulatedWebDb,
-    SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
+    Answer, BreakerConfig, QueryLedger, RangePred, ResilientInterface, RetryPolicy, Schema,
+    SearchError, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder, Throttled,
+    TopKInterface, TopKResponse, TrafficShapedInterface,
 };
 
 /// A deterministic one-attribute database: rows at integer positions,
@@ -73,11 +75,12 @@ fn range(db: &SimulatedWebDb, lo: f64, hi: f64) -> SearchQuery {
 }
 
 /// The full serving stack for service-level tests: one source named
-/// `"x"` wired through `Source::builder`.
+/// `"x"` wired through `Source::builder`, its engines on `executor`.
 fn service_over(
-    db: Arc<SimulatedWebDb>,
+    db: Arc<dyn TopKInterface>,
     policy: SourcePolicy,
     cfg: SchedConfig,
+    executor: ExecutorKind,
 ) -> (QueryService, Arc<Source>) {
     let cache = Arc::new(AnswerCache::new(CacheConfig {
         shards: 4,
@@ -88,7 +91,7 @@ fn service_over(
         Source::builder("x", "Contended numeric source", db)
             .policy(policy)
             .sched_config(cfg)
-            .executor(ExecutorKind::Sequential)
+            .executor(executor)
             .cache(cache)
             .build(),
     );
@@ -145,7 +148,7 @@ fn fair_share_under_a_hot_competitor() {
                 for p in 0..probes {
                     let lo = band + (p % 40) as f64;
                     let q = range(reference.as_ref(), lo, lo + 30.0);
-                    let ctx = SessionCtx::new(key, QueryClass::Interactive);
+                    let ctx = SessionCtx::new(key, QueryClass::Interactive, CancelToken::new());
                     let answer = with_session(ctx, || sched.submit(&q)).expect("answered");
                     assert_eq!(
                         answer.resp,
@@ -185,7 +188,11 @@ fn interactive_class_dispatches_before_queued_background() {
         let bg_sched = Arc::clone(&sched);
         let bg_q = range(db.as_ref(), 0.0, 50.0);
         let bg = scope.spawn(move || {
-            let ctx = SessionCtx::new(next_session_key(), QueryClass::Background);
+            let ctx = SessionCtx::new(
+                next_session_key(),
+                QueryClass::Background,
+                CancelToken::new(),
+            );
             with_session(ctx, || bg_sched.submit(&bg_q)).expect("answered");
             order.fetch_add(1, Ordering::SeqCst) // 0 if first to finish
         });
@@ -195,7 +202,11 @@ fn interactive_class_dispatches_before_queued_background() {
         let int_sched = Arc::clone(&sched);
         let int_q = range(db.as_ref(), 60.0, 99.0);
         let int = scope.spawn(move || {
-            let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
+            let ctx = SessionCtx::new(
+                next_session_key(),
+                QueryClass::Interactive,
+                CancelToken::new(),
+            );
             with_session(ctx, || int_sched.submit(&int_q)).expect("answered");
             order.fetch_add(1, Ordering::SeqCst)
         });
@@ -228,7 +239,11 @@ fn frontier_coalescing_issues_one_covering_query_with_exact_answers() {
         let wide_q = range(db.as_ref(), 0.0, 300.0);
         let wide_want = reference.search(&wide_q);
         scope.spawn(move || {
-            let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
+            let ctx = SessionCtx::new(
+                next_session_key(),
+                QueryClass::Interactive,
+                CancelToken::new(),
+            );
             let answer = with_session(ctx, || wide_sched.submit(&wide_q)).expect("answered");
             assert_eq!(answer.resp, wide_want, "covering probe answered wrong");
         });
@@ -239,7 +254,11 @@ fn frontier_coalescing_issues_one_covering_query_with_exact_answers() {
             let narrow_q = range(db.as_ref(), lo, lo + 80.0);
             let narrow_want = reference.search(&narrow_q);
             scope.spawn(move || {
-                let ctx = SessionCtx::new(next_session_key(), QueryClass::Interactive);
+                let ctx = SessionCtx::new(
+                    next_session_key(),
+                    QueryClass::Interactive,
+                    CancelToken::new(),
+                );
                 let Answer { resp, outcome } = with_session(ctx, || narrow_sched.submit(&narrow_q))
                     .expect("derived answers are exact, not failures");
                 assert_eq!(
@@ -269,6 +288,7 @@ fn saturated_source_returns_structured_503_with_retry_after() {
         db,
         SourcePolicy::rate_limited(0.01, 1.0),
         SchedConfig::default(),
+        ExecutorKind::Sequential,
     );
     let burner = range(&x_db(1, 1), 0.0, 1000.0);
     source.sched.shaped().probe(&burner).unwrap();
@@ -291,7 +311,12 @@ fn saturated_source_returns_structured_503_with_retry_after() {
 #[test]
 fn class_field_is_validated_and_aliased() {
     let db = x_db(50, 60);
-    let (service, _) = service_over(db, SourcePolicy::unlimited(), SchedConfig::default());
+    let (service, _) = service_over(
+        db,
+        SourcePolicy::unlimited(),
+        SchedConfig::default(),
+        ExecutorKind::Sequential,
+    );
     let err = service
         .create_query("x", &query_request(0.0, 40.0, Some("warp")))
         .expect_err("unknown class must be rejected");
@@ -318,6 +343,7 @@ fn concurrent_identical_sessions_pay_once_and_warm_pass_is_free() {
         solo_db.clone(),
         SourcePolicy::unlimited(),
         SchedConfig::default(),
+        ExecutorKind::Sequential,
     );
     let solo = solo_service
         .create_query("x", &query_request(0.0, 150.0, None))
@@ -331,6 +357,7 @@ fn concurrent_identical_sessions_pay_once_and_warm_pass_is_free() {
         db.clone(),
         SourcePolicy::rate_limited(100.0, 1.0),
         SchedConfig::default(),
+        ExecutorKind::Sequential,
     );
     let service = Arc::new(service);
     let barrier = Barrier::new(2);
@@ -382,54 +409,253 @@ fn concurrent_identical_sessions_pay_once_and_warm_pass_is_free() {
     );
 }
 
-#[test]
-fn delete_drains_the_sessions_pending_scheduler_entries() {
-    // A session blocked in the admission queue is torn down by DELETE:
-    // the blocked request returns, the queue empties, and the web DB is
-    // never charged for the abandoned probes. The small system-k forces
-    // paging to keep probing the source (a generous k would let the
-    // session answer page two from its own state, never queueing).
-    let db = x_db(200, 10);
+/// A two-attribute database: `x` at integer positions, `y` a scrambled
+/// permutation of them, so an MD ranking over both keeps probing.
+fn xy_db(n: usize, k: usize) -> Arc<SimulatedWebDb> {
+    let schema = qr2::webdb::Schema::builder()
+        .numeric("x", 0.0, 1000.0)
+        .numeric("y", 0.0, 1000.0)
+        .build();
+    let mut tb = TableBuilder::new(schema.clone());
+    for i in 0..n {
+        tb.push_row(vec![i as f64, ((i * 37) % n) as f64]).unwrap();
+    }
+    let ranking = SystemRanking::linear(&schema, &[("x", 1.0)]).unwrap();
+    Arc::new(SimulatedWebDb::new(tb.build(), ranking, k))
+}
+
+/// The sessions the deletion tests park in the scheduler: a 1D session
+/// on the sequential executor, and an MD-RERANK session whose rounds run
+/// on the parallel executor's worker threads. Each page size is the
+/// system k, so the first page consumes the first probe's whole response
+/// and the next line or page must probe (and therefore queue) again.
+fn parked_sessions() -> Vec<(
+    &'static str,
+    Arc<SimulatedWebDb>,
+    ExecutorKind,
+    QueryRequest,
+)> {
+    let mut one_d = query_request(0.0, 150.0, None);
+    one_d.page_size = Some(10);
+    let mut md = query_request(0.0, 150.0, None);
+    md.page_size = Some(10);
+    md.ranking = RankingDto::Md {
+        weights: vec![("x".into(), 1.0), ("y".into(), 1.0)],
+    };
+    md.algorithm = "md-rerank".into();
+    vec![
+        (
+            "1D, sequential",
+            x_db(200, 10),
+            ExecutorKind::Sequential,
+            one_d,
+        ),
+        (
+            "MD-RERANK, parallel",
+            xy_db(200, 10),
+            ExecutorKind::Parallel { fanout: 4 },
+            md,
+        ),
+    ]
+}
+
+/// A rate-limited service whose session `req` has served its first
+/// page and whose token bucket is empty, so the session's next probe
+/// parks in the scheduler (~5 s per fresh token).
+fn drained_service(
+    db: &Arc<SimulatedWebDb>,
+    executor: ExecutorKind,
+    req: &QueryRequest,
+) -> (QueryService, Arc<Source>, String) {
     let (service, source) = service_over(
         db.clone(),
         SourcePolicy::rate_limited(0.2, 50.0),
         SchedConfig::default(),
+        executor,
     );
-    let service = Arc::new(service);
-    // Page size = system k: the first page consumes the first probe's
-    // whole response, so the next page cannot be served from session
-    // state and must probe (and therefore queue) again.
-    let mut req = query_request(0.0, 150.0, None);
-    req.page_size = Some(10);
-    let first = service.create_query("x", &req).unwrap();
+    let first = service.create_query("x", req).unwrap();
     assert!(!first.results.is_empty());
-    // Exhaust whatever burst the first page left behind, so the next
-    // page must park in the scheduler (~5 s per fresh token).
     let burner = range(db.as_ref(), 900.0, 1000.0);
     while source.sched.shaped().probe(&burner).is_ok() {}
+    (service, source, first.query_id)
+}
 
-    let id = first.query_id.clone();
+#[test]
+fn delete_drains_the_sessions_pending_scheduler_entries() {
+    // A session blocked in the admission queue is torn down by DELETE:
+    // the blocked request returns, the queue empties, and the web DB is
+    // never charged for the abandoned probes, whether the session probes
+    // on its own thread or on the parallel executor's workers.
+    for (label, db, executor, req) in parked_sessions() {
+        let (service, source, id) = drained_service(&db, executor, &req);
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| service.next_page(&id, None));
+            wait_until("the next page's probe to queue", || {
+                source.sched.stats().queued > 0
+            });
+            let paid_at_delete = db.ledger().total();
+            service.delete(&id).expect("delete a live query");
+            // The blocked call returns the page found so far (empty or
+            // partial) as a cancellation, not an outage.
+            let page = blocked
+                .join()
+                .unwrap()
+                .unwrap_or_else(|e| panic!("{label}: a deleted session's page: {e:?}"));
+            assert!(
+                page.results.len() <= 10,
+                "{label}: at most one page: {}",
+                page.results.len()
+            );
+            assert_eq!(
+                db.ledger().total(),
+                paid_at_delete,
+                "{label}: abandoned probes must never reach the web DB"
+            );
+        });
+        assert_eq!(
+            source.sched.stats().queued,
+            0,
+            "{label}: queue must be drained"
+        );
+        assert!(
+            service.stats(&id).is_err(),
+            "{label}: the session is gone after DELETE"
+        );
+    }
+}
+
+#[test]
+fn a_stream_deleted_while_its_probe_is_parked_ends_cancelled() {
+    // The stream's next line waits in the scheduler when DELETE arrives:
+    // the stream ends with a `cancelled` summary, sends no tuple line
+    // after the delete, and the web DB is never charged for it.
+    for (label, db, executor, req) in parked_sessions() {
+        let (service, source, id) = drained_service(&db, executor, &req);
+        let mut stream = service.stream(&id, Some(50), None).unwrap();
+        let chunks = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                while let Some(chunk) = stream.next_chunk() {
+                    chunks
+                        .lock()
+                        .unwrap()
+                        .push(String::from_utf8(chunk).unwrap());
+                }
+            });
+            wait_until("the stream's next probe to queue", || {
+                source.sched.stats().queued > 0
+            });
+            let before_delete = chunks.lock().unwrap().len();
+            let paid_at_delete = db.ledger().total();
+            service.delete(&id).expect("delete a live query");
+            reader.join().unwrap();
+            assert_eq!(
+                db.ledger().total(),
+                paid_at_delete,
+                "{label}: a deleted stream's probe must never reach the web DB"
+            );
+            let after = chunks.lock().unwrap()[before_delete..].concat();
+            assert!(
+                !after.contains("\"event\":\"tuple\""),
+                "{label}: no tuple line after the delete: {after}"
+            );
+            let summary = after
+                .lines()
+                .last()
+                .expect("the stream ends with a summary");
+            assert!(
+                summary.contains("\"event\":\"summary\"")
+                    && summary.contains("\"status\":\"cancelled\""),
+                "{label}: {summary}"
+            );
+        });
+        assert_eq!(
+            source.sched.stats().queued,
+            0,
+            "{label}: queue must be drained"
+        );
+    }
+}
+
+/// A web database behind a switch: while it is closed every probe is
+/// refused with a 429 (nothing paid), so the scheduler keeps re-queueing
+/// it until the switch opens.
+struct Gated {
+    db: Arc<SimulatedWebDb>,
+    open: AtomicBool,
+}
+
+impl TopKInterface for Gated {
+    fn schema(&self) -> &Schema {
+        self.db.schema()
+    }
+    fn system_k(&self) -> usize {
+        self.db.system_k()
+    }
+    fn search(&self, q: &SearchQuery) -> TopKResponse {
+        self.db.search(q)
+    }
+    fn ledger(&self) -> &QueryLedger {
+        self.db.ledger()
+    }
+    fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
+        if !self.open.load(Ordering::SeqCst) {
+            return Err(SearchError::Throttled(Throttled {
+                retry_after: Duration::from_millis(2),
+            }));
+        }
+        self.db.probe(q)
+    }
+}
+
+#[test]
+fn deleting_a_session_does_not_cancel_an_identical_one_coalesced_on_its_probes() {
+    // Two identical MD-RERANK sessions on the parallel executor: A's next
+    // round waits in the scheduler and B's identical round waits on A's
+    // answer-cache flights when A is deleted. The cancellation is A's
+    // alone: B fetches for itself and its stream ends `complete`.
+    let gated = Arc::new(Gated {
+        db: xy_db(200, 10),
+        open: AtomicBool::new(true),
+    });
+    let (service, source) = service_over(
+        gated.clone(),
+        SourcePolicy::unlimited(),
+        SchedConfig::default(),
+        ExecutorKind::Parallel { fanout: 4 },
+    );
+    let (_, _, _, req) = parked_sessions().pop().expect("the MD-RERANK session");
+    let a = service.create_query("x", &req).unwrap().query_id;
+    let b = service.create_query("x", &req).unwrap().query_id;
+    gated.open.store(false, Ordering::SeqCst);
+    let mut stream = service.stream(&b, Some(20), None).unwrap();
     std::thread::scope(|scope| {
-        let page_service = Arc::clone(&service);
-        let page_id = id.clone();
-        let blocked = scope.spawn(move || page_service.next_page(&page_id, None));
-        wait_until("the next page's probe to queue", || {
+        let blocked = scope.spawn(|| service.next_page(&a, None));
+        wait_until("A's next round to queue", || {
             source.sched.stats().queued > 0
         });
-        let paid_at_delete = db.ledger().total();
-        service.delete(&id).expect("delete a live query");
-        // The blocked page request must come back (any outcome — the
-        // stream is cancelled) without spending anything further.
-        let _ = blocked.join().unwrap();
-        assert_eq!(
-            db.ledger().total(),
-            paid_at_delete,
-            "abandoned probes must never reach the web DB"
+        let reader = scope.spawn(|| {
+            let mut lines = String::new();
+            while let Some(chunk) = stream.next_chunk() {
+                lines.push_str(&String::from_utf8(chunk).unwrap());
+            }
+            lines
+        });
+        // Let B's round reach A's in-flight cache lookups.
+        std::thread::sleep(Duration::from_millis(100));
+        service.delete(&a).expect("delete A");
+        let page = blocked.join().unwrap().expect("A's page is a cancellation");
+        assert!(page.results.len() <= 10);
+        gated.open.store(true, Ordering::SeqCst);
+        let lines = reader.join().unwrap();
+        let summary = lines
+            .lines()
+            .last()
+            .expect("B's stream ends with a summary");
+        assert!(
+            summary.contains("\"status\":\"complete\"") && summary.contains("\"count\":20"),
+            "{summary}"
         );
     });
-    assert_eq!(source.sched.stats().queued, 0, "queue must be drained");
-    assert!(
-        service.stats(&id).is_err(),
-        "the session is gone after DELETE"
-    );
+    assert!(service.stats(&b).is_ok(), "B is still live");
 }
