@@ -1080,6 +1080,42 @@ mod tests {
         assert!(sched.resilient().health().breaker_opens >= 1);
     }
 
+    /// Queue `counts[i]` probes for session `i + 1`, session by session.
+    fn lane_of(counts: &[usize]) -> Lane {
+        let mut lane = Lane::default();
+        for (owner, &n) in (1u64..).zip(counts) {
+            for _ in 0..n {
+                let probe = Probe::new(SearchQuery::all(), owner, QueryClass::Interactive);
+                lane.push(Arc::new(probe), false);
+            }
+        }
+        lane
+    }
+
+    fn pick_owner(lane: &mut Lane) -> Option<u64> {
+        lane.pick(SchedConfig::default().quantum).map(|p| p.owner)
+    }
+
+    #[test]
+    fn pick_serves_one_probe_per_session_per_ring_pass() {
+        let mut lane = lane_of(&[3, 1, 2]);
+        let order: Vec<u64> = std::iter::from_fn(|| pick_owner(&mut lane)).collect();
+        assert_eq!(order, [1, 2, 3, 1, 3, 1]);
+        assert_eq!(lane.queued(), 0);
+
+        // A throttled pick is requeued at the head: a session whose last
+        // probe it was re-enters the ring at the front and is served next.
+        let mut lane = lane_of(&[3, 1, 2]);
+        assert_eq!(pick_owner(&mut lane), Some(1));
+        let requeued = lane.pick(SchedConfig::default().quantum).expect("B's probe");
+        assert_eq!(requeued.owner, 2);
+        lane.push(Arc::clone(&requeued), true);
+        let next = lane.pick(SchedConfig::default().quantum).expect("requeued");
+        assert!(Arc::ptr_eq(&next, &requeued));
+        let rest: Vec<u64> = std::iter::from_fn(|| pick_owner(&mut lane)).collect();
+        assert_eq!(rest, [3, 1, 3, 1]);
+    }
+
     #[test]
     fn admission_control_rejects_when_saturated() {
         let db = raw_db(100, 5);
