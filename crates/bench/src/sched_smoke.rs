@@ -338,7 +338,7 @@ pub fn run_sched_smoke() -> Report {
                 "fairness_bounded",
                 (1.0..=5.0).contains(&ratio),
                 format!(
-                    "equal-demand sessions completed at a {ratio}x max/min ratio; deficit \
+                    "equal-demand sessions completed at a {ratio}x max/min ratio; \
                      round-robin must keep it bounded (<= 5)"
                 ),
             ),

@@ -97,9 +97,10 @@ impl Budget {
 }
 
 /// Cooperative cancellation handle for a session. Cloning shares the flag;
-/// any clone can cancel. Cancellation is observed between discoveries —
-/// the current in-flight discovery completes, then `advance` returns
-/// [`StepOutcome::Cancelled`] and every later `advance` does the same.
+/// any clone can cancel. An `advance` run under a [`SessionCtx`] carrying
+/// the token observes it between discoveries — the current in-flight
+/// discovery completes, then `advance` returns [`StepOutcome::Cancelled`]
+/// and every later `advance` under that context does the same.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use qr2_webdb::{Schema, SearchError, SearchQuery, TopKInterface, Tuple};
 
-use crate::budget::{Budget, CancelToken, StepOutcome};
+use crate::budget::{Budget, StepOutcome};
 use crate::dense_index::DenseIndex;
 use crate::executor::{ExecutorKind, SearchCtx};
 use crate::function::{LinearFunction, RankingFunction, SortDir};
@@ -238,7 +238,6 @@ impl Reranker {
             ctx,
             inner,
             carried: Vec::new(),
-            cancel: CancelToken::new(),
         }
     }
 }
@@ -257,7 +256,6 @@ pub struct RerankSession {
     /// Tuples a failed step produced, in order; the next step serves them
     /// first.
     carried: Vec<Tuple>,
-    cancel: CancelToken,
 }
 
 impl RerankSession {
@@ -275,11 +273,16 @@ impl RerankSession {
     /// discoveries, so a step may overshoot it by the cost of completing
     /// the one in-flight discovery but never starts a new one past it.
     ///
-    /// A failed probe ends the step as [`StepOutcome::Failed`]; the tuples
-    /// it had produced are served first by the next `advance`. A probe
-    /// that fails [`SearchError::Cancelled`] after this session's token
-    /// fired ends it as [`StepOutcome::Cancelled`].
+    /// The session's cancellation is the ambient [`SessionCtx`]'s token
+    /// ([`crate::current`]): the step stops between discoveries once it
+    /// fires. A failed probe ends the step as [`StepOutcome::Failed`]; the
+    /// tuples it had produced are served first by the next `advance`. A
+    /// probe that fails [`SearchError::Cancelled`] after that token fired
+    /// ends it as [`StepOutcome::Cancelled`].
+    ///
+    /// [`SessionCtx`]: crate::SessionCtx
     pub fn advance(&mut self, budget: Budget) -> StepOutcome {
+        let cancel = crate::current().cancel;
         let start = self.ctx.snapshot();
         let delta = |ctx: &SearchCtx| ctx.delta_since(&start);
         let mut out = std::mem::take(&mut self.carried);
@@ -289,7 +292,7 @@ impl RerankSession {
             }
         }
         loop {
-            if self.cancel.is_cancelled() {
+            if cancel.is_cancelled() {
                 return StepOutcome::Cancelled {
                     partial: out,
                     stats: delta(&self.ctx),
@@ -326,7 +329,7 @@ impl RerankSession {
                 // This session was cancelled under its probe: the step
                 // ends as a cancellation, not as a source failure. A
                 // `Cancelled` this session did not ask for is a failure.
-                Err(SearchError::Cancelled) if self.cancel.is_cancelled() => {
+                Err(SearchError::Cancelled) if cancel.is_cancelled() => {
                     return StepOutcome::Cancelled {
                         partial: out,
                         stats: delta(&self.ctx),
@@ -381,12 +384,6 @@ impl RerankSession {
         self.carried.len() + engine
     }
 
-    /// A cooperative cancellation handle; any clone can stop the session
-    /// between discoveries.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// The statistics panel: per-round query counts, totals, wall time.
     pub fn stats(&self) -> QueryStats {
         self.ctx.stats()
@@ -403,6 +400,7 @@ impl RerankSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::CancelToken;
     use crate::function::OneDimFunction;
     use qr2_webdb::{AttrId, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface};
 
@@ -696,20 +694,23 @@ mod tests {
             function: OneDimFunction::asc(price).into(),
             algorithm: Algorithm::OneDBinary,
         });
-        let token = s.cancel_token();
-        assert_eq!(
-            s.next_page(3).unwrap().len(),
-            3,
-            "runs normally before cancel"
-        );
-        token.cancel();
-        let step = s.advance(Budget::tuples(3));
-        assert_eq!(step.label(), "cancelled");
-        assert!(step.tuples().is_empty());
-        assert_eq!(step.stats_delta().total_queries(), 0);
-        // Sticks: the wrappers observe it too.
-        assert!(s.next().unwrap().is_none());
-        assert!(s.next_page(5).unwrap().is_empty());
+        let token = CancelToken::new();
+        let ctx = crate::SessionCtx::new(7, Default::default(), token.clone());
+        crate::with_session(ctx, || {
+            assert_eq!(
+                s.next_page(3).unwrap().len(),
+                3,
+                "runs normally before cancel"
+            );
+            token.cancel();
+            let step = s.advance(Budget::tuples(3));
+            assert_eq!(step.label(), "cancelled");
+            assert!(step.tuples().is_empty());
+            assert_eq!(step.stats_delta().total_queries(), 0);
+            // Sticks: the wrappers observe it too.
+            assert!(s.next().unwrap().is_none());
+            assert!(s.next_page(5).unwrap().is_empty());
+        });
     }
 
     #[test]
@@ -834,15 +835,16 @@ mod tests {
         // The session is deleted while its fourth probe waits: the probe
         // fails `Cancelled` under the session's own context.
         let (mut s, _) = failing_session(&d, 3, SearchError::Cancelled);
-        let ctx = crate::SessionCtx::new(7, Default::default(), s.cancel_token());
-        let step = crate::with_session(ctx, || s.advance(Budget::tuples(50)));
+        let token = CancelToken::new();
+        let ctx = crate::SessionCtx::new(7, Default::default(), token.clone());
+        let step = crate::with_session(ctx.clone(), || s.advance(Budget::tuples(50)));
         let StepOutcome::Cancelled { partial, .. } = step else {
             panic!("a cancelled probe is a cancellation, not a failure: {step:?}");
         };
         assert_eq!(partial, want[..partial.len()]);
-        assert!(s.cancel_token().is_cancelled());
+        assert!(token.is_cancelled());
         assert!(matches!(
-            s.advance(Budget::tuples(50)),
+            crate::with_session(ctx, || s.advance(Budget::tuples(50))),
             StepOutcome::Cancelled { .. }
         ));
     }
@@ -853,16 +855,16 @@ mod tests {
         let (mut healthy, _) = failing_session(&d, usize::MAX, OUTAGE);
         let want = healthy.next_page(50).unwrap();
 
-        // A `Cancelled` shared from another session's probe (this one's
-        // token never fires): the step fails and keeps its tuples, and
-        // the next step resumes at the failed probe's region.
+        // A `Cancelled` shared from another session's probe (this one
+        // runs under the anonymous context, whose token never fires): the
+        // step fails and keeps its tuples, and the next step resumes at
+        // the failed probe's region.
         let (mut s, _) = failing_session(&d, 3, SearchError::Cancelled);
         let step = s.advance(Budget::tuples(50));
         let StepOutcome::Failed { error, .. } = step else {
             panic!("this session was not cancelled: {step:?}");
         };
         assert_eq!(error, SearchError::Cancelled);
-        assert!(!s.cancel_token().is_cancelled());
         assert_eq!(s.next_page(50).unwrap(), want);
     }
 

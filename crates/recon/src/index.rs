@@ -38,6 +38,7 @@
 //! truly uncovered regions): the index under-claims, never over-claims.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -193,6 +194,10 @@ pub struct ReconIndex {
     state: RwLock<State>,
     store: Mutex<Option<RankIndex>>,
     jobs: Mutex<Jobs>,
+    /// How many times [`ReconIndex::drop_index`] ran, bumped under the
+    /// state lock. A writer that read it before its work owns the state
+    /// and the store only while it is unchanged.
+    drops: AtomicU64,
 }
 
 impl ReconIndex {
@@ -202,6 +207,7 @@ impl ReconIndex {
             state: RwLock::new(State::default()),
             store: Mutex::new(None),
             jobs: Mutex::new(Jobs::default()),
+            drops: AtomicU64::new(0),
         }
     }
 
@@ -224,6 +230,7 @@ impl ReconIndex {
             state: RwLock::new(state),
             store: Mutex::new(Some(store)),
             jobs: Mutex::new(Jobs::default()),
+            drops: AtomicU64::new(0),
         })
     }
 
@@ -297,20 +304,22 @@ impl ReconIndex {
         if resp.overflow {
             return;
         }
-        let (added, pending, atomic) = {
+        let (added, pending, atomic, drops) = {
             let mut st = self.state.write();
             if st.root.is_none() || st.epoch != current_epoch || st.pending.is_empty() {
                 return;
             }
+            let drops = self.drops.load(Ordering::SeqCst);
             let before = st.pending.len();
             st.pending.retain(|r| !q.covers(r));
             if st.pending.len() == before {
                 return;
             }
             let added = TupleSet::absorb(&mut st.tuples, resp.tuples.to_vec());
-            (added, st.pending.clone(), st.atomic.clone())
+            (added, st.pending.clone(), st.atomic.clone(), drops)
         };
-        if let Some(store) = self.store.lock().as_mut() {
+        let mut store = self.store.lock();
+        if let Some(store) = store.as_mut().filter(|_| self.undropped_since(drops)) {
             // Tuples strictly before the frontier: if the batch fails to
             // persist, the on-disk frontier must not shrink, or a
             // reopened index would claim coverage it cannot back.
@@ -381,19 +390,32 @@ impl ReconIndex {
     }
 
     /// Drop the reconstruction (memory and disk) and move to
-    /// `current_epoch`. Cancels a running job at its next probe boundary.
+    /// `current_epoch`. Cancels a running job at its next probe boundary;
+    /// whatever that job still holds is never written back.
     pub fn drop_index(&self, current_epoch: u64) -> qr2_store::Result<()> {
         if let Some((_, cancel)) = &self.jobs.lock().running {
             cancel.cancel();
         }
-        *self.state.write() = State {
-            epoch: current_epoch,
-            ..State::default()
-        };
+        {
+            let mut st = self.state.write();
+            self.drops.fetch_add(1, Ordering::SeqCst);
+            *st = State {
+                epoch: current_epoch,
+                ..State::default()
+            };
+        }
         match self.store.lock().as_mut() {
             Some(store) => store.clear(current_epoch),
             None => Ok(()),
         }
+    }
+
+    /// True when the index was not dropped since `drops` was read.
+    /// `drop_index` clears the store after it resets the state, outside
+    /// the state lock, so a writer that checked under the state lock must
+    /// check again under the store lock.
+    fn undropped_since(&self, drops: u64) -> bool {
+        self.drops.load(Ordering::SeqCst) == drops
     }
 
     /// Covered fraction of the root region's volume, in `[0, 1]`.
@@ -481,8 +503,8 @@ impl ReconIndex {
         job_id: u64,
         cancel: CancelToken,
     ) -> JobReport {
-        let ctx = SessionCtx::new(next_session_key(), QueryClass::Background, cancel.clone());
-        let report = with_session(ctx, || self.drive(db, opts, current_epoch, job_id, &cancel));
+        let ctx = SessionCtx::new(next_session_key(), QueryClass::Background, cancel);
+        let report = with_session(ctx, || self.drive(db, opts, current_epoch, job_id));
         let mut jobs = self.jobs.lock();
         jobs.running = None;
         jobs.last = Some(report.clone());
@@ -515,22 +537,26 @@ impl ReconIndex {
         Ok(job_id)
     }
 
-    /// The work loop: resumable region walk with incremental checkpoints.
+    /// The work loop: resumable region walk with incremental checkpoints,
+    /// until the ambient session's token (the job's, installed by
+    /// [`ReconIndex::run_reserved`]) is cancelled.
     fn drive<D: TopKInterface + ?Sized>(
         &self,
         db: &D,
         opts: &JobOptions,
         epoch: u64,
         job_id: u64,
-        cancel: &CancelToken,
     ) -> JobReport {
         let schema = db.schema();
         let root = opts.root.clone().unwrap_or_else(SearchQuery::all);
+        let cancel = qr2_core::current().cancel;
         let mut persist_errors = 0usize;
 
-        // Fresh start or resume: an epoch or root change restarts.
-        let (resume, mut frontier) = {
+        // Fresh start or resume: an epoch or root change restarts. The
+        // job writes back only while the index is not dropped under it.
+        let (resume, mut frontier, drops) = {
             let mut st = self.state.write();
+            let drops = self.drops.load(Ordering::SeqCst);
             let resume = st.epoch == epoch && st.root.as_ref() == Some(&root);
             if !resume {
                 *st = State {
@@ -546,11 +572,11 @@ impl ReconIndex {
                 st.pending.iter().cloned(),
                 st.atomic.clone(),
             );
-            (resume, frontier)
+            (resume, frontier, drops)
         };
         {
             let mut store = self.store.lock();
-            if let Some(store) = store.as_mut() {
+            if let Some(store) = store.as_mut().filter(|_| self.undropped_since(drops)) {
                 // begin() wipes every persisted tuple batch, so it must
                 // run exactly on a restart — never on a same-epoch resume
                 // (however small its remaining work-list), where the
@@ -613,7 +639,8 @@ impl ReconIndex {
                 completed += 1;
             }
             if since_checkpoint >= opts.checkpoint_every.max(1) {
-                let (added, errors) = self.checkpoint(&mut batch, &frontier, since_checkpoint);
+                let (added, errors) =
+                    self.checkpoint(&mut batch, &frontier, since_checkpoint, drops);
                 since_checkpoint = 0;
                 tuples_added += added;
                 persist_errors += errors;
@@ -623,7 +650,7 @@ impl ReconIndex {
         // Final checkpoint. The frontier still holds every region not
         // retrieved (a failed probe's included), so it stays a superset
         // of the truly uncovered regions.
-        let (added, errors) = self.checkpoint(&mut batch, &frontier, since_checkpoint);
+        let (added, errors) = self.checkpoint(&mut batch, &frontier, since_checkpoint, drops);
         tuples_added += added;
         persist_errors += errors;
 
@@ -638,19 +665,25 @@ impl ReconIndex {
         }
     }
 
-    /// Merge a crawled batch into the live state and persist it. Order
-    /// matters for crash safety: tuples are appended before the frontier
-    /// shrinks. Returns `(new tuples, persist errors)`.
+    /// Merge a crawled batch into the live state and persist it, unless
+    /// the index was dropped since the job read `drops`: then the batch
+    /// is discarded. Order matters for crash safety: tuples are appended
+    /// before the frontier shrinks. Returns `(new tuples, persist errors)`.
     fn checkpoint(
         &self,
         batch: &mut Vec<Tuple>,
         frontier: &Frontier<'_>,
         paid_delta: usize,
+        drops: u64,
     ) -> (usize, usize) {
         let pending: Vec<SearchQuery> = frontier.pending().cloned().collect();
         let atomic = frontier.atomic();
         let (added, budget_spent) = {
             let mut st = self.state.write();
+            if !self.undropped_since(drops) {
+                batch.clear();
+                return (0, 0);
+            }
             let added = TupleSet::absorb(&mut st.tuples, std::mem::take(batch));
             st.pending = pending.clone();
             st.atomic = atomic.to_vec();
@@ -660,7 +693,8 @@ impl ReconIndex {
             (added, st.budget_spent)
         };
         let mut errors = 0usize;
-        if let Some(store) = self.store.lock().as_mut() {
+        let mut store = self.store.lock();
+        if let Some(store) = store.as_mut().filter(|_| self.undropped_since(drops)) {
             // Tuples strictly before the frontier: when the batch append
             // fails, neither the frontier nor the budget may move on
             // disk — a shrunk frontier without its backing tuples would
@@ -1069,6 +1103,70 @@ mod tests {
         let idx = ReconIndex::open(&path).unwrap();
         assert!(!idx.covered(&SearchQuery::all(), 7));
         assert_eq!(idx.status(db.schema(), 8).state, "empty");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Drops `idx` (moving it to epoch 1) during the `at`-th probe,
+    /// counted from 1, and still answers that probe.
+    struct DropsIndex<'a> {
+        inner: Arc<SimulatedWebDb>,
+        idx: &'a ReconIndex,
+        at: usize,
+        probes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TopKInterface for DropsIndex<'_> {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> TopKResponse {
+            let n = self
+                .probes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if n + 1 == self.at {
+                self.idx.drop_index(1).unwrap();
+            }
+            self.inner.search(q)
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+    }
+
+    #[test]
+    fn a_dropped_index_stays_dropped_when_its_job_ends() {
+        let path = temp_path("dropped");
+        for idx in [ReconIndex::ephemeral(), ReconIndex::open(&path).unwrap()] {
+            let db = DropsIndex {
+                inner: grid_db(5),
+                idx: &idx,
+                at: 4,
+                probes: Default::default(),
+            };
+            let opts = JobOptions {
+                checkpoint_every: 1,
+                ..JobOptions::default()
+            };
+            let report = idx.run_job(&db, &opts, 0).unwrap();
+            assert_eq!(report.state, "cancelled");
+            let status = idx.status(db.schema(), 1);
+            assert_eq!(
+                (status.state, status.tuples, status.pending_regions),
+                ("empty", 0, 0),
+                "the cancelled job wrote nothing back into the dropped index"
+            );
+            assert_eq!(status.budget_spent, 0);
+        }
+        let reopened = ReconIndex::open(&path).unwrap();
+        let status = reopened.status(grid_inner(5).schema(), 1);
+        assert_eq!(
+            (status.state, status.tuples, status.pending_regions),
+            ("empty", 0, 0),
+            "nothing was written back to the cleared store"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,16 +1,15 @@
 //! # qr2-sched — the per-source query scheduler
 //!
 //! QR2 pays for every web-database probe, and real sources meter that
-//! traffic (rate limits, concurrency caps — see
-//! [`qr2_webdb::SourcePolicy`]). This crate sits between the shared answer
-//! cache and the traffic-shaped interface and decides **which** pending
-//! probe to spend the next admitted token on, and **how many** probes need
-//! to be paid for at all:
+//! traffic (rate limits — see [`qr2_webdb::SourcePolicy`]). This crate
+//! sits between the shared answer cache and the traffic-shaped interface
+//! and decides **which** pending probe to spend the next admitted token
+//! on, and **how many** probes need to be paid for at all:
 //!
-//! * **Admission queue with deficit-weighted fair share** — each source
-//!   has one [`SourceScheduler`]; pending probes queue per session, and a
-//!   deficit-round-robin scan guarantees no session starves behind a hot
-//!   competitor ([`SchedConfig::quantum`]).
+//! * **Admission queue with round-robin fair share** — each source has
+//!   one [`SourceScheduler`]; pending probes queue per session, and a
+//!   round-robin ring dispatches one probe per session per pass, so no
+//!   session starves behind a hot competitor.
 //! * **Priority classes** — [`qr2_core::QueryClass::Interactive`] probes (a user
 //!   waiting on a page) strictly precede [`qr2_core::QueryClass::Background`]
 //!   (crawls, prefetch).

@@ -19,16 +19,6 @@ use qr2_core::{QueryClass, SessionCtx};
 /// Tuning knobs of a [`SourceScheduler`].
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Longest estimated backlog wait a *new session* may be admitted
-    /// into; beyond it [`SourceScheduler::admit`] returns the simulated
-    /// 429 for the service to surface as `503 + Retry-After`.
-    pub max_admission_wait: Duration,
-    /// Deficit-round-robin quantum: probes a session may dispatch per
-    /// fair-share visit before yielding to the next session.
-    pub quantum: u32,
-    /// Hard ceiling on concurrently in-flight probes (further bounded by
-    /// the source policy's own concurrency cap).
-    pub max_inflight: usize,
     /// Idle back-off for a waiter when there is nothing to dispatch.
     pub poll_interval: Duration,
     /// How long a probe may sit parked behind an unhealthy source (open
@@ -42,14 +32,19 @@ pub struct SchedConfig {
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
         SchedConfig {
-            max_admission_wait: Duration::from_secs(30),
-            quantum: 1,
-            max_inflight: 64,
             poll_interval: Duration::from_millis(5),
             max_outage_park: Duration::from_millis(500),
         }
     }
 }
+
+/// Longest estimated backlog wait a *new session* may be admitted into;
+/// beyond it [`SourceScheduler::admit`] returns the simulated 429 for the
+/// service to surface as `503 + Retry-After`.
+const MAX_ADMISSION_WAIT: Duration = Duration::from_secs(30);
+
+/// Ceiling on concurrently in-flight probes per source.
+const MAX_INFLIGHT: usize = 64;
 
 /// Lifecycle of one pending probe.
 enum ProbeState {
@@ -105,24 +100,17 @@ impl Probe {
     }
 }
 
-/// Per-session FIFO of queued probes plus its deficit counter.
-#[derive(Default)]
-struct SessionQueue {
-    deficit: u32,
-    probes: VecDeque<Arc<Probe>>,
-}
-
 /// One priority class's sessions: a round-robin ring of session keys over
-/// their queues.
+/// their FIFOs of queued probes.
 #[derive(Default)]
 struct Lane {
     ring: VecDeque<u64>,
-    sessions: HashMap<u64, SessionQueue>,
+    sessions: HashMap<u64, VecDeque<Arc<Probe>>>,
 }
 
 impl Lane {
     fn queued(&self) -> usize {
-        self.sessions.values().map(|s| s.probes.len()).sum()
+        self.sessions.values().map(VecDeque::len).sum()
     }
 
     /// Append `probe` to its session queue, registering the session in the
@@ -130,8 +118,8 @@ impl Lane {
     /// the head — used when requeueing a throttled pick.
     fn push(&mut self, probe: Arc<Probe>, front: bool) {
         let key = probe.owner;
-        let sq = self.sessions.entry(key).or_default();
-        if sq.probes.is_empty() && !self.ring.contains(&key) {
+        let probes = self.sessions.entry(key).or_default();
+        if probes.is_empty() && !self.ring.contains(&key) {
             if front {
                 self.ring.push_front(key);
             } else {
@@ -139,60 +127,43 @@ impl Lane {
             }
         }
         if front {
-            sq.probes.push_front(probe);
+            probes.push_front(probe);
         } else {
-            sq.probes.push_back(probe);
+            probes.push_back(probe);
         }
     }
 
     /// Remove a specific queued probe (cancellation, absorption).
     fn remove(&mut self, probe: &Arc<Probe>) -> bool {
-        let Some(sq) = self.sessions.get_mut(&probe.owner) else {
+        let Some(probes) = self.sessions.get_mut(&probe.owner) else {
             return false;
         };
-        let Some(pos) = sq.probes.iter().position(|p| Arc::ptr_eq(p, probe)) else {
+        let Some(pos) = probes.iter().position(|p| Arc::ptr_eq(p, probe)) else {
             return false;
         };
-        sq.probes.remove(pos);
+        probes.remove(pos);
         true
     }
 
-    /// Deficit-round-robin pick: visit sessions in ring order, topping the
-    /// visited session's deficit up by `quantum`, and serve the head probe
-    /// of the first session whose deficit affords it.
-    fn pick(&mut self, quantum: u32) -> Option<Arc<Probe>> {
-        let visits = self.ring.len();
-        for _ in 0..visits {
-            let Some(key) = self.ring.pop_front() else {
-                break;
-            };
-            let Some(sq) = self.sessions.get_mut(&key) else {
+    /// Round-robin pick: serve the head probe of the first session in the
+    /// ring and move that session to the back — one probe per session per
+    /// ring pass. Sessions whose queues emptied (withdrawn or absorbed
+    /// probes) leave the ring as the scan meets them.
+    fn pick(&mut self) -> Option<Arc<Probe>> {
+        while let Some(key) = self.ring.pop_front() {
+            let Some(probes) = self.sessions.get_mut(&key) else {
                 continue;
             };
-            if sq.probes.is_empty() {
+            let Some(probe) = probes.pop_front() else {
                 self.sessions.remove(&key);
                 continue;
-            }
-            if sq.deficit < 1 {
-                sq.deficit += quantum.max(1);
-            }
-            if sq.deficit >= 1 {
-                sq.deficit -= 1;
-                let probe = sq.probes.pop_front();
-                if sq.probes.is_empty() {
-                    self.sessions.remove(&key);
-                } else if sq.deficit >= 1 {
-                    // Quantum not used up: keep serving this session.
-                    self.ring.push_front(key);
-                } else {
-                    self.ring.push_back(key);
-                }
-                if probe.is_some() {
-                    return probe;
-                }
+            };
+            if probes.is_empty() {
+                self.sessions.remove(&key);
             } else {
                 self.ring.push_back(key);
             }
+            return Some(probe);
         }
         None
     }
@@ -257,8 +228,8 @@ pub struct SchedSnapshot {
     /// Probes the scheduler failed terminally (source unhealthy past
     /// [`SchedConfig::max_outage_park`], or retries exhausted).
     pub failed_probes: u64,
-    /// Sessions refused at admission because the backlog exceeded
-    /// [`SchedConfig::max_admission_wait`].
+    /// Sessions refused at admission because the backlog exceeded the
+    /// 30 s admission wait.
     pub rejected: u64,
     /// Per-class queue state and delay percentiles
     /// (interactive first, then background).
@@ -378,11 +349,11 @@ impl SourceScheduler {
     /// Admission control for *new sessions*: `Err` (the simulated 429,
     /// for the service to render as `503 + Retry-After`) when the source
     /// is so saturated that a new session's first probe would wait longer
-    /// than [`SchedConfig::max_admission_wait`]. Existing sessions are
+    /// than 30 s. Existing sessions are
     /// never refused — their probes just queue.
     pub fn admit(&self) -> Result<(), Throttled> {
         let wait = self.admission_wait();
-        if wait > self.cfg.max_admission_wait {
+        if wait > MAX_ADMISSION_WAIT {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(Throttled { retry_after: wait });
         }
@@ -400,8 +371,8 @@ impl SourceScheduler {
             let mut removed = Vec::new();
             for class in [QueryClass::Interactive, QueryClass::Background] {
                 let lane = st.lane_mut(class);
-                if let Some(sq) = lane.sessions.remove(&key) {
-                    removed.extend(sq.probes);
+                if let Some(probes) = lane.sessions.remove(&key) {
+                    removed.extend(probes);
                 }
                 lane.ring.retain(|k| *k != key);
             }
@@ -532,8 +503,8 @@ impl SourceScheduler {
             }
             for class in [QueryClass::Interactive, QueryClass::Background] {
                 let lane = st.lane_mut(class);
-                for sq in lane.sessions.values() {
-                    for probe in sq.probes.iter() {
+                for probes in lane.sessions.values() {
+                    for probe in probes {
                         if probe.query.lock().covers(q) {
                             return Plan::Attach {
                                 probe: Arc::clone(probe),
@@ -571,8 +542,8 @@ impl SourceScheduler {
     fn find_covered(st: &mut SchedState, q: &SearchQuery) -> Option<Arc<Probe>> {
         for class in [QueryClass::Interactive, QueryClass::Background] {
             let lane = st.lane_mut(class);
-            for sq in lane.sessions.values() {
-                for probe in sq.probes.iter() {
+            for probes in lane.sessions.values() {
+                for probe in probes {
                     if q.covers(&probe.query.lock()) {
                         return Some(Arc::clone(probe));
                     }
@@ -589,8 +560,8 @@ impl SourceScheduler {
         for class in [QueryClass::Interactive, QueryClass::Background] {
             let lane = st.lane_mut(class);
             let mut victims = Vec::new();
-            for sq in lane.sessions.values() {
-                for probe in sq.probes.iter() {
+            for probes in lane.sessions.values() {
+                for probe in probes {
                     if !Arc::ptr_eq(probe, keep) && q.covers(&probe.query.lock()) {
                         victims.push(Arc::clone(probe));
                     }
@@ -725,19 +696,10 @@ impl SourceScheduler {
         }
         let probe = {
             let mut st = self.state.lock();
-            let cap = self
-                .cfg
-                .max_inflight
-                .min(self.shaped.policy().max_concurrency.unwrap_or(usize::MAX))
-                .max(1);
-            if st.inflight.len() >= cap {
+            if st.inflight.len() >= MAX_INFLIGHT {
                 return Dispatch::Idle;
             }
-            let quantum = self.cfg.quantum;
-            let picked = st
-                .interactive
-                .pick(quantum)
-                .or_else(|| st.background.pick(quantum));
+            let picked = st.interactive.pick().or_else(|| st.background.pick());
             let Some(probe) = picked else {
                 return Dispatch::Idle;
             };
@@ -994,7 +956,6 @@ mod tests {
             max_attempts: 1,
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(2),
-            ..qr2_webdb::RetryPolicy::default()
         };
         let resilient = Arc::new(ResilientInterface::new(
             shaped,
@@ -1018,7 +979,6 @@ mod tests {
             SchedConfig {
                 max_outage_park: Duration::from_millis(30),
                 poll_interval: Duration::from_millis(1),
-                ..SchedConfig::default()
             },
         );
         let ctx = SessionCtx::new(
@@ -1059,7 +1019,6 @@ mod tests {
             SchedConfig {
                 max_outage_park: Duration::from_secs(5),
                 poll_interval: Duration::from_millis(1),
-                ..SchedConfig::default()
             },
         );
         let ctx = SessionCtx::new(
@@ -1093,7 +1052,7 @@ mod tests {
     }
 
     fn pick_owner(lane: &mut Lane) -> Option<u64> {
-        lane.pick(SchedConfig::default().quantum).map(|p| p.owner)
+        lane.pick().map(|p| p.owner)
     }
 
     #[test]
@@ -1107,10 +1066,10 @@ mod tests {
         // probe it was re-enters the ring at the front and is served next.
         let mut lane = lane_of(&[3, 1, 2]);
         assert_eq!(pick_owner(&mut lane), Some(1));
-        let requeued = lane.pick(SchedConfig::default().quantum).expect("B's probe");
+        let requeued = lane.pick().expect("B's probe");
         assert_eq!(requeued.owner, 2);
         lane.push(Arc::clone(&requeued), true);
-        let next = lane.pick(SchedConfig::default().quantum).expect("requeued");
+        let next = lane.pick().expect("requeued");
         assert!(Arc::ptr_eq(&next, &requeued));
         let rest: Vec<u64> = std::iter::from_fn(|| pick_owner(&mut lane)).collect();
         assert_eq!(rest, [3, 1, 3, 1]);
@@ -1122,16 +1081,13 @@ mod tests {
         let sched = sched_over(
             db,
             SourcePolicy::rate_limited(0.01, 1.0),
-            SchedConfig {
-                max_admission_wait: Duration::from_secs(1),
-                ..SchedConfig::default()
-            },
+            SchedConfig::default(),
         );
         assert!(sched.admit().is_ok(), "token available: admit");
-        // Burn the token; now a new probe waits ~100s > 1s.
+        // Burn the token; now a new probe waits ~100s > 30s.
         assert!(sched.shaped().probe(&SearchQuery::all()).is_ok());
         let denial = sched.admit().expect_err("saturated");
-        assert!(denial.retry_after > Duration::from_secs(1));
+        assert!(denial.retry_after > MAX_ADMISSION_WAIT);
         assert_eq!(sched.stats().rejected, 1);
     }
 }

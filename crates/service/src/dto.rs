@@ -515,13 +515,6 @@ impl IntoJson for SchedStatsResponse {
                     .map(|r| Json::Num(r.burst))
                     .unwrap_or(Json::Null),
             ),
-            (
-                "max_concurrency",
-                self.policy
-                    .max_concurrency
-                    .map(Json::from)
-                    .unwrap_or(Json::Null),
-            ),
         ]);
         Json::obj([
             ("source", Json::from(self.source.as_str())),

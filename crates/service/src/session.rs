@@ -71,10 +71,17 @@ impl ReconServing {
     }
 
     /// Serve up to `budget.tuples` tuples (the query cap does not apply:
-    /// nothing here queries). Each step that pulls from the cursor — a
-    /// page, a stream line, or the pull that finds the answer drained —
-    /// records one recon hit; a zero-tuple step touches nothing.
+    /// nothing here queries), or nothing once the ambient session's token
+    /// ([`qr2_core::current`]) has fired. Each step that pulls from the
+    /// cursor — a page, a stream line, or the pull that finds the answer
+    /// drained — records one recon hit; a zero-tuple step touches nothing.
     fn advance(&mut self, budget: Budget) -> StepOutcome {
+        if qr2_core::current().cancel.is_cancelled() {
+            return StepOutcome::Cancelled {
+                partial: Vec::new(),
+                stats: QueryStats::default(),
+            };
+        }
         let n = budget.tuples.unwrap_or(usize::MAX);
         let mut stats = QueryStats::default();
         if n > 0 {
@@ -152,12 +159,13 @@ pub struct SessionEntry {
 }
 
 impl SessionEntry {
-    /// Serve up to `tuples` tuples. `budget` caps the queries this one
-    /// step may spend (`None` = uncapped); the session's lifetime cap
-    /// (`handle.max_queries`) bounds it further. A cancelled session
-    /// (deleted, or evicted while a stream holds its handle) serves
-    /// nothing and reports `cancelled`, whichever tier serves it. A
-    /// zero-tuple step spends nothing; it only reports whether the
+    /// Serve up to `tuples` tuples, with the session's context
+    /// (`handle.ctx`) installed around either tier. `budget` caps the
+    /// queries this one step may spend (`None` = uncapped); the session's
+    /// lifetime cap (`handle.max_queries`) bounds it further. A cancelled
+    /// session (deleted, or evicted while a stream holds its handle)
+    /// serves nothing and reports `cancelled`, whichever tier serves it.
+    /// A zero-tuple step spends nothing; it only reports whether the
     /// session could step at all.
     pub(crate) fn step(
         &mut self,
@@ -166,12 +174,8 @@ impl SessionEntry {
         budget: Option<usize>,
     ) -> Result<Step, StepError> {
         let degraded = matches!(&self.serving, Serving::Recon(s) if s.degraded);
-        let outcome = match &mut self.serving {
-            _ if handle.ctx.cancel.is_cancelled() => StepOutcome::Cancelled {
-                partial: Vec::new(),
-                stats: QueryStats::default(),
-            },
-            Serving::Recon(serving) => serving.advance(Budget::tuples(tuples)),
+        let outcome = with_session(handle.ctx.clone(), || match &mut self.serving {
+            Serving::Recon(serving) => Ok(serving.advance(Budget::tuples(tuples))),
             Serving::Live(session) => {
                 let queries = match handle.max_queries {
                     None => budget,
@@ -184,20 +188,17 @@ impl SessionEntry {
                         Some(budget.map_or(remaining, |b| b.min(remaining)))
                     }
                 };
-                let outcome = with_session(handle.ctx.clone(), || {
-                    session.advance(Budget {
-                        queries,
-                        tuples: Some(tuples),
-                    })
-                });
-                if let StepOutcome::Failed { stats, .. } = outcome {
-                    return Err(StepError::Outage {
-                        queries: stats.total_queries(),
-                    });
-                }
-                outcome
+                Ok(session.advance(Budget {
+                    queries,
+                    tuples: Some(tuples),
+                }))
             }
-        };
+        })?;
+        if let StepOutcome::Failed { stats, .. } = outcome {
+            return Err(StepError::Outage {
+                queries: stats.total_queries(),
+            });
+        }
         Ok(Step {
             status: outcome.label(),
             queries: outcome.stats_delta().total_queries(),
@@ -261,12 +262,10 @@ pub struct SessionHandle {
     /// (fair-share accounting and `DELETE`-time queue draining), the
     /// priority class of its probes (the create-query request's `class`
     /// field), and its cancel token. Deleting the session cancels the
-    /// token, which stops any in-flight stream at its next step and any
-    /// probe the step has pending in the scheduler; a live session shares
-    /// the token with its engine, so a step also stops between
-    /// discoveries.
+    /// token, which stops any in-flight stream at its next step, a live
+    /// step between discoveries, and any probe the step has pending in
+    /// the scheduler.
     pub(crate) ctx: SessionCtx,
-    created: Instant,
     last_access: Mutex<Instant>,
     entry: Mutex<SessionEntry>,
 }
@@ -282,18 +281,12 @@ impl SessionHandle {
         class: QueryClass,
         serving: Serving,
     ) -> SessionHandle {
-        let cancel = match &serving {
-            Serving::Live(session) => session.cancel_token(),
-            Serving::Recon(_) => CancelToken::new(),
-        };
-        let now = Instant::now();
         SessionHandle {
             source: source.into(),
             page_size,
             max_queries,
-            ctx: SessionCtx::new(next_session_key(), class, cancel),
-            created: now,
-            last_access: Mutex::new(now),
+            ctx: SessionCtx::new(next_session_key(), class, CancelToken::new()),
+            last_access: Mutex::new(Instant::now()),
             entry: Mutex::new(SessionEntry { serving }),
         }
     }
@@ -388,11 +381,6 @@ impl SessionManager {
         });
         before - map.len()
     }
-
-    /// Age of a session since creation.
-    pub fn age(&self, id: &str) -> Option<Duration> {
-        self.sessions.lock().get(id).map(|h| h.created.elapsed())
-    }
 }
 
 #[cfg(test)]
@@ -438,7 +426,6 @@ mod tests {
         let id = mgr.register(live("test", 10, None));
         assert_eq!(mgr.len(), 1);
         assert!(mgr.get(&id).is_some());
-        assert!(mgr.age(&id).is_some());
         assert!(mgr.remove(&id));
         assert!(!mgr.remove(&id));
         assert!(mgr.get(&id).is_none());

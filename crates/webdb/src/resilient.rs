@@ -50,11 +50,13 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Cap on any single backoff sleep.
     pub max_backoff: Duration,
-    /// Wall-clock budget for one probe across all its retries.
-    pub probe_deadline: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
+
+/// Wall-clock budget for one probe across all its retries.
+const PROBE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Seed for the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x9E37_79B9;
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
@@ -62,8 +64,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(50),
-            probe_deadline: Duration::from_secs(2),
-            jitter_seed: 0x9E37_79B9,
         }
     }
 }
@@ -336,7 +336,7 @@ impl ResilientInterface {
             timeouts: AtomicU64::new(0),
             unavailable: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
-            backoff_salt: AtomicU64::new(retry.jitter_seed),
+            backoff_salt: AtomicU64::new(JITTER_SEED),
             last_error: Mutex::new(None),
             obs_err_timeout: err("timeout"),
             obs_err_unavailable: err("unavailable"),
@@ -454,7 +454,7 @@ impl TopKInterface for ResilientInterface {
                         self.note_error(&err);
                         attempts += 1;
                         let out_of_budget = attempts >= self.retry.max_attempts
-                            || started.elapsed() >= self.retry.probe_deadline;
+                            || started.elapsed() >= PROBE_DEADLINE;
                         // A half-open trial probe is single-shot: one
                         // failure reopens the breaker immediately.
                         if probing || out_of_budget {
@@ -510,8 +510,6 @@ mod tests {
             max_attempts: 3,
             base_backoff: Duration::from_micros(100),
             max_backoff: Duration::from_millis(2),
-            probe_deadline: Duration::from_secs(1),
-            jitter_seed: 7,
         }
     }
 

@@ -1,13 +1,13 @@
-//! Per-source traffic models: rate limits, concurrency caps, and simulated
+//! Per-source traffic models: rate limits and simulated
 //! `429 Too Many Requests` responses.
 //!
 //! Real web databases meter third-party traffic. QR2's scheduler
 //! (`qr2-sched`) has to pace its paid probes against those limits, so the
 //! simulator needs to *enforce* them: [`SourcePolicy`] describes a source's
-//! limits (token-bucket rate limit, in-flight concurrency cap, per-query
-//! latency) and [`TrafficShapedInterface`] is a decorator that applies the
-//! policy to any [`TopKInterface`] — the local [`SimulatedWebDb`] or a
-//! remote gateway client alike.
+//! token-bucket rate limit and [`TrafficShapedInterface`] is a decorator
+//! that applies the policy to any [`TopKInterface`] — the local
+//! [`SimulatedWebDb`] or a remote gateway client alike. Per-query latency
+//! is the source's own business ([`SimulatedWebDb::with_latency`]).
 //!
 //! A denial surfaces through [`TopKInterface::probe`] as
 //! [`SearchError::Throttled`] — the in-process rendering of an HTTP 429
@@ -17,8 +17,9 @@
 //! scheduler still get an answer (just slower, as the policy intends).
 //!
 //! [`SimulatedWebDb`]: crate::SimulatedWebDb
+//! [`SimulatedWebDb::with_latency`]: crate::SimulatedWebDb::with_latency
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,7 +27,7 @@ use parking_lot::Mutex;
 
 use crate::fault::SearchError;
 use crate::interface::{page_or_empty, Answer, TopKInterface, TopKResponse};
-use crate::metrics::{LatencyModel, QueryLedger};
+use crate::metrics::QueryLedger;
 use crate::predicate::SearchQuery;
 use crate::schema::Schema;
 
@@ -53,7 +54,8 @@ impl RateLimit {
     }
 }
 
-/// Everything a source's terms of service impose on a third-party caller.
+/// Everything a source's terms of service impose on a third-party caller:
+/// a rate limit, or nothing.
 ///
 /// The default ([`SourcePolicy::unlimited`]) imposes nothing, so wrapping an
 /// interface with an unlimited policy is behavior-preserving.
@@ -61,20 +63,9 @@ impl RateLimit {
 pub struct SourcePolicy {
     /// Token-bucket rate limit; `None` = unmetered.
     pub rate: Option<RateLimit>,
-    /// Maximum concurrently in-flight queries; `None` = unbounded.
-    pub max_concurrency: Option<usize>,
-    /// Per-query latency `(base, jitter, seed)` simulated *after*
-    /// admission; `None` = instantaneous.
-    pub latency: Option<(Duration, Duration, u64)>,
-    /// Floor for the advertised `Retry-After` on a denial, so callers
-    /// never spin on a zero-length hint. Zero means "use the default".
-    pub min_retry_after: Duration,
 }
 
 impl SourcePolicy {
-    /// Default floor for the advertised `Retry-After` hint.
-    pub const DEFAULT_MIN_RETRY_AFTER: Duration = Duration::from_millis(5);
-
     /// The policy that imposes no limits at all.
     pub fn unlimited() -> SourcePolicy {
         SourcePolicy::default()
@@ -84,33 +75,13 @@ impl SourcePolicy {
     pub fn rate_limited(per_sec: f64, burst: f64) -> SourcePolicy {
         SourcePolicy {
             rate: Some(RateLimit::new(per_sec, burst)),
-            ..SourcePolicy::default()
-        }
-    }
-
-    /// Cap concurrently in-flight queries.
-    #[must_use]
-    pub fn with_concurrency(mut self, max: usize) -> SourcePolicy {
-        self.max_concurrency = Some(max.max(1));
-        self
-    }
-
-    /// Simulate per-query latency (after admission).
-    #[must_use]
-    pub fn with_latency(mut self, base: Duration, jitter: Duration, seed: u64) -> SourcePolicy {
-        self.latency = Some((base, jitter, seed));
-        self
-    }
-
-    /// The effective `Retry-After` floor.
-    pub fn retry_after_floor(&self) -> Duration {
-        if self.min_retry_after.is_zero() {
-            Self::DEFAULT_MIN_RETRY_AFTER
-        } else {
-            self.min_retry_after
         }
     }
 }
+
+/// Floor for the advertised `Retry-After` on a denial, so callers never
+/// spin on a zero-length hint.
+const MIN_RETRY_AFTER: Duration = Duration::from_millis(5);
 
 /// The source refused the query — the in-process form of an HTTP
 /// `429 Too Many Requests` with a `Retry-After` header.
@@ -160,18 +131,6 @@ impl Bucket {
     }
 }
 
-/// Decrements the in-flight count when an admitted query finishes.
-#[derive(Debug)]
-struct AdmitGuard<'a> {
-    inflight: &'a AtomicUsize,
-}
-
-impl Drop for AdmitGuard<'_> {
-    fn drop(&mut self) {
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// A [`TopKInterface`] decorator that enforces a [`SourcePolicy`].
 ///
 /// Sits directly above the raw database (or remote gateway client), below
@@ -181,13 +140,11 @@ pub struct TrafficShapedInterface {
     inner: Arc<dyn TopKInterface>,
     policy: SourcePolicy,
     bucket: Mutex<Bucket>,
-    latency: Option<LatencyModel>,
-    inflight: AtomicUsize,
     admitted: AtomicU64,
     throttled: AtomicU64,
     waited: AtomicU64,
     // Shared qr2-obs handles, labeled by source: simulated-429 counter and
-    // per-source search latency (latency model + inner search).
+    // per-source search latency.
     obs_throttled: Arc<qr2_obs::Counter>,
     obs_search_us: Arc<qr2_obs::Histogram>,
 }
@@ -207,9 +164,6 @@ impl TrafficShapedInterface {
         policy: SourcePolicy,
         source: &str,
     ) -> TrafficShapedInterface {
-        let latency = policy
-            .latency
-            .map(|(base, jitter, seed)| LatencyModel::new(base, jitter, seed));
         let tokens = policy.rate.map(|r| r.burst).unwrap_or(0.0);
         TrafficShapedInterface {
             inner,
@@ -218,8 +172,6 @@ impl TrafficShapedInterface {
                 tokens,
                 last_refill: Instant::now(),
             }),
-            latency,
-            inflight: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
             throttled: AtomicU64::new(0),
             waited: AtomicU64::new(0),
@@ -261,54 +213,26 @@ impl TrafficShapedInterface {
         }
     }
 
-    /// Try to admit one query: concurrency cap first, then the token
-    /// bucket. On denial, the simulated 429 carries a `Retry-After` hint
-    /// sized to when a token will be available.
-    fn try_admit(&self) -> Result<AdmitGuard<'_>, Throttled> {
-        if let Some(cap) = self.policy.max_concurrency {
-            let mut cur = self.inflight.load(Ordering::Acquire);
-            loop {
-                if cur >= cap {
-                    self.throttled.fetch_add(1, Ordering::Relaxed);
-                    self.obs_throttled.inc();
-                    return Err(Throttled {
-                        retry_after: self.policy.retry_after_floor(),
-                    });
-                }
-                match self.inflight.compare_exchange_weak(
-                    cur,
-                    cur + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        } else {
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-        }
-        let guard = AdmitGuard {
-            inflight: &self.inflight,
-        };
+    /// Try to admit one query against the token bucket. On denial, the
+    /// simulated 429 carries a `Retry-After` hint sized to when a token
+    /// will be available.
+    fn try_admit(&self) -> Result<(), Throttled> {
         if let Some(rate) = &self.policy.rate {
             let mut bucket = self.bucket.lock();
             bucket.refill(rate);
-            if bucket.tokens >= 1.0 {
-                bucket.tokens -= 1.0;
-            } else {
-                let need = 1.0 - bucket.tokens;
-                let retry_after = Duration::from_secs_f64(need / rate.per_sec)
-                    .max(self.policy.retry_after_floor());
+            if bucket.tokens < 1.0 {
+                let wait = Duration::from_secs_f64((1.0 - bucket.tokens) / rate.per_sec);
                 drop(bucket);
-                drop(guard);
                 self.throttled.fetch_add(1, Ordering::Relaxed);
                 self.obs_throttled.inc();
-                return Err(Throttled { retry_after });
+                return Err(Throttled {
+                    retry_after: wait.max(MIN_RETRY_AFTER),
+                });
             }
+            bucket.tokens -= 1.0;
         }
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(guard)
+        Ok(())
     }
 }
 
@@ -341,24 +265,16 @@ impl TopKInterface for TrafficShapedInterface {
     }
 
     /// `Err(Throttled)` is the simulated 429. Once admitted, the query is
-    /// delayed by the latency model (if configured) and passed to the
-    /// inner interface, which charges the ledger.
+    /// passed to the inner interface, which charges the ledger.
     fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         qr2_obs::span("traffic.shape", || {
-            let guard = self.try_admit().map_err(SearchError::Throttled)?;
-            // The latency model simulates the remote source's round trip,
-            // so it counts as webdb.search time.
-            let out = qr2_obs::span("webdb.search", || {
+            self.try_admit().map_err(SearchError::Throttled)?;
+            qr2_obs::span("webdb.search", || {
                 let start = Instant::now();
-                if let Some(latency) = &self.latency {
-                    std::thread::sleep(latency.sample());
-                }
                 let out = self.inner.probe(q);
                 self.obs_search_us.record(start.elapsed());
                 out
-            });
-            drop(guard);
-            out
+            })
         })
     }
 }
@@ -420,20 +336,6 @@ mod tests {
         let stats = shaped.traffic_stats();
         assert_eq!(stats.admitted, 2);
         assert!(stats.waited >= 1, "second call slept a Retry-After out");
-    }
-
-    #[test]
-    fn concurrency_cap_denies_and_releases() {
-        let db = tiny_db();
-        let shaped = Arc::new(TrafficShapedInterface::new(
-            db,
-            SourcePolicy::unlimited().with_concurrency(1),
-        ));
-        let guard = shaped.try_admit().unwrap();
-        let denial = shaped.try_admit().expect_err("cap of 1");
-        assert!(denial.retry_after >= SourcePolicy::DEFAULT_MIN_RETRY_AFTER);
-        drop(guard);
-        assert!(shaped.try_admit().is_ok(), "slot released on drop");
     }
 
     #[test]

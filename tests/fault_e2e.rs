@@ -696,7 +696,6 @@ fn outage_after_six() -> (Arc<SimulatedWebDb>, Arc<SourceRegistry>) {
         SchedConfig {
             max_outage_park: Duration::from_millis(20),
             poll_interval: Duration::from_millis(1),
-            ..SchedConfig::default()
         },
     );
     (db, reg)

@@ -192,7 +192,6 @@ fn stopped_gateway_failures_reach_resilience_and_cost_nothing() {
         .sched_config(SchedConfig {
             max_outage_park: Duration::from_millis(20),
             poll_interval: Duration::from_millis(1),
-            ..SchedConfig::default()
         })
         .executor(ExecutorKind::Sequential)
         .build();

@@ -129,9 +129,9 @@ fn query_request(lo: f64, hi: f64, class: Option<&str>) -> QueryRequest {
 #[test]
 fn fair_share_under_a_hot_competitor() {
     // A hot session with 3× the demand must not starve a light one:
-    // deficit round-robin interleaves their dispatches, so the light
-    // session finishes no later than the hog, and everyone's answers
-    // stay correct.
+    // round-robin dispatches one probe per session per ring pass, so the
+    // light session finishes no later than the hog, and everyone's
+    // answers stay correct.
     let db = x_db(300, 400);
     let reference = x_db(300, 400);
     let sched = sched_over(db, SourcePolicy::rate_limited(300.0, 2.0));
