@@ -376,8 +376,9 @@ pub fn ablation_dense_delta(scale: Scale, depth: usize) -> Table {
     table
 }
 
-/// **A2** — crawler split policy: widest-relative vs round-robin on a
-/// Blue Nile sub-region (DESIGN.md §5.2).
+/// **A2** — crawler split policy: the widest-relative midpoint cut vs the
+/// cut between the values of the overflowing page, on a Blue Nile
+/// sub-region (DESIGN.md §5.2).
 pub fn ablation_split_policy(scale: Scale) -> Table {
     let db = bluenile(scale);
     let price = db.schema().expect_id("price");
@@ -387,8 +388,8 @@ pub fn ablation_split_policy(scale: Scale) -> Table {
         &["policy", "queries", "tuples", "max_depth"],
     );
     for (label, policy) in [
-        ("widest-relative", SplitPolicy::WidestRelative),
-        ("round-robin", SplitPolicy::RoundRobin { depth: 0 }),
+        ("midpoint", SplitPolicy::Midpoint),
+        ("page cut", SplitPolicy::PageCut),
     ] {
         let crawler = Crawler::new(
             &*db,

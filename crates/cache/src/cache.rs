@@ -6,8 +6,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::time::Duration;
 
 use parking_lot::Mutex;
+use qr2_core::CancelToken;
 use qr2_store::AnswerStore;
 use qr2_webdb::{Answer, SearchError, SearchOutcome, TopKResponse};
 
@@ -77,6 +79,10 @@ enum FlightState {
     Poisoned,
 }
 
+/// How often a caller waiting on another caller's flight re-checks its
+/// own session's cancellation.
+const CANCEL_POLL: Duration = Duration::from_millis(5);
+
 /// One in-flight fetch that concurrent identical requests rendezvous on.
 struct Flight {
     state: StdMutex<FlightState>,
@@ -100,12 +106,21 @@ impl Flight {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait(&self) -> Option<Result<TopKResponse, SearchError>> {
+    /// The leader's answer, `None` if it unwound or was cancelled, or
+    /// `Some(Err(Cancelled))` once `cancel` (the waiter's own session)
+    /// fires: the flight goes on for the leader and the other waiters.
+    fn wait(&self, cancel: &CancelToken) -> Option<Result<TopKResponse, SearchError>> {
         let mut state = self.state();
         loop {
             match &*state {
+                FlightState::Pending if cancel.is_cancelled() => {
+                    return Some(Err(SearchError::Cancelled));
+                }
                 FlightState::Pending => {
-                    state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+                    state = match self.cv.wait_timeout(state, CANCEL_POLL) {
+                        Ok((state, _)) => state,
+                        Err(e) => e.into_inner().0,
+                    };
                 }
                 FlightState::Done(resp) => return Some(resp.clone()),
                 FlightState::Poisoned => return None,
@@ -352,7 +367,9 @@ impl AnswerCache {
     /// An `Err` from the fetcher is returned to the leader and its waiters
     /// but never admitted to the cache or the store; a
     /// [`SearchError::Cancelled`] (the leader's session was cancelled) is
-    /// returned to the leader alone, and its waiters fetch again.
+    /// returned to the leader alone, and its waiters fetch again. A waiter
+    /// whose own session (the ambient [`qr2_core::current`] context) is
+    /// cancelled stops waiting with `Cancelled` while the flight goes on.
     pub fn get_or_fetch(
         &self,
         key: &[u8],
@@ -381,7 +398,10 @@ impl AnswerCache {
                 }
             };
             drop(guard);
-            match flight.wait() {
+            match flight.wait(&qr2_core::current().cancel) {
+                // A leader's cancellation is never shared: this caller's
+                // own session was cancelled while it waited.
+                Some(Err(SearchError::Cancelled)) => return Err(SearchError::Cancelled),
                 Some(done) => {
                     self.coalesced.fetch_add(1, Ordering::Relaxed);
                     return done.map(|resp| Answer {
@@ -599,6 +619,53 @@ mod tests {
             (answer.resp, answer.outcome),
             (resp(3), SearchOutcome::MISS)
         );
+        assert_eq!(c.stats().coalesced, 0);
+    }
+
+    #[test]
+    fn a_waiter_whose_session_is_cancelled_stops_waiting() {
+        use qr2_core::{next_session_key, with_session, QueryClass, SessionCtx};
+        let c = Arc::new(AnswerCache::new(CacheConfig::default()));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                c.get_or_fetch(b"k", || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    paid(3)
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let cancel = CancelToken::new();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let (c, cancel) = (Arc::clone(&c), cancel.clone());
+            let ctx = SessionCtx::new(next_session_key(), QueryClass::default(), cancel);
+            std::thread::spawn(move || {
+                let got = with_session(ctx, || c.get_or_fetch(b"k", || paid(4)));
+                done_tx.send(got).unwrap();
+            })
+        };
+        // Let the waiter join the leader's flight, then delete its session
+        // while the leader is still fetching.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        cancel.cancel();
+        let got = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        release_tx.send(()).unwrap();
+        waiter.join().unwrap();
+        assert_eq!(
+            got.expect("the cancelled waiter returns before the leader")
+                .err(),
+            Some(SearchError::Cancelled)
+        );
+        let answer = leader.join().unwrap().expect("the leader's fetch goes on");
+        assert_eq!(answer.resp, resp(3));
+        let (cached, o) = fetch(&c, b"k", || panic!("cached now"));
+        assert!(o.cache_hit);
+        assert_eq!(cached, resp(3));
         assert_eq!(c.stats().coalesced, 0);
     }
 

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
-use qr2_webdb::{SearchError, SearchQuery, Tuple};
+use qr2_webdb::{SearchError, SearchQuery, TopKResponse, Tuple};
 
 use crate::executor::SearchCtx;
 
@@ -113,11 +113,14 @@ impl DenseIndex {
     /// cut short by its budget or an atomic overflow returns the tuples it
     /// found without remembering them as the region. Returns the tuples of
     /// `region`, or the error of a failed probe (nothing is remembered, so
-    /// a later call crawls the region again).
+    /// a later call crawls the region again). `root` is the caller's
+    /// answer to `region` itself, if it holds one (see
+    /// [`SearchCtx::crawl`]).
     pub fn get_or_crawl(
         &self,
         ctx: &SearchCtx,
         region: &SearchQuery,
+        root: Option<TopKResponse>,
     ) -> Result<Vec<Tuple>, SearchError> {
         let (hit, generation) = {
             let regions = self.regions.lock();
@@ -127,7 +130,7 @@ impl DenseIndex {
             self.stats.lock().hits += 1;
             return Ok(ts);
         }
-        let result = ctx.crawl(region)?;
+        let result = ctx.crawl(region, root)?;
         {
             let mut stats = self.stats.lock();
             stats.misses += 1;
@@ -210,14 +213,14 @@ mod tests {
         let x = d.schema().expect_id("x");
         let region = SearchQuery::all().and_range(x, RangePred::closed(2.0, 4.0));
 
-        let first = idx.get_or_crawl(&ctx, &region).unwrap();
+        let first = idx.get_or_crawl(&ctx, &region, None).unwrap();
         assert_eq!(first.len(), 30);
         let s1 = idx.stats();
         assert_eq!((s1.hits, s1.misses), (0, 1));
         assert!(s1.crawl_queries > 0);
 
         let before = ctx.stats().total_queries();
-        let second = idx.get_or_crawl(&ctx, &region).unwrap();
+        let second = idx.get_or_crawl(&ctx, &region, None).unwrap();
         assert_eq!(second, first);
         assert_eq!(
             ctx.stats().total_queries(),
@@ -234,7 +237,7 @@ mod tests {
         let idx = DenseIndex::in_memory();
         let x = d.schema().expect_id("x");
         let big = SearchQuery::all().and_range(x, RangePred::closed(0.0, 9.0));
-        idx.get_or_crawl(&ctx, &big).unwrap();
+        idx.get_or_crawl(&ctx, &big, None).unwrap();
 
         let small = SearchQuery::all().and_range(x, RangePred::half_open(3.0, 5.0));
         let got = idx.lookup(&small).expect("superset hit");
@@ -274,7 +277,7 @@ mod tests {
         let region = SearchQuery::all().and_range(x, RangePred::closed(0.0, 1.0));
 
         let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
-        idx.get_or_crawl(&ctx, &region).unwrap();
+        idx.get_or_crawl(&ctx, &region, None).unwrap();
         assert_eq!(idx.len(), 1);
         idx.clear();
         assert!(idx.is_empty());
@@ -311,14 +314,14 @@ mod tests {
             }),
             ExecutorKind::Sequential,
         );
-        let tuples = idx.get_or_crawl(&racing, &region).unwrap();
+        let tuples = idx.get_or_crawl(&racing, &region, None).unwrap();
         assert_eq!(tuples.len(), 20, "the caller still gets the crawl");
         assert!(
             idx.is_empty(),
             "a crawl that spans a clear must not be remembered"
         );
         let misses = idx.stats().misses;
-        idx.get_or_crawl(&ctx, &region).unwrap();
+        idx.get_or_crawl(&ctx, &region, None).unwrap();
         assert_eq!(
             idx.stats().misses,
             misses + 1,
@@ -334,7 +337,7 @@ mod tests {
         let idx = DenseIndex::in_memory();
         let x = d.schema().expect_id("x");
         let region = SearchQuery::all().and_range(x, RangePred::closed(5.0, 6.0));
-        idx.get_or_crawl(&ctx, &region).unwrap();
+        idx.get_or_crawl(&ctx, &region, None).unwrap();
         let cached = idx.lookup(&region).expect("cached");
         assert_eq!(cached.len(), 20);
         assert!(cached.windows(2).all(|w| w[0].id < w[1].id));

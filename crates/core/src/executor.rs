@@ -135,13 +135,21 @@ impl SearchCtx {
     /// Crawl every tuple of `region` (see [`Crawler`]). Each probe is
     /// accounted exactly as [`SearchCtx::search`] accounts its query: a
     /// paid probe is a round of one, a free one a hit or a coalesced
-    /// wait, each with its own elapsed time. A crawl cut short by a failed
-    /// probe is that probe's error, not a partial result.
-    pub fn crawl(&self, region: &SearchQuery) -> Result<CrawlResult, SearchError> {
+    /// wait, each with its own elapsed time. `root` is the answer to
+    /// `region` itself when the caller has just searched it: the crawl
+    /// splits it by its page instead of probing it again. A crawl cut
+    /// short by a failed probe is that probe's error, not a partial
+    /// result.
+    pub fn crawl(
+        &self,
+        region: &SearchQuery,
+        root: Option<TopKResponse>,
+    ) -> Result<CrawlResult, SearchError> {
         let mut failure = None;
-        let result = Crawler::new(&*self.db, CrawlerConfig::default()).crawl_with(region, |q| {
-            self.probe_one(q).inspect_err(|e| failure = Some(e.clone()))
-        });
+        let result =
+            Crawler::new(&*self.db, CrawlerConfig::default()).crawl_with(region, root, |q| {
+                self.probe_one(q).inspect_err(|e| failure = Some(e.clone()))
+            });
         failure.map_or(Ok(result), Err)
     }
 
@@ -454,7 +462,7 @@ mod tests {
         // probes with a hit.
         ctx.search(&SearchQuery::all()).unwrap();
         let before = ctx.snapshot();
-        let cold = ctx.crawl(&SearchQuery::all()).unwrap();
+        let cold = ctx.crawl(&SearchQuery::all(), None).unwrap();
         assert!(cold.is_complete());
         assert_eq!(cold.tuples.len(), 100);
         assert!(cold.queries > 1);
@@ -471,7 +479,7 @@ mod tests {
         // The same crawl again: every probe is a hit, no round, no query,
         // but the time it took is still reported.
         let before = ctx.snapshot();
-        let warm = ctx.crawl(&SearchQuery::all()).unwrap();
+        let warm = ctx.crawl(&SearchQuery::all(), None).unwrap();
         assert_eq!(warm.tuples, cold.tuples);
         assert_eq!(warm.queries, 0);
         let delta = ctx.delta_since(&before);
@@ -488,7 +496,7 @@ mod tests {
     fn failed_crawl_probe_is_the_crawls_error_and_no_lookup() {
         let ctx = SearchCtx::new(Arc::new(FailingDb(db())), ExecutorKind::Sequential);
         assert_eq!(
-            ctx.crawl(&SearchQuery::all()).unwrap_err(),
+            ctx.crawl(&SearchQuery::all(), None).unwrap_err(),
             SearchError::Cancelled
         );
         let stats = ctx.stats();

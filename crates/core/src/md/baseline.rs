@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use qr2_webdb::{SearchError, SearchQuery, Tuple, TupleId};
+use qr2_webdb::{SearchError, SearchQuery, TopKResponse, Tuple, TupleId};
 
 use crate::executor::SearchCtx;
 use crate::function::LinearFunction;
@@ -145,8 +145,9 @@ impl BaselineEngine {
                 let Some((s, _)) = &best else {
                     // Overflow with no usable tuple (all served): split.
                     if !self.split_into(&mut pending, region.clone()) {
-                        // Atomic region: enumerate ties by crawling.
-                        self.crawl_region(&region, &mut best)?;
+                        // Atomic region: enumerate ties by crawling,
+                        // starting from the page just returned.
+                        self.crawl_region(&region, Some(resp), &mut best)?;
                     }
                     break;
                 };
@@ -159,7 +160,7 @@ impl BaselineEngine {
                                 > MIN_SHRINK * region.rel_volume(&self.norm);
                         if stuck {
                             if !self.split_into(&mut pending, narrowed.clone()) {
-                                self.crawl_region(&narrowed, &mut best)?;
+                                self.crawl_region(&narrowed, None, &mut best)?;
                                 break;
                             }
                             break;
@@ -205,13 +206,15 @@ impl BaselineEngine {
     }
 
     /// Enumerate an atomic region by crawling (baseline pays full price —
-    /// no shared index).
+    /// no shared index). `root` is the region's page, if it was just
+    /// probed.
     fn crawl_region(
         &self,
         region: &NBox,
+        root: Option<TopKResponse>,
         best: &mut Option<(f64, Tuple)>,
     ) -> Result<(), SearchError> {
-        let result = self.ctx.crawl(&region.to_query(&self.filter))?;
+        let result = self.ctx.crawl(&region.to_query(&self.filter), root)?;
         for t in result.tuples {
             if self.served_ids.contains(&t.id) {
                 continue;

@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
-use qr2_webdb::{SearchError, SearchQuery, Tuple, TupleId};
+use qr2_webdb::{SearchError, SearchQuery, TopKResponse, Tuple, TupleId};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -293,7 +293,7 @@ impl FrontierEngine {
                     }
                 }
                 None => {
-                    if let Err(e) = self.enumerate_dense(&cell.nbox) {
+                    if let Err(e) = self.enumerate_dense(&cell.nbox, resp) {
                         // The failed cell and the ones not yet expanded go
                         // back: their tuples are re-found (and
                         // deduplicated) when they are searched again.
@@ -315,19 +315,24 @@ impl FrontierEngine {
         }
     }
 
-    /// Fully enumerate a cell. MD-RERANK goes through the shared index with
-    /// an unfiltered region; MD-BINARY crawls the filtered region directly.
-    fn enumerate_dense(&mut self, nbox: &NBox) -> Result<(), SearchError> {
+    /// Fully enumerate a cell, whose probe just overflowed with `page`.
+    /// MD-RERANK goes through the shared index with an unfiltered region;
+    /// MD-BINARY crawls the filtered region directly. Either crawl starts
+    /// from `page` instead of probing again when its region is the probed
+    /// one.
+    fn enumerate_dense(&mut self, nbox: &NBox, page: TopKResponse) -> Result<(), SearchError> {
+        let probed = nbox.to_query(&self.filter);
         let tuples: Vec<Tuple> = match &self.dense {
             Some(index) => {
                 let region = nbox.to_query(&SearchQuery::all());
+                let root = (region == probed).then_some(page);
                 index
-                    .get_or_crawl(&self.ctx, &region)?
+                    .get_or_crawl(&self.ctx, &region, root)?
                     .into_iter()
                     .filter(|t| self.filter.matches_with(|a| t.value(a)))
                     .collect()
             }
-            None => self.ctx.crawl(&nbox.to_query(&self.filter))?.tuples,
+            None => self.ctx.crawl(&probed, Some(page))?.tuples,
         };
         for t in tuples {
             self.add_tuple(t);

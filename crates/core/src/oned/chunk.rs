@@ -1,7 +1,7 @@
 //! Chunk finders: retrieve a *complete prefix* of an interval — the
 //! interval's preferred end together with every matching tuple inside it.
 
-use qr2_webdb::{AttrId, RangePred, SearchError, SearchQuery, Tuple};
+use qr2_webdb::{AttrId, RangePred, SearchError, SearchQuery, TopKResponse, Tuple};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
@@ -143,21 +143,25 @@ impl ChunkParams<'_> {
         })
     }
 
-    /// Enumerate a fully dense sub-interval. `Rerank` goes through the
-    /// shared index with an *unfiltered* region (reusable across sessions);
-    /// the others crawl the filtered region directly, paying full price
-    /// every time (the behaviour the paper contrasts against).
-    fn enumerate_dense(&self, r: RangePred) -> Result<Vec<Tuple>, SearchError> {
+    /// Enumerate a fully dense sub-interval, whose probe just overflowed
+    /// with `page`. `Rerank` goes through the shared index with an
+    /// *unfiltered* region (reusable across sessions); the others crawl
+    /// the filtered region directly, paying full price every time (the
+    /// behaviour the paper contrasts against). Either crawl starts from
+    /// `page` instead of probing again when its region is the probed one.
+    fn enumerate_dense(&self, r: RangePred, page: TopKResponse) -> Result<Vec<Tuple>, SearchError> {
+        let probed = self.probe_query(r);
         Ok(match (self.algo, self.dense) {
             (OneDAlgo::Rerank, Some(index)) => {
                 let region = SearchQuery::all().and_range(self.attr, r);
-                let tuples = index.get_or_crawl(self.ctx, &region)?;
+                let root = (region == probed).then_some(page);
+                let tuples = index.get_or_crawl(self.ctx, &region, root)?;
                 tuples
                     .into_iter()
                     .filter(|t| self.filter.matches_with(|a| t.value(a)))
                     .collect()
             }
-            _ => self.ctx.crawl(&self.probe_query(r))?.tuples,
+            _ => self.ctx.crawl(&probed, Some(page))?.tuples,
         })
     }
 }
@@ -230,7 +234,7 @@ fn value_chunk(p: &ChunkParams<'_>, interval: RangePred, v: f64) -> Result<Chunk
     let resp = p.ctx.search(&p.probe_query(point))?;
     let tuples = if resp.overflow {
         // More ties than system-k: the paper's tie-crawl case.
-        p.enumerate_dense(point)?
+        p.enumerate_dense(point, resp)?
     } else {
         resp.tuples.to_vec()
     };
@@ -292,7 +296,9 @@ fn binary_chunk(
                 }
             },
             _ => {
-                let tuples = p.enumerate_dense(cur).inspect_err(|_| stack.push(cur))?;
+                let tuples = p
+                    .enumerate_dense(cur, resp)
+                    .inspect_err(|_| stack.push(cur))?;
                 if tuples.is_empty() {
                     // The region holds tuples, but none match the filter
                     // (possible via the unfiltered index path): keep moving.
@@ -580,7 +586,7 @@ mod tests {
     /// Probes a crawl of the point `[v, v]` costs on its own.
     fn crawl_cost(source: &Arc<Recording>, v: f64) -> usize {
         let ctx = SearchCtx::new(source.clone(), ExecutorKind::Sequential);
-        ctx.crawl(&SearchQuery::all().and_point(AttrId(0), v))
+        ctx.crawl(&SearchQuery::all().and_point(AttrId(0), v), None)
             .unwrap();
         std::mem::take(&mut *source.log.lock()).len()
     }
@@ -632,9 +638,10 @@ mod tests {
     #[test]
     fn a_tie_on_the_closed_bound_is_split_off_at_its_value() {
         // The first page already proves the tie on the interval's closed
-        // end, so the next probe is the point and then its crawl. Bisecting
-        // toward the tie cost 51–53 more probes under Binary and 25 under
-        // Rerank.
+        // end, so the next probe is the point and then its crawl, which
+        // splits the point's page instead of probing the point again.
+        // Bisecting toward the tie cost 51–53 more probes under Binary and
+        // 25 under Rerank.
         let others: Vec<f64> = (0..20).map(|i| 30.0 + 3.0 * f64::from(i)).collect();
         for dir in [SortDir::Asc, SortDir::Desc] {
             for algo in [OneDAlgo::Binary, OneDAlgo::Rerank] {
@@ -642,11 +649,15 @@ mod tests {
                 let crawl = crawl_cost(&source, oriented(dir, 25.0, 25.0).lo);
                 let found = drain_chunks(&source, algo, dir, oriented(dir, 25.0, 100.0), 1);
                 assert_eq!(found[0].values, vec![25.0; 30], "{algo:?} {dir:?}: the tie");
+                let probes = &found[0].probes;
                 assert_eq!(
-                    found[0].probes.len(),
-                    crawl + 2,
+                    probes.len(),
+                    crawl + 1,
                     "{algo:?} {dir:?}: the interval, the point and its crawl"
                 );
+                let point = SearchQuery::all().and_range(AttrId(0), oriented(dir, 25.0, 25.0));
+                let repeats = probes.iter().filter(|q| **q == point).count();
+                assert_eq!(repeats, 1, "{algo:?} {dir:?}: the point is probed once");
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use qr2_webdb::{Answer, SearchError, SearchQuery, TopKInterface, Tuple, TupleId};
+use qr2_webdb::{Answer, SearchError, SearchQuery, TopKInterface, TopKResponse, Tuple, TupleId};
 
 use crate::frontier::{Absorbed, Frontier};
 use crate::splitter::SplitPolicy;
@@ -13,7 +13,7 @@ pub struct CrawlerConfig {
     /// Hard cap on queries issued by one crawl (safety valve; the paper's
     /// algorithms always budget their probes).
     pub max_queries: usize,
-    /// Split policy (ablation hook).
+    /// Where overflowing regions are cut (ablation hook).
     pub policy: SplitPolicy,
 }
 
@@ -21,7 +21,7 @@ impl Default for CrawlerConfig {
     fn default() -> Self {
         CrawlerConfig {
             max_queries: 100_000,
-            policy: SplitPolicy::WidestRelative,
+            policy: SplitPolicy::PageCut,
         }
     }
 }
@@ -91,17 +91,21 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
     /// Retrieve every tuple matching `region`, probing through the
     /// crawler's database.
     pub fn crawl(&self, region: &SearchQuery) -> CrawlResult {
-        self.crawl_with(region, |q| self.db.probe(q))
+        self.crawl_with(region, None, |q| self.db.probe(q))
     }
 
     /// Retrieve every tuple matching `region`, issuing each probe through
-    /// `probe` (for callers that account for probes themselves).
+    /// `probe` (for callers that account for probes themselves). `root`
+    /// is the answer to `region` itself when the caller already holds it
+    /// (it just probed the region and saw it overflow): the crawl then
+    /// splits it without probing it again, and it counts nowhere.
     ///
     /// Depth-first walk of a [`Frontier`]: its split halves partition
     /// their parent exactly, so `Complete` results are exhaustive.
     pub fn crawl_with(
         &self,
         region: &SearchQuery,
+        mut root: Option<TopKResponse>,
         mut probe: impl FnMut(&SearchQuery) -> Result<Answer, SearchError>,
     ) -> CrawlResult {
         let mut frontier = Frontier::new(
@@ -119,26 +123,34 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
         let mut outcome = CrawlOutcome::Complete;
 
         while let Some((q, depth)) = frontier.pop() {
-            // The budget caps real web-DB spend; cached probes are free.
-            if queries >= self.config.max_queries {
-                outcome = CrawlOutcome::BudgetExhausted;
-                break;
-            }
-            let Ok(Answer {
-                resp,
-                outcome: served,
-            }) = probe(&q)
-            else {
-                outcome = CrawlOutcome::Interrupted;
-                break;
+            // The first region popped is `region`, answered by `root`.
+            let resp = match root.take() {
+                Some(resp) => resp,
+                None => {
+                    // The budget caps real web-DB spend; cached probes are
+                    // free.
+                    if queries >= self.config.max_queries {
+                        outcome = CrawlOutcome::BudgetExhausted;
+                        break;
+                    }
+                    let Ok(Answer {
+                        resp,
+                        outcome: served,
+                    }) = probe(&q)
+                    else {
+                        outcome = CrawlOutcome::Interrupted;
+                        break;
+                    };
+                    if served.cache_hit {
+                        cache_hits += 1;
+                    } else if served.coalesced {
+                        coalesced += 1;
+                    } else {
+                        queries += 1;
+                    }
+                    resp
+                }
             };
-            if served.cache_hit {
-                cache_hits += 1;
-            } else if served.coalesced {
-                coalesced += 1;
-            } else {
-                queries += 1;
-            }
             max_depth = max_depth.max(depth);
             for t in resp.tuples.iter() {
                 found.entry(t.id).or_insert_with(|| t.clone());
@@ -258,7 +270,7 @@ mod tests {
             &db,
             CrawlerConfig {
                 max_queries: 3,
-                policy: SplitPolicy::WidestRelative,
+                policy: SplitPolicy::PageCut,
             },
         )
         .crawl(&SearchQuery::all());
@@ -322,13 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_policy_also_completes() {
+    fn midpoint_policy_also_completes() {
         let db = grid_db(5);
         let res = Crawler::new(
             &db,
             CrawlerConfig {
                 max_queries: 10_000,
-                policy: SplitPolicy::RoundRobin { depth: 0 },
+                policy: SplitPolicy::Midpoint,
             },
         )
         .crawl(&SearchQuery::all());
@@ -345,5 +357,84 @@ mod tests {
         assert!(res.is_complete());
         assert!(res.tuples.is_empty());
         assert_eq!(res.queries, 1);
+    }
+
+    /// Counts the probes it answers and the empty ones among them.
+    struct Counting {
+        inner: SimulatedWebDb,
+        probes: std::sync::atomic::AtomicUsize,
+        empty: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TopKInterface for Counting {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            use std::sync::atomic::Ordering::Relaxed;
+            let resp = self.inner.search(q);
+            self.probes.fetch_add(1, Relaxed);
+            if resp.tuples.is_empty() {
+                self.empty.fetch_add(1, Relaxed);
+            }
+            resp
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+    }
+
+    #[test]
+    fn domains_wider_than_the_data_cost_no_empty_probe() {
+        // 200 tuples with distinct values in [0, 100) on both attributes
+        // of a [0, 10^6] domain. Cutting at the domains' midpoints peels
+        // off about 13 empty halves per attribute before it reaches the
+        // data: 99 probes, 26 of them empty. Cutting between page values
+        // leaves at least k/2 page tuples in every child, so at most
+        // 2n/(k/2) - 1 = 79 probes (59 here).
+        let schema = Schema::builder()
+            .numeric("x", 0.0, 1e6)
+            .numeric("y", 0.0, 1e6)
+            .build();
+        let mut tb = TableBuilder::new(schema.clone());
+        for i in 0..200 {
+            tb.push_row(vec![
+                ((i * 37) % 200) as f64 / 2.0,
+                ((i * 53) % 200) as f64 / 2.0,
+            ])
+            .unwrap();
+        }
+        let ranking = SystemRanking::linear(&schema, &[("x", 1.0), ("y", -0.5)]).unwrap();
+        let db = Counting {
+            inner: SimulatedWebDb::new(tb.build(), ranking, 10),
+            probes: Default::default(),
+            empty: Default::default(),
+        };
+        let res = crawl(&db, &SearchQuery::all());
+        assert!(res.is_complete());
+        assert_eq!(res.tuples.len(), 200);
+        assert_eq!(db.empty.into_inner(), 0, "an empty probe");
+        assert!(res.queries <= 79, "{} probes", res.queries);
+        assert_eq!(res.queries, db.probes.into_inner());
+    }
+
+    #[test]
+    fn a_held_root_page_is_not_probed_again() {
+        let db = grid_db(5);
+        let all = SearchQuery::all();
+        let root = db.search(&all);
+        let mut probed = Vec::new();
+        let res = Crawler::new(&db, CrawlerConfig::default()).crawl_with(&all, Some(root), |q| {
+            probed.push(q.clone());
+            db.probe(q)
+        });
+        assert!(res.is_complete());
+        assert_eq!(res.tuples.len(), 64);
+        assert!(!probed.contains(&all), "the root was probed again");
+        assert_eq!(res.queries, probed.len());
+        assert_eq!(res.queries + 1, crawl(&db, &all).queries);
     }
 }

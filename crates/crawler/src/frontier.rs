@@ -19,7 +19,8 @@ pub enum Absorbed {
 
 /// A crawl's LIFO stack of pending `(region, depth)`, its atomic regions
 /// and its split rule. Popping and absorbing walks the split tree
-/// depth-first, left half first.
+/// depth-first, left half first. A region's split depends only on the
+/// region and its page, so the tree does not depend on the visiting order.
 #[derive(Debug)]
 pub struct Frontier<'a> {
     schema: &'a Schema,
@@ -31,8 +32,7 @@ pub struct Frontier<'a> {
 impl<'a> Frontier<'a> {
     /// A frontier of `pending` regions (bottom of the stack first, as
     /// [`Frontier::pending`] lists them) and known `atomic` ones. Every
-    /// region starts at depth 0, which only [`SplitPolicy::RoundRobin`]
-    /// reads.
+    /// region starts at depth 0.
     pub fn new(
         schema: &'a Schema,
         policy: SplitPolicy,
@@ -58,18 +58,16 @@ impl<'a> Frontier<'a> {
     }
 
     /// Take in the answer to a probe of `region`: split it if it
-    /// overflowed, pushing right then left so left is probed next and
-    /// skipping halves that provably match nothing; record it once as
-    /// atomic if it overflowed and cannot be split.
+    /// overflowed (between the values of its page, see [`SplitPolicy`]),
+    /// pushing right then left so left is probed next and skipping halves
+    /// that provably match nothing; record it once as atomic if it
+    /// overflowed and cannot be split.
     pub fn absorb(&mut self, region: SearchQuery, depth: usize, resp: &TopKResponse) -> Absorbed {
         if !resp.overflow {
             return Absorbed::Leaf;
         }
-        let policy = match self.policy {
-            SplitPolicy::RoundRobin { .. } => SplitPolicy::RoundRobin { depth },
-            p => p,
-        };
-        let Some((left, right)) = split_region(self.schema, &region, policy) else {
+        let Some((left, right)) = split_region(self.schema, &region, &resp.tuples, self.policy)
+        else {
             if !self.atomic.contains(&region) {
                 self.atomic.push(region);
             }

@@ -2,7 +2,7 @@
 //! dispatch against the traffic policy, and frontier coalescing.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -76,6 +76,10 @@ struct Probe {
     /// `std` mutex: paired with the condvar below.
     state: StdMutex<ProbeState>,
     cv: Condvar,
+    /// Its owner withdrew it while it was in flight: the source's answer
+    /// still goes to whoever coalesced onto it, but a 429 or a fault must
+    /// not requeue it. Read and written under the scheduler's state lock.
+    withdrawn: AtomicBool,
 }
 
 impl Probe {
@@ -87,6 +91,7 @@ impl Probe {
             query: Mutex::new(query),
             state: StdMutex::new(ProbeState::Queued),
             cv: Condvar::new(),
+            withdrawn: AtomicBool::new(false),
         }
     }
 
@@ -667,14 +672,31 @@ impl SourceScheduler {
 
     /// Withdraw our still-queued probe on cancellation. An in-flight probe
     /// is left to finish — its cost is already committed and its waiters
-    /// still want the page.
+    /// still want the page — but is marked so that [`Self::requeue`]
+    /// drops it instead of queueing it again for nobody.
     fn withdraw(&self, probe: &Arc<Probe>) {
         let removed = {
             let mut st = self.state.lock();
-            st.lane_mut(probe.class).remove(probe)
+            let removed = st.lane_mut(probe.class).remove(probe);
+            probe.withdrawn.store(!removed, Ordering::Relaxed);
+            removed
         };
         if removed {
             probe.set_state(ProbeState::Abandoned);
+        }
+    }
+
+    /// Put an in-flight probe the source turned away back at the head of
+    /// its session's queue, or abandon it if its owner withdrew it in the
+    /// meantime (whoever coalesced onto it plans again).
+    fn requeue(&self, probe: &Arc<Probe>) {
+        let mut st = self.state.lock();
+        st.inflight.retain(|p| !Arc::ptr_eq(p, probe));
+        if probe.withdrawn.load(Ordering::Relaxed) {
+            probe.set_state(ProbeState::Abandoned);
+        } else {
+            probe.set_state(ProbeState::Queued);
+            st.lane_mut(probe.class).push(Arc::clone(probe), true);
         }
     }
 
@@ -731,12 +753,7 @@ impl SourceScheduler {
             Err(SearchError::Throttled(throttled)) => {
                 // Source said 429: put the probe back at the head of its
                 // session's queue and let pacing retry it.
-                probe.set_state(ProbeState::Queued);
-                {
-                    let mut st = self.state.lock();
-                    st.inflight.retain(|p| !Arc::ptr_eq(p, &probe));
-                    st.lane_mut(probe.class).push(Arc::clone(&probe), true);
-                }
+                self.requeue(&probe);
                 Dispatch::Throttled(throttled.retry_after)
             }
             Err(err) => {
@@ -749,12 +766,7 @@ impl SourceScheduler {
                     .unwrap_or(self.cfg.poll_interval)
                     .max(Duration::from_millis(1));
                 if probe.enqueued.elapsed() < self.cfg.max_outage_park {
-                    probe.set_state(ProbeState::Queued);
-                    {
-                        let mut st = self.state.lock();
-                        st.inflight.retain(|p| !Arc::ptr_eq(p, &probe));
-                        st.lane_mut(probe.class).push(Arc::clone(&probe), true);
-                    }
+                    self.requeue(&probe);
                     Dispatch::Parked(
                         retry_after.min(self.cfg.poll_interval.max(Duration::from_millis(5))),
                         err,

@@ -10,10 +10,12 @@ use crate::value::Value;
 ///
 /// Exclusive bounds matter: binary-search style algorithms repeatedly query
 /// half-open intervals such as `[lo, mid)` so the two halves partition the
-/// space without double-counting boundary tuples. [`RangePred::bisect`] is
-/// the one cut: the crawler, the MD boxes and the 1D chunk finder all split
-/// a range through it, and [`RangePred::snap_integral`] is the one rounding
-/// of a range onto whole numbers.
+/// space without double-counting boundary tuples. [`RangePred::cut`] is
+/// the one cut: the crawler cuts a range between the values of a page,
+/// and the MD boxes, the 1D chunk finder and the crawler's fallback cut it
+/// at its midpoint through [`RangePred::bisect`].
+/// [`RangePred::snap_integral`] is the one rounding of a range onto whole
+/// numbers.
 #[derive(Debug, Clone, Copy)]
 pub struct RangePred {
     /// Lower bound.
@@ -157,7 +159,8 @@ impl RangePred {
     }
 
     /// Cut the range into a low and a high half that partition it, or
-    /// `None` when it cannot be cut.
+    /// `None` when it cannot be cut: [`cut`](Self::cut) at the midpoint,
+    /// `(lo + hi) / 2`.
     ///
     /// `integral`: `[lo, m]` and `[m + 1, hi]` at `m = floor((lo + hi) / 2)`,
     /// which partition the whole numbers of a closed range; `None` unless
@@ -167,28 +170,44 @@ impl RangePred {
     /// keeping the outer bounds' inclusivity; `None` when no f64 lies
     /// strictly between `lo` and `hi`.
     pub fn bisect(&self, integral: bool) -> Option<(RangePred, RangePred)> {
+        let mid = if integral {
+            (self.lo + self.hi) / 2.0
+        } else {
+            self.lo + (self.hi - self.lo) / 2.0
+        };
+        self.cut(mid, integral)
+    }
+
+    /// Cut the range at `at` into a low and a high part that partition it,
+    /// or `None` when `at` leaves one of them empty.
+    ///
+    /// `integral`: `[lo, m]` and `[m + 1, hi]` at `m = floor(at)`, on a
+    /// closed range of whole numbers (see [`bisect`](Self::bisect)); `None`
+    /// unless `lo <= m` and `m + 1 <= hi`. Otherwise `[lo, at)` and
+    /// `[at, hi]`, keeping the outer bounds' inclusivity; `None` unless
+    /// `lo < at < hi`.
+    pub fn cut(&self, at: f64, integral: bool) -> Option<(RangePred, RangePred)> {
         if integral {
-            if self.hi - self.lo < 1.0 {
+            let m = at.floor();
+            if !(self.lo <= m && m + 1.0 <= self.hi) {
                 return None;
             }
-            let m = ((self.lo + self.hi) / 2.0).floor();
             return Some((
                 RangePred::closed(self.lo, m),
                 RangePred::closed(m + 1.0, self.hi),
             ));
         }
-        let mid = self.lo + (self.hi - self.lo) / 2.0;
-        if !(mid > self.lo && mid < self.hi) {
+        if !(at > self.lo && at < self.hi) {
             return None;
         }
         Some((
             RangePred {
-                hi: mid,
+                hi: at,
                 hi_inc: false,
                 ..*self
             },
             RangePred {
-                lo: mid,
+                lo: at,
                 lo_inc: true,
                 ..*self
             },

@@ -743,7 +743,7 @@ fn dense_index_never_stores_a_crawl_cut_short_by_the_source() {
     let dense = DenseIndex::in_memory();
     let all = SearchQuery::all();
     let err = dense
-        .get_or_crawl(&ctx, &all)
+        .get_or_crawl(&ctx, &all, None)
         .expect_err("the outage cuts the crawl short");
     assert_eq!(err.kind(), "unavailable");
     assert!(

@@ -17,7 +17,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qr2::core::ExecutorKind;
-use qr2::http::{parse_json, Body, Handler, Json, Method, Request, Status};
+use qr2::http::{parse_json, Body, ChunkStream, Handler, Json, Method, Request, Status};
 use qr2::recon::JobOptions;
 use qr2::service::{Qr2App, Source, SourceRegistry};
 use qr2::webdb::{
@@ -456,4 +456,97 @@ fn delete_cancels_live_and_recon_served_streams_alike() {
             "{tier}: only the recon tier serves for free"
         );
     }
+}
+
+/// Create a `1d-binary` query on `handler`'s `fast` source (page size 1,
+/// lifetime cap `max_queries` if given) and open a `limit=300` stream on
+/// it. Returns the query id and the stream.
+fn open_fast_stream(handler: &dyn Handler, max_queries: Option<usize>) -> (String, ChunkStream) {
+    let cap = max_queries.map_or(String::new(), |m| format!(r#","max_queries":{m}"#));
+    let body = format!(
+        r#"{{"ranking":{{"type":"1d","attr":"x","dir":"desc"}},
+            "algorithm":"1d-binary","page_size":1{cap}}}"#
+    );
+    let mut create = Request::test(Method::Post, "/v1/sources/fast/queries", body.into_bytes());
+    create
+        .headers
+        .insert("content-type".into(), "application/json".into());
+    let resp = handler.handle(&create);
+    assert_eq!(resp.status, Status::Created);
+    let v = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let id = v.get("query_id").unwrap().as_str().unwrap().to_string();
+    let mut get = Request::test(Method::Get, &format!("/v1/queries/{id}/stream"), Vec::new());
+    get.query.insert("limit".into(), "300".into());
+    let Body::Stream(stream) = handler.handle(&get).body else {
+        panic!("the stream endpoint answers with a chunk stream");
+    };
+    (id, stream)
+}
+
+/// The NDJSON lines of one chunk.
+fn chunk_lines(chunk: &[u8]) -> Vec<Json> {
+    std::str::from_utf8(chunk)
+        .unwrap()
+        .lines()
+        .map(|l| parse_json(l).unwrap())
+        .collect()
+}
+
+#[test]
+fn a_deleted_stream_whose_lifetime_budget_is_spent_ends_budget_exhausted() {
+    // An uncapped twin shows where the budget can run out between two
+    // lines: after a tuple line whose successor needs a probe, so the
+    // session has nothing buffered once the line is sent.
+    let twin = Qr2App::new(registry());
+    let (_, mut stream) = open_fast_stream(&twin.handler(), None);
+    let mut events = Vec::new();
+    while let Some(chunk) = stream.next_chunk() {
+        events.extend(chunk_lines(&chunk));
+    }
+    let cost = |e: &Json, key: &str| e.get(key).unwrap().as_usize().unwrap();
+    let last_free = events
+        .windows(2)
+        .position(|w| {
+            w[0].get("event").unwrap().as_str() == Some("tuple")
+                && w[1].get("event").unwrap().as_str() == Some("tuple")
+                && cost(&w[1], "queries") > 0
+        })
+        .expect("some tuple line is followed by a paid one");
+    let cap = cost(&events[last_free], "total_queries");
+
+    // The same query capped at exactly that spend: the chunk that carries
+    // the line ends there, with the cap spent and nothing buffered. The
+    // query is deleted before the stream's next line.
+    let app = Qr2App::new(registry());
+    let handler = app.handler();
+    let (id, mut stream) = open_fast_stream(&handler, Some(cap));
+    let mut sent = Vec::new();
+    while sent.len() <= last_free {
+        let chunk = stream.next_chunk().expect("the stream ends after the cap");
+        sent.extend(chunk_lines(&chunk));
+    }
+    assert_eq!(sent.len(), last_free + 1, "the chunk ends at the spent cap");
+    assert_eq!(cost(&sent[last_free], "total_queries"), cap);
+    let delete = Request::test(Method::Delete, &format!("/v1/queries/{id}"), Vec::new());
+    assert_eq!(handler.handle(&delete).status, Status::NoContent);
+
+    // The lifetime check runs before the session reads its cancellation,
+    // so the stream reports the spent budget, not the delete.
+    let mut rest = Vec::new();
+    while let Some(chunk) = stream.next_chunk() {
+        rest.extend(chunk_lines(&chunk));
+    }
+    assert_eq!(rest.len(), 1, "only the summary follows: {rest:?}");
+    let summary = &rest[0];
+    assert_eq!(summary.get("event").unwrap().as_str(), Some("summary"));
+    assert_eq!(
+        summary.get("status").unwrap().as_str(),
+        Some("budget_exhausted"),
+        "{summary}"
+    );
+    assert_eq!(
+        summary.get("count").unwrap().as_usize(),
+        Some(last_free + 1)
+    );
+    assert_eq!(cost(summary.get("stats").unwrap(), "queries"), cap);
 }
