@@ -6,8 +6,10 @@
 //! (§II-B "Parallel processing"): verification queries covering the areas
 //! where a better tuple could hide are independent, so they are submitted
 //! together. Note the paper's caveat — parallelism can *increase* the total
-//! number of queries (a batch is built before its first response arrives) —
-//! which the ablation benches quantify.
+//! number of queries (a batch is built before its first response arrives).
+//! The MD frontier engine keeps that extra small by splitting ahead only
+//! cells dense with tuples it has already seen; the ablation benches
+//! quantify what is left.
 //!
 //! Every lookup of a session goes through this context, crawls included.
 //! [`SearchCtx::search`] and [`SearchCtx::crawl`] share one accounting

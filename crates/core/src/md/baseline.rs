@@ -96,7 +96,7 @@ impl BaselineEngine {
         }
 
         let mut best: Option<(f64, Tuple)> = None;
-        let mut pending: Vec<NBox> = vec![root.clone()];
+        let mut pending: Vec<NBox> = vec![root];
         let mut is_root_probe = true;
 
         while let Some(mut region) = pending.pop() {
@@ -128,13 +128,13 @@ impl BaselineEngine {
                 }
                 if !overflow {
                     if is_root_probe {
-                        // Root underflow: the entire match set is visible.
-                        // Cache it so later get-nexts are free.
-                        let mut all: Vec<(f64, Tuple)> = Vec::new();
-                        let again = self.ctx.search(&root.to_query(&self.filter))?;
-                        for t in again.tuples.iter().cloned() {
-                            all.push((self.f.score(&t, &self.norm), t));
-                        }
+                        // Root underflow: the page is the entire match
+                        // set. Cache it so later get-nexts are free.
+                        let mut all: Vec<(f64, Tuple)> = resp
+                            .tuples
+                            .iter()
+                            .map(|t| (self.f.score(t, &self.norm), t.clone()))
+                            .collect();
                         all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
                         self.complete = Some(all);
                         return self.next();
@@ -299,6 +299,11 @@ mod tests {
         let mut e = BaselineEngine::new(ctx.clone(), SearchQuery::all(), f, norm);
         let first = e.next().unwrap().unwrap();
         let cost_after_first = ctx.stats().total_queries();
+        assert_eq!(
+            cost_after_first, 1,
+            "the root's page is the whole match set"
+        );
+        assert_eq!(d.ledger().total(), 1);
         let mut rest = 0;
         while e.next().unwrap().is_some() {
             rest += 1;

@@ -10,6 +10,20 @@
 //! paper's verification parallelism, and the per-round query counts feed
 //! Fig. 2.
 //!
+//! Each cell carries the tuples of its nearest probed ancestor's
+//! overflowing page that lie inside it: its *seen* tuples, the cell's own
+//! top tuples in system order. Two rules use them, and both depend only on
+//! the answers, never on timing:
+//!
+//! * A cell holding a whole page of seen tuples is split again before
+//!   anyone probes it: its probe could only return that page and an
+//!   overflow bit. Dense and atomic cells are probed and crawled instead.
+//! * A parallel round fills its spare slots by splitting, instead of
+//!   probing, only cells whose seen tuples fill at least half a page: the
+//!   denser half of an overflowed parent, which is likely to overflow
+//!   too. A round with no such cell stays below the fan-out, so
+//!   parallelism buys rounds without paying much for blind splits.
+//!
 //! A failed probe puts the cells it left unexplored back on the frontier
 //! and returns the error; the next get-next searches them again.
 
@@ -26,10 +40,15 @@ use crate::md::DEFAULT_DENSE_DELTA_MD;
 use crate::normalize::Normalizer;
 use crate::space::NBox;
 
-/// A frontier cell: an unexplored box and the best score it could contain.
+/// A frontier cell: an unexplored box, the best score it could contain,
+/// and the tuples already seen inside it.
 struct Cell {
     min_score: f64,
     nbox: NBox,
+    /// The tuples of the nearest probed ancestor's overflowing page that
+    /// lie inside the box, in system order: the box's own top
+    /// `seen.len()` tuples, all of them already discovered.
+    seen: Vec<Tuple>,
     /// Insertion sequence; tie-breaks heap order deterministically.
     seq: u64,
 }
@@ -122,7 +141,7 @@ impl FrontierEngine {
             seq: 0,
         };
         if !root.is_empty() && !engine.filter.is_trivially_empty() {
-            engine.push_cell(root);
+            engine.push_cell(root, Vec::new());
         }
         engine
     }
@@ -153,14 +172,60 @@ impl FrontierEngine {
         }
     }
 
-    fn push_cell(&mut self, nbox: NBox) {
-        let min_score = nbox.min_score(&self.f, &self.norm);
-        self.seq += 1;
-        self.cells.push(Cell {
-            min_score,
-            nbox,
-            seq: self.seq,
-        });
+    fn push_cell(&mut self, nbox: NBox, seen: Vec<Tuple>) {
+        let cells = self.cells_of(nbox, seen);
+        self.cells.extend(cells);
+    }
+
+    /// The frontier cells covering `nbox`, whose seen tuples are `seen`.
+    /// A box that holds a whole page of seen tuples is split again before
+    /// anyone probes it: those tuples are its top *k*, so its probe could
+    /// only return them plus an overflow bit. The splitting stops at parts
+    /// holding fewer than *k* seen tuples, and at dense or atomic boxes,
+    /// which are probed and crawled. Empty boxes are dropped.
+    fn cells_of(&mut self, nbox: NBox, seen: Vec<Tuple>) -> Vec<Cell> {
+        let k = self.ctx.system_k().max(1);
+        let mut cells = Vec::new();
+        let mut todo = vec![(nbox, seen)];
+        while let Some((nbox, seen)) = todo.pop() {
+            if nbox.is_empty() {
+                continue;
+            }
+            if seen.len() >= k {
+                if let Some(dim) = self.split_dim(&nbox) {
+                    // Reversed, so the low half is numbered first.
+                    todo.extend(self.split(&nbox, dim, seen).into_iter().rev());
+                    continue;
+                }
+            }
+            self.seq += 1;
+            cells.push(Cell {
+                min_score: nbox.min_score(&self.f, &self.norm),
+                nbox,
+                seen,
+                seq: self.seq,
+            });
+        }
+        cells
+    }
+
+    /// Split `nbox` on dimension `dim` into two boxes that partition it,
+    /// each with the `seen` tuples that lie inside it.
+    fn split(&self, nbox: &NBox, dim: usize, seen: Vec<Tuple>) -> [(NBox, Vec<Tuple>); 2] {
+        let (a, b) = nbox.split(dim, self.ctx.schema());
+        let (in_a, in_b) = seen.into_iter().partition(|t| a.contains(t));
+        [(a, in_a), (b, in_b)]
+    }
+
+    /// The dimension to split an overflowing box on, or `None` when it is
+    /// enumerated by crawling instead: a dense box, or an atomic one (all
+    /// ranking attributes pinned: the tie case).
+    fn split_dim(&self, nbox: &NBox) -> Option<usize> {
+        if self.is_dense(nbox) {
+            None
+        } else {
+            nbox.widest_splittable_dim(&self.f, &self.norm, self.ctx.schema())
+        }
     }
 
     fn add_tuple(&mut self, t: Tuple) {
@@ -214,37 +279,31 @@ impl FrontierEngine {
         debug_assert!(!batch.is_empty(), "expand_round called with work to do");
 
         // Parallel executors partition speculatively: instead of probing a
-        // big cell and splitting only on overflow, split it up front and
-        // search the subspaces together — the paper's "the search in
-        // subspaces is done independently, [so] it is easily parallelable".
-        // This fills the round up to the fan-out; it can spend extra
-        // queries (the paper's stated trade-off) but cuts round count and
-        // raises the parallel fraction.
+        // cell and splitting it only on overflow, split it up front and
+        // search its halves in the same round (the paper's "the search in
+        // subspaces is done independently, [so] it is easily
+        // parallelable"). Only a cell whose seen tuples fill at least half
+        // a page is split: it is the denser half of an overflowed parent,
+        // likely to overflow itself, so its halves are probes a sequential
+        // search would also make. Spare slots stay empty when no cell of
+        // the round is that dense.
         if batch_limit > 1 {
+            let k = self.ctx.system_k();
             while batch.len() < batch_limit {
                 let candidate = batch
                     .iter()
                     .enumerate()
-                    .filter(|(_, c)| !self.is_dense(&c.nbox))
+                    .filter(|(_, c)| 2 * c.seen.len() >= k)
                     .filter_map(|(i, c)| {
-                        c.nbox
-                            .widest_splittable_dim(&self.f, &self.norm, self.ctx.schema())
+                        self.split_dim(&c.nbox)
                             .map(|dim| (i, dim, c.nbox.weighted_diag(&self.f, &self.norm)))
                     })
                     .max_by(|a, b| a.2.total_cmp(&b.2));
                 let Some((i, dim, _)) = candidate else { break };
                 let cell = batch.swap_remove(i);
-                let (a, b) = cell.nbox.split(dim, self.ctx.schema());
-                for child in [a, b] {
-                    if !child.is_empty() {
-                        let min_score = child.min_score(&self.f, &self.norm);
-                        self.seq += 1;
-                        batch.push(Cell {
-                            min_score,
-                            nbox: child,
-                            seq: self.seq,
-                        });
-                    }
+                for (nbox, seen) in self.split(&cell.nbox, dim, cell.seen) {
+                    let cells = self.cells_of(nbox, seen);
+                    batch.extend(cells);
                 }
             }
         }
@@ -270,26 +329,16 @@ impl FrontierEngine {
             if !overflow {
                 continue; // cell fully enumerated
             }
-            // A dense cell, or an atomic one (all ranking attrs pinned:
-            // the tie case), is enumerated by crawling instead of split.
-            let dim = if self.is_dense(&cell.nbox) {
-                None
-            } else {
-                cell.nbox
-                    .widest_splittable_dim(&self.f, &self.norm, self.ctx.schema())
-            };
-            match dim {
+            match self.split_dim(&cell.nbox) {
                 Some(dim) => {
                     // Both children stay on the frontier: get-next keeps
                     // serving deeper into the order, so a cell that cannot
                     // beat the *current* best may still hold the tuple
                     // after next. Pruning happens implicitly — cells are
                     // only searched once their bound reaches the front.
-                    let (a, b) = cell.nbox.split(dim, self.ctx.schema());
-                    for child in [a, b] {
-                        if !child.is_empty() {
-                            self.push_cell(child);
-                        }
+                    let page = resp.tuples.to_vec();
+                    for (child, seen) in self.split(&cell.nbox, dim, page) {
+                        self.push_cell(child, seen);
                     }
                 }
                 None => {
@@ -438,6 +487,108 @@ mod tests {
         e.next().unwrap();
         e.next().unwrap();
         assert_eq!(e.served(), 2);
+    }
+
+    /// Records every probe it answers, with its answer.
+    struct Recording {
+        inner: Arc<SimulatedWebDb>,
+        log: parking_lot::Mutex<Vec<(SearchQuery, TopKResponse)>>,
+    }
+
+    impl TopKInterface for Recording {
+        fn schema(&self) -> &qr2_webdb::Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> TopKResponse {
+            let resp = self.inner.search(q);
+            self.log.lock().push((q.clone(), resp.clone()));
+            resp
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+    }
+
+    /// The probe log of an MD-BINARY session over the 12×12 grid (system
+    /// k 8) that serves 40 tuples, and the engine that made it.
+    fn recorded(kind: ExecutorKind) -> (Vec<(SearchQuery, TopKResponse)>, FrontierEngine) {
+        let source = Arc::new(Recording {
+            inner: grid_db(8),
+            log: Default::default(),
+        });
+        let ctx = SearchCtx::new(source.clone(), kind);
+        let schema = source.schema();
+        let f = LinearFunction::from_names(schema, &[("x", 1.0), ("y", -0.5)]).unwrap();
+        let norm = Arc::new(Normalizer::from_domains(schema));
+        let mut e = FrontierEngine::new(ctx, SearchQuery::all(), f, norm, None);
+        for _ in 0..40 {
+            e.next().unwrap().expect("144 tuples");
+        }
+        let log = source.log.lock().clone();
+        (log, e)
+    }
+
+    #[test]
+    fn a_cell_holding_its_parents_whole_page_is_never_probed() {
+        // On the grid the page of an overflowing box often lies in one of
+        // its halves: that half holds the whole page, and a probe of it
+        // would return the same page.
+        for kind in [
+            ExecutorKind::Sequential,
+            ExecutorKind::Parallel { fanout: 8 },
+        ] {
+            let (log, _) = recorded(kind);
+            for (i, (q, resp)) in log.iter().enumerate() {
+                let repeats = log[..i].iter().any(|(parent, page)| {
+                    page.overflow && parent != q && parent.covers(q) && page.tuples == resp.tuples
+                });
+                assert!(!repeats, "{kind:?}: probe {i} returned a page already held");
+            }
+        }
+    }
+
+    #[test]
+    fn a_parallel_round_speculates_only_on_cells_half_full_of_seen_tuples() {
+        let (log, e) = recorded(ExecutorKind::Parallel { fanout: 8 });
+        let k = e.ctx.system_k();
+        let all = SearchQuery::all();
+        let root = (all.clone(), TopKResponse::empty());
+        let mut unprobed_splits = 0;
+        for (i, (q, _)) in log.iter().enumerate() {
+            // The nearest probed ancestor: the latest earlier probe that
+            // overflowed and covers this one (probed boxes nest), else the
+            // unprobed root with nothing seen.
+            let (parent, page) = log[..i]
+                .iter()
+                .rev()
+                .find(|(p, page)| page.overflow && p != q && p.covers(q))
+                .unwrap_or(&root);
+            // Walk the split tree from the ancestor down to this probe:
+            // every box split on the way below the ancestor was split
+            // without being probed, so it must have held at least half a
+            // page of the ancestor's tuples.
+            let attrs: Vec<_> = e.f.attrs().collect();
+            let mut cell = NBox::full(e.ctx.schema(), parent, &attrs);
+            let mut below_ancestor = false;
+            while cell.to_query(&all) != *q {
+                if below_ancestor {
+                    let seen = page.tuples.iter().filter(|t| cell.contains(t)).count();
+                    assert!(
+                        2 * seen >= k,
+                        "probe {i}: a box with {seen} seen tuples was split"
+                    );
+                    unprobed_splits += 1;
+                }
+                let dim = e.split_dim(&cell).expect("an overflowing box splits");
+                let (a, b) = cell.split(dim, e.ctx.schema());
+                cell = if a.to_query(&all).covers(q) { a } else { b };
+                below_ancestor = true;
+            }
+        }
+        assert!(unprobed_splits > 0, "the session must speculate");
     }
 
     #[test]

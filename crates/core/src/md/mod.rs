@@ -7,7 +7,9 @@
 //! * [`MdAlgo::Binary`] — `MD-BINARY`: best-first branch-and-bound over
 //!   contour-pruned cells, several frontier cells searched per (parallel)
 //!   round — the paper's "queries that cover the areas in which a tuple may
-//!   dominate the discovered tuple".
+//!   dominate the discovered tuple". A cell is never probed when the page
+//!   it would return is already held, and a parallel round splits ahead
+//!   only cells dense with tuples already seen.
 //! * [`MdAlgo::Rerank`] — `MD-RERANK`: branch-and-bound plus the shared
 //!   dense index; cells below the δ threshold are crawled once.
 //! * [`MdAlgo::Ta`] — `MD-TA`: Fagin's Threshold Algorithm with sorted

@@ -8,7 +8,7 @@
 //! that region with boxes ([`NBox`]) and prune any box whose best corner
 //! cannot beat `t*` ([`NBox::min_score`]).
 
-use qr2_webdb::{AttrId, Predicate, RangePred, Schema, SearchQuery};
+use qr2_webdb::{AttrId, Predicate, RangePred, Schema, SearchQuery, Tuple};
 
 use crate::function::LinearFunction;
 use crate::normalize::Normalizer;
@@ -52,6 +52,11 @@ impl NBox {
     /// True when some dimension admits no value.
     pub fn is_empty(&self) -> bool {
         self.dims.iter().any(|(_, r)| r.is_empty())
+    }
+
+    /// True when `t` lies inside the box.
+    pub fn contains(&self, t: &Tuple) -> bool {
+        self.dims.iter().all(|(a, r)| r.matches(t.num_at(*a)))
     }
 
     /// Conjoin the box onto a base query (replacing any ranking-attribute

@@ -9,8 +9,7 @@
 //! scheduler → traffic shaping → web DB), exactly as the HTTP handlers
 //! do.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use qr2::cache::{AnswerCache, CacheConfig};
@@ -42,7 +41,7 @@ fn x_db(n: usize, k: usize) -> Arc<SimulatedWebDb> {
 }
 
 /// Scheduler directly over the shaped database (no cache, no engine).
-fn sched_over(db: Arc<SimulatedWebDb>, policy: SourcePolicy) -> Arc<SourceScheduler> {
+fn sched_over(db: Arc<dyn TopKInterface>, policy: SourcePolicy) -> Arc<SourceScheduler> {
     let shaped = Arc::new(TrafficShapedInterface::new(db, policy));
     let resilient = Arc::new(ResilientInterface::new(
         Arc::clone(&shaped),
@@ -171,52 +170,54 @@ fn fair_share_under_a_hot_competitor() {
 
 #[test]
 fn interactive_class_dispatches_before_queued_background() {
-    // Both classes queued behind an empty token bucket: when the next
-    // token arrives, the interactive lane is served first even though
-    // the background probe enqueued earlier.
+    // Both classes queued behind a closed source: when it opens, the
+    // interactive probe leaves the queue first even though the background
+    // probe enqueued earlier.
     let db = x_db(100, 200);
-    let sched = sched_over(db.clone(), SourcePolicy::rate_limited(5.0, 1.0));
-    // Drain the single burst token.
-    sched
-        .shaped()
-        .probe(&range(db.as_ref(), 900.0, 1000.0))
-        .unwrap();
-
-    let finish_order = AtomicU64::new(0);
+    let gated = Gated::new(Arc::clone(&db), false);
+    let sched = sched_over(gated.clone(), SourcePolicy::unlimited());
+    assert!(gated.sched.set(Arc::downgrade(&sched)).is_ok());
+    let bg_q = range(db.as_ref(), 0.0, 50.0);
+    let int_q = range(db.as_ref(), 60.0, 99.0);
     std::thread::scope(|scope| {
-        let order = &finish_order;
-        let bg_sched = Arc::clone(&sched);
-        let bg_q = range(db.as_ref(), 0.0, 50.0);
-        let bg = scope.spawn(move || {
-            let ctx = SessionCtx::new(
-                next_session_key(),
-                QueryClass::Background,
-                CancelToken::new(),
-            );
-            with_session(ctx, || bg_sched.submit(&bg_q)).expect("answered");
-            order.fetch_add(1, Ordering::SeqCst) // 0 if first to finish
-        });
+        let submit = |class: QueryClass, q: &SearchQuery| {
+            let sched = Arc::clone(&sched);
+            let q = q.clone();
+            move || {
+                let ctx = SessionCtx::new(next_session_key(), class, CancelToken::new());
+                with_session(ctx, || sched.submit(&q)).expect("answered");
+            }
+        };
+        let bg = scope.spawn(submit(QueryClass::Background, &bg_q));
         // Only spawn the interactive probe once the background one is
-        // provably parked in its queue.
+        // provably in the queue, and open the source only once both are.
         wait_until("the background probe to queue", || sched.stats().queued > 0);
-        let int_sched = Arc::clone(&sched);
-        let int_q = range(db.as_ref(), 60.0, 99.0);
-        let int = scope.spawn(move || {
-            let ctx = SessionCtx::new(
-                next_session_key(),
-                QueryClass::Interactive,
-                CancelToken::new(),
-            );
-            with_session(ctx, || int_sched.submit(&int_q)).expect("answered");
-            order.fetch_add(1, Ordering::SeqCst)
+        let int = scope.spawn(submit(QueryClass::Interactive, &int_q));
+        wait_until("both probes to queue", || {
+            gated.open_if(|| sched.stats().queued == 2)
         });
-        let int_rank = int.join().unwrap();
-        let bg_rank = bg.join().unwrap();
-        assert!(
-            int_rank < bg_rank,
-            "background (rank {bg_rank}) was served before interactive (rank {int_rank})"
-        );
+        int.join().unwrap();
+        bg.join().unwrap();
     });
+    // Once open, the source refuses nothing, so a probe leaves the queue
+    // only by being dispatched. Two dispatchers can hold both probes in
+    // flight at once, so the source may see them in either order; what
+    // the scheduler promises is the pick, and a background probe that
+    // reaches the source with the interactive one still queued broke it.
+    let received = gated.received();
+    let queued_on_arrival = |want: &SearchQuery| {
+        let mut hits = received.iter().filter(|(q, _)| q == want);
+        let (_, queued) = hits.next().expect("the source received the probe");
+        assert!(hits.next().is_none(), "the source received the probe twice");
+        *queued
+    };
+    assert_eq!(received.len(), 2);
+    queued_on_arrival(&int_q);
+    assert_eq!(
+        queued_on_arrival(&bg_q),
+        0,
+        "the background probe was dispatched while the interactive one was queued"
+    );
 }
 
 #[test]
@@ -582,7 +583,40 @@ fn a_stream_deleted_while_its_probe_is_parked_ends_cancelled() {
 /// it until the switch opens.
 struct Gated {
     db: Arc<SimulatedWebDb>,
-    open: AtomicBool,
+    /// Whether the switch is open, and the probes it let through in
+    /// arrival order, each with the scheduler's queue length on arrival.
+    /// One lock, so a probe passes or is refused atomically with respect
+    /// to a change of the switch.
+    gate: Mutex<(bool, Vec<(SearchQuery, usize)>)>,
+    /// The scheduler over this source, once set: its queue length is
+    /// logged with each probe let through.
+    sched: OnceLock<Weak<SourceScheduler>>,
+}
+
+impl Gated {
+    fn new(db: Arc<SimulatedWebDb>, open: bool) -> Arc<Gated> {
+        Arc::new(Gated {
+            db,
+            gate: Mutex::new((open, Vec::new())),
+            sched: OnceLock::new(),
+        })
+    }
+
+    fn set_open(&self, open: bool) {
+        self.gate.lock().unwrap().0 = open;
+    }
+
+    /// Open the switch if `cond` holds, judged while no probe can pass
+    /// or be refused; returns whether it opened.
+    fn open_if(&self, cond: impl FnOnce() -> bool) -> bool {
+        let mut gate = self.gate.lock().unwrap();
+        gate.0 = cond();
+        gate.0
+    }
+
+    fn received(&self) -> Vec<(SearchQuery, usize)> {
+        self.gate.lock().unwrap().1.clone()
+    }
 }
 
 impl TopKInterface for Gated {
@@ -599,10 +633,16 @@ impl TopKInterface for Gated {
         self.db.ledger()
     }
     fn probe(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
-        if !self.open.load(Ordering::SeqCst) {
-            return Err(SearchError::Throttled(Throttled {
-                retry_after: Duration::from_millis(2),
-            }));
+        {
+            let mut gate = self.gate.lock().unwrap();
+            if !gate.0 {
+                return Err(SearchError::Throttled(Throttled {
+                    retry_after: Duration::from_millis(2),
+                }));
+            }
+            let queued = self.sched.get().and_then(Weak::upgrade);
+            let queued = queued.map_or(0, |sched| sched.stats().queued);
+            gate.1.push((q.clone(), queued));
         }
         self.db.probe(q)
     }
@@ -614,10 +654,7 @@ fn deleting_a_session_does_not_cancel_an_identical_one_coalesced_on_its_probes()
     // round waits in the scheduler and B's identical round waits on A's
     // answer-cache flights when A is deleted. The cancellation is A's
     // alone: B fetches for itself and its stream ends `complete`.
-    let gated = Arc::new(Gated {
-        db: xy_db(200, 10),
-        open: AtomicBool::new(true),
-    });
+    let gated = Gated::new(xy_db(200, 10), true);
     let (service, source) = service_over(
         gated.clone(),
         SourcePolicy::unlimited(),
@@ -627,7 +664,7 @@ fn deleting_a_session_does_not_cancel_an_identical_one_coalesced_on_its_probes()
     let (_, _, _, req) = parked_sessions().pop().expect("the MD-RERANK session");
     let a = service.create_query("x", &req).unwrap().query_id;
     let b = service.create_query("x", &req).unwrap().query_id;
-    gated.open.store(false, Ordering::SeqCst);
+    gated.set_open(false);
     let mut stream = service.stream(&b, Some(20), None).unwrap();
     std::thread::scope(|scope| {
         let blocked = scope.spawn(|| service.next_page(&a, None));
@@ -646,7 +683,7 @@ fn deleting_a_session_does_not_cancel_an_identical_one_coalesced_on_its_probes()
         service.delete(&a).expect("delete A");
         let page = blocked.join().unwrap().expect("A's page is a cancellation");
         assert!(page.results.len() <= 10);
-        gated.open.store(true, Ordering::SeqCst);
+        gated.set_open(true);
         let lines = reader.join().unwrap();
         let summary = lines
             .lines()
