@@ -3,17 +3,15 @@
 //!
 //! Two phases, each on a **fresh** database so ledgers are comparable:
 //!
-//! 1. **Coalescing contention.** Four interactive sessions probe a
-//!    rate-limited source in lock-stepped rounds — one wide range that
-//!    covers the other three sessions' narrow ranges — while a
-//!    background crawl session hammers a disjoint range. The same
-//!    workload then replays **without** the scheduler (traffic shaping
-//!    only, every probe pays). The runner checks the contract:
-//!    scheduler-on must spend *strictly fewer* web-database queries than
-//!    scheduler-off, and `coalesced_frontier_hits` must be positive.
-//!    Every answer — paid or derived from another session's covering
-//!    probe — is checked byte-for-byte against an untouched reference
-//!    copy of the database.
+//! 1. **Contention.** Four interactive sessions probe a rate-limited
+//!    source in lock-stepped rounds — one wide range that covers the
+//!    other three sessions' narrow ranges — while a background crawl
+//!    session hammers a disjoint range. The scheduler pays every probe
+//!    once (no answer cache sits in front), so the paid count is
+//!    `SCHED_SESSIONS · SCHED_ROUNDS + SCHED_BG_PROBES` and is
+//!    `deterministic`. Every answer is checked byte-for-byte against an
+//!    untouched reference copy of the database, and every dispatch must
+//!    be a paid query.
 //!
 //! 2. **Fairness.** Three equal-demand interactive sessions race a hog
 //!    session with 3× their demand through the paced bucket. Deficit
@@ -22,10 +20,8 @@
 //!    (the runner checks it ≤ 5.0; a FIFO queue that lets the first
 //!    enqueuer drain its backlog would not stay bounded).
 //!
-//! Paid-query counts depend on thread interleavings (a narrow probe can
-//! win a burst token before the wide one arrives), so they are
-//! `measured` and the contracts are *inequalities*, never exact values;
-//! only the scenario's shape is `deterministic`.
+//! Queue delays, throttle waits and wall times depend on thread
+//! interleavings, so they are `measured`.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -41,11 +37,11 @@ use qr2_http::Json;
 
 use crate::report::{round, Contract, Report};
 
-/// Lock-stepped rounds in the coalescing phase.
+/// Lock-stepped rounds in the contention phase.
 pub const SCHED_ROUNDS: usize = 12;
-/// Interactive sessions in the coalescing phase (1 wide + 3 narrow).
+/// Interactive sessions in the contention phase (1 wide + 3 narrow).
 pub const SCHED_SESSIONS: usize = 4;
-/// Background probes issued during the coalescing phase.
+/// Background probes issued during the contention phase.
 pub const SCHED_BG_PROBES: usize = 12;
 /// Probes per equal-demand session in the fairness phase.
 pub const FAIR_PROBES: usize = 12;
@@ -60,8 +56,7 @@ const RATE_PER_SEC: f64 = 300.0;
 const BURST: f64 = 2.0;
 /// Rows in the contention database.
 const ROWS: usize = 400;
-/// System k — larger than the table so every response is complete and
-/// narrow answers can be derived exactly from the wide covering probe.
+/// System k — larger than the table so every response is complete.
 const SYSTEM_K: usize = 512;
 
 /// Fresh deterministic contention database: one numeric attribute,
@@ -78,12 +73,12 @@ fn contention_db() -> Arc<SimulatedWebDb> {
     Arc::new(SimulatedWebDb::new(tb.build(), ranking, SYSTEM_K))
 }
 
-/// The simulated source's traffic policy for both runs.
+/// The simulated source's traffic policy for both phases.
 fn policy() -> SourcePolicy {
     SourcePolicy::rate_limited(RATE_PER_SEC, BURST)
 }
 
-/// The coalescing-phase query of `session` (0 = wide, 1..=3 = narrow
+/// The contention-phase query of `session` (0 = wide, 1..=3 = narrow
 /// thirds strictly inside the wide range; rounds reuse the same shape).
 fn contention_query(db: &SimulatedWebDb, session: usize) -> SearchQuery {
     let x = db.schema().expect_id("x");
@@ -121,22 +116,22 @@ fn sched_over(db: Arc<SimulatedWebDb>) -> Arc<SourceScheduler> {
     ))
 }
 
-/// Run the full contention scenario (both phases, both stacks).
+/// Run the full contention scenario (both phases).
 pub fn run_sched_smoke() -> Report {
     // An untouched copy answers "what should each probe have returned"
     // without polluting either measured ledger.
     let reference = contention_db();
 
-    // ── Phase 1a: coalescing contention, scheduler ON ──────────────
-    let db_on = contention_db();
-    let sched = sched_over(db_on.clone());
+    // ── Phase 1: contention ─────────────────────────────────────────
+    let db = contention_db();
+    let sched = sched_over(db.clone());
     let start = Instant::now();
     let barrier = Barrier::new(SCHED_SESSIONS);
     std::thread::scope(|scope| {
         let barrier = &barrier;
         for session in 0..SCHED_SESSIONS {
             let sched = Arc::clone(&sched);
-            let q = contention_query(&db_on, session);
+            let q = contention_query(&db, session);
             let want = reference.search(&q);
             scope.spawn(move || {
                 let key = next_session_key();
@@ -154,7 +149,7 @@ pub fn run_sched_smoke() -> Report {
             });
         }
         let sched_bg = Arc::clone(&sched);
-        let q = background_query(&db_on);
+        let q = background_query(&db);
         let want = reference.search(&q);
         scope.spawn(move || {
             let key = next_session_key();
@@ -166,46 +161,16 @@ pub fn run_sched_smoke() -> Report {
             }
         });
     });
-    let on_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let snapshot = sched.stats();
-    let paid_on = db_on.ledger().total();
-
-    // ── Phase 1b: identical workload, scheduler OFF ────────────────
-    // Traffic shaping only: every probe pays, overlapping sessions get
-    // no coalescing, blocking waits absorb the 429s.
-    let db_off = contention_db();
-    let shaped = Arc::new(TrafficShapedInterface::new(db_off.clone(), policy()));
-    let start = Instant::now();
-    let barrier = Barrier::new(SCHED_SESSIONS);
-    std::thread::scope(|scope| {
-        let barrier = &barrier;
-        for _session in 0..SCHED_SESSIONS {
-            let shaped = Arc::clone(&shaped);
-            let q = contention_query(&db_off, _session);
-            scope.spawn(move || {
-                for _ in 0..SCHED_ROUNDS {
-                    barrier.wait();
-                    let _ = shaped.search(&q);
-                }
-            });
-        }
-        let shaped_bg = Arc::clone(&shaped);
-        let q = background_query(&db_off);
-        scope.spawn(move || {
-            for _ in 0..SCHED_BG_PROBES {
-                let _ = shaped_bg.search(&q);
-            }
-        });
-    });
-    let off_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let paid_off = db_off.ledger().total();
+    let paid = db.ledger().total();
 
     // ── Phase 2: fairness under a hog session ──────────────────────
     let db_fair = contention_db();
     let sched_fair = sched_over(db_fair.clone());
     let x = db_fair.schema().expect_id("x");
-    // Disjoint per-session bands: no covering relationships, so every
-    // probe pays and the only leverage is the dispatch order.
+    // Disjoint per-session bands: the only leverage is the dispatch
+    // order.
     let band_query = |band: usize, probe: usize| {
         let lo = 250.0 * band as f64 + (probe % 50) as f64;
         SearchQuery::all().and_range(x, RangePred::closed(lo, lo + 40.0))
@@ -259,7 +224,6 @@ pub fn run_sched_smoke() -> Report {
 
     let ratio = round(fairness_ratio, 3);
     let dispatched = snapshot.dispatched;
-    let coalesced = snapshot.coalesced_frontier_hits;
     let classes: Vec<Json> = snapshot
         .classes
         .iter()
@@ -279,6 +243,7 @@ pub fn run_sched_smoke() -> Report {
             ("rounds", SCHED_ROUNDS.into()),
             ("interactive_sessions", SCHED_SESSIONS.into()),
             ("background_probes", SCHED_BG_PROBES.into()),
+            ("paid_queries", Json::Num(paid as f64)),
             (
                 "fairness",
                 Json::obj([
@@ -289,17 +254,9 @@ pub fn run_sched_smoke() -> Report {
             ),
         ]),
         measured: Json::obj([
-            ("scheduler_on_paid_queries", Json::Num(paid_on as f64)),
-            ("scheduler_off_paid_queries", Json::Num(paid_off as f64)),
-            (
-                "paid_saved",
-                Json::Num(paid_off.saturating_sub(paid_on) as f64),
-            ),
-            ("coalesced_frontier_hits", Json::Num(coalesced as f64)),
             ("throttle_waits", Json::Num(snapshot.throttle_waits as f64)),
             ("dispatched", Json::Num(dispatched as f64)),
-            ("on_wall_ms", round(on_wall_ms, 1).into()),
-            ("off_wall_ms", round(off_wall_ms, 1).into()),
+            ("wall_ms", round(wall_ms, 1).into()),
             ("classes", classes.into()),
             (
                 "fairness",
@@ -313,24 +270,10 @@ pub fn run_sched_smoke() -> Report {
         ]),
         contracts: vec![
             Contract::new(
-                "scheduler_cheaper",
-                paid_on < paid_off,
-                format!(
-                    "scheduler-on spent {paid_on} web-DB queries vs {paid_off} without it; \
-                     cross-session coalescing must strictly reduce paid queries"
-                ),
-            ),
-            Contract::new(
-                "coalescing_fired",
-                coalesced > 0,
-                "no waiter was served from a covering probe; frontier coalescing never \
-                 fired under contention",
-            ),
-            Contract::new(
                 "dispatched_is_paid",
-                dispatched == paid_on,
+                dispatched == paid,
                 format!(
-                    "scheduler dispatched {dispatched} probes but the ledger saw {paid_on}; \
+                    "scheduler dispatched {dispatched} probes but the ledger saw {paid}; \
                      only paid dispatches may reach the ledger"
                 ),
             ),
@@ -352,21 +295,20 @@ mod tests {
     use crate::report::num;
 
     #[test]
-    fn scheduler_strictly_reduces_paid_queries_and_stays_fair() {
+    fn scheduler_pays_each_probe_once_and_stays_fair() {
         let report = run_sched_smoke();
-        // The contracts: coalescing makes the scheduler-on run strictly
-        // cheaper than the shaped-only replay, coalescing fired, every
-        // paid dispatch reached the ledger and nothing else did, and
-        // equal-demand sessions finished within a bounded ratio.
+        // The contracts: every paid dispatch reached the ledger and
+        // nothing else did, and equal-demand sessions finished within a
+        // bounded ratio.
         for c in &report.contracts {
             assert!(c.passed, "{}: {}", c.name, c.message);
         }
-        let m = &report.measured;
-        // The shaped-only replay pays for every probe, deterministically.
+        // Every probe pays exactly once, whatever the interleaving.
         assert_eq!(
-            num(m, "scheduler_off_paid_queries"),
+            num(&report.deterministic, "paid_queries"),
             (SCHED_SESSIONS * SCHED_ROUNDS + SCHED_BG_PROBES) as f64
         );
+        let m = &report.measured;
         // The hog asked for 3× the work; it must not finish faster than
         // the slowest equal-demand session.
         let fairness = m.get("fairness").expect("fairness");

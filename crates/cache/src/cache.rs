@@ -361,9 +361,8 @@ impl AnswerCache {
     /// Look `key` up; on a miss, run `fetch` exactly once across all
     /// concurrent callers of the same key (single-flight) and cache its
     /// answer. A hit reports a cache-hit outcome and a coalesced waiter a
-    /// coalesced one; the leader returns the fetcher's own outcome — e.g.
-    /// a scheduler below the cache whose frontier coalescing answered the
-    /// fetch for free — so cost accounting above the cache stays truthful.
+    /// coalesced one; the leader returns the fetcher's own outcome, so cost
+    /// accounting above the cache stays truthful.
     /// An `Err` from the fetcher is returned to the leader and its waiters
     /// but never admitted to the cache or the store; a
     /// [`SearchError::Cancelled`] (the leader's session was cancelled) is

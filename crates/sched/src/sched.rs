@@ -1,5 +1,5 @@
-//! The per-source scheduler: fair-share admission queues, cooperative
-//! dispatch against the traffic policy, and frontier coalescing.
+//! The per-source scheduler: fair-share admission queues and cooperative
+//! dispatch against the traffic policy.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -10,10 +10,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use qr2_webdb::{
     page_or_empty, Admission, Answer, QueryLedger, ResilientInterface, Schema, SearchError,
-    SearchOutcome, SearchQuery, Throttled, TopKInterface, TopKResponse, TrafficShapedInterface,
+    SearchQuery, Throttled, TopKInterface, TopKResponse, TrafficShapedInterface,
 };
 
-use crate::coalesce::derive_answer;
 use qr2_core::{QueryClass, SessionCtx};
 
 /// Tuning knobs of a [`SourceScheduler`].
@@ -52,33 +51,31 @@ enum ProbeState {
     Queued,
     /// Being executed against the shaped interface by some submitter.
     InFlight,
-    /// Completed; waiters derive their answers from the page.
+    /// Completed with the source's page.
     Done(TopKResponse),
-    /// Withdrawn (session cancelled, or absorbed into a widened covering
-    /// probe); waiters must retry.
+    /// Withdrawn by its own session (cancelled, or drained by
+    /// [`SourceScheduler::cancel_session`]); its submitter gets
+    /// [`SearchError::Cancelled`].
     Abandoned,
     /// The source failed this probe terminally (retries exhausted, or it
     /// out-waited [`SchedConfig::max_outage_park`] behind an open
-    /// breaker). Waiters get the terminal error.
+    /// breaker). Its submitter gets the terminal error.
     Failed(SearchError),
 }
 
-/// One pending web-DB probe plus its rendezvous point. Multiple submitters
-/// whose queries are covered by `query` wait on the same probe.
+/// One pending web-DB probe plus the condvar its submitter waits on.
 struct Probe {
     /// Session that created the probe (fair-share accounting).
     owner: u64,
     class: QueryClass,
     enqueued: Instant,
-    /// The query to execute. May be *widened* (replaced by a covering
-    /// superset) while still queued — never once in flight.
-    query: Mutex<SearchQuery>,
+    query: SearchQuery,
     /// `std` mutex: paired with the condvar below.
     state: StdMutex<ProbeState>,
     cv: Condvar,
-    /// Its owner withdrew it while it was in flight: the source's answer
-    /// still goes to whoever coalesced onto it, but a 429 or a fault must
-    /// not requeue it. Read and written under the scheduler's state lock.
+    /// Its owner withdrew it while it was in flight: the dispatch
+    /// finishes, but a 429 or a fault must not requeue it. Read and
+    /// written under the scheduler's state lock.
     withdrawn: AtomicBool,
 }
 
@@ -88,7 +85,7 @@ impl Probe {
             owner,
             class,
             enqueued: Instant::now(),
-            query: Mutex::new(query),
+            query,
             state: StdMutex::new(ProbeState::Queued),
             cv: Condvar::new(),
             withdrawn: AtomicBool::new(false),
@@ -138,7 +135,7 @@ impl Lane {
         }
     }
 
-    /// Remove a specific queued probe (cancellation, absorption).
+    /// Remove a specific queued probe (withdrawal, terminal failure).
     fn remove(&mut self, probe: &Arc<Probe>) -> bool {
         let Some(probes) = self.sessions.get_mut(&probe.owner) else {
             return false;
@@ -152,7 +149,7 @@ impl Lane {
 
     /// Round-robin pick: serve the head probe of the first session in the
     /// ring and move that session to the back — one probe per session per
-    /// ring pass. Sessions whose queues emptied (withdrawn or absorbed
+    /// ring pass. Sessions whose queues emptied (withdrawn or failed
     /// probes) leave the ring as the scan meets them.
     fn pick(&mut self) -> Option<Arc<Probe>> {
         while let Some(key) = self.ring.pop_front() {
@@ -220,8 +217,11 @@ pub struct SchedSnapshot {
     pub inflight: usize,
     /// Paid probes dispatched so far (all classes).
     pub dispatched: u64,
-    /// Waiters served from another session's covering probe without
-    /// paying — the cross-frontier extension of single-flight.
+    /// Always 0: the scheduler pays every probe it is given, and
+    /// identical probes coalesce in the answer cache above it. Kept only
+    /// because the session benchmark (`sessionbench/`) reads it; ROADMAP
+    /// item 5's benchmark-only change removes it together with the
+    /// benchmark's `sched.frontier_hits_per_session`.
     pub coalesced_frontier_hits: u64,
     /// Times a dispatch attempt hit the source's rate limit and backed
     /// off (simulated 429s absorbed by pacing).
@@ -239,22 +239,6 @@ pub struct SchedSnapshot {
     /// Per-class queue state and delay percentiles
     /// (interactive first, then background).
     pub classes: Vec<ClassSnapshot>,
-}
-
-enum Plan {
-    /// Wait on an existing covering probe. `widened` marks that *this*
-    /// submitter widened the probe's query to its own — making it the
-    /// payer of record when the widened query is what executes.
-    Attach { probe: Arc<Probe>, widened: bool },
-    /// Wait on (and help dispatch) a freshly enqueued probe of our own.
-    Own(Arc<Probe>),
-}
-
-enum Driven {
-    Done(TopKResponse),
-    Abandoned,
-    Cancelled,
-    Failed(SearchError),
 }
 
 enum Dispatch {
@@ -290,7 +274,6 @@ pub struct SourceScheduler {
     background_delays: Arc<qr2_obs::Histogram>,
     dispatched_interactive: AtomicU64,
     dispatched_background: AtomicU64,
-    frontier_hits: AtomicU64,
     throttle_waits: AtomicU64,
     parked_waits: AtomicU64,
     failed_probes: AtomicU64,
@@ -322,7 +305,6 @@ impl SourceScheduler {
             background_delays: delays(QueryClass::Background),
             dispatched_interactive: AtomicU64::new(0),
             dispatched_background: AtomicU64::new(0),
-            frontier_hits: AtomicU64::new(0),
             throttle_waits: AtomicU64::new(0),
             parked_waits: AtomicU64::new(0),
             failed_probes: AtomicU64::new(0),
@@ -367,9 +349,10 @@ impl SourceScheduler {
 
     /// Abandon every queued probe owned by session `key` (the
     /// `DELETE /v1/queries/:id` drain): cancelled sessions must not spend
-    /// paid probes. Waiters coalesced onto an abandoned probe retry and
-    /// re-enqueue their own. In-flight probes are left to finish — their
-    /// query cost is already committed.
+    /// paid probes. Each drained submitter gets
+    /// [`SearchError::Cancelled`], whether or not its cancel token is set
+    /// yet, and does not queue the probe again. In-flight probes are left
+    /// to finish — their query cost is already committed.
     pub fn cancel_session(&self, key: u64) {
         let removed = {
             let mut st = self.state.lock();
@@ -412,7 +395,7 @@ impl SourceScheduler {
             queued: queued_i + queued_b,
             inflight,
             dispatched: di + db,
-            coalesced_frontier_hits: self.frontier_hits.load(Ordering::Relaxed),
+            coalesced_frontier_hits: 0,
             throttle_waits: self.throttle_waits.load(Ordering::Relaxed),
             parked_waits: self.parked_waits.load(Ordering::Relaxed),
             failed_probes: self.failed_probes.load(Ordering::Relaxed),
@@ -437,154 +420,34 @@ impl SourceScheduler {
     }
 
     /// Submit one probe on behalf of the ambient session
-    /// ([`qr2_core::current`]) and block until it is answered. The answer's
-    /// outcome is `MISS` when this submitter paid and coalesced when it
-    /// was served from a covering probe.
+    /// ([`qr2_core::current`]) and block until it is answered. Every
+    /// answer is paid: the scheduler queues and paces probes, and
+    /// identical probes coalesce in the answer cache above it.
     ///
-    /// A cancelled session gets [`SearchError::Cancelled`] (nothing was
-    /// spent on it); a probe the source failed terminally gets the
-    /// source's error.
+    /// A cancelled session, or one whose queued probe was drained, gets
+    /// [`SearchError::Cancelled`] (nothing was spent on it); a probe the
+    /// source failed terminally gets the source's error.
     pub fn submit(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         qr2_obs::span("sched.queue", || self.submit_inner(q))
     }
 
     fn submit_inner(&self, q: &SearchQuery) -> Result<Answer, SearchError> {
         let ctx = qr2_core::current();
-        let mut allow_attach = true;
-        loop {
-            // Checked on every pass: a probe abandoned by the session's
-            // own `cancel_session` must not be planned and queued again.
-            if ctx.cancel.is_cancelled() {
-                return Err(SearchError::Cancelled);
-            }
-            // `payer`: the probe executes our own query unless another
-            // session widened it — we enqueued it, or widened it to us.
-            let (probe, owned, payer) = match self.plan(q, &ctx, allow_attach) {
-                Plan::Attach { probe, widened } => (probe, false, widened),
-                Plan::Own(probe) => (probe, true, true),
-            };
-            match self.drive(&probe, &ctx, owned) {
-                Driven::Done(resp) => {
-                    let executed = probe.query.lock().clone();
-                    if payer && executed == *q {
-                        return Ok(Answer::paid(resp));
-                    }
-                    // Derive our page from the covering one; its payer of
-                    // record is another session.
-                    match derive_answer(q, &executed, &resp) {
-                        Some(derived) => {
-                            self.frontier_hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(Answer {
-                                resp: derived,
-                                outcome: SearchOutcome::COALESCED,
-                            });
-                        }
-                        // The covering page overflowed: nothing exact can
-                        // be said about our region. Pay for our own probe
-                        // instead of guessing.
-                        None => allow_attach = false,
-                    }
-                }
-                Driven::Abandoned => {}
-                Driven::Cancelled => return Err(SearchError::Cancelled),
-                Driven::Failed(err) => return Err(err),
-            }
-        }
-    }
-
-    /// Decide how to serve `q`: wait on a covering pending probe (possibly
-    /// widening a queued one to cover us), or enqueue our own.
-    fn plan(&self, q: &SearchQuery, ctx: &SessionCtx, allow_attach: bool) -> Plan {
-        let mut st = self.state.lock();
-        if allow_attach {
-            // A pending probe (queued or in flight) that covers us?
-            for probe in st.inflight.iter() {
-                if probe.query.lock().covers(q) {
-                    return Plan::Attach {
-                        probe: Arc::clone(probe),
-                        widened: false,
-                    };
-                }
-            }
-            for class in [QueryClass::Interactive, QueryClass::Background] {
-                let lane = st.lane_mut(class);
-                for probes in lane.sessions.values() {
-                    for probe in probes {
-                        if probe.query.lock().covers(q) {
-                            return Plan::Attach {
-                                probe: Arc::clone(probe),
-                                widened: false,
-                            };
-                        }
-                    }
-                }
-            }
-            // Do *we* cover a queued probe? Widen it to our query (still
-            // covers its existing waiters) and absorb any other queued
-            // probes we cover — their waiters retry and attach to the
-            // widened probe, so the whole overlapping cluster costs one
-            // paid query.
-            if let Some(target) = Self::find_covered(&mut st, q) {
-                *target.query.lock() = q.clone();
-                let absorbed = Self::absorb_covered(&mut st, q, &target);
-                drop(st);
-                for probe in absorbed {
-                    probe.set_state(ProbeState::Abandoned);
-                }
-                return Plan::Attach {
-                    probe: target,
-                    widened: true,
-                };
-            }
+        if ctx.cancel.is_cancelled() {
+            return Err(SearchError::Cancelled);
         }
         let probe = Arc::new(Probe::new(q.clone(), ctx.key, ctx.class));
-        st.lane_mut(ctx.class).push(Arc::clone(&probe), false);
-        Plan::Own(probe)
+        self.state
+            .lock()
+            .lane_mut(ctx.class)
+            .push(Arc::clone(&probe), false);
+        self.drive(&probe, &ctx).map(Answer::paid)
     }
 
-    /// First *queued* probe whose query `q` covers (never in-flight ones —
-    /// their query is already executing and cannot be widened).
-    fn find_covered(st: &mut SchedState, q: &SearchQuery) -> Option<Arc<Probe>> {
-        for class in [QueryClass::Interactive, QueryClass::Background] {
-            let lane = st.lane_mut(class);
-            for probes in lane.sessions.values() {
-                for probe in probes {
-                    if q.covers(&probe.query.lock()) {
-                        return Some(Arc::clone(probe));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Remove every queued probe covered by `q` other than `keep` from the
-    /// lanes, returning them for abandonment (outside the state lock).
-    fn absorb_covered(st: &mut SchedState, q: &SearchQuery, keep: &Arc<Probe>) -> Vec<Arc<Probe>> {
-        let mut absorbed = Vec::new();
-        for class in [QueryClass::Interactive, QueryClass::Background] {
-            let lane = st.lane_mut(class);
-            let mut victims = Vec::new();
-            for probes in lane.sessions.values() {
-                for probe in probes {
-                    if !Arc::ptr_eq(probe, keep) && q.covers(&probe.query.lock()) {
-                        victims.push(Arc::clone(probe));
-                    }
-                }
-            }
-            for victim in victims {
-                if lane.remove(&victim) {
-                    absorbed.push(victim);
-                }
-            }
-        }
-        absorbed
-    }
-
-    /// Wait for `probe` to resolve, cooperatively dispatching queued
-    /// probes (any session's) whenever the source has capacity. `owned`
-    /// marks the probe as ours to withdraw on cancellation.
-    fn drive(&self, probe: &Arc<Probe>, ctx: &SessionCtx, owned: bool) -> Driven {
+    /// Wait for our `probe` to resolve, cooperatively dispatching queued
+    /// probes (any session's) whenever the source has capacity, and
+    /// withdraw it if our session is cancelled first.
+    fn drive(&self, probe: &Arc<Probe>, ctx: &SessionCtx) -> Result<TopKResponse, SearchError> {
         // Consecutive 429s seen by *this* waiter: drives the exponential
         // step of the jittered backoff below. Resets whenever a dispatch
         // succeeds.
@@ -593,17 +456,15 @@ impl SourceScheduler {
             {
                 let state = probe.lock_state();
                 match &*state {
-                    ProbeState::Done(resp) => return Driven::Done(resp.clone()),
-                    ProbeState::Abandoned => return Driven::Abandoned,
-                    ProbeState::Failed(err) => return Driven::Failed(err.clone()),
+                    ProbeState::Done(resp) => return Ok(resp.clone()),
+                    ProbeState::Abandoned => return Err(SearchError::Cancelled),
+                    ProbeState::Failed(err) => return Err(err.clone()),
                     ProbeState::Queued | ProbeState::InFlight => {}
                 }
             }
             if ctx.cancel.is_cancelled() {
-                if owned {
-                    self.withdraw(probe);
-                }
-                return Driven::Cancelled;
+                self.withdraw(probe);
+                return Err(SearchError::Cancelled);
             }
             match self.try_dispatch() {
                 Dispatch::Did => throttle_streak = 0,
@@ -631,8 +492,7 @@ impl SourceScheduler {
                     self.parked_waits.fetch_add(1, Ordering::Relaxed);
                     if probe.enqueued.elapsed() >= self.cfg.max_outage_park {
                         // The source has been unhealthy longer than the
-                        // probe's parking patience: fail it (and anyone
-                        // coalesced onto it) honestly.
+                        // probe's parking patience: fail it honestly.
                         self.fail_probe(probe, err);
                         continue;
                     }
@@ -671,9 +531,9 @@ impl SourceScheduler {
     }
 
     /// Withdraw our still-queued probe on cancellation. An in-flight probe
-    /// is left to finish — its cost is already committed and its waiters
-    /// still want the page — but is marked so that [`Self::requeue`]
-    /// drops it instead of queueing it again for nobody.
+    /// is left to finish — its cost is already committed — but is marked
+    /// so that [`Self::requeue`] drops it instead of queueing it again for
+    /// nobody.
     fn withdraw(&self, probe: &Arc<Probe>) {
         let removed = {
             let mut st = self.state.lock();
@@ -688,7 +548,7 @@ impl SourceScheduler {
 
     /// Put an in-flight probe the source turned away back at the head of
     /// its session's queue, or abandon it if its owner withdrew it in the
-    /// meantime (whoever coalesced onto it plans again).
+    /// meantime.
     fn requeue(&self, probe: &Arc<Probe>) {
         let mut st = self.state.lock();
         st.inflight.retain(|p| !Arc::ptr_eq(p, probe));
@@ -729,9 +589,8 @@ impl SourceScheduler {
             probe
         };
         probe.set_state(ProbeState::InFlight);
-        let query = probe.query.lock().clone();
         let waited = probe.enqueued.elapsed();
-        match self.resilient.probe(&query) {
+        match self.resilient.probe(&probe.query) {
             Ok(Answer { resp, .. }) => {
                 match probe.class {
                     QueryClass::Interactive => {
@@ -856,10 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn identical_concurrent_probes_coalesce_or_serialize_correctly() {
-        // Not strictly single-flight at the scheduler (the cache above
-        // handles identical keys); but identical queries submitted
-        // concurrently must all return the correct answer.
+    fn identical_concurrent_probes_each_pay_once() {
+        // Identical keys single-flight in the answer cache above the
+        // scheduler; the scheduler itself pays every probe it is given,
+        // and each one gets the correct answer.
         let db = raw_db(200, 5);
         let sched = sched_over(
             db.clone(),
@@ -881,13 +740,14 @@ mod tests {
                 );
                 with_session(ctx, || {
                     let answer = sched.submit(&q).expect("answered");
-                    assert_eq!(answer.resp, want);
+                    assert_eq!(answer, Answer::paid(want));
                 })
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(sched.stats().dispatched, 4);
     }
 
     #[test]
@@ -947,6 +807,45 @@ mod tests {
             db.ledger().total(),
             before,
             "no paid probe for the cancelled session"
+        );
+    }
+
+    #[test]
+    fn a_drained_probe_ends_cancelled_even_with_a_live_token() {
+        // `cancel_session` drains a queued probe before its session's
+        // token is cancelled: the waiter must end `Cancelled`, not queue
+        // the probe again and pay for it once the bucket refills.
+        let db = raw_db(100, 5);
+        let sched = sched_over(
+            db.clone(),
+            SourcePolicy::rate_limited(0.5, 1.0),
+            SchedConfig::default(),
+        );
+        let x = sched.shaped().schema().expect_id("x");
+        let burner = SearchQuery::all().and_range(x, RangePred::closed(990.0, 1000.0));
+        assert!(sched.shaped().probe(&burner).is_ok());
+        let before = db.ledger().total();
+
+        let key = next_session_key();
+        let sched2 = Arc::clone(&sched);
+        let q = SearchQuery::all().and_range(x, RangePred::closed(0.0, 10.0));
+        let waiter = std::thread::spawn(move || {
+            let ctx = SessionCtx::new(key, QueryClass::Interactive, CancelToken::new());
+            with_session(ctx, || sched2.submit(&q))
+        });
+        // Once throttled, the waiter backs off for ~1 s with its probe
+        // queued again: drain it there, not mid-dispatch.
+        while sched.stats().throttle_waits == 0 || sched.stats().queued == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        sched.cancel_session(key);
+        let err = waiter.join().unwrap().expect_err("drained, not answered");
+        assert_eq!(err, SearchError::Cancelled);
+        assert_eq!(db.ledger().total(), before, "the drained probe was paid");
+        assert_eq!(
+            sched.stats().queued,
+            0,
+            "the drained probe was queued again"
         );
     }
 

@@ -521,10 +521,6 @@ impl IntoJson for SchedStatsResponse {
             ("queued", Json::from(s.queued)),
             ("inflight", Json::from(s.inflight)),
             ("dispatched", Json::from(s.dispatched as usize)),
-            (
-                "coalesced_frontier_hits",
-                Json::from(s.coalesced_frontier_hits as usize),
-            ),
             ("throttle_waits", Json::from(s.throttle_waits as usize)),
             ("rejected", Json::from(s.rejected as usize)),
             ("classes", Json::Arr(classes)),

@@ -57,8 +57,8 @@ pub struct ResilienceConfig {
 /// users cost the web database one query, concurrent identical questions
 /// coalesce onto a single in-flight request, and cache misses are paced
 /// against the source's [`SourcePolicy`] by the per-source
-/// [`SourceScheduler`] (which also coalesces *overlapping* probes across
-/// sessions).
+/// [`SourceScheduler`], which queues them in fair share and pays each
+/// once.
 pub struct Source {
     /// Source key (`"bluenile"`, `"zillow"`).
     pub name: String,
@@ -74,7 +74,7 @@ pub struct Source {
     /// through [`Source::flush`]).
     pub cache: Arc<AnswerCache>,
     /// The per-source scheduler every cache miss is routed through
-    /// (admission control, fair share, pacing, frontier coalescing).
+    /// (admission control, fair share, pacing).
     pub sched: Arc<SourceScheduler>,
     /// The source's offline rank reconstruction: covered filter regions
     /// are served with zero web-DB queries (see `qr2-recon`).
@@ -166,8 +166,8 @@ impl SourceBuilder {
         self
     }
 
-    /// The per-source scheduler's config (fair share, pacing, frontier
-    /// coalescing, outage parking).
+    /// The per-source scheduler's config (idle poll interval, outage
+    /// parking).
     #[must_use]
     pub fn sched_config(mut self, cfg: SchedConfig) -> Self {
         self.sched_cfg = cfg;

@@ -460,10 +460,11 @@ impl SearchQuery {
     /// True when `self` *covers* `other`: every tuple matching `other` is
     /// guaranteed to match `self` (`other`'s region ⊆ `self`'s region).
     ///
-    /// This is the admission test for frontier coalescing (`qr2-sched`): a
-    /// pending probe for `self` can answer a waiter asking `other`, because
-    /// `self`'s result page — when complete — contains every match of
-    /// `other` in system-rank order. Per attribute: a predicate of `self`
+    /// When `self`'s result page is complete it contains every match of
+    /// `other` in system-rank order. The recon index uses this to retire
+    /// pending regions a probe covers and to serve filters inside its
+    /// root; the MD frontier's tests use it to find the overflowing
+    /// ancestor page a probe lies in. Per attribute: a predicate of `self`
     /// must be a superset of `other`'s predicate on the same attribute; an
     /// unconstrained attribute of `self` covers anything, while an
     /// attribute `self` constrains but `other` leaves free is *not*
