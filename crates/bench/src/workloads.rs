@@ -1,6 +1,6 @@
 //! Experiment databases and ranking functions, at paper scale and at
 //! bench (reduced) scale. All seeds are fixed: every number in
-//! EXPERIMENTS.md is reproducible bit for bit.
+//! `figures` E1 and docs/PERF.md is reproducible bit for bit.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -210,13 +210,15 @@ mod tests {
         rows.into_iter().map(|r| TupleId(r as u32)).collect()
     }
 
+    /// Drain a stream, assert it equals the oracle and return its queries.
     fn assert_stream_matches_oracle(
+        kind: ExecutorKind,
         d: &Arc<SimulatedWebDb>,
         algo: OneDAlgo,
         dir: SortDir,
         filter: SearchQuery,
-    ) {
-        let ctx = SearchCtx::new(d.clone(), ExecutorKind::Sequential);
+    ) -> usize {
+        let ctx = SearchCtx::new(d.clone(), kind);
         let index = Arc::new(DenseIndex::in_memory());
         let dense = (algo == OneDAlgo::Rerank).then_some(index);
         let mut stream =
@@ -226,6 +228,7 @@ mod tests {
             .collect();
         let want = oracle(d, &filter, dir);
         assert_eq!(got, want, "{algo:?} {dir:?} stream must equal oracle");
+        ctx.stats().total_queries()
     }
 
     #[test]
@@ -233,7 +236,13 @@ mod tests {
         let d = db(&[50.0, 10.0, 30.0, 70.0, 90.0, 20.0, 60.0], 2);
         for algo in [OneDAlgo::Baseline, OneDAlgo::Binary, OneDAlgo::Rerank] {
             for dir in [SortDir::Asc, SortDir::Desc] {
-                assert_stream_matches_oracle(&d, algo, dir, SearchQuery::all());
+                assert_stream_matches_oracle(
+                    ExecutorKind::Sequential,
+                    &d,
+                    algo,
+                    dir,
+                    SearchQuery::all(),
+                );
             }
         }
     }
@@ -246,7 +255,13 @@ mod tests {
             .collect();
         let d = db(&xs, 4);
         for algo in [OneDAlgo::Baseline, OneDAlgo::Binary, OneDAlgo::Rerank] {
-            assert_stream_matches_oracle(&d, algo, SortDir::Asc, SearchQuery::all());
+            assert_stream_matches_oracle(
+                ExecutorKind::Sequential,
+                &d,
+                algo,
+                SortDir::Asc,
+                SearchQuery::all(),
+            );
         }
     }
 
@@ -256,7 +271,13 @@ mod tests {
         let y = AttrId(1);
         let filter = SearchQuery::all().and_range(y, RangePred::closed(2.0, 6.0));
         for algo in [OneDAlgo::Baseline, OneDAlgo::Binary, OneDAlgo::Rerank] {
-            assert_stream_matches_oracle(&d, algo, SortDir::Asc, filter.clone());
+            assert_stream_matches_oracle(
+                ExecutorKind::Sequential,
+                &d,
+                algo,
+                SortDir::Asc,
+                filter.clone(),
+            );
         }
     }
 
@@ -391,5 +412,51 @@ mod tests {
             binary_cost < baseline_cost,
             "binary ({binary_cost}) must beat baseline ({baseline_cost}) when anti-correlated"
         );
+    }
+
+    #[test]
+    fn a_half_holding_exactly_k_matches_still_streams_the_oracle() {
+        // system-k 3. The first page holds the three best values, and they
+        // are every match in the preferred half of the domain. Probing
+        // that half would answer complete; it holds the whole page, so it
+        // is split first. That split is the rule's one cost: 6 queries for
+        // the whole stream, against 5 for plain bisection.
+        for dir in [SortDir::Asc, SortDir::Desc] {
+            let xs: Vec<f64> = [10.0, 20.0, 30.0, 60.0, 70.0, 80.0, 90.0]
+                .into_iter()
+                .map(|x| match dir {
+                    SortDir::Asc => x,
+                    SortDir::Desc => 100.0 - x,
+                })
+                .collect();
+            let schema = Schema::builder()
+                .numeric("x", 0.0, 100.0)
+                .numeric("y", 0.0, 1000.0)
+                .build();
+            let mut tb = TableBuilder::new(schema.clone());
+            for (i, &x) in xs.iter().enumerate() {
+                tb.push_row(vec![x, i as f64]).unwrap();
+            }
+            // The hidden rank serves the preferred end first.
+            let weight = match dir {
+                SortDir::Asc => -1.0,
+                SortDir::Desc => 1.0,
+            };
+            let ranking = SystemRanking::linear(&schema, &[("x", weight)]).unwrap();
+            let d = Arc::new(SimulatedWebDb::new(tb.build(), ranking, 3));
+            for kind in [
+                ExecutorKind::Sequential,
+                ExecutorKind::Parallel { fanout: 4 },
+            ] {
+                for algo in [OneDAlgo::Binary, OneDAlgo::Rerank] {
+                    let queries =
+                        assert_stream_matches_oracle(kind, &d, algo, dir, SearchQuery::all());
+                    assert!(
+                        queries <= 5 + 1,
+                        "{kind:?} {algo:?} {dir:?}: {queries} queries, more than one over bisection's 5"
+                    );
+                }
+            }
+        }
     }
 }

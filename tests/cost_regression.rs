@@ -1,8 +1,9 @@
 //! Query-cost regression guards: loose bounds on fixed-seed workloads.
 //!
 //! A reproduction repository lives or dies by its cost claims, so these
-//! tests pin the *relationships* EXPERIMENTS.md reports (who beats whom,
-//! and by at least roughly what factor) against accidental regressions.
+//! tests pin the *relationships* that `figures` E1 and docs/PERF.md report
+//! (who beats whom, and by at least roughly what factor) against
+//! accidental regressions.
 //! Bounds are deliberately loose — they should only trip when an algorithm
 //! change genuinely alters behaviour.
 
@@ -10,7 +11,7 @@ use std::sync::Arc;
 
 use qr2::core::{
     Algorithm, Budget, ExecutorKind, LinearFunction, OneDimFunction, RankingFunction,
-    RerankRequest, Reranker,
+    RerankRequest, RerankSession, Reranker,
 };
 use qr2::datagen::{bluenile_db, DiamondsConfig};
 use qr2::webdb::{RangePred, SearchQuery, SimulatedWebDb, TopKInterface};
@@ -23,13 +24,13 @@ fn diamonds() -> Arc<SimulatedWebDb> {
     }))
 }
 
-fn run_1d(
+fn session_1d(
     db: &Arc<SimulatedWebDb>,
     attr: &str,
     asc: bool,
     algorithm: Algorithm,
-    depth: usize,
-) -> usize {
+    filter: SearchQuery,
+) -> RerankSession {
     let reranker = Reranker::builder(db.clone())
         .executor(ExecutorKind::Sequential)
         .build();
@@ -39,11 +40,21 @@ fn run_1d(
     } else {
         OneDimFunction::desc(a)
     };
-    let mut session = reranker.query(RerankRequest {
-        filter: SearchQuery::all(),
+    reranker.query(RerankRequest {
+        filter,
         function: function.into(),
         algorithm,
-    });
+    })
+}
+
+fn run_1d(
+    db: &Arc<SimulatedWebDb>,
+    attr: &str,
+    asc: bool,
+    algorithm: Algorithm,
+    depth: usize,
+) -> usize {
+    let mut session = session_1d(db, attr, asc, algorithm, SearchQuery::all());
     session.next_page(depth).expect("the simulator never fails");
     session.stats().total_queries()
 }
@@ -80,16 +91,59 @@ fn baseline_is_competitive_when_correlated() {
 fn deep_pages_stay_cheap_for_bisection() {
     // Each refill resumes bisection from the session's stack, so a deeper
     // page pays for the new chunks only, not for re-splitting the whole
-    // remainder every time (asc 38 vs 22, desc 32 vs 19 queries here).
+    // remainder. Two checks, from tuple 50 to tuple 200:
+    // - it costs no more than a fresh session over the prices past the
+    //   50th (asc 13 vs 13, desc 11 vs 15 queries here);
+    // - its chunks cost at most three queries each on average (13 for 8
+    //   chunks asc, 11 for 7 desc). Re-splitting the remainder costs about
+    //   log₂(remainder ÷ chunk width) per chunk: a stream that did so on
+    //   every refill paid 34 for 7 desc chunks. A fresh session then pays
+    //   more too (37), so only this check sees it.
     let db = diamonds();
+    let price = db.schema().expect_id("price");
+    let (lo, hi) = db.schema().attr(price).numeric_domain();
+    let domain = RangePred::closed(lo, hi);
     for algorithm in [Algorithm::OneDBinary, Algorithm::OneDRerank] {
         for asc in [true, false] {
-            let top50 = run_1d(&db, "price", asc, algorithm, 50);
-            let top200 = run_1d(&db, "price", asc, algorithm, 200);
+            let case = format!("{} asc={asc}", algorithm.paper_name());
+            let mut session = session_1d(&db, "price", asc, algorithm, SearchQuery::all());
+            let top50 = session.next_page(50).expect("the simulator never fails");
+            let at50 = session.stats().total_queries();
+            // A `next` that pays found a new chunk.
+            let (mut paid, mut chunks) = (at50, 0);
+            for _ in 50..200 {
+                session.next().expect("the simulator never fails");
+                let now = session.stats().total_queries();
+                chunks += usize::from(now > paid);
+                paid = now;
+            }
+            let refill = paid - at50;
             assert!(
-                top200 <= 2 * top50,
-                "{} asc={asc}: top-200 took {top200} queries, more than 2× top-50's {top50}",
-                algorithm.paper_name()
+                refill <= 3 * chunks,
+                "{case}: tuples 51–200 took {refill} queries for {chunks} chunks"
+            );
+
+            let v50 = top50.last().expect("50 tuples").num_at(price);
+            let past = if asc {
+                RangePred {
+                    lo: v50,
+                    lo_inc: false,
+                    ..domain
+                }
+            } else {
+                RangePred {
+                    hi: v50,
+                    hi_inc: false,
+                    ..domain
+                }
+            };
+            let filter = SearchQuery::all().and_range(price, past);
+            let mut fresh = session_1d(&db, "price", asc, algorithm, filter);
+            fresh.next_page(150).expect("the simulator never fails");
+            let fresh = fresh.stats().total_queries();
+            assert!(
+                refill <= fresh,
+                "{case}: tuples 51–200 took {refill} queries, more than a fresh session's {fresh}"
             );
         }
     }
