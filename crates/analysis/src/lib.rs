@@ -79,7 +79,8 @@ pub fn analyze_sources(sources: &[(&str, &str, &str)]) -> Report {
 
 /// Analyze every non-vendor `.rs` file under the workspace `root`.
 ///
-/// Files under `src/` are fully checked; `tests/`, `examples/`, and
+/// Files under `src/` are fully checked, and their lines outside test
+/// items are counted per crate; `tests/`, `examples/`, and
 /// `benches/` files are lexed and counted (the tokenizer must handle
 /// them) but not checked — they are either test code or demo code whose
 /// panics abort a developer run, not a serving worker.
@@ -100,6 +101,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
             continue;
         }
         let scope = scope::scan(tokens);
+        *report.non_test_lines.entry(krate.clone()).or_default() += scope.non_test_lines(&source);
         let ctx = FileCtx {
             krate: &krate,
             file: &rel_path,

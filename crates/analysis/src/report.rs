@@ -20,6 +20,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Function bodies walked (non-test).
     pub functions_checked: usize,
+    /// `crate → non-blank lines outside test items` over its `src/` files.
+    pub non_test_lines: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -139,6 +141,12 @@ impl Report {
                 w.close_obj();
             }
             w.close_obj();
+        }
+        w.close_obj();
+        w.key("non_test_lines");
+        w.open_obj();
+        for (krate, lines) in &self.non_test_lines {
+            w.field_num(krate, *lines as f64);
         }
         w.close_obj();
         w.key("lock_graph");

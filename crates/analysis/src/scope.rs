@@ -1,6 +1,6 @@
 //! Structure recovery over the raw token stream: comment side-tables,
-//! `qr2-allow` directives, and function-body extraction with
-//! `#[cfg(test)]` tracking.
+//! `qr2-allow` directives, function-body extraction with `#[cfg(test)]`
+//! tracking, and the line spans of test items.
 //!
 //! This is deliberately not a parser. It walks the token stream once,
 //! tracking brace depth and attribute spans, and recovers exactly the
@@ -43,6 +43,28 @@ pub struct FileScope {
     pub doc_lines: Vec<u32>,
     /// Function bodies, outermost first.
     pub functions: Vec<FnBody>,
+    /// Line spans (first, last; inclusive) of the top-level test items:
+    /// each `#[test]` / `#[cfg(test)]` item from its attribute to its
+    /// closing `}` or `;`.
+    pub test_spans: Vec<(u32, u32)>,
+}
+
+impl FileScope {
+    /// Non-blank lines of `source` (the text this scope was scanned from)
+    /// outside every test item: the file's non-test line count.
+    pub fn non_test_lines(&self, source: &str) -> usize {
+        source
+            .lines()
+            .zip(1u32..)
+            .filter(|(text, line)| {
+                !text.trim().is_empty()
+                    && !self
+                        .test_spans
+                        .iter()
+                        .any(|(first, last)| (first..=last).contains(&line))
+            })
+            .count()
+    }
 }
 
 const ALLOW_PREFIX: &str = "qr2-allow:";
@@ -78,12 +100,82 @@ pub fn scan(tokens: Vec<Token>) -> FileScope {
         }
     }
     let functions = find_functions(&code);
+    let test_spans = find_test_spans(&code);
     FileScope {
         code,
         allows,
         doc_lines,
         functions,
+        test_spans,
     }
+}
+
+/// When an attribute `#[…]` starts at `code[i]`, the index just past its
+/// closing `]`.
+fn attribute_end(code: &[Token], i: usize) -> Option<usize> {
+    if !(code[i].is_punct('#') && code.get(i + 1).is_some_and(|t| t.is_punct('['))) {
+        return None;
+    }
+    let mut depth = 1usize;
+    let mut j = i + 2;
+    while j < code.len() && depth > 0 {
+        if code[j].is_punct('[') {
+            depth += 1;
+        } else if code[j].is_punct(']') {
+            depth -= 1;
+        }
+        j += 1;
+    }
+    Some(j)
+}
+
+/// The line spans of the top-level test items in `code` (see
+/// [`FileScope::test_spans`]). An item ends at the first `;` outside
+/// brackets, or at the brace matching its first `{` outside brackets.
+fn find_test_spans(code: &[Token]) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    let mut i = 0usize;
+    while i < code.len() {
+        let Some(after) = attribute_end(code, i) else {
+            i += 1;
+            continue;
+        };
+        if !attr_is_test(&code[i + 2..after.saturating_sub(1)]) {
+            i = after;
+            continue;
+        }
+        let mut j = after;
+        let mut depth = 0i32;
+        while j < code.len() {
+            let c = &code[j];
+            if c.is_punct('(') || c.is_punct('[') {
+                depth += 1;
+            } else if c.is_punct(')') || c.is_punct(']') {
+                depth -= 1;
+            } else if depth == 0 && c.is_punct(';') {
+                break;
+            } else if depth == 0 && c.is_punct('{') {
+                let mut braces = 0i32;
+                while j < code.len() {
+                    if code[j].is_punct('{') {
+                        braces += 1;
+                    } else if code[j].is_punct('}') {
+                        braces -= 1;
+                        if braces == 0 {
+                            break;
+                        }
+                    }
+                    j += 1;
+                }
+                break;
+            }
+            j += 1;
+        }
+        let end = j.min(code.len() - 1);
+        spans.push((code[i].line, code[end].line));
+        i = end + 1;
+    }
+    spans
 }
 
 /// True when the attribute tokens between `[` and `]` mark test code:
@@ -105,20 +197,9 @@ fn find_functions(code: &[Token]) -> Vec<FnBody> {
     let mut i = 0usize;
     while i < code.len() {
         let t = &code[i];
-        if t.is_punct('#') && code.get(i + 1).map(|t| t.is_punct('[')).unwrap_or(false) {
-            // Attribute: find the matching `]`, check for test markers.
-            let start = i + 2;
-            let mut depth = 1usize;
-            let mut j = start;
-            while j < code.len() && depth > 0 {
-                if code[j].is_punct('[') {
-                    depth += 1;
-                } else if code[j].is_punct(']') {
-                    depth -= 1;
-                }
-                j += 1;
-            }
-            if attr_is_test(&code[start..j.saturating_sub(1)]) {
+        if let Some(j) = attribute_end(code, i) {
+            // Attribute: check for test markers.
+            if attr_is_test(&code[i + 2..j.saturating_sub(1)]) {
                 pending_test = true;
             }
             i = j;
@@ -268,6 +349,29 @@ mod tests {
         let src = "/// one\n/// two\npub fn f() {}\n";
         let scope = scan(tokenize(src));
         assert_eq!(scope.doc_lines, [1, 2]);
+    }
+
+    #[test]
+    fn test_items_are_left_out_of_the_line_count() {
+        let src = "\
+/// Doc.
+pub fn serve() {}
+
+#[test]
+fn check() {
+    serve();
+}
+#[cfg(test)]
+mod tests;
+#[cfg(test)]
+mod more {
+    fn helper() {}
+}
+fn also_prod() {}
+";
+        let scope = scan(tokenize(src));
+        assert_eq!(scope.test_spans, [(4, 7), (8, 9), (10, 13)]);
+        assert_eq!(scope.non_test_lines(src), 3);
     }
 
     #[test]

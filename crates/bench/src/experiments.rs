@@ -3,9 +3,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use qr2_core::md::FrontierEngine;
 use qr2_core::{
-    Algorithm, DenseIndex, ExecutorKind, LinearFunction, OneDAlgo, OneDimFunction, OneDimStream,
-    RerankRequest, Reranker, SearchCtx, SortDir,
+    Algorithm, DenseIndex, ExecutorKind, LinearFunction, OneDimFunction, RerankRequest, Reranker,
+    SearchCtx, SortDir,
 };
 use qr2_crawler::{Crawler, CrawlerConfig, SplitPolicy};
 use qr2_webdb::{SearchQuery, SimulatedWebDb, TopKInterface};
@@ -353,12 +354,11 @@ pub fn ablation_dense_delta(scale: Scale, depth: usize) -> Table {
     ] {
         let ctx = SearchCtx::new(db.clone(), ExecutorKind::Sequential);
         let index = Arc::new(DenseIndex::in_memory());
-        let mut stream = OneDimStream::new(
+        let mut stream = FrontierEngine::one_dim(
             ctx.clone(),
             SearchQuery::all(),
             x0,
             SortDir::Asc,
-            OneDAlgo::Rerank,
             Some(index.clone()),
         )
         .with_delta(delta);

@@ -73,7 +73,7 @@ pub use executor::{ExecutorKind, SearchCtx, StatsSnapshot};
 pub use function::{LinearFunction, OneDimFunction, RankingFunction, Scorer, SortDir};
 pub use md::{MdAlgo, MdReranker};
 pub use normalize::{discover_extremum, AttrStats, Normalizer};
-pub use oned::{OneDAlgo, OneDimStream};
+pub use oned::OneDimStream;
 pub use reranker::{Algorithm, RerankRequest, RerankSession, Reranker, RerankerBuilder};
 pub use space::NBox;
 pub use stats::QueryStats;

@@ -1,28 +1,49 @@
-//! Best-first branch-and-bound over contour-pruned cells: the shared core
-//! of `MD-BINARY` and `MD-RERANK`, and the engine behind their get-next.
+//! Best-first branch-and-bound over disjoint cells: the one region engine
+//! behind `1D-BINARY`, `1D-RERANK`, `MD-BINARY`, `MD-RERANK` and MD-TA's
+//! sorted-access streams. A 1D session is the one-attribute case: an
+//! interval is a one-dimensional box, and its bound is its preferred end.
 //!
 //! The session state is a *frontier* of disjoint unexplored cells (each
 //! with a lower bound on any score inside it) plus a buffer of discovered
-//! candidate tuples. A candidate may be served as soon as its score is
-//! strictly below every frontier cell's bound — no unseen tuple can beat
-//! it. To make progress, all frontier cells that could still hide a better
-//! tuple are searched together in one (parallel) round; this is exactly the
-//! paper's verification parallelism, and the per-round query counts feed
-//! Fig. 2.
+//! candidate tuples. A candidate may be served as soon as no frontier cell
+//! can hold a tuple that serves before it. To make progress, the frontier
+//! cells that could still hide a better tuple are searched together in
+//! one (parallel) round; this is exactly the paper's verification
+//! parallelism, and the per-round query counts feed Fig. 2.
 //!
 //! Each cell carries the tuples of its nearest probed ancestor's
 //! overflowing page that lie inside it: its *seen* tuples, the cell's own
-//! top tuples in system order. Two rules use them, and both depend only on
-//! the answers, never on timing:
+//! top tuples in system order. The rules below depend only on the
+//! answers, never on timing:
 //!
-//! * A cell holding a whole page of seen tuples is split again before
-//!   anyone probes it: its probe could only return that page and an
-//!   overflow bit. Dense and atomic cells are probed and crawled instead.
-//! * A parallel round fills its spare slots by splitting, instead of
-//!   probing, only cells whose seen tuples fill at least half a page: the
-//!   denser half of an overflowed parent, which is likely to overflow
-//!   too. A round with no such cell stays below the fan-out, so
-//!   parallelism buys rounds without paying much for blind splits.
+//! * **The page already held.** A cell holding a whole page of seen
+//!   tuples is split again before anyone probes it: its probe could only
+//!   return that page and an overflow bit. Dense and atomic cells are
+//!   probed and crawled instead.
+//! * **Ties split by value.** An overflowing page whose tuples all share
+//!   the value `v` on the split dimension splits its cell three ways:
+//!   strictly below `v`, the point `[v, v]` and strictly above (the
+//!   three-way split of Sheng et al.'s rank-shrink, PVLDB 2012). For a
+//!   one-attribute function, so does a page whose best value sits on the
+//!   cell's closed preferred end and holds at least two page tuples.
+//! * **Open preferred ends.** A one-attribute function is scored by its
+//!   raw value, so values that normalise alike still serve in value
+//!   order, and a cell whose preferred end is open cannot hold a tuple
+//!   that scores exactly its bound: a candidate at that score is served
+//!   before the cell is probed. At an equal bound a closed cell is
+//!   searched first. Multi-attribute scores are normalised sums, where
+//!   rounding can make a tuple inside a cell score its bound, so every MD
+//!   bound counts as closed.
+//! * **One cell per round for a one-attribute function.** Its cells are
+//!   intervals in serving order, so a round of several would probe cells
+//!   past the one that completes the next chunk; on a rate-limited source
+//!   those extra probes cost more sessions than the rounds they save.
+//! * **Speculate on the denser half only.** A multi-attribute round fills
+//!   its spare slots by splitting, instead of probing, only cells whose
+//!   seen tuples fill at least half a page: the denser half of an
+//!   overflowed parent, which is likely to overflow too. A round with no
+//!   such cell stays below the fan-out, so parallelism buys rounds without
+//!   paying much for blind splits.
 //!
 //! A failed probe puts the cells it left unexplored back on the frontier
 //! and returns the error; the next get-next searches them again.
@@ -31,19 +52,23 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
-use qr2_webdb::{SearchError, SearchQuery, TopKResponse, Tuple, TupleId};
+use qr2_webdb::{AttrId, SearchError, SearchQuery, TopKResponse, Tuple, TupleId};
 
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
-use crate::function::LinearFunction;
+use crate::function::{LinearFunction, SortDir};
 use crate::md::DEFAULT_DENSE_DELTA_MD;
 use crate::normalize::Normalizer;
+use crate::oned::DEFAULT_DENSE_DELTA_1D;
 use crate::space::NBox;
 
 /// A frontier cell: an unexplored box, the best score it could contain,
 /// and the tuples already seen inside it.
 struct Cell {
     min_score: f64,
+    /// No tuple inside the box scores exactly `min_score`: the bound is
+    /// the open preferred end of a one-attribute box.
+    open: bool,
     nbox: NBox,
     /// The tuples of the nearest probed ancestor's overflowing page that
     /// lie inside the box, in system order: the box's own top
@@ -53,9 +78,17 @@ struct Cell {
     seq: u64,
 }
 
+impl Cell {
+    /// True when the cell may hold a tuple that serves no later than a
+    /// candidate scoring `score`: the complement of the serve condition.
+    fn may_precede(&self, score: f64) -> bool {
+        self.min_score < score || (self.min_score == score && !self.open)
+    }
+}
+
 impl PartialEq for Cell {
     fn eq(&self, other: &Self) -> bool {
-        self.min_score == other.min_score && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Cell {}
@@ -65,11 +98,13 @@ impl PartialOrd for Cell {
     }
 }
 impl Ord for Cell {
-    // Reversed: BinaryHeap is a max-heap; we want the smallest bound first.
+    // Reversed: BinaryHeap is a max-heap; we want the smallest bound
+    // first, and a closed bound before an open one.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .min_score
             .total_cmp(&self.min_score)
+            .then(other.open.cmp(&self.open))
             .then(other.seq.cmp(&self.seq))
     }
 }
@@ -107,6 +142,9 @@ pub struct FrontierEngine {
     filter: SearchQuery,
     f: LinearFunction,
     norm: Arc<Normalizer>,
+    /// The attribute and direction of a one-attribute function, which is
+    /// scored by its raw value.
+    axis: Option<(AttrId, SortDir)>,
     dense: Option<Arc<DenseIndex>>,
     delta: f64,
     cells: BinaryHeap<Cell>,
@@ -117,7 +155,9 @@ pub struct FrontierEngine {
 }
 
 impl FrontierEngine {
-    /// Start a session. `dense = Some(..)` selects MD-RERANK behaviour.
+    /// Start a session. `dense = Some(..)` selects RERANK behaviour: cells
+    /// whose `|w|`-weighted relative diameter falls below δ
+    /// ([`DEFAULT_DENSE_DELTA_MD`]) are crawled into the shared index.
     pub fn new(
         ctx: SearchCtx,
         filter: SearchQuery,
@@ -127,11 +167,17 @@ impl FrontierEngine {
     ) -> Self {
         let attrs: Vec<_> = f.attrs().collect();
         let root = NBox::full(ctx.schema(), &filter, &attrs);
+        let axis = match f.weights() {
+            [(attr, w)] if *w >= 0.0 => Some((*attr, SortDir::Asc)),
+            [(attr, _)] => Some((*attr, SortDir::Desc)),
+            _ => None,
+        };
         let mut engine = FrontierEngine {
             ctx,
             filter,
             f,
             norm,
+            axis,
             dense,
             delta: DEFAULT_DENSE_DELTA_MD,
             cells: BinaryHeap::new(),
@@ -146,10 +192,37 @@ impl FrontierEngine {
         engine
     }
 
-    /// Set the dense-cell threshold δ.
-    pub fn set_delta(&mut self, delta: f64) {
+    /// A 1D session: `ORDER BY attr dir` as the ±1 function on `attr`.
+    /// `dense = Some(..)` selects 1D-RERANK, whose δ
+    /// ([`DEFAULT_DENSE_DELTA_1D`]) is a fraction of the attribute's
+    /// schema domain.
+    pub fn one_dim(
+        ctx: SearchCtx,
+        filter: SearchQuery,
+        attr: AttrId,
+        dir: SortDir,
+        dense: Option<Arc<DenseIndex>>,
+    ) -> Self {
+        assert!(
+            ctx.schema().attr(attr).kind.is_numeric(),
+            "1D ranking attribute must be numeric"
+        );
+        let w = match dir {
+            SortDir::Asc => 1.0,
+            SortDir::Desc => -1.0,
+        };
+        let f =
+            LinearFunction::new(vec![(attr, w)]).expect("±1 single-attribute function is valid");
+        let norm = Arc::new(Normalizer::from_domains(ctx.schema()));
+        FrontierEngine::new(ctx, filter, f, norm, dense).with_delta(DEFAULT_DENSE_DELTA_1D)
+    }
+
+    /// Override the dense-cell threshold δ (the ablation hook).
+    #[must_use]
+    pub fn with_delta(mut self, delta: f64) -> Self {
         assert!(delta >= 0.0);
         self.delta = delta;
+        self
     }
 
     /// Tuples served so far.
@@ -158,17 +231,36 @@ impl FrontierEngine {
     }
 
     /// Discovered tuples that the next `next()` calls can serve without
-    /// issuing any query: candidates provably better than every frontier
-    /// cell's bound. Serving them does not change the frontier, so all of
-    /// them are free in sequence.
+    /// issuing any query: candidates no frontier cell can precede. Serving
+    /// them does not change the frontier, so all of them are free in
+    /// sequence.
     pub fn buffered(&self) -> usize {
         match self.cells.peek() {
             None => self.candidates.len(),
             Some(cell) => self
                 .candidates
                 .iter()
-                .filter(|c| c.score < cell.min_score)
+                .filter(|c| !cell.may_precede(c.score))
                 .count(),
+        }
+    }
+
+    fn score(&self, t: &Tuple) -> f64 {
+        match self.axis {
+            Some((attr, dir)) => signed(dir, t.num_at(attr)),
+            None => self.f.score(t, &self.norm),
+        }
+    }
+
+    /// The best score a tuple inside `nbox` could have, and whether that
+    /// bound is open (no tuple inside attains it).
+    fn bound(&self, nbox: &NBox) -> (f64, bool) {
+        match self.axis {
+            Some((_, dir)) => {
+                let (end, holds) = preferred_end(nbox, dir);
+                (signed(dir, end), !holds)
+            }
+            None => (nbox.min_score(&self.f, &self.norm), false),
         }
     }
 
@@ -199,8 +291,10 @@ impl FrontierEngine {
                 }
             }
             self.seq += 1;
+            let (min_score, open) = self.bound(&nbox);
             cells.push(Cell {
-                min_score: nbox.min_score(&self.f, &self.norm),
+                min_score,
+                open,
                 nbox,
                 seen,
                 seq: self.seq,
@@ -211,10 +305,46 @@ impl FrontierEngine {
 
     /// Split `nbox` on dimension `dim` into two boxes that partition it,
     /// each with the `seen` tuples that lie inside it.
-    fn split(&self, nbox: &NBox, dim: usize, seen: Vec<Tuple>) -> [(NBox, Vec<Tuple>); 2] {
+    fn split(&self, nbox: &NBox, dim: usize, seen: Vec<Tuple>) -> Vec<(NBox, Vec<Tuple>)> {
         let (a, b) = nbox.split(dim, self.ctx.schema());
-        let (in_a, in_b) = seen.into_iter().partition(|t| a.contains(t));
-        [(a, in_a), (b, in_b)]
+        Self::share([a, b], seen)
+    }
+
+    /// Split an overflowing `nbox` on dimension `dim` by its `page`: three
+    /// ways around a value the page proves to be a tie, else in two.
+    fn split_page(&self, nbox: &NBox, dim: usize, page: Vec<Tuple>) -> Vec<(NBox, Vec<Tuple>)> {
+        match self.proven_tie(nbox, dim, &page) {
+            Some(v) => Self::share(nbox.split_around(dim, v), page),
+            None => self.split(nbox, dim, page),
+        }
+    }
+
+    /// `parts`, which partition a box, each with the `seen` tuples inside it.
+    fn share<const N: usize>(parts: [NBox; N], seen: Vec<Tuple>) -> Vec<(NBox, Vec<Tuple>)> {
+        let mut shares: Vec<(NBox, Vec<Tuple>)> =
+            parts.into_iter().map(|p| (p, Vec::new())).collect();
+        for t in seen {
+            if let Some((_, share)) = shares.iter_mut().find(|(p, _)| p.contains(&t)) {
+                share.push(t);
+            }
+        }
+        shares
+    }
+
+    /// The value an overflowing `page` of `nbox` proves to be a tie on
+    /// dimension `dim`: every page tuple shares it. For a one-attribute
+    /// function also the box's closed preferred end when at least two
+    /// page tuples sit on it.
+    fn proven_tie(&self, nbox: &NBox, dim: usize, page: &[Tuple]) -> Option<f64> {
+        let attr = nbox.dims()[dim].0;
+        let v = page.first()?.num_at(attr);
+        if page.iter().all(|t| t.num_at(attr) == v) {
+            return Some(v);
+        }
+        let (_, dir) = self.axis?;
+        let (end, holds) = preferred_end(nbox, dir);
+        let on_end = page.iter().filter(|t| t.num_at(attr) == end).count();
+        (holds && on_end >= 2).then_some(end)
     }
 
     /// The dimension to split an overflowing box on, or `None` when it is
@@ -230,7 +360,7 @@ impl FrontierEngine {
 
     fn add_tuple(&mut self, t: Tuple) {
         if self.discovered.insert(t.id) {
-            let score = self.f.score(&t, &self.norm);
+            let score = self.score(&t);
             self.candidates.push(Candidate { score, tuple: t });
         }
     }
@@ -240,9 +370,9 @@ impl FrontierEngine {
     pub fn next(&mut self) -> Result<Option<Tuple>, SearchError> {
         loop {
             // A candidate is provably next when no frontier cell could
-            // contain a strictly better tuple.
+            // contain a tuple that serves before it.
             let safe = match (self.candidates.peek(), self.cells.peek()) {
-                (Some(c), Some(cell)) => c.score < cell.min_score,
+                (Some(c), Some(cell)) => !cell.may_precede(c.score),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => return Ok(None),
@@ -256,22 +386,19 @@ impl FrontierEngine {
         }
     }
 
-    /// Pop every frontier cell that could beat the best candidate (bounded
-    /// by the executor fan-out) and search them in one round.
+    /// Pop the frontier cells that could beat the best candidate (bounded
+    /// by the executor fan-out, and by one for a one-attribute function)
+    /// and search them in one round.
     fn expand_round(&mut self) -> Result<(), SearchError> {
         let bound = self.candidates.peek().map(|c| c.score);
-        let batch_limit = self.ctx.kind().fanout().max(1);
+        let batch_limit = match self.axis {
+            Some(_) => 1,
+            None => self.ctx.kind().fanout().max(1),
+        };
         let mut batch: Vec<Cell> = Vec::new();
         while batch.len() < batch_limit {
             let Some(top) = self.cells.peek() else { break };
-            // Complement of the serve condition (`score < min_score`): a
-            // cell is worth expanding while its bound does not exceed the
-            // best candidate's score.
-            let beats = match bound {
-                None => true,
-                Some(b) => top.min_score <= b,
-            };
-            if !beats {
+            if bound.is_some_and(|b| !top.may_precede(b)) {
                 break;
             }
             batch.push(self.cells.pop().expect("peeked cell"));
@@ -331,13 +458,13 @@ impl FrontierEngine {
             }
             match self.split_dim(&cell.nbox) {
                 Some(dim) => {
-                    // Both children stay on the frontier: get-next keeps
+                    // Every part stays on the frontier: get-next keeps
                     // serving deeper into the order, so a cell that cannot
                     // beat the *current* best may still hold the tuple
                     // after next. Pruning happens implicitly — cells are
                     // only searched once their bound reaches the front.
                     let page = resp.tuples.to_vec();
-                    for (child, seen) in self.split(&cell.nbox, dim, page) {
+                    for (child, seen) in self.split_page(&cell.nbox, dim, page) {
                         self.push_cell(child, seen);
                     }
                 }
@@ -365,8 +492,8 @@ impl FrontierEngine {
     }
 
     /// Fully enumerate a cell, whose probe just overflowed with `page`.
-    /// MD-RERANK goes through the shared index with an unfiltered region;
-    /// MD-BINARY crawls the filtered region directly. Either crawl starts
+    /// RERANK goes through the shared index with an unfiltered region;
+    /// BINARY crawls the filtered region directly. Either crawl starts
     /// from `page` instead of probing again when its region is the probed
     /// one.
     fn enumerate_dense(&mut self, nbox: &NBox, page: TopKResponse) -> Result<(), SearchError> {
@@ -390,11 +517,32 @@ impl FrontierEngine {
     }
 }
 
+/// A one-attribute score: the raw value, negated for `Desc`, so that
+/// smaller is better either way.
+fn signed(dir: SortDir, v: f64) -> f64 {
+    match dir {
+        SortDir::Asc => v,
+        SortDir::Desc => -v,
+    }
+}
+
+/// The preferred end of a one-attribute box under `dir`, and whether the
+/// box holds it.
+fn preferred_end(nbox: &NBox, dir: SortDir) -> (f64, bool) {
+    let r = nbox.range(0);
+    match dir {
+        SortDir::Asc => (r.lo, r.lo_inc),
+        SortDir::Desc => (r.hi, r.hi_inc),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::ExecutorKind;
-    use qr2_webdb::{Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface};
+    use qr2_webdb::{
+        RangePred, Schema, SimulatedWebDb, SystemRanking, TableBuilder, TopKInterface,
+    };
 
     fn grid_db(system_k: usize) -> Arc<SimulatedWebDb> {
         let schema = Schema::builder()
@@ -599,8 +747,53 @@ mod tests {
         let x = schema.expect_id("x");
         let f = LinearFunction::from_names(schema, &[("x", 1.0), ("y", 1.0)]).unwrap();
         let norm = Arc::new(Normalizer::from_domains(schema));
-        let filter = SearchQuery::all().and_range(x, qr2_webdb::RangePred::closed(2.0, 3.0));
+        let filter = SearchQuery::all().and_range(x, RangePred::closed(2.0, 3.0));
         let mut e = FrontierEngine::new(ctx, filter, f, norm, None);
         assert!(e.next().unwrap().is_none());
+    }
+
+    #[test]
+    fn an_md_page_proving_a_tie_splits_the_point_off() {
+        // 30 tuples tie on x = 0.5 and the hidden rank serves them first,
+        // so the root's page proves the tie on x, the widest dimension of
+        // x + 0.5·y. The point x = 0.5 is split off and probed as such;
+        // bisecting toward it would never reach a point.
+        let schema = Schema::builder()
+            .numeric("x", 0.0, 1.0)
+            .numeric("y", 0.0, 1.0)
+            .build();
+        let mut tb = TableBuilder::new(schema.clone());
+        for i in 0..30 {
+            tb.push_row(vec![0.5, f64::from(i) / 100.0]).unwrap();
+        }
+        for i in 0..20 {
+            tb.push_row(vec![f64::from(i) / 20.0, 0.5 + f64::from(i) / 50.0])
+                .unwrap();
+        }
+        let ranking = SystemRanking::linear(&schema, &[("y", -1.0)]).unwrap();
+        let source = Arc::new(Recording {
+            inner: Arc::new(SimulatedWebDb::new(tb.build(), ranking, 4)),
+            log: Default::default(),
+        });
+        let ctx = SearchCtx::new(source.clone(), ExecutorKind::Sequential);
+        let f = LinearFunction::from_names(&schema, &[("x", 1.0), ("y", 0.5)]).unwrap();
+        let norm = Arc::new(Normalizer::from_domains(&schema));
+        let mut e = FrontierEngine::new(ctx, SearchQuery::all(), f.clone(), norm.clone(), None);
+        let mut got = Vec::new();
+        while let Some(t) = e.next().unwrap() {
+            got.push(f.score(&t, &norm));
+        }
+        assert_eq!(got.len(), 50);
+        assert!(
+            got.windows(2).all(|w| w[0] <= w[1]),
+            "served in score order"
+        );
+        let x = schema.expect_id("x");
+        let point = RangePred::point(0.5);
+        let log = source.log.lock();
+        assert!(
+            log.iter().any(|(q, _)| q.range_of(x) == Some(&point)),
+            "the tie's point is probed"
+        );
     }
 }

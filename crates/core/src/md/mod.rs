@@ -16,6 +16,10 @@
 //!   access provided by per-attribute `1D-RERANK` streams.
 //!
 //! All four serve the get-next primitive through [`MdReranker::next`].
+//! [`FrontierEngine`] is the one region engine: `MD-BINARY`, `MD-RERANK`,
+//! `1D-BINARY`, `1D-RERANK` and MD-TA's sorted-access streams all run on
+//! it, the 1D ones as one-attribute functions. Its rules, and which of
+//! them depend on the function's dimension, are set out in `md/frontier.rs`.
 
 mod baseline;
 mod frontier;
@@ -97,16 +101,6 @@ impl MdReranker {
             }
         };
         MdReranker { inner }
-    }
-
-    /// Override the dense-cell threshold δ (frontier engines only;
-    /// ablation hook).
-    #[must_use]
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        if let Engine::Frontier(e) = &mut self.inner {
-            e.set_delta(delta);
-        }
-        self
     }
 
     /// The get-next primitive: the next tuple in score order (smallest

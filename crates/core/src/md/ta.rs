@@ -19,8 +19,8 @@ use qr2_webdb::{SearchError, SearchQuery, Tuple, TupleId};
 use crate::dense_index::DenseIndex;
 use crate::executor::SearchCtx;
 use crate::function::{LinearFunction, SortDir};
+use crate::md::FrontierEngine;
 use crate::normalize::Normalizer;
-use crate::oned::{OneDAlgo, OneDimStream};
 
 struct Candidate {
     score: f64,
@@ -52,7 +52,7 @@ impl Ord for Candidate {
 pub struct TaEngine {
     f: LinearFunction,
     norm: Arc<Normalizer>,
-    streams: Vec<OneDimStream>,
+    streams: Vec<FrontierEngine>,
     /// Last value seen on each stream (raw scale).
     last: Vec<Option<f64>>,
     /// A stream that ran dry has surfaced every matching tuple.
@@ -73,7 +73,7 @@ impl TaEngine {
         norm: Arc<Normalizer>,
         dense: Arc<DenseIndex>,
     ) -> Self {
-        let streams: Vec<OneDimStream> = f
+        let streams: Vec<FrontierEngine> = f
             .weights()
             .iter()
             .map(|(attr, w)| {
@@ -82,12 +82,11 @@ impl TaEngine {
                 } else {
                     SortDir::Desc
                 };
-                OneDimStream::new(
+                FrontierEngine::one_dim(
                     ctx.clone(),
                     filter.clone(),
                     *attr,
                     dir,
-                    OneDAlgo::Rerank,
                     Some(dense.clone()),
                 )
             })

@@ -8,9 +8,9 @@ use crate::budget::{Budget, StepOutcome};
 use crate::dense_index::DenseIndex;
 use crate::executor::{ExecutorKind, SearchCtx};
 use crate::function::{LinearFunction, RankingFunction, SortDir};
-use crate::md::{MdAlgo, MdReranker};
+use crate::md::{FrontierEngine, MdAlgo, MdReranker};
 use crate::normalize::{calibrate, Normalizer};
-use crate::oned::{OneDAlgo, OneDimStream};
+use crate::oned::OneDimStream;
 use crate::stats::QueryStats;
 
 /// Which of the paper's algorithms processes the query.
@@ -190,21 +190,23 @@ impl Reranker {
                     )
                 }
             };
-            let algo = match req.algorithm {
-                Algorithm::OneDBaseline => OneDAlgo::Baseline,
-                Algorithm::OneDBinary => OneDAlgo::Binary,
-                Algorithm::OneDRerank => OneDAlgo::Rerank,
+            match req.algorithm {
+                Algorithm::OneDBaseline => {
+                    SessionInner::OneD(OneDimStream::new(ctx.clone(), req.filter, attr, dir))
+                }
+                Algorithm::OneDBinary | Algorithm::OneDRerank => {
+                    let dense =
+                        (req.algorithm == Algorithm::OneDRerank).then(|| self.dense.clone());
+                    SessionInner::Frontier(FrontierEngine::one_dim(
+                        ctx.clone(),
+                        req.filter,
+                        attr,
+                        dir,
+                        dense,
+                    ))
+                }
                 _ => unreachable!("is_one_dimensional checked"),
-            };
-            let dense = (algo == OneDAlgo::Rerank).then(|| self.dense.clone());
-            SessionInner::OneD(OneDimStream::new(
-                ctx.clone(),
-                req.filter,
-                attr,
-                dir,
-                algo,
-                dense,
-            ))
+            }
         } else {
             let f = match &req.function {
                 RankingFunction::Linear(f) => f.clone(),
@@ -243,7 +245,10 @@ impl Reranker {
 }
 
 enum SessionInner {
+    /// 1D-BASELINE.
     OneD(OneDimStream),
+    /// 1D-BINARY and 1D-RERANK.
+    Frontier(FrontierEngine),
     Md(MdReranker),
 }
 
@@ -265,11 +270,11 @@ impl RerankSession {
     /// [`StepOutcome`] along with the incremental [`QueryStats`] delta.
     ///
     /// Sessions are resumable: a later `advance` continues exactly where
-    /// this one stopped (frontier, bisection stack, index and buffer state
-    /// persist across both the 1D and MD engine families), so slicing a
-    /// run into budgeted steps yields the identical tuple order and
-    /// identical total query cost as one unbudgeted run. Tuples already discovered are served
-    /// without spending budget; the query cap is checked between
+    /// this one stopped (frontier, index and buffer state persist across
+    /// every engine), so slicing a run into budgeted steps yields the
+    /// identical tuple order and identical total query cost as one
+    /// unbudgeted run. Tuples already discovered are served without
+    /// spending budget; the query cap is checked between
     /// discoveries, so a step may overshoot it by the cost of completing
     /// the one in-flight discovery but never starts a new one past it.
     ///
@@ -369,6 +374,7 @@ impl RerankSession {
     pub fn served(&self) -> usize {
         let produced = match &self.inner {
             SessionInner::OneD(s) => s.served(),
+            SessionInner::Frontier(s) => s.served(),
             SessionInner::Md(s) => s.served(),
         };
         produced - self.carried.len()
@@ -379,6 +385,7 @@ impl RerankSession {
     pub fn buffered(&self) -> usize {
         let engine = match &self.inner {
             SessionInner::OneD(s) => s.buffered(),
+            SessionInner::Frontier(s) => s.buffered(),
             SessionInner::Md(s) => s.buffered(),
         };
         self.carried.len() + engine
@@ -392,6 +399,7 @@ impl RerankSession {
     fn engine_next(&mut self) -> Result<Option<Tuple>, SearchError> {
         match &mut self.inner {
             SessionInner::OneD(s) => s.next(),
+            SessionInner::Frontier(s) => s.next(),
             SessionInner::Md(s) => s.next(),
         }
     }

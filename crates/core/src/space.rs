@@ -131,7 +131,7 @@ impl NBox {
     ) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, (attr, r)) in self.dims.iter().enumerate() {
-            if r.bisect(schema.attr(*attr).is_integral()).is_none() {
+            if halves(schema, *attr, r).is_none() {
                 continue;
             }
             let w = f
@@ -149,20 +149,46 @@ impl NBox {
         best.map(|(i, _)| i)
     }
 
-    /// Split dimension `i` at its midpoint ([`RangePred::bisect`], without
-    /// snapping) into two boxes that partition this one. Integral
-    /// attributes split on whole numbers. Panics when the dimension cannot
-    /// be cut ([`NBox::widest_splittable_dim`] skips those).
+    /// Split dimension `i` at its midpoint ([`RangePred::bisect`]) into two
+    /// boxes that partition this one. Integral attributes split on whole
+    /// numbers, after snapping: an open end left by
+    /// [`split_around`](NBox::split_around) never reaches back to the value
+    /// it excludes. Panics when the dimension cannot be cut
+    /// ([`NBox::widest_splittable_dim`] skips those).
     pub fn split(&self, i: usize, schema: &Schema) -> (NBox, NBox) {
         let (attr, r) = self.dims[i];
-        let (left, right) = r
-            .bisect(schema.attr(attr).is_integral())
-            .unwrap_or_else(|| panic!("dimension {i} too narrow to split"));
+        let (left, right) =
+            halves(schema, attr, &r).unwrap_or_else(|| panic!("dimension {i} too narrow to split"));
         let mut a = self.clone();
         a.dims[i].1 = left;
         let mut b = self.clone();
         b.dims[i].1 = right;
         (a, b)
+    }
+
+    /// Split dimension `i` three ways around `v`, a value inside it:
+    /// strictly below `v`, the point `[v, v]` and strictly above. The
+    /// outer parts may be empty.
+    pub fn split_around(&self, i: usize, v: f64) -> [NBox; 3] {
+        let r = self.dims[i].1;
+        [
+            RangePred {
+                hi: v,
+                hi_inc: false,
+                ..r
+            },
+            RangePred::point(v),
+            RangePred {
+                lo: v,
+                lo_inc: false,
+                ..r
+            },
+        ]
+        .map(|part| {
+            let mut b = self.clone();
+            b.dims[i].1 = part;
+            b
+        })
     }
 
     /// Shrink the box to the tight bounding box of the region
@@ -230,6 +256,13 @@ impl NBox {
             .map(|i| self.rel_width(i, norm))
             .product()
     }
+}
+
+/// The halves [`NBox::split`] cuts `r` of `attr` into, or `None` when it
+/// cannot be cut.
+fn halves(schema: &Schema, attr: AttrId, r: &RangePred) -> Option<(RangePred, RangePred)> {
+    let integral = schema.attr(attr).is_integral();
+    if integral { r.snap_integral() } else { *r }.bisect(integral)
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! * a drained session equals the ground-truth order: by (value, tuple
 //!   id), or by (score, tuple id) under the reranker's normalizer;
 //! * slicing the same session into `Budget::queries(1)` steps serves the
-//!   same tuples for the same total query count — the bisection stack,
-//!   frontier and buffer are session state, so a resumed step never pays
-//!   again for what an earlier one learned.
+//!   same tuples for the same total query count — the frontier and the
+//!   buffer are session state, so a resumed step never pays again for
+//!   what an earlier one learned.
 //!
 //! And for every engine × direction × executor, a source that fails one
 //! seeded probe once: the step that meets it returns `Failed`, and

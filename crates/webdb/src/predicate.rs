@@ -12,8 +12,8 @@ use crate::value::Value;
 /// half-open intervals such as `[lo, mid)` so the two halves partition the
 /// space without double-counting boundary tuples. [`RangePred::cut`] is
 /// the one cut: the crawler cuts a range between the values of a page,
-/// and the MD boxes, the 1D chunk finder and the crawler's fallback cut it
-/// at its midpoint through [`RangePred::bisect`].
+/// and the region engine's boxes and the crawler's fallback cut it at its
+/// midpoint through [`RangePred::bisect`].
 /// [`RangePred::snap_integral`] is the one rounding of a range onto whole
 /// numbers.
 #[derive(Debug, Clone, Copy)]
